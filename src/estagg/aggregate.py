@@ -25,16 +25,12 @@ class ModeConfig:
     label: str = "full"
     use_bias: bool = True
     bias_key: str = "identity_firm"
-    half_lambda: float = 0.5
     use_expertise: bool = True
     variable_mask: Mask = FULL_MASK
     scaling: str = "normalized"  # "normalized" | "centered"
     identity: str = "analyst"  # "analyst" | "broker"
     exponent: float = 1.2
     min_lead_hours: int = 48
-    # whether the weighted average runs over bias-adjusted predictions
-    # (default) or raw ones with weights carrying all the information
-    adjust_predictions: bool = True
     method: str = "weighted"  # "weighted" | "closest"
 
     def __post_init__(self):
@@ -65,30 +61,15 @@ class EventAggregate:
 _MARGIN_TOL = 1e-12
 
 
-def weight(predicted_daae: float, event_mean_daae: float, r: float) -> float:
+def weight_vector(predicted: np.ndarray, r: float) -> np.ndarray:
     """Zero at or above the event-average predicted error, else a power of
     the margin below it."""
-    margin = event_mean_daae - predicted_daae
-    if margin <= _MARGIN_TOL * max(1.0, abs(event_mean_daae)):
-        return 0.0
-    return margin ** r
-
-
-def weight_vector(predicted: np.ndarray, r: float) -> np.ndarray:
     mean = predicted.mean()
     d = mean - predicted
     w = np.zeros_like(d)
     pos = d > _MARGIN_TOL * max(1.0, abs(mean))
     w[pos] = d[pos] ** r
     return w
-
-
-def simple_consensus(values) -> float:
-    """Unweighted arithmetic mean of the raw final predictions."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("consensus of an empty event")
-    return float(arr.mean())
 
 
 MODE_DESCRIPTIONS = {

@@ -9,15 +9,9 @@ switch, not a separate code path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 GRANULARITIES = ("identity_firm", "identity", "firm", "global")
-
-
-def signed_error(predict_cents: int, actual_cents: int) -> int:
-    """Signed prediction error: prediction minus realized value."""
-    return predict_cents - actual_cents
 
 
 def blended_bias(firm_bias: float, identity_bias: float, lam: float = 0.5) -> float:
@@ -61,21 +55,12 @@ class ErrorLedger:
     def count(self, identity: str, firm: str) -> int:
         return self._counts.get(self._key(identity, firm), 0)
 
-    def snapshot(self) -> str:
-        """JSON diagnostics dump: key, count, mean bias."""
-        rows = [
-            {"key": list(k) if isinstance(k, tuple) else k, "count": self._counts[k], "bias": self._sums[k] / self._counts[k]}
-            for k in sorted(self._sums)
-        ]
-        return json.dumps(rows, indent=2)
-
 
 class BiasTracker:
     """Mode-facing bias lookup; handles the half/half blend as two ledgers."""
 
-    def __init__(self, key: str = "identity_firm", lam: float = 0.5):
+    def __init__(self, key: str = "identity_firm"):
         self.key = key
-        self.lam = lam
         if key == "half":
             self._firm = ErrorLedger("firm")
             self._ident = ErrorLedger("identity")
@@ -89,7 +74,7 @@ class BiasTracker:
 
     def bias(self, identity: str, firm: str) -> float:
         if self.key == "half":
-            return blended_bias(self._firm.bias(identity, firm), self._ident.bias(identity, firm), self.lam)
+            return blended_bias(self._firm.bias(identity, firm), self._ident.bias(identity, firm))
         return self._ledgers[0].bias(identity, firm)
 
 

@@ -18,22 +18,45 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .aggregate import MODE_DESCRIPTIONS, default_mode_matrix, modes_by_label
+from .aggregate import ModeConfig, default_mode_matrix, modes_by_label
 from .evaluate import (
     ModeResult,
     PanelSource,
     SurprisePair,
-    average_stat,
     descriptive_stats,
-    median_stat,
+    mode_result,
+    pairs_from_outcomes,
     run_mode_matrix,
-    surprise_improvement,
-    trend_stat,
 )
 from .ingest import FilterConfig, cross_check_actuals, parse_actuals, parse_estimates
 from .synth import SynthSpec, generate
 
 logger = logging.getLogger(__name__)
+
+# settings a flag or the config file may give, each with its config-file
+# cast; the filter and synth defaults live on FilterConfig and SynthSpec
+RUN_SETTINGS = {
+    "estimates": str,
+    "actuals": str,
+    "actuals_check": str,
+    "out": str,
+    "burn_in": int,
+    "modes": str,
+    "exponent": float,
+}
+FILTER_SETTINGS = {"min_analysts": int, "surprise_cap_cents": int, "min_lead_hours": int, "max_age_days": int}
+SYNTH_SETTINGS = {
+    "seed": int,
+    "n_firms": int,
+    "n_analysts": int,
+    "n_quarters": int,
+    "analysts_per_event": int,
+    "bias_scale": float,
+    "skill_spread": float,
+    "noise_scale": float,
+    "common_scale": float,
+    "negative_surprise_target": float,
+}
 
 
 def _setup_logging() -> None:
@@ -53,6 +76,19 @@ def _read_config_file(path: str) -> dict[str, str]:
                 raise ValueError(f"bad config line: {raw.rstrip()}")
             key, value = line.split("=", 1)
             out[key.strip()] = value.strip()
+    return out
+
+
+def _settings(args: argparse.Namespace, cfg_file: dict[str, str], casts: dict) -> dict:
+    """Each named setting from its flag, else from the config file; settings
+    given in neither are left out, so the caller's defaults apply."""
+    out = {}
+    for key, cast in casts.items():
+        value = getattr(args, key)
+        if value is None and key in cfg_file:
+            value = cast(cfg_file[key])
+        if value is not None:
+            out[key] = value
     return out
 
 
@@ -93,27 +129,15 @@ def _write_results_csv(path: str, results: list[ModeResult]) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg_file = _read_config_file(args.config) if args.config else {}
-
-    def setting(flag_value, key, cast, default):
-        if flag_value is not None:
-            return flag_value
-        if key in cfg_file:
-            return cast(cfg_file[key])
-        return default
-
-    estimates_path = setting(args.estimates, "estimates", str, None)
-    actuals_path = setting(args.actuals, "actuals", str, None)
-    check_path = setting(args.actuals_check, "actuals_check", str, None)
-    out_dir = setting(args.out, "out", str, None)
-    burn_in = setting(args.burn_in, "burn_in", int, 24)
-    mode_sel = setting(args.modes, "modes", str, "all")
-    fcfg = FilterConfig(
-        min_analysts=setting(args.min_analysts, "min_analysts", int, 8),
-        surprise_cap_cents=setting(args.surprise_cap_cents, "surprise_cap_cents", int, 50),
-        min_lead_hours=setting(args.min_lead_hours, "min_lead_hours", int, 48),
-        max_age_days=setting(args.max_age_days, "max_age_days", int, 365),
-    )
-    exponent = setting(args.exponent, "exponent", float, 1.2)
+    settings = _settings(args, cfg_file, RUN_SETTINGS)
+    estimates_path = settings.get("estimates")
+    actuals_path = settings.get("actuals")
+    check_path = settings.get("actuals_check")
+    out_dir = settings.get("out")
+    burn_in = settings.get("burn_in", 24)
+    mode_sel = settings.get("modes", "all")
+    exponent = settings.get("exponent", ModeConfig.exponent)
+    fcfg = FilterConfig(**_settings(args, cfg_file, FILTER_SETTINGS))
 
     if not estimates_path or not actuals_path or not out_dir:
         print("run requires --estimates, --actuals and --out (flags or config)", file=sys.stderr)
@@ -132,7 +156,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         actuals, act_rejects = parse_actuals(actuals_path)
         if check_path:
             check, _ = parse_actuals(check_path)
-            actuals = cross_check_actuals(actuals, check, keep_missing=fcfg.keep_unchecked_actuals)
+            actuals = cross_check_actuals(actuals, check)
 
         if mode_sel == "all":
             modes = default_mode_matrix(exponent)
@@ -163,7 +187,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         models_dir = os.path.join(out_dir, "models")
         os.makedirs(models_dir, exist_ok=True)
-        for mode in modes:
+        for mode, result in zip(modes, results):
             rr = details[mode.label]
             p = os.path.join(models_dir, f"{mode.label}.csv")
             written.append(p)
@@ -185,21 +209,11 @@ def cmd_run(args: argparse.Namespace) -> int:
                         f"{o.fallback_reason or ''},{1 if o.quarter_offset >= burn_in else 0}\n"
                     )
 
-            pairs = [
-                SurprisePair(o.simple_consensus - o.actual_cents, o.improved - o.actual_cents)
-                for o in rr.outcomes
-                if o.quarter_offset >= burn_in
-            ]
             with open(out(f"scatter_{mode.label}.csv"), "w", newline="\n") as fh:
                 fh.write("original_surprise,improved_surprise\n")
-                for p_ in pairs:
+                for p_ in pairs_from_outcomes(rr, burn_in):
                     fh.write(f"{repr(p_.original)},{repr(p_.improved)}\n")
-            trend = trend_stat(pairs) if pairs else None
-            sidecar = {
-                "n": len(pairs),
-                "trend": trend[0] if trend else None,
-                "r_squared": trend[1] if trend else None,
-            }
+            sidecar = {"n": result.n_events, "trend": result.trend, "r_squared": result.r_squared}
             with open(out(f"scatter_{mode.label}.json"), "w", newline="\n") as fh:
                 json.dump(sidecar, fh, indent=2, sort_keys=True)
                 fh.write("\n")
@@ -241,29 +255,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg_file = _read_config_file(args.config) if args.config else {}
-
-    def setting(flag_value, key, cast, default):
-        if flag_value is not None:
-            return flag_value
-        if key in cfg_file:
-            return cast(cfg_file[key])
-        return default
-
     try:
-        spec = SynthSpec(
-            n_firms=setting(args.n_firms, "n_firms", int, 50),
-            n_analysts=setting(args.n_analysts, "n_analysts", int, 200),
-            n_quarters=setting(args.n_quarters, "n_quarters", int, 40),
-            analysts_per_event=setting(args.analysts_per_event, "analysts_per_event", int, 8),
-            bias_scale=setting(args.bias_scale, "bias_scale", float, 5.0),
-            skill_spread=setting(args.skill_spread, "skill_spread", float, 1.0),
-            noise_scale=setting(args.noise_scale, "noise_scale", float, 3.0),
-            common_scale=setting(args.common_scale, "common_scale", float, 5.0),
-            negative_surprise_target=setting(
-                args.negative_surprise_target, "negative_surprise_target", float, 0.3
-            ),
-            seed=setting(args.seed, "seed", int, 12345),
-        )
+        spec = SynthSpec(**_settings(args, cfg_file, SYNTH_SETTINGS))
         paths = generate(spec, args.out)
     except ValueError as exc:
         print(f"synth failed: {exc}", file=sys.stderr)
@@ -294,19 +287,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                         float(row["improved"]) - actual,
                     )
                 )
-        trend = trend_stat(pairs) if pairs else None
-        results.append(
-            ModeResult(
-                label=label,
-                description=MODE_DESCRIPTIONS.get(label, label),
-                n_events=len(pairs),
-                median=median_stat([surprise_improvement(p.original, p.improved) for p in pairs]) if pairs else None,
-                average=average_stat(pairs) if pairs else None,
-                trend=trend[0] if trend else None,
-                r_squared=trend[1] if trend else None,
-                trend_supplementary=label != "full",
-            )
-        )
+        results.append(mode_result(label, pairs))
     _write_results_csv(os.path.join(run_dir, "results.csv"), results)
     print(f"results.csv rebuilt from {len(event_files)} event files")
     return 0

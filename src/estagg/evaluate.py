@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .aggregate import ModeConfig
+from .aggregate import MODE_DESCRIPTIONS, ModeConfig
 from .ingest import Actual, Estimate, FilterConfig, Panel, build_panel
 from .replay import ReplayResult, run_mode
 
@@ -118,19 +118,6 @@ def pairs_from_outcomes(result: ReplayResult, burn_in: int) -> list[SurprisePair
     ]
 
 
-def closest_analyst(event, bias_lookup=None) -> float:
-    """Smallest absolute individual error for one event; predictions are
-    bias-adjusted when a lookup is supplied."""
-    best = None
-    for est in event.estimates:
-        value = est.value_cents - (bias_lookup(est.identity, event.firm_id) if bias_lookup else 0.0)
-        err = abs(value - event.actual_cents)
-        best = err if best is None else min(best, err)
-    if best is None:
-        raise ValueError("event has no estimates")
-    return best
-
-
 def descriptive_stats(panel: Panel) -> dict:
     """Panel-level descriptive statistics (symbols, reports, predictions,
     analysts, surprise magnitudes, negative-surprise and in-range shares)."""
@@ -174,35 +161,38 @@ class PanelSource:
         self.cfg = cfg
         self._cache: dict[tuple[str, int], Panel] = {}
 
-    def panel_for(self, mode: ModeConfig) -> Panel:
-        key = (mode.identity, mode.min_lead_hours)
+    def _panel(self, identity: str, min_lead_hours: int) -> Panel:
+        key = (identity, min_lead_hours)
         if key not in self._cache:
-            cfg = dc_replace(self.cfg, min_lead_hours=mode.min_lead_hours)
-            self._cache[key] = build_panel(self.estimates, self.actuals, cfg, identity=mode.identity)
+            cfg = dc_replace(self.cfg, min_lead_hours=min_lead_hours)
+            self._cache[key] = build_panel(self.estimates, self.actuals, cfg, identity=identity)
         return self._cache[key]
+
+    def panel_for(self, mode: ModeConfig) -> Panel:
+        """The mode's panel; its recency cutoff never undercuts the filter's."""
+        return self._panel(mode.identity, max(self.cfg.min_lead_hours, mode.min_lead_hours))
 
     def default_panel(self) -> Panel:
-        key = ("analyst", self.cfg.min_lead_hours)
-        if key not in self._cache:
-            self._cache[key] = build_panel(self.estimates, self.actuals, self.cfg, identity="analyst")
-        return self._cache[key]
+        return self._panel("analyst", self.cfg.min_lead_hours)
 
 
-def evaluate_mode(result: ReplayResult, mode: ModeConfig, burn_in: int) -> ModeResult:
-    from .aggregate import MODE_DESCRIPTIONS
-
-    pairs = pairs_from_outcomes(result, burn_in)
+def mode_result(label: str, pairs: Sequence[SurprisePair]) -> ModeResult:
+    """The three improvement statistics over one mode's evaluation pairs."""
     trend = trend_stat(pairs) if pairs else None
     return ModeResult(
-        label=mode.label,
-        description=MODE_DESCRIPTIONS.get(mode.label, mode.label),
+        label=label,
+        description=MODE_DESCRIPTIONS.get(label, label),
         n_events=len(pairs),
         median=median_stat([surprise_improvement(p.original, p.improved) for p in pairs]) if pairs else None,
         average=average_stat(pairs) if pairs else None,
         trend=trend[0] if trend else None,
         r_squared=trend[1] if trend else None,
-        trend_supplementary=mode.label != "full",
+        trend_supplementary=label != "full",
     )
+
+
+def evaluate_mode(result: ReplayResult, mode: ModeConfig, burn_in: int) -> ModeResult:
+    return mode_result(mode.label, pairs_from_outcomes(result, burn_in))
 
 
 def run_mode_matrix(

@@ -10,25 +10,11 @@ all-analyst event average: (v - mean) / mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 FEATURE_NAMES = ("age", "freq", "ncos", "top10", "exp", "mae")
-
-
-@dataclass(frozen=True)
-class FeatureRow:
-    age: float  # days from estimate to announcement
-    freq: int
-    ncos: int
-    top10: int
-    exp: int
-    mae: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.age, self.freq, self.ncos, self.top10, self.exp, self.mae], dtype=float)
 
 
 def top10_brokers(census: Mapping[str, int]) -> set:
@@ -38,17 +24,6 @@ def top10_brokers(census: Mapping[str, int]) -> set:
     cutoff = math.ceil(0.1 * len(census))
     threshold = sorted(census.values(), reverse=True)[cutoff - 1]
     return {b for b, n in census.items() if n >= threshold}
-
-
-def top10_flag(broker_id: str, census: Mapping[str, int]) -> int:
-    return 1 if broker_id in top10_brokers(census) else 0
-
-
-def mae_at(aae_history: Sequence[float]) -> float:
-    """Mean of the forecaster's prior absolute (adjusted) errors."""
-    if not aae_history:
-        raise RuntimeError("mean absolute error queried with empty history")
-    return sum(aae_history) / len(aae_history)
 
 
 def normalize(values: np.ndarray, scaling: str = "normalized") -> np.ndarray:

@@ -13,12 +13,12 @@ exact integer arithmetic.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 from collections import Counter, defaultdict
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Callable, Sequence
 
 from .periods import Quarter, parse_ts
 
@@ -73,8 +73,6 @@ class FilterConfig:
     min_lead_hours: int = 48
     max_age_days: int = 365
     horizon_codes: frozenset[int] = frozenset({6, 7, 8, 9})
-    # absent-in-secondary handling for the actuals cross-check
-    keep_unchecked_actuals: bool = False
     # the prior-record rule; switchable so the remaining filters can be
     # tested for idempotence (the rule itself consumes history, so it is
     # not idempotent under re-feeding)
@@ -139,94 +137,65 @@ class Panel:
     identity: str = "analyst"
 
 
-def _open_text(source) -> TextIO:
-    if isinstance(source, (str, bytes)) and not isinstance(source, bytes):
-        return open(source, "r", newline="")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, io.RawIOBase) or hasattr(source, "mode") and "b" in getattr(source, "mode", ""):
-        return io.TextIOWrapper(source)
-    return source
+def _estimate(row: dict) -> Estimate:
+    return Estimate(
+        analyst_id=row["analyst_id"],
+        broker_id=row["broker_id"],
+        firm_id=row["firm_id"],
+        period=(int(row["period_year"]), int(row["period_quarter"])),
+        estimate_ts=parse_ts(row["estimate_ts"]),
+        horizon_code=int(row["horizon_code"]),
+        value_cents=int(row["value_cents"]),
+    )
 
 
-def parse_estimates(source, schema: Optional[dict[str, str]] = None) -> tuple[list[Estimate], list[Reject]]:
-    """Parse an estimates file; malformed rows go to the reject list."""
-    schema = schema or {}
-    out: list[Estimate] = []
-    rejects: list[Reject] = []
-    fh = _open_text(source)
-    reader = csv.DictReader(fh)
-    if reader.fieldnames is None:
-        raise ValueError("estimates source has no readable header")
-    missing = [c for c in ESTIMATE_COLUMNS if schema.get(c, c) not in reader.fieldnames]
-    if missing:
-        raise ValueError(f"estimates header missing columns: {missing}")
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            get = lambda c: row[schema.get(c, c)]
-            out.append(
-                Estimate(
-                    analyst_id=get("analyst_id"),
-                    broker_id=get("broker_id"),
-                    firm_id=get("firm_id"),
-                    period=(int(get("period_year")), int(get("period_quarter"))),
-                    estimate_ts=parse_ts(get("estimate_ts")),
-                    horizon_code=int(get("horizon_code")),
-                    value_cents=int(get("value_cents")),
-                )
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            rejects.append(Reject(line=lineno, reason=f"malformed: {exc}"))
-    return out, rejects
+def _actual(row: dict) -> Actual:
+    return Actual(
+        firm_id=row["firm_id"],
+        period=(int(row["period_year"]), int(row["period_quarter"])),
+        announce_ts=parse_ts(row["announce_ts"]),
+        value_cents=int(row["value_cents"]),
+    )
 
 
-def parse_actuals(source, schema: Optional[dict[str, str]] = None) -> tuple[list[Actual], list[Reject]]:
-    schema = schema or {}
-    out: list[Actual] = []
-    rejects: list[Reject] = []
-    fh = _open_text(source)
-    reader = csv.DictReader(fh)
-    if reader.fieldnames is None:
-        raise ValueError("actuals source has no readable header")
-    missing = [c for c in ACTUAL_COLUMNS if schema.get(c, c) not in reader.fieldnames]
-    if missing:
-        raise ValueError(f"actuals header missing columns: {missing}")
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            get = lambda c: row[schema.get(c, c)]
-            out.append(
-                Actual(
-                    firm_id=get("firm_id"),
-                    period=(int(get("period_year")), int(get("period_quarter"))),
-                    announce_ts=parse_ts(get("announce_ts")),
-                    value_cents=int(get("value_cents")),
-                )
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            rejects.append(Reject(line=lineno, reason=f"malformed: {exc}"))
-    return out, rejects
+def _read_rows(source, kind: str, columns: tuple[str, ...], make: Callable[[dict], object]) -> tuple[list, list[Reject]]:
+    """Build one record per CSV row with ``make``; malformed rows become
+    rejects carrying their physical line number.
 
-
-def cross_check_actuals(
-    primary: Sequence[Actual],
-    secondary: Sequence[Actual],
-    keep_missing: bool = False,
-) -> list[Actual]:
-    """Keep actuals confirmed by the second source (exact cents equality).
-
-    Pairs absent from the secondary source are discarded unless
-    ``keep_missing`` is set.
+    A ``str`` source is a path, opened and closed here; anything else is a
+    text stream, read and left open for the caller.
     """
+    out = []
+    rejects: list[Reject] = []
+    with open(source, newline="") if isinstance(source, str) else nullcontext(source) as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ValueError(f"{kind} source has no readable header")
+        missing = [c for c in columns if c not in reader.fieldnames]
+        if missing:
+            raise ValueError(f"{kind} header missing columns: {missing}")
+        for row in reader:
+            try:
+                out.append(make(row))
+            except (ValueError, KeyError, TypeError) as exc:
+                rejects.append(Reject(line=reader.line_num, reason=f"malformed: {exc}"))
+    return out, rejects
+
+
+def parse_estimates(source) -> tuple[list[Estimate], list[Reject]]:
+    """Parse an estimates file; malformed rows go to the reject list."""
+    return _read_rows(source, "estimates", ESTIMATE_COLUMNS, _estimate)
+
+
+def parse_actuals(source) -> tuple[list[Actual], list[Reject]]:
+    return _read_rows(source, "actuals", ACTUAL_COLUMNS, _actual)
+
+
+def cross_check_actuals(primary: Sequence[Actual], secondary: Sequence[Actual]) -> list[Actual]:
+    """Keep actuals confirmed by the second source (exact cents equality);
+    pairs absent from the secondary source are discarded."""
     check = {(a.firm_id, a.period): a.value_cents for a in secondary}
-    kept = []
-    for a in primary:
-        key = (a.firm_id, a.period)
-        if key in check:
-            if check[key] == a.value_cents:
-                kept.append(a)
-        elif keep_missing:
-            kept.append(a)
-    return kept
+    return [a for a in primary if check.get((a.firm_id, a.period)) == a.value_cents]
 
 
 def _identity_of(est: Estimate, identity: str) -> str:
@@ -381,7 +350,11 @@ def build_panel(
         report.kept += n
 
     events.sort(key=lambda e: (e.announce_ts, e.firm_id, e.period))
-    assert report.kept + sum(report.rejects.values()) == report.total
+    rejected = sum(report.rejects.values())
+    if report.kept + rejected != report.total:
+        raise RuntimeError(
+            f"panel accounting broken: kept {report.kept} + rejected {rejected} != total {report.total}"
+        )
     logger.info("panel: %d events, %d estimates kept of %d", len(events), report.kept, report.total)
     return Panel(
         events=events,

@@ -62,8 +62,3 @@ def fit_period(X: np.ndarray, y: np.ndarray, quarter: Quarter, mask: Mask = FULL
     beta[active] = beta_a
     resid = y - Xa @ beta_a
     return PeriodModel(quarter=quarter, beta=beta, n_obs=X.shape[0], rss=float(resid @ resid))
-
-
-def predict_daae(model: PeriodModel, x: np.ndarray) -> float:
-    """Predicted normalized error: dot of previous betas with current features."""
-    return float(np.dot(model.beta, np.asarray(x, dtype=float)))

@@ -18,9 +18,9 @@ import numpy as np
 
 from .aggregate import EventAggregate, ModeConfig, weight_vector
 from .bias import BiasTracker, HistoryLedger
-from .features import top10_brokers
+from .features import normalize_event, top10_brokers
 from .ingest import Panel, PanelEvent
-from .model import PeriodModel, fit_period, predict_daae
+from .model import PeriodModel, fit_period
 from .periods import quarter_from_index, quarter_index, quarter_of_ts
 
 logger = logging.getLogger(__name__)
@@ -32,7 +32,6 @@ SECONDS_PER_DAY = 86400.0
 class ReplayResult:
     outcomes: list[EventAggregate]
     models: list[PeriodModel]
-    first_quarter_index: int
 
 
 def _event_features(
@@ -75,8 +74,6 @@ def improved_consensus(
     Returns the aggregate plus the event's normalized design matrix and
     dependent vector (the quarter's fit rows).
     """
-    from .features import normalize_event
-
     raw = np.array([e.value_cents for e in event.estimates], dtype=float)
     idents = [e.identity for e in event.estimates]
     if mode.use_bias:
@@ -85,7 +82,6 @@ def improved_consensus(
     else:
         biases = np.zeros_like(raw)
         adjusted = raw
-    base = adjusted if (mode.use_bias and mode.adjust_predictions) else raw
 
     actual = float(event.actual_cents)
     aae = np.abs((raw - actual) - biases)
@@ -100,14 +96,14 @@ def improved_consensus(
     weights: dict = {}
 
     if mode.method == "closest":
-        i = int(np.argmin(np.abs(base - actual)))
-        improved = float(base[i])
+        i = int(np.argmin(np.abs(adjusted - actual)))
+        improved = float(adjusted[i])
         weights = {idents[i]: 1.0}
     elif not mode.use_expertise:
-        improved = float(base.mean())
+        improved = float(adjusted.mean())
         weights = {ident: 1.0 / n for ident in idents}
     elif prev_model is None:
-        improved = float(base.mean())
+        improved = float(adjusted.mean())
         weights = {ident: 1.0 / n for ident in idents}
         fallback = "no_previous_model"
     else:
@@ -115,10 +111,10 @@ def improved_consensus(
         w = weight_vector(predicted, mode.exponent)
         total = w.sum()
         if total > 0:
-            improved = float(np.dot(w, base) / total)
+            improved = float(np.dot(w, adjusted) / total)
             weights = {ident: float(wi / total) for ident, wi in zip(idents, w)}
         else:
-            improved = float(base.mean())
+            improved = float(adjusted.mean())
             weights = {ident: 1.0 / n for ident in idents}
             fallback = "degenerate_weights"
 
@@ -140,11 +136,11 @@ def improved_consensus(
 def run_mode(panel: Panel, mode: ModeConfig) -> ReplayResult:
     """Replay one mode over the whole panel."""
     if not panel.events and not panel.stream:
-        return ReplayResult([], [], 0)
+        return ReplayResult([], [])
     timestamps = [r.announce_ts for r in panel.stream] + [e.announce_ts for e in panel.events]
     q0 = quarter_index(quarter_of_ts(min(timestamps)))
 
-    bias_tracker = BiasTracker("global" if not mode.use_bias else mode.bias_key, mode.half_lambda)
+    bias_tracker = BiasTracker("global" if not mode.use_bias else mode.bias_key)
     hist = HistoryLedger()
     models: list[PeriodModel] = []
     model_by_qidx: dict[int, PeriodModel] = {}
@@ -202,4 +198,4 @@ def run_mode(panel: Panel, mode: ModeConfig) -> ReplayResult:
         close_quarter(current_q)
 
     logger.info("mode %s: %d events scored, %d models fit", mode.label, len(outcomes), len(models))
-    return ReplayResult(outcomes=outcomes, models=models, first_quarter_index=q0)
+    return ReplayResult(outcomes=outcomes, models=models)

@@ -17,8 +17,15 @@ from statistics import NormalDist
 
 import numpy as np
 
-ESTIMATE_HEADER = "analyst_id,broker_id,firm_id,period_year,period_quarter,estimate_ts,horizon_code,value_cents"
-ACTUAL_HEADER = "firm_id,period_year,period_quarter,announce_ts,value_cents"
+from .ingest import ACTUAL_COLUMNS, ESTIMATE_COLUMNS
+from .periods import format_ts
+
+ESTIMATE_HEADER = ",".join(ESTIMATE_COLUMNS)
+ACTUAL_HEADER = ",".join(ACTUAL_COLUMNS)
+
+START_YEAR = 2004
+BASE_EPS_CENTS = 100.0
+EPS_SCALE = 30.0  # sd of the realized outcome around the base, cents
 
 
 @dataclass(frozen=True)
@@ -32,27 +39,18 @@ class SynthSpec:
     noise_scale: float = 3.0  # base idiosyncratic noise sd, cents
     common_scale: float = 5.0  # sd of the per-event common shift, cents
     negative_surprise_target: float = 0.3
-    age_coupling: float = 0.0  # extra noise per unit of forecast-age fraction
-    heavy_tails: bool = False
-    base_eps_cents: float = 100.0
-    eps_scale: float = 30.0  # sd of the realized outcome around the base
-    start_year: int = 2004
     seed: int = 12345
 
     def validate(self) -> None:
         if self.analysts_per_event > self.n_analysts:
             raise ValueError("analysts_per_event exceeds n_analysts")
-        for name in ("bias_scale", "noise_scale", "common_scale", "eps_scale"):
+        for name in ("bias_scale", "noise_scale", "common_scale"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.skill_spread < 1.0:
             raise ValueError("skill_spread must be >= 1")
         if not 0.0 < self.negative_surprise_target < 1.0:
             raise ValueError("negative_surprise_target must be a fraction")
-
-
-def _fmt_ts(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def _quarter_end(year: int, quarter: int) -> datetime:
@@ -100,24 +98,20 @@ def generate_rows(spec: SynthSpec):
         offset_h = int(rng.integers(0, 120))
 
         for q in range(spec.n_quarters):
-            year = spec.start_year + q // 4
+            year = START_YEAR + q // 4
             quarter = q % 4 + 1
             announce_dt = _quarter_end(year, quarter) + timedelta(days=30, hours=offset_h)
             announce_ts = int(announce_dt.timestamp())
-            actual = int(round(spec.base_eps_cents + (rng.normal(0.0, spec.eps_scale) if spec.eps_scale > 0 else 0.0)))
-            actual_rows.append((firm, year, quarter, _fmt_ts(announce_ts), actual))
+            actual = int(round(BASE_EPS_CENTS + rng.normal(0.0, EPS_SCALE)))
+            actual_rows.append((firm, year, quarter, format_ts(announce_ts), actual))
             shift = rng.normal(shift_mu, spec.common_scale) if spec.common_scale > 0 else 0.0
             for a in cov_ids:
                 age_days = float(rng.uniform(3.0, 120.0))
                 est_ts = announce_ts - int(round(age_days * 86400))
-                sd = skills[a] * spec.noise_scale * (1.0 + spec.age_coupling * age_days / 120.0)
-                if spec.heavy_tails:
-                    z = rng.standard_t(3) / np.sqrt(3.0)
-                else:
-                    z = rng.standard_normal()
-                value = int(round(actual + shift + biases[firm][a] + sd * z))
+                sd = skills[a] * spec.noise_scale
+                value = int(round(actual + shift + biases[firm][a] + sd * rng.standard_normal()))
                 estimate_rows.append(
-                    (a, broker_of[a], firm, year, quarter, _fmt_ts(est_ts), 6, value)
+                    (a, broker_of[a], firm, year, quarter, format_ts(est_ts), 6, value)
                 )
 
     ground_truth = {

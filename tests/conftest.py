@@ -1,7 +1,7 @@
 import pytest
 
 from estagg.ingest import Actual, Estimate
-from estagg.periods import parse_ts
+from estagg.periods import format_ts, parse_ts
 from estagg.synth import SynthSpec, generate_rows
 
 
@@ -25,6 +25,18 @@ def actuals_from_rows(rows):
         Actual(firm_id=r[0], period=(r[1], r[2]), announce_ts=parse_ts(r[3]), value_cents=r[4])
         for r in rows
     ]
+
+
+def constant_bias_panel(biases, quarters=4, actual=100):
+    """Every analyst misses the (constant) actual by a fixed amount."""
+    est_rows, act_rows = [], []
+    for q in range(1, quarters + 1):
+        announce = f"2011-{3 * q:02d}-01T00:00:00Z"
+        act_rows.append(("F1", 2011, q, announce, actual))
+        ts = format_ts(parse_ts(announce) - 20 * 86400)
+        for i, b in enumerate(biases):
+            est_rows.append((f"A{i}", f"B{i % 3}", "F1", 2011, q, ts, 6, actual + b))
+    return estimates_from_rows(est_rows), actuals_from_rows(act_rows)
 
 
 def load_synth(spec: SynthSpec):

@@ -3,18 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import actuals_from_rows, estimates_from_rows
-from estagg.aggregate import (
-    ModeConfig,
-    default_mode_matrix,
-    modes_by_label,
-    simple_consensus,
-    weight,
-    weight_vector,
-)
+from conftest import constant_bias_panel
+from estagg.aggregate import ModeConfig, default_mode_matrix, modes_by_label, weight_vector
 from estagg.ingest import FilterConfig, build_panel
-from estagg.periods import format_ts, parse_ts
 from estagg.replay import run_mode
+from oracles import weight
 
 
 class TestWeight:
@@ -65,19 +58,31 @@ class TestWeight:
         assert positive.min() - 1e-9 <= avg <= positive.max() + 1e-9
 
 
+def replayed_simple_consensus(offsets, actual=100):
+    """The replay's simple consensus of the scored events of a panel where
+    each analyst misses the actual by a fixed offset."""
+    ests, acts = constant_bias_panel(offsets, actual=actual)
+    panel = build_panel(ests, acts, FilterConfig(min_analysts=len(offsets)))
+    outcomes = run_mode(panel, ModeConfig()).outcomes
+    assert outcomes
+    return {o.simple_consensus for o in outcomes}
+
+
 class TestSimpleConsensus:
     def test_two_values(self):
-        assert simple_consensus([3, 5]) == 4.0
+        assert replayed_simple_consensus([3, 5]) == {104.0}
 
     def test_identity(self):
-        assert simple_consensus([42]) == 42.0
+        assert replayed_simple_consensus([0], actual=42) == {42.0}
 
     def test_against_exact_sum_oracle(self):
         import math
 
         rng = np.random.default_rng(7)
-        values = rng.normal(100, 5, size=8).tolist()
-        assert abs(simple_consensus(values) - math.fsum(values) / 8) < 1e-12
+        offsets = rng.integers(-50, 51, size=8).tolist()
+        expected = math.fsum(100 + o for o in offsets) / 8
+        (got,) = replayed_simple_consensus(offsets)
+        assert abs(got - expected) < 1e-12
 
 
 class TestModeConfig:
@@ -117,18 +122,6 @@ class TestModeConfig:
     def test_modes_by_label_unknown(self):
         with pytest.raises(ValueError):
             modes_by_label(["nope"])
-
-
-def constant_bias_panel(biases, quarters=4, actual=100):
-    """Every analyst misses the (constant) actual by a fixed amount."""
-    est_rows, act_rows = [], []
-    for q in range(1, quarters + 1):
-        announce = f"2011-{3 * q:02d}-01T00:00:00Z"
-        act_rows.append(("F1", 2011, q, announce, actual))
-        ts = format_ts(parse_ts(announce) - 20 * 86400)
-        for i, b in enumerate(biases):
-            est_rows.append((f"A{i}", f"B{i % 3}", "F1", 2011, q, ts, 6, actual + b))
-    return estimates_from_rows(est_rows), actuals_from_rows(act_rows)
 
 
 class TestImprovedConsensus:

@@ -1,18 +1,34 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from estagg.bias import BiasTracker, ErrorLedger, HistoryLedger, blended_bias, signed_error
+from conftest import constant_bias_panel
+from estagg.aggregate import ModeConfig
+from estagg.bias import BiasTracker, ErrorLedger, HistoryLedger, blended_bias
+from estagg.ingest import FilterConfig, build_panel
+from estagg.replay import run_mode
+
+
+def replayed(offset):
+    """Scored outcomes of a panel where all eight analysts miss the actual
+    (100 cents) by the same offset every quarter."""
+    ests, acts = constant_bias_panel([offset] * 8)
+    return run_mode(build_panel(ests, acts, FilterConfig()), ModeConfig()).outcomes
 
 
 class TestSignedError:
+    # the replay records prediction minus actual, so subtracting the learned
+    # bias lands exactly on the actual whatever the sign of the miss
     def test_positive(self):
-        assert signed_error(100, 95) == 5
+        outcomes = replayed(5)
+        assert outcomes and all(o.simple_consensus == 105.0 and o.improved == 100.0 for o in outcomes)
 
     def test_negative(self):
-        assert signed_error(95, 100) == -5
+        outcomes = replayed(-5)
+        assert outcomes and all(o.simple_consensus == 95.0 and o.improved == 100.0 for o in outcomes)
 
     def test_identity(self):
-        assert signed_error(42, 42) == 0
+        outcomes = replayed(0)
+        assert outcomes and all(o.simple_consensus == o.improved == 100.0 for o in outcomes)
 
 
 class TestErrorLedger:
@@ -64,15 +80,6 @@ class TestErrorLedger:
             ledger.record("A", "F", e)
         assert ledger.bias("A", "F") == sum(errs) / len(errs)
 
-    def test_snapshot_roundtrip(self):
-        import json
-
-        ledger = ErrorLedger()
-        ledger.record("A", "F", 6)
-        ledger.record("A", "F", 2)
-        rows = json.loads(ledger.snapshot())
-        assert rows == [{"key": ["A", "F"], "count": 2, "bias": 4.0}]
-
 
 class TestBlendedBias:
     def test_half_half(self):
@@ -88,7 +95,7 @@ class TestBlendedBias:
 
 class TestBiasTracker:
     def test_half_mode_blends_firm_and_identity(self):
-        tr = BiasTracker("half", lam=0.5)
+        tr = BiasTracker("half")
         tr.record("A", "F", 4)  # firm bias 4, identity bias 4
         tr.record("B", "F", 0)  # firm bias 2
         assert tr.bias("A", "F") == 0.5 * 2.0 + 0.5 * 4.0

@@ -155,6 +155,30 @@ class TestRunCommand:
         assert (tmp_path / "out" / "results.csv").read_bytes() == (run_dir / "results.csv").read_bytes()
 
 
+class TestMinLeadHours:
+    """The filter's recency cutoff applies to every mode's scoring panel."""
+
+    @pytest.fixture(scope="class")
+    def cutoff_30d_events(self, synth_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("cutoff")
+        assert main(run_args(synth_dir, out, ["--modes", "cutoff_30d"])) == 0
+        events = (out / "events_cutoff_30d.csv").read_bytes()
+        assert len(events.splitlines()) > 1
+        return events
+
+    def test_flag(self, synth_dir, run_dir, tmp_path, cutoff_30d_events):
+        assert main(run_args(synth_dir, tmp_path, ["--modes", "full", "--min-lead-hours", "720"])) == 0
+        events = (tmp_path / "events_full.csv").read_bytes()
+        assert events == cutoff_30d_events
+        assert events != (run_dir / "events_full.csv").read_bytes()
+
+    def test_config_file(self, synth_dir, tmp_path, cutoff_30d_events):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("min_lead_hours = 720\n")
+        assert main(run_args(synth_dir, tmp_path, ["--modes", "full", "--config", str(cfg)])) == 0
+        assert (tmp_path / "events_full.csv").read_bytes() == cutoff_30d_events
+
+
 class TestReportCommand:
     def test_round_trip(self, synth_dir, tmp_path, capsys):
         assert main(run_args(synth_dir, tmp_path)) == 0

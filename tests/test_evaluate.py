@@ -10,7 +10,6 @@ from estagg.evaluate import (
     PanelSource,
     SurprisePair,
     average_stat,
-    closest_analyst,
     descriptive_stats,
     median_stat,
     surprise_improvement,
@@ -18,6 +17,7 @@ from estagg.evaluate import (
 )
 from estagg.ingest import FilterConfig, build_panel
 from estagg.synth import SynthSpec
+from oracles import closest_analyst
 
 RNG = np.random.default_rng(99)
 

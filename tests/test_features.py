@@ -4,17 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from estagg.features import mae_at, normalize, normalize_event, top10_brokers, top10_flag
+from estagg.bias import HistoryLedger
+from estagg.features import normalize, normalize_event, top10_brokers
+
+
+def mean_abs_error(history):
+    """The past-accuracy variable after recording `history` for one pair."""
+    ledger = HistoryLedger()
+    for aae in history:
+        ledger.record("A", "F", aae)
+    return ledger.mean_abs_error("A", "F")
 
 
 class TestTop10:
     def test_decile_boundary(self):
         census = {f"B{i}": 10 - i for i in range(10)}  # counts 10..1
-        assert top10_flag("B0", census) == 1
-        assert top10_flag("B1", census) == 0
+        assert top10_brokers(census) == {"B0"}
 
     def test_single_broker_degenerate_decile(self):
-        assert top10_flag("B", {"B": 1}) == 1
+        assert top10_brokers({"B": 1}) == {"B"}
 
     def test_ties_at_cutoff_all_included(self):
         # 20 brokers -> cutoff rank 2; two brokers tie at the 2nd-largest count
@@ -33,18 +41,18 @@ class TestTop10:
 
 class TestMae:
     def test_mean(self):
-        assert mae_at([3.0, 5.0]) == 4.0
+        assert mean_abs_error([3.0, 5.0]) == 4.0
 
     def test_single(self):
-        assert mae_at([7.0]) == 7.0
+        assert mean_abs_error([7.0]) == 7.0
 
     def test_unsigned_history(self):
         # when bias correction is off, the history holds plain |error|
-        assert mae_at([abs(-3.0), abs(5.0)]) == 4.0
+        assert mean_abs_error([abs(-3.0), abs(5.0)]) == 4.0
 
     def test_empty_raises(self):
         with pytest.raises(RuntimeError):
-            mae_at([])
+            mean_abs_error([])
 
 
 class TestNormalize:

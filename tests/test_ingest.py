@@ -1,4 +1,7 @@
+import gc
 import io
+import sys
+import warnings
 
 import pytest
 
@@ -12,7 +15,7 @@ from estagg.ingest import (
     parse_estimates,
 )
 from estagg.periods import parse_ts
-from estagg.synth import SynthSpec
+from estagg.synth import SynthSpec, generate
 
 HEADER = "analyst_id,broker_id,firm_id,period_year,period_quarter,estimate_ts,horizon_code,value_cents\n"
 
@@ -63,14 +66,38 @@ class TestParsing:
         assert not ests
         assert len(rejects) == 1 and rejects[0].line == 2
 
+    def test_reject_line_counts_skipped_blank_lines(self):
+        # DictReader skips the blank lines; the reject still names the
+        # physical line 5 of the source
+        src = io.StringIO(
+            HEADER
+            + "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n\n\n"
+            + "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,abc\n"
+        )
+        ests, rejects = parse_estimates(src)
+        assert len(ests) == 1
+        assert [r.line for r in rejects] == [5]
+        assert not src.closed  # a caller's stream stays open
+
+    def test_parsers_close_the_files_they_open(self, tmp_path, monkeypatch):
+        paths = generate(SynthSpec(n_firms=2, n_analysts=10, n_quarters=2, seed=3), str(tmp_path))
+        # a ResourceWarning raised as an error in a finalizer is unraisable,
+        # so collect those instead of letting them print
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            parse_estimates(paths["estimates"])
+            parse_actuals(paths["actuals"])
+            gc.collect()
+        assert [u.exc_value for u in unraisable] == []
+
     def test_missing_header_is_hard_failure(self):
         with pytest.raises(ValueError):
             parse_estimates(io.StringIO("foo,bar\n1,2\n"))
 
     def test_synth_file_row_count(self, tmp_path):
         # the generator emits exactly firms * quarters * analysts_per_event rows
-        from estagg.synth import generate
-
         spec = SynthSpec(n_firms=5, n_analysts=20, n_quarters=10, analysts_per_event=20, seed=3)
         paths = generate(spec, str(tmp_path))
         ests, rejects = parse_estimates(paths["estimates"])
@@ -91,10 +118,9 @@ class TestCrossCheck:
         b = Actual("F", (2011, 1), 0, 101)
         assert cross_check_actuals([a], [b]) == []
 
-    def test_missing_secondary_config_switch(self):
+    def test_missing_secondary_discarded(self):
         a = Actual("F", (2011, 1), 0, 100)
         assert cross_check_actuals([a], []) == []
-        assert cross_check_actuals([a], [], keep_missing=True) == [a]
 
 
 class TestFilters:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from estagg.model import FULL_MASK, fit_period, mask_without, predict_daae
+from estagg.model import FULL_MASK, fit_period, mask_without
+from oracles import predict_daae
 
 RNG = np.random.default_rng(1234)
 Q = (2012, 1)
