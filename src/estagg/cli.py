@@ -147,6 +147,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
 
     written: list[str] = []
+    models_dir = os.path.join(out_dir, "models")
+    made_models_dir = False
     try:
         for p in [estimates_path, actuals_path] + ([check_path] if check_path else []):
             if not os.path.isfile(p):
@@ -185,7 +187,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-        models_dir = os.path.join(out_dir, "models")
+        made_models_dir = not os.path.isdir(models_dir)
         os.makedirs(models_dir, exist_ok=True)
         for mode, result in zip(modes, results):
             rr = details[mode.label]
@@ -241,6 +243,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         for p in written:
             try:
                 os.remove(p)
+            except OSError:
+                pass
+        if made_models_dir:
+            try:
+                os.rmdir(models_dir)
             except OSError:
                 pass
         print(f"run failed: {exc}", file=sys.stderr)

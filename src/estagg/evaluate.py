@@ -17,7 +17,7 @@ import numpy as np
 
 from .aggregate import MODE_DESCRIPTIONS, ModeConfig
 from .ingest import Actual, Estimate, FilterConfig, Panel, build_panel
-from .replay import ReplayResult, run_mode
+from .replay import ReplayResult, ledger_key, ledger_state, run_mode
 
 logger = logging.getLogger(__name__)
 
@@ -168,9 +168,13 @@ class PanelSource:
             self._cache[key] = build_panel(self.estimates, self.actuals, cfg, identity=identity)
         return self._cache[key]
 
+    def panel_key(self, mode: ModeConfig) -> tuple[str, int]:
+        """The mode's (identity, recency cutoff); the cutoff never undercuts
+        the filter's."""
+        return (mode.identity, max(self.cfg.min_lead_hours, mode.min_lead_hours))
+
     def panel_for(self, mode: ModeConfig) -> Panel:
-        """The mode's panel; its recency cutoff never undercuts the filter's."""
-        return self._panel(mode.identity, max(self.cfg.min_lead_hours, mode.min_lead_hours))
+        return self._panel(*self.panel_key(mode))
 
     def default_panel(self) -> Panel:
         return self._panel("analyst", self.cfg.min_lead_hours)
@@ -200,12 +204,21 @@ def run_mode_matrix(
     modes: Sequence[ModeConfig],
     burn_in: int = 24,
 ) -> tuple[list[ModeResult], dict[str, ReplayResult]]:
-    """Run every mode and assemble its three statistics."""
-    results = []
-    details: dict[str, ReplayResult] = {}
-    for mode in modes:
-        panel = source.panel_for(mode)
-        rr = run_mode(panel, mode)
-        details[mode.label] = rr
-        results.append(evaluate_mode(rr, mode, burn_in))
-    return results, details
+    """Run every mode and assemble its three statistics.
+
+    Modes that share a panel and a bias ledger score from one ledger pass.
+    Each group runs back to back, so one pass's state is alive at a time.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, mode in enumerate(modes):
+        groups.setdefault(source.panel_key(mode) + ledger_key(mode), []).append(i)
+    replays: dict[int, ReplayResult] = {}
+    for members in groups.values():
+        state = None
+        for i in members:
+            panel = source.panel_for(modes[i])
+            if state is None:
+                state = ledger_state(panel, *ledger_key(modes[i]))
+            replays[i] = run_mode(panel, modes[i], state)
+    results = [evaluate_mode(replays[i], mode, burn_in) for i, mode in enumerate(modes)]
+    return results, {mode.label: replays[i] for i, mode in enumerate(modes)}

@@ -137,12 +137,19 @@ class Panel:
     identity: str = "analyst"
 
 
+def _period(row: dict) -> Quarter:
+    quarter = int(row["period_quarter"])
+    if not 1 <= quarter <= 4:
+        raise ValueError(f"period_quarter {quarter} outside 1..4")
+    return (int(row["period_year"]), quarter)
+
+
 def _estimate(row: dict) -> Estimate:
     return Estimate(
         analyst_id=row["analyst_id"],
         broker_id=row["broker_id"],
         firm_id=row["firm_id"],
-        period=(int(row["period_year"]), int(row["period_quarter"])),
+        period=_period(row),
         estimate_ts=parse_ts(row["estimate_ts"]),
         horizon_code=int(row["horizon_code"]),
         value_cents=int(row["value_cents"]),
@@ -152,7 +159,7 @@ def _estimate(row: dict) -> Estimate:
 def _actual(row: dict) -> Actual:
     return Actual(
         firm_id=row["firm_id"],
-        period=(int(row["period_year"]), int(row["period_quarter"])),
+        period=_period(row),
         announce_ts=parse_ts(row["announce_ts"]),
         value_cents=int(row["value_cents"]),
     )

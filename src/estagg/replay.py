@@ -1,17 +1,23 @@
 """Chronological replay: ledgers, features, models and consensus per quarter.
 
-Events are processed in announcement order. Within one announce timestamp
-all bias reads happen before any ledger update, so simultaneous
-announcements cannot leak into each other. A quarter's model is fit only
-after the quarter completes and is used exclusively in the next calendar
-quarter; a quarter with no model makes its successor fall back to equal
-weights rather than reaching further back.
+The replay has two parts. A ledger pass walks the panel in announcement
+order and records, for every scored event, what the bias and history
+ledgers said at its announcement. Within one announce timestamp all bias
+reads happen before any ledger update, so simultaneous announcements
+cannot leak into each other. Mode scoring then normalizes, fits and
+weights from that record; every mode with the same bias ledger (see
+`ledger_key`) can score from one pass.
+
+A quarter's model is fit from that quarter's events only and is used
+exclusively in the next calendar quarter; a quarter with no model makes
+its successor fall back to equal weights rather than reaching further back.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -20,7 +26,7 @@ from .aggregate import EventAggregate, ModeConfig, weight_vector
 from .bias import BiasTracker, HistoryLedger
 from .features import normalize_event, top10_brokers
 from .ingest import Panel, PanelEvent
-from .model import PeriodModel, fit_period
+from .model import Mask, PeriodModel, fit_period
 from .periods import quarter_from_index, quarter_index, quarter_of_ts
 
 logger = logging.getLogger(__name__)
@@ -32,6 +38,61 @@ SECONDS_PER_DAY = 86400.0
 class ReplayResult:
     outcomes: list[EventAggregate]
     models: list[PeriodModel]
+
+
+@dataclass
+class LedgerEvent:
+    """One scored event as the ledgers saw it at its announcement."""
+
+    event: PanelEvent
+    qidx: int  # quarter index of the announcement
+    idents: tuple[str, ...]
+    simple: float  # plain mean of the raw estimates
+    adjusted: np.ndarray  # raw estimates minus their biases
+    aae: np.ndarray  # absolute bias-adjusted errors, the dependent variable
+    features: np.ndarray  # raw (n, 6) attribute matrix
+
+
+@dataclass
+class LedgerState:
+    """The scored events of one ledger pass, plus the normalized rows and
+    per-quarter models derived from them, cached for the modes that share
+    the pass."""
+
+    panel: Panel
+    key: tuple[bool, Optional[str]]
+    q0: int  # quarter index of the panel's first announcement
+    events: list[LedgerEvent]
+    _rows: dict = field(default_factory=dict, init=False, repr=False)
+    _models: dict = field(default_factory=dict, init=False, repr=False)
+
+    def rows(self, scaling: str) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each event's normalized design matrix and dependent vector."""
+        if scaling not in self._rows:
+            self._rows[scaling] = [normalize_event(e.features, e.aae, scaling) for e in self.events]
+        return self._rows[scaling]
+
+    def models(self, scaling: str, mask: Mask) -> dict[int, PeriodModel]:
+        """Fitted models by quarter index, in quarter order; each quarter
+        stacks its events' rows in announcement order."""
+        key = (scaling, mask)
+        if key not in self._models:
+            rows = self.rows(scaling)
+            fitted = {}
+            for qidx, members in groupby(range(len(self.events)), key=lambda i: self.events[i].qidx):
+                members = list(members)
+                X = np.vstack([rows[i][0] for i in members])
+                y = np.concatenate([rows[i][1] for i in members])
+                model = fit_period(X, y, quarter_from_index(qidx), mask)
+                if model is not None:
+                    fitted[qidx] = model
+            self._models[key] = fitted
+        return self._models[key]
+
+
+def ledger_key(mode: ModeConfig) -> tuple[bool, Optional[str]]:
+    """Modes with equal keys read identical ledgers on the same panel."""
+    return (mode.use_bias, mode.bias_key if mode.use_bias else None)
 
 
 def _event_features(
@@ -60,23 +121,17 @@ def _event_features(
     return np.asarray(rows, dtype=float)
 
 
-def improved_consensus(
+def _ledger_event(
     event: PanelEvent,
-    mode: ModeConfig,
-    prev_model: Optional[PeriodModel],
+    qidx: int,
+    use_bias: bool,
     bias_tracker: BiasTracker,
     hist: HistoryLedger,
     panel: Panel,
-    quarter_offset: int,
-) -> tuple[EventAggregate, np.ndarray, np.ndarray]:
-    """Score one event against frozen ledgers and the previous model.
-
-    Returns the aggregate plus the event's normalized design matrix and
-    dependent vector (the quarter's fit rows).
-    """
+) -> LedgerEvent:
     raw = np.array([e.value_cents for e in event.estimates], dtype=float)
-    idents = [e.identity for e in event.estimates]
-    if mode.use_bias:
+    idents = tuple(e.identity for e in event.estimates)
+    if use_bias:
         biases = np.array([bias_tracker.bias(i, event.firm_id) for i in idents])
         adjusted = raw - biases
     else:
@@ -88,10 +143,69 @@ def improved_consensus(
 
     top10_set = top10_brokers(panel.top10_census.get(event.period, {}))
     F = _event_features(event, panel, hist, top10_set)
-    X, y = normalize_event(F, aae, mode.scaling)
+    return LedgerEvent(event, qidx, idents, float(raw.mean()), adjusted, aae, F)
 
-    n = len(raw)
-    simple = float(raw.mean())
+
+def ledger_state(panel: Panel, use_bias: bool, bias_key: Optional[str]) -> LedgerState:
+    """Walk the panel once, recording every scored event against frozen
+    ledgers before the updates at its announce timestamp are applied."""
+    key = (use_bias, bias_key if use_bias else None)
+    if not panel.events and not panel.stream:
+        return LedgerState(panel, key, 0, [])
+    timestamps = [r.announce_ts for r in panel.stream] + [e.announce_ts for e in panel.events]
+    q0 = quarter_index(quarter_of_ts(min(timestamps)))
+
+    bias_tracker = BiasTracker(bias_key if use_bias else "global")
+    hist = HistoryLedger()
+    scored: list[LedgerEvent] = []
+
+    # merged announce-time walk over scored events and the ledger stream
+    events_by_ts: dict[int, list[PanelEvent]] = {}
+    for ev in panel.events:
+        events_by_ts.setdefault(ev.announce_ts, []).append(ev)
+    records_by_ts: dict[int, list] = {}
+    for rec in panel.stream:
+        records_by_ts.setdefault(rec.announce_ts, []).append(rec)
+    all_ts = sorted(set(events_by_ts) | set(records_by_ts))
+
+    for ts in all_ts:
+        qidx = quarter_index(quarter_of_ts(ts))
+
+        # phase 1: read the ledgers for events at this timestamp
+        for ev in events_by_ts.get(ts, ()):
+            scored.append(_ledger_event(ev, qidx, use_bias, bias_tracker, hist, panel))
+
+        # phase 2: compute all updates at this timestamp, then apply
+        pending = []
+        for rec in records_by_ts.get(ts, ()):
+            err = rec.value_cents - rec.actual_cents
+            b = bias_tracker.bias(rec.identity, rec.firm_id) if use_bias else 0.0
+            pending.append((rec.identity, rec.firm_id, err, abs(err - b)))
+        for identity, firm, err, aae in pending:
+            bias_tracker.record(identity, firm, err)
+            hist.record(identity, firm, aae)
+
+    return LedgerState(panel, key, q0, scored)
+
+
+def improved_consensus(
+    scored: LedgerEvent,
+    X: np.ndarray,
+    y: np.ndarray,
+    mode: ModeConfig,
+    prev_model: Optional[PeriodModel],
+    quarter_offset: int,
+) -> tuple[EventAggregate, np.ndarray, np.ndarray]:
+    """Score one event from its ledger record and the previous model.
+
+    Returns the aggregate plus the normalized design matrix and dependent
+    vector it was scored with (the event's rows of its quarter's fit).
+    """
+    event = scored.event
+    idents = scored.idents
+    adjusted = scored.adjusted
+    actual = float(event.actual_cents)
+    n = len(idents)
     fallback = None
     weights: dict = {}
 
@@ -124,7 +238,7 @@ def improved_consensus(
         announce_ts=event.announce_ts,
         quarter_offset=quarter_offset,
         actual_cents=event.actual_cents,
-        simple_consensus=simple,
+        simple_consensus=scored.simple,
         improved=improved,
         weights=weights,
         n_analysts=n,
@@ -133,69 +247,17 @@ def improved_consensus(
     return agg, X, y
 
 
-def run_mode(panel: Panel, mode: ModeConfig) -> ReplayResult:
-    """Replay one mode over the whole panel."""
-    if not panel.events and not panel.stream:
-        return ReplayResult([], [])
-    timestamps = [r.announce_ts for r in panel.stream] + [e.announce_ts for e in panel.events]
-    q0 = quarter_index(quarter_of_ts(min(timestamps)))
-
-    bias_tracker = BiasTracker("global" if not mode.use_bias else mode.bias_key)
-    hist = HistoryLedger()
-    models: list[PeriodModel] = []
-    model_by_qidx: dict[int, PeriodModel] = {}
-    outcomes: list[EventAggregate] = []
-
-    # merged announce-time walk over scored events and the ledger stream
-    events_by_ts: dict[int, list[PanelEvent]] = {}
-    for ev in panel.events:
-        events_by_ts.setdefault(ev.announce_ts, []).append(ev)
-    records_by_ts: dict[int, list] = {}
-    for rec in panel.stream:
-        records_by_ts.setdefault(rec.announce_ts, []).append(rec)
-    all_ts = sorted(set(events_by_ts) | set(records_by_ts))
-
-    current_q: Optional[int] = None
-    fit_X: list[np.ndarray] = []
-    fit_y: list[np.ndarray] = []
-
-    def close_quarter(qidx: int) -> None:
-        if fit_X:
-            X = np.vstack(fit_X)
-            y = np.concatenate(fit_y)
-            fitted = fit_period(X, y, quarter_from_index(qidx), mode.variable_mask)
-            if fitted is not None:
-                models.append(fitted)
-                model_by_qidx[qidx] = fitted
-        fit_X.clear()
-        fit_y.clear()
-
-    for ts in all_ts:
-        qidx = quarter_index(quarter_of_ts(ts))
-        if current_q is not None and qidx != current_q:
-            close_quarter(current_q)
-        current_q = qidx
-        prev_model = model_by_qidx.get(qidx - 1)
-
-        # phase 1: score events at this timestamp with frozen ledgers
-        for ev in events_by_ts.get(ts, ()):
-            agg, X, y = improved_consensus(ev, mode, prev_model, bias_tracker, hist, panel, qidx - q0)
-            outcomes.append(agg)
-            fit_X.append(X)
-            fit_y.append(y)
-
-        # phase 2: compute all updates at this timestamp, then apply
-        pending = []
-        for rec in records_by_ts.get(ts, ()):
-            err = rec.value_cents - rec.actual_cents
-            b = bias_tracker.bias(rec.identity, rec.firm_id) if mode.use_bias else 0.0
-            pending.append((rec.identity, rec.firm_id, err, abs(err - b)))
-        for identity, firm, err, aae in pending:
-            bias_tracker.record(identity, firm, err)
-            hist.record(identity, firm, aae)
-
-    if current_q is not None:
-        close_quarter(current_q)
-
+def run_mode(panel: Panel, mode: ModeConfig, state: Optional[LedgerState] = None) -> ReplayResult:
+    """Replay one mode over the whole panel, scoring from ``state`` (a
+    ledger pass over this panel with the mode's ledger key) when given."""
+    if state is None:
+        state = ledger_state(panel, *ledger_key(mode))
+    elif state.panel is not panel or state.key != ledger_key(mode):
+        raise ValueError(f"mode {mode.label}: ledger state is for another panel or bias ledger")
+    models = state.models(mode.scaling, mode.variable_mask)
+    outcomes = [
+        improved_consensus(ev, X, y, mode, models.get(ev.qidx - 1), ev.qidx - state.q0)[0]
+        for ev, (X, y) in zip(state.events, state.rows(mode.scaling))
+    ]
     logger.info("mode %s: %d events scored, %d models fit", mode.label, len(outcomes), len(models))
-    return ReplayResult(outcomes=outcomes, models=models)
+    return ReplayResult(outcomes=outcomes, models=list(models.values()))

@@ -111,7 +111,7 @@ class TestRunCommand:
             float(r["median"])  # parseable
 
     def test_manifest_hashes_inputs(self, run_dir, synth_dir):
-        manifest = json.load(open(run_dir / "manifest.json"))
+        manifest = json.loads((run_dir / "manifest.json").read_text())
         assert set(manifest["inputs"]) == {"estimates.csv", "actuals.csv"}
         assert manifest["config"]["burn_in"] == 4
         assert all(len(h) == 64 for h in manifest["inputs"].values())
@@ -133,6 +133,21 @@ class TestRunCommand:
         assert main(args) == 1
         assert not (tmp_path / "results.csv").exists()
         assert "run failed" in capsys.readouterr().err
+
+    def test_failed_write_removes_models_dir(self, synth_dir, tmp_path, capsys):
+        # an existing directory where an events file goes makes the run fail
+        # after models/ was created; the run removes what it made
+        (tmp_path / "events_full.csv").mkdir()
+        assert main(run_args(synth_dir, tmp_path, ["--modes", "full"])) == 1
+        assert "run failed" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["events_full.csv"]
+
+    def test_failed_run_keeps_existing_models_dir(self, synth_dir, tmp_path):
+        (tmp_path / "models").mkdir()
+        (tmp_path / "events_full.csv").mkdir()
+        assert main(run_args(synth_dir, tmp_path, ["--modes", "full"])) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["events_full.csv", "models"]
+        assert not any((tmp_path / "models").iterdir())
 
     def test_bad_burn_in_rejected(self, synth_dir, tmp_path, capsys):
         assert main(run_args(synth_dir, tmp_path, ["--burn-in", "0"])) == 2

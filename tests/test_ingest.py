@@ -7,6 +7,7 @@ import pytest
 
 from conftest import actuals_from_rows, estimates_from_rows, load_synth
 from estagg.ingest import (
+    ACTUAL_COLUMNS,
     Actual,
     FilterConfig,
     build_panel,
@@ -78,6 +79,29 @@ class TestParsing:
         assert len(ests) == 1
         assert [r.line for r in rejects] == [5]
         assert not src.closed  # a caller's stream stays open
+
+    @pytest.mark.parametrize("quarter", [0, 7])
+    def test_out_of_range_quarter_rejected(self, quarter):
+        ests, rejects = parse_estimates(
+            io.StringIO(
+                HEADER
+                + "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n"
+                + f"A1,B1,F1,2011,{quarter},2011-03-01T00:00:00Z,6,105\n"
+            )
+        )
+        assert [e.period for e in ests] == [(2011, 2)]
+        assert [r.line for r in rejects] == [3]
+        assert rejects[0].reason.startswith("malformed: period_quarter")
+        acts, rejects = parse_actuals(
+            io.StringIO(
+                ",".join(ACTUAL_COLUMNS) + "\n"
+                + f"F1,2011,{quarter},2011-06-01T00:00:00Z,100\n"
+                + "F1,2011,1,2011-06-01T00:00:00Z,100\n"
+            )
+        )
+        assert [a.period for a in acts] == [(2011, 1)]
+        assert [r.line for r in rejects] == [2]
+        assert rejects[0].reason.startswith("malformed: period_quarter")
 
     def test_parsers_close_the_files_they_open(self, tmp_path, monkeypatch):
         paths = generate(SynthSpec(n_firms=2, n_analysts=10, n_quarters=2, seed=3), str(tmp_path))

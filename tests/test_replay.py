@@ -1,11 +1,16 @@
+from dataclasses import asdict
+
 import pytest
 
 from conftest import actuals_from_rows, estimates_from_rows, load_synth
-from estagg.aggregate import ModeConfig
+from estagg import evaluate, replay
+from estagg.aggregate import ModeConfig, default_mode_matrix
+from estagg.evaluate import PanelSource, evaluate_mode, run_mode_matrix
 from estagg.ingest import FilterConfig, build_panel
 from estagg.periods import format_ts, parse_ts, quarter_index, quarter_of_ts
-from estagg.replay import run_mode
+from estagg.replay import ledger_state, run_mode
 from estagg.synth import SynthSpec
+from oracles import replay_oracle
 
 
 def outcomes_by_key(rr):
@@ -104,3 +109,69 @@ class TestScaleInvariance:
         for a, b in zip(r1.outcomes, r2.outcomes):
             assert b.simple_consensus == pytest.approx(c * a.simple_consensus, rel=1e-12)
             assert b.improved == pytest.approx(c * a.improved, rel=1e-9)
+
+
+class TestSharedState:
+    """The matrix scores modes that share a ledger pass from one state; the
+    results must equal each mode replayed on its own, bit for bit."""
+
+    BURN_IN = 4
+
+    @pytest.fixture(scope="class")
+    def source(self, small_panel_inputs):
+        ests, acts, _ = small_panel_inputs
+        return PanelSource(ests, acts, FilterConfig())
+
+    @pytest.fixture(scope="class")
+    def oracle(self, source):
+        return {m.label: replay_oracle(source.panel_for(m), m) for m in default_mode_matrix()}
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    def test_matrix_matches_per_mode_oracle(self, source, oracle, reverse):
+        modes = default_mode_matrix()[:: -1 if reverse else 1]
+        results, details = run_mode_matrix(source, modes, burn_in=self.BURN_IN)
+        labels = [m.label for m in modes]
+        assert [r.label for r in results] == labels
+        assert list(details) == labels
+        for mode, result in zip(modes, results):
+            got, want = details[mode.label], oracle[mode.label]
+            assert len(got.outcomes) == len(want.outcomes)
+            for a, b in zip(got.outcomes, want.outcomes):
+                assert asdict(a) == asdict(b)
+            assert [(m.quarter, m.beta.tobytes(), m.n_obs, m.rss) for m in got.models] == [
+                (m.quarter, m.beta.tobytes(), m.n_obs, m.rss) for m in want.models
+            ]
+            assert result == evaluate_mode(want, mode, self.BURN_IN)
+
+    def test_one_ledger_pass_and_normalization_per_shared_state(self, source, monkeypatch):
+        passes = []
+        normalized = []
+
+        def counting_ledger_state(panel, use_bias, bias_key):
+            passes.append(panel)
+            return ledger_state(panel, use_bias, bias_key)
+
+        def counting_normalize_event(features, aae, scaling):
+            normalized.append(scaling)
+            return normalize_event(features, aae, scaling)
+
+        normalize_event = replay.normalize_event
+        monkeypatch.setattr(evaluate, "ledger_state", counting_ledger_state)
+        monkeypatch.setattr(replay, "ledger_state", counting_ledger_state)
+        monkeypatch.setattr(replay, "normalize_event", counting_normalize_event)
+        modes = default_mode_matrix()
+        run_mode_matrix(source, modes, burn_in=self.BURN_IN)
+        # full and 10 of its variants; no_bias and closest_raw; the four bias
+        # keys; institution; the two recency cutoffs
+        assert len(passes) == 9
+        # only full's pass has a second scaling (no_scaling)
+        full_events = len(source.panel_for(modes[0]).events)
+        assert normalized.count("centered") == full_events
+        assert normalized.count("normalized") == sum(len(p.events) for p in passes)
+
+    def test_state_from_another_ledger_rejected(self, source):
+        full, no_bias = default_mode_matrix()[:3:2]
+        panel = source.panel_for(full)
+        state = ledger_state(panel, True, full.bias_key)
+        with pytest.raises(ValueError, match="ledger state"):
+            run_mode(panel, no_bias, state)

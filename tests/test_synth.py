@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,19 +45,19 @@ class TestGenerate:
         p1 = generate(spec, str(tmp_path / "a"))
         p2 = generate(spec, str(tmp_path / "b"))
         for key in p1:
-            assert open(p1[key], "rb").read() == open(p2[key], "rb").read()
+            assert Path(p1[key]).read_bytes() == Path(p2[key]).read_bytes()
 
     def test_different_seed_differs(self, tmp_path):
         s1 = SynthSpec(n_firms=4, n_analysts=20, n_quarters=4, analysts_per_event=8, seed=1)
         s2 = SynthSpec(n_firms=4, n_analysts=20, n_quarters=4, analysts_per_event=8, seed=2)
         p1 = generate(s1, str(tmp_path / "a"))
         p2 = generate(s2, str(tmp_path / "b"))
-        assert open(p1["estimates"]).read() != open(p2["estimates"]).read()
+        assert Path(p1["estimates"]).read_bytes() != Path(p2["estimates"]).read_bytes()
 
     def test_ground_truth_records_latents(self, tmp_path):
         spec = SynthSpec(n_firms=3, n_analysts=20, n_quarters=4, analysts_per_event=8, seed=9)
         paths = generate(spec, str(tmp_path))
-        gt = json.load(open(paths["ground_truth"]))
+        gt = json.loads(Path(paths["ground_truth"]).read_text())
         assert set(gt) >= {"spec", "skills", "brokers", "biases", "coverage"}
         assert len(gt["coverage"]) == 3
         for firm, cov in gt["coverage"].items():
