@@ -52,9 +52,6 @@ class ErrorLedger:
             return 0.0
         return self._sums[key] / n
 
-    def count(self, identity: str, firm: str) -> int:
-        return self._counts.get(self._key(identity, firm), 0)
-
 
 class BiasTracker:
     """Mode-facing bias lookup; handles the half/half blend as two ledgers."""

@@ -33,6 +33,9 @@ from .synth import SynthSpec, generate
 
 logger = logging.getLogger(__name__)
 
+# parse rejects listed per source in ingest_report.json, beside the counts
+REJECT_SAMPLE_SIZE = 20
+
 # settings a flag or the config file may give, each with its config-file
 # cast; the filter and synth defaults live on FilterConfig and SynthSpec
 RUN_SETTINGS = {
@@ -148,7 +151,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     written: list[str] = []
     models_dir = os.path.join(out_dir, "models")
-    made_models_dir = False
+    made_out_dir = made_models_dir = False
     try:
         for p in [estimates_path, actuals_path] + ([check_path] if check_path else []):
             if not os.path.isfile(p):
@@ -168,6 +171,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         source = PanelSource(estimates, actuals, fcfg)
         results, details = run_mode_matrix(source, modes, burn_in)
 
+        made_out_dir = not os.path.isdir(out_dir)
         os.makedirs(out_dir, exist_ok=True)
 
         def out(name: str) -> str:
@@ -181,6 +185,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         report = {
             "ingest": json.loads(panel.report.to_json()),
             "parse_rejects": {"estimates": len(est_rejects), "actuals": len(act_rejects)},
+            "parse_reject_sample": {
+                name: [{"line": r.line, "reason": r.reason} for r in rejects[:REJECT_SAMPLE_SIZE]]
+                for name, rejects in (("estimates", est_rejects), ("actuals", act_rejects))
+            },
             "descriptive": descriptive_stats(panel) if panel.events else None,
         }
         with open(out("ingest_report.json"), "w", newline="\n") as fh:
@@ -245,11 +253,12 @@ def cmd_run(args: argparse.Namespace) -> int:
                 os.remove(p)
             except OSError:
                 pass
-        if made_models_dir:
-            try:
-                os.rmdir(models_dir)
-            except OSError:
-                pass
+        for made, path in ((made_models_dir, models_dir), (made_out_dir, out_dir)):
+            if made:
+                try:
+                    os.rmdir(path)
+                except OSError:
+                    pass
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 

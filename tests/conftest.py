@@ -1,22 +1,26 @@
 import pytest
 
-from estagg.ingest import Actual, Estimate
+from estagg.ingest import Actual, EstimateTable
 from estagg.periods import format_ts, parse_ts
 from estagg.synth import SynthSpec, generate_rows
 
 
+def _raise(i, reason):
+    raise ValueError(f"row {i}: {reason}")
+
+
 def estimates_from_rows(rows):
+    return EstimateTable.from_rows(rows, _raise)
+
+
+def estimate_rows(table):
+    """The rows of an EstimateTable in estimates_from_rows' input form."""
+    columns = (table.analyst, table.broker, table.firm, table.year, table.quarter, table.estimate_ts)
     return [
-        Estimate(
-            analyst_id=r[0],
-            broker_id=r[1],
-            firm_id=r[2],
-            period=(r[3], r[4]),
-            estimate_ts=parse_ts(r[5]),
-            horizon_code=r[6],
-            value_cents=r[7],
+        (table.analyst_ids[a], table.broker_ids[b], table.firm_ids[f], y, q, format_ts(ts), h, v)
+        for a, b, f, y, q, ts, h, v in zip(
+            *(c.tolist() for c in columns), table.horizon_code.tolist(), table.value_cents.tolist()
         )
-        for r in rows
     ]
 
 
@@ -44,17 +48,19 @@ def load_synth(spec: SynthSpec):
     return estimates_from_rows(est_rows), actuals_from_rows(act_rows), ground_truth
 
 
+SMALL_PANEL_SPEC = SynthSpec(
+    n_firms=8,
+    n_analysts=40,
+    n_quarters=12,
+    analysts_per_event=9,
+    bias_scale=5.0,
+    noise_scale=3.0,
+    common_scale=2.0,
+    seed=20240817,
+)
+
+
 @pytest.fixture(scope="session")
 def small_panel_inputs():
     """A small deterministic panel reused by several integration tests."""
-    spec = SynthSpec(
-        n_firms=8,
-        n_analysts=40,
-        n_quarters=12,
-        analysts_per_event=9,
-        bias_scale=5.0,
-        noise_scale=3.0,
-        common_scale=2.0,
-        seed=20240817,
-    )
-    return load_synth(spec)
+    return load_synth(SMALL_PANEL_SPEC)

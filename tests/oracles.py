@@ -1,16 +1,30 @@
 """Slow, obvious reference implementations the tests check the pipeline
 against. None of them is used by the pipeline itself."""
 
-from typing import Optional
+import csv
+from collections import Counter, defaultdict
+from contextlib import nullcontext
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from estagg.aggregate import _MARGIN_TOL, EventAggregate, ModeConfig, weight_vector
 from estagg.bias import BiasTracker, HistoryLedger
 from estagg.features import normalize_event, top10_brokers
-from estagg.ingest import Panel, PanelEvent
+from estagg.ingest import (
+    ESTIMATE_COLUMNS,
+    Actual,
+    FilterConfig,
+    IngestReport,
+    LedgerRecord,
+    Panel,
+    PanelEstimate,
+    PanelEvent,
+    Reject,
+)
 from estagg.model import PeriodModel, fit_period
-from estagg.periods import quarter_from_index, quarter_index, quarter_of_ts
+from estagg.periods import Quarter, parse_ts, quarter_from_index, quarter_index, quarter_of_ts
 from estagg.replay import SECONDS_PER_DAY, ReplayResult
 
 
@@ -207,3 +221,251 @@ def replay_oracle(panel: Panel, mode: ModeConfig) -> ReplayResult:
         close_quarter(current_q)
 
     return ReplayResult(outcomes=outcomes, models=models)
+
+
+# The per-row ingest path that estagg.ingest.parse_estimates and build_panel
+# replaced: frozen Estimate records from a DictReader pass, and dict-driven
+# window, dedup and prior-record filters.
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """One expert's timestamped point prediction for one firm-period."""
+
+    analyst_id: str
+    broker_id: str
+    firm_id: str
+    period: Quarter
+    estimate_ts: int
+    horizon_code: int
+    value_cents: int
+
+
+def _period(row: dict) -> Quarter:
+    quarter = int(row["period_quarter"])
+    if not 1 <= quarter <= 4:
+        raise ValueError(f"period_quarter {quarter} outside 1..4")
+    return (int(row["period_year"]), quarter)
+
+
+def _estimate(row: dict) -> Estimate:
+    return Estimate(
+        analyst_id=row["analyst_id"],
+        broker_id=row["broker_id"],
+        firm_id=row["firm_id"],
+        period=_period(row),
+        estimate_ts=parse_ts(row["estimate_ts"]),
+        horizon_code=int(row["horizon_code"]),
+        value_cents=int(row["value_cents"]),
+    )
+
+
+def _read_rows(source, kind: str, columns: tuple[str, ...], make: Callable[[dict], object]) -> tuple[list, list[Reject]]:
+    """Build one record per CSV row with ``make``; malformed rows become
+    rejects carrying their physical line number.
+
+    A ``str`` source is a path, opened and closed here; anything else is a
+    text stream, read and left open for the caller.
+    """
+    out = []
+    rejects: list[Reject] = []
+    with open(source, newline="") if isinstance(source, str) else nullcontext(source) as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ValueError(f"{kind} source has no readable header")
+        missing = [c for c in columns if c not in reader.fieldnames]
+        if missing:
+            raise ValueError(f"{kind} header missing columns: {missing}")
+        for row in reader:
+            try:
+                out.append(make(row))
+            except (ValueError, KeyError, TypeError) as exc:
+                rejects.append(Reject(line=reader.line_num, reason=f"malformed: {exc}"))
+    return out, rejects
+
+
+def parse_estimates_oracle(source) -> tuple[list[Estimate], list[Reject]]:
+    """Parse an estimates file; malformed rows go to the reject list."""
+    return _read_rows(source, "estimates", ESTIMATE_COLUMNS, _estimate)
+
+
+def estimates_from_rows_oracle(rows) -> list[Estimate]:
+    return [
+        Estimate(
+            analyst_id=r[0],
+            broker_id=r[1],
+            firm_id=r[2],
+            period=(r[3], r[4]),
+            estimate_ts=parse_ts(r[5]),
+            horizon_code=r[6],
+            value_cents=r[7],
+        )
+        for r in rows
+    ]
+
+
+def _identity_of(est: Estimate, identity: str) -> str:
+    return est.broker_id if identity == "broker" else est.analyst_id
+
+
+def build_panel_oracle(
+    estimates: Sequence[Estimate],
+    actuals: Sequence[Actual],
+    cfg: FilterConfig = FilterConfig(),
+    identity: str = "analyst",
+) -> Panel:
+    """Apply all exclusion rules and emit a chronological panel.
+
+    Filter order: horizon/time window, last-estimate-per-identity dedup,
+    prior-record requirement, surprise cap (on the simple consensus of the
+    surviving estimates), minimum analyst count. The ledger stream keeps
+    every deduped window-valid prediction (including ones from unscored
+    events) so downstream history never loses a real prediction.
+    """
+    report = IngestReport(total=len(estimates))
+    actual_by: dict[tuple[str, Quarter], Actual] = {}
+    for a in actuals:
+        if (a.firm_id, a.period) in actual_by:
+            raise ValueError(f"duplicate actual for {(a.firm_id, a.period)}")
+        actual_by[(a.firm_id, a.period)] = a
+
+    min_lead_s = cfg.min_lead_hours * 3600
+    max_age_s = cfg.max_age_days * 86400
+
+    # (b) horizon + time window, per estimate
+    window: list[Estimate] = []
+    for est in estimates:
+        act = actual_by.get((est.firm_id, est.period))
+        if act is None:
+            report.rejects["no_matching_actual"] += 1
+            continue
+        if est.horizon_code not in cfg.horizon_codes:
+            report.rejects["horizon_excluded"] += 1
+            continue
+        if est.estimate_ts > act.announce_ts - min_lead_s:
+            report.rejects["too_close_to_announcement"] += 1
+            continue
+        if est.estimate_ts < act.announce_ts - max_age_s:
+            report.rejects["too_old"] += 1
+            continue
+        window.append(est)
+
+    # submission frequency is counted pre-dedup, within the window
+    freq: Counter = Counter()
+    for est in window:
+        freq[(_identity_of(est, identity), est.firm_id, est.period)] += 1
+
+    # censuses (per firm-period quarter, from window-valid submissions)
+    ncos_sets: dict[tuple[Quarter, str], set[str]] = defaultdict(set)
+    broker_analysts: dict[Quarter, dict[str, set[str]]] = defaultdict(lambda: defaultdict(set))
+    for est in window:
+        ncos_sets[(est.period, _identity_of(est, identity))].add(est.firm_id)
+        broker_analysts[est.period][est.broker_id].add(est.analyst_id)
+    ncos = {k: len(v) for k, v in ncos_sets.items()}
+    top10_census = {q: {b: len(s) for b, s in brokers.items()} for q, brokers in broker_analysts.items()}
+
+    # (c) last estimate per (identity, firm, period); later input row wins ties
+    best: dict[tuple[str, str, Quarter], tuple[int, int, Estimate]] = {}
+    for idx, est in enumerate(window):
+        key = (_identity_of(est, identity), est.firm_id, est.period)
+        cur = best.get(key)
+        if cur is None or (est.estimate_ts, idx) > cur[:2]:
+            best[key] = (est.estimate_ts, idx, est)
+    report.rejects["superseded"] += len(window) - len(best)
+
+    # ledger stream, chronological by announcement
+    stream: list[LedgerRecord] = []
+    for (ident, firm, period), (_, _, est) in best.items():
+        act = actual_by[(firm, period)]
+        stream.append(
+            LedgerRecord(
+                announce_ts=act.announce_ts,
+                firm_id=firm,
+                period=period,
+                identity=ident,
+                analyst_id=est.analyst_id,
+                broker_id=est.broker_id,
+                estimate_ts=est.estimate_ts,
+                value_cents=est.value_cents,
+                actual_cents=act.value_cents,
+            )
+        )
+    stream.sort(key=lambda r: (r.announce_ts, r.firm_id, r.period))
+
+    # (d) prior-record flags, evaluated over the whole stream with all
+    # records at one announce time treated as simultaneous
+    has_prior: dict[tuple[str, str, Quarter], bool] = {}
+    seen: set[tuple[str, str]] = set()
+    i = 0
+    while i < len(stream):
+        j = i
+        while j < len(stream) and stream[j].announce_ts == stream[i].announce_ts:
+            j += 1
+        for rec in stream[i:j]:
+            has_prior[(rec.identity, rec.firm_id, rec.period)] = (rec.identity, rec.firm_id) in seen
+        for rec in stream[i:j]:
+            seen.add((rec.identity, rec.firm_id))
+        i = j
+
+    # group deduped records by event, apply (d), (a), (e)
+    by_event: dict[tuple[str, Quarter], list[LedgerRecord]] = defaultdict(list)
+    for rec in stream:
+        by_event[(rec.firm_id, rec.period)].append(rec)
+
+    events: list[PanelEvent] = []
+    for (firm, period), recs in by_event.items():
+        act = actual_by[(firm, period)]
+        survivors = []
+        for rec in recs:
+            if cfg.require_prior_record and not has_prior[(rec.identity, rec.firm_id, rec.period)]:
+                report.rejects["no_prior_record"] += 1
+            else:
+                survivors.append(rec)
+        if not survivors:
+            continue
+        # (a) surprise cap against the simple consensus of the survivors,
+        # exact integer comparison: |sum - n*actual| > cap*n
+        n = len(survivors)
+        total = sum(r.value_cents for r in survivors)
+        if abs(total - n * act.value_cents) > cfg.surprise_cap_cents * n:
+            report.rejects["surprise_cap"] += n
+            continue
+        if n < cfg.min_analysts:
+            report.rejects["below_min_analysts"] += n
+            continue
+        panel_ests = tuple(
+            PanelEstimate(
+                identity=r.identity,
+                analyst_id=r.analyst_id,
+                broker_id=r.broker_id,
+                estimate_ts=r.estimate_ts,
+                value_cents=r.value_cents,
+                freq=freq[(r.identity, firm, period)],
+            )
+            for r in survivors
+        )
+        events.append(
+            PanelEvent(
+                firm_id=firm,
+                period=period,
+                actual_cents=act.value_cents,
+                announce_ts=act.announce_ts,
+                estimates=panel_ests,
+            )
+        )
+        report.kept += n
+
+    events.sort(key=lambda e: (e.announce_ts, e.firm_id, e.period))
+    rejected = sum(report.rejects.values())
+    if report.kept + rejected != report.total:
+        raise RuntimeError(
+            f"panel accounting broken: kept {report.kept} + rejected {rejected} != total {report.total}"
+        )
+    return Panel(
+        events=events,
+        stream=stream,
+        ncos=ncos,
+        top10_census=top10_census,
+        report=report,
+        identity=identity,
+    )

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import actuals_from_rows, estimates_from_rows, load_synth
+from conftest import actuals_from_rows, estimate_rows, estimates_from_rows, load_synth
 from estagg.aggregate import ModeConfig, default_mode_matrix, modes_by_label
 from estagg.evaluate import (
     PanelSource,
@@ -96,7 +96,7 @@ def test_criterion_02_truncation_leaves_past_outputs_bit_exact():
     for cut in cuts:
         acts_cut = [a for a in acts if quarter_index(a.period) <= cut]
         keep = {(a.firm_id, a.period) for a in acts_cut}
-        ests_cut = [e for e in ests if (e.firm_id, e.period) in keep]
+        ests_cut = estimates_from_rows([r for r in estimate_rows(ests) if (r[2], (r[3], r[4])) in keep])
         trunc = run_mode(build_panel(ests_cut, acts_cut, FilterConfig()), ModeConfig())
         by_key = {(o.firm_id, o.period): o for o in trunc.outcomes}
         for o in full.outcomes:
@@ -113,7 +113,7 @@ def test_criterion_02_truncation_leaves_past_outputs_bit_exact():
 
 
 def test_criterion_03_recovers_injected_biases():
-    from estagg.bias import ErrorLedger
+    from estagg.bias import ErrorLedger, HistoryLedger
 
     t0 = time.perf_counter()
     spec = SynthSpec(
@@ -129,12 +129,14 @@ def test_criterion_03_recovers_injected_biases():
     ests, acts, gt = load_synth(spec)
     panel = build_panel(ests, acts, FilterConfig())
     ledger = ErrorLedger("identity_firm")
+    history = HistoryLedger()
     for rec in panel.stream:
         ledger.record(rec.identity, rec.firm_id, rec.value_cents - rec.actual_cents)
+        history.record(rec.identity, rec.firm_id, 0.0)
     est_b, true_b = [], []
     for firm, per_analyst in gt["biases"].items():
         for analyst, b in per_analyst.items():
-            if ledger.count(analyst, firm) > 0:
+            if history.experience(analyst, firm) > 0:
                 est_b.append(ledger.bias(analyst, firm))
                 true_b.append(b)
     rho = float(np.corrcoef(est_b, true_b)[0, 1])
@@ -253,7 +255,7 @@ def test_criterion_08_statistics_invariant_to_money_rescaling(small_panel_inputs
 
     ests, acts, _ = small_panel_inputs
     c = 7
-    ests_s = [replace(e, value_cents=e.value_cents * c) for e in ests]
+    ests_s = replace(ests, value_cents=ests.value_cents * c)
     acts_s = [replace(a, value_cents=a.value_cents * c) for a in acts]
     mode = ModeConfig()
     base = stats_for(run_mode(build_panel(ests, acts, FilterConfig()), mode), mode, burn_in=4)

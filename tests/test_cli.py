@@ -149,6 +149,32 @@ class TestRunCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["events_full.csv", "models"]
         assert not any((tmp_path / "models").iterdir())
 
+    def test_failed_run_removes_out_dir_it_made(self, synth_dir, tmp_path, monkeypatch, capsys):
+        def fail(panel):
+            raise RuntimeError("injected")
+
+        # fails after results.csv is written into the new directory
+        monkeypatch.setattr("estagg.cli.descriptive_stats", fail)
+        out = tmp_path / "new"
+        assert main(run_args(synth_dir, out, ["--modes", "full"])) == 1
+        assert "injected" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ingest_report_lists_parse_rejects(self, synth_dir, tmp_path):
+        lines = (synth_dir / "estimates.csv").read_text().splitlines(keepends=True)
+        # physical line 5 is malformed; the blank line 4 before it counts
+        lines[3:3] = ["\n", "A0001,B001,F000,2004,1,2004-03-01T00:00:00Z,6,12.5\n"]
+        (tmp_path / "estimates.csv").write_text("".join(lines))
+        args = run_args(synth_dir, tmp_path / "out", ["--modes", "full"])
+        args[args.index("--estimates") + 1] = str(tmp_path / "estimates.csv")
+        assert main(args) == 0
+        report = json.loads((tmp_path / "out" / "ingest_report.json").read_text())
+        assert report["parse_rejects"] == {"estimates": 1, "actuals": 0}
+        assert report["parse_reject_sample"] == {
+            "estimates": [{"line": 5, "reason": "malformed: invalid literal for int() with base 10: '12.5'"}],
+            "actuals": [],
+        }
+
     def test_bad_burn_in_rejected(self, synth_dir, tmp_path, capsys):
         assert main(run_args(synth_dir, tmp_path, ["--burn-in", "0"])) == 2
         assert "burn-in" in capsys.readouterr().err

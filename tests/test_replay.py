@@ -2,7 +2,7 @@ from dataclasses import asdict
 
 import pytest
 
-from conftest import actuals_from_rows, estimates_from_rows, load_synth
+from conftest import actuals_from_rows, estimate_rows, estimates_from_rows, load_synth
 from estagg import evaluate, replay
 from estagg.aggregate import ModeConfig, default_mode_matrix
 from estagg.evaluate import PanelSource, evaluate_mode, run_mode_matrix
@@ -41,7 +41,7 @@ class TestTemporalHygiene:
         cut_q = sorted({quarter_index(a.period) for a in acts})[5]
         acts_cut = [a for a in acts if quarter_index(a.period) <= cut_q]
         keep = {(a.firm_id, a.period) for a in acts_cut}
-        ests_cut = [e for e in ests if (e.firm_id, e.period) in keep]
+        ests_cut = estimates_from_rows([r for r in estimate_rows(ests) if (r[2], (r[3], r[4])) in keep])
         truncated = run_mode(build_panel(ests_cut, acts_cut, FilterConfig()), ModeConfig())
 
         trunc = outcomes_by_key(truncated)
@@ -99,7 +99,7 @@ class TestScaleInvariance:
 
         ests, acts, _ = small_panel_inputs
         c = 3
-        ests_s = [replace(e, value_cents=e.value_cents * c) for e in ests]
+        ests_s = replace(ests, value_cents=ests.value_cents * c)
         acts_s = [replace(a, value_cents=a.value_cents * c) for a in acts]
         r1 = run_mode(build_panel(ests, acts, FilterConfig()), ModeConfig())
         r2 = run_mode(

@@ -109,17 +109,19 @@ class TestBiasRecoveryTrend:
             seed=61,
         )
         ests, acts, gt = load_synth(spec)
-        from estagg.bias import ErrorLedger
+        from estagg.bias import ErrorLedger, HistoryLedger
         from estagg.ingest import FilterConfig, build_panel
 
         panel = build_panel(ests, acts, FilterConfig())
         ledger = ErrorLedger("identity_firm")
+        history = HistoryLedger()
         for rec in panel.stream:
             ledger.record(rec.identity, rec.firm_id, rec.value_cents - rec.actual_cents)
+            history.record(rec.identity, rec.firm_id, 0.0)
         est_b, true_b = [], []
         for firm, per_analyst in gt["biases"].items():
             for analyst, b in per_analyst.items():
-                if ledger.count(analyst, firm) > 0:
+                if history.experience(analyst, firm) > 0:
                     est_b.append(ledger.bias(analyst, firm))
                     true_b.append(b)
         rho = np.corrcoef(est_b, true_b)[0, 1]
