@@ -159,8 +159,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         estimates, est_rejects = parse_estimates(estimates_path)
         actuals, act_rejects = parse_actuals(actuals_path)
+        parse_rejects = {"estimates": est_rejects, "actuals": act_rejects}
         if check_path:
-            check, _ = parse_actuals(check_path)
+            check, parse_rejects["actuals_check"] = parse_actuals(check_path)
             actuals = cross_check_actuals(actuals, check)
 
         if mode_sel == "all":
@@ -183,11 +184,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         panel = source.default_panel()
         report = {
-            "ingest": json.loads(panel.report.to_json()),
-            "parse_rejects": {"estimates": len(est_rejects), "actuals": len(act_rejects)},
+            "ingest": {"total": panel.report.total, "kept": panel.report.kept, "rejects": dict(panel.report.rejects)},
+            "parse_rejects": {name: len(rejects) for name, rejects in parse_rejects.items()},
             "parse_reject_sample": {
                 name: [{"line": r.line, "reason": r.reason} for r in rejects[:REJECT_SAMPLE_SIZE]]
-                for name, rejects in (("estimates", est_rejects), ("actuals", act_rejects))
+                for name, rejects in parse_rejects.items()
             },
             "descriptive": descriptive_stats(panel) if panel.events else None,
         }

@@ -126,10 +126,9 @@ def descriptive_stats(panel: Panel) -> dict:
     surprises = []
     negative = 0
     in_range = 0
-    analysts = set()
-    n_predictions = 0
+    all_values = panel.value_cents.tolist()
     for ev in panel.events:
-        values = [e.value_cents for e in ev.estimates]
+        values = all_values[ev.rows]
         consensus = sum(values) / len(values)
         s = ev.actual_cents - consensus  # signed surprise: actual minus consensus
         surprises.append(abs(s))
@@ -137,14 +136,12 @@ def descriptive_stats(panel: Panel) -> dict:
             negative += 1
         if min(values) <= ev.actual_cents <= max(values):
             in_range += 1
-        analysts.update(e.analyst_id for e in ev.estimates)
-        n_predictions += len(ev.estimates)
     n = len(panel.events)
     return {
         "n_symbols": len({ev.firm_id for ev in panel.events}),
         "n_reports": n,
-        "n_predictions": n_predictions,
-        "n_analysts": len(analysts),
+        "n_predictions": len(all_values),
+        "n_analysts": len(set(panel.analysts)),
         "mean_abs_surprise_cents": float(np.mean(surprises)),
         "median_abs_surprise_cents": float(np.median(surprises)),
         "negative_surprise_share": negative / n,
@@ -218,7 +215,7 @@ def run_mode_matrix(
         for i in members:
             panel = source.panel_for(modes[i])
             if state is None:
-                state = ledger_state(panel, *ledger_key(modes[i]))
+                state = ledger_state(panel, ledger_key(modes[i]))
             replays[i] = run_mode(panel, modes[i], state)
     results = [evaluate_mode(replays[i], mode, burn_in) for i, mode in enumerate(modes)]
     return results, {mode.label: replays[i] for i, mode in enumerate(modes)}

@@ -5,9 +5,9 @@ analyst, broker and firm ids interned to integer codes. Actuals, one per
 firm-quarter, stay per-row records. build_panel joins the two, applies the
 exclusion rules (forecast-horizon window, last-estimate-wins dedup,
 prior-record requirement, surprise cap, minimum analyst count) as
-sort-and-group passes over the columns and emits a clean chronological
-panel. Every dropped estimate is accounted for in an IngestReport, one
-reason per input row.
+sort-and-group passes over the columns and emits a chronological panel
+of columns. Every dropped estimate is accounted for in an IngestReport,
+one reason per input row.
 
 All money values are integer cents; the surprise-cap comparison is done in
 exact integer arithmetic.
@@ -16,18 +16,18 @@ exact integer arithmetic.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from array import array
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import compress, groupby, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .features import top10_brokers
 from .periods import Quarter, parse_ts
 
 logger = logging.getLogger(__name__)
@@ -131,22 +131,6 @@ class IngestReport:
     kept: int = 0
     rejects: Counter = field(default_factory=Counter)
 
-    def to_json(self) -> str:
-        payload = {"total": self.total, "kept": self.kept, "rejects": dict(sorted(self.rejects.items()))}
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-
-@dataclass(frozen=True)
-class PanelEstimate:
-    """A surviving, deduped estimate inside a panel event."""
-
-    identity: str  # analyst_id or broker_id depending on the identity mode
-    analyst_id: str
-    broker_id: str
-    estimate_ts: int
-    value_cents: int
-    freq: int  # submissions (pre-dedup) by this identity within the window
-
 
 @dataclass(frozen=True)
 class PanelEvent:
@@ -154,33 +138,25 @@ class PanelEvent:
     period: Quarter
     actual_cents: int
     announce_ts: int
-    estimates: tuple[PanelEstimate, ...]
-
-
-@dataclass(frozen=True)
-class LedgerRecord:
-    """A deduped prediction feeding error/bias history (scored or not)."""
-
-    announce_ts: int
-    firm_id: str
-    period: Quarter
-    identity: str
-    analyst_id: str
-    broker_id: str
-    estimate_ts: int
-    value_cents: int
-    actual_cents: int
+    rows: slice  # the event's estimates in the panel's kept-estimate columns
 
 
 @dataclass
 class Panel:
+    """Chronological events over columns of their kept estimates, one event
+    after another; `PanelEvent.rows` selects an event's."""
+
     events: list[PanelEvent]
-    stream: list[LedgerRecord]
-    # per-period censuses computed from window-valid submissions
-    ncos: dict[tuple[Quarter, str], int]
-    top10_census: dict[Quarter, dict[str, int]]
+    idents: tuple[str, ...]  # analyst_id or broker_id depending on the identity mode
+    analysts: tuple[str, ...]
+    value_cents: np.ndarray
+    # (n, 4) FEATURE_NAMES[:4], which no ledger changes: age in days, freq
+    # (pre-dedup submissions), firms covered in the period, top-decile flag
+    features: np.ndarray
+    # (announce_ts, identity, firm_id, error_cents) of every deduped
+    # window-valid prediction, scored or not
+    stream: list[tuple[int, str, str, int]]
     report: IngestReport
-    identity: str = "analyst"
 
 
 _INT64 = np.iinfo(np.int64)
@@ -226,11 +202,17 @@ def _fields(fh, kind: str, columns: tuple[str, ...], rejects: list[Reject]) -> t
     return rows(), lines
 
 
+def _int64(value: int, name: str) -> int:
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"{name} {value} outside the int64 range")
+    return value
+
+
 def _period(year, quarter) -> Quarter:
     quarter = int(quarter)
     if not 1 <= quarter <= 4:
         raise ValueError(f"period_quarter {quarter} outside 1..4")
-    return (int(year), quarter)
+    return (_int64(int(year), "period_year"), quarter)
 
 
 def _int64s(texts: Sequence, name: str, errors: dict[int, str], convert: Callable = int) -> np.ndarray:
@@ -243,14 +225,9 @@ def _int64s(texts: Sequence, name: str, errors: dict[int, str], convert: Callabl
     out = np.zeros(len(texts), np.int64)
     for i, x in enumerate(texts):
         try:
-            v = convert(x)
+            out[i] = _int64(convert(x), name)
         except (ValueError, TypeError) as exc:
             errors.setdefault(i, str(exc))
-            continue
-        if _INT64.min <= v <= _INT64.max:
-            out[i] = v
-        else:
-            errors.setdefault(i, f"{name} {v} outside the int64 range")
     return out
 
 
@@ -314,6 +291,10 @@ def _columns(rows: Sequence[Sequence], seen: tuple[dict, dict, dict], errors: di
     return tuple(_codes(c, index) for c, index in zip(ids, seen)) + tuple(numbers)
 
 
+def _names(ids: tuple[str, ...], codes: np.ndarray) -> tuple[str, ...]:
+    return tuple(map(ids.__getitem__, codes.tolist()))
+
+
 def _sorted_codes(codes: np.ndarray, seen: dict) -> tuple[np.ndarray, tuple[str, ...]]:
     """Recode first-seen codes so that code order is id order."""
     ids = sorted(seen)
@@ -340,7 +321,7 @@ def parse_actuals(source) -> tuple[list[Actual], list[Reject]]:
         rows, lines = _fields(fh, "actuals", ACTUAL_COLUMNS, rejects)
         for firm, year, quarter, ts, value in rows:
             try:
-                out.append(Actual(firm, _period(year, quarter), parse_ts(ts), int(value)))
+                out.append(Actual(firm, _period(year, quarter), parse_ts(ts), _int64(int(value), "value_cents")))
             except (ValueError, TypeError) as exc:
                 rejects.append(Reject(lines[-1], f"malformed: {exc}"))
     return out, rejects
@@ -384,8 +365,8 @@ def build_panel(
     every deduped window-valid prediction (including ones from unscored
     events) so downstream history never loses a real prediction.
 
-    Each rule is an array pass over the table's columns; Python objects are
-    built only for the deduped stream and the kept estimates.
+    Each rule is an array pass over the table's columns, and the kept
+    estimates' ledger-free features are computed here, once per panel.
     """
     t = estimates
     report = IngestReport(total=len(t))
@@ -423,40 +404,31 @@ def build_panel(
     last = np.lexsort((np.arange(len(rows)), t.estimate_ts[rows], group))[np.cumsum(freq) - 1]
     report.rejects["superseded"] += len(rows) - len(freq)
 
-    # censuses (per firm-period quarter, from window-valid submissions); a
-    # group is one distinct (period, identity, firm)
+    # censuses per period of the window-valid submissions: the firms each
+    # identity covers (one deduped group per firm), and the brokers in the
+    # top decile by distinct analysts
     period_code: dict[Quarter, int] = {}
     act_period = np.array([period_code.setdefault(a.period, len(period_code)) for a in acts] + [-1], np.int64)
-    periods = list(period_code)
-    keys, counts = np.unique(act_period[ev[last]] * len(ids) + ident[last], return_counts=True)
-    ncos = {(periods[k // len(ids)], ids[k % len(ids)]): n for k, n in zip(keys.tolist(), counts.tolist())}
+    ncos_keys, ncos = np.unique(act_period[ev[last]] * len(ids) + ident[last], return_counts=True)
     n_brokers, n_analysts = len(t.broker_ids), len(t.analyst_ids)
     trios = np.unique((act_period[ev] * n_brokers + t.broker[rows]) * n_analysts + t.analyst[rows])
-    keys, counts = np.unique(trios // n_analysts, return_counts=True)
-    top10_census: dict[Quarter, dict[str, int]] = {}
-    for k, n in zip(keys.tolist(), counts.tolist()):
-        top10_census.setdefault(periods[k // n_brokers], {})[t.broker_ids[k % n_brokers]] = n
+    census_keys, census = np.unique(trios // n_analysts, return_counts=True)
+    in_top: list[bool] = []
+    for _, members in groupby(zip(census_keys.tolist(), census.tolist()), key=lambda kn: kn[0] // n_brokers):
+        analysts_of = {t.broker_ids[k % n_brokers]: n for k, n in members}
+        top = top10_brokers(analysts_of)
+        in_top += [b in top for b in analysts_of]
 
     # ledger stream, chronological by announcement; records tied on
     # (announce, firm, period) keep their group's first appearance order
     win = rows[last]
     order = np.lexsort((first, t.quarter[win], t.year[win], t.firm[win], announce[win]))
-    win, freq = win[order], freq[order].tolist()
+    win, freq = win[order], freq[order]
     stream_event, stream_ident, stream_announce = event[win], ident_of[win], announce[win]
-    stream_acts = [acts[e] for e in stream_event.tolist()]
-    # identity, analyst, broker, estimate_ts, value_cents and freq per record
-    columns = [
-        list(map(ids.__getitem__, stream_ident.tolist())),
-        list(map(t.analyst_ids.__getitem__, t.analyst[win].tolist())),
-        list(map(t.broker_ids.__getitem__, t.broker[win].tolist())),
-        t.estimate_ts[win].tolist(),
-        t.value_cents[win].tolist(),
-        freq,
-    ]
-    stream = [
-        LedgerRecord(a.announce_ts, a.firm_id, a.period, i, an, br, ts, v, a.value_cents)
-        for a, i, an, br, ts, v in zip(stream_acts, *columns[:5])
-    ]
+    values = t.value_cents[win].tolist()
+    actual = np.array([a.value_cents for a in acts], np.int64)[stream_event].tolist()
+    errors = map(int.__sub__, values, actual)  # Python ints, so exact
+    stream = list(zip(stream_announce.tolist(), _names(ids, stream_ident), _names(t.firm_ids, t.firm[win]), errors))
 
     # (d) prior-record flags with all records at one announce time treated
     # as simultaneous: a record has a prior when its (identity, firm) pair
@@ -477,23 +449,24 @@ def build_panel(
     # each event's records are contiguous in the stream; apply (a), (e)
     bounds = np.flatnonzero(np.diff(stream_event[survivors], prepend=-1, append=-1)).tolist()
     survivors = survivors.tolist()
-    stream_acts = [stream_acts[i] for i in survivors]
-    columns = [[c[i] for i in survivors] for c in columns]
-    values = columns[4]
+    event_of = stream_event.tolist()
+    kept: list[int] = []  # stream positions of the kept estimates
     events: list[PanelEvent] = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        act = stream_acts[lo]
+        members = survivors[lo:hi]
+        act = acts[event_of[members[0]]]
         # (a) surprise cap against the simple consensus of the survivors,
         # exact integer comparison: |sum - n*actual| > cap*n
         n = hi - lo
-        if abs(sum(values[lo:hi]) - n * act.value_cents) > cfg.surprise_cap_cents * n:
+        if abs(sum(values[i] for i in members) - n * act.value_cents) > cfg.surprise_cap_cents * n:
             report.rejects["surprise_cap"] += n
             continue
         if n < cfg.min_analysts:
             report.rejects["below_min_analysts"] += n
             continue
-        panel_ests = tuple(map(PanelEstimate, *(c[lo:hi] for c in columns)))
-        events.append(PanelEvent(act.firm_id, act.period, act.value_cents, act.announce_ts, panel_ests))
+        rows_of_event = slice(len(kept), len(kept) + n)
+        events.append(PanelEvent(act.firm_id, act.period, act.value_cents, act.announce_ts, rows_of_event))
+        kept += members
         report.kept += n
 
     rejected = sum(report.rejects.values())
@@ -502,11 +475,17 @@ def build_panel(
             f"panel accounting broken: kept {report.kept} + rejected {rejected} != total {report.total}"
         )
     logger.info("panel: %d events, %d estimates kept of %d", len(events), report.kept, report.total)
-    return Panel(
-        events=events,
-        stream=stream,
-        ncos=ncos,
-        top10_census=top10_census,
-        report=report,
-        identity=identity,
+
+    # the kept estimates' columns, with the features no ledger changes
+    kept = np.array(kept, np.int64)
+    kept_rows, ident, period = win[kept], stream_ident[kept], act_period[stream_event[kept]]
+    features = np.column_stack(
+        [
+            (stream_announce[kept] - t.estimate_ts[kept_rows]) / 86400.0,
+            freq[kept],
+            ncos[np.searchsorted(ncos_keys, period * len(ids) + ident)],
+            np.array(in_top, bool)[np.searchsorted(census_keys, period * n_brokers + t.broker[kept_rows])],
+        ]
     )
+    analysts = _names(t.analyst_ids, t.analyst[kept_rows])
+    return Panel(events, _names(ids, ident), analysts, t.value_cents[kept_rows], features, stream, report)

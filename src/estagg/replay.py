@@ -18,20 +18,19 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
 from .aggregate import EventAggregate, ModeConfig, weight_vector
 from .bias import BiasTracker, HistoryLedger
-from .features import normalize_event, top10_brokers
+from .features import normalize_event
 from .ingest import Panel, PanelEvent
 from .model import Mask, PeriodModel, fit_period
 from .periods import quarter_from_index, quarter_index, quarter_of_ts
 
 logger = logging.getLogger(__name__)
-
-SECONDS_PER_DAY = 86400.0
 
 
 @dataclass
@@ -50,7 +49,7 @@ class LedgerEvent:
     simple: float  # plain mean of the raw estimates
     adjusted: np.ndarray  # raw estimates minus their biases
     aae: np.ndarray  # absolute bias-adjusted errors, the dependent variable
-    features: np.ndarray  # raw (n, 6) attribute matrix
+    features: np.ndarray  # raw (n, 6) attribute matrix, FEATURE_NAMES order
 
 
 @dataclass
@@ -95,96 +94,64 @@ def ledger_key(mode: ModeConfig) -> tuple[bool, Optional[str]]:
     return (mode.use_bias, mode.bias_key if mode.use_bias else None)
 
 
-def _event_features(
-    event: PanelEvent,
-    panel: Panel,
-    hist: HistoryLedger,
-    top10_set: set,
-) -> np.ndarray:
-    rows = []
-    for est in event.estimates:
-        exp = hist.experience(est.identity, event.firm_id)
-        if exp == 0:
-            raise RuntimeError(
-                f"estimate without prior record reached scoring: {est.identity}/{event.firm_id}"
-            )
-        rows.append(
-            [
-                (event.announce_ts - est.estimate_ts) / SECONDS_PER_DAY,
-                est.freq,
-                panel.ncos[(event.period, est.identity)],
-                1.0 if est.broker_id in top10_set else 0.0,
-                exp,
-                hist.mean_abs_error(est.identity, event.firm_id),
-            ]
-        )
-    return np.asarray(rows, dtype=float)
-
-
 def _ledger_event(
+    panel: Panel,
     event: PanelEvent,
     qidx: int,
-    use_bias: bool,
-    bias_tracker: BiasTracker,
+    bias_tracker: Optional[BiasTracker],
     hist: HistoryLedger,
-    panel: Panel,
 ) -> LedgerEvent:
-    raw = np.array([e.value_cents for e in event.estimates], dtype=float)
-    idents = tuple(e.identity for e in event.estimates)
-    if use_bias:
-        biases = np.array([bias_tracker.bias(i, event.firm_id) for i in idents])
-        adjusted = raw - biases
-    else:
-        biases = np.zeros_like(raw)
-        adjusted = raw
+    idents = panel.idents[event.rows]
+    raw = panel.value_cents[event.rows].astype(float)
+    biases = np.zeros_like(raw)
+    if bias_tracker is not None:
+        biases[:] = [bias_tracker.bias(i, event.firm_id) for i in idents]
+    adjusted = raw - biases
+    aae = np.abs((raw - float(event.actual_cents)) - biases)
 
-    actual = float(event.actual_cents)
-    aae = np.abs((raw - actual) - biases)
-
-    top10_set = top10_brokers(panel.top10_census.get(event.period, {}))
-    F = _event_features(event, panel, hist, top10_set)
+    F = np.empty((len(idents), 6))
+    F[:, :4] = panel.features[event.rows]
+    for j, ident in enumerate(idents):
+        exp = hist.experience(ident, event.firm_id)
+        if exp == 0:
+            raise RuntimeError(f"estimate without prior record reached scoring: {ident}/{event.firm_id}")
+        F[j, 4:] = exp, hist.mean_abs_error(ident, event.firm_id)
     return LedgerEvent(event, qidx, idents, float(raw.mean()), adjusted, aae, F)
 
 
-def ledger_state(panel: Panel, use_bias: bool, bias_key: Optional[str]) -> LedgerState:
-    """Walk the panel once, recording every scored event against frozen
-    ledgers before the updates at its announce timestamp are applied."""
-    key = (use_bias, bias_key if use_bias else None)
-    if not panel.events and not panel.stream:
+def ledger_state(panel: Panel, key: tuple[bool, Optional[str]]) -> LedgerState:
+    """Walk the panel once with the ledgers of `key` (see `ledger_key`),
+    recording every scored event against frozen ledgers before the updates
+    at its announce timestamp are applied."""
+    if not panel.stream:
         return LedgerState(panel, key, 0, [])
-    timestamps = [r.announce_ts for r in panel.stream] + [e.announce_ts for e in panel.events]
-    q0 = quarter_index(quarter_of_ts(min(timestamps)))
-
-    bias_tracker = BiasTracker(bias_key if use_bias else "global")
+    q0 = quarter_index(quarter_of_ts(panel.stream[0][0]))
+    use_bias, bias_key = key
+    # the no-bias pass reads no bias, so it keeps no bias ledger
+    bias_tracker = BiasTracker(bias_key) if use_bias else None
     hist = HistoryLedger()
     scored: list[LedgerEvent] = []
 
-    # merged announce-time walk over scored events and the ledger stream
-    events_by_ts: dict[int, list[PanelEvent]] = {}
-    for ev in panel.events:
-        events_by_ts.setdefault(ev.announce_ts, []).append(ev)
-    records_by_ts: dict[int, list] = {}
-    for rec in panel.stream:
-        records_by_ts.setdefault(rec.announce_ts, []).append(rec)
-    all_ts = sorted(set(events_by_ts) | set(records_by_ts))
-
-    for ts in all_ts:
+    # each event's announce time is in the stream, which is chronological
+    events = panel.events
+    next_event = 0
+    for ts, records in groupby(panel.stream, key=itemgetter(0)):
         qidx = quarter_index(quarter_of_ts(ts))
 
         # phase 1: read the ledgers for events at this timestamp
-        for ev in events_by_ts.get(ts, ()):
-            scored.append(_ledger_event(ev, qidx, use_bias, bias_tracker, hist, panel))
+        while next_event < len(events) and events[next_event].announce_ts == ts:
+            scored.append(_ledger_event(panel, events[next_event], qidx, bias_tracker, hist))
+            next_event += 1
 
         # phase 2: compute all updates at this timestamp, then apply
         pending = []
-        for rec in records_by_ts.get(ts, ()):
-            err = rec.value_cents - rec.actual_cents
-            b = bias_tracker.bias(rec.identity, rec.firm_id) if use_bias else 0.0
-            pending.append((rec.identity, rec.firm_id, err, abs(err - b)))
+        for _, identity, firm, err in records:
+            b = bias_tracker.bias(identity, firm) if bias_tracker is not None else 0.0
+            pending.append((identity, firm, err, abs(err - b)))
         for identity, firm, err, aae in pending:
-            bias_tracker.record(identity, firm, err)
+            if bias_tracker is not None:
+                bias_tracker.record(identity, firm, err)
             hist.record(identity, firm, aae)
-
     return LedgerState(panel, key, q0, scored)
 
 
@@ -251,7 +218,7 @@ def run_mode(panel: Panel, mode: ModeConfig, state: Optional[LedgerState] = None
     """Replay one mode over the whole panel, scoring from ``state`` (a
     ledger pass over this panel with the mode's ledger key) when given."""
     if state is None:
-        state = ledger_state(panel, *ledger_key(mode))
+        state = ledger_state(panel, ledger_key(mode))
     elif state.panel is not panel or state.key != ledger_key(mode):
         raise ValueError(f"mode {mode.label}: ledger state is for another panel or bias ledger")
     models = state.models(mode.scaling, mode.variable_mask)

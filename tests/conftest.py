@@ -1,6 +1,9 @@
+from dataclasses import asdict
+
+import numpy as np
 import pytest
 
-from estagg.ingest import Actual, EstimateTable
+from estagg.ingest import Actual, EstimateTable, IngestReport, Panel, PanelEvent
 from estagg.periods import format_ts, parse_ts
 from estagg.synth import SynthSpec, generate_rows
 
@@ -29,6 +32,32 @@ def actuals_from_rows(rows):
         Actual(firm_id=r[0], period=(r[1], r[2]), announce_ts=parse_ts(r[3]), value_cents=r[4])
         for r in rows
     ]
+
+
+def panel_of(events):
+    """A hand-made panel with no stream: events (actual_cents, values) for
+    firms F0, F1, ... in 2011Q1, analyst Ai giving the i-th value."""
+    panel_events, idents, values = [], [], []
+    for k, (actual, event_values) in enumerate(events):
+        rows = slice(len(values), len(values) + len(event_values))
+        panel_events.append(PanelEvent(f"F{k}", (2011, 1), actual, 0, rows))
+        idents += [f"A{i}" for i in range(len(event_values))]
+        values += event_values
+    features = np.zeros((len(values), 4))
+    return Panel(panel_events, tuple(idents), tuple(idents), np.array(values, np.int64), features, [], IngestReport())
+
+
+def replay_outcome(replay, panel, mode):
+    """The outcomes and models of a replay, or the message of the
+    RuntimeError it raised."""
+    try:
+        result = replay(panel, mode)
+    except RuntimeError as exc:
+        return str(exc)
+    return (
+        [asdict(o) for o in result.outcomes],
+        [(m.quarter, m.beta.tobytes(), m.n_obs, m.rss) for m in result.models],
+    )
 
 
 def constant_bias_panel(biases, quarters=4, actual=100):

@@ -12,20 +12,12 @@ import numpy as np
 from estagg.aggregate import _MARGIN_TOL, EventAggregate, ModeConfig, weight_vector
 from estagg.bias import BiasTracker, HistoryLedger
 from estagg.features import normalize_event, top10_brokers
-from estagg.ingest import (
-    ESTIMATE_COLUMNS,
-    Actual,
-    FilterConfig,
-    IngestReport,
-    LedgerRecord,
-    Panel,
-    PanelEstimate,
-    PanelEvent,
-    Reject,
-)
+from estagg.ingest import ESTIMATE_COLUMNS, Actual, FilterConfig, IngestReport, Panel, PanelEvent, Reject
 from estagg.model import PeriodModel, fit_period
 from estagg.periods import Quarter, parse_ts, quarter_from_index, quarter_index, quarter_of_ts
-from estagg.replay import SECONDS_PER_DAY, ReplayResult
+from estagg.replay import ReplayResult
+
+SECONDS_PER_DAY = 86400.0
 
 
 def weight(predicted_daae: float, event_mean_daae: float, r: float) -> float:
@@ -42,12 +34,12 @@ def predict_daae(model, x) -> float:
     return float(np.dot(model.beta, np.asarray(x, dtype=float)))
 
 
-def closest_analyst(event, bias_lookup=None) -> float:
-    """Smallest absolute individual error for one event; predictions are
-    bias-adjusted when a lookup is supplied."""
+def closest_analyst(panel: Panel, event: PanelEvent, bias_lookup=None) -> float:
+    """Smallest absolute individual error for one event of a panel;
+    predictions are bias-adjusted when a lookup is supplied."""
     best = None
-    for est in event.estimates:
-        value = est.value_cents - (bias_lookup(est.identity, event.firm_id) if bias_lookup else 0.0)
+    for ident, value in zip(panel.idents[event.rows], panel.value_cents[event.rows].tolist()):
+        value = value - (bias_lookup(ident, event.firm_id) if bias_lookup else 0.0)
         err = abs(value - event.actual_cents)
         best = err if best is None else min(best, err)
     if best is None:
@@ -55,9 +47,94 @@ def closest_analyst(event, bias_lookup=None) -> float:
     return best
 
 
+# The per-estimate object form of a panel that build_panel_oracle emits and
+# replay_oracle reads; estagg.ingest.Panel holds the same data as columns.
+
+
+@dataclass(frozen=True)
+class PanelEstimate:
+    """A surviving, deduped estimate inside a panel event."""
+
+    identity: str  # analyst_id or broker_id depending on the identity mode
+    analyst_id: str
+    broker_id: str
+    estimate_ts: int
+    value_cents: int
+    freq: int  # submissions (pre-dedup) by this identity within the window
+
+
+@dataclass(frozen=True)
+class ObjectEvent:
+    firm_id: str
+    period: Quarter
+    actual_cents: int
+    announce_ts: int
+    estimates: tuple[PanelEstimate, ...]
+
+
+@dataclass(frozen=True)
+class LedgerRecord:
+    """A deduped prediction feeding error/bias history (scored or not)."""
+
+    announce_ts: int
+    firm_id: str
+    period: Quarter
+    identity: str
+    analyst_id: str
+    broker_id: str
+    estimate_ts: int
+    value_cents: int
+    actual_cents: int
+
+
+@dataclass
+class ObjectPanel:
+    events: list[ObjectEvent]
+    stream: list[LedgerRecord]
+    # per-period censuses computed from window-valid submissions
+    ncos: dict[tuple[Quarter, str], int]
+    top10_census: dict[Quarter, dict[str, int]]
+    report: IngestReport
+    identity: str = "analyst"
+
+
+def columnar_panel(panel: ObjectPanel) -> Panel:
+    """An object panel as the columns estagg.ingest.build_panel emits, its
+    ledger-free features computed per event as the per-event replay did."""
+    events, idents, analysts, values, features = [], [], [], [], []
+    for event in panel.events:
+        top10_set = top10_brokers(panel.top10_census.get(event.period, {}))
+        rows = slice(len(values), len(values) + len(event.estimates))
+        events.append(PanelEvent(event.firm_id, event.period, event.actual_cents, event.announce_ts, rows))
+        for est in event.estimates:
+            idents.append(est.identity)
+            analysts.append(est.analyst_id)
+            values.append(est.value_cents)
+            features.append(_static_features(event, est, panel, top10_set))
+    return Panel(
+        events=events,
+        idents=tuple(idents),
+        analysts=tuple(analysts),
+        value_cents=np.array(values, np.int64),
+        features=np.array(features, float).reshape(len(values), 4),
+        stream=[(r.announce_ts, r.identity, r.firm_id, r.value_cents - r.actual_cents) for r in panel.stream],
+        report=panel.report,
+    )
+
+
+def _static_features(event: ObjectEvent, est: PanelEstimate, panel: ObjectPanel, top10_set: set) -> list:
+    """Age in days, freq, firms covered and the top-decile flag."""
+    return [
+        (event.announce_ts - est.estimate_ts) / SECONDS_PER_DAY,
+        est.freq,
+        panel.ncos[(event.period, est.identity)],
+        1.0 if est.broker_id in top10_set else 0.0,
+    ]
+
+
 def _event_features(
-    event: PanelEvent,
-    panel: Panel,
+    event: ObjectEvent,
+    panel: ObjectPanel,
     hist: HistoryLedger,
     top10_set: set,
 ) -> np.ndarray:
@@ -69,25 +146,18 @@ def _event_features(
                 f"estimate without prior record reached scoring: {est.identity}/{event.firm_id}"
             )
         rows.append(
-            [
-                (event.announce_ts - est.estimate_ts) / SECONDS_PER_DAY,
-                est.freq,
-                panel.ncos[(event.period, est.identity)],
-                1.0 if est.broker_id in top10_set else 0.0,
-                exp,
-                hist.mean_abs_error(est.identity, event.firm_id),
-            ]
+            _static_features(event, est, panel, top10_set) + [exp, hist.mean_abs_error(est.identity, event.firm_id)]
         )
     return np.asarray(rows, dtype=float)
 
 
 def _improved_consensus(
-    event: PanelEvent,
+    event: ObjectEvent,
     mode: ModeConfig,
     prev_model: Optional[PeriodModel],
     bias_tracker: BiasTracker,
     hist: HistoryLedger,
-    panel: Panel,
+    panel: ObjectPanel,
     quarter_offset: int,
 ) -> tuple[EventAggregate, np.ndarray, np.ndarray]:
     """Score one event against frozen ledgers and the previous model.
@@ -154,7 +224,7 @@ def _improved_consensus(
     return agg, X, y
 
 
-def replay_oracle(panel: Panel, mode: ModeConfig) -> ReplayResult:
+def replay_oracle(panel: ObjectPanel, mode: ModeConfig) -> ReplayResult:
     """One mode replayed on its own: the per-event walk that
     replay.ledger_state and replay.run_mode split into a shared ledger
     pass and per-mode scoring."""
@@ -170,7 +240,7 @@ def replay_oracle(panel: Panel, mode: ModeConfig) -> ReplayResult:
     outcomes: list[EventAggregate] = []
 
     # merged announce-time walk over scored events and the ledger stream
-    events_by_ts: dict[int, list[PanelEvent]] = {}
+    events_by_ts: dict[int, list[ObjectEvent]] = {}
     for ev in panel.events:
         events_by_ts.setdefault(ev.announce_ts, []).append(ev)
     records_by_ts: dict[int, list] = {}
@@ -313,7 +383,7 @@ def build_panel_oracle(
     actuals: Sequence[Actual],
     cfg: FilterConfig = FilterConfig(),
     identity: str = "analyst",
-) -> Panel:
+) -> ObjectPanel:
     """Apply all exclusion rules and emit a chronological panel.
 
     Filter order: horizon/time window, last-estimate-per-identity dedup,
@@ -412,7 +482,7 @@ def build_panel_oracle(
     for rec in stream:
         by_event[(rec.firm_id, rec.period)].append(rec)
 
-    events: list[PanelEvent] = []
+    events: list[ObjectEvent] = []
     for (firm, period), recs in by_event.items():
         act = actual_by[(firm, period)]
         survivors = []
@@ -445,7 +515,7 @@ def build_panel_oracle(
             for r in survivors
         )
         events.append(
-            PanelEvent(
+            ObjectEvent(
                 firm_id=firm,
                 period=period,
                 actual_cents=act.value_cents,
@@ -461,7 +531,7 @@ def build_panel_oracle(
         raise RuntimeError(
             f"panel accounting broken: kept {report.kept} + rejected {rejected} != total {report.total}"
         )
-    return Panel(
+    return ObjectPanel(
         events=events,
         stream=stream,
         ncos=ncos,

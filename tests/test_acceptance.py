@@ -130,9 +130,9 @@ def test_criterion_03_recovers_injected_biases():
     panel = build_panel(ests, acts, FilterConfig())
     ledger = ErrorLedger("identity_firm")
     history = HistoryLedger()
-    for rec in panel.stream:
-        ledger.record(rec.identity, rec.firm_id, rec.value_cents - rec.actual_cents)
-        history.record(rec.identity, rec.firm_id, 0.0)
+    for _, identity, firm_id, error_cents in panel.stream:
+        ledger.record(identity, firm_id, error_cents)
+        history.record(identity, firm_id, 0.0)
     est_b, true_b = [], []
     for firm, per_analyst in gt["biases"].items():
         for analyst, b in per_analyst.items():
@@ -324,10 +324,12 @@ def test_criterion_09_every_rejection_rule_with_exact_outcomes():
     }
     ok &= len(panel.events) == 1
     ev = panel.events[0]
-    ok &= ev.firm_id == "F1" and ev.period == (2011, 2) and len(ev.estimates) == 8
-    kept = {e.analyst_id: e.value_cents for e in ev.estimates}
+    analysts = panel.analysts[ev.rows]
+    ok &= ev.firm_id == "F1" and ev.period == (2011, 2) and len(analysts) == 8
+    kept = dict(zip(analysts, panel.value_cents[ev.rows].tolist()))
     ok &= kept == {"A1": 101, "A2": 99, "A3": 98, "A4": 102, "A5": 103, "A6": 97, "A7": 101, "A8": 100}
-    ok &= {e.analyst_id: e.freq for e in ev.estimates}["A1"] == 2
+    freq = dict(zip(analysts, panel.features[ev.rows, 1].tolist()))
+    ok &= freq["A1"] == 2
     report(9, "hand fixture hits every rejection rule with exact outcomes", ok)
 
 

@@ -154,7 +154,7 @@ class TestImprovedConsensus:
     def test_convexity_over_raw_predictions_without_bias(self, small_panel_inputs):
         ests, acts, _ = small_panel_inputs
         panel = build_panel(ests, acts, FilterConfig())
-        values = {(e.firm_id, e.period): [x.value_cents for x in e.estimates] for e in panel.events}
+        values = {(e.firm_id, e.period): panel.value_cents[e.rows].tolist() for e in panel.events}
         rr = run_mode(panel, ModeConfig(label="exp_only", use_bias=False))
         for o in rr.outcomes:
             vals = values[(o.firm_id, o.period)]
@@ -182,7 +182,7 @@ class TestImprovedConsensus:
         ests, acts, _ = small_panel_inputs
         panel = build_panel(ests, acts, FilterConfig(min_analysts=2), identity="broker")
         for ev in panel.events:
-            idents = [e.identity for e in ev.estimates]
+            idents = panel.idents[ev.rows]
             assert len(idents) == len(set(idents))
             assert all(i.startswith("B") for i in idents)
 

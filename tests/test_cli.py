@@ -175,6 +175,60 @@ class TestRunCommand:
             "actuals": [],
         }
 
+    def _with_bad_actual(self, synth_dir, path, field, value):
+        """synth_dir's actuals with one field of physical line 4 replaced,
+        written to `path`; returns the number of estimates of that line's
+        firm-period."""
+        lines = (synth_dir / "actuals.csv").read_text().splitlines(keepends=True)
+        header = lines[0].strip().split(",")
+        row = lines[3].strip().split(",")
+        key = (row[header.index("firm_id")], row[header.index("period_year")], row[header.index("period_quarter")])
+        row[header.index(field)] = value
+        lines[3] = ",".join(row) + "\n"
+        path.write_text("".join(lines))
+        with open(synth_dir / "estimates.csv", newline="") as fh:
+            return sum((r["firm_id"], r["period_year"], r["period_quarter"]) == key for r in csv.DictReader(fh))
+
+    def test_actuals_check_parse_rejects_reported(self, synth_dir, run_dir, tmp_path):
+        n_estimates = self._with_bad_actual(synth_dir, tmp_path / "check.csv", "announce_ts", "garbage")
+        args = run_args(synth_dir, tmp_path / "out", ["--actuals-check", str(tmp_path / "check.csv")])
+        assert main(args) == 0
+        report = json.loads((tmp_path / "out" / "ingest_report.json").read_text())
+        assert report["parse_rejects"] == {"estimates": 0, "actuals": 0, "actuals_check": 1}
+        assert report["parse_reject_sample"] == {
+            "estimates": [],
+            "actuals": [],
+            "actuals_check": [{"line": 4, "reason": "malformed: Invalid isoformat string: 'garbage'"}],
+        }
+        # the unconfirmed actual is dropped, and its estimates with it
+        base = json.loads((run_dir / "ingest_report.json").read_text())
+        assert "no_matching_actual" not in base["ingest"]["rejects"]
+        assert report["ingest"]["rejects"]["no_matching_actual"] == n_estimates > 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert set(manifest["inputs"]) == {"estimates.csv", "actuals.csv", "check.csv"}
+
+    def test_actuals_check_confirming_every_actual_changes_no_result(self, synth_dir, run_dir, tmp_path):
+        args = run_args(synth_dir, tmp_path / "out", ["--actuals-check", str(synth_dir / "actuals.csv")])
+        assert main(args) == 0
+        for name in ("results.csv", "events_full.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (run_dir / name).read_bytes()
+        report = json.loads((tmp_path / "out" / "ingest_report.json").read_text())
+        assert report["parse_rejects"] == {"estimates": 0, "actuals": 0, "actuals_check": 0}
+        assert report["ingest"] == json.loads((run_dir / "ingest_report.json").read_text())["ingest"]
+
+    def test_actual_outside_int64_range_rejected(self, synth_dir, tmp_path):
+        n_estimates = self._with_bad_actual(synth_dir, tmp_path / "actuals.csv", "value_cents", str(10**20))
+        args = run_args(synth_dir, tmp_path / "out", ["--modes", "full"])
+        args[args.index("--actuals") + 1] = str(tmp_path / "actuals.csv")
+        assert main(args) == 0
+        report = json.loads((tmp_path / "out" / "ingest_report.json").read_text())
+        assert report["parse_rejects"] == {"estimates": 0, "actuals": 1}
+        reason = f"malformed: value_cents {10**20} outside the int64 range"
+        assert report["parse_reject_sample"]["actuals"] == [{"line": 4, "reason": reason}]
+        assert report["ingest"]["rejects"]["no_matching_actual"] == n_estimates > 0
+        with open(tmp_path / "out" / "results.csv", newline="") as fh:
+            assert -1.0 < float(next(csv.DictReader(fh))["average"]) < 1.0
+
     def test_bad_burn_in_rejected(self, synth_dir, tmp_path, capsys):
         assert main(run_args(synth_dir, tmp_path, ["--burn-in", "0"])) == 2
         assert "burn-in" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import statistics
 import numpy as np
 import pytest
 
-from conftest import load_synth
+from conftest import estimate_rows, load_synth, panel_of
 from estagg.evaluate import (
     NEG_INF,
     PanelSource,
@@ -17,7 +17,7 @@ from estagg.evaluate import (
 )
 from estagg.ingest import FilterConfig, build_panel
 from estagg.synth import SynthSpec
-from oracles import closest_analyst
+from oracles import build_panel_oracle, closest_analyst, estimates_from_rows_oracle
 
 RNG = np.random.default_rng(99)
 
@@ -132,64 +132,43 @@ class TestTrendStat:
 
 
 class TestClosestAnalyst:
-    def _event(self, values, actual):
-        from estagg.ingest import PanelEstimate, PanelEvent
-
-        ests = tuple(
-            PanelEstimate(f"A{i}", f"A{i}", "B", 0, v, 1) for i, v in enumerate(values)
-        )
-        return PanelEvent("F", (2011, 1), actual, 0, ests)
+    def _closest(self, values, actual, bias_lookup=None):
+        panel = panel_of([(actual, values)])
+        return closest_analyst(panel, panel.events[0], bias_lookup)
 
     def test_min_abs_error(self):
-        assert closest_analyst(self._event([98, 101, 103], 100)) == 1
+        assert self._closest([98, 101, 103], 100) == 1
 
     def test_exact_hit(self):
-        assert closest_analyst(self._event([98, 100, 103], 100)) == 0
+        assert self._closest([98, 100, 103], 100) == 0
 
     def test_exact_hit_gives_full_improvement(self):
-        ev = self._event([98, 100, 103], 100)
-        best = closest_analyst(ev)
+        best = self._closest([98, 100, 103], 100)
         consensus = sum([98, 100, 103]) / 3
         assert surprise_improvement(consensus - 100, best) == 1.0
 
     def test_bias_adjusted_lookup(self):
-        ev = self._event([98, 104], 100)
-        assert closest_analyst(ev, bias_lookup=lambda i, f: 4.0 if i == "A1" else 0.0) == 0
+        assert self._closest([98, 104], 100, bias_lookup=lambda i, f: 4.0 if i == "A1" else 0.0) == 0
 
 
 class TestDescriptiveStats:
     def test_single_event_in_range(self, small_panel_inputs):
-        from estagg.ingest import PanelEstimate, PanelEvent, Panel, IngestReport
-
-        ev = PanelEvent(
-            "F",
-            (2011, 1),
-            100,
-            0,
-            tuple(PanelEstimate(f"A{i}", f"A{i}", "B", 0, v, 1) for i, v in enumerate([98, 102])),
-        )
-        panel = Panel([ev], [], {}, {}, IngestReport())
-        stats = descriptive_stats(panel)
+        stats = descriptive_stats(panel_of([(100, [98, 102])]))
         assert stats["actual_in_range_share"] == 1.0
         assert stats["n_symbols"] == 1
         assert stats["n_predictions"] == 2
 
-    def test_negative_surprise_share(self):
-        from estagg.ingest import PanelEstimate, PanelEvent, Panel, IngestReport
+    def test_broker_panel_counts_analysts(self, small_panel_inputs):
+        ests, acts, _ = small_panel_inputs
+        cfg = FilterConfig(min_analysts=3)
+        panel = build_panel(ests, acts, cfg, identity="broker")
+        oracle = build_panel_oracle(estimates_from_rows_oracle(estimate_rows(ests)), acts, cfg, "broker")
+        analysts = {e.analyst_id for ev in oracle.events for e in ev.estimates}
+        assert descriptive_stats(panel)["n_analysts"] == len(analysts) > len(set(panel.idents))
 
+    def test_negative_surprise_share(self):
         # consensus 100; actuals 99 (negative), 101, 101
-        events = [
-            PanelEvent(
-                f"F{k}",
-                (2011, 1),
-                a,
-                0,
-                tuple(PanelEstimate(f"A{i}", f"A{i}", "B", 0, 100, 1) for i in range(2)),
-            )
-            for k, a in enumerate([99, 101, 101])
-        ]
-        panel = Panel(events, [], {}, {}, IngestReport())
-        stats = descriptive_stats(panel)
+        stats = descriptive_stats(panel_of([(a, [100, 100]) for a in [99, 101, 101]]))
         assert stats["negative_surprise_share"] == pytest.approx(1 / 3)
 
     def test_calibrated_negative_share_matches_generator(self):

@@ -91,17 +91,17 @@ def test_closest_modes_match_closest_analyst_oracle(matrix_run):
     assert len(raw_rows) == len(panel.events)
     for row in raw_rows:
         ev = by_key[(row["firm_id"], (int(row["period_year"]), int(row["period_quarter"])))]
-        assert abs(float(row["improved"]) - ev.actual_cents) == closest_analyst(ev)
+        assert abs(float(row["improved"]) - ev.actual_cents) == closest_analyst(panel, ev)
 
     rows = _events(out, "closest")
     assert len(rows) == len(panel.events)
     for row in rows:
         ev = by_key[(row["firm_id"], (int(row["period_year"]), int(row["period_quarter"])))]
         ledger = ErrorLedger("identity_firm")
-        for rec in panel.stream:
-            if rec.announce_ts < ev.announce_ts:
-                ledger.record(rec.identity, rec.firm_id, rec.value_cents - rec.actual_cents)
-        assert abs(float(row["improved"]) - ev.actual_cents) == closest_analyst(ev, ledger.bias)
+        for announce_ts, identity, firm_id, error_cents in panel.stream:
+            if announce_ts < ev.announce_ts:
+                ledger.record(identity, firm_id, error_cents)
+        assert abs(float(row["improved"]) - ev.actual_cents) == closest_analyst(panel, ev, ledger.bias)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SMALL_PANEL_SPEC, actuals_from_rows, estimate_rows, estimates_from_rows
+from conftest import SMALL_PANEL_SPEC, actuals_from_rows, estimate_rows, estimates_from_rows, replay_outcome
+from estagg.aggregate import ModeConfig
 from estagg.ingest import (
     ACTUAL_COLUMNS,
     Actual,
@@ -21,8 +22,15 @@ from estagg.ingest import (
     parse_estimates,
 )
 from estagg.periods import format_ts, parse_ts
+from estagg.replay import run_mode
 from estagg.synth import SynthSpec, generate, generate_rows
-from oracles import build_panel_oracle, estimates_from_rows_oracle, parse_estimates_oracle
+from oracles import (
+    build_panel_oracle,
+    columnar_panel,
+    estimates_from_rows_oracle,
+    parse_estimates_oracle,
+    replay_oracle,
+)
 
 HEADER = "analyst_id,broker_id,firm_id,period_year,period_quarter,estimate_ts,horizon_code,value_cents\n"
 
@@ -61,6 +69,13 @@ def target_event(panel):
         if ev.period == (2011, 2):
             return ev
     return None
+
+
+def kept_estimate(panel, ev, identity):
+    """The value and the four ledger-free features of one identity's kept
+    estimate in an event."""
+    i = ev.rows.start + panel.idents[ev.rows].index(identity)
+    return int(panel.value_cents[i]), panel.features[i].tolist()
 
 
 class TestParsing:
@@ -111,6 +126,25 @@ class TestParsing:
         assert [a.period for a in acts] == [(2011, 1)]
         assert [r.line for r in rejects] == [2]
         assert rejects[0].reason.startswith("malformed: period_quarter")
+
+    def test_actual_outside_int64_range_rejected(self):
+        big = 10**20
+        acts, rejects = parse_actuals(
+            io.StringIO(
+                ",".join(ACTUAL_COLUMNS) + "\n"
+                + "F1,2011,1,2011-06-01T00:00:00Z,100\n"
+                + f"F1,2011,2,2011-09-01T00:00:00Z,{big}\n"
+                + f"F1,2011,3,2011-12-01T00:00:00Z,{-big}\n"
+                + f"F1,{big},2,2011-09-01T00:00:00Z,100\n"
+                + f"F1,2011,4,2012-03-01T00:00:00Z,{2**63 - 1}\n"
+            )
+        )
+        assert [(a.period, a.value_cents) for a in acts] == [((2011, 1), 100), ((2011, 4), 2**63 - 1)]
+        assert rejects == [
+            Reject(3, f"malformed: value_cents {big} outside the int64 range"),
+            Reject(4, f"malformed: value_cents {-big} outside the int64 range"),
+            Reject(5, f"malformed: period_year {big} outside the int64 range"),
+        ]
 
     def test_parsers_close_the_files_they_open(self, tmp_path, monkeypatch):
         paths = generate(SynthSpec(n_firms=2, n_analysts=10, n_quarters=2, seed=3), str(tmp_path))
@@ -193,7 +227,7 @@ class TestFilters:
         # the 24h estimate is rejected, so A0's 10-day estimate still stands
         assert panel.report.rejects["too_close_to_announcement"] == 1
         ev = target_event(panel)
-        assert len(ev.estimates) == 8
+        assert len(panel.idents[ev.rows]) == 8
 
     def test_stale_estimate_dropped(self):
         ests, acts = make_rows(n_analysts=8)
@@ -216,17 +250,15 @@ class TestFilters:
         ]
         # the original A0 estimate is 10 days out, i.e. later than these
         panel = build_panel(estimates_from_rows(extra + ests), acts, FilterConfig())
-        ev = target_event(panel)
-        a0 = [e for e in ev.estimates if e.identity == "A0"][0]
-        assert a0.value_cents == 100  # latest timestamp still wins
-        assert a0.freq == 3  # superseded submissions count toward frequency
+        value, (age, freq, _, _) = kept_estimate(panel, target_event(panel), "A0")
+        assert value == 100 and age == 10.0  # latest timestamp still wins
+        assert freq == 3  # superseded submissions count toward frequency
 
         # drop the 10-day estimate so the tie decides
         ests_no_a0_target = [r for r in ests if not (r[0] == "A0" and (r[3], r[4]) == (2011, 2))]
         panel = build_panel(estimates_from_rows(extra + ests_no_a0_target), acts, FilterConfig())
-        ev = target_event(panel)
-        a0 = [e for e in ev.estimates if e.identity == "A0"][0]
-        assert a0.value_cents == 112
+        value, (age, *_) = kept_estimate(panel, target_event(panel), "A0")
+        assert value == 112 and age == 30.0
 
     def test_no_prior_record_dropped(self):
         ests, acts = make_inputs(n_analysts=9, with_prior=False)
@@ -248,6 +280,9 @@ class TestPanelProperties:
         p1 = build_panel(ests, acts, FilterConfig())
         p2 = build_panel(ests, acts, FilterConfig())
         assert p1.events == p2.events
+        assert p1.idents == p2.idents and p1.analysts == p2.analysts
+        assert p1.value_cents.tolist() == p2.value_cents.tolist()
+        assert p1.features.tobytes() == p2.features.tobytes()
         assert p1.stream == p2.stream
 
     def test_events_sorted_by_announce_then_firm(self, small_panel_inputs):
@@ -262,17 +297,21 @@ class TestPanelProperties:
         ests, acts, _ = small_panel_inputs
         cfg = FilterConfig(require_prior_record=False)
         p1 = build_panel(ests, acts, cfg)
+        # the panel keeps no broker, and its age column gives back each
+        # estimate's timestamp
         refed = [
-            (e.analyst_id, e.broker_id, ev.firm_id, *ev.period, format_ts(e.estimate_ts), 6, e.value_cents)
+            (analyst, "B1", ev.firm_id, *ev.period, format_ts(ev.announce_ts - round(age * 86400)), 6, value)
             for ev in p1.events
-            for e in ev.estimates
+            for analyst, value, age in zip(
+                p1.analysts[ev.rows], p1.value_cents[ev.rows].tolist(), p1.features[ev.rows, 0].tolist()
+            )
         ]
         p2 = build_panel(estimates_from_rows(refed), acts, cfg)
         assert [(e.firm_id, e.period) for e in p2.events] == [
             (e.firm_id, e.period) for e in p1.events
         ]
         for e1, e2 in zip(p1.events, p2.events):
-            assert [x.value_cents for x in e1.estimates] == [x.value_cents for x in e2.estimates]
+            assert p1.value_cents[e1.rows].tolist() == p2.value_cents[e2.rows].tolist()
 
     def test_duplicate_actual_rejected(self):
         acts = actuals_from_rows(
@@ -282,18 +321,33 @@ class TestPanelProperties:
             build_panel(estimates_from_rows([]), acts, FilterConfig())
 
 
+# one mode per ledger key kind: bias per identity-firm, no bias, the blend
+REPLAY_MODES = (ModeConfig(), ModeConfig(label="no_bias", use_bias=False), ModeConfig(label="bias_half", bias_key="half"))
+
+
 def assert_same_panel(rows, oracle_ests, acts, cfg, identity):
-    """The columnar build_panel equals the per-row oracle on every output."""
+    """The columnar build_panel equals the per-row oracle on every output,
+    and replays as the per-event oracle replays the oracle's panel."""
     got = build_panel(rows, acts, cfg, identity)
-    want = build_panel_oracle(oracle_ests, acts, cfg, identity)
+    oracle = build_panel_oracle(oracle_ests, acts, cfg, identity)
+    want = columnar_panel(oracle)
     assert got.events == want.events
+    assert got.idents == want.idents
+    assert got.analysts == want.analysts
+    assert got.value_cents.dtype == want.value_cents.dtype == np.int64
+    assert got.value_cents.tolist() == want.value_cents.tolist()
+    # bit for bit, in the same layout
+    assert got.features.dtype == want.features.dtype == np.float64
+    assert got.features.shape == want.features.shape
+    assert got.features.flags.c_contiguous
+    assert got.features.tobytes() == want.features.tobytes()
     assert got.stream == want.stream
-    assert got.ncos == want.ncos
-    assert got.top10_census == want.top10_census
     assert got.report.total == want.report.total
     assert got.report.kept == want.report.kept
     # the exact keys, so a reason counted as 0 is kept or left out alike
     assert dict(got.report.rejects) == dict(want.report.rejects)
+    for mode in REPLAY_MODES:
+        assert replay_outcome(run_mode, got, mode) == replay_outcome(replay_oracle, oracle, mode)
 
 
 def revision_rows(est_rows, act_rows, seed):
@@ -327,7 +381,8 @@ CUTOFFS = [48, 720, 1440]
 
 class TestColumnarMatchesOracle:
     """build_panel and parse_estimates against the per-row implementations
-    they replaced, kept in tests/oracles.py."""
+    they replaced, kept in tests/oracles.py, and run_mode on the columnar
+    panel against the per-event replay of the oracle's object panel."""
 
     @pytest.mark.parametrize("identity", ["analyst", "broker"])
     @pytest.mark.parametrize("min_lead_hours", CUTOFFS)
@@ -340,6 +395,15 @@ class TestColumnarMatchesOracle:
             FilterConfig(min_lead_hours=min_lead_hours),
             identity,
         )
+
+    @pytest.mark.parametrize("min_lead_hours", CUTOFFS)
+    def test_small_broker_panel_with_scored_events(self, min_lead_hours):
+        # the default 8-analyst minimum leaves the broker panels above empty
+        est_rows, act_rows, _ = generate_rows(SMALL_PANEL_SPEC)
+        cfg = FilterConfig(min_lead_hours=min_lead_hours, min_analysts=3)
+        ests = estimates_from_rows(est_rows)
+        assert build_panel(ests, actuals_from_rows(act_rows), cfg, "broker").events
+        assert_same_panel(ests, estimates_from_rows_oracle(est_rows), actuals_from_rows(act_rows), cfg, "broker")
 
     @pytest.mark.parametrize("identity", ["analyst", "broker"])
     @pytest.mark.parametrize("min_lead_hours", CUTOFFS)

@@ -1,16 +1,17 @@
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
 from conftest import actuals_from_rows, estimate_rows, estimates_from_rows, load_synth
 from estagg import evaluate, replay
 from estagg.aggregate import ModeConfig, default_mode_matrix
+from estagg.bias import BiasTracker
 from estagg.evaluate import PanelSource, evaluate_mode, run_mode_matrix
 from estagg.ingest import FilterConfig, build_panel
 from estagg.periods import format_ts, parse_ts, quarter_index, quarter_of_ts
-from estagg.replay import ledger_state, run_mode
+from estagg.replay import ledger_key, ledger_state, run_mode
 from estagg.synth import SynthSpec
-from oracles import replay_oracle
+from oracles import build_panel_oracle, estimates_from_rows_oracle, replay_oracle
 
 
 def outcomes_by_key(rr):
@@ -124,7 +125,14 @@ class TestSharedState:
 
     @pytest.fixture(scope="class")
     def oracle(self, source):
-        return {m.label: replay_oracle(source.panel_for(m), m) for m in default_mode_matrix()}
+        """Each mode replayed per event on the per-row oracle's panel."""
+        ests = estimates_from_rows_oracle(estimate_rows(source.estimates))
+        out = {}
+        for m in default_mode_matrix():
+            identity, min_lead_hours = source.panel_key(m)
+            cfg = replace(source.cfg, min_lead_hours=min_lead_hours)
+            out[m.label] = replay_oracle(build_panel_oracle(ests, source.actuals, cfg, identity), m)
+        return out
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
     def test_matrix_matches_per_mode_oracle(self, source, oracle, reverse):
@@ -147,9 +155,9 @@ class TestSharedState:
         passes = []
         normalized = []
 
-        def counting_ledger_state(panel, use_bias, bias_key):
+        def counting_ledger_state(panel, key):
             passes.append(panel)
-            return ledger_state(panel, use_bias, bias_key)
+            return ledger_state(panel, key)
 
         def counting_normalize_event(features, aae, scaling):
             normalized.append(scaling)
@@ -172,6 +180,37 @@ class TestSharedState:
     def test_state_from_another_ledger_rejected(self, source):
         full, no_bias = default_mode_matrix()[:3:2]
         panel = source.panel_for(full)
-        state = ledger_state(panel, True, full.bias_key)
+        state = ledger_state(panel, ledger_key(full))
         with pytest.raises(ValueError, match="ledger state"):
             run_mode(panel, no_bias, state)
+
+    def test_no_bias_pass_keeps_no_bias_ledger(self, source, monkeypatch):
+        made = []
+
+        class CountingTracker(BiasTracker):
+            def __init__(self, key):
+                made.append(key)
+                super().__init__(key)
+
+        monkeypatch.setattr(replay, "BiasTracker", CountingTracker)
+        full, no_bias = default_mode_matrix()[:3:2]
+        panel = source.panel_for(full)
+        assert ledger_state(panel, ledger_key(no_bias)).events
+        assert made == []
+        ledger_state(panel, ledger_key(full))
+        assert made == [full.bias_key]
+
+
+class TestPriorRecord:
+    def test_estimate_without_prior_record_cannot_be_scored(self):
+        # with the prior-record rule off, a first-time estimate reaches
+        # scoring, which has no experience or past error to give it
+        announce = "2011-06-01T00:00:00Z"
+        ts = format_ts(parse_ts(announce) - 10 * 86400)
+        est_rows = [(f"A{i}", "B1", "F1", 2011, 2, ts, 6, 100) for i in range(8)]
+        acts = actuals_from_rows([("F1", 2011, 2, announce, 100)])
+        panel = build_panel(estimates_from_rows(est_rows), acts, FilterConfig(require_prior_record=False))
+        assert len(panel.events) == 1
+        for mode in (ModeConfig(), ModeConfig(label="no_bias", use_bias=False)):
+            with pytest.raises(RuntimeError, match="without prior record reached scoring: A0/F1"):
+                run_mode(panel, mode)

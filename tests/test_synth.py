@@ -115,9 +115,9 @@ class TestBiasRecoveryTrend:
         panel = build_panel(ests, acts, FilterConfig())
         ledger = ErrorLedger("identity_firm")
         history = HistoryLedger()
-        for rec in panel.stream:
-            ledger.record(rec.identity, rec.firm_id, rec.value_cents - rec.actual_cents)
-            history.record(rec.identity, rec.firm_id, 0.0)
+        for _, identity, firm_id, error_cents in panel.stream:
+            ledger.record(identity, firm_id, error_cents)
+            history.record(identity, firm_id, 0.0)
         est_b, true_b = [], []
         for firm, per_analyst in gt["biases"].items():
             for analyst, b in per_analyst.items():
