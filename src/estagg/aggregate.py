@@ -51,7 +51,7 @@ class EventAggregate:
     actual_cents: int
     simple_consensus: float
     improved: float
-    weights: dict
+    weights: np.ndarray  # aligned with the event's identities, panel.idents[event.rows]
     n_analysts: int
     fallback_reason: Optional[str] = None
 
@@ -63,13 +63,12 @@ _MARGIN_TOL = 1e-12
 
 def weight_vector(predicted: np.ndarray, r: float) -> np.ndarray:
     """Zero at or above the event-average predicted error, else a power of
-    the margin below it."""
-    mean = predicted.mean()
+    the margin below it. An event's analysts run along the last axis; any
+    leading axes index events."""
+    mean = predicted.mean(axis=-1, keepdims=True)
     d = mean - predicted
-    w = np.zeros_like(d)
-    pos = d > _MARGIN_TOL * max(1.0, abs(mean))
-    w[pos] = d[pos] ** r
-    return w
+    pos = d > _MARGIN_TOL * np.maximum(1.0, np.abs(mean))
+    return np.power(d, r, out=np.zeros_like(d), where=pos)
 
 
 MODE_DESCRIPTIONS = {

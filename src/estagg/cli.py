@@ -162,7 +162,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         parse_rejects = {"estimates": est_rejects, "actuals": act_rejects}
         if check_path:
             check, parse_rejects["actuals_check"] = parse_actuals(check_path)
-            actuals = cross_check_actuals(actuals, check)
+            confirmed = cross_check_actuals(actuals, check)
+            check_report = {"confirmed": len(confirmed), "removed": len(actuals) - len(confirmed)}
+            actuals = confirmed
 
         if mode_sel == "all":
             modes = default_mode_matrix(exponent)
@@ -192,6 +194,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             },
             "descriptive": descriptive_stats(panel) if panel.events else None,
         }
+        if check_path:
+            report["actuals_check"] = check_report
         with open(out("ingest_report.json"), "w", newline="\n") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -27,17 +27,16 @@ def top10_brokers(census: Mapping[str, int]) -> set:
 
 
 def normalize(values: np.ndarray, scaling: str = "normalized") -> np.ndarray:
-    """Map one event's variable to its deviation from the event mean.
+    """Map each event's variable to its deviation from the event mean,
+    over the last axis; any leading axes index events or variables.
 
     normalized: (v - mean) / mean, with all-zero output when the mean is 0
     (keeps the design matrix at fixed width). centered: v - mean.
     """
-    m = values.mean()
+    m = values.mean(axis=-1, keepdims=True)
     if scaling == "centered":
         return values - m
-    if m == 0.0:
-        return np.zeros_like(values)
-    return (values - m) / m
+    return np.divide(values - m, m, out=np.zeros_like(values), where=m != 0.0)
 
 
 def normalize_event(
@@ -45,7 +44,16 @@ def normalize_event(
     aae: np.ndarray,
     scaling: str = "normalized",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize one event's (n, 6) feature matrix and dependent vector."""
-    X = np.column_stack([normalize(feature_matrix[:, k], scaling) for k in range(feature_matrix.shape[1])])
-    y = normalize(np.asarray(aae, dtype=float), scaling)
-    return X, y
+    """Normalize (..., n, 6) feature matrices and their (..., n) dependent
+    vectors, each event over its n analysts.
+
+    The six features and the dependent vector are stacked as (..., 7, n)
+    so every mean reduces a contiguous innermost axis; the returned design
+    matrices are C-contiguous.
+    """
+    F = np.asarray(feature_matrix, dtype=float)
+    stack = np.empty(F.shape[:-2] + (F.shape[-1] + 1, F.shape[-2]))
+    stack[..., :-1, :] = np.swapaxes(F, -1, -2)
+    stack[..., -1, :] = aae
+    stack = normalize(stack, scaling)
+    return np.ascontiguousarray(np.swapaxes(stack[..., :-1, :], -1, -2)), stack[..., -1, :]

@@ -315,15 +315,25 @@ def parse_estimates(source) -> tuple[EstimateTable, list[Reject]]:
 
 
 def parse_actuals(source) -> tuple[list[Actual], list[Reject]]:
+    """Parse an actuals file; malformed rows go to the reject list. A
+    firm-period given twice fails the parse with both physical lines."""
     rejects: list[Reject] = []
     out = []
+    line_of: dict[tuple[str, Quarter], int] = {}
     with _open(source) as fh:
         rows, lines = _fields(fh, "actuals", ACTUAL_COLUMNS, rejects)
         for firm, year, quarter, ts, value in rows:
             try:
-                out.append(Actual(firm, _period(year, quarter), parse_ts(ts), _int64(int(value), "value_cents")))
+                actual = Actual(firm, _period(year, quarter), parse_ts(ts), _int64(int(value), "value_cents"))
             except (ValueError, TypeError) as exc:
                 rejects.append(Reject(lines[-1], f"malformed: {exc}"))
+                continue
+            key = (actual.firm_id, actual.period)
+            if key in line_of:
+                where = f"{source}: " if isinstance(source, str) else ""
+                raise ValueError(f"{where}duplicate actual for {key} on lines {line_of[key]} and {lines[-1]}")
+            line_of[key] = lines[-1]
+            out.append(actual)
     return out, rejects
 
 

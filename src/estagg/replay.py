@@ -8,6 +8,12 @@ cannot leak into each other. Mode scoring then normalizes, fits and
 weights from that record; every mode with the same bias ledger (see
 `ledger_key`) can score from one pass.
 
+Scoring works on size buckets: the events of a pass with the same analyst
+count n, stacked k at a time, so each numpy call covers a bucket instead
+of one event. Every reduction runs over a contiguous innermost axis and
+every product is per event, so each event's arithmetic, and with it every
+output bit, is the same as scoring the event alone.
+
 A quarter's model is fit from that quarter's events only and is used
 exclusively in the next calendar quarter; a quarter with no model makes
 its successor fall back to equal weights rather than reaching further back.
@@ -40,49 +46,62 @@ class ReplayResult:
 
 
 @dataclass
-class LedgerEvent:
-    """One scored event as the ledgers saw it at its announcement."""
+class SizeBucket:
+    """The scored events of one ledger pass that have n analysts each, in
+    announcement order, as stacks of k events."""
 
-    event: PanelEvent
-    qidx: int  # quarter index of the announcement
-    idents: tuple[str, ...]
-    simple: float  # plain mean of the raw estimates
-    adjusted: np.ndarray  # raw estimates minus their biases
-    aae: np.ndarray  # absolute bias-adjusted errors, the dependent variable
-    features: np.ndarray  # raw (n, 6) attribute matrix, FEATURE_NAMES order
+    events: list[PanelEvent]
+    order: list[int]  # each event's position among the pass's scored events
+    qidx: list[int]  # quarter index of each announcement
+    pos: np.ndarray  # (k, n) the events' rows among the pass's rows, in event order
+    actual: np.ndarray  # (k,) the actuals as floats
+    simple: np.ndarray  # (k,) plain mean of the raw estimates
+    adjusted: np.ndarray  # (k, n) raw estimates minus their biases
+    aae: np.ndarray  # (k, n) absolute bias-adjusted errors, the dependent variable
+    features: np.ndarray  # (k, n, 6) raw attributes, FEATURE_NAMES order
 
 
 @dataclass
 class LedgerState:
-    """The scored events of one ledger pass, plus the normalized rows and
-    per-quarter models derived from them, cached for the modes that share
-    the pass."""
+    """The scored events of one ledger pass, grouped into size buckets, plus
+    the normalized rows and per-quarter models derived from them, cached
+    for the modes that share the pass."""
 
     panel: Panel
     key: tuple[bool, Optional[str]]
     q0: int  # quarter index of the panel's first announcement
-    events: list[LedgerEvent]
+    events: list[PanelEvent]  # scored, in announcement order
+    qidx: list[int]  # quarter index of each scored event's announcement
+    buckets: list[SizeBucket]
     _rows: dict = field(default_factory=dict, init=False, repr=False)
     _models: dict = field(default_factory=dict, init=False, repr=False)
 
-    def rows(self, scaling: str) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each event's normalized design matrix and dependent vector."""
+    def rows(self, scaling: str) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """Each bucket's normalized (k, n, 6) design matrices, and all of
+        the pass's normalized rows and dependent values in event order."""
         if scaling not in self._rows:
-            self._rows[scaling] = [normalize_event(e.features, e.aae, scaling) for e in self.events]
+            n_rows = sum(_size(ev) for ev in self.events)
+            X_all, y_all = np.empty((n_rows, 6)), np.empty(n_rows)
+            stacks = []
+            for bucket in self.buckets:
+                X, y = normalize_event(bucket.features, bucket.aae, scaling)
+                X_all[bucket.pos] = X
+                y_all[bucket.pos] = y
+                stacks.append(X)
+            self._rows[scaling] = stacks, X_all, y_all
         return self._rows[scaling]
 
     def models(self, scaling: str, mask: Mask) -> dict[int, PeriodModel]:
         """Fitted models by quarter index, in quarter order; each quarter
-        stacks its events' rows in announcement order."""
+        fits its events' rows in announcement order."""
         key = (scaling, mask)
         if key not in self._models:
-            rows = self.rows(scaling)
+            _, X, y = self.rows(scaling)
             fitted = {}
-            for qidx, members in groupby(range(len(self.events)), key=lambda i: self.events[i].qidx):
-                members = list(members)
-                X = np.vstack([rows[i][0] for i in members])
-                y = np.concatenate([rows[i][1] for i in members])
-                model = fit_period(X, y, quarter_from_index(qidx), mask)
+            stop = 0
+            for qidx, members in groupby(zip(self.qidx, self.events), key=itemgetter(0)):
+                start, stop = stop, stop + sum(_size(ev) for _, ev in members)
+                model = fit_period(X[start:stop], y[start:stop], quarter_from_index(qidx), mask)
                 if model is not None:
                     fitted[qidx] = model
             self._models[key] = fitted
@@ -94,29 +113,63 @@ def ledger_key(mode: ModeConfig) -> tuple[bool, Optional[str]]:
     return (mode.use_bias, mode.bias_key if mode.use_bias else None)
 
 
-def _ledger_event(
+def _size(event: PanelEvent) -> int:
+    return event.rows.stop - event.rows.start
+
+
+def _ledger_reads(
     panel: Panel,
     event: PanelEvent,
-    qidx: int,
     bias_tracker: Optional[BiasTracker],
     hist: HistoryLedger,
-) -> LedgerEvent:
+) -> tuple[list[float], list[tuple[int, float]]]:
+    """Each of an event's estimates' bias, experience and mean past error,
+    as the ledgers hold them now."""
     idents = panel.idents[event.rows]
-    raw = panel.value_cents[event.rows].astype(float)
-    biases = np.zeros_like(raw)
-    if bias_tracker is not None:
-        biases[:] = [bias_tracker.bias(i, event.firm_id) for i in idents]
-    adjusted = raw - biases
-    aae = np.abs((raw - float(event.actual_cents)) - biases)
-
-    F = np.empty((len(idents), 6))
-    F[:, :4] = panel.features[event.rows]
-    for j, ident in enumerate(idents):
+    if bias_tracker is None:
+        biases = [0.0] * len(idents)
+    else:
+        biases = [bias_tracker.bias(i, event.firm_id) for i in idents]
+    history = []
+    for ident in idents:
         exp = hist.experience(ident, event.firm_id)
         if exp == 0:
             raise RuntimeError(f"estimate without prior record reached scoring: {ident}/{event.firm_id}")
-        F[j, 4:] = exp, hist.mean_abs_error(ident, event.firm_id)
-    return LedgerEvent(event, qidx, idents, float(raw.mean()), adjusted, aae, F)
+        history.append((exp, hist.mean_abs_error(ident, event.firm_id)))
+    return biases, history
+
+
+def _size_buckets(panel: Panel, scored: list[tuple[PanelEvent, int, list, list]]) -> list[SizeBucket]:
+    """The scored events grouped by analyst count, in ascending count."""
+    by_size: dict[int, list[int]] = {}
+    for j, (event, *_) in enumerate(scored):
+        by_size.setdefault(_size(event), []).append(j)
+    offsets = np.cumsum([0] + [_size(event) for event, *_ in scored])
+    buckets = []
+    for n, order in sorted(by_size.items()):
+        events, qidx, biases, history = zip(*(scored[j] for j in order))
+        span = np.arange(n)
+        rows = np.array([event.rows.start for event in events])[:, None] + span
+        raw = panel.value_cents[rows].astype(float)
+        biases = np.array(biases, dtype=float)
+        actual = np.array([event.actual_cents for event in events], dtype=float)
+        F = np.empty((len(order), n, 6))
+        F[..., :4] = panel.features[rows]
+        F[..., 4:] = history
+        buckets.append(
+            SizeBucket(
+                events=list(events),
+                order=order,
+                qidx=list(qidx),
+                pos=offsets[order][:, None] + span,
+                actual=actual,
+                simple=raw.mean(axis=-1),
+                adjusted=raw - biases,
+                aae=np.abs((raw - actual[:, None]) - biases),
+                features=F,
+            )
+        )
+    return buckets
 
 
 def ledger_state(panel: Panel, key: tuple[bool, Optional[str]]) -> LedgerState:
@@ -124,13 +177,13 @@ def ledger_state(panel: Panel, key: tuple[bool, Optional[str]]) -> LedgerState:
     recording every scored event against frozen ledgers before the updates
     at its announce timestamp are applied."""
     if not panel.stream:
-        return LedgerState(panel, key, 0, [])
+        return LedgerState(panel, key, 0, [], [], [])
     q0 = quarter_index(quarter_of_ts(panel.stream[0][0]))
     use_bias, bias_key = key
     # the no-bias pass reads no bias, so it keeps no bias ledger
     bias_tracker = BiasTracker(bias_key) if use_bias else None
     hist = HistoryLedger()
-    scored: list[LedgerEvent] = []
+    scored: list[tuple[PanelEvent, int, list, list]] = []
 
     # each event's announce time is in the stream, which is chronological
     events = panel.events
@@ -140,7 +193,8 @@ def ledger_state(panel: Panel, key: tuple[bool, Optional[str]]) -> LedgerState:
 
         # phase 1: read the ledgers for events at this timestamp
         while next_event < len(events) and events[next_event].announce_ts == ts:
-            scored.append(_ledger_event(panel, events[next_event], qidx, bias_tracker, hist))
+            event = events[next_event]
+            scored.append((event, qidx, *_ledger_reads(panel, event, bias_tracker, hist)))
             next_event += 1
 
         # phase 2: compute all updates at this timestamp, then apply
@@ -152,66 +206,71 @@ def ledger_state(panel: Panel, key: tuple[bool, Optional[str]]) -> LedgerState:
             if bias_tracker is not None:
                 bias_tracker.record(identity, firm, err)
             hist.record(identity, firm, aae)
-    return LedgerState(panel, key, q0, scored)
+    return LedgerState(
+        panel, key, q0, [s[0] for s in scored], [s[1] for s in scored], _size_buckets(panel, scored)
+    )
 
 
 def improved_consensus(
-    scored: LedgerEvent,
+    bucket: SizeBucket,
     X: np.ndarray,
-    y: np.ndarray,
     mode: ModeConfig,
-    prev_model: Optional[PeriodModel],
-    quarter_offset: int,
-) -> tuple[EventAggregate, np.ndarray, np.ndarray]:
-    """Score one event from its ledger record and the previous model.
+    models: dict[int, PeriodModel],
+    q0: int,
+) -> list[EventAggregate]:
+    """Score a bucket's events, in bucket order, from their ledger records,
+    their normalized (k, n, 6) design matrices `X` and the model of each
+    one's previous quarter in `models` (by quarter index). Quarter offsets
+    count from quarter index `q0`.
 
-    Returns the aggregate plus the normalized design matrix and dependent
-    vector it was scored with (the event's rows of its quarter's fit).
+    Each event's predictions and weighted sum are one (n, 6) @ (6, 1) and
+    one (1, n) @ (n, 1) product of its own stack, the arithmetic of
+    scoring it alone.
     """
-    event = scored.event
-    idents = scored.idents
-    adjusted = scored.adjusted
-    actual = float(event.actual_cents)
-    n = len(idents)
-    fallback = None
-    weights: dict = {}
-
+    adjusted = bucket.adjusted
+    k, n = adjusted.shape
+    fallback: list[Optional[str]] = [None] * k
     if mode.method == "closest":
-        i = int(np.argmin(np.abs(adjusted - actual)))
-        improved = float(adjusted[i])
-        weights = {idents[i]: 1.0}
-    elif not mode.use_expertise:
-        improved = float(adjusted.mean())
-        weights = {ident: 1.0 / n for ident in idents}
-    elif prev_model is None:
-        improved = float(adjusted.mean())
-        weights = {ident: 1.0 / n for ident in idents}
-        fallback = "no_previous_model"
+        pick = np.abs(adjusted - bucket.actual[:, None]).argmin(axis=-1)
+        improved = adjusted[np.arange(k), pick]
+        weights = np.zeros((k, n))
+        weights[np.arange(k), pick] = 1.0
     else:
-        predicted = X @ prev_model.beta
-        w = weight_vector(predicted, mode.exponent)
-        total = w.sum()
-        if total > 0:
-            improved = float(np.dot(w, adjusted) / total)
-            weights = {ident: float(wi / total) for ident, wi in zip(idents, w)}
-        else:
-            improved = float(adjusted.mean())
-            weights = {ident: 1.0 / n for ident in idents}
-            fallback = "degenerate_weights"
-
-    agg = EventAggregate(
-        firm_id=event.firm_id,
-        period=event.period,
-        announce_ts=event.announce_ts,
-        quarter_offset=quarter_offset,
-        actual_cents=event.actual_cents,
-        simple_consensus=scored.simple,
-        improved=improved,
-        weights=weights,
-        n_analysts=n,
-        fallback_reason=fallback,
-    )
-    return agg, X, y
+        improved = adjusted.mean(axis=-1)
+        weights = np.full((k, n), 1.0 / n)
+        prev = [models.get(q - 1) for q in bucket.qidx] if mode.use_expertise else []
+        fitted = [j for j, model in enumerate(prev) if model is not None]
+        for j, model in enumerate(prev):
+            if model is None:
+                fallback[j] = "no_previous_model"
+        if fitted:
+            beta = np.array([prev[j].beta for j in fitted]).reshape(len(fitted), -1, 1)
+            w = weight_vector((X[fitted] @ beta)[..., 0], mode.exponent)
+            total = w.sum(axis=-1)
+            positive = total > 0
+            weighted = np.array(fitted)[positive]
+            w, total = w[positive], total[positive]
+            improved[weighted] = (w[:, None, :] @ adjusted[weighted][..., None])[:, 0, 0] / total
+            weights[weighted] = w / total[:, None]
+            for j in np.array(fitted)[~positive].tolist():
+                fallback[j] = "degenerate_weights"
+    return [
+        EventAggregate(
+            firm_id=event.firm_id,
+            period=event.period,
+            announce_ts=event.announce_ts,
+            quarter_offset=qidx - q0,
+            actual_cents=event.actual_cents,
+            simple_consensus=simple,
+            improved=value,
+            weights=w,
+            n_analysts=n,
+            fallback_reason=reason,
+        )
+        for event, qidx, simple, value, w, reason in zip(
+            bucket.events, bucket.qidx, bucket.simple.tolist(), improved.tolist(), weights, fallback
+        )
+    ]
 
 
 def run_mode(panel: Panel, mode: ModeConfig, state: Optional[LedgerState] = None) -> ReplayResult:
@@ -222,9 +281,10 @@ def run_mode(panel: Panel, mode: ModeConfig, state: Optional[LedgerState] = None
     elif state.panel is not panel or state.key != ledger_key(mode):
         raise ValueError(f"mode {mode.label}: ledger state is for another panel or bias ledger")
     models = state.models(mode.scaling, mode.variable_mask)
-    outcomes = [
-        improved_consensus(ev, X, y, mode, models.get(ev.qidx - 1), ev.qidx - state.q0)[0]
-        for ev, (X, y) in zip(state.events, state.rows(mode.scaling))
-    ]
+    stacks, _, _ = state.rows(mode.scaling)
+    outcomes: list = [None] * len(state.events)
+    for bucket, X in zip(state.buckets, stacks):
+        for j, agg in zip(bucket.order, improved_consensus(bucket, X, mode, models, state.q0)):
+            outcomes[j] = agg
     logger.info("mode %s: %d events scored, %d models fit", mode.label, len(outcomes), len(models))
     return ReplayResult(outcomes=outcomes, models=list(models.values()))

@@ -47,6 +47,14 @@ def panel_of(events):
     return Panel(panel_events, tuple(idents), tuple(idents), np.array(values, np.int64), features, [], IngestReport())
 
 
+def outcome_fields(outcome):
+    """An EventAggregate's fields as values == can compare, its weights by
+    dtype, shape and bytes."""
+    fields = asdict(outcome)
+    weights = fields.pop("weights")
+    return fields, (weights.dtype.str, weights.shape, weights.tobytes())
+
+
 def replay_outcome(replay, panel, mode):
     """The outcomes and models of a replay, or the message of the
     RuntimeError it raised."""
@@ -55,7 +63,7 @@ def replay_outcome(replay, panel, mode):
     except RuntimeError as exc:
         return str(exc)
     return (
-        [asdict(o) for o in result.outcomes],
+        [outcome_fields(o) for o in result.outcomes],
         [(m.quarter, m.beta.tobytes(), m.n_obs, m.rss) for m in result.models],
     )
 

@@ -9,9 +9,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from estagg.aggregate import _MARGIN_TOL, EventAggregate, ModeConfig, weight_vector
+from estagg.aggregate import _MARGIN_TOL, EventAggregate, ModeConfig
 from estagg.bias import BiasTracker, HistoryLedger
-from estagg.features import normalize_event, top10_brokers
+from estagg.features import top10_brokers
 from estagg.ingest import ESTIMATE_COLUMNS, Actual, FilterConfig, IngestReport, Panel, PanelEvent, Reject
 from estagg.model import PeriodModel, fit_period
 from estagg.periods import Quarter, parse_ts, quarter_from_index, quarter_index, quarter_of_ts
@@ -151,6 +151,110 @@ def _event_features(
     return np.asarray(rows, dtype=float)
 
 
+# The per-event scoring that estagg.replay replaced with size buckets:
+# normalization, weights and consensus for one event at a time. Weights are
+# arrays aligned with the event's identities, as EventAggregate holds them.
+
+
+def normalize(values: np.ndarray, scaling: str = "normalized") -> np.ndarray:
+    """Map one event's variable to its deviation from the event mean.
+
+    normalized: (v - mean) / mean, with all-zero output when the mean is 0
+    (keeps the design matrix at fixed width). centered: v - mean.
+    """
+    m = values.mean()
+    if scaling == "centered":
+        return values - m
+    if m == 0.0:
+        return np.zeros_like(values)
+    return (values - m) / m
+
+
+def normalize_event(
+    feature_matrix: np.ndarray,
+    aae: np.ndarray,
+    scaling: str = "normalized",
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize one event's (n, 6) feature matrix and dependent vector."""
+    X = np.column_stack([normalize(feature_matrix[:, k], scaling) for k in range(feature_matrix.shape[1])])
+    y = normalize(np.asarray(aae, dtype=float), scaling)
+    return X, y
+
+
+def weight_vector(predicted: np.ndarray, r: float) -> np.ndarray:
+    """Zero at or above the event-average predicted error, else a power of
+    the margin below it."""
+    mean = predicted.mean()
+    d = mean - predicted
+    w = np.zeros_like(d)
+    pos = d > _MARGIN_TOL * max(1.0, abs(mean))
+    w[pos] = d[pos] ** r
+    return w
+
+
+@dataclass
+class LedgerEvent:
+    """One scored event as the ledgers saw it at its announcement."""
+
+    event: ObjectEvent
+    idents: list[str]
+    simple: float  # plain mean of the raw estimates
+    adjusted: np.ndarray  # raw estimates minus their biases
+
+
+def improved_consensus(
+    scored: LedgerEvent,
+    X: np.ndarray,
+    mode: ModeConfig,
+    prev_model: Optional[PeriodModel],
+    quarter_offset: int,
+) -> EventAggregate:
+    """Score one event from its ledger record and the previous model."""
+    event = scored.event
+    idents = scored.idents
+    adjusted = scored.adjusted
+    actual = float(event.actual_cents)
+    n = len(idents)
+    fallback = None
+
+    if mode.method == "closest":
+        i = int(np.argmin(np.abs(adjusted - actual)))
+        improved = float(adjusted[i])
+        weights = np.zeros(n)
+        weights[i] = 1.0
+    elif not mode.use_expertise:
+        improved = float(adjusted.mean())
+        weights = np.full(n, 1.0 / n)
+    elif prev_model is None:
+        improved = float(adjusted.mean())
+        weights = np.full(n, 1.0 / n)
+        fallback = "no_previous_model"
+    else:
+        predicted = X @ prev_model.beta
+        w = weight_vector(predicted, mode.exponent)
+        total = w.sum()
+        if total > 0:
+            improved = float(np.dot(w, adjusted) / total)
+            weights = w / total
+        else:
+            improved = float(adjusted.mean())
+            weights = np.full(n, 1.0 / n)
+            fallback = "degenerate_weights"
+
+    return EventAggregate(
+        firm_id=event.firm_id,
+        period=event.period,
+        announce_ts=event.announce_ts,
+        quarter_offset=quarter_offset,
+        actual_cents=event.actual_cents,
+        simple_consensus=scored.simple,
+        improved=improved,
+        weights=weights,
+        n_analysts=n,
+        fallback_reason=fallback,
+    )
+
+
 def _improved_consensus(
     event: ObjectEvent,
     mode: ModeConfig,
@@ -180,48 +284,8 @@ def _improved_consensus(
     top10_set = top10_brokers(panel.top10_census.get(event.period, {}))
     F = _event_features(event, panel, hist, top10_set)
     X, y = normalize_event(F, aae, mode.scaling)
-
-    n = len(raw)
-    simple = float(raw.mean())
-    fallback = None
-    weights: dict = {}
-
-    if mode.method == "closest":
-        i = int(np.argmin(np.abs(adjusted - actual)))
-        improved = float(adjusted[i])
-        weights = {idents[i]: 1.0}
-    elif not mode.use_expertise:
-        improved = float(adjusted.mean())
-        weights = {ident: 1.0 / n for ident in idents}
-    elif prev_model is None:
-        improved = float(adjusted.mean())
-        weights = {ident: 1.0 / n for ident in idents}
-        fallback = "no_previous_model"
-    else:
-        predicted = X @ prev_model.beta
-        w = weight_vector(predicted, mode.exponent)
-        total = w.sum()
-        if total > 0:
-            improved = float(np.dot(w, adjusted) / total)
-            weights = {ident: float(wi / total) for ident, wi in zip(idents, w)}
-        else:
-            improved = float(adjusted.mean())
-            weights = {ident: 1.0 / n for ident in idents}
-            fallback = "degenerate_weights"
-
-    agg = EventAggregate(
-        firm_id=event.firm_id,
-        period=event.period,
-        announce_ts=event.announce_ts,
-        quarter_offset=quarter_offset,
-        actual_cents=event.actual_cents,
-        simple_consensus=simple,
-        improved=improved,
-        weights=weights,
-        n_analysts=n,
-        fallback_reason=fallback,
-    )
-    return agg, X, y
+    scored = LedgerEvent(event, idents, float(raw.mean()), adjusted)
+    return improved_consensus(scored, X, mode, prev_model, quarter_offset), X, y
 
 
 def replay_oracle(panel: ObjectPanel, mode: ModeConfig) -> ReplayResult:

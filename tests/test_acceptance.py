@@ -88,7 +88,22 @@ def test_criterion_02_truncation_leaves_past_outputs_bit_exact():
         seed=7001,
     )
     ests, acts, _ = load_synth(spec)
-    full = run_mode(build_panel(ests, acts, FilterConfig()), ModeConfig())
+
+    def outcomes_by_key(panel):
+        """Each event's outcome, its weights keyed by identity."""
+        result = run_mode(panel, ModeConfig())
+        return {
+            (o.firm_id, o.period): (
+                o.improved,
+                o.simple_consensus,
+                dict(zip(panel.idents[ev.rows], o.weights.tolist())),
+                o.weights.tobytes(),
+                o.fallback_reason,
+            )
+            for ev, o in zip(panel.events, result.outcomes)
+        }
+
+    full = outcomes_by_key(build_panel(ests, acts, FilterConfig()))
     q_all = sorted({quarter_index(a.period) for a in acts})
     rng = np.random.default_rng(7002)
     cuts = rng.choice(q_all[2:-1], size=10, replace=True)
@@ -97,18 +112,10 @@ def test_criterion_02_truncation_leaves_past_outputs_bit_exact():
         acts_cut = [a for a in acts if quarter_index(a.period) <= cut]
         keep = {(a.firm_id, a.period) for a in acts_cut}
         ests_cut = estimates_from_rows([r for r in estimate_rows(ests) if (r[2], (r[3], r[4])) in keep])
-        trunc = run_mode(build_panel(ests_cut, acts_cut, FilterConfig()), ModeConfig())
-        by_key = {(o.firm_id, o.period): o for o in trunc.outcomes}
-        for o in full.outcomes:
-            if quarter_index(o.period) > cut:
-                continue
-            t = by_key.get((o.firm_id, o.period))
-            ok &= t is not None and (t.improved, t.simple_consensus, t.weights, t.fallback_reason) == (
-                o.improved,
-                o.simple_consensus,
-                o.weights,
-                o.fallback_reason,
-            )
+        trunc = outcomes_by_key(build_panel(ests_cut, acts_cut, FilterConfig()))
+        for key, outcome in full.items():
+            if quarter_index(key[1]) <= cut:
+                ok &= trunc.get(key) == outcome
     report(2, "truncating the panel never changes earlier outputs", ok)
 
 

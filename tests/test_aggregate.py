@@ -149,7 +149,8 @@ class TestImprovedConsensus:
         panel = build_panel(ests, acts, FilterConfig())
         rr = run_mode(panel, ModeConfig())
         for o in rr.outcomes:
-            assert sum(o.weights.values()) == pytest.approx(1.0, abs=1e-9)
+            assert o.weights.shape == (o.n_analysts,)
+            assert sum(o.weights.tolist()) == pytest.approx(1.0, abs=1e-9)
 
     def test_convexity_over_raw_predictions_without_bias(self, small_panel_inputs):
         ests, acts, _ = small_panel_inputs
@@ -165,8 +166,8 @@ class TestImprovedConsensus:
         panel = build_panel(ests, acts, FilterConfig())
         r1 = run_mode(panel, ModeConfig())
         r2 = run_mode(panel, ModeConfig())
-        assert [(o.improved, o.simple_consensus, o.weights) for o in r1.outcomes] == [
-            (o.improved, o.simple_consensus, o.weights) for o in r2.outcomes
+        assert [(o.improved, o.simple_consensus, o.weights.tobytes()) for o in r1.outcomes] == [
+            (o.improved, o.simple_consensus, o.weights.tobytes()) for o in r2.outcomes
         ]
 
     def test_one_analyst_dominates(self):
@@ -192,6 +193,6 @@ class TestImprovedConsensus:
         r12 = run_mode(panel, ModeConfig(exponent=1.2))
         r20 = run_mode(panel, ModeConfig(label="exponent_2", exponent=2.0))
         for a, b in zip(r12.outcomes, r20.outcomes):
-            za = {k for k, v in a.weights.items() if v == 0.0}
-            zb = {k for k, v in b.weights.items() if v == 0.0}
+            za = np.flatnonzero(a.weights == 0.0).tolist()
+            zb = np.flatnonzero(b.weights == 0.0).tolist()
             assert za == zb  # the excluded set depends only on the sign of the margin

@@ -229,6 +229,45 @@ class TestRunCommand:
         with open(tmp_path / "out" / "results.csv", newline="") as fh:
             assert -1.0 < float(next(csv.DictReader(fh))["average"]) < 1.0
 
+    def test_duplicated_actual_names_both_lines(self, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / "actuals.csv").read_text().splitlines(keepends=True)
+        firm, year, quarter = lines[1].split(",")[:3]
+        (tmp_path / "actuals.csv").write_text("".join(lines + [lines[1]]))
+        args = run_args(synth_dir, tmp_path / "out", ["--modes", "full"])
+        args[args.index("--actuals") + 1] = str(tmp_path / "actuals.csv")
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        key = (firm, (int(year), int(quarter)))
+        assert f"actuals.csv: duplicate actual for {key} on lines 2 and {len(lines) + 1}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("order", [(0, 5), (5, 0)], ids=["confirming_first", "confirming_last"])
+    def test_duplicated_check_row_names_both_lines(self, synth_dir, tmp_path, capsys, order):
+        # the primary value and a conflicting one for the firm-period of
+        # physical line 4, on lines 4 and 5 of the check file in either order
+        lines = (synth_dir / "actuals.csv").read_text().splitlines(keepends=True)
+        row = lines[3].rstrip("\n").split(",")
+        copies = [",".join(row[:-1] + [str(int(row[-1]) + delta)]) + "\n" for delta in order]
+        (tmp_path / "check.csv").write_text("".join(lines[:3] + copies + lines[4:]))
+        args = run_args(synth_dir, tmp_path / "out", ["--actuals-check", str(tmp_path / "check.csv")])
+        assert main(args) == 1
+        key = (row[0], (int(row[1]), int(row[2])))
+        assert f"check.csv: duplicate actual for {key} on lines 4 and 5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_actuals_check_removals_reported(self, synth_dir, run_dir, tmp_path):
+        n_actuals = len((synth_dir / "actuals.csv").read_text().splitlines()) - 1
+        row = (synth_dir / "actuals.csv").read_text().splitlines()[3].split(",")
+        self._with_bad_actual(synth_dir, tmp_path / "check.csv", "value_cents", str(int(row[-1]) + 1))
+        assert main(run_args(synth_dir, tmp_path / "out", ["--actuals-check", str(tmp_path / "check.csv")])) == 0
+        report = json.loads((tmp_path / "out" / "ingest_report.json").read_text())
+        assert report["actuals_check"] == {"confirmed": n_actuals - 1, "removed": 1}
+        assert main(run_args(synth_dir, tmp_path / "all", ["--actuals-check", str(synth_dir / "actuals.csv")])) == 0
+        report = json.loads((tmp_path / "all" / "ingest_report.json").read_text())
+        assert report["actuals_check"] == {"confirmed": n_actuals, "removed": 0}
+        # without a check file the report has no such section
+        assert "actuals_check" not in json.loads((run_dir / "ingest_report.json").read_text())
+
     def test_bad_burn_in_rejected(self, synth_dir, tmp_path, capsys):
         assert main(run_args(synth_dir, tmp_path, ["--burn-in", "0"])) == 2
         assert "burn-in" in capsys.readouterr().err

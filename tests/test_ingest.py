@@ -127,6 +127,18 @@ class TestParsing:
         assert [r.line for r in rejects] == [2]
         assert rejects[0].reason.startswith("malformed: period_quarter")
 
+    def test_duplicated_actual_fails_with_both_lines(self):
+        # a malformed row for the same firm-period is a reject, not a duplicate
+        src = io.StringIO(
+            ",".join(ACTUAL_COLUMNS) + "\n"
+            + "F1,2011,1,2011-06-01T00:00:00Z,100\n"
+            + "F1,2011,2,2011-09-01T00:00:00Z,1.5\n"
+            + "F1,2011,2,2011-09-01T00:00:00Z,100\n\n"
+            + "F1,2011,2,2011-09-01T00:00:00Z,100\n"
+        )
+        with pytest.raises(ValueError, match=r"^duplicate actual for \('F1', \(2011, 2\)\) on lines 4 and 6$"):
+            parse_actuals(src)
+
     def test_actual_outside_int64_range_rejected(self):
         big = 10**20
         acts, rejects = parse_actuals(

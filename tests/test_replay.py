@@ -1,17 +1,22 @@
-from dataclasses import asdict, replace
+import struct
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import actuals_from_rows, estimate_rows, estimates_from_rows, load_synth
+from conftest import actuals_from_rows, estimate_rows, estimates_from_rows, load_synth, outcome_fields
 from estagg import evaluate, replay
 from estagg.aggregate import ModeConfig, default_mode_matrix
 from estagg.bias import BiasTracker
 from estagg.evaluate import PanelSource, evaluate_mode, run_mode_matrix
 from estagg.ingest import FilterConfig, build_panel
+from estagg.model import mask_without
 from estagg.periods import format_ts, parse_ts, quarter_index, quarter_of_ts
 from estagg.replay import ledger_key, ledger_state, run_mode
 from estagg.synth import SynthSpec
-from oracles import build_panel_oracle, estimates_from_rows_oracle, replay_oracle
+from oracles import build_panel_oracle, columnar_panel, estimates_from_rows_oracle, replay_oracle
 
 
 def outcomes_by_key(rr):
@@ -145,7 +150,7 @@ class TestSharedState:
             got, want = details[mode.label], oracle[mode.label]
             assert len(got.outcomes) == len(want.outcomes)
             for a, b in zip(got.outcomes, want.outcomes):
-                assert asdict(a) == asdict(b)
+                assert outcome_fields(a) == outcome_fields(b)
             assert [(m.quarter, m.beta.tobytes(), m.n_obs, m.rss) for m in got.models] == [
                 (m.quarter, m.beta.tobytes(), m.n_obs, m.rss) for m in want.models
             ]
@@ -160,7 +165,7 @@ class TestSharedState:
             return ledger_state(panel, key)
 
         def counting_normalize_event(features, aae, scaling):
-            normalized.append(scaling)
+            normalized.extend([scaling] * len(features))
             return normalize_event(features, aae, scaling)
 
         normalize_event = replay.normalize_event
@@ -199,6 +204,107 @@ class TestSharedState:
         assert made == []
         ledger_state(panel, ledger_key(full))
         assert made == [full.bias_key]
+
+
+def mixed_size_rows(pick):
+    """Estimate and actual rows for two to four firms over five quarters,
+    with 2011Q4 left empty; `pick(lo, hi)` draws each free choice.
+
+    F0 has all eight analysts every quarter and the other firms two to six
+    of A2-A7, so event sizes mix within a quarter. A0 and A1 share broker
+    B0, each quarter's only top-decile broker, so the other firms' events
+    have an all-zero top-decile column. Values lie within 3 cents of the
+    actual, which makes ties for the closest analyst common.
+    """
+    day = 86400
+    est_rows, act_rows = [], []
+    firms = [f"F{k}" for k in range(pick(2, 4))]
+    for year, quarter in ((2011, 1), (2011, 2), (2011, 3), (2012, 1), (2012, 2)):
+        announce = parse_ts(f"{year}-{3 * quarter - 1:02d}-15T00:00:00Z") + pick(0, 2) * day
+        for k, firm in enumerate(firms):
+            actual = 100 + pick(-20, 20)
+            act_rows.append((firm, year, quarter, format_ts(announce), actual))
+            members = range(8) if k == 0 else [i for i in range(2, 8) if pick(0, 1)] or [2, 3]
+            for i in members:
+                ts = announce - pick(3, 40) * day
+                for _ in range(pick(1, 2)):  # an earlier submission raises freq
+                    est_rows.append(
+                        (f"A{i}", "B0" if i < 2 else f"B{i}", firm, year, quarter, format_ts(ts), 6, actual + pick(-3, 3))
+                    )
+                    ts -= day
+    return est_rows, act_rows
+
+
+def _top10_only():
+    return ModeConfig(label="top10_only", variable_mask=mask_without("age", "freq", "ncos", "exp", "mae"))
+
+
+class TestSizeBuckets:
+    """Bucketed scoring against the per-event oracle on panels whose
+    quarters mix event sizes."""
+
+    MODES = [
+        m
+        for m in default_mode_matrix()
+        if m.label in ("full", "no_expertise", "no_scaling", "bias_half", "exponent_2", "closest", "closest_raw")
+    ] + [_top10_only()]
+
+    @staticmethod
+    def replays(est_rows, act_rows):
+        """Each mode scored from shared ledger passes on the columnar form of
+        the oracle's panel, and replayed per event by the oracle."""
+        oracle_panel = build_panel_oracle(
+            estimates_from_rows_oracle(est_rows), actuals_from_rows(act_rows), FilterConfig(min_analysts=2)
+        )
+        panel = columnar_panel(oracle_panel)
+        states = {}
+        out = {}
+        for mode in TestSizeBuckets.MODES:
+            key = ledger_key(mode)
+            if key not in states:
+                states[key] = ledger_state(panel, key)
+            out[mode.label] = (panel, run_mode(panel, mode, states[key]), replay_oracle(oracle_panel, mode))
+        return out
+
+    @staticmethod
+    def assert_same(got, want):
+        def fields(result):
+            return (
+                [(outcome_fields(o), struct.pack("<d", o.improved)) for o in result.outcomes],
+                [(m.quarter, m.beta.tobytes(), m.n_obs, m.rss) for m in result.models],
+            )
+
+        assert fields(got) == fields(want)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_event_oracle(self, data):
+        rows = mixed_size_rows(lambda lo, hi: data.draw(st.integers(lo, hi)))
+        for _, got, want in self.replays(*rows).values():
+            self.assert_same(got, want)
+
+    def test_fixed_panel_covers_each_case(self):
+        rng = np.random.default_rng(22)  # four firms, 14 scored events of five sizes
+        results = self.replays(*mixed_size_rows(lambda lo, hi: int(rng.integers(lo, hi + 1))))
+        for _, got, want in results.values():
+            self.assert_same(got, want)
+
+        panel, full, _ = results["full"]
+        sizes = {}
+        for o in full.outcomes:
+            sizes.setdefault(o.quarter_offset, set()).add(o.n_analysts)
+        assert any(len(s) > 1 for s in sizes.values())
+        assert any(not panel.features[ev.rows, 3].any() for ev in panel.events)
+        first = min(sizes)
+        assert any(o.fallback_reason == "no_previous_model" and o.quarter_offset > first for o in full.outcomes)
+        assert any(o.fallback_reason == "degenerate_weights" for o in results["top10_only"][1].outcomes)
+        _, closest_raw, _ = results["closest_raw"]
+        ties = 0
+        for ev, o in zip(panel.events, closest_raw.outcomes):
+            errors = np.abs(panel.value_cents[ev.rows] - ev.actual_cents)
+            ties += int(np.count_nonzero(errors == errors.min()) > 1)
+            assert o.weights[np.argmin(errors)] == 1.0  # the first of tied analysts
+        assert ties > 0
 
 
 class TestPriorRecord:
