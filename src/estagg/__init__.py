@@ -9,10 +9,13 @@ consensus that is benchmarked against the plain average.
 __version__ = "0.1.0"
 
 from .aggregate import ModeConfig, default_mode_matrix
-from .ingest import FilterConfig, build_panel, cross_check_actuals, parse_actuals, parse_estimates
+from .ingest import ActualTable, EstimateTable, FilterConfig, build_panel
+from .ingest import cross_check_actuals, parse_actuals, parse_estimates
 from .synth import SynthSpec, generate
 
 __all__ = [
+    "ActualTable",
+    "EstimateTable",
     "FilterConfig",
     "ModeConfig",
     "SynthSpec",

@@ -67,32 +67,24 @@ def _setup_logging() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(name)s: %(message)s")
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    """Simple key=value config; '#' starts a comment."""
-    out: dict[str, str] = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {raw.rstrip()}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
-
-
-def _settings(args: argparse.Namespace, cfg_file: dict[str, str], casts: dict) -> dict:
-    """Each named setting from its flag, else from the config file; settings
-    given in neither are left out, so the caller's defaults apply."""
+def _settings(args: argparse.Namespace, casts: dict) -> dict:
+    """Each setting of `casts` from its flag, else from the key=value config
+    file, where '#' starts a comment; settings given in neither are left
+    out, so the caller's defaults apply. A config line that is not such a
+    setting with a value that casts fails with the path and line number."""
     out = {}
-    for key, cast in casts.items():
-        value = getattr(args, key)
-        if value is None and key in cfg_file:
-            value = cast(cfg_file[key])
-        if value is not None:
-            out[key] = value
-    return out
+    if args.config:
+        with open(args.config) as fh:
+            for number, raw in enumerate(fh, 1):
+                key, eq, value = (part.strip() for part in raw.split("#", 1)[0].partition("="))
+                try:
+                    if eq and key in casts:
+                        out[key] = casts[key](value)
+                    elif key or eq:
+                        raise ValueError(f"unknown setting {key!r}" if eq else f"expected key = value, got {key!r}")
+                except ValueError as exc:
+                    raise ValueError(f"{args.config}:{number}: {exc}") from None
+    return out | {key: getattr(args, key) for key in casts if getattr(args, key) is not None}
 
 
 def _sha256(path: str) -> str:
@@ -131,8 +123,11 @@ def _write_results_csv(path: str, results: list[ModeResult]) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg_file = _read_config_file(args.config) if args.config else {}
-    settings = _settings(args, cfg_file, RUN_SETTINGS)
+    try:
+        settings = _settings(args, RUN_SETTINGS | FILTER_SETTINGS)
+    except (OSError, ValueError) as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
     estimates_path = settings.get("estimates")
     actuals_path = settings.get("actuals")
     check_path = settings.get("actuals_check")
@@ -140,7 +135,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     burn_in = settings.get("burn_in", 24)
     mode_sel = settings.get("modes", "all")
     exponent = settings.get("exponent", ModeConfig.exponent)
-    fcfg = FilterConfig(**_settings(args, cfg_file, FILTER_SETTINGS))
+    fcfg = FilterConfig(**{key: settings[key] for key in FILTER_SETTINGS if key in settings})
 
     if not estimates_path or not actuals_path or not out_dir:
         print("run requires --estimates, --actuals and --out (flags or config)", file=sys.stderr)
@@ -275,11 +270,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    cfg_file = _read_config_file(args.config) if args.config else {}
     try:
-        spec = SynthSpec(**_settings(args, cfg_file, SYNTH_SETTINGS))
+        spec = SynthSpec(**_settings(args, SYNTH_SETTINGS))
         paths = generate(spec, args.out)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"synth failed: {exc}", file=sys.stderr)
         return 1
     for name, path in paths.items():

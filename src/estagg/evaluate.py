@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .aggregate import MODE_DESCRIPTIONS, ModeConfig
-from .ingest import Actual, EstimateTable, FilterConfig, Panel, build_panel
+from .ingest import ActualTable, EstimateTable, FilterConfig, Panel, build_panel
 from .replay import ReplayResult, ledger_key, ledger_state, run_mode
 
 logger = logging.getLogger(__name__)
@@ -152,7 +152,7 @@ def descriptive_stats(panel: Panel) -> dict:
 class PanelSource:
     """Builds and caches panels per (identity, recency-cutoff) combination."""
 
-    def __init__(self, estimates: EstimateTable, actuals: Sequence[Actual], cfg: FilterConfig):
+    def __init__(self, estimates: EstimateTable, actuals: ActualTable, cfg: FilterConfig):
         self.estimates = estimates
         self.actuals = actuals
         self.cfg = cfg

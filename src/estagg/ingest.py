@@ -1,8 +1,9 @@
 """CSV ingestion and panel construction.
 
-Estimates are parsed into an EstimateTable: one array per column, with the
-analyst, broker and firm ids interned to integer codes. Actuals, one per
-firm-quarter, stay per-row records. build_panel joins the two, applies the
+Both input files are parsed by one schema-driven converter into column
+tables: estimates into an EstimateTable, actuals (one per firm-quarter)
+into an ActualTable, each with one array per column and its ids interned
+to integer codes. build_panel joins the two by sorting, applies the
 exclusion rules (forecast-horizon window, last-estimate-wins dedup,
 prior-record requirement, surprise cap, minimum analyst count) as
 sort-and-group passes over the columns and emits a chronological panel
@@ -20,10 +21,10 @@ import logging
 from array import array
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace as dc_replace
 from itertools import compress, groupby, islice
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -32,78 +33,88 @@ from .periods import Quarter, parse_ts
 
 logger = logging.getLogger(__name__)
 
-ESTIMATE_COLUMNS = (
-    "analyst_id",
-    "broker_id",
-    "firm_id",
-    "period_year",
-    "period_quarter",
-    "estimate_ts",
-    "horizon_code",
-    "value_cents",
-)
-ACTUAL_COLUMNS = ("firm_id", "period_year", "period_quarter", "announce_ts", "value_cents")
-
-# rows per conversion chunk of EstimateTable.from_rows; it bounds how many
+# rows per conversion chunk of a table's from_rows; it bounds how many
 # per-field string objects are alive at once
 _CHUNK_ROWS = 1 << 14
 
+# the kinds of a table's columns
+ID, INT64, QUARTER, TIMESTAMP = "id", "int64", "quarter", "timestamp"
 
-@dataclass(frozen=True, eq=False)
-class EstimateTable:
-    """Estimates as columns, one entry per input row in input order.
 
-    `analyst`, `broker` and `firm` are codes into the sorted id tuples, so
-    ordering rows by code orders them by id. Build one with `from_rows`.
-    """
+def _schema(table_type) -> list[tuple[str, str, str]]:
+    """(CSV column, attribute, kind) of each column of a table type."""
+    return [(f.metadata["column"], f.name, f.metadata["kind"]) for f in fields(table_type) if f.metadata]
 
-    analyst: np.ndarray
-    broker: np.ndarray
-    firm: np.ndarray
-    year: np.ndarray
-    quarter: np.ndarray
-    estimate_ts: np.ndarray  # unix seconds
-    horizon_code: np.ndarray
-    value_cents: np.ndarray
-    analyst_ids: tuple[str, ...]
-    broker_ids: tuple[str, ...]
-    firm_ids: tuple[str, ...]
+
+class _Table:
+    """Input rows as columns, one array per CSV column and one entry per
+    converted row, in input order. An ID column holds codes into its sorted
+    ids, kept in the field of its name plus `_ids`, so ordering rows by code
+    orders them by id. Build one with `from_rows`."""
 
     def __len__(self) -> int:
-        return len(self.estimate_ts)
+        return len(getattr(self, fields(self)[0].name))
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Sequence], on_reject: Callable[[int, str], None]) -> EstimateTable:
-        """Build a table from rows whose fields follow ESTIMATE_COLUMNS, the
-        timestamp as ISO-8601 text.
+    def from_rows(cls, rows: Iterable[Sequence], on_reject: Callable[[int, str], None]):
+        """Build a table from rows whose fields follow the order of its CSV
+        columns, each timestamp as ISO-8601 text.
 
         Rows are converted a chunk at a time, so only one chunk's field
         objects are alive at once. A row that does not convert is left out
         and reported to `on_reject` with its position in `rows`.
         """
-        seen: tuple[dict, dict, dict] = ({}, {}, {})  # analyst, broker, firm id -> first-seen code
-        parts: list[tuple[np.ndarray, ...]] = []
+        schema = _schema(cls)
+        seen = [{} if kind == ID else None for _, _, kind in schema]  # id -> first-seen code
+        parts: list[list[np.ndarray]] = []
         rows = iter(rows)
         start = 0
         while chunk := list(islice(rows, _CHUNK_ROWS)):
             errors: dict[int, str] = {}
-            parts.append(_columns(chunk, seen, errors))
+            parts.append(_columns(chunk, schema, seen, errors))
             for i in sorted(errors):
                 on_reject(start + i, f"malformed: {errors[i]}")
             start += len(chunk)
-        columns = [np.concatenate(c) for c in zip(*parts)] or [np.empty(0, np.int64)] * 8
-        analyst, broker, firm = (_sorted_codes(c, index) for c, index in zip(columns, seen))
-        return cls(analyst[0], broker[0], firm[0], *columns[3:], analyst[1], broker[1], firm[1])
+        columns = [np.concatenate(c) for c in zip(*parts)] or [np.empty(0, np.int64)] * len(schema)
+        table = {}
+        for (_, attr, kind), column, index in zip(schema, columns, seen):
+            if kind == ID:
+                column, table[attr + "_ids"] = _sorted_codes(column, index)
+            table[attr] = column
+        return cls(**table)
 
 
-@dataclass(frozen=True)
-class Actual:
-    """Realized outcome for a firm-period."""
+@dataclass(frozen=True, eq=False)
+class EstimateTable(_Table):
+    """Estimates, any number per analyst and firm-period."""
 
-    firm_id: str
-    period: Quarter
-    announce_ts: int
-    value_cents: int
+    analyst: np.ndarray = field(metadata={"column": "analyst_id", "kind": ID})
+    broker: np.ndarray = field(metadata={"column": "broker_id", "kind": ID})
+    firm: np.ndarray = field(metadata={"column": "firm_id", "kind": ID})
+    year: np.ndarray = field(metadata={"column": "period_year", "kind": INT64})
+    quarter: np.ndarray = field(metadata={"column": "period_quarter", "kind": QUARTER})
+    estimate_ts: np.ndarray = field(metadata={"column": "estimate_ts", "kind": TIMESTAMP})  # unix seconds
+    horizon_code: np.ndarray = field(metadata={"column": "horizon_code", "kind": INT64})
+    value_cents: np.ndarray = field(metadata={"column": "value_cents", "kind": INT64})
+    analyst_ids: tuple[str, ...]
+    broker_ids: tuple[str, ...]
+    firm_ids: tuple[str, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class ActualTable(_Table):
+    """Realized outcomes; parse_actuals keeps one per firm-period."""
+
+    firm: np.ndarray = field(metadata={"column": "firm_id", "kind": ID})
+    year: np.ndarray = field(metadata={"column": "period_year", "kind": INT64})
+    quarter: np.ndarray = field(metadata={"column": "period_quarter", "kind": QUARTER})
+    announce_ts: np.ndarray = field(metadata={"column": "announce_ts", "kind": TIMESTAMP})  # unix seconds
+    value_cents: np.ndarray = field(metadata={"column": "value_cents", "kind": INT64})
+    firm_ids: tuple[str, ...]
+
+
+ESTIMATE_COLUMNS = tuple(column for column, _, _ in _schema(EstimateTable))
+ACTUAL_COLUMNS = tuple(column for column, _, _ in _schema(ActualTable))
 
 
 @dataclass(frozen=True)
@@ -166,12 +177,6 @@ _TS_FORM = np.array(["0000-00-00T00:00:00Z"]).view(np.uint32)
 _TS_DIGIT = _TS_FORM == ord("0")
 
 
-def _open(source):
-    """A ``str`` source is a path, opened here and closed by the caller's
-    ``with``; anything else is a text stream, read and left open."""
-    return open(source, newline="") if isinstance(source, str) else nullcontext(source)
-
-
 def _fields(fh, kind: str, columns: tuple[str, ...], rejects: list[Reject]) -> tuple[Iterator[tuple], array]:
     """The named fields of each non-blank CSV row, in `columns` order, and
     the physical line of each row yielded so far.
@@ -202,22 +207,10 @@ def _fields(fh, kind: str, columns: tuple[str, ...], rejects: list[Reject]) -> t
     return rows(), lines
 
 
-def _int64(value: int, name: str) -> int:
-    if not _INT64.min <= value <= _INT64.max:
-        raise ValueError(f"{name} {value} outside the int64 range")
-    return value
-
-
-def _period(year, quarter) -> Quarter:
-    quarter = int(quarter)
-    if not 1 <= quarter <= 4:
-        raise ValueError(f"period_quarter {quarter} outside 1..4")
-    return (_int64(int(year), "period_year"), quarter)
-
-
 def _int64s(texts: Sequence, name: str, errors: dict[int, str], convert: Callable = int) -> np.ndarray:
-    """convert() of each text as int64. A text that does not convert reads
-    0, and its position gets the error message unless it has one already."""
+    """convert() of each text as int64. A text that does not convert, or
+    converts to a value outside the int64 range, reads 0, and its position
+    gets the error message unless it has one already."""
     try:
         return np.fromiter(map(convert, texts), np.int64, len(texts))
     except (ValueError, TypeError, OverflowError):
@@ -225,9 +218,14 @@ def _int64s(texts: Sequence, name: str, errors: dict[int, str], convert: Callabl
     out = np.zeros(len(texts), np.int64)
     for i, x in enumerate(texts):
         try:
-            out[i] = _int64(convert(x), name)
+            value = convert(x)
         except (ValueError, TypeError) as exc:
             errors.setdefault(i, str(exc))
+            continue
+        if _INT64.min <= value <= _INT64.max:
+            out[i] = value
+        else:
+            errors.setdefault(i, f"{name} {value} outside the int64 range")
     return out
 
 
@@ -238,7 +236,7 @@ def _codes(ids: Sequence, seen: dict) -> np.ndarray:
     return np.fromiter(map(seen.__getitem__, ids), np.int64, len(ids))
 
 
-def _timestamps(texts: Sequence[str], errors: dict[int, str]) -> np.ndarray:
+def _timestamps(texts: Sequence[str], name: str, errors: dict[int, str]) -> np.ndarray:
     """Unix seconds of ISO-8601 texts, equal to parse_ts of each; errors
     as in _int64s.
 
@@ -259,36 +257,33 @@ def _timestamps(texts: Sequence[str], errors: dict[int, str]) -> np.ndarray:
         exact[:] = False
     other = np.flatnonzero(~exact).tolist()
     other_errors: dict[int, str] = {}
-    out[other] = _int64s([texts[i] for i in other], "estimate_ts", other_errors, parse_ts)
+    out[other] = _int64s([texts[i] for i in other], name, other_errors, parse_ts)
     for j, message in other_errors.items():
         errors.setdefault(other[j], message)
     return out
 
 
-def _columns(rows: Sequence[Sequence], seen: tuple[dict, dict, dict], errors: dict[int, str]) -> tuple[np.ndarray, ...]:
-    """The rows that convert, as eight columns. Each row that does not gets
-    the per-row parser's message for its first bad field in `errors`. Ids
-    get first-seen codes from `seen`."""
-    analyst, broker, firm, year, quarter, ts, horizon, value = zip(*rows)
-    # fields in the per-row parser's order, so the error a row keeps is the
-    # one that parser raises
-    quarter = _int64s(quarter, "period_quarter", errors)
-    for i in np.flatnonzero((quarter < 1) | (quarter > 4)).tolist():
-        errors.setdefault(i, f"period_quarter {quarter[i]} outside 1..4")
-    numbers = [
-        _int64s(year, "period_year", errors),
-        quarter,
-        _timestamps(ts, errors),
-        _int64s(horizon, "horizon_code", errors),
-        _int64s(value, "value_cents", errors),
-    ]
-    ids = [analyst, broker, firm]
+def _columns(rows: Sequence[Sequence], schema, seen: list[Optional[dict]], errors: dict[int, str]) -> list[np.ndarray]:
+    """The rows that convert, as one column per schema entry. Each row that
+    does not gets the message for its first bad field in `errors`: the
+    quarter, then the other fields in schema order, as a per-row parser
+    checks them. Ids get first-seen codes from `seen`."""
+    texts = list(zip(*rows))
+    columns: list = list(texts)
+    for i in sorted(range(len(schema)), key=lambda i: schema[i][2] != QUARTER):
+        name, _, kind = schema[i]
+        if kind == TIMESTAMP:
+            columns[i] = _timestamps(texts[i], name, errors)
+        elif kind != ID:
+            columns[i] = _int64s(texts[i], name, errors)
+        if kind == QUARTER:
+            for j in np.flatnonzero((columns[i] < 1) | (columns[i] > 4)).tolist():
+                errors.setdefault(j, f"{name} {columns[i][j]} outside 1..4")
     if errors:
         keep = np.ones(len(rows), bool)
         keep[list(errors)] = False
-        ids = [list(compress(c, keep)) for c in ids]
-        numbers = [c[keep] for c in numbers]
-    return tuple(_codes(c, index) for c, index in zip(ids, seen)) + tuple(numbers)
+        columns = [list(compress(c, keep)) if kind == ID else c[keep] for c, (_, _, kind) in zip(columns, schema)]
+    return [_codes(c, index) if index is not None else c for c, index in zip(columns, seen)]
 
 
 def _names(ids: tuple[str, ...], codes: np.ndarray) -> tuple[str, ...]:
@@ -303,67 +298,76 @@ def _sorted_codes(codes: np.ndarray, seen: dict) -> tuple[np.ndarray, tuple[str,
     return rank[codes], tuple(ids)
 
 
+def _first_equal(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Position of the first row equal to each row, a row being the tuple of
+    its entries in the equal-length int64 `columns`."""
+    order = np.lexsort(columns[::-1])  # stable, so equal rows keep their order
+    starts = np.ones(len(order), bool)  # where each run of equal rows starts
+    starts[1:] = np.any([c[order][1:] != c[order][:-1] for c in columns], axis=0)
+    first = np.empty(len(order), np.int64)
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    return first
+
+
+def _lookup(keys: list[np.ndarray], key_ids: tuple[str, ...], ref: list[np.ndarray], ref_ids: tuple[str, ...]):
+    """Position in `ref` of the first row equal to each row of `keys`, -1
+    where none. Rows are as in _first_equal, except that the first column
+    holds codes into `key_ids` or `ref_ids`, compared by id."""
+    code_of = {x: i for i, x in enumerate(key_ids)}
+    ref_codes = np.array([code_of.get(x, -1) for x in ref_ids] + [-1], np.int64)[ref[0]]  # -1: not in key_ids
+    n = len(ref_codes)
+    first = _first_equal([np.concatenate(pair) for pair in zip([ref_codes, *ref[1:]], keys)])[n:]
+    return np.where(first < n, first, -1)
+
+
+def _parse(source, kind: str, table_type):
+    """A table of the file's rows, the malformed rows as rejects in line
+    order, and the physical line of each row read, rejected or not. A `str`
+    source is a path, opened and closed here; anything else is a text
+    stream, read and left open."""
+    rejects: list[Reject] = []
+    with open(source, newline="") if isinstance(source, str) else nullcontext(source) as fh:
+        rows, lines = _fields(fh, kind, [column for column, _, _ in _schema(table_type)], rejects)
+        table = table_type.from_rows(rows, lambda i, reason: rejects.append(Reject(lines[i], reason)))
+    rejects.sort(key=lambda r: r.line)
+    return table, rejects, lines
+
+
 def parse_estimates(source) -> tuple[EstimateTable, list[Reject]]:
     """Parse an estimates file into an EstimateTable; malformed rows go to
     the reject list, in line order."""
-    rejects: list[Reject] = []
-    with _open(source) as fh:
-        rows, lines = _fields(fh, "estimates", ESTIMATE_COLUMNS, rejects)
-        table = EstimateTable.from_rows(rows, lambda i, reason: rejects.append(Reject(lines[i], reason)))
-    rejects.sort(key=lambda r: r.line)
+    table, rejects, _ = _parse(source, "estimates", EstimateTable)
     return table, rejects
 
 
-def parse_actuals(source) -> tuple[list[Actual], list[Reject]]:
-    """Parse an actuals file; malformed rows go to the reject list. A
-    firm-period given twice fails the parse with both physical lines."""
-    rejects: list[Reject] = []
-    out = []
-    line_of: dict[tuple[str, Quarter], int] = {}
-    with _open(source) as fh:
-        rows, lines = _fields(fh, "actuals", ACTUAL_COLUMNS, rejects)
-        for firm, year, quarter, ts, value in rows:
-            try:
-                actual = Actual(firm, _period(year, quarter), parse_ts(ts), _int64(int(value), "value_cents"))
-            except (ValueError, TypeError) as exc:
-                rejects.append(Reject(lines[-1], f"malformed: {exc}"))
-                continue
-            key = (actual.firm_id, actual.period)
-            if key in line_of:
-                where = f"{source}: " if isinstance(source, str) else ""
-                raise ValueError(f"{where}duplicate actual for {key} on lines {line_of[key]} and {lines[-1]}")
-            line_of[key] = lines[-1]
-            out.append(actual)
-    return out, rejects
+def parse_actuals(source) -> tuple[ActualTable, list[Reject]]:
+    """Parse an actuals file into an ActualTable; malformed rows go to the
+    reject list, in line order. A firm-period given twice fails the parse
+    with both physical lines."""
+    table, rejects, lines = _parse(source, "actuals", ActualTable)
+    lines = np.array(lines, np.int64)
+    lines = lines[~np.isin(lines, [r.line for r in rejects])]  # of the table's rows
+    first = _first_equal([table.firm, table.year, table.quarter])
+    repeats = np.flatnonzero(first != np.arange(len(table)))
+    if len(repeats):
+        i, j = first[repeats[0]], repeats[0]
+        key = (table.firm_ids[table.firm[j]], (int(table.year[j]), int(table.quarter[j])))
+        where = f"{source}: " if isinstance(source, str) else ""
+        raise ValueError(f"{where}duplicate actual for {key} on lines {lines[i]} and {lines[j]}")
+    return table, rejects
 
 
-def cross_check_actuals(primary: Sequence[Actual], secondary: Sequence[Actual]) -> list[Actual]:
+def cross_check_actuals(primary: ActualTable, secondary: ActualTable) -> ActualTable:
     """Keep actuals confirmed by the second source (exact cents equality);
     pairs absent from the secondary source are discarded."""
-    check = {(a.firm_id, a.period): a.value_cents for a in secondary}
-    return [a for a in primary if check.get((a.firm_id, a.period)) == a.value_cents]
-
-
-def _event_of_rows(table: EstimateTable, acts: Sequence[Actual]) -> np.ndarray:
-    """Position in `acts` of each row's firm-period actual, -1 where none."""
-    years = np.unique(table.year)
-    firm_code = {f: i for i, f in enumerate(table.firm_ids)}
-    year_code = {y: i for i, y in enumerate(years.tolist())}
-    known = {}
-    for i, a in enumerate(acts):
-        year, quarter = a.period
-        if a.firm_id in firm_code and year in year_code and 1 <= quarter <= 4:
-            known[(firm_code[a.firm_id] * len(years) + year_code[year]) * 4 + quarter - 1] = i
-    row_key = (table.firm * len(years) + np.searchsorted(years, table.year)) * 4 + table.quarter - 1
-    act_key = np.array(sorted(known) + [-1], np.int64)  # -1 matches no row
-    act_pos = np.array([known[k] for k in act_key[:-1].tolist()] + [-1], np.int64)
-    at = np.searchsorted(act_key[:-1], row_key)
-    return np.where(act_key[at] == row_key, act_pos[at], -1)
+    keys, ref = ([a.firm, a.year, a.quarter, a.value_cents] for a in (primary, secondary))
+    confirmed = _lookup(keys, primary.firm_ids, ref, secondary.firm_ids) >= 0
+    return dc_replace(primary, **{attr: getattr(primary, attr)[confirmed] for _, attr, _ in _schema(primary)})
 
 
 def build_panel(
     estimates: EstimateTable,
-    actuals: Sequence[Actual],
+    actuals: ActualTable,
     cfg: FilterConfig = FilterConfig(),
     identity: str = "analyst",
 ) -> Panel:
@@ -377,19 +381,15 @@ def build_panel(
 
     Each rule is an array pass over the table's columns, and the kept
     estimates' ledger-free features are computed here, once per panel.
+    The actuals give one row per firm-period, as parse_actuals ensures; an
+    event is an actuals row, by position.
     """
-    t = estimates
+    t, acts = estimates, actuals
     report = IngestReport(total=len(t))
-    actual_by: dict[tuple[str, Quarter], Actual] = {}
-    for a in actuals:
-        if (a.firm_id, a.period) in actual_by:
-            raise ValueError(f"duplicate actual for {(a.firm_id, a.period)}")
-        actual_by[(a.firm_id, a.period)] = a
-    acts = list(actual_by.values())
 
     # (b) horizon + time window, each row counted under the first rule it fails
-    event = _event_of_rows(t, acts)
-    announce = np.array([a.announce_ts for a in acts] + [0], np.int64)[event]
+    event = _lookup([t.firm, t.year, t.quarter], t.firm_ids, [acts.firm, acts.year, acts.quarter], acts.firm_ids)
+    announce = np.append(acts.announce_ts, 0)[event]
     window = np.ones(len(t), bool)
     for reason, failed in (
         ("no_matching_actual", event < 0),
@@ -417,8 +417,7 @@ def build_panel(
     # censuses per period of the window-valid submissions: the firms each
     # identity covers (one deduped group per firm), and the brokers in the
     # top decile by distinct analysts
-    period_code: dict[Quarter, int] = {}
-    act_period = np.array([period_code.setdefault(a.period, len(period_code)) for a in acts] + [-1], np.int64)
+    act_period = np.append(_first_equal([acts.year, acts.quarter]), -1)
     ncos_keys, ncos = np.unique(act_period[ev[last]] * len(ids) + ident[last], return_counts=True)
     n_brokers, n_analysts = len(t.broker_ids), len(t.analyst_ids)
     trios = np.unique((act_period[ev] * n_brokers + t.broker[rows]) * n_analysts + t.analyst[rows])
@@ -436,7 +435,7 @@ def build_panel(
     win, freq = win[order], freq[order]
     stream_event, stream_ident, stream_announce = event[win], ident_of[win], announce[win]
     values = t.value_cents[win].tolist()
-    actual = np.array([a.value_cents for a in acts], np.int64)[stream_event].tolist()
+    actual = acts.value_cents[stream_event].tolist()
     errors = map(int.__sub__, values, actual)  # Python ints, so exact
     stream = list(zip(stream_announce.tolist(), _names(ids, stream_ident), _names(t.firm_ids, t.firm[win]), errors))
 
@@ -460,22 +459,24 @@ def build_panel(
     bounds = np.flatnonzero(np.diff(stream_event[survivors], prepend=-1, append=-1)).tolist()
     survivors = survivors.tolist()
     event_of = stream_event.tolist()
+    firm_of, year_of, quarter_of = _names(acts.firm_ids, acts.firm), acts.year.tolist(), acts.quarter.tolist()
+    actual_of, announce_of = acts.value_cents.tolist(), acts.announce_ts.tolist()
     kept: list[int] = []  # stream positions of the kept estimates
     events: list[PanelEvent] = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         members = survivors[lo:hi]
-        act = acts[event_of[members[0]]]
+        e = event_of[members[0]]
         # (a) surprise cap against the simple consensus of the survivors,
         # exact integer comparison: |sum - n*actual| > cap*n
         n = hi - lo
-        if abs(sum(values[i] for i in members) - n * act.value_cents) > cfg.surprise_cap_cents * n:
+        if abs(sum(values[i] for i in members) - n * actual_of[e]) > cfg.surprise_cap_cents * n:
             report.rejects["surprise_cap"] += n
             continue
         if n < cfg.min_analysts:
             report.rejects["below_min_analysts"] += n
             continue
         rows_of_event = slice(len(kept), len(kept) + n)
-        events.append(PanelEvent(act.firm_id, act.period, act.value_cents, act.announce_ts, rows_of_event))
+        events.append(PanelEvent(firm_of[e], (year_of[e], quarter_of[e]), actual_of[e], announce_of[e], rows_of_event))
         kept += members
         report.kept += n
 

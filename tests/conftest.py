@@ -3,7 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from estagg.ingest import Actual, EstimateTable, IngestReport, Panel, PanelEvent
+from estagg.ingest import ActualTable, EstimateTable, IngestReport, Panel, PanelEvent
 from estagg.periods import format_ts, parse_ts
 from estagg.synth import SynthSpec, generate_rows
 
@@ -28,9 +28,16 @@ def estimate_rows(table):
 
 
 def actuals_from_rows(rows):
+    return ActualTable.from_rows(rows, _raise)
+
+
+def actual_rows(table):
+    """The rows of an ActualTable in actuals_from_rows' input form."""
     return [
-        Actual(firm_id=r[0], period=(r[1], r[2]), announce_ts=parse_ts(r[3]), value_cents=r[4])
-        for r in rows
+        (table.firm_ids[f], y, q, format_ts(ts), v)
+        for f, y, q, ts, v in zip(
+            *(c.tolist() for c in (table.firm, table.year, table.quarter, table.announce_ts, table.value_cents))
+        )
     ]
 
 

@@ -12,7 +12,16 @@ import numpy as np
 from estagg.aggregate import _MARGIN_TOL, EventAggregate, ModeConfig
 from estagg.bias import BiasTracker, HistoryLedger
 from estagg.features import top10_brokers
-from estagg.ingest import ESTIMATE_COLUMNS, Actual, FilterConfig, IngestReport, Panel, PanelEvent, Reject
+from estagg.ingest import (
+    ACTUAL_COLUMNS,
+    ESTIMATE_COLUMNS,
+    FilterConfig,
+    IngestReport,
+    Panel,
+    PanelEvent,
+    Reject,
+    _fields,
+)
 from estagg.model import PeriodModel, fit_period
 from estagg.periods import Quarter, parse_ts, quarter_from_index, quarter_index, quarter_of_ts
 from estagg.replay import ReplayResult
@@ -436,6 +445,74 @@ def estimates_from_rows_oracle(rows) -> list[Estimate]:
         )
         for r in rows
     ]
+
+
+# The per-row actuals path that estagg.ingest.parse_actuals and
+# cross_check_actuals replaced: frozen Actual records, scalar checks, and a
+# dict for the duplicate check and the cross-check.
+
+
+@dataclass(frozen=True)
+class Actual:
+    """Realized outcome for a firm-period."""
+
+    firm_id: str
+    period: Quarter
+    announce_ts: int
+    value_cents: int
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _int64(value: int, name: str) -> int:
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"{name} {value} outside the int64 range")
+    return value
+
+
+def _actual_period(year, quarter) -> Quarter:
+    quarter = int(quarter)
+    if not 1 <= quarter <= 4:
+        raise ValueError(f"period_quarter {quarter} outside 1..4")
+    return (_int64(int(year), "period_year"), quarter)
+
+
+def parse_actuals_oracle(source) -> tuple[list[Actual], list[Reject]]:
+    """Parse an actuals file; malformed rows go to the reject list. A
+    firm-period given twice fails the parse with both physical lines."""
+    rejects: list[Reject] = []
+    out = []
+    line_of: dict[tuple[str, Quarter], int] = {}
+    with open(source, newline="") if isinstance(source, str) else nullcontext(source) as fh:
+        rows, lines = _fields(fh, "actuals", ACTUAL_COLUMNS, rejects)
+        for firm, year, quarter, ts, value in rows:
+            try:
+                actual = Actual(firm, _actual_period(year, quarter), parse_ts(ts), _int64(int(value), "value_cents"))
+            except (ValueError, TypeError) as exc:
+                rejects.append(Reject(lines[-1], f"malformed: {exc}"))
+                continue
+            key = (actual.firm_id, actual.period)
+            if key in line_of:
+                where = f"{source}: " if isinstance(source, str) else ""
+                raise ValueError(f"{where}duplicate actual for {key} on lines {line_of[key]} and {lines[-1]}")
+            line_of[key] = lines[-1]
+            out.append(actual)
+    return out, rejects
+
+
+def actuals_from_rows_oracle(rows) -> list[Actual]:
+    return [
+        Actual(firm_id=r[0], period=(r[1], r[2]), announce_ts=parse_ts(r[3]), value_cents=r[4])
+        for r in rows
+    ]
+
+
+def cross_check_actuals_oracle(primary: Sequence[Actual], secondary: Sequence[Actual]) -> list[Actual]:
+    """Keep actuals confirmed by the second source (exact cents equality);
+    pairs absent from the secondary source are discarded."""
+    check = {(a.firm_id, a.period): a.value_cents for a in secondary}
+    return [a for a in primary if check.get((a.firm_id, a.period)) == a.value_cents]
 
 
 def _identity_of(est: Estimate, identity: str) -> str:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import actuals_from_rows, estimate_rows, estimates_from_rows, load_synth
+from conftest import actual_rows, actuals_from_rows, estimate_rows, estimates_from_rows, load_synth
 from estagg.aggregate import ModeConfig, default_mode_matrix, modes_by_label
 from estagg.evaluate import (
     PanelSource,
@@ -104,15 +104,15 @@ def test_criterion_02_truncation_leaves_past_outputs_bit_exact():
         }
 
     full = outcomes_by_key(build_panel(ests, acts, FilterConfig()))
-    q_all = sorted({quarter_index(a.period) for a in acts})
+    q_all = sorted({quarter_index((r[1], r[2])) for r in actual_rows(acts)})
     rng = np.random.default_rng(7002)
     cuts = rng.choice(q_all[2:-1], size=10, replace=True)
     ok = True
     for cut in cuts:
-        acts_cut = [a for a in acts if quarter_index(a.period) <= cut]
-        keep = {(a.firm_id, a.period) for a in acts_cut}
+        act_rows_cut = [r for r in actual_rows(acts) if quarter_index((r[1], r[2])) <= cut]
+        keep = {(r[0], (r[1], r[2])) for r in act_rows_cut}
         ests_cut = estimates_from_rows([r for r in estimate_rows(ests) if (r[2], (r[3], r[4])) in keep])
-        trunc = outcomes_by_key(build_panel(ests_cut, acts_cut, FilterConfig()))
+        trunc = outcomes_by_key(build_panel(ests_cut, actuals_from_rows(act_rows_cut), FilterConfig()))
         for key, outcome in full.items():
             if quarter_index(key[1]) <= cut:
                 ok &= trunc.get(key) == outcome
@@ -263,7 +263,7 @@ def test_criterion_08_statistics_invariant_to_money_rescaling(small_panel_inputs
     ests, acts, _ = small_panel_inputs
     c = 7
     ests_s = replace(ests, value_cents=ests.value_cents * c)
-    acts_s = [replace(a, value_cents=a.value_cents * c) for a in acts]
+    acts_s = replace(acts, value_cents=acts.value_cents * c)
     mode = ModeConfig()
     base = stats_for(run_mode(build_panel(ests, acts, FilterConfig()), mode), mode, burn_in=4)
     scaled = stats_for(

@@ -289,6 +289,31 @@ class TestRunCommand:
         assert (tmp_path / "out" / "results.csv").read_bytes() == (run_dir / "results.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command, text, error",
+    [
+        ("run", "min_analyst = 3\n", "{cfg}:1: unknown setting 'min_analyst'"),
+        ("run", "# filter\nmin_analysts = three\n", "{cfg}:2: invalid literal for int() with base 10: 'three'"),
+        ("run", "burn_in = 4\n\nmin_analysts 3\n", "{cfg}:3: expected key = value, got 'min_analysts 3'"),
+        ("run", None, "[Errno 2] No such file or directory: '{cfg}'"),
+        ("synth", "seed = 1\nn_firm = 3\n", "{cfg}:2: unknown setting 'n_firm'"),
+    ],
+    ids=["unknown_key", "non_integer", "no_equals", "missing_file", "synth_unknown_key"],
+)
+def test_bad_config_file_fails_naming_the_line(synth_dir, tmp_path, capsys, command, text, error):
+    cfg = tmp_path / "bad.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "out"
+    if command == "run":
+        argv = run_args(synth_dir, out, ["--config", str(cfg)])
+    else:
+        argv = ["synth", "--out", str(out), "--config", str(cfg)]
+    assert main(argv) == 1
+    assert f"{command} failed: {error.format(cfg=cfg)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestMinLeadHours:
     """The filter's recency cutoff applies to every mode's scoring panel."""
 

@@ -4,7 +4,7 @@ import statistics
 import numpy as np
 import pytest
 
-from conftest import estimate_rows, load_synth, panel_of
+from conftest import actual_rows, estimate_rows, load_synth, panel_of
 from estagg.evaluate import (
     NEG_INF,
     PanelSource,
@@ -17,7 +17,7 @@ from estagg.evaluate import (
 )
 from estagg.ingest import FilterConfig, build_panel
 from estagg.synth import SynthSpec
-from oracles import build_panel_oracle, closest_analyst, estimates_from_rows_oracle
+from oracles import actuals_from_rows_oracle, build_panel_oracle, closest_analyst, estimates_from_rows_oracle
 
 RNG = np.random.default_rng(99)
 
@@ -162,7 +162,8 @@ class TestDescriptiveStats:
         ests, acts, _ = small_panel_inputs
         cfg = FilterConfig(min_analysts=3)
         panel = build_panel(ests, acts, cfg, identity="broker")
-        oracle = build_panel_oracle(estimates_from_rows_oracle(estimate_rows(ests)), acts, cfg, "broker")
+        oracle_acts = actuals_from_rows_oracle(actual_rows(acts))
+        oracle = build_panel_oracle(estimates_from_rows_oracle(estimate_rows(ests)), oracle_acts, cfg, "broker")
         analysts = {e.analyst_id for ev in oracle.events for e in ev.estimates}
         assert descriptive_stats(panel)["n_analysts"] == len(analysts) > len(set(panel.idents))
 

@@ -1,8 +1,8 @@
 """Golden hashes of a 20-mode run on a small seeded panel, and an oracle
 check of the hindsight closest-analyst modes on the same run.
 
-The hashes pin results.csv and every events_*, scatter_* and models/* file
-byte for byte. They hold only for the python and numpy versions they were
+The hashes pin results.csv, ingest_report.json and every events_*,
+scatter_* and models/* file byte for byte. They hold only for the python and numpy versions they were
 recorded with; under other versions the comparison is skipped. After a change
 that is meant to alter the artifacts, rewrite them with
 
@@ -54,7 +54,7 @@ def pinned_hashes(out: str) -> dict[str, str]:
     for dirpath, _, files in os.walk(out):
         for name in files:
             rel = os.path.relpath(os.path.join(dirpath, name), out).replace(os.sep, "/")
-            if rel == "results.csv" or rel.startswith(("events_", "scatter_", "models/")):
+            if rel in ("results.csv", "ingest_report.json") or rel.startswith(("events_", "scatter_", "models/")):
                 with open(os.path.join(dirpath, name), "rb") as fh:
                     hashes[rel] = hashlib.sha256(fh.read()).hexdigest()
     return dict(sorted(hashes.items()))

@@ -8,11 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SMALL_PANEL_SPEC, actuals_from_rows, estimate_rows, estimates_from_rows, replay_outcome
+from conftest import (
+    SMALL_PANEL_SPEC,
+    actual_rows,
+    actuals_from_rows,
+    estimate_rows,
+    estimates_from_rows,
+    replay_outcome,
+)
 from estagg.aggregate import ModeConfig
 from estagg.ingest import (
+    _CHUNK_ROWS,
     ACTUAL_COLUMNS,
-    Actual,
+    ActualTable,
     EstimateTable,
     FilterConfig,
     Reject,
@@ -25,9 +33,12 @@ from estagg.periods import format_ts, parse_ts
 from estagg.replay import run_mode
 from estagg.synth import SynthSpec, generate, generate_rows
 from oracles import (
+    actuals_from_rows_oracle,
     build_panel_oracle,
     columnar_panel,
+    cross_check_actuals_oracle,
     estimates_from_rows_oracle,
+    parse_actuals_oracle,
     parse_estimates_oracle,
     replay_oracle,
 )
@@ -104,7 +115,7 @@ class TestParsing:
         assert [r.line for r in rejects] == [5]
         assert not src.closed  # a caller's stream stays open
 
-    @pytest.mark.parametrize("quarter", [0, 7])
+    @pytest.mark.parametrize("quarter", [0, 7, 2**63])
     def test_out_of_range_quarter_rejected(self, quarter):
         ests, rejects = parse_estimates(
             io.StringIO(
@@ -123,21 +134,25 @@ class TestParsing:
                 + "F1,2011,1,2011-06-01T00:00:00Z,100\n"
             )
         )
-        assert [a.period for a in acts] == [(2011, 1)]
+        assert [(r[1], r[2]) for r in actual_rows(acts)] == [(2011, 1)]
         assert [r.line for r in rejects] == [2]
         assert rejects[0].reason.startswith("malformed: period_quarter")
 
     def test_duplicated_actual_fails_with_both_lines(self):
-        # a malformed row for the same firm-period is a reject, not a duplicate
-        src = io.StringIO(
+        # a malformed row for the same firm-period is a reject, not a
+        # duplicate; the first repeated row is named, as the per-row parser
+        # names it
+        text = (
             ",".join(ACTUAL_COLUMNS) + "\n"
             + "F1,2011,1,2011-06-01T00:00:00Z,100\n"
             + "F1,2011,2,2011-09-01T00:00:00Z,1.5\n"
             + "F1,2011,2,2011-09-01T00:00:00Z,100\n\n"
             + "F1,2011,2,2011-09-01T00:00:00Z,100\n"
+            + "F1,2011,1,2011-06-01T00:00:00Z,100\n"
         )
-        with pytest.raises(ValueError, match=r"^duplicate actual for \('F1', \(2011, 2\)\) on lines 4 and 6$"):
-            parse_actuals(src)
+        for parse in (parse_actuals, parse_actuals_oracle):
+            with pytest.raises(ValueError, match=r"^duplicate actual for \('F1', \(2011, 2\)\) on lines 4 and 6$"):
+                parse(io.StringIO(text))
 
     def test_actual_outside_int64_range_rejected(self):
         big = 10**20
@@ -151,7 +166,7 @@ class TestParsing:
                 + f"F1,2011,4,2012-03-01T00:00:00Z,{2**63 - 1}\n"
             )
         )
-        assert [(a.period, a.value_cents) for a in acts] == [((2011, 1), 100), ((2011, 4), 2**63 - 1)]
+        assert [((r[1], r[2]), r[4]) for r in actual_rows(acts)] == [((2011, 1), 100), ((2011, 4), 2**63 - 1)]
         assert rejects == [
             Reject(3, f"malformed: value_cents {big} outside the int64 range"),
             Reject(4, f"malformed: value_cents {-big} outside the int64 range"),
@@ -175,7 +190,7 @@ class TestParsing:
             assert parse_estimates(str(bad_row))[1][0].line == 2
             with pytest.raises(ValueError):
                 parse_estimates(str(bad_header))
-            parse_actuals(paths["actuals"])
+            assert isinstance(parse_actuals(paths["actuals"])[0], ActualTable)
             gc.collect()
         assert [u.exc_value for u in unraisable] == []
 
@@ -195,19 +210,50 @@ class TestParsing:
         assert not rejects
 
 
+def cross_checked(primary, secondary):
+    """The rows of primary that cross_check_actuals keeps, both given as
+    actual rows."""
+    return actual_rows(cross_check_actuals(actuals_from_rows(primary), actuals_from_rows(secondary)))
+
+
 class TestCrossCheck:
+    A = ("F", 2011, 1, "2011-04-01T00:00:00Z", 100)
+
     def test_matching_kept(self):
-        a = Actual("F", (2011, 1), 0, 100)
-        assert cross_check_actuals([a], [a]) == [a]
+        assert cross_checked([self.A], [self.A]) == [self.A]
 
     def test_mismatch_discarded(self):
-        a = Actual("F", (2011, 1), 0, 100)
-        b = Actual("F", (2011, 1), 0, 101)
-        assert cross_check_actuals([a], [b]) == []
+        assert cross_checked([self.A], [self.A[:-1] + (101,)]) == []
 
     def test_missing_secondary_discarded(self):
-        a = Actual("F", (2011, 1), 0, 100)
-        assert cross_check_actuals([a], []) == []
+        assert cross_checked([self.A], []) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        primary=st.dictionaries(
+            st.tuples(st.sampled_from(["F0", "F1", "F2"]), st.sampled_from([1999, 2011]), st.integers(1, 4)),
+            st.tuples(st.integers(0, 3), st.integers(99, 101)),
+            max_size=24,
+        ),
+        secondary=st.dictionaries(
+            st.tuples(st.sampled_from(["F1", "F2", "F3"]), st.sampled_from([1999, 2011]), st.integers(1, 4)),
+            st.tuples(st.integers(0, 3), st.integers(99, 101)),
+            max_size=24,
+        ),
+    )
+    def test_matches_dict_oracle(self, primary, secondary):
+        # the two sources intern different firm sets, and a check row's
+        # announcement time does not matter
+        def rows(actuals):
+            return [(f, y, q, format_ts(ANNOUNCE_TS + day * 86400), v) for (f, y, q), (day, v) in actuals.items()]
+
+        primary, secondary = rows(primary), rows(secondary)
+        table = actuals_from_rows(primary)
+        kept = cross_check_actuals(table, actuals_from_rows(secondary))
+        want = cross_check_actuals_oracle(actuals_from_rows_oracle(primary), actuals_from_rows_oracle(secondary))
+        assert actual_rows(kept) == [(a.firm_id, *a.period, format_ts(a.announce_ts), a.value_cents) for a in want]
+        assert kept.firm_ids == table.firm_ids
+        assert len(table) - len(kept) == len(primary) - len(want)
 
 
 class TestFilters:
@@ -325,23 +371,16 @@ class TestPanelProperties:
         for e1, e2 in zip(p1.events, p2.events):
             assert p1.value_cents[e1.rows].tolist() == p2.value_cents[e2.rows].tolist()
 
-    def test_duplicate_actual_rejected(self):
-        acts = actuals_from_rows(
-            [("F1", 2011, 2, ANNOUNCE, 100), ("F1", 2011, 2, ANNOUNCE, 101)]
-        )
-        with pytest.raises(ValueError):
-            build_panel(estimates_from_rows([]), acts, FilterConfig())
-
 
 # one mode per ledger key kind: bias per identity-firm, no bias, the blend
 REPLAY_MODES = (ModeConfig(), ModeConfig(label="no_bias", use_bias=False), ModeConfig(label="bias_half", bias_key="half"))
 
 
-def assert_same_panel(rows, oracle_ests, acts, cfg, identity):
+def assert_same_panel(rows, oracle_ests, act_rows, cfg, identity):
     """The columnar build_panel equals the per-row oracle on every output,
     and replays as the per-event oracle replays the oracle's panel."""
-    got = build_panel(rows, acts, cfg, identity)
-    oracle = build_panel_oracle(oracle_ests, acts, cfg, identity)
+    got = build_panel(rows, actuals_from_rows(act_rows), cfg, identity)
+    oracle = build_panel_oracle(oracle_ests, actuals_from_rows_oracle(act_rows), cfg, identity)
     want = columnar_panel(oracle)
     assert got.events == want.events
     assert got.idents == want.idents
@@ -403,7 +442,7 @@ class TestColumnarMatchesOracle:
         assert_same_panel(
             estimates_from_rows(est_rows),
             estimates_from_rows_oracle(est_rows),
-            actuals_from_rows(act_rows),
+            act_rows,
             FilterConfig(min_lead_hours=min_lead_hours),
             identity,
         )
@@ -415,7 +454,7 @@ class TestColumnarMatchesOracle:
         cfg = FilterConfig(min_lead_hours=min_lead_hours, min_analysts=3)
         ests = estimates_from_rows(est_rows)
         assert build_panel(ests, actuals_from_rows(act_rows), cfg, "broker").events
-        assert_same_panel(ests, estimates_from_rows_oracle(est_rows), actuals_from_rows(act_rows), cfg, "broker")
+        assert_same_panel(ests, estimates_from_rows_oracle(est_rows), act_rows, cfg, "broker")
 
     @pytest.mark.parametrize("identity", ["analyst", "broker"])
     @pytest.mark.parametrize("min_lead_hours", CUTOFFS)
@@ -424,9 +463,7 @@ class TestColumnarMatchesOracle:
         rows = revision_rows(est_rows, act_rows, seed=min_lead_hours)
         for require in (True, False):
             cfg = FilterConfig(min_lead_hours=min_lead_hours, require_prior_record=require)
-            assert_same_panel(
-                estimates_from_rows(rows), estimates_from_rows_oracle(rows), actuals_from_rows(act_rows), cfg, identity
-            )
+            assert_same_panel(estimates_from_rows(rows), estimates_from_rows_oracle(rows), act_rows, cfg, identity)
 
     def test_csv_edge_cases(self):
         header = (
@@ -465,8 +502,8 @@ class TestColumnarMatchesOracle:
             (e.analyst_id, e.broker_id, e.firm_id, *e.period, format_ts(e.estimate_ts), e.horizon_code, e.value_cents)
             for e in ests
         ]
-        acts = actuals_from_rows([(firm, 2011, 2, "2011-04-20T00:00:00Z", 100) for firm in ("F1", "F2")])
-        assert_same_panel(table, ests, acts, FilterConfig(min_analysts=1, require_prior_record=False), "analyst")
+        act_rows = [(firm, 2011, 2, "2011-04-20T00:00:00Z", 100) for firm in ("F1", "F2")]
+        assert_same_panel(table, ests, act_rows, FilterConfig(min_analysts=1, require_prior_record=False), "analyst")
 
     @pytest.mark.parametrize(
         "ts",
@@ -485,24 +522,84 @@ class TestColumnarMatchesOracle:
 
     def test_rows_across_conversion_chunks(self):
         # ids seen in one chunk keep their code in the next, and a bad row
-        # past the first chunk is named by its physical line
+        # past the first chunk is named by its physical line, in both files
+        n = 40000
+        assert n > 2 * _CHUNK_ROWS
         rows = [
             f"A{i % 97},B{i % 13},F{i % 7},2011,{i % 4 + 1},2011-03-01T{i % 24:02d}:00:00Z,6,{100 + i % 9}\n"
-            for i in range(40000)
+            for i in range(n)
         ]
-        rows[30000] = "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,1e3\n"
-        rows[35000] = "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,99999999999999999999\n"
+        # i // 388 and i % 388, which (i % 97, i % 4) determines, make each
+        # firm-period distinct
+        act_rows = [
+            f"F{i % 97},{1900 + i // 388},{i % 4 + 1},2011-03-01T{i % 24:02d}:00:00Z,{100 + i % 9}\n" for i in range(n)
+        ]
+        for lines in (rows, act_rows):
+            lines[30000] = lines[30000].rsplit(",", 1)[0] + ",1e3\n"
+            lines[35000] = lines[35000].rsplit(",", 1)[0] + ",99999999999999999999\n"
+        too_big = Reject(35002, "malformed: value_cents 99999999999999999999 outside the int64 range")
+
         text = HEADER + "".join(rows)
         table, rejects = parse_estimates(io.StringIO(text))
         ests, oracle_rejects = parse_estimates_oracle(io.StringIO(text))
         assert [r.line for r in rejects] == [30002, 35002]
         assert rejects[0] == oracle_rejects[0]
-        assert rejects[1].reason == "malformed: value_cents 99999999999999999999 outside the int64 range"
+        assert rejects[1] == too_big
         assert estimate_rows(table) == [
             (e.analyst_id, e.broker_id, e.firm_id, *e.period, format_ts(e.estimate_ts), e.horizon_code, e.value_cents)
             for e in ests
             if e.value_cents < 2**63
         ]
+
+        text = ",".join(ACTUAL_COLUMNS) + "\n" + "".join(act_rows)
+        table, rejects = parse_actuals(io.StringIO(text))
+        acts, oracle_rejects = parse_actuals_oracle(io.StringIO(text))
+        assert rejects == oracle_rejects
+        assert [r.line for r in rejects] == [30002, 35002] and rejects[1] == too_big
+        assert actual_rows(table) == [(a.firm_id, *a.period, format_ts(a.announce_ts), a.value_cents) for a in acts]
+        assert len(table) == n - 2
+
+    def test_actuals_csv_edge_cases(self):
+        header = "note,value_cents,announce_ts,period_quarter,period_year,firm_id,extra\n"
+        big = 2**63
+        text = header + "".join(
+            [
+                "x,100,2011-03-01T00:00:00Z,2,2011,F1,\n",  # line 2
+                "\n",
+                "x,101,2011-03-01T03:00:00+05:00,2,2011,F2\n",  # short by an unread column
+                "x,102,2011-03-01T00:00:00,2,2011,F3,,,\n",  # naive, long row
+                "x,103,2011-03-02,2,2011,F4,\n",  # date only
+                "x,12.5,2011-03-01T00:00:00Z,2,2011,F5,\n",  # line 7: non-integer cents
+                "x,abc,2011-03-01T00:00:00Z,2,2011,F6,\n",
+                "x,104,2011-03-01T00:00:00Z\n",  # line 9: short
+                "\n",
+                "x,105,2011-02-30T00:00:00Z,2,2011,F7,\n",  # line 11: no such day
+                "x,106,0000-03-01T00:00:00Z,2,2011,F8,\n",  # year 0
+                "x,107,2011-03-01T00:00:00Z,5,2011,F9,\n",  # line 13: quarter
+                "x,107,2011-03-01T00:00:00Z,0,2011,F9,\n",
+                "x,109,2011-03-01T00:00:00Zjunk,2,2011,F11,\n",
+                "x,110,2011-03-01T00:00:00.5Z,2,2011,F12,\n",
+                ' x,"111",2011-03-01T00:00:00Z, 2 ,2011,F13\n',
+                "x,abc,junk,5,20x1,F14,\n",  # line 18, every field bad: the quarter is named
+                "x,abc,junk,2,20x1,F15,\n",  # then the year
+                f"x,{big - 1},2011-03-01T00:00:00Z,2,{big - 1},F16,\n",  # line 20: the int64 bounds
+                f"x,{-big},2011-03-01T00:00:00Z,2,{-big},F17,\n",
+                f"x,{big},2011-03-01T00:00:00Z,2,2011,F18,\n",
+                f"x,{-big - 1},2011-03-01T00:00:00Z,2,2011,F19,\n",
+                f"x,100,2011-03-01T00:00:00Z,2,{big},F20,\n",
+                f"x,100,2011-03-01T00:00:00Z,{big},2011,F21,\n",  # line 25
+            ]
+        )
+        table, rejects = parse_actuals(io.StringIO(text))
+        acts, oracle_rejects = parse_actuals_oracle(io.StringIO(text))
+        assert [r.line for r in rejects] == [7, 8, 9, 11, 12, 13, 14, 15, 18, 19, 22, 23, 24, 25]
+        # one reason changed: a quarter beyond int64 gets the estimates' wording
+        assert rejects[:-1] == oracle_rejects[:-1]
+        assert oracle_rejects[-1] == Reject(25, f"malformed: period_quarter {big} outside 1..4")
+        assert rejects[-1] == Reject(25, f"malformed: period_quarter {big} outside the int64 range")
+        assert rejects[2].reason == "malformed: 3 fields, the header needs 6"
+        assert actual_rows(table) == [(a.firm_id, *a.period, format_ts(a.announce_ts), a.value_cents) for a in acts]
+        assert [r[0] for r in actual_rows(table)] == ["F1", "F2", "F3", "F4", "F12", "F13", "F16", "F17"]
 
     def test_row_short_of_an_id_column_rejected(self):
         # the per-row parser took a missing id as None; the row is rejected
@@ -555,5 +652,4 @@ class TestColumnarMatchesOracle:
             min_lead_hours=min_lead_hours,
             require_prior_record=require,
         )
-        acts = actuals_from_rows(act_rows)
-        assert_same_panel(estimates_from_rows(est_rows), estimates_from_rows_oracle(est_rows), acts, cfg, identity)
+        assert_same_panel(estimates_from_rows(est_rows), estimates_from_rows_oracle(est_rows), act_rows, cfg, identity)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import actuals_from_rows, estimate_rows, estimates_from_rows, load_synth, outcome_fields
+from conftest import actual_rows, actuals_from_rows, estimate_rows, estimates_from_rows, load_synth, outcome_fields
 from estagg import evaluate, replay
 from estagg.aggregate import ModeConfig, default_mode_matrix
 from estagg.bias import BiasTracker
@@ -16,7 +16,13 @@ from estagg.model import mask_without
 from estagg.periods import format_ts, parse_ts, quarter_index, quarter_of_ts
 from estagg.replay import ledger_key, ledger_state, run_mode
 from estagg.synth import SynthSpec
-from oracles import build_panel_oracle, columnar_panel, estimates_from_rows_oracle, replay_oracle
+from oracles import (
+    actuals_from_rows_oracle,
+    build_panel_oracle,
+    columnar_panel,
+    estimates_from_rows_oracle,
+    replay_oracle,
+)
 
 
 def outcomes_by_key(rr):
@@ -44,11 +50,11 @@ class TestTemporalHygiene:
         full_panel = build_panel(ests, acts, FilterConfig())
         full = run_mode(full_panel, ModeConfig())
 
-        cut_q = sorted({quarter_index(a.period) for a in acts})[5]
-        acts_cut = [a for a in acts if quarter_index(a.period) <= cut_q]
-        keep = {(a.firm_id, a.period) for a in acts_cut}
+        cut_q = sorted({quarter_index((r[1], r[2])) for r in actual_rows(acts)})[5]
+        act_rows_cut = [r for r in actual_rows(acts) if quarter_index((r[1], r[2])) <= cut_q]
+        keep = {(r[0], (r[1], r[2])) for r in act_rows_cut}
         ests_cut = estimates_from_rows([r for r in estimate_rows(ests) if (r[2], (r[3], r[4])) in keep])
-        truncated = run_mode(build_panel(ests_cut, acts_cut, FilterConfig()), ModeConfig())
+        truncated = run_mode(build_panel(ests_cut, actuals_from_rows(act_rows_cut), FilterConfig()), ModeConfig())
 
         trunc = outcomes_by_key(truncated)
         for o in full.outcomes:
@@ -106,7 +112,7 @@ class TestScaleInvariance:
         ests, acts, _ = small_panel_inputs
         c = 3
         ests_s = replace(ests, value_cents=ests.value_cents * c)
-        acts_s = [replace(a, value_cents=a.value_cents * c) for a in acts]
+        acts_s = replace(acts, value_cents=acts.value_cents * c)
         r1 = run_mode(build_panel(ests, acts, FilterConfig()), ModeConfig())
         r2 = run_mode(
             build_panel(ests_s, acts_s, FilterConfig(surprise_cap_cents=50 * c)), ModeConfig()
@@ -132,11 +138,12 @@ class TestSharedState:
     def oracle(self, source):
         """Each mode replayed per event on the per-row oracle's panel."""
         ests = estimates_from_rows_oracle(estimate_rows(source.estimates))
+        acts = actuals_from_rows_oracle(actual_rows(source.actuals))
         out = {}
         for m in default_mode_matrix():
             identity, min_lead_hours = source.panel_key(m)
             cfg = replace(source.cfg, min_lead_hours=min_lead_hours)
-            out[m.label] = replay_oracle(build_panel_oracle(ests, source.actuals, cfg, identity), m)
+            out[m.label] = replay_oracle(build_panel_oracle(ests, acts, cfg, identity), m)
         return out
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
@@ -254,7 +261,7 @@ class TestSizeBuckets:
         """Each mode scored from shared ledger passes on the columnar form of
         the oracle's panel, and replayed per event by the oracle."""
         oracle_panel = build_panel_oracle(
-            estimates_from_rows_oracle(est_rows), actuals_from_rows(act_rows), FilterConfig(min_analysts=2)
+            estimates_from_rows_oracle(est_rows), actuals_from_rows_oracle(act_rows), FilterConfig(min_analysts=2)
         )
         panel = columnar_panel(oracle_panel)
         states = {}
