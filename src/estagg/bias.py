@@ -1,103 +1,109 @@
-"""Per-forecaster error history and bias estimation.
+"""Point-in-time error ledgers over a chronological stream of predictions.
 
-The ledger keeps exact integer sums of signed errors (cents) together with
-counts, so incremental updates equal batch recomputation bit for bit; the
-division happens only at query time. The key granularity (identity-firm,
-identity-only, firm-only, global, or a half/half blend) is a configuration
-switch, not a separate code path.
+A ledger records a whole stream at once (int64 columns of announce time,
+identity code and firm code, plus one value per record) as per-key prefix
+sums, each key's added in stream order. A read at time t is one
+`searchsorted(..., side="left")` on (key, time rank): it sees every record
+before t and none at t, so announcements at one timestamp cannot leak into
+each other. Signed errors are summed as int64 cents and divided only at
+read time, which equals Python's int / int while every sum stays below
+2**53 in magnitude; build_panel guards that bound. The bias key
+granularity is a configuration switch, not a separate code path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numpy as np
 
-GRANULARITIES = ("identity_firm", "identity", "firm", "global")
+# each granularity's ledger key, from identity and firm codes below 2**31
+_KEYS = {
+    "identity_firm": lambda ident, firm: (ident << 32) | firm,
+    "identity": lambda ident, firm: ident,
+    "firm": lambda ident, firm: firm,
+    "global": lambda ident, firm: np.zeros_like(ident),
+}
 
 
-def blended_bias(firm_bias: float, identity_bias: float, lam: float = 0.5) -> float:
-    """Convex blend of a firm-level and an identity-level bias estimate."""
-    return lam * firm_bias + (1.0 - lam) * identity_bias
+class _Ledger:
+    """Per-key count and sum of the values of time-ordered records before a time."""
+
+    def __init__(self, keys: np.ndarray, ts: np.ndarray, values: np.ndarray):
+        order = np.argsort(keys, kind="stable")  # keeps each key's records in stream order
+        self.keys, ts, values = keys[order], ts[order], values[order]
+        _, starts, run = np.unique(self.keys, return_index=True, return_inverse=True)
+        self.times = np.unique(ts)
+        self.width = len(self.times) + 1
+        # records ascend in (key start, time rank), and so do their slots
+        self.slots = starts[run] * self.width + np.searchsorted(self.times, ts)
+        # row r holds run r's values, each row summed left to right
+        nth = np.arange(len(ts)) - starts[run]
+        table = np.zeros((len(starts), nth.max(initial=-1) + 1), values.dtype)
+        table[run, nth] = values
+        np.cumsum(table, axis=1, out=table)
+        # sums[1 + j]: the sum of record j's run through record j
+        self.sums = np.append(np.zeros(1, values.dtype), table[run, nth])
+
+    def read(self, keys: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Count and sum of the records of each key before each time."""
+        lo = np.searchsorted(self.keys, keys, side="left")
+        hi = np.searchsorted(self.keys, keys, side="right")
+        slot = lo * self.width + np.searchsorted(self.times, ts, side="left")
+        before = np.searchsorted(self.slots, slot, side="left")
+        count = np.clip(before - lo, 0, hi - lo)  # an unrecorded key has lo == hi
+        return count, self.sums[np.where(count > 0, lo + count, 0)]
 
 
-@dataclass
-class ErrorLedger:
-    """Running signed-error sums under one key granularity."""
+_NONE = np.empty(0, np.int64)  # a stream with no records
 
-    granularity: str = "identity_firm"
-    _sums: dict = field(default_factory=dict)
-    _counts: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.granularity not in GRANULARITIES:
-            raise ValueError(f"unknown granularity {self.granularity!r}")
-
-    def _key(self, identity: str, firm: str):
-        if self.granularity == "identity_firm":
-            return (identity, firm)
-        if self.granularity == "identity":
-            return identity
-        if self.granularity == "firm":
-            return firm
-        return "*"
-
-    def record(self, identity: str, firm: str, err_cents: int) -> None:
-        key = self._key(identity, firm)
-        self._sums[key] = self._sums.get(key, 0) + err_cents
-        self._counts[key] = self._counts.get(key, 0) + 1
-
-    def bias(self, identity: str, firm: str) -> float:
-        key = self._key(identity, firm)
-        n = self._counts.get(key, 0)
-        if n == 0:
-            return 0.0
-        return self._sums[key] / n
+def _mean(count: np.ndarray, total: np.ndarray) -> np.ndarray:
+    return np.divide(total, count, out=np.zeros(len(count)), where=count > 0)
 
 
 class BiasTracker:
-    """Mode-facing bias lookup; handles the half/half blend as two ledgers."""
+    """Mean signed error (cents) of each read's earlier records under one
+    bias key, 0 with none; the half key blends the firm and identity means."""
 
     def __init__(self, key: str = "identity_firm"):
         self.key = key
-        if key == "half":
-            self._firm = ErrorLedger("firm")
-            self._ident = ErrorLedger("identity")
-            self._ledgers = (self._firm, self._ident)
-        else:
-            self._ledgers = (ErrorLedger(key),)
+        self._keys = [_KEYS[part] for part in (("firm", "identity") if key == "half" else (key,))]
+        self._ledgers = [_Ledger(_NONE, _NONE, _NONE) for _ in self._keys]
 
-    def record(self, identity: str, firm: str, err_cents: int) -> None:
-        for ledger in self._ledgers:
-            ledger.record(identity, firm, err_cents)
+    def record(self, ts: np.ndarray, ident: np.ndarray, firm: np.ndarray, err_cents: np.ndarray) -> None:
+        """Record a whole chronological stream, replacing any earlier one."""
+        self._ledgers = [_Ledger(key(ident, firm), ts, err_cents) for key in self._keys]
 
-    def bias(self, identity: str, firm: str) -> float:
+    def bias(self, ts: np.ndarray, ident: np.ndarray, firm: np.ndarray) -> np.ndarray:
+        means = [_mean(*ledger.read(key(ident, firm), ts)) for key, ledger in zip(self._keys, self._ledgers)]
         if self.key == "half":
-            return blended_bias(self._firm.bias(identity, firm), self._ident.bias(identity, firm))
-        return self._ledgers[0].bias(identity, firm)
+            return 0.5 * means[0] + 0.5 * means[1]
+        return means[0]
 
 
-@dataclass
 class HistoryLedger:
     """Per (identity, firm) coverage count and absolute-error history.
 
-    The count is the number of prior recorded predictions (the experience
-    variable); the running mean of recorded absolute adjusted errors is the
-    past-accuracy variable.
+    The count of a pair's earlier records is the experience variable; the
+    mean of their recorded absolute adjusted errors is the past-accuracy
+    variable.
     """
 
-    _counts: dict = field(default_factory=dict)
-    _aae_sums: dict = field(default_factory=dict)
+    def __init__(self):
+        self._ledger = _Ledger(_NONE, _NONE, _NONE)
 
-    def record(self, identity: str, firm: str, aae: float) -> None:
-        key = (identity, firm)
-        self._counts[key] = self._counts.get(key, 0) + 1
-        self._aae_sums[key] = self._aae_sums.get(key, 0.0) + aae
+    def record(self, ts: np.ndarray, ident: np.ndarray, firm: np.ndarray, aae: np.ndarray) -> None:
+        """Record a whole chronological stream, replacing any earlier one."""
+        self._ledger = _Ledger(_KEYS["identity_firm"](ident, firm), ts, aae)
 
-    def experience(self, identity: str, firm: str) -> int:
-        return self._counts.get((identity, firm), 0)
+    def experience(self, ts: np.ndarray, ident: np.ndarray, firm: np.ndarray) -> np.ndarray:
+        return self._ledger.read(_KEYS["identity_firm"](ident, firm), ts)[0]
 
-    def mean_abs_error(self, identity: str, firm: str) -> float:
-        key = (identity, firm)
-        n = self._counts.get(key, 0)
-        if n == 0:
-            raise RuntimeError(f"no prior history for {key}; upstream filtering should prevent this")
-        return self._aae_sums[key] / n
+    def mean_abs_error(self, ts: np.ndarray, ident: np.ndarray, firm: np.ndarray) -> np.ndarray:
+        count, total = self._ledger.read(_KEYS["identity_firm"](ident, firm), ts)
+        if not count.all():
+            i = int(np.argmin(count))
+            raise RuntimeError(
+                f"no prior history for identity {ident[i]}, firm {firm[i]} at {ts[i]}; "
+                "upstream filtering should prevent this"
+            )
+        return total / count

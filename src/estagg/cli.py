@@ -71,13 +71,17 @@ def _settings(args: argparse.Namespace, casts: dict) -> dict:
     """Each setting of `casts` from its flag, else from the key=value config
     file, where '#' starts a comment; settings given in neither are left
     out, so the caller's defaults apply. A config line that is not such a
-    setting with a value that casts fails with the path and line number."""
+    setting with a value that casts fails with the path and line number, and
+    a setting given twice fails naming both lines."""
     out = {}
+    first: dict[str, int] = {}  # the line each key is first given on
     if args.config:
         with open(args.config) as fh:
             for number, raw in enumerate(fh, 1):
                 key, eq, value = (part.strip() for part in raw.split("#", 1)[0].partition("="))
                 try:
+                    if eq and first.setdefault(key, number) != number:
+                        raise ValueError(f"setting {key!r} given again, first on {args.config}:{first[key]}")
                     if eq and key in casts:
                         out[key] = casts[key](value)
                     elif key or eq:

@@ -19,10 +19,11 @@ from __future__ import annotations
 import csv
 import logging
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace as dc_replace
-from itertools import compress, groupby, islice
+from itertools import accumulate, compress, groupby, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -152,6 +153,21 @@ class PanelEvent:
     rows: slice  # the event's estimates in the panel's kept-estimate columns
 
 
+@dataclass(frozen=True, eq=False)
+class Stream:
+    """Every deduped window-valid prediction, scored or not, as int64
+    columns in announcement order. The bias and history ledgers sum these
+    records as per-key prefix sums; a read at a record's announce time is
+    a searchsorted with side="left", so it sees no record at that time."""
+
+    announce_ts: np.ndarray
+    ident: np.ndarray  # codes into ident_ids
+    firm: np.ndarray  # codes into firm_ids
+    error_cents: np.ndarray  # prediction minus actual
+    ident_ids: tuple[str, ...]  # analyst or broker ids, sorted
+    firm_ids: tuple[str, ...]  # sorted
+
+
 @dataclass
 class Panel:
     """Chronological events over columns of their kept estimates, one event
@@ -164,9 +180,8 @@ class Panel:
     # (n, 4) FEATURE_NAMES[:4], which no ledger changes: age in days, freq
     # (pre-dedup submissions), firms covered in the period, top-decile flag
     features: np.ndarray
-    # (announce_ts, identity, firm_id, error_cents) of every deduped
-    # window-valid prediction, scored or not
-    stream: list[tuple[int, str, str, int]]
+    stream: Stream
+    records: np.ndarray  # each kept estimate's position in the stream
     report: IngestReport
 
 
@@ -435,9 +450,17 @@ def build_panel(
     win, freq = win[order], freq[order]
     stream_event, stream_ident, stream_announce = event[win], ident_of[win], announce[win]
     values = t.value_cents[win].tolist()
-    actual = acts.value_cents[stream_event].tolist()
-    errors = map(int.__sub__, values, actual)  # Python ints, so exact
-    stream = list(zip(stream_announce.tolist(), _names(ids, stream_ident), _names(t.firm_ids, t.firm[win]), errors))
+    errors = list(map(int.__sub__, values, acts.value_cents[stream_event].tolist()))  # Python ints, so exact
+    # the running sum of |error| bounds every ledger's prefix sums; below
+    # 2**53 they are exact in int64 and convert to float without rounding
+    spent = list(accumulate(map(abs, errors)))
+    if spent and spent[-1] >= 2**53:
+        e = int(stream_event[bisect_left(spent, 2**53)])
+        raise ValueError(
+            f"ledger error sums reach 2**53 cents at firm {acts.firm_ids[acts.firm[e]]} period "
+            f"{int(acts.year[e])}Q{int(acts.quarter[e])}; past that bound bias means would round"
+        )
+    stream = Stream(stream_announce, stream_ident, t.firm[win], np.array(errors, np.int64), ids, t.firm_ids)
 
     # (d) prior-record flags with all records at one announce time treated
     # as simultaneous: a record has a prior when its (identity, firm) pair
@@ -499,4 +522,4 @@ def build_panel(
         ]
     )
     analysts = _names(t.analyst_ids, t.analyst[kept_rows])
-    return Panel(events, _names(ids, ident), analysts, t.value_cents[kept_rows], features, stream, report)
+    return Panel(events, _names(ids, ident), analysts, t.value_cents[kept_rows], features, stream, kept, report)

@@ -1,12 +1,13 @@
 """Chronological replay: ledgers, features, models and consensus per quarter.
 
-The replay has two parts. A ledger pass walks the panel in announcement
-order and records, for every scored event, what the bias and history
-ledgers said at its announcement. Within one announce timestamp all bias
-reads happen before any ledger update, so simultaneous announcements
-cannot leak into each other. Mode scoring then normalizes, fits and
-weights from that record; every mode with the same bias ledger (see
-`ledger_key`) can score from one pass.
+The replay has two parts. A ledger pass records the panel's whole stream
+in the bias and history ledgers as per-key prefix sums and reads, for
+every kept estimate, what they held at its announcement. Each read is a
+`searchsorted(..., side="left")` at the announce time, so records at that
+same time are not visible and simultaneous announcements cannot leak into
+each other. Mode scoring then normalizes, fits and weights from those
+reads; every mode with the same bias ledger (see `ledger_key`) can score
+from one pass.
 
 Scoring works on size buckets: the events of a pass with the same analyst
 count n, stacked k at a time, so each numpy call covers a bucket instead
@@ -47,13 +48,13 @@ class ReplayResult:
 
 @dataclass
 class SizeBucket:
-    """The scored events of one ledger pass that have n analysts each, in
+    """The events of one ledger pass that have n analysts each, in
     announcement order, as stacks of k events."""
 
     events: list[PanelEvent]
-    order: list[int]  # each event's position among the pass's scored events
+    order: list[int]  # each event's position among the panel's events
     qidx: list[int]  # quarter index of each announcement
-    pos: np.ndarray  # (k, n) the events' rows among the pass's rows, in event order
+    rows: np.ndarray  # (k, n) the events' rows, in event order
     actual: np.ndarray  # (k,) the actuals as floats
     simple: np.ndarray  # (k,) plain mean of the raw estimates
     adjusted: np.ndarray  # (k, n) raw estimates minus their biases
@@ -63,30 +64,29 @@ class SizeBucket:
 
 @dataclass
 class LedgerState:
-    """The scored events of one ledger pass, grouped into size buckets, plus
-    the normalized rows and per-quarter models derived from them, cached
-    for the modes that share the pass."""
+    """The panel's events as one ledger pass read them, grouped into size
+    buckets, plus the normalized rows and per-quarter models derived from
+    them, cached for the modes that share the pass."""
 
     panel: Panel
     key: tuple[bool, Optional[str]]
     q0: int  # quarter index of the panel's first announcement
-    events: list[PanelEvent]  # scored, in announcement order
-    qidx: list[int]  # quarter index of each scored event's announcement
+    qidx: list[int]  # quarter index of each event's announcement
     buckets: list[SizeBucket]
     _rows: dict = field(default_factory=dict, init=False, repr=False)
     _models: dict = field(default_factory=dict, init=False, repr=False)
 
     def rows(self, scaling: str) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
         """Each bucket's normalized (k, n, 6) design matrices, and all of
-        the pass's normalized rows and dependent values in event order."""
+        the panel's normalized rows and dependent values in row order."""
         if scaling not in self._rows:
-            n_rows = sum(_size(ev) for ev in self.events)
+            n_rows = len(self.panel.value_cents)
             X_all, y_all = np.empty((n_rows, 6)), np.empty(n_rows)
             stacks = []
             for bucket in self.buckets:
                 X, y = normalize_event(bucket.features, bucket.aae, scaling)
-                X_all[bucket.pos] = X
-                y_all[bucket.pos] = y
+                X_all[bucket.rows] = X
+                y_all[bucket.rows] = y
                 stacks.append(X)
             self._rows[scaling] = stacks, X_all, y_all
         return self._rows[scaling]
@@ -99,7 +99,7 @@ class LedgerState:
             _, X, y = self.rows(scaling)
             fitted = {}
             stop = 0
-            for qidx, members in groupby(zip(self.qidx, self.events), key=itemgetter(0)):
+            for qidx, members in groupby(zip(self.qidx, self.panel.events), key=itemgetter(0)):
                 start, stop = stop, stop + sum(_size(ev) for _, ev in members)
                 model = fit_period(X[start:stop], y[start:stop], quarter_from_index(qidx), mask)
                 if model is not None:
@@ -117,98 +117,62 @@ def _size(event: PanelEvent) -> int:
     return event.rows.stop - event.rows.start
 
 
-def _ledger_reads(
-    panel: Panel,
-    event: PanelEvent,
-    bias_tracker: Optional[BiasTracker],
-    hist: HistoryLedger,
-) -> tuple[list[float], list[tuple[int, float]]]:
-    """Each of an event's estimates' bias, experience and mean past error,
-    as the ledgers hold them now."""
-    idents = panel.idents[event.rows]
-    if bias_tracker is None:
-        biases = [0.0] * len(idents)
-    else:
-        biases = [bias_tracker.bias(i, event.firm_id) for i in idents]
-    history = []
-    for ident in idents:
-        exp = hist.experience(ident, event.firm_id)
-        if exp == 0:
-            raise RuntimeError(f"estimate without prior record reached scoring: {ident}/{event.firm_id}")
-        history.append((exp, hist.mean_abs_error(ident, event.firm_id)))
-    return biases, history
-
-
-def _size_buckets(panel: Panel, scored: list[tuple[PanelEvent, int, list, list]]) -> list[SizeBucket]:
-    """The scored events grouped by analyst count, in ascending count."""
+def _size_buckets(panel: Panel, qidx: list[int], bias: np.ndarray, history: np.ndarray) -> list[SizeBucket]:
+    """The panel's events grouped by analyst count, in ascending count,
+    with each row's bias and (experience, mean past error)."""
     by_size: dict[int, list[int]] = {}
-    for j, (event, *_) in enumerate(scored):
+    for j, event in enumerate(panel.events):
         by_size.setdefault(_size(event), []).append(j)
-    offsets = np.cumsum([0] + [_size(event) for event, *_ in scored])
     buckets = []
     for n, order in sorted(by_size.items()):
-        events, qidx, biases, history = zip(*(scored[j] for j in order))
-        span = np.arange(n)
-        rows = np.array([event.rows.start for event in events])[:, None] + span
+        events = [panel.events[j] for j in order]
+        rows = np.array([event.rows.start for event in events])[:, None] + np.arange(n)
         raw = panel.value_cents[rows].astype(float)
-        biases = np.array(biases, dtype=float)
         actual = np.array([event.actual_cents for event in events], dtype=float)
-        F = np.empty((len(order), n, 6))
-        F[..., :4] = panel.features[rows]
-        F[..., 4:] = history
         buckets.append(
             SizeBucket(
-                events=list(events),
+                events=events,
                 order=order,
-                qidx=list(qidx),
-                pos=offsets[order][:, None] + span,
+                qidx=[qidx[j] for j in order],
+                rows=rows,
                 actual=actual,
                 simple=raw.mean(axis=-1),
-                adjusted=raw - biases,
-                aae=np.abs((raw - actual[:, None]) - biases),
-                features=F,
+                adjusted=raw - bias[rows],
+                aae=np.abs((raw - actual[:, None]) - bias[rows]),
+                features=np.concatenate([panel.features[rows], history[rows]], axis=-1),
             )
         )
     return buckets
 
 
 def ledger_state(panel: Panel, key: tuple[bool, Optional[str]]) -> LedgerState:
-    """Walk the panel once with the ledgers of `key` (see `ledger_key`),
-    recording every scored event against frozen ledgers before the updates
-    at its announce timestamp are applied."""
-    if not panel.stream:
-        return LedgerState(panel, key, 0, [], [], [])
-    q0 = quarter_index(quarter_of_ts(panel.stream[0][0]))
+    """Record the panel's stream in the ledgers of `key` (see `ledger_key`)
+    and read every kept estimate's bias and history as of its own announce
+    time, so no record at that time is visible to it."""
+    stream = panel.stream
+    q0 = quarter_index(quarter_of_ts(int(stream.announce_ts[0]))) if len(stream.announce_ts) else 0
     use_bias, bias_key = key
-    # the no-bias pass reads no bias, so it keeps no bias ledger
-    bias_tracker = BiasTracker(bias_key) if use_bias else None
+    at = (stream.announce_ts, stream.ident, stream.firm)
+    # each stream record's bias as of its own announce time; the no-bias
+    # pass reads no bias, so it keeps no bias ledger
+    bias = np.zeros(len(stream.error_cents))
+    if use_bias:
+        bias_tracker = BiasTracker(bias_key)
+        bias_tracker.record(*at, stream.error_cents)
+        bias = bias_tracker.bias(*at)
     hist = HistoryLedger()
-    scored: list[tuple[PanelEvent, int, list, list]] = []
+    hist.record(*at, np.abs(stream.error_cents - bias))
 
-    # each event's announce time is in the stream, which is chronological
-    events = panel.events
-    next_event = 0
-    for ts, records in groupby(panel.stream, key=itemgetter(0)):
-        qidx = quarter_index(quarter_of_ts(ts))
-
-        # phase 1: read the ledgers for events at this timestamp
-        while next_event < len(events) and events[next_event].announce_ts == ts:
-            event = events[next_event]
-            scored.append((event, qidx, *_ledger_reads(panel, event, bias_tracker, hist)))
-            next_event += 1
-
-        # phase 2: compute all updates at this timestamp, then apply
-        pending = []
-        for _, identity, firm, err in records:
-            b = bias_tracker.bias(identity, firm) if bias_tracker is not None else 0.0
-            pending.append((identity, firm, err, abs(err - b)))
-        for identity, firm, err, aae in pending:
-            if bias_tracker is not None:
-                bias_tracker.record(identity, firm, err)
-            hist.record(identity, firm, aae)
-    return LedgerState(
-        panel, key, q0, [s[0] for s in scored], [s[1] for s in scored], _size_buckets(panel, scored)
-    )
+    # every kept estimate is a stream record, so its reads are that record's
+    rows_at = tuple(column[panel.records] for column in at)
+    experience = hist.experience(*rows_at)
+    if not experience.all():
+        i = int(np.argmin(experience))
+        where = f"{panel.idents[i]}/{stream.firm_ids[rows_at[2][i]]}"
+        raise RuntimeError(f"estimate without prior record reached scoring: {where}")
+    history = np.column_stack([experience, hist.mean_abs_error(*rows_at)])
+    qidx = [quarter_index(quarter_of_ts(event.announce_ts)) for event in panel.events]
+    return LedgerState(panel, key, q0, qidx, _size_buckets(panel, qidx, bias[panel.records], history))
 
 
 def improved_consensus(
@@ -282,7 +246,7 @@ def run_mode(panel: Panel, mode: ModeConfig, state: Optional[LedgerState] = None
         raise ValueError(f"mode {mode.label}: ledger state is for another panel or bias ledger")
     models = state.models(mode.scaling, mode.variable_mask)
     stacks, _, _ = state.rows(mode.scaling)
-    outcomes: list = [None] * len(state.events)
+    outcomes: list = [None] * len(panel.events)
     for bucket, X in zip(state.buckets, stacks):
         for j, agg in zip(bucket.order, improved_consensus(bucket, X, mode, models, state.q0)):
             outcomes[j] = agg

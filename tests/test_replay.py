@@ -207,7 +207,7 @@ class TestSharedState:
         monkeypatch.setattr(replay, "BiasTracker", CountingTracker)
         full, no_bias = default_mode_matrix()[:3:2]
         panel = source.panel_for(full)
-        assert ledger_state(panel, ledger_key(no_bias)).events
+        assert ledger_state(panel, ledger_key(no_bias)).buckets
         assert made == []
         ledger_state(panel, ledger_key(full))
         assert made == [full.bias_key]
@@ -250,26 +250,41 @@ class TestSizeBuckets:
     """Bucketed scoring against the per-event oracle on panels whose
     quarters mix event sizes."""
 
+    # every ledger key: each bias key, no bias, and broker identity
     MODES = [
         m
         for m in default_mode_matrix()
-        if m.label in ("full", "no_expertise", "no_scaling", "bias_half", "exponent_2", "closest", "closest_raw")
+        if m.label
+        in (
+            "full",
+            "no_expertise",
+            "no_scaling",
+            "bias_global",
+            "bias_firm",
+            "bias_analyst",
+            "bias_half",
+            "institution",
+            "exponent_2",
+            "closest",
+            "closest_raw",
+        )
     ] + [_top10_only()]
 
     @staticmethod
     def replays(est_rows, act_rows):
         """Each mode scored from shared ledger passes on the columnar form of
-        the oracle's panel, and replayed per event by the oracle."""
-        oracle_panel = build_panel_oracle(
-            estimates_from_rows_oracle(est_rows), actuals_from_rows_oracle(act_rows), FilterConfig(min_analysts=2)
-        )
-        panel = columnar_panel(oracle_panel)
-        states = {}
-        out = {}
+        the oracle's panel for its identity, and replayed per event by the
+        oracle."""
+        ests, acts = estimates_from_rows_oracle(est_rows), actuals_from_rows_oracle(act_rows)
+        panels, states, out = {}, {}, {}
         for mode in TestSizeBuckets.MODES:
-            key = ledger_key(mode)
+            if mode.identity not in panels:
+                oracle_panel = build_panel_oracle(ests, acts, FilterConfig(min_analysts=2), mode.identity)
+                panels[mode.identity] = oracle_panel, columnar_panel(oracle_panel)
+            oracle_panel, panel = panels[mode.identity]
+            key = (mode.identity, ledger_key(mode))
             if key not in states:
-                states[key] = ledger_state(panel, key)
+                states[key] = ledger_state(panel, ledger_key(mode))
             out[mode.label] = (panel, run_mode(panel, mode, states[key]), replay_oracle(oracle_panel, mode))
         return out
 
@@ -305,6 +320,7 @@ class TestSizeBuckets:
         first = min(sizes)
         assert any(o.fallback_reason == "no_previous_model" and o.quarter_offset > first for o in full.outcomes)
         assert any(o.fallback_reason == "degenerate_weights" for o in results["top10_only"][1].outcomes)
+        assert results["institution"][1].outcomes
         _, closest_raw, _ = results["closest_raw"]
         ties = 0
         for ev, o in zip(panel.events, closest_raw.outcomes):

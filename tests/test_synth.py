@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import load_synth
+from conftest import load_synth, stream_rows
 from estagg.synth import SynthSpec, generate, generate_rows
 
 
@@ -109,13 +109,13 @@ class TestBiasRecoveryTrend:
             seed=61,
         )
         ests, acts, gt = load_synth(spec)
-        from estagg.bias import ErrorLedger, HistoryLedger
         from estagg.ingest import FilterConfig, build_panel
+        from oracles import ErrorLedger, HistoryLedger
 
         panel = build_panel(ests, acts, FilterConfig())
         ledger = ErrorLedger("identity_firm")
         history = HistoryLedger()
-        for _, identity, firm_id, error_cents in panel.stream:
+        for _, identity, firm_id, error_cents in stream_rows(panel):
             ledger.record(identity, firm_id, error_cents)
             history.record(identity, firm_id, 0.0)
         est_b, true_b = [], []
