@@ -19,6 +19,9 @@ from .periods import Quarter
 
 BIAS_KEYS = ("identity_firm", "identity", "firm", "global", "half")
 
+# the shortest recency cutoff, in hours before the announcement, any mode scores with
+MIN_LEAD_HOURS = 48
+
 
 @dataclass(frozen=True)
 class ModeConfig:
@@ -30,14 +33,14 @@ class ModeConfig:
     scaling: str = "normalized"  # "normalized" | "centered"
     identity: str = "analyst"  # "analyst" | "broker"
     exponent: float = 1.2
-    min_lead_hours: int = 48
+    min_lead_hours: int = MIN_LEAD_HOURS
     method: str = "weighted"  # "weighted" | "closest"
 
     def __post_init__(self):
         if self.exponent <= 0:
             raise ValueError("exponent must be positive")
-        if self.min_lead_hours < 48:
-            raise ValueError("recency cutoff below 48 hours")
+        if self.min_lead_hours < MIN_LEAD_HOURS:
+            raise ValueError(f"recency cutoff below {MIN_LEAD_HOURS} hours")
         if self.bias_key not in BIAS_KEYS:
             raise ValueError(f"unknown bias key {self.bias_key!r}")
 
@@ -126,10 +129,16 @@ def default_mode_matrix(exponent: float = 1.2) -> list[ModeConfig]:
 
 
 def modes_by_label(labels, exponent: float = 1.2) -> list[ModeConfig]:
+    """The modes of `labels`, in their order; an empty selection, an
+    unknown label or a label given twice fails."""
     table = {m.label: m for m in default_mode_matrix(exponent)}
+    if not labels:
+        raise ValueError(f"no mode selected; known: {sorted(table)}")
     out = []
     for name in labels:
         if name not in table:
             raise ValueError(f"unknown mode {name!r}; known: {sorted(table)}")
+        if table[name] in out:
+            raise ValueError(f"mode {name!r} selected twice")
         out.append(table[name])
     return out

@@ -1,59 +1,59 @@
-"""Point-in-time error ledgers over a chronological stream of predictions.
+"""Own-time error ledgers over a chronological stream of predictions.
 
-A ledger records a whole stream at once (int64 columns of announce time,
-identity code and firm code, plus one value per record) as per-key prefix
-sums, each key's added in stream order. A read at time t is one
-`searchsorted(..., side="left")` on (key, time rank): it sees every record
-before t and none at t, so announcements at one timestamp cannot leak into
-each other. Signed errors are summed as int64 cents and divided only at
-read time, which equals Python's int / int while every sum stays below
-2**53 in magnitude; build_panel guards that bound. The bias key
-granularity is a configuration switch, not a separate code path.
+Every ledger read is a stream record reading its own key at its own
+announce time. So a ledger records a whole stream at once (int64 columns
+of announce time, identity code and firm code, plus one value per record)
+as each record's own-time prefix sums (`earlier`), which see no record at
+that time, and a read indexes them by stream position. Signed errors are
+summed as int64 cents and divided only at read time, which equals
+Python's int / int while every sum stays below 2**53 in magnitude;
+build_panel guards that bound.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
-# each granularity's ledger key, from identity and firm codes below 2**31
+
+def pair_key(ident: np.ndarray, firm: np.ndarray) -> np.ndarray:
+    """The (identity, firm) ledger key, from codes below 2**31."""
+    return (ident << 32) | firm
+
+
+# each granularity's ledger key
 _KEYS = {
-    "identity_firm": lambda ident, firm: (ident << 32) | firm,
+    "identity_firm": pair_key,
     "identity": lambda ident, firm: ident,
     "firm": lambda ident, firm: firm,
     "global": lambda ident, firm: np.zeros_like(ident),
 }
 
 
-class _Ledger:
-    """Per-key count and sum of the values of time-ordered records before a time."""
-
-    def __init__(self, keys: np.ndarray, ts: np.ndarray, values: np.ndarray):
-        order = np.argsort(keys, kind="stable")  # keeps each key's records in stream order
-        self.keys, ts, values = keys[order], ts[order], values[order]
-        _, starts, run = np.unique(self.keys, return_index=True, return_inverse=True)
-        self.times = np.unique(ts)
-        self.width = len(self.times) + 1
-        # records ascend in (key start, time rank), and so do their slots
-        self.slots = starts[run] * self.width + np.searchsorted(self.times, ts)
-        # row r holds run r's values, each row summed left to right
-        nth = np.arange(len(ts)) - starts[run]
-        table = np.zeros((len(starts), nth.max(initial=-1) + 1), values.dtype)
-        table[run, nth] = values
-        np.cumsum(table, axis=1, out=table)
-        # sums[1 + j]: the sum of record j's run through record j
-        self.sums = np.append(np.zeros(1, values.dtype), table[run, nth])
-
-    def read(self, keys: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Count and sum of the records of each key before each time."""
-        lo = np.searchsorted(self.keys, keys, side="left")
-        hi = np.searchsorted(self.keys, keys, side="right")
-        slot = lo * self.width + np.searchsorted(self.times, ts, side="left")
-        before = np.searchsorted(self.slots, slot, side="left")
-        count = np.clip(before - lo, 0, hi - lo)  # an unrecorded key has lo == hi
-        return count, self.sums[np.where(count > 0, lo + count, 0)]
-
-
-_NONE = np.empty(0, np.int64)  # a stream with no records
+def earlier(keys: np.ndarray, ts: np.ndarray, values: Optional[np.ndarray] = None) -> tuple:
+    """For each record of a chronological stream, the count of its key's
+    records at strictly earlier times and, given `values`, the sum of
+    theirs, added in stream order (else None)."""
+    order = np.argsort(keys, kind="stable")  # keeps each key's records in time order
+    keys, ts, at = keys[order], ts[order], np.arange(len(keys))
+    back = np.empty_like(order)
+    back[order] = at
+    run = np.ones(len(keys), bool)  # where each key's run starts
+    run[1:] = keys[1:] != keys[:-1]
+    group = run.copy()  # where each (key, time) group starts
+    group[1:] |= ts[1:] != ts[:-1]
+    run_start = np.maximum.accumulate(np.where(run, at, 0))
+    before = np.maximum.accumulate(np.where(group, at, 0)) - run_start
+    if values is None:
+        return before[back], None
+    # row r holds a 0, then run r's values; summed left to right, entry
+    # (r, c) is the sum of run r's first c records
+    row, nth = np.cumsum(run) - 1, at - run_start
+    table = np.zeros((np.count_nonzero(run), nth.max(initial=-1) + 2), values.dtype)
+    table[row, nth + 1] = values[order]
+    np.cumsum(table, axis=1, out=table)
+    return before[back], table[row, before][back]
 
 
 def _mean(count: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -61,49 +61,42 @@ def _mean(count: np.ndarray, total: np.ndarray) -> np.ndarray:
 
 
 class BiasTracker:
-    """Mean signed error (cents) of each read's earlier records under one
-    bias key, 0 with none; the half key blends the firm and identity means."""
+    """Each stream record's mean signed error (cents) over its earlier
+    records under one bias key, 0 with none, read by stream position; the
+    half key blends the firm and identity means."""
 
     def __init__(self, key: str = "identity_firm"):
         self.key = key
         self._keys = [_KEYS[part] for part in (("firm", "identity") if key == "half" else (key,))]
-        self._ledgers = [_Ledger(_NONE, _NONE, _NONE) for _ in self._keys]
+        self._bias = np.zeros(0)
 
     def record(self, ts: np.ndarray, ident: np.ndarray, firm: np.ndarray, err_cents: np.ndarray) -> None:
         """Record a whole chronological stream, replacing any earlier one."""
-        self._ledgers = [_Ledger(key(ident, firm), ts, err_cents) for key in self._keys]
+        means = [_mean(*earlier(key(ident, firm), ts, err_cents)) for key in self._keys]
+        self._bias = 0.5 * means[0] + 0.5 * means[1] if self.key == "half" else means[0]
 
-    def bias(self, ts: np.ndarray, ident: np.ndarray, firm: np.ndarray) -> np.ndarray:
-        means = [_mean(*ledger.read(key(ident, firm), ts)) for key, ledger in zip(self._keys, self._ledgers)]
-        if self.key == "half":
-            return 0.5 * means[0] + 0.5 * means[1]
-        return means[0]
+    def bias(self, at: np.ndarray) -> np.ndarray:
+        return self._bias[at]
 
 
 class HistoryLedger:
-    """Per (identity, firm) coverage count and absolute-error history.
-
-    The count of a pair's earlier records is the experience variable; the
-    mean of their recorded absolute adjusted errors is the past-accuracy
-    variable.
-    """
+    """Per (identity, firm) history, read by stream position: the count of
+    a record's earlier records under its pair is the experience variable,
+    the mean of their absolute adjusted errors the past-accuracy one."""
 
     def __init__(self):
-        self._ledger = _Ledger(_NONE, _NONE, _NONE)
+        self._count, self._total = np.zeros(0, np.int64), np.zeros(0)
 
     def record(self, ts: np.ndarray, ident: np.ndarray, firm: np.ndarray, aae: np.ndarray) -> None:
         """Record a whole chronological stream, replacing any earlier one."""
-        self._ledger = _Ledger(_KEYS["identity_firm"](ident, firm), ts, aae)
+        self._count, self._total = earlier(pair_key(ident, firm), ts, aae)
 
-    def experience(self, ts: np.ndarray, ident: np.ndarray, firm: np.ndarray) -> np.ndarray:
-        return self._ledger.read(_KEYS["identity_firm"](ident, firm), ts)[0]
+    def experience(self, at: np.ndarray) -> np.ndarray:
+        return self._count[at]
 
-    def mean_abs_error(self, ts: np.ndarray, ident: np.ndarray, firm: np.ndarray) -> np.ndarray:
-        count, total = self._ledger.read(_KEYS["identity_firm"](ident, firm), ts)
+    def mean_abs_error(self, at: np.ndarray) -> np.ndarray:
+        count = self._count[at]
         if not count.all():
-            i = int(np.argmin(count))
-            raise RuntimeError(
-                f"no prior history for identity {ident[i]}, firm {firm[i]} at {ts[i]}; "
-                "upstream filtering should prevent this"
-            )
-        return total / count
+            i = at[np.argmin(count)]
+            raise RuntimeError(f"no prior history for stream record {i}; upstream filtering should prevent this")
+        return self._total[at] / count

@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .aggregate import ModeConfig, default_mode_matrix, modes_by_label
+from .aggregate import MIN_LEAD_HOURS, ModeConfig, default_mode_matrix, modes_by_label
 from .evaluate import (
     ModeResult,
     PanelSource,
@@ -146,6 +146,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     if burn_in < 1:
         print("burn-in must be >= 1 (a previous-period model is required)", file=sys.stderr)
+        return 2
+    if fcfg.min_lead_hours < MIN_LEAD_HOURS:
+        print(f"min-lead-hours must be >= {MIN_LEAD_HOURS} (no mode scores a shorter recency cutoff)", file=sys.stderr)
         return 2
 
     written: list[str] = []

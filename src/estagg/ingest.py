@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .bias import earlier, pair_key
 from .features import top10_brokers
 from .periods import Quarter, parse_ts
 
@@ -156,9 +157,9 @@ class PanelEvent:
 @dataclass(frozen=True, eq=False)
 class Stream:
     """Every deduped window-valid prediction, scored or not, as int64
-    columns in announcement order. The bias and history ledgers sum these
-    records as per-key prefix sums; a read at a record's announce time is
-    a searchsorted with side="left", so it sees no record at that time."""
+    columns in announcement order. The bias and history ledgers give each
+    record its own-time prefix sums, over its key's records at strictly
+    earlier announce times, so it sees no record at its own time."""
 
     announce_ts: np.ndarray
     ident: np.ndarray  # codes into ident_ids
@@ -464,19 +465,12 @@ def build_panel(
 
     # (d) prior-record flags with all records at one announce time treated
     # as simultaneous: a record has a prior when its (identity, firm) pair
-    # has one at an earlier announce time. The stream is chronological, so
-    # a pair's first record carries its earliest announce time.
-    _, pair_first, pair = np.unique(
-        stream_ident * len(t.firm_ids) + t.firm[win], return_index=True, return_inverse=True
-    )
-    has_prior = stream_announce > stream_announce[pair_first][pair]
-    if cfg.require_prior_record:
-        dropped = len(win) - int(np.count_nonzero(has_prior))
-        if dropped:
-            report.rejects["no_prior_record"] += dropped
-        survivors = np.flatnonzero(has_prior)
-    else:
-        survivors = np.arange(len(win))
+    # has one at an earlier announce time, as the history ledger counts it
+    has_prior = earlier(pair_key(stream_ident, t.firm[win]), stream_announce)[0] > 0
+    keep = has_prior | (not cfg.require_prior_record)
+    if not keep.all():
+        report.rejects["no_prior_record"] += len(win) - int(np.count_nonzero(keep))
+    survivors = np.flatnonzero(keep)
 
     # each event's records are contiguous in the stream; apply (a), (e)
     bounds = np.flatnonzero(np.diff(stream_event[survivors], prepend=-1, append=-1)).tolist()

@@ -1,13 +1,13 @@
 """Chronological replay: ledgers, features, models and consensus per quarter.
 
 The replay has two parts. A ledger pass records the panel's whole stream
-in the bias and history ledgers as per-key prefix sums and reads, for
-every kept estimate, what they held at its announcement. Each read is a
-`searchsorted(..., side="left")` at the announce time, so records at that
-same time are not visible and simultaneous announcements cannot leak into
-each other. Mode scoring then normalizes, fits and weights from those
-reads; every mode with the same bias ledger (see `ledger_key`) can score
-from one pass.
+in the bias and history ledgers, which take each record's own-time prefix
+sums over its key's records at strictly earlier announce times, and reads
+every kept estimate's as the stream record it is. Records at one announce
+time are not visible to each other, so simultaneous announcements cannot
+leak into each other. Mode scoring then normalizes, fits and weights from
+those reads; every mode with the same bias ledger (see `ledger_key`) can
+score from one pass.
 
 Scoring works on size buckets: the events of a pass with the same analyst
 count n, stacked k at a time, so each numpy call covers a bucket instead
@@ -152,25 +152,23 @@ def ledger_state(panel: Panel, key: tuple[bool, Optional[str]]) -> LedgerState:
     stream = panel.stream
     q0 = quarter_index(quarter_of_ts(int(stream.announce_ts[0]))) if len(stream.announce_ts) else 0
     use_bias, bias_key = key
-    at = (stream.announce_ts, stream.ident, stream.firm)
     # each stream record's bias as of its own announce time; the no-bias
     # pass reads no bias, so it keeps no bias ledger
     bias = np.zeros(len(stream.error_cents))
     if use_bias:
         bias_tracker = BiasTracker(bias_key)
-        bias_tracker.record(*at, stream.error_cents)
-        bias = bias_tracker.bias(*at)
+        bias_tracker.record(stream.announce_ts, stream.ident, stream.firm, stream.error_cents)
+        bias = bias_tracker.bias(np.arange(len(bias)))
     hist = HistoryLedger()
-    hist.record(*at, np.abs(stream.error_cents - bias))
+    hist.record(stream.announce_ts, stream.ident, stream.firm, np.abs(stream.error_cents - bias))
 
     # every kept estimate is a stream record, so its reads are that record's
-    rows_at = tuple(column[panel.records] for column in at)
-    experience = hist.experience(*rows_at)
+    experience = hist.experience(panel.records)
     if not experience.all():
         i = int(np.argmin(experience))
-        where = f"{panel.idents[i]}/{stream.firm_ids[rows_at[2][i]]}"
+        where = f"{panel.idents[i]}/{stream.firm_ids[stream.firm[panel.records[i]]]}"
         raise RuntimeError(f"estimate without prior record reached scoring: {where}")
-    history = np.column_stack([experience, hist.mean_abs_error(*rows_at)])
+    history = np.column_stack([experience, hist.mean_abs_error(panel.records)])
     qidx = [quarter_index(quarter_of_ts(event.announce_ts)) for event in panel.events]
     return LedgerState(panel, key, q0, qidx, _size_buckets(panel, qidx, bias[panel.records], history))
 

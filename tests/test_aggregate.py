@@ -123,6 +123,13 @@ class TestModeConfig:
         with pytest.raises(ValueError):
             modes_by_label(["nope"])
 
+    def test_modes_by_label_empty_or_repeated(self):
+        with pytest.raises(ValueError, match="no mode selected"):
+            modes_by_label([])
+        with pytest.raises(ValueError, match="mode 'no_bias' selected twice"):
+            modes_by_label(["no_bias", "full", "no_bias"])
+        assert [m.label for m in modes_by_label(["no_bias", "full"])] == ["no_bias", "full"]
+
 
 class TestImprovedConsensus:
     def test_known_bias_zero_noise_recovers_actual(self):

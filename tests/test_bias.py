@@ -1,3 +1,5 @@
+from itertools import groupby
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -130,61 +132,55 @@ def columns(records):
     return np.array(ts, np.int64), np.array(ident, np.int64), np.array(firm, np.int64), np.array(values)
 
 
-def read_at(ts, ident, firm):
-    return columns([(ts, ident, firm, 0)])[:3]
-
-
-def tracker(key, records):
-    """An estagg.bias.BiasTracker under `key` that recorded `records`, in
-    time order."""
+def biases(key, records):
+    """Each record's bias from an estagg.bias.BiasTracker under `key` that
+    recorded `records`, a stream in time order."""
     t = bias.BiasTracker(key)
     t.record(*columns(records))
-    return t
+    return t.bias(np.arange(len(records))).tolist()
+
+
+def history(records):
+    h = bias.HistoryLedger()
+    h.record(*columns(records))
+    return h
 
 
 class TestPointInTimeLedgers:
-    """The dict-ledger cases above, fed to the array ledgers of estagg.bias,
-    which read as of a time."""
+    """The dict-ledger cases above, fed to the array ledgers of estagg.bias
+    as streams; each record reads its own key at its own time."""
 
     def test_no_history_is_zero(self):
-        assert bias.BiasTracker().bias(*read_at(5, 0, 0)).tolist() == [0.0]
-        assert tracker("identity_firm", [(1, 0, 0, 8)]).bias(*read_at(5, 1, 0)).tolist() == [0.0]
-        assert bias.HistoryLedger().experience(*read_at(5, 0, 0)).tolist() == [0]
+        assert biases("identity_firm", [(1, 0, 0, 8), (5, 1, 0, 0)]) == [0.0, 0.0]
+        assert history([(1, 0, 0, 8.0)]).experience(np.array([0])).tolist() == [0]
 
     def test_read_excludes_records_at_its_time(self):
-        t = tracker("global", [(10, 0, 0, 2), (20, 0, 0, 4), (20, 1, 1, 6)])
-        assert t.bias(*columns([(10, 0, 0, 0), (20, 0, 0, 0), (21, 0, 0, 0)])[:3]).tolist() == [0.0, 2.0, 4.0]
-        h = bias.HistoryLedger()
-        h.record(*columns([(10, 0, 0, 1.0), (20, 0, 0, 3.0)]))
-        assert h.experience(*columns([(10, 0, 0, 0), (20, 0, 0, 0), (21, 0, 0, 0)])[:3]).tolist() == [0, 1, 2]
+        assert biases("global", [(10, 0, 0, 2), (20, 0, 0, 4), (20, 1, 1, 6), (21, 0, 0, 0)]) == [0.0, 2.0, 2.0, 4.0]
+        h = history([(10, 0, 0, 1.0), (20, 0, 0, 3.0), (20, 0, 0, 5.0), (21, 0, 0, 0.0)])
+        assert h.experience(np.arange(4)).tolist() == [0, 1, 1, 3]
 
     def test_mean_of_history(self):
-        t = tracker("identity_firm", [(1, 0, 0, 2), (2, 0, 0, -1), (3, 0, 0, 5)])
-        assert t.bias(*read_at(4, 0, 0)).tolist() == [2.0]
-        assert t.bias(*read_at(3, 0, 0)).tolist() == [0.5]
+        assert biases("identity_firm", [(1, 0, 0, 2), (2, 0, 0, -1), (3, 0, 0, 5), (4, 0, 0, 0)]) == [0.0, 2.0, 0.5, 2.0]
 
     def test_key_isolation(self):
-        # analyst 0 records at firm 1 and is read at firm 2
+        # analyst 0 records at firm 1, then at firm 2
         for key, expect in [("identity_firm", 0.0), ("identity", 10.0), ("firm", 0.0), ("global", 10.0)]:
-            assert tracker(key, [(1, 0, 1, 10)]).bias(*read_at(2, 0, 2)).tolist() == [expect], key
+            assert biases(key, [(1, 0, 1, 10), (2, 0, 2, 0)])[1] == expect, key
 
     def test_half_blends_firm_and_identity(self):
-        t = tracker("half", [(1, 0, 0, 4), (2, 1, 0, 0)])
-        assert t.bias(*read_at(3, 0, 0)).tolist() == [0.5 * 2.0 + 0.5 * 4.0]
+        assert biases("half", [(1, 0, 0, 4), (2, 1, 0, 0), (3, 0, 0, 0)])[2] == 0.5 * 2.0 + 0.5 * 4.0
 
     def test_history_counts_and_means(self):
-        h = bias.HistoryLedger()
-        h.record(*columns([(1, 0, 0, 3.0), (2, 0, 0, 5.0), (2, 0, 1, 7.0)]))
-        assert h.experience(*read_at(3, 0, 0)).tolist() == [2]
-        assert h.mean_abs_error(*read_at(3, 0, 0)).tolist() == [4.0]
+        h = history([(1, 0, 0, 3.0), (2, 0, 0, 5.0), (2, 0, 1, 7.0), (3, 0, 0, 0.0)])
+        assert h.experience(np.arange(4)).tolist() == [0, 1, 0, 2]
+        assert h.mean_abs_error(np.array([3, 1])).tolist() == [4.0, 3.0]
 
     def test_empty_history_raises(self):
-        with pytest.raises(RuntimeError, match="no prior history"):
-            bias.HistoryLedger().mean_abs_error(*read_at(1, 0, 0))
-        h = bias.HistoryLedger()
-        h.record(*columns([(1, 0, 0, 3.0)]))
-        with pytest.raises(RuntimeError, match="no prior history"):
-            h.mean_abs_error(*columns([(2, 0, 0, 0), (1, 0, 0, 0)])[:3])
+        h = history([(1, 0, 0, 3.0), (2, 0, 0, 1.0), (2, 1, 0, 1.0)])
+        assert h.mean_abs_error(np.array([1])).tolist() == [3.0]
+        for at, record in [([1, 0], 0), ([2], 2)]:
+            with pytest.raises(RuntimeError, match=f"no prior history for stream record {record};"):
+                h.mean_abs_error(np.array(at))
 
     @given(
         st.lists(
@@ -197,34 +193,32 @@ class TestPointInTimeLedgers:
             ),
             min_size=1,
             max_size=40,
-        ),
-        st.lists(st.tuples(st.integers(0, 8), st.integers(0, 4), st.integers(0, 4)), max_size=10),
+        )
     )
     @settings(max_examples=100, deadline=None)
-    def test_equals_dict_ledgers_read_before_each_time(self, records, reads):
-        # the dict ledgers answer every read at a time before recording that
-        # time's records; the array ledgers must give the same bits
+    def test_equals_dict_ledgers_read_before_each_time(self, records):
+        # the dict ledgers answer each record's reads before recording its
+        # timestamp's records; the array ledgers must give the same bits
         records.sort(key=lambda r: r[0])
+        every = np.arange(len(records))
         ts, ident, firm, err, aae = (np.array(c) for c in zip(*records))
-        reads = [(t, i, f) for t, i, f, *_ in records] + reads
-        at = tuple(np.array(c, np.int64) for c in zip(*reads))
-        history = bias.HistoryLedger()
-        history.record(ts, ident, firm, aae)
+        array_history = bias.HistoryLedger()
+        array_history.record(ts, ident, firm, aae)
         for key in BIAS_KEYS:
-            got = tracker(key, [r[:4] for r in records]).bias(*at).tolist()
-            want, counts, means = [None] * len(reads), [None] * len(reads), [None] * len(reads)
+            tracker = bias.BiasTracker(key)
+            tracker.record(ts, ident, firm, err)
+            want, counts, means = [], [], []
             dict_bias, dict_history = BiasTracker(key), HistoryLedger()
-            for t in sorted({r[0] for r in records} | {r[0] for r in reads}):
-                for j, (rt, i, f) in enumerate(reads):
-                    if rt == t:
-                        want[j] = dict_bias.bias(i, f)
-                        counts[j] = dict_history.experience(i, f)
-                        means[j] = dict_history.mean_abs_error(i, f) if counts[j] else None
-                for rt, i, f, e, a in records:
-                    if rt == t:
-                        dict_bias.record(i, f, e)
-                        dict_history.record(i, f, a)
-            assert got == want, key
-        assert history.experience(*at).tolist() == counts
-        known = np.array(counts) > 0
-        assert history.mean_abs_error(*(c[known] for c in at)).tolist() == [m for m in means if m is not None]
+            for _, group in groupby(records, key=lambda r: r[0]):
+                group = list(group)
+                for _, i, f, _, _ in group:
+                    want.append(dict_bias.bias(i, f))
+                    counts.append(dict_history.experience(i, f))
+                    means.append(dict_history.mean_abs_error(i, f) if counts[-1] else None)
+                for _, i, f, e, a in group:
+                    dict_bias.record(i, f, e)
+                    dict_history.record(i, f, a)
+            assert tracker.bias(every).tolist() == want, key
+        assert array_history.experience(every).tolist() == counts
+        known = every[np.array(counts) > 0]
+        assert array_history.mean_abs_error(known).tolist() == [m for m in means if m is not None]

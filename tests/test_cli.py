@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from estagg import evaluate, replay
 from estagg.cli import main
 
 
@@ -286,6 +287,40 @@ class TestRunCommand:
     def test_unknown_mode_fails(self, synth_dir, tmp_path):
         assert main(run_args(synth_dir, tmp_path, ["--modes", "bogus"])) == 1
 
+    @pytest.mark.parametrize(
+        "modes, message",
+        [("", "no mode selected"), (",", "no mode selected"), ("full,no_bias,full", "mode 'full' selected twice")],
+    )
+    def test_bad_mode_selection_fails(self, synth_dir, tmp_path, capsys, modes, message):
+        out = tmp_path / "out"
+        assert main(run_args(synth_dir, out, ["--modes", modes])) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_estimate_in_horizon_scores_empty_streams(self, synth_dir, tmp_path, monkeypatch):
+        with open(synth_dir / "estimates.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(tmp_path / "estimates.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(row | {"horizon_code": "1"} for row in rows)
+        passes = []
+
+        def ledger_state(panel, key):
+            passes.append((key, len(panel.stream.announce_ts)))
+            return replay.ledger_state(panel, key)
+
+        monkeypatch.setattr(evaluate, "ledger_state", ledger_state)
+        args = run_args(synth_dir, tmp_path / "out", ["--modes", "full,no_bias"])
+        args[args.index("--estimates") + 1] = str(tmp_path / "estimates.csv")
+        assert main(args) == 0
+        assert sorted(passes) == [((False, None), 0), ((True, "identity_firm"), 0)]
+        with open(tmp_path / "out" / "results.csv", newline="") as fh:
+            assert [(r["mode"], r["n_events"]) for r in csv.DictReader(fh)] == [("full", "0"), ("no_bias", "0")]
+        report = json.loads((tmp_path / "out" / "ingest_report.json").read_text())
+        assert report["ingest"]["kept"] == 0
+        assert report["ingest"]["rejects"]["horizon_excluded"] == len(rows)
+
     def test_config_file_equals_flags(self, synth_dir, run_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -361,6 +396,18 @@ class TestMinLeadHours:
         cfg.write_text("min_lead_hours = 720\n")
         assert main(run_args(synth_dir, tmp_path, ["--modes", "full", "--config", str(cfg)])) == 0
         assert (tmp_path / "events_full.csv").read_bytes() == cutoff_30d_events
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_below_floor_rejected(self, synth_dir, tmp_path, capsys, via):
+        # every mode scores with a cutoff of at least 48 hours, so a shorter
+        # one would describe a panel in ingest_report.json that none scored
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("min_lead_hours = 47\n")
+        extra = ["--min-lead-hours", "47"] if via == "flag" else ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main(run_args(synth_dir, out, extra)) == 2
+        assert "min-lead-hours must be >= 48" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReportCommand:
