@@ -54,7 +54,7 @@ class EventAggregate:
     actual_cents: int
     simple_consensus: float
     improved: float
-    weights: np.ndarray  # aligned with the event's identities, panel.idents[event.rows]
+    weights: np.ndarray  # aligned with the event's rows, panel rows bounds[j]:bounds[j+1]
     n_analysts: int
     fallback_reason: Optional[str] = None
 

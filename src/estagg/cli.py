@@ -9,6 +9,7 @@ re-renders results.csv from previously written per-event files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -100,30 +101,22 @@ def _sha256(path: str) -> str:
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return repr(float(x))
+    return "" if x is None else repr(float(x))
+
+
+def _write_json(path: str, value) -> None:
+    with open(path, "w", newline="\n") as fh:
+        json.dump(value, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_results_csv(path: str, results: list[ModeResult]) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("mode,description,n_events,median,average,trend,r_squared,trend_supplementary\n")
         for r in results:
-            fh.write(
-                ",".join(
-                    [
-                        r.label,
-                        '"%s"' % r.description,
-                        str(r.n_events),
-                        _fmt(r.median),
-                        _fmt(r.average),
-                        _fmt(r.trend),
-                        _fmt(r.r_squared),
-                        "1" if r.trend_supplementary else "0",
-                    ]
-                )
-                + "\n"
-            )
+            stats = map(_fmt, (r.median, r.average, r.trend, r.r_squared))
+            supplementary = "1" if r.trend_supplementary else "0"
+            fh.write(",".join([r.label, '"%s"' % r.description, str(r.n_events), *stats, supplementary]) + "\n")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -144,18 +137,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not estimates_path or not actuals_path or not out_dir:
         print("run requires --estimates, --actuals and --out (flags or config)", file=sys.stderr)
         return 2
-    if burn_in < 1:
-        print("burn-in must be >= 1 (a previous-period model is required)", file=sys.stderr)
-        return 2
-    if fcfg.min_lead_hours < MIN_LEAD_HOURS:
-        print(f"min-lead-hours must be >= {MIN_LEAD_HOURS} (no mode scores a shorter recency cutoff)", file=sys.stderr)
-        return 2
+    # each of these settings would leave nothing to score, or score a
+    # panel other than the one ingest_report.json describes
+    for failed, message in (
+        (burn_in < 1, "burn-in must be >= 1 (a previous-period model is required)"),
+        (fcfg.min_lead_hours < MIN_LEAD_HOURS, f"min-lead-hours must be >= {MIN_LEAD_HOURS} (the modes' floor)"),
+        (fcfg.surprise_cap_cents < 0, "surprise-cap-cents must be >= 0 (a negative cap rejects every event)"),
+        (fcfg.max_age_days * 24 < fcfg.min_lead_hours, "max-age-days * 24 must be >= min-lead-hours"),
+        (fcfg.min_analysts < 1, "min-analysts must be >= 1 (every event has an analyst)"),
+    ):
+        if failed:
+            print(message, file=sys.stderr)
+            return 2
 
+    inputs = [estimates_path, actuals_path] + ([check_path] if check_path else [])
     written: list[str] = []
     models_dir = os.path.join(out_dir, "models")
     made_out_dir = made_models_dir = False
     try:
-        for p in [estimates_path, actuals_path] + ([check_path] if check_path else []):
+        for p in inputs:
             if not os.path.isfile(p):
                 raise FileNotFoundError(p)
 
@@ -194,21 +194,17 @@ def cmd_run(args: argparse.Namespace) -> int:
                 name: [{"line": r.line, "reason": r.reason} for r in rejects[:REJECT_SAMPLE_SIZE]]
                 for name, rejects in parse_rejects.items()
             },
-            "descriptive": descriptive_stats(panel) if panel.events else None,
+            "descriptive": descriptive_stats(panel) if len(panel.events) else None,
         }
         if check_path:
             report["actuals_check"] = check_report
-        with open(out("ingest_report.json"), "w", newline="\n") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out("ingest_report.json"), report)
 
         made_models_dir = not os.path.isdir(models_dir)
         os.makedirs(models_dir, exist_ok=True)
         for mode, result in zip(modes, results):
             rr = details[mode.label]
-            p = os.path.join(models_dir, f"{mode.label}.csv")
-            written.append(p)
-            with open(p, "w", newline="\n") as fh:
+            with open(out(os.path.join("models", f"{mode.label}.csv")), "w", newline="\n") as fh:
                 fh.write("period_year,period_quarter,b_age,b_freq,b_ncos,b_top10,b_exp,b_mae,n_obs,rss\n")
                 for m in rr.models:
                     betas = ",".join(repr(float(b)) for b in m.beta)
@@ -231,9 +227,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 for p_ in pairs_from_outcomes(rr, burn_in):
                     fh.write(f"{repr(p_.original)},{repr(p_.improved)}\n")
             sidecar = {"n": result.n_events, "trend": result.trend, "r_squared": result.r_squared}
-            with open(out(f"scatter_{mode.label}.json"), "w", newline="\n") as fh:
-                json.dump(sidecar, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(out(f"scatter_{mode.label}.json"), sidecar)
 
         manifest = {
             "version": __version__,
@@ -246,26 +240,17 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "exponent": exponent,
                 "filter": asdict(fcfg) | {"horizon_codes": sorted(fcfg.horizon_codes)},
             },
-            "inputs": {
-                os.path.basename(p): _sha256(p)
-                for p in [estimates_path, actuals_path] + ([check_path] if check_path else [])
-            },
+            "inputs": {os.path.basename(p): _sha256(p) for p in inputs},
         }
-        with open(out("manifest.json"), "w", newline="\n") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out("manifest.json"), manifest)
     except Exception as exc:  # remove partial outputs before failing
         for p in written:
-            try:
+            with contextlib.suppress(OSError):
                 os.remove(p)
-            except OSError:
-                pass
         for made, path in ((made_models_dir, models_dir), (made_out_dir, out_dir)):
             if made:
-                try:
+                with contextlib.suppress(OSError):
                     os.rmdir(path)
-                except OSError:
-                    pass
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 
@@ -288,30 +273,58 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _evaluation_pairs(path: str) -> list[SurprisePair]:
+    """The evaluation pairs of a run's events file; a row that does not
+    read fails with the path and line."""
+    pairs = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        columns = ("actual_cents", "simple_consensus", "improved", "in_evaluation")
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}:1: header missing columns {missing}")
+        for row in reader:
+            try:
+                if row["in_evaluation"] == "1":
+                    actual = float(row["actual_cents"])
+                    pairs.append(SurprisePair(float(row["simple_consensus"]) - actual, float(row["improved"]) - actual))
+            except (TypeError, ValueError) as exc:  # a short row reads None
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    return pairs
+
+
+def _run_modes(run_dir: str) -> list[str]:
+    """The mode labels of a run, in its order, from its manifest."""
+    path = os.path.join(run_dir, "manifest.json")
+    with open(path) as fh:
+        try:
+            labels = json.load(fh)["config"]["modes"]
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
+        except (KeyError, TypeError):
+            labels = None
+    if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
+        raise ValueError(f"{path}: config.modes is not a list of mode labels")
+    return labels
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     run_dir = args.run_dir
-    results: list[ModeResult] = []
-    event_files = sorted(f for f in os.listdir(run_dir) if f.startswith("events_") and f.endswith(".csv"))
-    if not event_files:
-        print(f"no events_*.csv files in {run_dir}", file=sys.stderr)
+    try:
+        if not any(f.startswith("events_") and f.endswith(".csv") for f in os.listdir(run_dir)):
+            raise ValueError(f"{run_dir}: no events_*.csv files")
+        labels = _run_modes(run_dir)
+        results = [
+            mode_result(label, _evaluation_pairs(os.path.join(run_dir, f"events_{label}.csv"))) for label in labels
+        ]
+    except OSError as exc:
+        print(f"report failed: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
-    for fname in event_files:
-        label = fname[len("events_") : -len(".csv")]
-        pairs = []
-        with open(os.path.join(run_dir, fname), newline="") as fh:
-            for row in csv.DictReader(fh):
-                if row["in_evaluation"] != "1":
-                    continue
-                actual = float(row["actual_cents"])
-                pairs.append(
-                    SurprisePair(
-                        float(row["simple_consensus"]) - actual,
-                        float(row["improved"]) - actual,
-                    )
-                )
-        results.append(mode_result(label, pairs))
+    except ValueError as exc:
+        print(f"report failed: {exc}", file=sys.stderr)
+        return 1
     _write_results_csv(os.path.join(run_dir, "results.csv"), results)
-    print(f"results.csv rebuilt from {len(event_files)} event files")
+    print(f"results.csv rebuilt from {len(labels)} event files")
     return 0
 
 

@@ -121,30 +121,24 @@ def pairs_from_outcomes(result: ReplayResult, burn_in: int) -> list[SurprisePair
 def descriptive_stats(panel: Panel) -> dict:
     """Panel-level descriptive statistics (symbols, reports, predictions,
     analysts, surprise magnitudes, negative-surprise and in-range shares)."""
-    if not panel.events:
-        raise ValueError("empty panel")
-    surprises = []
-    negative = 0
-    in_range = 0
-    all_values = panel.value_cents.tolist()
-    for ev in panel.events:
-        values = all_values[ev.rows]
-        consensus = sum(values) / len(values)
-        s = ev.actual_cents - consensus  # signed surprise: actual minus consensus
-        surprises.append(abs(s))
-        if s < 0:
-            negative += 1
-        if min(values) <= ev.actual_cents <= max(values):
-            in_range += 1
     n = len(panel.events)
+    if not n:
+        raise ValueError("empty panel")
+    all_values, bounds = panel.value_cents.tolist(), panel.bounds.tolist()
+    surprises = []  # signed: actual minus consensus
+    in_range = 0
+    for lo, hi, actual in zip(bounds[:-1], bounds[1:], panel.events.value_cents.tolist()):
+        values = all_values[lo:hi]
+        surprises.append(actual - sum(values) / len(values))  # Python ints: the exact sum, rounded once
+        in_range += min(values) <= actual <= max(values)
     return {
-        "n_symbols": len({ev.firm_id for ev in panel.events}),
+        "n_symbols": len(np.unique(panel.events.firm)),
         "n_reports": n,
         "n_predictions": len(all_values),
         "n_analysts": len(set(panel.analysts)),
-        "mean_abs_surprise_cents": float(np.mean(surprises)),
-        "median_abs_surprise_cents": float(np.median(surprises)),
-        "negative_surprise_share": negative / n,
+        "mean_abs_surprise_cents": float(np.mean(np.abs(surprises))),
+        "median_abs_surprise_cents": float(np.median(np.abs(surprises))),
+        "negative_surprise_share": sum(s < 0 for s in surprises) / n,
         "actual_in_range_share": in_range / n,
     }
 

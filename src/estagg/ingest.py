@@ -7,8 +7,9 @@ to integer codes. build_panel joins the two by sorting, applies the
 exclusion rules (forecast-horizon window, last-estimate-wins dedup,
 prior-record requirement, surprise cap, minimum analyst count) as
 sort-and-group passes over the columns and emits a chronological panel
-of columns. Every dropped estimate is accounted for in an IngestReport,
-one reason per input row.
+of columns, whose events are the scored actuals rows plus the bounds of
+each one's estimate rows. Every dropped estimate is accounted for in an
+IngestReport, one reason per input row.
 
 All money values are integer cents; the surprise-cap comparison is done in
 exact integer arithmetic.
@@ -31,7 +32,7 @@ import numpy as np
 
 from .bias import earlier, pair_key
 from .features import top10_brokers
-from .periods import Quarter, parse_ts
+from .periods import parse_ts
 
 logger = logging.getLogger(__name__)
 
@@ -84,6 +85,10 @@ class _Table:
                 column, table[attr + "_ids"] = _sorted_codes(column, index)
             table[attr] = column
         return cls(**table)
+
+    def take(self, index):
+        """The rows `index` selects (positions or a mask), ids unchanged."""
+        return dc_replace(self, **{attr: getattr(self, attr)[index] for _, attr, _ in _schema(self)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,15 +150,6 @@ class IngestReport:
     rejects: Counter = field(default_factory=Counter)
 
 
-@dataclass(frozen=True)
-class PanelEvent:
-    firm_id: str
-    period: Quarter
-    actual_cents: int
-    announce_ts: int
-    rows: slice  # the event's estimates in the panel's kept-estimate columns
-
-
 @dataclass(frozen=True, eq=False)
 class Stream:
     """Every deduped window-valid prediction, scored or not, as int64
@@ -172,10 +168,12 @@ class Stream:
 @dataclass
 class Panel:
     """Chronological events over columns of their kept estimates, one event
-    after another; `PanelEvent.rows` selects an event's."""
+    after another: event j is row j of `events`, and its estimates are rows
+    bounds[j]:bounds[j+1]. A row's identity, analyst or broker by the
+    panel's identity mode, is its stream record's."""
 
-    events: list[PanelEvent]
-    idents: tuple[str, ...]  # analyst_id or broker_id depending on the identity mode
+    events: ActualTable  # the scored events' actuals rows, in announcement order
+    bounds: np.ndarray  # (len(events) + 1,) row offsets
     analysts: tuple[str, ...]
     value_cents: np.ndarray
     # (n, 4) FEATURE_NAMES[:4], which no ledger changes: age in days, freq
@@ -377,8 +375,7 @@ def cross_check_actuals(primary: ActualTable, secondary: ActualTable) -> ActualT
     """Keep actuals confirmed by the second source (exact cents equality);
     pairs absent from the secondary source are discarded."""
     keys, ref = ([a.firm, a.year, a.quarter, a.value_cents] for a in (primary, secondary))
-    confirmed = _lookup(keys, primary.firm_ids, ref, secondary.firm_ids) >= 0
-    return dc_replace(primary, **{attr: getattr(primary, attr)[confirmed] for _, attr, _ in _schema(primary)})
+    return primary.take(_lookup(keys, primary.firm_ids, ref, secondary.firm_ids) >= 0)
 
 
 def build_panel(
@@ -398,7 +395,8 @@ def build_panel(
     Each rule is an array pass over the table's columns, and the kept
     estimates' ledger-free features are computed here, once per panel.
     The actuals give one row per firm-period, as parse_actuals ensures; an
-    event is an actuals row, by position.
+    event is an actuals row, and the panel's events are those rows taken
+    in announcement order.
     """
     t, acts = estimates, actuals
     report = IngestReport(total=len(t))
@@ -472,30 +470,23 @@ def build_panel(
         report.rejects["no_prior_record"] += len(win) - int(np.count_nonzero(keep))
     survivors = np.flatnonzero(keep)
 
-    # each event's records are contiguous in the stream; apply (a), (e)
-    bounds = np.flatnonzero(np.diff(stream_event[survivors], prepend=-1, append=-1)).tolist()
-    survivors = survivors.tolist()
-    event_of = stream_event.tolist()
-    firm_of, year_of, quarter_of = _names(acts.firm_ids, acts.firm), acts.year.tolist(), acts.quarter.tolist()
-    actual_of, announce_of = acts.value_cents.tolist(), acts.announce_ts.tolist()
-    kept: list[int] = []  # stream positions of the kept estimates
-    events: list[PanelEvent] = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        members = survivors[lo:hi]
-        e = event_of[members[0]]
-        # (a) surprise cap against the simple consensus of the survivors,
-        # exact integer comparison: |sum - n*actual| > cap*n
-        n = hi - lo
-        if abs(sum(values[i] for i in members) - n * actual_of[e]) > cfg.surprise_cap_cents * n:
-            report.rejects["surprise_cap"] += n
-            continue
-        if n < cfg.min_analysts:
-            report.rejects["below_min_analysts"] += n
-            continue
-        rows_of_event = slice(len(kept), len(kept) + n)
-        events.append(PanelEvent(firm_of[e], (year_of[e], quarter_of[e]), actual_of[e], announce_of[e], rows_of_event))
-        kept += members
-        report.kept += n
+    # each event's records are contiguous in the stream; apply (a), (e) to
+    # each run of one event's survivors
+    starts = np.flatnonzero(np.diff(stream_event[survivors], prepend=-1))
+    n = np.diff(starts, append=len(survivors))
+    # (a) surprise cap against the simple consensus of the survivors: the
+    # exact |sum - n*actual| > cap*n, as (|sum| - 1) // n >= cap over the
+    # summed errors, which the guard above keeps exact in int64
+    capped = (np.abs(np.add.reduceat(stream.error_cents[survivors], starts)) - 1) // n >= cfg.surprise_cap_cents
+    small = ~capped & (n < cfg.min_analysts)
+    for reason, dropped in (("surprise_cap", capped), ("below_min_analysts", small)):
+        if dropped.any():
+            report.rejects[reason] += int(n[dropped].sum())
+    scored = ~(capped | small)
+    kept = survivors[np.repeat(scored, n)]  # stream positions of the kept estimates
+    events = acts.take(stream_event[survivors[starts[scored]]])
+    bounds = np.concatenate([[0], np.cumsum(n[scored])])
+    report.kept = len(kept)
 
     rejected = sum(report.rejects.values())
     if report.kept + rejected != report.total:
@@ -505,7 +496,6 @@ def build_panel(
     logger.info("panel: %d events, %d estimates kept of %d", len(events), report.kept, report.total)
 
     # the kept estimates' columns, with the features no ledger changes
-    kept = np.array(kept, np.int64)
     kept_rows, ident, period = win[kept], stream_ident[kept], act_period[stream_event[kept]]
     features = np.column_stack(
         [
@@ -516,4 +506,4 @@ def build_panel(
         ]
     )
     analysts = _names(t.analyst_ids, t.analyst[kept_rows])
-    return Panel(events, _names(ids, ident), analysts, t.value_cents[kept_rows], features, stream, kept, report)
+    return Panel(events, bounds, analysts, t.value_cents[kept_rows], features, stream, kept, report)

@@ -2,18 +2,17 @@
 
 from datetime import datetime, timezone
 
+import numpy as np
+
 Quarter = tuple[int, int]  # (year, quarter 1..4)
 
 
-def quarter_of_ts(ts: int) -> Quarter:
-    dt = datetime.fromtimestamp(ts, tz=timezone.utc)
-    return (dt.year, (dt.month - 1) // 3 + 1)
-
-
-def quarter_index(q: Quarter) -> int:
-    """Monotone integer index; consecutive quarters differ by exactly 1."""
-    year, qq = q
-    return year * 4 + (qq - 1)
+def quarter_indices(ts: np.ndarray) -> np.ndarray:
+    """The UTC calendar quarter of each unix-seconds timestamp as the
+    monotone index year * 4 + (quarter - 1); consecutive quarters differ
+    by exactly 1."""
+    months = np.asarray(ts, np.int64).astype("datetime64[s]").astype("datetime64[M]").astype(np.int64)
+    return (months + 1970 * 12) // 3  # months count from 1970-01
 
 
 def quarter_from_index(idx: int) -> Quarter:

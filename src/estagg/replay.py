@@ -9,11 +9,13 @@ leak into each other. Mode scoring then normalizes, fits and weights from
 those reads; every mode with the same bias ledger (see `ledger_key`) can
 score from one pass.
 
-Scoring works on size buckets: the events of a pass with the same analyst
-count n, stacked k at a time, so each numpy call covers a bucket instead
-of one event. Every reduction runs over a contiguous innermost axis and
-every product is per event, so each event's arithmetic, and with it every
-output bit, is the same as scoring the event alone.
+A panel's events are rows of an actuals table, and event j's estimates
+are the panel's rows bounds[j]:bounds[j+1]. Scoring works on size
+buckets: the events of a pass with the same analyst count n, stacked k
+at a time, so each numpy call covers a bucket instead of one event. Every
+reduction runs over a contiguous innermost axis and every product is per
+event, so each event's arithmetic, and with it every output bit, is the
+same as scoring the event alone.
 
 A quarter's model is fit from that quarter's events only and is used
 exclusively in the next calendar quarter; a quarter with no model makes
@@ -24,8 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -33,9 +34,9 @@ import numpy as np
 from .aggregate import EventAggregate, ModeConfig, weight_vector
 from .bias import BiasTracker, HistoryLedger
 from .features import normalize_event
-from .ingest import Panel, PanelEvent
+from .ingest import Panel
 from .model import Mask, PeriodModel, fit_period
-from .periods import quarter_from_index, quarter_index, quarter_of_ts
+from .periods import quarter_from_index, quarter_indices
 
 logger = logging.getLogger(__name__)
 
@@ -51,9 +52,9 @@ class SizeBucket:
     """The events of one ledger pass that have n analysts each, in
     announcement order, as stacks of k events."""
 
-    events: list[PanelEvent]
-    order: list[int]  # each event's position among the panel's events
-    qidx: list[int]  # quarter index of each announcement
+    order: np.ndarray  # (k,) each event's position among the panel's events
+    qidx: np.ndarray  # (k,) quarter index of each announcement
+    headers: list[tuple]  # each event's first five EventAggregate fields
     rows: np.ndarray  # (k, n) the events' rows, in event order
     actual: np.ndarray  # (k,) the actuals as floats
     simple: np.ndarray  # (k,) plain mean of the raw estimates
@@ -70,8 +71,7 @@ class LedgerState:
 
     panel: Panel
     key: tuple[bool, Optional[str]]
-    q0: int  # quarter index of the panel's first announcement
-    qidx: list[int]  # quarter index of each event's announcement
+    qidx: np.ndarray  # quarter index of each event's announcement
     buckets: list[SizeBucket]
     _rows: dict = field(default_factory=dict, init=False, repr=False)
     _models: dict = field(default_factory=dict, init=False, repr=False)
@@ -98,9 +98,9 @@ class LedgerState:
         if key not in self._models:
             _, X, y = self.rows(scaling)
             fitted = {}
-            stop = 0
-            for qidx, members in groupby(zip(self.qidx, self.panel.events), key=itemgetter(0)):
-                start, stop = stop, stop + sum(_size(ev) for _, ev in members)
+            quarters, first = np.unique(self.qidx, return_index=True)  # each quarter's first event
+            edges = self.panel.bounds[np.append(first, len(self.qidx))].tolist()
+            for qidx, start, stop in zip(quarters.tolist(), edges, edges[1:]):
                 model = fit_period(X[start:stop], y[start:stop], quarter_from_index(qidx), mask)
                 if model is not None:
                     fitted[qidx] = model
@@ -113,27 +113,35 @@ def ledger_key(mode: ModeConfig) -> tuple[bool, Optional[str]]:
     return (mode.use_bias, mode.bias_key if mode.use_bias else None)
 
 
-def _size(event: PanelEvent) -> int:
-    return event.rows.stop - event.rows.start
-
-
-def _size_buckets(panel: Panel, qidx: list[int], bias: np.ndarray, history: np.ndarray) -> list[SizeBucket]:
+def _size_buckets(panel: Panel, qidx: np.ndarray, q0: int, bias: np.ndarray, history: np.ndarray) -> list[SizeBucket]:
     """The panel's events grouped by analyst count, in ascending count,
-    with each row's bias and (experience, mean past error)."""
-    by_size: dict[int, list[int]] = {}
-    for j, event in enumerate(panel.events):
-        by_size.setdefault(_size(event), []).append(j)
+    with each row's bias and (experience, mean past error). Quarter offsets
+    count from quarter index `q0`."""
+    events = panel.events
+    # one (year, quarter) tuple per distinct period, shared by its events
+    codes, period_of = np.unique(events.year * 4 + events.quarter - 1, return_inverse=True)
+    periods = [quarter_from_index(code) for code in codes.tolist()]
+    sizes = np.diff(panel.bounds)
+    by_size = np.argsort(sizes, kind="stable")
     buckets = []
-    for n, order in sorted(by_size.items()):
-        events = [panel.events[j] for j in order]
-        rows = np.array([event.rows.start for event in events])[:, None] + np.arange(n)
+    for order in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
+        if not len(order):
+            continue
+        rows = panel.bounds[order][:, None] + np.arange(sizes[order[0]])
         raw = panel.value_cents[rows].astype(float)
-        actual = np.array([event.actual_cents for event in events], dtype=float)
+        actual = events.value_cents[order].astype(float)
+        headers = zip(
+            map(events.firm_ids.__getitem__, events.firm[order].tolist()),
+            map(periods.__getitem__, period_of[order].tolist()),
+            events.announce_ts[order].tolist(),
+            (qidx[order] - q0).tolist(),
+            events.value_cents[order].tolist(),
+        )
         buckets.append(
             SizeBucket(
-                events=events,
                 order=order,
-                qidx=[qidx[j] for j in order],
+                qidx=qidx[order],
+                headers=list(headers),
                 rows=rows,
                 actual=actual,
                 simple=raw.mean(axis=-1),
@@ -150,7 +158,7 @@ def ledger_state(panel: Panel, key: tuple[bool, Optional[str]]) -> LedgerState:
     and read every kept estimate's bias and history as of its own announce
     time, so no record at that time is visible to it."""
     stream = panel.stream
-    q0 = quarter_index(quarter_of_ts(int(stream.announce_ts[0]))) if len(stream.announce_ts) else 0
+    q0 = int(quarter_indices(stream.announce_ts[0])) if len(stream.announce_ts) else 0
     use_bias, bias_key = key
     # each stream record's bias as of its own announce time; the no-bias
     # pass reads no bias, so it keeps no bias ledger
@@ -165,12 +173,15 @@ def ledger_state(panel: Panel, key: tuple[bool, Optional[str]]) -> LedgerState:
     # every kept estimate is a stream record, so its reads are that record's
     experience = hist.experience(panel.records)
     if not experience.all():
-        i = int(np.argmin(experience))
-        where = f"{panel.idents[i]}/{stream.firm_ids[stream.firm[panel.records[i]]]}"
+        record = panel.records[np.argmin(experience)]
+        where = f"{stream.ident_ids[stream.ident[record]]}/{stream.firm_ids[stream.firm[record]]}"
         raise RuntimeError(f"estimate without prior record reached scoring: {where}")
     history = np.column_stack([experience, hist.mean_abs_error(panel.records)])
-    qidx = [quarter_index(quarter_of_ts(event.announce_ts)) for event in panel.events]
-    return LedgerState(panel, key, q0, qidx, _size_buckets(panel, qidx, bias[panel.records], history))
+    qidx = quarter_indices(panel.events.announce_ts)
+    return LedgerState(panel, key, qidx, _size_buckets(panel, qidx, q0, bias[panel.records], history))
+
+
+_FALLBACKS = (None, "no_previous_model", "degenerate_weights")
 
 
 def improved_consensus(
@@ -178,12 +189,10 @@ def improved_consensus(
     X: np.ndarray,
     mode: ModeConfig,
     models: dict[int, PeriodModel],
-    q0: int,
 ) -> list[EventAggregate]:
     """Score a bucket's events, in bucket order, from their ledger records,
     their normalized (k, n, 6) design matrices `X` and the model of each
-    one's previous quarter in `models` (by quarter index). Quarter offsets
-    count from quarter index `q0`.
+    one's previous quarter in `models` (by quarter index).
 
     Each event's predictions and weighted sum are one (n, 6) @ (6, 1) and
     one (1, n) @ (n, 1) product of its own stack, the arithmetic of
@@ -191,7 +200,7 @@ def improved_consensus(
     """
     adjusted = bucket.adjusted
     k, n = adjusted.shape
-    fallback: list[Optional[str]] = [None] * k
+    fallback = np.zeros(k, np.int64)  # positions in _FALLBACKS
     if mode.method == "closest":
         pick = np.abs(adjusted - bucket.actual[:, None]).argmin(axis=-1)
         improved = adjusted[np.arange(k), pick]
@@ -200,37 +209,30 @@ def improved_consensus(
     else:
         improved = adjusted.mean(axis=-1)
         weights = np.full((k, n), 1.0 / n)
-        prev = [models.get(q - 1) for q in bucket.qidx] if mode.use_expertise else []
-        fitted = [j for j, model in enumerate(prev) if model is not None]
-        for j, model in enumerate(prev):
-            if model is None:
-                fallback[j] = "no_previous_model"
-        if fitted:
-            beta = np.array([prev[j].beta for j in fitted]).reshape(len(fitted), -1, 1)
-            w = weight_vector((X[fitted] @ beta)[..., 0], mode.exponent)
+        if mode.use_expertise:
+            # one model lookup per previous quarter of the bucket's events
+            quarters, of_quarter = np.unique(bucket.qidx - 1, return_inverse=True)
+            prev = [models.get(q) for q in quarters.tolist()]
+            fitted = np.flatnonzero(np.array([model is not None for model in prev])[of_quarter])
+            fallback[:] = 1
+            fallback[fitted] = 0
+        else:
+            fitted = np.empty(0, np.int64)
+        if len(fitted):
+            betas = np.array([np.zeros(X.shape[-1]) if model is None else model.beta for model in prev])
+            w = weight_vector((X[fitted] @ betas[of_quarter[fitted], :, None])[..., 0], mode.exponent)
             total = w.sum(axis=-1)
             positive = total > 0
-            weighted = np.array(fitted)[positive]
+            weighted = fitted[positive]
             w, total = w[positive], total[positive]
             improved[weighted] = (w[:, None, :] @ adjusted[weighted][..., None])[:, 0, 0] / total
             weights[weighted] = w / total[:, None]
-            for j in np.array(fitted)[~positive].tolist():
-                fallback[j] = "degenerate_weights"
+            fallback[fitted[~positive]] = 2
+    fallbacks = map(_FALLBACKS.__getitem__, fallback.tolist())
     return [
-        EventAggregate(
-            firm_id=event.firm_id,
-            period=event.period,
-            announce_ts=event.announce_ts,
-            quarter_offset=qidx - q0,
-            actual_cents=event.actual_cents,
-            simple_consensus=simple,
-            improved=value,
-            weights=w,
-            n_analysts=n,
-            fallback_reason=reason,
-        )
-        for event, qidx, simple, value, w, reason in zip(
-            bucket.events, bucket.qidx, bucket.simple.tolist(), improved.tolist(), weights, fallback
+        EventAggregate(*header, simple, value, w, n, reason)
+        for header, simple, value, w, reason in zip(
+            bucket.headers, bucket.simple.tolist(), improved.tolist(), weights, fallbacks
         )
     ]
 
@@ -244,9 +246,9 @@ def run_mode(panel: Panel, mode: ModeConfig, state: Optional[LedgerState] = None
         raise ValueError(f"mode {mode.label}: ledger state is for another panel or bias ledger")
     models = state.models(mode.scaling, mode.variable_mask)
     stacks, _, _ = state.rows(mode.scaling)
-    outcomes: list = [None] * len(panel.events)
-    for bucket, X in zip(state.buckets, stacks):
-        for j, agg in zip(bucket.order, improved_consensus(bucket, X, mode, models, state.q0)):
-            outcomes[j] = agg
+    scored = list(chain.from_iterable(improved_consensus(b, X, mode, models) for b, X in zip(state.buckets, stacks)))
+    # the buckets hold the events by size; put them back in announcement order
+    by_size = np.concatenate([np.empty(0, np.int64)] + [bucket.order for bucket in state.buckets])
+    outcomes = list(map(scored.__getitem__, np.argsort(by_size).tolist()))
     logger.info("mode %s: %d events scored, %d models fit", mode.label, len(outcomes), len(models))
     return ReplayResult(outcomes=outcomes, models=list(models.values()))

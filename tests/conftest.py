@@ -3,7 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from estagg.ingest import ActualTable, EstimateTable, IngestReport, Panel, PanelEvent, Stream
+from estagg.ingest import ActualTable, EstimateTable, IngestReport, Panel, Stream
 from estagg.periods import format_ts, parse_ts
 from estagg.synth import SynthSpec, generate_rows
 
@@ -42,20 +42,25 @@ def actual_rows(table):
 
 
 def panel_of(events):
-    """A hand-made panel with no stream: events (actual_cents, values) for
-    firms F0, F1, ... in 2011Q1, analyst Ai giving the i-th value."""
-    panel_events, idents, values = [], [], []
-    for k, (actual, event_values) in enumerate(events):
-        rows = slice(len(values), len(values) + len(event_values))
-        panel_events.append(PanelEvent(f"F{k}", (2011, 1), actual, 0, rows))
-        idents += [f"A{i}" for i in range(len(event_values))]
-        values += event_values
-    features = np.zeros((len(values), 4))
-    stream = Stream(*(np.empty(0, np.int64),) * 4, (), ())
-    records = np.empty(0, np.int64)
-    return Panel(
-        panel_events, tuple(idents), tuple(idents), np.array(values, np.int64), features, stream, records, IngestReport()
+    """A hand-made panel: events (actual_cents, values) for firms F0, F1,
+    ... in 2011Q1, announced at time 0, analyst Ai giving the i-th value.
+    Its stream is its kept rows."""
+    acts = actuals_from_rows([(f"F{k}", 2011, 1, format_ts(0), actual) for k, (actual, _) in enumerate(events)])
+    sizes = [len(values) for _, values in events]
+    values = np.array([v for _, event_values in events for v in event_values], np.int64)
+    idents = tuple(f"A{i}" for n in sizes for i in range(n))
+    ident_ids = tuple(sorted(set(idents)))
+    stream = Stream(
+        np.zeros(len(values), np.int64),
+        np.array([ident_ids.index(i) for i in idents], np.int64),
+        np.repeat(acts.firm, sizes),
+        values - np.repeat(acts.value_cents, sizes),
+        ident_ids,
+        acts.firm_ids,
     )
+    bounds = np.cumsum([0] + sizes, dtype=np.int64)
+    features = np.zeros((len(values), 4))
+    return Panel(acts, bounds, idents, values, features, stream, np.arange(len(values)), IngestReport())
 
 
 def stream_rows(panel):

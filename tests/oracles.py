@@ -5,6 +5,7 @@ import csv
 from collections import Counter, defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -14,19 +15,33 @@ from estagg.features import top10_brokers
 from estagg.ingest import (
     ACTUAL_COLUMNS,
     ESTIMATE_COLUMNS,
+    ActualTable,
     FilterConfig,
     IngestReport,
     Panel,
-    PanelEvent,
     Reject,
     Stream,
     _fields,
 )
 from estagg.model import PeriodModel, fit_period
-from estagg.periods import Quarter, parse_ts, quarter_from_index, quarter_index, quarter_of_ts
+from estagg.periods import Quarter, parse_ts, quarter_from_index
 from estagg.replay import ReplayResult
 
 SECONDS_PER_DAY = 86400.0
+
+
+# The scalar quarter helpers that estagg.periods.quarter_indices replaced.
+
+
+def quarter_of_ts(ts: int) -> Quarter:
+    dt = datetime.fromtimestamp(ts, tz=timezone.utc)
+    return (dt.year, (dt.month - 1) // 3 + 1)
+
+
+def quarter_index(q: Quarter) -> int:
+    """Monotone integer index; consecutive quarters differ by exactly 1."""
+    year, qq = q
+    return year * 4 + (qq - 1)
 
 
 # The dict ledgers that estagg.bias replaced with prefix sums: one record at
@@ -139,17 +154,48 @@ def predict_daae(model, x) -> float:
     return float(np.dot(model.beta, np.asarray(x, dtype=float)))
 
 
-def closest_analyst(panel: Panel, event: PanelEvent, bias_lookup=None) -> float:
+def closest_analyst(panel: Panel, event: "Event", bias_lookup=None) -> float:
     """Smallest absolute individual error for one event of a panel;
     predictions are bias-adjusted when a lookup is supplied."""
     best = None
-    for ident, value in zip(panel.idents[event.rows], panel.value_cents[event.rows].tolist()):
+    for ident, value in zip(panel_idents(panel)[event.rows], panel.value_cents[event.rows].tolist()):
         value = value - (bias_lookup(ident, event.firm_id) if bias_lookup else 0.0)
         err = abs(value - event.actual_cents)
         best = err if best is None else min(best, err)
     if best is None:
         raise ValueError("event has no estimates")
     return best
+
+
+# The per-event object form of a columnar panel, which keeps its events as
+# an actuals table and row bounds and its identities in its stream.
+
+
+@dataclass(frozen=True)
+class Event:
+    """One event of a columnar panel: its actuals row and the panel rows of
+    its estimates."""
+
+    firm_id: str
+    period: Quarter
+    actual_cents: int
+    announce_ts: int
+    rows: slice
+
+
+def panel_events(panel: Panel) -> list[Event]:
+    events, bounds = panel.events, panel.bounds.tolist()
+    columns = (events.firm, events.year, events.quarter, events.value_cents, events.announce_ts)
+    return [
+        Event(events.firm_ids[f], (y, q), actual, ts, slice(lo, hi))
+        for (f, y, q, actual, ts), lo, hi in zip(zip(*(c.tolist() for c in columns)), bounds[:-1], bounds[1:])
+    ]
+
+
+def panel_idents(panel: Panel) -> tuple[str, ...]:
+    """Each kept row's identity, analyst or broker: its stream record's."""
+    stream = panel.stream
+    return tuple(stream.ident_ids[i] for i in stream.ident[panel.records].tolist())
 
 
 # The per-estimate object form of a panel that build_panel_oracle emits and
@@ -206,7 +252,7 @@ class ObjectPanel:
 def columnar_panel(panel: ObjectPanel) -> Panel:
     """An object panel as the columns estagg.ingest.build_panel emits, its
     ledger-free features computed per event as the per-event replay did."""
-    events, idents, analysts, values, features, records = [], [], [], [], [], []
+    analysts, values, features, records = [], [], [], []
     ident_ids = tuple(sorted({r.identity for r in panel.stream}))
     firm_ids = tuple(sorted({r.firm_id for r in panel.stream}))
     ident_code = {x: i for i, x in enumerate(ident_ids)}
@@ -214,17 +260,16 @@ def columnar_panel(panel: ObjectPanel) -> Panel:
     position = {(r.identity, r.firm_id, r.period): i for i, r in enumerate(panel.stream)}
     for event in panel.events:
         top10_set = top10_brokers(panel.top10_census.get(event.period, {}))
-        rows = slice(len(values), len(values) + len(event.estimates))
-        events.append(PanelEvent(event.firm_id, event.period, event.actual_cents, event.announce_ts, rows))
         for est in event.estimates:
-            idents.append(est.identity)
             analysts.append(est.analyst_id)
             values.append(est.value_cents)
             features.append(_static_features(event, est, panel, top10_set))
             records.append(position[(est.identity, event.firm_id, event.period)])
+    columns = [(firm_code[e.firm_id], *e.period, e.announce_ts, e.actual_cents) for e in panel.events]
+    firm, year, quarter, announce_ts, actual = np.array(columns, np.int64).reshape(-1, 5).T
     return Panel(
-        events=events,
-        idents=tuple(idents),
+        events=ActualTable(firm, year, quarter, announce_ts, actual, firm_ids),
+        bounds=np.cumsum([0] + [len(e.estimates) for e in panel.events], dtype=np.int64),
         analysts=tuple(analysts),
         value_cents=np.array(values, np.int64),
         features=np.array(features, float).reshape(len(values), 4),

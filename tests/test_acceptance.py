@@ -26,9 +26,10 @@ from estagg.evaluate import (
 )
 from estagg.ingest import FilterConfig, build_panel
 from estagg.model import FULL_MASK, fit_period
-from estagg.periods import format_ts, parse_ts, quarter_index
+from estagg.periods import format_ts, parse_ts
 from estagg.replay import run_mode
 from estagg.synth import SynthSpec
+from oracles import panel_events, panel_idents, quarter_index
 
 
 _CAPTURE = None
@@ -92,15 +93,16 @@ def test_criterion_02_truncation_leaves_past_outputs_bit_exact():
     def outcomes_by_key(panel):
         """Each event's outcome, its weights keyed by identity."""
         result = run_mode(panel, ModeConfig())
+        idents = panel_idents(panel)
         return {
             (o.firm_id, o.period): (
                 o.improved,
                 o.simple_consensus,
-                dict(zip(panel.idents[ev.rows], o.weights.tolist())),
+                dict(zip(idents[ev.rows], o.weights.tolist())),
                 o.weights.tobytes(),
                 o.fallback_reason,
             )
-            for ev, o in zip(panel.events, result.outcomes)
+            for ev, o in zip(panel_events(panel), result.outcomes)
         }
 
     full = outcomes_by_key(build_panel(ests, acts, FilterConfig()))
@@ -330,7 +332,7 @@ def test_criterion_09_every_rejection_rule_with_exact_outcomes():
         "below_min_analysts": 1,
     }
     ok &= len(panel.events) == 1
-    ev = panel.events[0]
+    ev = panel_events(panel)[0]
     analysts = panel.analysts[ev.rows]
     ok &= ev.firm_id == "F1" and ev.period == (2011, 2) and len(analysts) == 8
     kept = dict(zip(analysts, panel.value_cents[ev.rows].tolist()))

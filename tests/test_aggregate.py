@@ -7,7 +7,7 @@ from conftest import constant_bias_panel
 from estagg.aggregate import ModeConfig, default_mode_matrix, modes_by_label, weight_vector
 from estagg.ingest import FilterConfig, build_panel
 from estagg.replay import run_mode
-from oracles import weight
+from oracles import panel_events, panel_idents, weight
 
 
 class TestWeight:
@@ -162,7 +162,7 @@ class TestImprovedConsensus:
     def test_convexity_over_raw_predictions_without_bias(self, small_panel_inputs):
         ests, acts, _ = small_panel_inputs
         panel = build_panel(ests, acts, FilterConfig())
-        values = {(e.firm_id, e.period): panel.value_cents[e.rows].tolist() for e in panel.events}
+        values = {(e.firm_id, e.period): panel.value_cents[e.rows].tolist() for e in panel_events(panel)}
         rr = run_mode(panel, ModeConfig(label="exp_only", use_bias=False))
         for o in rr.outcomes:
             vals = values[(o.firm_id, o.period)]
@@ -189,8 +189,8 @@ class TestImprovedConsensus:
     def test_institution_identity_dedups_per_broker(self, small_panel_inputs):
         ests, acts, _ = small_panel_inputs
         panel = build_panel(ests, acts, FilterConfig(min_analysts=2), identity="broker")
-        for ev in panel.events:
-            idents = panel.idents[ev.rows]
+        for ev in panel_events(panel):
+            idents = panel_idents(panel)[ev.rows]
             assert len(idents) == len(set(idents))
             assert all(i.startswith("B") for i in idents)
 

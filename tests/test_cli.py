@@ -397,30 +397,100 @@ class TestMinLeadHours:
         assert main(run_args(synth_dir, tmp_path, ["--modes", "full", "--config", str(cfg)])) == 0
         assert (tmp_path / "events_full.csv").read_bytes() == cutoff_30d_events
 
-    @pytest.mark.parametrize("via", ["flag", "config"])
-    def test_below_floor_rejected(self, synth_dir, tmp_path, capsys, via):
-        # every mode scores with a cutoff of at least 48 hours, so a shorter
-        # one would describe a panel in ingest_report.json that none scored
+    @pytest.mark.parametrize(
+        "via, settings, error",
+        [
+            # every mode scores with a cutoff of at least 48 hours, so a
+            # shorter one would describe a panel in ingest_report.json that
+            # none scored
+            pytest.param("flag", {"min_lead_hours": 47}, "min-lead-hours must be >= 48", id="flag"),
+            pytest.param("config", {"min_lead_hours": 47}, "min-lead-hours must be >= 48", id="config"),
+            # each of these used to reject every estimate, or act as 1
+            pytest.param("flag", {"surprise_cap_cents": -1}, "surprise-cap-cents must be >= 0", id="cap_flag"),
+            pytest.param("config", {"surprise_cap_cents": -1}, "surprise-cap-cents must be >= 0", id="cap_config"),
+            pytest.param("flag", {"max_age_days": -1}, "max-age-days * 24 must be >= min-lead-hours", id="age_flag"),
+            pytest.param(
+                "config",
+                {"max_age_days": 29, "min_lead_hours": 30 * 24 - 23},
+                "max-age-days * 24 must be >= min-lead-hours",
+                id="age_config",
+            ),
+            pytest.param("flag", {"min_analysts": 0}, "min-analysts must be >= 1", id="min_analysts_flag"),
+            pytest.param("config", {"min_analysts": -3}, "min-analysts must be >= 1", id="min_analysts_config"),
+        ],
+    )
+    def test_below_floor_rejected(self, synth_dir, tmp_path, capsys, via, settings, error):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("min_lead_hours = 47\n")
-        extra = ["--min-lead-hours", "47"] if via == "flag" else ["--config", str(cfg)]
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in settings.items()]
         out = tmp_path / "out"
-        assert main(run_args(synth_dir, out, extra)) == 2
-        assert "min-lead-hours must be >= 48" in capsys.readouterr().err
+        assert main(run_args(synth_dir, out, flags if via == "flag" else ["--config", str(cfg)])) == 2
+        assert error in capsys.readouterr().err
         assert not out.exists()
+
+    def test_window_of_one_instant_accepted(self, synth_dir, tmp_path):
+        # max-age-days * 24 equal to min-lead-hours leaves one admissible
+        # estimate time, so the run goes ahead
+        assert main(run_args(synth_dir, tmp_path, ["--min-lead-hours", "48", "--max-age-days", "2"])) == 0
 
 
 class TestReportCommand:
     def test_round_trip(self, synth_dir, tmp_path, capsys):
+        # the run's mode order (full, no_expertise, no_bias) is not the
+        # alphabetical order of its event files
         assert main(run_args(synth_dir, tmp_path)) == 0
-        original = (tmp_path / "results.csv").read_text().splitlines()
+        original = (tmp_path / "results.csv").read_bytes()
         os.remove(tmp_path / "results.csv")
         assert main(["report", "--run-dir", str(tmp_path)]) == 0
-        rebuilt = (tmp_path / "results.csv").read_text().splitlines()
-        # report walks event files alphabetically, so compare rows as a set
-        assert rebuilt[0] == original[0]
-        assert sorted(rebuilt[1:]) == sorted(original[1:])
+        assert (tmp_path / "results.csv").read_bytes() == original
 
     def test_empty_dir_fails(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path)]) == 1
         assert "no events_" in capsys.readouterr().err
+
+    @pytest.fixture
+    def reported_run(self, synth_dir, tmp_path):
+        """A run directory without its results.csv."""
+        out = tmp_path / "run"
+        assert main(run_args(synth_dir, out)) == 0
+        os.remove(out / "results.csv")
+        return out
+
+    def test_missing_run_dir_fails(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert main(["report", "--run-dir", str(missing)]) == 1
+        assert capsys.readouterr().err == f"report failed: {missing}: No such file or directory\n"
+        assert not missing.exists()
+
+    def test_missing_manifest_fails(self, reported_run, capsys):
+        os.remove(reported_run / "manifest.json")
+        assert main(["report", "--run-dir", str(reported_run)]) == 1
+        assert f"report failed: {reported_run / 'manifest.json'}: No such file or directory" in capsys.readouterr().err
+        assert not (reported_run / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "column, value, error",
+        [
+            ("in_evaluation", None, ":1: header missing columns ['in_evaluation']"),
+            ("improved", "abc", ":3: could not convert string to float: 'abc'"),
+        ],
+        ids=["no_in_evaluation_column", "bad_value"],
+    )
+    def test_bad_events_file_fails_naming_the_line(self, reported_run, capsys, column, value, error):
+        path = reported_run / "events_no_bias.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            row["in_evaluation"] = "1"  # every row is read
+        if value is None:
+            for row in rows:
+                del row[column]
+        else:
+            rows[1][column] = value
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        assert main(["report", "--run-dir", str(reported_run)]) == 1
+        assert capsys.readouterr().err == f"report failed: {path}{error}\n"
+        assert not (reported_run / "results.csv").exists()

@@ -17,7 +17,14 @@ from estagg.evaluate import (
 )
 from estagg.ingest import FilterConfig, build_panel
 from estagg.synth import SynthSpec
-from oracles import actuals_from_rows_oracle, build_panel_oracle, closest_analyst, estimates_from_rows_oracle
+from oracles import (
+    actuals_from_rows_oracle,
+    build_panel_oracle,
+    closest_analyst,
+    estimates_from_rows_oracle,
+    panel_events,
+    panel_idents,
+)
 
 RNG = np.random.default_rng(99)
 
@@ -134,7 +141,7 @@ class TestTrendStat:
 class TestClosestAnalyst:
     def _closest(self, values, actual, bias_lookup=None):
         panel = panel_of([(actual, values)])
-        return closest_analyst(panel, panel.events[0], bias_lookup)
+        return closest_analyst(panel, panel_events(panel)[0], bias_lookup)
 
     def test_min_abs_error(self):
         assert self._closest([98, 101, 103], 100) == 1
@@ -165,7 +172,7 @@ class TestDescriptiveStats:
         oracle_acts = actuals_from_rows_oracle(actual_rows(acts))
         oracle = build_panel_oracle(estimates_from_rows_oracle(estimate_rows(ests)), oracle_acts, cfg, "broker")
         analysts = {e.analyst_id for ev in oracle.events for e in ev.estimates}
-        assert descriptive_stats(panel)["n_analysts"] == len(analysts) > len(set(panel.idents))
+        assert descriptive_stats(panel)["n_analysts"] == len(analysts) > len(set(panel_idents(panel)))
 
     def test_negative_surprise_share(self):
         # consensus 100; actuals 99 (negative), 101, 101

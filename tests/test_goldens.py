@@ -26,7 +26,7 @@ from conftest import stream_rows
 from estagg.cli import main
 from estagg.ingest import FilterConfig, build_panel, parse_actuals, parse_estimates
 from estagg.synth import SynthSpec, generate
-from oracles import ErrorLedger, closest_analyst
+from oracles import ErrorLedger, closest_analyst, panel_events
 
 GOLDENS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "goldens.json")
 # the panel of conftest.small_panel_inputs
@@ -112,7 +112,7 @@ def test_closest_modes_match_closest_analyst_oracle(matrix_run):
     estimates, _ = parse_estimates(paths["estimates"])
     actuals, _ = parse_actuals(paths["actuals"])
     panel = build_panel(estimates, actuals, FilterConfig())
-    by_key = {(ev.firm_id, ev.period): ev for ev in panel.events}
+    by_key = {(ev.firm_id, ev.period): ev for ev in panel_events(panel)}
 
     raw_rows = _events(out, "closest_raw")
     assert len(raw_rows) == len(panel.events)

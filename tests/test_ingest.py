@@ -40,6 +40,8 @@ from oracles import (
     columnar_panel,
     cross_check_actuals_oracle,
     estimates_from_rows_oracle,
+    panel_events,
+    panel_idents,
     parse_actuals_oracle,
     parse_estimates_oracle,
     replay_oracle,
@@ -78,7 +80,7 @@ def make_inputs(n_analysts=8, values=None, with_prior=True):
 
 
 def target_event(panel):
-    for ev in panel.events:
+    for ev in panel_events(panel):
         if ev.period == (2011, 2):
             return ev
     return None
@@ -87,7 +89,7 @@ def target_event(panel):
 def kept_estimate(panel, ev, identity):
     """The value and the four ledger-free features of one identity's kept
     estimate in an event."""
-    i = ev.rows.start + panel.idents[ev.rows].index(identity)
+    i = ev.rows.start + panel_idents(panel)[ev.rows].index(identity)
     return int(panel.value_cents[i]), panel.features[i].tolist()
 
 
@@ -287,7 +289,7 @@ class TestFilters:
         # the 24h estimate is rejected, so A0's 10-day estimate still stands
         assert panel.report.rejects["too_close_to_announcement"] == 1
         ev = target_event(panel)
-        assert len(panel.idents[ev.rows]) == 8
+        assert len(panel_idents(panel)[ev.rows]) == 8
 
     def test_stale_estimate_dropped(self):
         ests, acts = make_rows(n_analysts=8)
@@ -351,8 +353,9 @@ class TestPanelProperties:
         ests, acts, _ = small_panel_inputs
         p1 = build_panel(ests, acts, FilterConfig())
         p2 = build_panel(ests, acts, FilterConfig())
-        assert p1.events == p2.events
-        assert p1.idents == p2.idents and p1.analysts == p2.analysts
+        assert panel_events(p1) == panel_events(p2)
+        assert p1.bounds.tolist() == p2.bounds.tolist()
+        assert panel_idents(p1) == panel_idents(p2) and p1.analysts == p2.analysts
         assert p1.value_cents.tolist() == p2.value_cents.tolist()
         assert p1.features.tobytes() == p2.features.tobytes()
         assert stream_rows(p1) == stream_rows(p2)
@@ -361,7 +364,7 @@ class TestPanelProperties:
     def test_events_sorted_by_announce_then_firm(self, small_panel_inputs):
         ests, acts, _ = small_panel_inputs
         panel = build_panel(ests, acts, FilterConfig())
-        keys = [(e.announce_ts, e.firm_id) for e in panel.events]
+        keys = [(e.announce_ts, e.firm_id) for e in panel_events(panel)]
         assert keys == sorted(keys)
 
     def test_idempotent_without_history_rule(self, small_panel_inputs):
@@ -374,16 +377,16 @@ class TestPanelProperties:
         # estimate's timestamp
         refed = [
             (analyst, "B1", ev.firm_id, *ev.period, format_ts(ev.announce_ts - round(age * 86400)), 6, value)
-            for ev in p1.events
+            for ev in panel_events(p1)
             for analyst, value, age in zip(
                 p1.analysts[ev.rows], p1.value_cents[ev.rows].tolist(), p1.features[ev.rows, 0].tolist()
             )
         ]
         p2 = build_panel(estimates_from_rows(refed), acts, cfg)
-        assert [(e.firm_id, e.period) for e in p2.events] == [
-            (e.firm_id, e.period) for e in p1.events
+        assert [(e.firm_id, e.period) for e in panel_events(p2)] == [
+            (e.firm_id, e.period) for e in panel_events(p1)
         ]
-        for e1, e2 in zip(p1.events, p2.events):
+        for e1, e2 in zip(panel_events(p1), panel_events(p2)):
             assert p1.value_cents[e1.rows].tolist() == p2.value_cents[e2.rows].tolist()
 
 
@@ -397,8 +400,9 @@ def assert_same_panel(rows, oracle_ests, act_rows, cfg, identity):
     got = build_panel(rows, actuals_from_rows(act_rows), cfg, identity)
     oracle = build_panel_oracle(oracle_ests, actuals_from_rows_oracle(act_rows), cfg, identity)
     want = columnar_panel(oracle)
-    assert got.events == want.events
-    assert got.idents == want.idents
+    assert all(c.dtype == np.int64 for c in (got.events.firm, got.events.announce_ts, got.bounds))
+    assert panel_events(got) == panel_events(want)
+    assert panel_idents(got) == panel_idents(want)
     assert got.analysts == want.analysts
     assert got.value_cents.dtype == want.value_cents.dtype == np.int64
     assert got.value_cents.tolist() == want.value_cents.tolist()
@@ -645,7 +649,7 @@ class TestColumnarMatchesOracle:
         ),
         shifts=st.lists(st.sampled_from([0, 24, None]), min_size=8, max_size=8),
         min_analysts=st.integers(1, 3),
-        cap=st.sampled_from([50, 2]),
+        cap=st.sampled_from([50, 2, 0, 2**64]),  # 2**64: no int64 overflow in the cap test
         min_lead_hours=st.sampled_from([48, 720, 0]),
         require=st.booleans(),
         identity=st.sampled_from(["analyst", "broker"]),

@@ -13,7 +13,7 @@ from estagg.bias import BiasTracker
 from estagg.evaluate import PanelSource, evaluate_mode, run_mode_matrix
 from estagg.ingest import FilterConfig, build_panel
 from estagg.model import mask_without
-from estagg.periods import format_ts, parse_ts, quarter_index, quarter_of_ts
+from estagg.periods import format_ts, parse_ts
 from estagg.replay import ledger_key, ledger_state, run_mode
 from estagg.synth import SynthSpec
 from oracles import (
@@ -21,6 +21,9 @@ from oracles import (
     build_panel_oracle,
     columnar_panel,
     estimates_from_rows_oracle,
+    panel_events,
+    quarter_index,
+    quarter_of_ts,
     replay_oracle,
 )
 
@@ -316,14 +319,14 @@ class TestSizeBuckets:
         for o in full.outcomes:
             sizes.setdefault(o.quarter_offset, set()).add(o.n_analysts)
         assert any(len(s) > 1 for s in sizes.values())
-        assert any(not panel.features[ev.rows, 3].any() for ev in panel.events)
+        assert any(not panel.features[ev.rows, 3].any() for ev in panel_events(panel))
         first = min(sizes)
         assert any(o.fallback_reason == "no_previous_model" and o.quarter_offset > first for o in full.outcomes)
         assert any(o.fallback_reason == "degenerate_weights" for o in results["top10_only"][1].outcomes)
         assert results["institution"][1].outcomes
         _, closest_raw, _ = results["closest_raw"]
         ties = 0
-        for ev, o in zip(panel.events, closest_raw.outcomes):
+        for ev, o in zip(panel_events(panel), closest_raw.outcomes):
             errors = np.abs(panel.value_cents[ev.rows] - ev.actual_cents)
             ties += int(np.count_nonzero(errors == errors.min()) > 1)
             assert o.weights[np.argmin(errors)] == 1.0  # the first of tied analysts
