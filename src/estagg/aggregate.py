@@ -14,10 +14,12 @@ from typing import Optional
 
 import numpy as np
 
+from .features import SCALINGS
+from .ingest import IDENTITIES
 from .model import FULL_MASK, Mask, mask_without
-from .periods import Quarter
 
 BIAS_KEYS = ("identity_firm", "identity", "firm", "global", "half")
+METHODS = ("weighted", "closest")
 
 # the shortest recency cutoff, in hours before the announcement, any mode scores with
 MIN_LEAD_HOURS = 48
@@ -30,32 +32,29 @@ class ModeConfig:
     bias_key: str = "identity_firm"
     use_expertise: bool = True
     variable_mask: Mask = FULL_MASK
-    scaling: str = "normalized"  # "normalized" | "centered"
-    identity: str = "analyst"  # "analyst" | "broker"
+    scaling: str = "normalized"  # one of SCALINGS
+    identity: str = "analyst"  # one of IDENTITIES
     exponent: float = 1.2
     min_lead_hours: int = MIN_LEAD_HOURS
-    method: str = "weighted"  # "weighted" | "closest"
+    method: str = "weighted"  # one of METHODS
 
     def __post_init__(self):
-        if self.exponent <= 0:
-            raise ValueError("exponent must be positive")
+        if not (np.isfinite(self.exponent) and self.exponent > 0):
+            raise ValueError(f"exponent must be positive and finite, got {self.exponent!r}")
         if self.min_lead_hours < MIN_LEAD_HOURS:
             raise ValueError(f"recency cutoff below {MIN_LEAD_HOURS} hours")
-        if self.bias_key not in BIAS_KEYS:
-            raise ValueError(f"unknown bias key {self.bias_key!r}")
+        choices = {"bias_key": BIAS_KEYS, "scaling": SCALINGS, "identity": IDENTITIES, "method": METHODS}
+        for name, known in choices.items():
+            if getattr(self, name) not in known:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; known: {list(known)}")
 
 
-@dataclass
+@dataclass(slots=True)
 class EventAggregate:
-    firm_id: str
-    period: Quarter
-    announce_ts: int
-    quarter_offset: int  # announce quarter, relative to the panel start
-    actual_cents: int
-    simple_consensus: float
+    """What scoring decides for one event; its other columns are the panel's."""
+
     improved: float
     weights: np.ndarray  # aligned with the event's rows, panel rows bounds[j]:bounds[j+1]
-    n_analysts: int
     fallback_reason: Optional[str] = None
 
 

@@ -18,18 +18,13 @@ import os
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from . import __version__
 from .aggregate import MIN_LEAD_HOURS, ModeConfig, default_mode_matrix, modes_by_label
-from .evaluate import (
-    ModeResult,
-    PanelSource,
-    SurprisePair,
-    descriptive_stats,
-    mode_result,
-    pairs_from_outcomes,
-    run_mode_matrix,
-)
+from .evaluate import ModeResult, PanelSource, descriptive_stats, mode_result, run_mode_matrix, surprises
 from .ingest import FilterConfig, cross_check_actuals, parse_actuals, parse_estimates
+from .replay import ReplayResult
 from .synth import SynthSpec, generate
 
 logger = logging.getLogger(__name__)
@@ -117,6 +112,30 @@ def _write_results_csv(path: str, results: list[ModeResult]) -> None:
             stats = map(_fmt, (r.median, r.average, r.trend, r.r_squared))
             supplementary = "1" if r.trend_supplementary else "0"
             fh.write(",".join([r.label, '"%s"' % r.description, str(r.n_events), *stats, supplementary]) + "\n")
+
+
+def _write_events(path: str, result: ReplayResult, burn_in: int) -> None:
+    """One row per event of the result's panel, in announcement order."""
+    events, layout = result.panel.events, result.panel.layout
+    columns = zip(
+        map(events.firm_ids.__getitem__, events.firm.tolist()),
+        events.year.tolist(),
+        events.quarter.tolist(),
+        events.value_cents.tolist(),
+        layout.simple.tolist(),
+        result.outcomes,
+        np.diff(result.panel.bounds).tolist(),
+        (layout.offset >= burn_in).astype(np.int64).tolist(),
+    )
+    with open(path, "w", newline="\n") as fh:
+        fh.write(
+            "firm_id,period_year,period_quarter,actual_cents,simple_consensus,improved,"
+            "n_analysts,fallback_reason,in_evaluation\n"
+        )
+        fh.writelines(
+            f"{firm},{year},{quarter},{actual},{simple!r},{o.improved!r},{n},{o.fallback_reason or ''},{evaluated}\n"
+            for firm, year, quarter, actual, simple, o, n, evaluated in columns
+        )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -210,22 +229,11 @@ def cmd_run(args: argparse.Namespace) -> int:
                     betas = ",".join(repr(float(b)) for b in m.beta)
                     fh.write(f"{m.quarter[0]},{m.quarter[1]},{betas},{m.n_obs},{repr(m.rss)}\n")
 
-            with open(out(f"events_{mode.label}.csv"), "w", newline="\n") as fh:
-                fh.write(
-                    "firm_id,period_year,period_quarter,actual_cents,simple_consensus,improved,"
-                    "n_analysts,fallback_reason,in_evaluation\n"
-                )
-                for o in rr.outcomes:
-                    fh.write(
-                        f"{o.firm_id},{o.period[0]},{o.period[1]},{o.actual_cents},"
-                        f"{repr(o.simple_consensus)},{repr(o.improved)},{o.n_analysts},"
-                        f"{o.fallback_reason or ''},{1 if o.quarter_offset >= burn_in else 0}\n"
-                    )
-
+            _write_events(out(f"events_{mode.label}.csv"), rr, burn_in)
+            original, improved = surprises(rr, burn_in)
             with open(out(f"scatter_{mode.label}.csv"), "w", newline="\n") as fh:
                 fh.write("original_surprise,improved_surprise\n")
-                for p_ in pairs_from_outcomes(rr, burn_in):
-                    fh.write(f"{repr(p_.original)},{repr(p_.improved)}\n")
+                fh.writelines(f"{o!r},{i!r}\n" for o, i in zip(original.tolist(), improved.tolist()))
             sidecar = {"n": result.n_events, "trend": result.trend, "r_squared": result.r_squared}
             _write_json(out(f"scatter_{mode.label}.json"), sidecar)
 
@@ -273,10 +281,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _evaluation_pairs(path: str) -> list[SurprisePair]:
-    """The evaluation pairs of a run's events file; a row that does not
-    read fails with the path and line."""
-    pairs = []
+def _read_surprises(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The original and improved surprises of a run's evaluated events; a
+    row of its events file that does not read fails with the path and line."""
+    original, improved = [], []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         columns = ("actual_cents", "simple_consensus", "improved", "in_evaluation")
@@ -287,14 +295,15 @@ def _evaluation_pairs(path: str) -> list[SurprisePair]:
             try:
                 if row["in_evaluation"] == "1":
                     actual = float(row["actual_cents"])
-                    pairs.append(SurprisePair(float(row["simple_consensus"]) - actual, float(row["improved"]) - actual))
+                    original.append(float(row["simple_consensus"]) - actual)
+                    improved.append(float(row["improved"]) - actual)
             except (TypeError, ValueError) as exc:  # a short row reads None
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    return pairs
+    return np.array(original, float), np.array(improved, float)
 
 
 def _run_modes(run_dir: str) -> list[str]:
-    """The mode labels of a run, in its order, from its manifest."""
+    """The distinct, known mode labels of a run, in its order, from its manifest."""
     path = os.path.join(run_dir, "manifest.json")
     with open(path) as fh:
         try:
@@ -305,6 +314,10 @@ def _run_modes(run_dir: str) -> list[str]:
             labels = None
     if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
         raise ValueError(f"{path}: config.modes is not a list of mode labels")
+    try:
+        modes_by_label(labels)
+    except ValueError as exc:
+        raise ValueError(f"{path}: config.modes: {exc}") from None
     return labels
 
 
@@ -315,7 +328,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             raise ValueError(f"{run_dir}: no events_*.csv files")
         labels = _run_modes(run_dir)
         results = [
-            mode_result(label, _evaluation_pairs(os.path.join(run_dir, f"events_{label}.csv"))) for label in labels
+            mode_result(label, *_read_surprises(os.path.join(run_dir, f"events_{label}.csv"))) for label in labels
         ]
     except OSError as exc:
         print(f"report failed: {exc.filename}: {exc.strerror}", file=sys.stderr)

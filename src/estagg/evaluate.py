@@ -4,7 +4,8 @@ Three statistics compare the improved consensus surprise against the
 original one: the median fractional improvement (with explicit sentinel
 handling for zero original surprise), one minus the ratio of summed
 absolute surprises, and one minus the slope of the improved-vs-original
-regression.
+regression. Each takes a mode's surprises as two float64 arrays, original
+and improved, with one entry per evaluated event.
 """
 
 from __future__ import annotations
@@ -22,13 +23,6 @@ from .replay import ReplayResult, ledger_key, ledger_state, run_mode
 logger = logging.getLogger(__name__)
 
 NEG_INF = float("-inf")
-POS_INF = float("inf")
-
-
-@dataclass(frozen=True)
-class SurprisePair:
-    original: float  # consensus minus actual
-    improved: float  # improved consensus minus actual
 
 
 @dataclass
@@ -43,34 +37,33 @@ class ModeResult:
     trend_supplementary: bool  # trend reported only informally off the full mode
 
 
-def surprise_improvement(original: float, improved: float) -> float:
-    """Fractional improvement 1 - |improved| / |original|.
+def surprise_improvement(original: np.ndarray, improved: np.ndarray) -> np.ndarray:
+    """Fractional improvement 1 - |improved| / |original| of each pair.
 
     A zero original surprise makes the ratio blow up: the value is 0 when
     the improved surprise is also zero (no change) and -inf otherwise. The
     sentinels participate ordinally in the median.
     """
-    if original == 0.0:
-        return 0.0 if improved == 0.0 else NEG_INF
-    return 1.0 - abs(improved) / abs(original)
+    zero = original == 0.0
+    ratio = np.divide(np.abs(improved), np.abs(original), out=np.zeros_like(original), where=~zero)
+    return np.where(zero, np.where(improved == 0.0, 0.0, NEG_INF), 1.0 - ratio)
 
 
-def median_stat(values: Sequence[float]) -> float:
+def median_stat(values: np.ndarray) -> float:
     """Ordinal median over improvement values, sentinel-aware.
 
     Odd count: the middle value (possibly a sentinel). Even count: mean of
     the two middle finite values; one sentinel in the middle yields the
     finite neighbor, two equal-signed sentinels yield that sentinel.
     """
-    if not values:
+    n = len(values)
+    if not n:
         raise ValueError("median of empty improvement list")
-    vals = sorted(values)
-    n = len(vals)
+    vals = np.sort(values)
     if n % 2 == 1:
-        return vals[n // 2]
-    a, b = vals[n // 2 - 1], vals[n // 2]
-    a_inf = a in (NEG_INF, POS_INF)
-    b_inf = b in (NEG_INF, POS_INF)
+        return float(vals[n // 2])
+    a, b = vals[n // 2 - 1 : n // 2 + 1].tolist()
+    a_inf, b_inf = np.isinf([a, b]).tolist()
     if not a_inf and not b_inf:
         return (a + b) / 2.0
     if a_inf and b_inf:
@@ -78,44 +71,41 @@ def median_stat(values: Sequence[float]) -> float:
     return b if a_inf else a
 
 
-def average_stat(pairs: Sequence[SurprisePair]) -> Optional[float]:
+def average_stat(original: np.ndarray, improved: np.ndarray) -> Optional[float]:
     """1 minus the summed improved absolute surprise over the summed
-    original; None when every original surprise is zero."""
-    denom = sum(abs(p.original) for p in pairs)
+    original; None when every original surprise is zero. Both sums add
+    left to right, as Python's sum does."""
+    denom = sum(np.abs(original).tolist())
     if denom == 0.0:
         return None
-    num = sum(abs(p.improved) for p in pairs)
+    num = sum(np.abs(improved).tolist())
     return 1.0 - num / denom
 
 
-def trend_stat(pairs: Sequence[SurprisePair]) -> Optional[tuple[float, float]]:
+def trend_stat(original: np.ndarray, improved: np.ndarray) -> Optional[tuple[float, float]]:
     """(1 - slope, R^2) of the improved-on-original regression with
     intercept; None below 3 pairs or with degenerate originals."""
-    if len(pairs) < 3:
+    if len(original) < 3 or np.ptp(original) == 0.0:
         return None
-    x = np.array([p.original for p in pairs])
-    y = np.array([p.improved for p in pairs])
-    if np.ptp(x) == 0.0:
-        return None
-    A = np.column_stack([x, np.ones_like(x)])
-    coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
+    A = np.column_stack([original, np.ones_like(original)])
+    coef, _, _, _ = np.linalg.lstsq(A, improved, rcond=None)
     slope = float(coef[0])
     fitted = A @ coef
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    ss_res = float(np.sum((improved - fitted) ** 2))
+    ss_tot = float(np.sum((improved - improved.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
     return 1.0 - slope, r2
 
 
-def pairs_from_outcomes(result: ReplayResult, burn_in: int) -> list[SurprisePair]:
-    return [
-        SurprisePair(
-            original=o.simple_consensus - o.actual_cents,
-            improved=o.improved - o.actual_cents,
-        )
-        for o in result.outcomes
-        if o.quarter_offset >= burn_in
-    ]
+def surprises(result: ReplayResult, burn_in: int) -> tuple[np.ndarray, np.ndarray]:
+    """The original and the improved surprise, the simple and the improved
+    consensus minus the actual, of each event of `result` past the burn-in,
+    in announcement order."""
+    layout = result.panel.layout
+    actual = result.panel.events.value_cents.astype(float)
+    improved = np.array([o.improved for o in result.outcomes], float)
+    evaluated = layout.offset >= burn_in
+    return (layout.simple - actual)[evaluated], (improved - actual)[evaluated]
 
 
 def descriptive_stats(panel: Panel) -> dict:
@@ -135,7 +125,7 @@ def descriptive_stats(panel: Panel) -> dict:
         "n_symbols": len(np.unique(panel.events.firm)),
         "n_reports": n,
         "n_predictions": len(all_values),
-        "n_analysts": len(set(panel.analysts)),
+        "n_analysts": len(np.unique(panel.analyst)),
         "mean_abs_surprise_cents": float(np.mean(np.abs(surprises))),
         "median_abs_surprise_cents": float(np.median(np.abs(surprises))),
         "negative_surprise_share": sum(s < 0 for s in surprises) / n,
@@ -171,15 +161,17 @@ class PanelSource:
         return self._panel("analyst", self.cfg.min_lead_hours)
 
 
-def mode_result(label: str, pairs: Sequence[SurprisePair]) -> ModeResult:
-    """The three improvement statistics over one mode's evaluation pairs."""
-    trend = trend_stat(pairs) if pairs else None
+def mode_result(label: str, original: np.ndarray, improved: np.ndarray) -> ModeResult:
+    """The three improvement statistics over one mode's evaluated events'
+    original and improved surprises."""
+    n = len(original)
+    trend = trend_stat(original, improved)
     return ModeResult(
         label=label,
         description=MODE_DESCRIPTIONS.get(label, label),
-        n_events=len(pairs),
-        median=median_stat([surprise_improvement(p.original, p.improved) for p in pairs]) if pairs else None,
-        average=average_stat(pairs) if pairs else None,
+        n_events=n,
+        median=median_stat(surprise_improvement(original, improved)) if n else None,
+        average=average_stat(original, improved),
         trend=trend[0] if trend else None,
         r_squared=trend[1] if trend else None,
         trend_supplementary=label != "full",
@@ -187,7 +179,7 @@ def mode_result(label: str, pairs: Sequence[SurprisePair]) -> ModeResult:
 
 
 def evaluate_mode(result: ReplayResult, mode: ModeConfig, burn_in: int) -> ModeResult:
-    return mode_result(mode.label, pairs_from_outcomes(result, burn_in))
+    return mode_result(mode.label, *surprises(result, burn_in))
 
 
 def run_mode_matrix(

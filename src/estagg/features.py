@@ -15,6 +15,7 @@ from typing import Mapping
 import numpy as np
 
 FEATURE_NAMES = ("age", "freq", "ncos", "top10", "exp", "mae")
+SCALINGS = ("normalized", "centered")
 
 
 def top10_brokers(census: Mapping[str, int]) -> set:

@@ -20,11 +20,11 @@ from __future__ import annotations
 import csv
 import logging
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace as dc_replace
-from itertools import accumulate, compress, groupby, islice
+from functools import cached_property
+from itertools import compress, groupby, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .bias import earlier, pair_key
 from .features import top10_brokers
-from .periods import parse_ts
+from .periods import parse_ts, quarter_indices
 
 logger = logging.getLogger(__name__)
 
@@ -42,6 +42,8 @@ _CHUNK_ROWS = 1 << 14
 
 # the kinds of a table's columns
 ID, INT64, QUARTER, TIMESTAMP = "id", "int64", "quarter", "timestamp"
+
+IDENTITIES = ("analyst", "broker")  # whose estimates a panel deduplicates and keys its ledgers by
 
 
 def _schema(table_type) -> list[tuple[str, str, str]]:
@@ -165,6 +167,26 @@ class Stream:
     firm_ids: tuple[str, ...]  # sorted
 
 
+@dataclass(frozen=True, eq=False)
+class SizeBucket:
+    """A panel's events of n analysts each, in announcement order, as a stack of k."""
+
+    order: np.ndarray  # (k,) each event's position among the panel's events
+    rows: np.ndarray  # (k, n) the events' rows, in event order
+
+
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """A panel's events laid out for scoring: grouped into size buckets by
+    ascending analyst count, with the per-event columns no ledger changes."""
+
+    buckets: list[SizeBucket]
+    position: np.ndarray  # each event's position in the buckets' events, in bucket order
+    qidx: np.ndarray  # quarter index of each event's announcement
+    offset: np.ndarray  # qidx relative to the quarter of the panel's first stream record
+    simple: np.ndarray  # plain mean of each event's raw estimates
+
+
 @dataclass
 class Panel:
     """Chronological events over columns of their kept estimates, one event
@@ -174,7 +196,8 @@ class Panel:
 
     events: ActualTable  # the scored events' actuals rows, in announcement order
     bounds: np.ndarray  # (len(events) + 1,) row offsets
-    analysts: tuple[str, ...]
+    analyst: np.ndarray  # codes into analyst_ids
+    analyst_ids: tuple[str, ...]  # sorted
     value_cents: np.ndarray
     # (n, 4) FEATURE_NAMES[:4], which no ledger changes: age in days, freq
     # (pre-dedup submissions), firms covered in the period, top-decile flag
@@ -182,6 +205,23 @@ class Panel:
     stream: Stream
     records: np.ndarray  # each kept estimate's position in the stream
     report: IngestReport
+
+    @cached_property
+    def layout(self) -> Layout:
+        """The events laid out for scoring, once per panel. A bucket's means
+        run over its innermost axis, the arithmetic of each event alone."""
+        sizes = np.diff(self.bounds)
+        by_size = np.argsort(sizes, kind="stable")
+        simple = np.empty(len(sizes))
+        buckets = []
+        for order in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
+            if len(order):
+                rows = self.bounds[order][:, None] + np.arange(sizes[order[0]])
+                simple[order] = self.value_cents[rows].astype(float).mean(axis=-1)
+                buckets.append(SizeBucket(order, rows))
+        qidx = quarter_indices(self.events.announce_ts)
+        q0 = quarter_indices(self.stream.announce_ts[0]) if len(self.stream.announce_ts) else 0
+        return Layout(buckets, np.argsort(by_size), qidx, qidx - q0, simple)
 
 
 _INT64 = np.iinfo(np.int64)
@@ -300,10 +340,6 @@ def _columns(rows: Sequence[Sequence], schema, seen: list[Optional[dict]], error
     return [_codes(c, index) if index is not None else c for c, index in zip(columns, seen)]
 
 
-def _names(ids: tuple[str, ...], codes: np.ndarray) -> tuple[str, ...]:
-    return tuple(map(ids.__getitem__, codes.tolist()))
-
-
 def _sorted_codes(codes: np.ndarray, seen: dict) -> tuple[np.ndarray, tuple[str, ...]]:
     """Recode first-seen codes so that code order is id order."""
     ids = sorted(seen)
@@ -398,6 +434,8 @@ def build_panel(
     event is an actuals row, and the panel's events are those rows taken
     in announcement order.
     """
+    if identity not in IDENTITIES:
+        raise ValueError(f"unknown identity {identity!r}; known: {list(IDENTITIES)}")
     t, acts = estimates, actuals
     report = IngestReport(total=len(t))
 
@@ -448,18 +486,23 @@ def build_panel(
     order = np.lexsort((first, t.quarter[win], t.year[win], t.firm[win], announce[win]))
     win, freq = win[order], freq[order]
     stream_event, stream_ident, stream_announce = event[win], ident_of[win], announce[win]
-    values = t.value_cents[win].tolist()
-    errors = list(map(int.__sub__, values, acts.value_cents[stream_event].tolist()))  # Python ints, so exact
+    values, actual = t.value_cents[win], acts.value_cents[stream_event]
+    errors = values - actual
     # the running sum of |error| bounds every ledger's prefix sums; below
-    # 2**53 they are exact in int64 and convert to float without rounding
-    spent = list(accumulate(map(abs, errors)))
-    if spent and spent[-1] >= 2**53:
-        e = int(stream_event[bisect_left(spent, 2**53)])
+    # 2**53 they are exact in int64 and convert to float without rounding.
+    # Clipped at 2**53, the sums cannot wrap before the first one reaching
+    # it; a difference that wrapped int64 is past it
+    wrapped = ((values ^ actual) & (values ^ errors)) < 0
+    magnitude = np.minimum(np.abs(errors).view(np.uint64), 2**53)  # as uint64, |-2**63| is right
+    spent = np.cumsum(np.where(wrapped, 2**53, magnitude).astype(np.int64))
+    reached = np.flatnonzero(spent >= 2**53)
+    if len(reached):
+        e = int(stream_event[reached[0]])
         raise ValueError(
             f"ledger error sums reach 2**53 cents at firm {acts.firm_ids[acts.firm[e]]} period "
             f"{int(acts.year[e])}Q{int(acts.quarter[e])}; past that bound bias means would round"
         )
-    stream = Stream(stream_announce, stream_ident, t.firm[win], np.array(errors, np.int64), ids, t.firm_ids)
+    stream = Stream(stream_announce, stream_ident, t.firm[win], errors, ids, t.firm_ids)
 
     # (d) prior-record flags with all records at one announce time treated
     # as simultaneous: a record has a prior when its (identity, firm) pair
@@ -505,5 +548,6 @@ def build_panel(
             np.array(in_top, bool)[np.searchsorted(census_keys, period * n_brokers + t.broker[kept_rows])],
         ]
     )
-    analysts = _names(t.analyst_ids, t.analyst[kept_rows])
-    return Panel(events, bounds, analysts, t.value_cents[kept_rows], features, stream, kept, report)
+    return Panel(
+        events, bounds, t.analyst[kept_rows], t.analyst_ids, t.value_cents[kept_rows], features, stream, kept, report
+    )

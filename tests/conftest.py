@@ -5,7 +5,9 @@ import pytest
 
 from estagg.ingest import ActualTable, EstimateTable, IngestReport, Panel, Stream
 from estagg.periods import format_ts, parse_ts
+from estagg.replay import ReplayResult
 from estagg.synth import SynthSpec, generate_rows
+from oracles import replay_view
 
 
 def _raise(i, reason):
@@ -60,7 +62,8 @@ def panel_of(events):
     )
     bounds = np.cumsum([0] + sizes, dtype=np.int64)
     features = np.zeros((len(values), 4))
-    return Panel(acts, bounds, idents, values, features, stream, np.arange(len(values)), IngestReport())
+    analyst = np.array([ident_ids.index(i) for i in idents], np.int64)
+    return Panel(acts, bounds, analyst, ident_ids, values, features, stream, np.arange(len(values)), IngestReport())
 
 
 def stream_rows(panel):
@@ -78,7 +81,7 @@ def stream_rows(panel):
 
 
 def outcome_fields(outcome):
-    """An EventAggregate's fields as values == can compare, its weights by
+    """An oracle Outcome's fields as values == can compare, its weights by
     dtype, shape and bytes."""
     fields = asdict(outcome)
     weights = fields.pop("weights")
@@ -87,11 +90,13 @@ def outcome_fields(outcome):
 
 def replay_outcome(replay, panel, mode):
     """The outcomes and models of a replay, or the message of the
-    RuntimeError it raised."""
+    RuntimeError it raised; a ReplayResult is read through its object view."""
     try:
         result = replay(panel, mode)
     except RuntimeError as exc:
         return str(exc)
+    if isinstance(result, ReplayResult):
+        result = replay_view(result)
     return (
         [outcome_fields(o) for o in result.outcomes],
         [(m.quarter, m.beta.tobytes(), m.n_obs, m.rss) for m in result.models],
@@ -108,6 +113,35 @@ def constant_bias_panel(biases, quarters=4, actual=100):
         for i, b in enumerate(biases):
             est_rows.append((f"A{i}", f"B{i % 3}", "F1", 2011, q, ts, 6, actual + b))
     return estimates_from_rows(est_rows), actuals_from_rows(act_rows)
+
+
+def mixed_size_rows(pick):
+    """Estimate and actual rows for two to four firms over five quarters,
+    with 2011Q4 left empty; `pick(lo, hi)` draws each free choice.
+
+    F0 has all eight analysts every quarter and the other firms two to six
+    of A2-A7, so event sizes mix within a quarter. A0 and A1 share broker
+    B0, each quarter's only top-decile broker, so the other firms' events
+    have an all-zero top-decile column. Values lie within 3 cents of the
+    actual, which makes ties for the closest analyst common.
+    """
+    day = 86400
+    est_rows, act_rows = [], []
+    firms = [f"F{k}" for k in range(pick(2, 4))]
+    for year, quarter in ((2011, 1), (2011, 2), (2011, 3), (2012, 1), (2012, 2)):
+        announce = parse_ts(f"{year}-{3 * quarter - 1:02d}-15T00:00:00Z") + pick(0, 2) * day
+        for k, firm in enumerate(firms):
+            actual = 100 + pick(-20, 20)
+            act_rows.append((firm, year, quarter, format_ts(announce), actual))
+            members = range(8) if k == 0 else [i for i in range(2, 8) if pick(0, 1)] or [2, 3]
+            for i in members:
+                ts = announce - pick(3, 40) * day
+                for _ in range(pick(1, 2)):  # an earlier submission raises freq
+                    est_rows.append(
+                        (f"A{i}", "B0" if i < 2 else f"B{i}", firm, year, quarter, format_ts(ts), 6, actual + pick(-3, 3))
+                    )
+                    ts -= day
+    return est_rows, act_rows
 
 
 def load_synth(spec: SynthSpec):

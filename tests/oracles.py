@@ -10,7 +10,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from estagg.aggregate import _MARGIN_TOL, EventAggregate, ModeConfig
+from estagg.aggregate import _MARGIN_TOL, MODE_DESCRIPTIONS, ModeConfig
+from estagg.evaluate import ModeResult, trend_stat
 from estagg.features import top10_brokers
 from estagg.ingest import (
     ACTUAL_COLUMNS,
@@ -198,6 +199,161 @@ def panel_idents(panel: Panel) -> tuple[str, ...]:
     return tuple(stream.ident_ids[i] for i in stream.ident[panel.records].tolist())
 
 
+def panel_analysts(panel: Panel) -> tuple[str, ...]:
+    """Each kept row's analyst id."""
+    return tuple(panel.analyst_ids[a] for a in panel.analyst.tolist())
+
+
+# The per-event object form of a replay, whose outcomes keep only what
+# scoring decides and whose other event columns are its panel's.
+
+
+@dataclass
+class Outcome:
+    """One scored event with its panel facts."""
+
+    firm_id: str
+    period: Quarter
+    announce_ts: int
+    quarter_offset: int  # announce quarter, relative to the panel start
+    actual_cents: int
+    simple_consensus: float
+    improved: float
+    weights: np.ndarray  # aligned with the event's rows
+    n_analysts: int
+    fallback_reason: Optional[str] = None
+
+
+@dataclass
+class OracleReplay:
+    outcomes: list[Outcome]
+    models: list[PeriodModel]
+
+
+def outcome_views(result: ReplayResult) -> list[Outcome]:
+    """Each event of a replay as an Outcome, its panel facts read event by
+    event from the panel and its layout, so a test of the view tests them."""
+    panel = result.panel
+    layout = panel.layout
+    return [
+        Outcome(
+            event.firm_id,
+            event.period,
+            event.announce_ts,
+            offset,
+            event.actual_cents,
+            simple,
+            o.improved,
+            o.weights,
+            event.rows.stop - event.rows.start,
+            o.fallback_reason,
+        )
+        for event, offset, simple, o in zip(
+            panel_events(panel), layout.offset.tolist(), layout.simple.tolist(), result.outcomes
+        )
+    ]
+
+
+def replay_view(result: ReplayResult) -> OracleReplay:
+    return OracleReplay(outcome_views(result), result.models)
+
+
+# The per-pair evaluation that estagg.evaluate replaced with arrays, and the
+# per-event writers of the events and scatter files.
+
+
+@dataclass(frozen=True)
+class SurprisePair:
+    original: float  # consensus minus actual
+    improved: float  # improved consensus minus actual
+
+
+def pairs_from_outcomes(outcomes: Sequence[Outcome], burn_in: int) -> list[SurprisePair]:
+    return [
+        SurprisePair(o.simple_consensus - o.actual_cents, o.improved - o.actual_cents)
+        for o in outcomes
+        if o.quarter_offset >= burn_in
+    ]
+
+
+NEG_INF = float("-inf")
+POS_INF = float("inf")
+
+
+def surprise_improvement(original: float, improved: float) -> float:
+    """Fractional improvement 1 - |improved| / |original|; 0 when both are
+    zero, -inf when only the original is."""
+    if original == 0.0:
+        return 0.0 if improved == 0.0 else NEG_INF
+    return 1.0 - abs(improved) / abs(original)
+
+
+def median_stat(values: Sequence[float]) -> float:
+    """Ordinal median over improvement values, sentinel-aware."""
+    if not values:
+        raise ValueError("median of empty improvement list")
+    vals = sorted(values)
+    n = len(vals)
+    if n % 2 == 1:
+        return vals[n // 2]
+    a, b = vals[n // 2 - 1], vals[n // 2]
+    a_inf = a in (NEG_INF, POS_INF)
+    b_inf = b in (NEG_INF, POS_INF)
+    if not a_inf and not b_inf:
+        return (a + b) / 2.0
+    if a_inf and b_inf:
+        return a if a == b else 0.0
+    return b if a_inf else a
+
+
+def average_stat(pairs: Sequence[SurprisePair]) -> Optional[float]:
+    denom = sum(abs(p.original) for p in pairs)
+    if denom == 0.0:
+        return None
+    num = sum(abs(p.improved) for p in pairs)
+    return 1.0 - num / denom
+
+
+def mode_result(label: str, pairs: Sequence[SurprisePair]) -> ModeResult:
+    """The three improvement statistics over one mode's evaluation pairs."""
+    original = np.array([p.original for p in pairs], float)
+    improved = np.array([p.improved for p in pairs], float)
+    trend = trend_stat(original, improved)
+    return ModeResult(
+        label=label,
+        description=MODE_DESCRIPTIONS.get(label, label),
+        n_events=len(pairs),
+        median=median_stat([surprise_improvement(p.original, p.improved) for p in pairs]) if pairs else None,
+        average=average_stat(pairs) if pairs else None,
+        trend=trend[0] if trend else None,
+        r_squared=trend[1] if trend else None,
+        trend_supplementary=label != "full",
+    )
+
+
+def evaluate_mode(replay: OracleReplay, mode: ModeConfig, burn_in: int) -> ModeResult:
+    return mode_result(mode.label, pairs_from_outcomes(replay.outcomes, burn_in))
+
+
+def events_file(outcomes: Sequence[Outcome], burn_in: int) -> str:
+    lines = [
+        "firm_id,period_year,period_quarter,actual_cents,simple_consensus,improved,"
+        "n_analysts,fallback_reason,in_evaluation\n"
+    ]
+    for o in outcomes:
+        lines.append(
+            f"{o.firm_id},{o.period[0]},{o.period[1]},{o.actual_cents},"
+            f"{repr(o.simple_consensus)},{repr(o.improved)},{o.n_analysts},"
+            f"{o.fallback_reason or ''},{1 if o.quarter_offset >= burn_in else 0}\n"
+        )
+    return "".join(lines)
+
+
+def scatter_file(outcomes: Sequence[Outcome], burn_in: int) -> str:
+    pairs = pairs_from_outcomes(outcomes, burn_in)
+    return "original_surprise,improved_surprise\n" + "".join(f"{p.original!r},{p.improved!r}\n" for p in pairs)
+
+
 # The per-estimate object form of a panel that build_panel_oracle emits and
 # replay_oracle reads; estagg.ingest.Panel holds the same data as columns.
 
@@ -265,12 +421,15 @@ def columnar_panel(panel: ObjectPanel) -> Panel:
             values.append(est.value_cents)
             features.append(_static_features(event, est, panel, top10_set))
             records.append(position[(est.identity, event.firm_id, event.period)])
+    analyst_ids = tuple(sorted(set(analysts)))
+    analyst_code = {x: i for i, x in enumerate(analyst_ids)}
     columns = [(firm_code[e.firm_id], *e.period, e.announce_ts, e.actual_cents) for e in panel.events]
     firm, year, quarter, announce_ts, actual = np.array(columns, np.int64).reshape(-1, 5).T
     return Panel(
         events=ActualTable(firm, year, quarter, announce_ts, actual, firm_ids),
         bounds=np.cumsum([0] + [len(e.estimates) for e in panel.events], dtype=np.int64),
-        analysts=tuple(analysts),
+        analyst=np.array([analyst_code[a] for a in analysts], np.int64),
+        analyst_ids=analyst_ids,
         value_cents=np.array(values, np.int64),
         features=np.array(features, float).reshape(len(values), 4),
         stream=Stream(
@@ -317,7 +476,7 @@ def _event_features(
 
 # The per-event scoring that estagg.replay replaced with size buckets:
 # normalization, weights and consensus for one event at a time. Weights are
-# arrays aligned with the event's identities, as EventAggregate holds them.
+# arrays aligned with the event's identities.
 
 
 def normalize(values: np.ndarray, scaling: str = "normalized") -> np.ndarray:
@@ -372,7 +531,7 @@ def improved_consensus(
     mode: ModeConfig,
     prev_model: Optional[PeriodModel],
     quarter_offset: int,
-) -> EventAggregate:
+) -> Outcome:
     """Score one event from its ledger record and the previous model."""
     event = scored.event
     idents = scored.idents
@@ -405,7 +564,7 @@ def improved_consensus(
             weights = np.full(n, 1.0 / n)
             fallback = "degenerate_weights"
 
-    return EventAggregate(
+    return Outcome(
         firm_id=event.firm_id,
         period=event.period,
         announce_ts=event.announce_ts,
@@ -427,7 +586,7 @@ def _improved_consensus(
     hist: HistoryLedger,
     panel: ObjectPanel,
     quarter_offset: int,
-) -> tuple[EventAggregate, np.ndarray, np.ndarray]:
+) -> tuple[Outcome, np.ndarray, np.ndarray]:
     """Score one event against frozen ledgers and the previous model.
 
     Returns the aggregate plus the event's normalized design matrix and
@@ -452,12 +611,12 @@ def _improved_consensus(
     return improved_consensus(scored, X, mode, prev_model, quarter_offset), X, y
 
 
-def replay_oracle(panel: ObjectPanel, mode: ModeConfig) -> ReplayResult:
+def replay_oracle(panel: ObjectPanel, mode: ModeConfig) -> OracleReplay:
     """One mode replayed on its own: the per-event walk that
     replay.ledger_state and replay.run_mode split into a shared ledger
     pass and per-mode scoring."""
     if not panel.events and not panel.stream:
-        return ReplayResult([], [])
+        return OracleReplay([], [])
     timestamps = [r.announce_ts for r in panel.stream] + [e.announce_ts for e in panel.events]
     q0 = quarter_index(quarter_of_ts(min(timestamps)))
 
@@ -465,7 +624,7 @@ def replay_oracle(panel: ObjectPanel, mode: ModeConfig) -> ReplayResult:
     hist = HistoryLedger()
     models: list[PeriodModel] = []
     model_by_qidx: dict[int, PeriodModel] = {}
-    outcomes: list[EventAggregate] = []
+    outcomes: list[Outcome] = []
 
     # merged announce-time walk over scored events and the ledger stream
     events_by_ts: dict[int, list[ObjectEvent]] = {}
@@ -518,7 +677,7 @@ def replay_oracle(panel: ObjectPanel, mode: ModeConfig) -> ReplayResult:
     if current_q is not None:
         close_quarter(current_q)
 
-    return ReplayResult(outcomes=outcomes, models=models)
+    return OracleReplay(outcomes=outcomes, models=models)
 
 
 # The per-row ingest path that estagg.ingest.parse_estimates and build_panel

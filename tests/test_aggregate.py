@@ -7,7 +7,7 @@ from conftest import constant_bias_panel
 from estagg.aggregate import ModeConfig, default_mode_matrix, modes_by_label, weight_vector
 from estagg.ingest import FilterConfig, build_panel
 from estagg.replay import run_mode
-from oracles import panel_events, panel_idents, weight
+from oracles import outcome_views, panel_events, panel_idents, weight
 
 
 class TestWeight:
@@ -63,7 +63,7 @@ def replayed_simple_consensus(offsets, actual=100):
     each analyst misses the actual by a fixed offset."""
     ests, acts = constant_bias_panel(offsets, actual=actual)
     panel = build_panel(ests, acts, FilterConfig(min_analysts=len(offsets)))
-    outcomes = run_mode(panel, ModeConfig()).outcomes
+    outcomes = outcome_views(run_mode(panel, ModeConfig()))
     assert outcomes
     return {o.simple_consensus for o in outcomes}
 
@@ -87,8 +87,27 @@ class TestSimpleConsensus:
 
 class TestModeConfig:
     def test_invalid_exponent(self):
-        with pytest.raises(ValueError):
-            ModeConfig(exponent=0.0)
+        for exponent in (0.0, -1.2, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="exponent must be positive and finite"):
+                ModeConfig(exponent=exponent)
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"scaling": "standardized"}, "unknown scaling 'standardized'"),
+            ({"identity": "desk"}, "unknown identity 'desk'"),
+            ({"method": "median"}, "unknown method 'median'"),
+            ({"bias_key": "sector"}, "unknown bias_key 'sector'"),
+        ],
+    )
+    def test_unknown_setting_rejected(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            ModeConfig(**setting)
+
+    def test_build_panel_rejects_unknown_identity(self):
+        ests, acts = constant_bias_panel([0] * 8)
+        with pytest.raises(ValueError, match="unknown identity 'desk'"):
+            build_panel(ests, acts, FilterConfig(), identity="desk")
 
     def test_invalid_cutoff(self):
         with pytest.raises(ValueError):
@@ -138,7 +157,7 @@ class TestImprovedConsensus:
         panel = build_panel(ests, acts, FilterConfig())
         rr = run_mode(panel, ModeConfig())
         assert len(rr.outcomes) == 3  # first event only feeds history
-        for o in rr.outcomes:
+        for o in outcome_views(rr):
             assert o.improved == pytest.approx(100.0, abs=1e-9)
             assert o.simple_consensus == pytest.approx(100 + np.mean(biases), abs=1e-9)
 
@@ -148,14 +167,14 @@ class TestImprovedConsensus:
         mode = ModeConfig(label="plain", use_bias=False, use_expertise=False)
         rr = run_mode(panel, mode)
         assert rr.outcomes
-        for o in rr.outcomes:
+        for o in outcome_views(rr):
             assert o.improved == o.simple_consensus  # bitwise: same mean
 
     def test_weights_sum_to_one_or_fallback(self, small_panel_inputs):
         ests, acts, _ = small_panel_inputs
         panel = build_panel(ests, acts, FilterConfig())
         rr = run_mode(panel, ModeConfig())
-        for o in rr.outcomes:
+        for o in outcome_views(rr):
             assert o.weights.shape == (o.n_analysts,)
             assert sum(o.weights.tolist()) == pytest.approx(1.0, abs=1e-9)
 
@@ -164,7 +183,7 @@ class TestImprovedConsensus:
         panel = build_panel(ests, acts, FilterConfig())
         values = {(e.firm_id, e.period): panel.value_cents[e.rows].tolist() for e in panel_events(panel)}
         rr = run_mode(panel, ModeConfig(label="exp_only", use_bias=False))
-        for o in rr.outcomes:
+        for o in outcome_views(rr):
             vals = values[(o.firm_id, o.period)]
             assert min(vals) - 1e-9 <= o.improved <= max(vals) + 1e-9
 
@@ -173,8 +192,8 @@ class TestImprovedConsensus:
         panel = build_panel(ests, acts, FilterConfig())
         r1 = run_mode(panel, ModeConfig())
         r2 = run_mode(panel, ModeConfig())
-        assert [(o.improved, o.simple_consensus, o.weights.tobytes()) for o in r1.outcomes] == [
-            (o.improved, o.simple_consensus, o.weights.tobytes()) for o in r2.outcomes
+        assert [(o.improved, o.simple_consensus, o.weights.tobytes()) for o in outcome_views(r1)] == [
+            (o.improved, o.simple_consensus, o.weights.tobytes()) for o in outcome_views(r2)
         ]
 
     def test_one_analyst_dominates(self):

@@ -10,14 +10,14 @@ from estagg import bias
 from estagg.aggregate import BIAS_KEYS, ModeConfig
 from estagg.ingest import FilterConfig, build_panel
 from estagg.replay import run_mode
-from oracles import BiasTracker, ErrorLedger, HistoryLedger, blended_bias
+from oracles import BiasTracker, ErrorLedger, HistoryLedger, blended_bias, outcome_views
 
 
 def replayed(offset):
     """Scored outcomes of a panel where all eight analysts miss the actual
     (100 cents) by the same offset every quarter."""
     ests, acts = constant_bias_panel([offset] * 8)
-    return run_mode(build_panel(ests, acts, FilterConfig()), ModeConfig()).outcomes
+    return outcome_views(run_mode(build_panel(ests, acts, FilterConfig()), ModeConfig()))
 
 
 class TestSignedError:

@@ -2,10 +2,16 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
+import oracles
+from conftest import mixed_size_rows
 from estagg import evaluate, replay
-from estagg.cli import main
+from estagg.aggregate import default_mode_matrix
+from estagg.cli import _write_results_csv, main
+from estagg.evaluate import PanelSource, run_mode_matrix
+from estagg.ingest import ACTUAL_COLUMNS, ESTIMATE_COLUMNS, FilterConfig, parse_actuals, parse_estimates
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +303,13 @@ class TestRunCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("exponent", ["nan", "inf", "-inf", "0"])
+    def test_bad_exponent_fails(self, synth_dir, tmp_path, capsys, exponent):
+        out = tmp_path / "out"
+        assert main(run_args(synth_dir, out, [f"--exponent={exponent}"])) == 1
+        assert "exponent must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_estimate_in_horizon_scores_empty_streams(self, synth_dir, tmp_path, monkeypatch):
         with open(synth_dir / "estimates.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -462,6 +475,25 @@ class TestReportCommand:
         assert capsys.readouterr().err == f"report failed: {missing}: No such file or directory\n"
         assert not missing.exists()
 
+    @pytest.mark.parametrize(
+        "modes, error",
+        [
+            ([], "no mode selected"),
+            (["full", "no_bias", "full"], "mode 'full' selected twice"),
+            (["full", "bogus"], "unknown mode 'bogus'"),
+        ],
+        ids=["empty", "repeated", "unknown"],
+    )
+    def test_manifest_with_bad_modes_fails(self, reported_run, capsys, modes, error):
+        path = reported_run / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["modes"] = modes
+        path.write_text(json.dumps(manifest))
+        (reported_run / "events_bogus.csv").write_bytes((reported_run / "events_full.csv").read_bytes())
+        assert main(["report", "--run-dir", str(reported_run)]) == 1
+        assert capsys.readouterr().err.startswith(f"report failed: {path}: config.modes: {error}")
+        assert not (reported_run / "results.csv").exists()
+
     def test_missing_manifest_fails(self, reported_run, capsys):
         os.remove(reported_run / "manifest.json")
         assert main(["report", "--run-dir", str(reported_run)]) == 1
@@ -494,3 +526,44 @@ class TestReportCommand:
         assert main(["report", "--run-dir", str(reported_run)]) == 1
         assert capsys.readouterr().err == f"report failed: {path}{error}\n"
         assert not (reported_run / "results.csv").exists()
+
+
+class TestColumnarWriters:
+    """The events, scatter and results files against the per-event writers
+    of the object-view oracle, on panels whose events mix sizes."""
+
+    BURN_IN = 2
+
+    @pytest.mark.parametrize("seed", [22, 5, 9])
+    def test_files_match_object_view_oracle(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        est_rows, act_rows = mixed_size_rows(lambda lo, hi: int(rng.integers(lo, hi + 1)))
+        inputs = {}
+        for name, header, rows in (("estimates", ESTIMATE_COLUMNS, est_rows), ("actuals", ACTUAL_COLUMNS, act_rows)):
+            inputs[name] = tmp_path / f"{name}.csv"
+            with open(inputs[name], "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        out = tmp_path / "run"
+        argv = ["run", "--estimates", str(inputs["estimates"]), "--actuals", str(inputs["actuals"]), "--out", str(out)]
+        assert main(argv + ["--min-analysts", "2", "--burn-in", str(self.BURN_IN)]) == 0
+
+        source = PanelSource(
+            parse_estimates(str(inputs["estimates"]))[0],
+            parse_actuals(str(inputs["actuals"]))[0],
+            FilterConfig(min_analysts=2),
+        )
+        modes = default_mode_matrix()
+        _, details = run_mode_matrix(source, modes, self.BURN_IN)
+        results = []
+        for mode in modes:
+            views = oracles.outcome_views(details[mode.label])
+            assert (out / f"events_{mode.label}.csv").read_text() == oracles.events_file(views, self.BURN_IN)
+            assert (out / f"scatter_{mode.label}.csv").read_text() == oracles.scatter_file(views, self.BURN_IN)
+            results.append(oracles.mode_result(mode.label, oracles.pairs_from_outcomes(views, self.BURN_IN)))
+        expected = tmp_path / "results.csv"
+        _write_results_csv(str(expected), results)
+        assert (out / "results.csv").read_bytes() == expected.read_bytes()
+
+        full = oracles.outcome_views(details["full"])
+        assert len({o.n_analysts for o in full}) > 1
+        assert {o.quarter_offset >= self.BURN_IN for o in full} == {False, True}

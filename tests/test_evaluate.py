@@ -3,12 +3,13 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import actual_rows, estimate_rows, load_synth, panel_of
 from estagg.evaluate import (
     NEG_INF,
-    PanelSource,
-    SurprisePair,
     average_stat,
     descriptive_stats,
     median_stat,
@@ -18,10 +19,12 @@ from estagg.evaluate import (
 from estagg.ingest import FilterConfig, build_panel
 from estagg.synth import SynthSpec
 from oracles import (
+    SurprisePair,
     actuals_from_rows_oracle,
     build_panel_oracle,
     closest_analyst,
     estimates_from_rows_oracle,
+    panel_analysts,
     panel_events,
     panel_idents,
 )
@@ -30,22 +33,28 @@ RNG = np.random.default_rng(99)
 
 
 def pairs(originals, improveds):
-    return [SurprisePair(o, i) for o, i in zip(originals, improveds)]
+    """Paired surprises as the statistics take them: two float64 arrays."""
+    return np.asarray(originals, float), np.asarray(improveds, float)
+
+
+def improvement(original, improved):
+    (value,) = surprise_improvement(*pairs([original], [improved])).tolist()
+    return value
 
 
 class TestSurpriseImprovement:
     def test_quarter_improvement(self):
-        assert surprise_improvement(4.0, 3.0) == 0.25
+        assert improvement(4.0, 3.0) == 0.25
 
     def test_no_change(self):
-        assert surprise_improvement(5.0, 5.0) == 0.0
-        assert surprise_improvement(5.0, -5.0) == 0.0  # magnitude only
+        assert improvement(5.0, 5.0) == 0.0
+        assert improvement(5.0, -5.0) == 0.0  # magnitude only
 
     def test_zero_original_nonzero_improved(self):
-        assert surprise_improvement(0.0, 2.0) == NEG_INF
+        assert improvement(0.0, 2.0) == NEG_INF
 
     def test_both_zero(self):
-        assert surprise_improvement(0.0, 0.0) == 0.0
+        assert improvement(0.0, 0.0) == 0.0
 
 
 class TestMedianStat:
@@ -77,21 +86,20 @@ class TestMedianStat:
 
 class TestAverageStat:
     def test_half_improvement(self):
-        assert average_stat(pairs([4, 6], [2, 3])) == 0.5
+        assert average_stat(*pairs([4, 6], [2, 3])) == 0.5
 
     def test_no_improvement(self):
         ps = pairs([4, -6], [4, -6])
-        assert average_stat(ps) == 0.0
+        assert average_stat(*ps) == 0.0
 
     def test_all_zero_originals_absent(self):
-        assert average_stat(pairs([0.0, 0.0], [1.0, 2.0])) is None
+        assert average_stat(*pairs([0.0, 0.0], [1.0, 2.0])) is None
 
     def test_summation_oracle(self):
         o = RNG.normal(size=500)
         i = RNG.normal(size=500)
-        ps = pairs(o, i)
         expected = 1.0 - math.fsum(abs(x) for x in i) / math.fsum(abs(x) for x in o)
-        assert average_stat(ps) == pytest.approx(expected, abs=1e-12)
+        assert average_stat(o, i) == pytest.approx(expected, abs=1e-12)
 
     def test_incremental_equals_batch(self):
         o = RNG.normal(size=100)
@@ -100,25 +108,25 @@ class TestAverageStat:
         for a, b in zip(o, i):
             num += abs(b)
             den += abs(a)
-        assert average_stat(pairs(o, i)) == pytest.approx(1.0 - num / den, abs=1e-12)
+        assert average_stat(*pairs(o, i)) == pytest.approx(1.0 - num / den, abs=1e-12)
 
 
 class TestTrendStat:
     def test_exact_half_slope(self):
         o = np.linspace(-5, 5, 20)
-        t, r2 = trend_stat(pairs(o, 0.5 * o))
+        t, r2 = trend_stat(*pairs(o, 0.5 * o))
         assert t == pytest.approx(0.5, abs=1e-10)
         assert r2 == pytest.approx(1.0, abs=1e-10)
 
     def test_identity_line(self):
         o = np.linspace(-5, 5, 20)
-        t, _ = trend_stat(pairs(o, o))
+        t, _ = trend_stat(*pairs(o, o))
         assert t == pytest.approx(0.0, abs=1e-10)
 
     def test_closed_form_oracle(self):
         o = RNG.normal(size=300)
         i = 0.4 * o + RNG.normal(scale=0.2, size=300)
-        t, r2 = trend_stat(pairs(o, i))
+        t, r2 = trend_stat(*pairs(o, i))
         slope = np.cov(o, i, bias=True)[0, 1] / np.var(o)
         assert t == pytest.approx(1.0 - slope, abs=1e-10)
         corr = np.corrcoef(o, i)[0, 1]
@@ -134,8 +142,60 @@ class TestTrendStat:
         assert abs(coef[1]) < 1e-10
 
     def test_degenerate_inputs_absent(self):
-        assert trend_stat(pairs([1, 2], [1, 2])) is None
-        assert trend_stat(pairs([3, 3, 3], [1, 2, 3])) is None
+        assert trend_stat(*pairs([1, 2], [1, 2])) is None
+        assert trend_stat(*pairs([3, 3, 3], [1, 2, 3])) is None
+
+
+# surprises as scoring makes them: zero, or at least a cent's fraction, so no
+# ratio overflows
+SURPRISES = st.one_of(
+    st.just(0.0),
+    st.floats(1e-3, 1e6),
+    st.floats(-1e6, -1e-3),
+    st.integers(-50, 50).map(float),
+)
+
+
+class TestArrayStatisticsMatchScalarOracles:
+    """The array statistics against the per-pair scalar forms in
+    tests/oracles.py, bit for bit."""
+
+    @given(st.lists(st.tuples(SURPRISES, SURPRISES), min_size=1, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_random_pairs(self, surprises):
+        original, improved = pairs(*zip(*surprises))
+        scalar_pairs = [SurprisePair(o, i) for o, i in surprises]
+        values = surprise_improvement(original, improved)
+        want = [oracles.surprise_improvement(o, i) for o, i in surprises]
+        assert values.dtype == np.float64
+        assert values.tobytes() == np.array(want).tobytes()
+        assert median_stat(values) == oracles.median_stat(want)
+        got, expected = average_stat(original, improved), oracles.average_stat(scalar_pairs)
+        assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.5, NEG_INF, 0.25],  # odd, a sentinel below the middle
+            [NEG_INF, NEG_INF, 0.0],  # odd, the middle is a sentinel
+            [0.0, 0.5, 0.25, 0.75],  # even, the zero-original sentinel 0.0 in the middle
+            [NEG_INF, 0.0, NEG_INF, 0.3],  # even, one -inf in the middle pair
+            [NEG_INF] * 4,  # even, two equal sentinels
+            [0.1],
+        ],
+    )
+    def test_median_counts_and_sentinels(self, values):
+        assert median_stat(np.array(values)) == oracles.median_stat(values)
+
+    def test_sum_where_pairwise_addition_differs(self):
+        # 1 + 2**-53 rounds back to 1 when added one at a time, but the small
+        # terms summed pairwise first reach 1 + 4000 * 2**-53
+        original = np.array([1.0] + [2.0**-53] * 4000)
+        improved = original[::-1] / 3
+        left_to_right = sum(original.tolist())
+        assert np.sum(original) != left_to_right == 1.0
+        scalar_pairs = [SurprisePair(o, i) for o, i in zip(original.tolist(), improved.tolist())]
+        assert average_stat(original, improved) == oracles.average_stat(scalar_pairs)
 
 
 class TestClosestAnalyst:
@@ -152,7 +212,7 @@ class TestClosestAnalyst:
     def test_exact_hit_gives_full_improvement(self):
         best = self._closest([98, 100, 103], 100)
         consensus = sum([98, 100, 103]) / 3
-        assert surprise_improvement(consensus - 100, best) == 1.0
+        assert improvement(consensus - 100, best) == 1.0
 
     def test_bias_adjusted_lookup(self):
         assert self._closest([98, 104], 100, bias_lookup=lambda i, f: 4.0 if i == "A1" else 0.0) == 0
@@ -173,6 +233,7 @@ class TestDescriptiveStats:
         oracle = build_panel_oracle(estimates_from_rows_oracle(estimate_rows(ests)), oracle_acts, cfg, "broker")
         analysts = {e.analyst_id for ev in oracle.events for e in ev.estimates}
         assert descriptive_stats(panel)["n_analysts"] == len(analysts) > len(set(panel_idents(panel)))
+        assert set(panel_analysts(panel)) == analysts
 
     def test_negative_surprise_share(self):
         # consensus 100; actuals 99 (negative), 101, 101

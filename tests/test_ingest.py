@@ -40,6 +40,7 @@ from oracles import (
     columnar_panel,
     cross_check_actuals_oracle,
     estimates_from_rows_oracle,
+    panel_analysts,
     panel_events,
     panel_idents,
     parse_actuals_oracle,
@@ -342,6 +343,30 @@ class TestExactnessGuard:
         with pytest.raises(ValueError, match=r"reach 2\*\*53 cents at firm F1 period 2011Q4"):
             build_panel(*constant_bias_panel([2**51] + [0] * 7), FilterConfig())
 
+    # at the int64 edges: each first analyst's estimate is actual + offset
+    @pytest.mark.parametrize(
+        "offset, actual",
+        [
+            (2**64 - 2, -(2**63) + 1),  # 2**63 - 1 minus -2**63 + 1 wraps int64 to -2
+            (-(2**64) + 2, 2**63 - 1),  # -2**63 + 1 minus 2**63 - 1 wraps to 2
+            (-(2**63), 0),  # exactly -2**63, whose int64 abs is itself
+        ],
+        ids=["wraps_to_minus_2", "wraps_to_2", "minus_2_63"],
+    )
+    def test_error_past_int64_fails_at_its_first_record(self, offset, actual):
+        with pytest.raises(ValueError, match=r"reach 2\*\*53 cents at firm F1 period 2011Q1"):
+            build_panel(*constant_bias_panel([offset] + [0] * 7, actual=actual), FilterConfig())
+
+    @pytest.mark.parametrize("actual", [2**63 - 8, -(2**63) + 8])
+    def test_huge_but_close_values_build_exactly(self, actual):
+        ests, acts = constant_bias_panel([-7, 7, -3, 0, 5, 1, -1, 2], actual=actual)
+        panel = build_panel(ests, acts, FilterConfig())
+        assert len(panel.events) == 3
+        oracle = build_panel_oracle(
+            estimates_from_rows_oracle(estimate_rows(ests)), actuals_from_rows_oracle(actual_rows(acts)), FilterConfig()
+        )
+        assert panel.stream.error_cents.tolist() == [r.value_cents - r.actual_cents for r in oracle.stream]
+
 
 class TestPanelProperties:
     def test_every_estimate_accounted_once(self, small_panel_inputs):
@@ -355,7 +380,7 @@ class TestPanelProperties:
         p2 = build_panel(ests, acts, FilterConfig())
         assert panel_events(p1) == panel_events(p2)
         assert p1.bounds.tolist() == p2.bounds.tolist()
-        assert panel_idents(p1) == panel_idents(p2) and p1.analysts == p2.analysts
+        assert panel_idents(p1) == panel_idents(p2) and panel_analysts(p1) == panel_analysts(p2)
         assert p1.value_cents.tolist() == p2.value_cents.tolist()
         assert p1.features.tobytes() == p2.features.tobytes()
         assert stream_rows(p1) == stream_rows(p2)
@@ -379,7 +404,7 @@ class TestPanelProperties:
             (analyst, "B1", ev.firm_id, *ev.period, format_ts(ev.announce_ts - round(age * 86400)), 6, value)
             for ev in panel_events(p1)
             for analyst, value, age in zip(
-                p1.analysts[ev.rows], p1.value_cents[ev.rows].tolist(), p1.features[ev.rows, 0].tolist()
+                panel_analysts(p1)[ev.rows], p1.value_cents[ev.rows].tolist(), p1.features[ev.rows, 0].tolist()
             )
         ]
         p2 = build_panel(estimates_from_rows(refed), acts, cfg)
@@ -403,7 +428,8 @@ def assert_same_panel(rows, oracle_ests, act_rows, cfg, identity):
     assert all(c.dtype == np.int64 for c in (got.events.firm, got.events.announce_ts, got.bounds))
     assert panel_events(got) == panel_events(want)
     assert panel_idents(got) == panel_idents(want)
-    assert got.analysts == want.analysts
+    assert panel_analysts(got) == panel_analysts(want)
+    assert got.analyst.dtype == np.int64
     assert got.value_cents.dtype == want.value_cents.dtype == np.int64
     assert got.value_cents.tolist() == want.value_cents.tolist()
     # bit for bit, in the same layout

@@ -1,35 +1,47 @@
 import struct
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import actual_rows, actuals_from_rows, estimate_rows, estimates_from_rows, load_synth, outcome_fields
+from conftest import (
+    actual_rows,
+    actuals_from_rows,
+    estimate_rows,
+    estimates_from_rows,
+    load_synth,
+    mixed_size_rows,
+    outcome_fields,
+)
 from estagg import evaluate, replay
 from estagg.aggregate import ModeConfig, default_mode_matrix
 from estagg.bias import BiasTracker
-from estagg.evaluate import PanelSource, evaluate_mode, run_mode_matrix
-from estagg.ingest import FilterConfig, build_panel
+from estagg.evaluate import PanelSource, run_mode_matrix
+from estagg.ingest import FilterConfig, Panel, build_panel
 from estagg.model import mask_without
 from estagg.periods import format_ts, parse_ts
 from estagg.replay import ledger_key, ledger_state, run_mode
 from estagg.synth import SynthSpec
+import oracles
 from oracles import (
     actuals_from_rows_oracle,
     build_panel_oracle,
     columnar_panel,
     estimates_from_rows_oracle,
+    outcome_views,
     panel_events,
     quarter_index,
     quarter_of_ts,
     replay_oracle,
+    replay_view,
 )
 
 
 def outcomes_by_key(rr):
-    return {(o.firm_id, o.period): (o.improved, o.simple_consensus, o.fallback_reason) for o in rr.outcomes}
+    return {(o.firm_id, o.period): (o.improved, o.simple_consensus, o.fallback_reason) for o in outcome_views(rr)}
 
 
 @pytest.fixture(scope="module")
@@ -60,15 +72,15 @@ class TestTemporalHygiene:
         truncated = run_mode(build_panel(ests_cut, actuals_from_rows(act_rows_cut), FilterConfig()), ModeConfig())
 
         trunc = outcomes_by_key(truncated)
-        for o in full.outcomes:
+        for o in outcome_views(full):
             if quarter_index(o.period) <= cut_q:
                 assert trunc[(o.firm_id, o.period)] == (o.improved, o.simple_consensus, o.fallback_reason)
 
     def test_first_quarter_has_no_model_and_falls_back(self, inputs):
         ests, acts, _ = inputs
         rr = run_mode(build_panel(ests, acts, FilterConfig()), ModeConfig())
-        first = min(o.quarter_offset for o in rr.outcomes)
-        for o in rr.outcomes:
+        first = min(o.quarter_offset for o in outcome_views(rr))
+        for o in outcome_views(rr):
             if o.quarter_offset == first:
                 assert o.fallback_reason == "no_previous_model"
 
@@ -76,7 +88,7 @@ class TestTemporalHygiene:
         ests, acts, _ = inputs
         panel = build_panel(ests, acts, FilterConfig())
         rr = run_mode(panel, ModeConfig())
-        scored_quarters = {quarter_index(quarter_of_ts(o.announce_ts)) for o in rr.outcomes}
+        scored_quarters = {quarter_index(quarter_of_ts(o.announce_ts)) for o in outcome_views(rr)}
         model_quarters = {quarter_index(m.quarter) for m in rr.models}
         assert model_quarters <= scored_quarters
 
@@ -103,8 +115,8 @@ class TestSimultaneousAnnouncements:
         mode = ModeConfig(bias_key="identity")
         base = run_mode(build_panel(*self._inputs(100), FilterConfig()), mode)
         moved = run_mode(build_panel(*self._inputs(140), FilterConfig()), mode)
-        f2_base = [o for o in base.outcomes if o.firm_id == "F2"]
-        f2_moved = [o for o in moved.outcomes if o.firm_id == "F2"]
+        f2_base = [o for o in outcome_views(base) if o.firm_id == "F2"]
+        f2_moved = [o for o in outcome_views(moved) if o.firm_id == "F2"]
         assert [o.improved for o in f2_base] == [o.improved for o in f2_moved]
 
 
@@ -121,7 +133,7 @@ class TestScaleInvariance:
             build_panel(ests_s, acts_s, FilterConfig(surprise_cap_cents=50 * c)), ModeConfig()
         )
         assert len(r1.outcomes) == len(r2.outcomes)
-        for a, b in zip(r1.outcomes, r2.outcomes):
+        for a, b in zip(outcome_views(r1), outcome_views(r2)):
             assert b.simple_consensus == pytest.approx(c * a.simple_consensus, rel=1e-12)
             assert b.improved == pytest.approx(c * a.improved, rel=1e-9)
 
@@ -157,14 +169,14 @@ class TestSharedState:
         assert [r.label for r in results] == labels
         assert list(details) == labels
         for mode, result in zip(modes, results):
-            got, want = details[mode.label], oracle[mode.label]
+            got, want = replay_view(details[mode.label]), oracle[mode.label]
             assert len(got.outcomes) == len(want.outcomes)
             for a, b in zip(got.outcomes, want.outcomes):
                 assert outcome_fields(a) == outcome_fields(b)
             assert [(m.quarter, m.beta.tobytes(), m.n_obs, m.rss) for m in got.models] == [
                 (m.quarter, m.beta.tobytes(), m.n_obs, m.rss) for m in want.models
             ]
-            assert result == evaluate_mode(want, mode, self.BURN_IN)
+            assert result == oracles.evaluate_mode(want, mode, self.BURN_IN)
 
     def test_one_ledger_pass_and_normalization_per_shared_state(self, source, monkeypatch):
         passes = []
@@ -192,6 +204,33 @@ class TestSharedState:
         assert normalized.count("centered") == full_events
         assert normalized.count("normalized") == sum(len(p.events) for p in passes)
 
+    def test_each_panel_is_laid_out_once(self, source, monkeypatch):
+        laid_out = []  # (panel, layout) per computation
+
+        def counting_layout(panel):
+            laid_out.append((panel, lay_out(panel)))
+            return laid_out[-1][1]
+
+        lay_out = Panel.layout.func
+        layout = cached_property(counting_layout)
+        layout.__set_name__(Panel, "layout")
+        monkeypatch.setattr(Panel, "layout", layout)
+        fresh = PanelSource(source.estimates, source.actuals, source.cfg)
+        modes = default_mode_matrix()
+        _, details = run_mode_matrix(fresh, modes, burn_in=self.BURN_IN)
+        # nine ledger passes over four panels: analyst identity at the three
+        # cutoffs, and broker identity
+        assert len(laid_out) == len({fresh.panel_key(m) for m in modes}) == 4
+        for mode in modes:
+            panel = fresh.panel_for(mode)
+            assert details[mode.label].panel is panel
+            assert [layout for p, layout in laid_out if p is panel] == [panel.layout]
+        full, no_bias = modes[0], modes[2]
+        panel = fresh.panel_for(full)
+        first, second = ledger_state(panel, ledger_key(full)), ledger_state(panel, ledger_key(no_bias))
+        assert first.panel.layout is second.panel.layout
+        assert len(laid_out) == 4
+
     def test_state_from_another_ledger_rejected(self, source):
         full, no_bias = default_mode_matrix()[:3:2]
         panel = source.panel_for(full)
@@ -210,39 +249,10 @@ class TestSharedState:
         monkeypatch.setattr(replay, "BiasTracker", CountingTracker)
         full, no_bias = default_mode_matrix()[:3:2]
         panel = source.panel_for(full)
-        assert ledger_state(panel, ledger_key(no_bias)).buckets
+        assert len(ledger_state(panel, ledger_key(no_bias)).aae)
         assert made == []
         ledger_state(panel, ledger_key(full))
         assert made == [full.bias_key]
-
-
-def mixed_size_rows(pick):
-    """Estimate and actual rows for two to four firms over five quarters,
-    with 2011Q4 left empty; `pick(lo, hi)` draws each free choice.
-
-    F0 has all eight analysts every quarter and the other firms two to six
-    of A2-A7, so event sizes mix within a quarter. A0 and A1 share broker
-    B0, each quarter's only top-decile broker, so the other firms' events
-    have an all-zero top-decile column. Values lie within 3 cents of the
-    actual, which makes ties for the closest analyst common.
-    """
-    day = 86400
-    est_rows, act_rows = [], []
-    firms = [f"F{k}" for k in range(pick(2, 4))]
-    for year, quarter in ((2011, 1), (2011, 2), (2011, 3), (2012, 1), (2012, 2)):
-        announce = parse_ts(f"{year}-{3 * quarter - 1:02d}-15T00:00:00Z") + pick(0, 2) * day
-        for k, firm in enumerate(firms):
-            actual = 100 + pick(-20, 20)
-            act_rows.append((firm, year, quarter, format_ts(announce), actual))
-            members = range(8) if k == 0 else [i for i in range(2, 8) if pick(0, 1)] or [2, 3]
-            for i in members:
-                ts = announce - pick(3, 40) * day
-                for _ in range(pick(1, 2)):  # an earlier submission raises freq
-                    est_rows.append(
-                        (f"A{i}", "B0" if i < 2 else f"B{i}", firm, year, quarter, format_ts(ts), 6, actual + pick(-3, 3))
-                    )
-                    ts -= day
-    return est_rows, act_rows
 
 
 def _top10_only():
@@ -293,6 +303,8 @@ class TestSizeBuckets:
 
     @staticmethod
     def assert_same(got, want):
+        got = replay_view(got)
+
         def fields(result):
             return (
                 [(outcome_fields(o), struct.pack("<d", o.improved)) for o in result.outcomes],
@@ -315,6 +327,7 @@ class TestSizeBuckets:
             self.assert_same(got, want)
 
         panel, full, _ = results["full"]
+        full = replay_view(full)
         sizes = {}
         for o in full.outcomes:
             sizes.setdefault(o.quarter_offset, set()).add(o.n_analysts)
