@@ -17,13 +17,16 @@ import logging
 import os
 import sys
 from dataclasses import asdict
+from operator import attrgetter
+from typing import Iterable
 
 import numpy as np
 
 from . import __version__
 from .aggregate import MIN_LEAD_HOURS, ModeConfig, default_mode_matrix, modes_by_label
 from .evaluate import ModeResult, PanelSource, descriptive_stats, mode_result, run_mode_matrix, surprises
-from .ingest import FilterConfig, cross_check_actuals, parse_actuals, parse_estimates
+from .ingest import FilterConfig, Panel, cross_check_actuals, parse_actuals, parse_estimates
+from .model import N_VARS, PeriodModel
 from .replay import ReplayResult
 from .synth import SynthSpec, generate
 
@@ -72,7 +75,7 @@ def _settings(args: argparse.Namespace, casts: dict) -> dict:
     out = {}
     first: dict[str, int] = {}  # the line each key is first given on
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             for number, raw in enumerate(fh, 1):
                 key, eq, value = (part.strip() for part in raw.split("#", 1)[0].partition("="))
                 try:
@@ -100,13 +103,13 @@ def _fmt(x) -> str:
 
 
 def _write_json(path: str, value) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(value, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_results_csv(path: str, results: list[ModeResult]) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("mode,description,n_events,median,average,trend,r_squared,trend_supplementary\n")
         for r in results:
             stats = map(_fmt, (r.median, r.average, r.trend, r.r_squared))
@@ -114,28 +117,43 @@ def _write_results_csv(path: str, results: list[ModeResult]) -> None:
             fh.write(",".join([r.label, '"%s"' % r.description, str(r.n_events), *stats, supplementary]) + "\n")
 
 
-def _write_events(path: str, result: ReplayResult, burn_in: int) -> None:
-    """One row per event of the result's panel, in announcement order."""
-    events, layout = result.panel.events, result.panel.layout
-    columns = zip(
-        map(events.firm_ids.__getitem__, events.firm.tolist()),
-        events.year.tolist(),
-        events.quarter.tolist(),
-        events.value_cents.tolist(),
-        layout.simple.tolist(),
-        result.outcomes,
-        np.diff(result.panel.bounds).tolist(),
-        (layout.offset >= burn_in).astype(np.int64).tolist(),
+def _write_rows(path: str, header: str, line: str, rows: Iterable[tuple]) -> None:
+    """A CSV file of `header` and, per row, the %-format `line` filled with
+    the row's fields, one C-level call per line."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(map(line.__mod__, rows))
+
+
+def _event_fields(panel: Panel, burn_in: int) -> tuple[list[str], list[int], list[int]]:
+    """The fields of each event's row that no mode changes, formatted once
+    per panel: its firm, period, actual and simple consensus as text, its
+    analyst count, and whether it is past the burn-in."""
+    events, layout = panel.events, panel.layout
+    firms = map(events.firm_ids.__getitem__, events.firm.tolist())
+    columns = (events.year.tolist(), events.quarter.tolist(), events.value_cents.tolist(), layout.simple.tolist())
+    heads = list(map("%s,%d,%d,%d,%r".__mod__, zip(firms, *columns)))
+    return heads, np.diff(panel.bounds).tolist(), (layout.offset >= burn_in).astype(np.int64).tolist()
+
+
+def _write_events(path: str, result: ReplayResult, fields: tuple[list[str], list[int], list[int]]) -> None:
+    """One row per event of the result's panel, in announcement order;
+    `fields` are the panel's _event_fields."""
+    heads, n_analysts, evaluated = fields
+    reasons = (reason or "" for reason in map(attrgetter("fallback_reason"), result.outcomes))
+    rows = zip(heads, map(attrgetter("improved"), result.outcomes), n_analysts, reasons, evaluated)
+    header = (
+        "firm_id,period_year,period_quarter,actual_cents,simple_consensus,improved,"
+        "n_analysts,fallback_reason,in_evaluation"
     )
-    with open(path, "w", newline="\n") as fh:
-        fh.write(
-            "firm_id,period_year,period_quarter,actual_cents,simple_consensus,improved,"
-            "n_analysts,fallback_reason,in_evaluation\n"
-        )
-        fh.writelines(
-            f"{firm},{year},{quarter},{actual},{simple!r},{o.improved!r},{n},{o.fallback_reason or ''},{evaluated}\n"
-            for firm, year, quarter, actual, simple, o, n, evaluated in columns
-        )
+    _write_rows(path, header, "%s,%r,%d,%s,%d\n", rows)
+
+
+def _write_models(path: str, models: list[PeriodModel]) -> None:
+    """One row per fitted quarter: its betas, observation count and residual sum of squares."""
+    rows = ((*m.quarter, *m.beta.tolist(), m.n_obs, m.rss) for m in models)
+    header = "period_year,period_quarter,b_age,b_freq,b_ncos,b_top10,b_exp,b_mae,n_obs,rss"
+    _write_rows(path, header, "%d,%d," + "%r," * N_VARS + "%d,%r\n", rows)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -221,19 +239,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         made_models_dir = not os.path.isdir(models_dir)
         os.makedirs(models_dir, exist_ok=True)
+        event_fields = {}  # per panel, keyed by id while details holds every panel
         for mode, result in zip(modes, results):
             rr = details[mode.label]
-            with open(out(os.path.join("models", f"{mode.label}.csv")), "w", newline="\n") as fh:
-                fh.write("period_year,period_quarter,b_age,b_freq,b_ncos,b_top10,b_exp,b_mae,n_obs,rss\n")
-                for m in rr.models:
-                    betas = ",".join(repr(float(b)) for b in m.beta)
-                    fh.write(f"{m.quarter[0]},{m.quarter[1]},{betas},{m.n_obs},{repr(m.rss)}\n")
-
-            _write_events(out(f"events_{mode.label}.csv"), rr, burn_in)
+            _write_models(out(os.path.join("models", f"{mode.label}.csv")), rr.models)
+            if id(rr.panel) not in event_fields:
+                event_fields[id(rr.panel)] = _event_fields(rr.panel, burn_in)
+            _write_events(out(f"events_{mode.label}.csv"), rr, event_fields[id(rr.panel)])
             original, improved = surprises(rr, burn_in)
-            with open(out(f"scatter_{mode.label}.csv"), "w", newline="\n") as fh:
-                fh.write("original_surprise,improved_surprise\n")
-                fh.writelines(f"{o!r},{i!r}\n" for o, i in zip(original.tolist(), improved.tolist()))
+            rows = zip(original.tolist(), improved.tolist())
+            _write_rows(out(f"scatter_{mode.label}.csv"), "original_surprise,improved_surprise", "%r,%r\n", rows)
             sidecar = {"n": result.n_events, "trend": result.trend, "r_squared": result.r_squared}
             _write_json(out(f"scatter_{mode.label}.json"), sidecar)
 
@@ -285,7 +300,7 @@ def _read_surprises(path: str) -> tuple[np.ndarray, np.ndarray]:
     """The original and improved surprises of a run's evaluated events; a
     row of its events file that does not read fails with the path and line."""
     original, improved = [], []
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         columns = ("actual_cents", "simple_consensus", "improved", "in_evaluation")
         missing = [c for c in columns if c not in (reader.fieldnames or ())]
@@ -305,7 +320,7 @@ def _read_surprises(path: str) -> tuple[np.ndarray, np.ndarray]:
 def _run_modes(run_dir: str) -> list[str]:
     """The distinct, known mode labels of a run, in its order, from its manifest."""
     path = os.path.join(run_dir, "manifest.json")
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             labels = json.load(fh)["config"]["modes"]
         except json.JSONDecodeError as exc:

@@ -3,13 +3,23 @@
 Both input files are parsed by one schema-driven converter into column
 tables: estimates into an EstimateTable, actuals (one per firm-quarter)
 into an ActualTable, each with one array per column and its ids interned
-to integer codes. build_panel joins the two by sorting, applies the
-exclusion rules (forecast-horizon window, last-estimate-wins dedup,
-prior-record requirement, surprise cap, minimum analyst count) as
-sort-and-group passes over the columns and emits a chronological panel
-of columns, whose events are the scored actuals rows plus the bounds of
-each one's estimate rows. Every dropped estimate is accounted for in an
-IngestReport, one reason per input row.
+to integer codes. A file is read as UTF-8 in blocks of _CHUNK_ROWS lines.
+csv.reader defines the format, but a block with no quote, carriage return
+or NUL, which csv.reader would split at each comma and newline, is
+tokenized as bytes with numpy: each column's fields become a byte matrix
+that converts in whole-column passes, and only distinct ids and fields not
+of canonical form (`-?[0-9]{1,18}`, `YYYY-MM-DDTHH:MM:SSZ`) are decoded.
+From the first block that has one of those, csv.reader reads the rest.
+Both tokenizers share the per-column checks and the scalar int()/parse_ts
+fallbacks, so every row gets the same value or reject message either way.
+
+build_panel joins the two tables by sorting, applies the exclusion rules
+(forecast-horizon window, last-estimate-wins dedup, prior-record
+requirement, surprise cap, minimum analyst count) as sort-and-group passes
+over the columns and emits a chronological panel of columns, whose events
+are the scored actuals rows plus the bounds of each one's estimate rows.
+Every dropped estimate is accounted for in an IngestReport, one reason per
+input row.
 
 All money values are integer cents; the surprise-cap comparison is done in
 exact integer arithmetic.
@@ -24,11 +34,12 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace as dc_replace
 from functools import cached_property
-from itertools import compress, groupby, islice
+from itertools import chain, compress, groupby, islice, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bias import earlier, pair_key
 from .features import top10_brokers
@@ -36,14 +47,20 @@ from .periods import parse_ts, quarter_indices
 
 logger = logging.getLogger(__name__)
 
-# rows per conversion chunk of a table's from_rows; it bounds how many
-# per-field string objects are alive at once
+# lines, or rows, per block: a block is tokenized and converted as one,
+# which bounds how many of its arrays and strings are alive at once
 _CHUNK_ROWS = 1 << 14
 
 # the kinds of a table's columns
 ID, INT64, QUARTER, TIMESTAMP = "id", "int64", "quarter", "timestamp"
 
 IDENTITIES = ("analyst", "broker")  # whose estimates a panel deduplicates and keys its ledgers by
+
+
+def _batches(rows: Iterable) -> Iterator[list]:
+    """Lists of up to _CHUNK_ROWS consecutive items of `rows`."""
+    rows = iter(rows)
+    return iter(lambda: list(islice(rows, _CHUNK_ROWS)), [])
 
 
 def _schema(table_type) -> list[tuple[str, str, str]]:
@@ -65,21 +82,27 @@ class _Table:
         """Build a table from rows whose fields follow the order of its CSV
         columns, each timestamp as ISO-8601 text.
 
-        Rows are converted a chunk at a time, so only one chunk's field
-        objects are alive at once. A row that does not convert is left out
-        and reported to `on_reject` with its position in `rows`.
+        Rows are converted a block of _CHUNK_ROWS at a time, so only one
+        block's field objects are alive at once. A row that does not convert
+        is left out and reported to `on_reject` with its position in `rows`.
         """
+        return cls._from_blocks(map(_TextBlock, _batches(rows)), on_reject)
+
+    @classmethod
+    def _from_blocks(cls, blocks: Iterable, on_reject: Callable[[int, str], None]):
+        """Build a table from blocks of rows, each a _TextBlock or a
+        _ByteBlock, converted one after another; `on_reject` gets each bad
+        row's position among all the blocks' rows."""
         schema = _schema(cls)
         seen = [{} if kind == ID else None for _, _, kind in schema]  # id -> first-seen code
         parts: list[list[np.ndarray]] = []
-        rows = iter(rows)
         start = 0
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
+        for block in blocks:
             errors: dict[int, str] = {}
-            parts.append(_columns(chunk, schema, seen, errors))
+            parts.append(_columns(block, schema, seen, errors))
             for i in sorted(errors):
                 on_reject(start + i, f"malformed: {errors[i]}")
-            start += len(chunk)
+            start += len(block)
         columns = [np.concatenate(c) for c in zip(*parts)] or [np.empty(0, np.int64)] * len(schema)
         table = {}
         for (_, attr, kind), column, index in zip(schema, columns, seen):
@@ -226,39 +249,15 @@ class Panel:
 
 _INT64 = np.iinfo(np.int64)
 
-# YYYY-MM-DDTHH:MM:SSZ as UTF-32 code points; "0" marks a digit
+# YYYY-MM-DDTHH:MM:SSZ as code points, which are its UTF-8 bytes too; "0"
+# marks a digit
 _TS_FORM = np.array(["0000-00-00T00:00:00Z"]).view(np.uint32)
 _TS_DIGIT = _TS_FORM == ord("0")
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])  # in a common year
 
-
-def _fields(fh, kind: str, columns: tuple[str, ...], rejects: list[Reject]) -> tuple[Iterator[tuple], array]:
-    """The named fields of each non-blank CSV row, in `columns` order, and
-    the physical line of each row yielded so far.
-
-    The header is checked here, before any row is read. A row too short to
-    hold every named field becomes a reject instead.
-    """
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is None:
-        raise ValueError(f"{kind} source has no readable header")
-    position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
-    missing = [c for c in columns if c not in position]
-    if missing:
-        raise ValueError(f"{kind} header missing columns: {missing}")
-    get = itemgetter(*(position[c] for c in columns))
-    need = max(position[c] for c in columns) + 1
-    lines = array("q")
-
-    def rows() -> Iterator[tuple]:
-        for row in reader:
-            if len(row) >= need:
-                lines.append(reader.line_num)
-                yield get(row)
-            elif row:
-                rejects.append(Reject(reader.line_num, f"malformed: {len(row)} fields, the header needs {need}"))
-
-    return rows(), lines
+# the digits of a canonical int64 field, which cannot overflow; the widest
+# id key a byte block builds, past which it decodes every id
+_INT_DIGITS, _ID_BYTES = 18, 64
 
 
 def _int64s(texts: Sequence, name: str, errors: dict[int, str], convert: Callable = int) -> np.ndarray:
@@ -283,6 +282,17 @@ def _int64s(texts: Sequence, name: str, errors: dict[int, str], convert: Callabl
     return out
 
 
+def _fallback(out: np.ndarray, rows: np.ndarray, texts: Sequence, name: str, errors: dict[int, str], convert: Callable):
+    """Convert the texts of `rows` one at a time into out[rows], as
+    _int64s does, with their errors at the rows' positions."""
+    if len(rows):
+        rows = rows.tolist()
+        row_errors: dict[int, str] = {}
+        out[rows] = _int64s(texts, name, row_errors, convert)
+        for j, message in row_errors.items():
+            errors.setdefault(rows[j], message)
+
+
 def _codes(ids: Sequence, seen: dict) -> np.ndarray:
     """Codes of `ids`, giving each id not in `seen` the next free code."""
     for x in dict.fromkeys(ids):
@@ -290,54 +300,200 @@ def _codes(ids: Sequence, seen: dict) -> np.ndarray:
     return np.fromiter(map(seen.__getitem__, ids), np.int64, len(ids))
 
 
-def _timestamps(texts: Sequence[str], name: str, errors: dict[int, str]) -> np.ndarray:
+def _timestamps(
+    chars: np.ndarray, lengths: np.ndarray, name: str, errors: dict[int, str], texts_of: Callable
+) -> np.ndarray:
     """Unix seconds of ISO-8601 texts, equal to parse_ts of each; errors
-    as in _int64s.
+    as in _int64s. `chars` holds the first 20 code points (uint32) or UTF-8
+    bytes (uint8) of each text, `lengths` its length in the same units,
+    and texts_of(rows) the texts of those rows.
 
-    Texts of the exact form YYYY-MM-DDTHH:MM:SSZ take one datetime64
-    conversion; any other text goes through parse_ts.
+    Texts of the exact form YYYY-MM-DDTHH:MM:SSZ naming a second on the
+    proleptic Gregorian calendar, as datetime does, convert in whole-column
+    integer passes; any other text goes through parse_ts.
     """
-    chars = np.array(texts, dtype="U20").view(np.uint32).reshape(len(texts), 20)
-    exact = (
-        (np.fromiter(map(len, texts), np.int64, len(texts)) == 20)  # U20 cuts longer texts
-        & (chars[:, _TS_DIGIT] - ord("0") <= 9).all(axis=1)
-        & (chars[:, ~_TS_DIGIT] == _TS_FORM[~_TS_DIGIT]).all(axis=1)
-        & (chars[:, :4] != ord("0")).any(axis=1)  # datetime has no year 0
+    digits = chars[:, _TS_DIGIT] - ord("0")
+    form = (lengths == 20) & (digits <= 9).all(axis=1) & (chars[:, ~_TS_DIGIT] == _TS_FORM[~_TS_DIGIT]).all(axis=1)
+    rows = np.flatnonzero(form)
+    d = digits[rows].astype(np.int64)
+    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
+    month, day, hour, minute, second = (d[:, k] * 10 + d[:, k + 1] for k in range(4, 14, 2))
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.clip(month, 1, 12) - 1] + (leap & (month == 2))
+    on_calendar = (
+        (year >= 1)  # datetime has no year 0
+        & (month >= 1)
+        & (month <= 12)
+        & (day >= 1)
+        & (day <= month_days)
+        & (hour <= 23)
+        & (minute <= 59)
+        & (second <= 59)
     )
-    out = np.empty(len(texts), np.int64)
-    try:
-        out[exact] = np.ascontiguousarray(chars[exact, :19]).view("U19").ravel().astype("datetime64[s]").astype(np.int64)
-    except ValueError:  # a date off the calendar; parse_ts finds and words it
-        exact[:] = False
-    other = np.flatnonzero(~exact).tolist()
-    other_errors: dict[int, str] = {}
-    out[other] = _int64s([texts[i] for i in other], name, other_errors, parse_ts)
-    for j, message in other_errors.items():
-        errors.setdefault(other[j], message)
+    # days since 1970-01-01, counting each year from March so that a leap
+    # day ends it
+    y = year - (month <= 2)
+    days = 365 * y + y // 4 - y // 100 + y // 400 + (153 * ((month + 9) % 12) + 2) // 5 + day - 719469
+    exact = np.zeros(len(chars), bool)
+    exact[rows[on_calendar]] = True
+    out = np.empty(len(chars), np.int64)
+    out[exact] = (days * 86400 + hour * 3600 + minute * 60 + second)[on_calendar]
+    other = np.flatnonzero(~exact)
+    _fallback(out, other, texts_of(other), name, errors, parse_ts)
     return out
 
 
-def _columns(rows: Sequence[Sequence], schema, seen: list[Optional[dict]], errors: dict[int, str]) -> list[np.ndarray]:
-    """The rows that convert, as one column per schema entry. Each row that
-    does not gets the message for its first bad field in `errors`: the
-    quarter, then the other fields in schema order, as a per-row parser
-    checks them. Ids get first-seen codes from `seen`."""
-    texts = list(zip(*rows))
-    columns: list = list(texts)
+class _TextBlock:
+    """Rows of text fields in schema order, as csv.reader gives them (or
+    from_rows' caller, whose int64 fields may be ints)."""
+
+    def __init__(self, rows: Sequence[Sequence]):
+        self.fields = list(zip(*rows))
+        self.n = len(rows)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def int64s(self, i: int, name: str, errors: dict[int, str]) -> np.ndarray:
+        return _int64s(self.fields[i], name, errors)
+
+    def timestamps(self, i: int, name: str, errors: dict[int, str]) -> np.ndarray:
+        texts = self.fields[i]
+        chars = np.array(texts, dtype="U20").view(np.uint32).reshape(len(texts), 20)  # U20 cuts longer texts
+        lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+        return _timestamps(chars, lengths, name, errors, lambda rows: [texts[j] for j in rows])
+
+    def codes(self, i: int, keep: Optional[np.ndarray], seen: dict) -> np.ndarray:
+        return _codes(self.fields[i] if keep is None else list(compress(self.fields[i], keep)), seen)
+
+
+class _ByteBlock:
+    """Lines of CSV text free of quotes, carriage returns and NULs as
+    UTF-8 bytes, in which csv.reader's fields are the runs between commas
+    and newlines, with the byte bounds of each schema field of each row
+    that holds them all.
+
+    Each column converts in whole-column numpy passes over a byte matrix;
+    only fields not of canonical form are decoded, and go through the
+    scalar conversion the text block uses.
+    """
+
+    def __init__(self, data: bytes, starts: list[np.ndarray], ends: list[np.ndarray]):
+        self.data = data
+        # padded so that every fixed-width gather stays in bounds
+        self.buf = np.frombuffer(data + bytes(_ID_BYTES), np.uint8)
+        self.starts, self.ends = starts, ends  # per schema column, per row
+
+    @classmethod
+    def tokenize(cls, data: bytes, n_lines: int, positions: Sequence[int], need: int):
+        """The block of `data`, the UTF-8 bytes of n_lines lines, as
+        csv.reader splits them; the offset in the block of each row's line;
+        and the offsets and field counts of the rows too short to hold the
+        header's `need` fields. Blank lines hold no row. None when
+        csv.reader could read the lines otherwise: a quote, a carriage
+        return, a NUL, a line break the stream did not end a line at, or a
+        line longer than csv's field limit."""
+        if b'"' in data or b"\r" in data or b"\0" in data:  # csv.reader before 3.11 fails on a NUL
+            return None
+        buf = np.frombuffer(data, np.uint8)
+        ends = np.flatnonzero(buf == ord("\n"))
+        if data[-1:] != b"\n":
+            ends = np.append(ends, len(buf))
+        if len(ends) != n_lines:
+            return None
+        starts = np.concatenate([[0], ends[:-1] + 1])
+        if (ends - starts).max() > csv.field_size_limit():
+            return None
+        commas = np.flatnonzero(buf == ord(","))
+        first_comma = np.searchsorted(commas, starts)
+        n_fields = np.searchsorted(commas, ends) - first_comma + 1
+        filled = ends > starts
+        short = np.flatnonzero(filled & (n_fields < need))
+        rows = np.flatnonzero(filled & (n_fields >= need))
+        first_comma, line_end = first_comma[rows], ends[rows]
+        commas = np.append(commas, len(buf))  # the last field of the last line ends before it
+        field_starts = [starts[rows] if p == 0 else commas[first_comma + p - 1] + 1 for p in positions]
+        field_ends = [np.minimum(commas[first_comma + p], line_end) for p in positions]
+        return cls(data, field_starts, field_ends), rows, short, n_fields[short]
+
+    def __len__(self) -> int:
+        return len(self.starts[0])
+
+    def _texts(self, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+        return [self.data[s:e].decode() for s, e in zip(starts.tolist(), ends.tolist())]
+
+    def _matrix(self, starts: np.ndarray, width: int) -> np.ndarray:
+        """The `width` bytes from each of `starts` as an (n, width) matrix;
+        bytes past a field's end are the next bytes of the block."""
+        return sliding_window_view(self.buf, width)[starts]
+
+    def int64s(self, i: int, name: str, errors: dict[int, str]) -> np.ndarray:
+        """Fields of the form -?[0-9]{1,18} read as digit sums, one pass
+        per byte position; any other field converts as _int64s does."""
+        starts, lengths = self.starts[i], self.ends[i] - self.starts[i]
+        negative = self.buf[starts] == ord("-")
+        ok = (lengths - negative >= 1) & (lengths - negative <= _INT_DIGITS)
+        out = np.zeros(len(lengths), np.int64)
+        for j in range(min(_INT_DIGITS + 1, int(lengths.max(initial=0)))):
+            digit = self.buf[starts + j] - np.uint8(ord("0"))
+            inside = lengths > j
+            is_digit = digit <= 9
+            ok &= is_digit | ~inside | (negative if j == 0 else False)
+            out = np.where(inside & is_digit, out * 10 + digit, out)
+        out = np.where(negative, -out, out)
+        bad = np.flatnonzero(~ok)
+        _fallback(out, bad, self._texts(self.starts[i][bad], self.ends[i][bad]), name, errors, int)
+        return out
+
+    def timestamps(self, i: int, name: str, errors: dict[int, str]) -> np.ndarray:
+        starts, ends = self.starts[i], self.ends[i]
+        chars = self._matrix(starts, 20)
+        return _timestamps(chars, ends - starts, name, errors, lambda rows: self._texts(starts[rows], ends[rows]))
+
+    def codes(self, i: int, keep: Optional[np.ndarray], seen: dict) -> np.ndarray:
+        """Codes of the ids in column i's `keep` rows. Equal ids are found
+        with np.unique over their bytes zero-padded to a multiple of 8, which
+        no id ends in, as a block holds no NUL; only each distinct id is
+        decoded."""
+        starts, ends = self.starts[i], self.ends[i]
+        if keep is not None:
+            starts, ends = starts[keep], ends[keep]
+        lengths = ends - starts
+        width = max(8, -(-int(lengths.max(initial=0)) // 8) * 8)
+        if width > _ID_BYTES:
+            return _codes(self._texts(starts, ends), seen)
+        keys = self._matrix(starts, width) * (np.arange(width) < lengths[:, None])
+        keys = keys.view(">u8" if width == 8 else f"V{width}").ravel()
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        first = np.empty(len(distinct), np.int64)
+        first[inverse] = np.arange(len(keys))  # a row of each distinct id
+        ids = self._texts(starts[first], ends[first])
+        return np.array([seen.setdefault(x, len(seen)) for x in ids], np.int64)[inverse]
+
+
+def _columns(block, schema, seen: list[Optional[dict]], errors: dict[int, str]) -> list[np.ndarray]:
+    """The block's rows that convert, as one column per schema entry. Each
+    row that does not gets the message for its first bad field in
+    `errors`: the quarter, then the other fields in schema order, as a
+    per-row parser checks them. Ids get first-seen codes from `seen`."""
+    columns: list = [None] * len(schema)
     for i in sorted(range(len(schema)), key=lambda i: schema[i][2] != QUARTER):
         name, _, kind = schema[i]
         if kind == TIMESTAMP:
-            columns[i] = _timestamps(texts[i], name, errors)
+            columns[i] = block.timestamps(i, name, errors)
         elif kind != ID:
-            columns[i] = _int64s(texts[i], name, errors)
+            columns[i] = block.int64s(i, name, errors)
         if kind == QUARTER:
             for j in np.flatnonzero((columns[i] < 1) | (columns[i] > 4)).tolist():
                 errors.setdefault(j, f"{name} {columns[i][j]} outside 1..4")
+    keep = None
     if errors:
-        keep = np.ones(len(rows), bool)
+        keep = np.ones(len(block), bool)
         keep[list(errors)] = False
-        columns = [list(compress(c, keep)) if kind == ID else c[keep] for c, (_, _, kind) in zip(columns, schema)]
-    return [_codes(c, index) if index is not None else c for c, index in zip(columns, seen)]
+    return [
+        block.codes(i, keep, index) if index is not None else column if keep is None else column[keep]
+        for i, (column, index) in enumerate(zip(columns, seen))
+    ]
 
 
 def _sorted_codes(codes: np.ndarray, seen: dict) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -370,15 +526,98 @@ def _lookup(keys: list[np.ndarray], key_ids: tuple[str, ...], ref: list[np.ndarr
     return np.where(first < n, first, -1)
 
 
+def _utf8(text: str, line: int, where: str) -> None:
+    """Fail with the physical line of a character that is not UTF-8 text:
+    an undecodable byte, kept as a surrogate escape, or a lone surrogate."""
+    try:
+        text.encode()
+    except UnicodeEncodeError as exc:
+        c = ord(text[exc.start])
+        what = f"byte 0x{c - 0xDC00:02x}" if 0xDC80 <= c <= 0xDCFF else f"character U+{c:04X}"
+        raise ValueError(f"{where}line {line}: undecodable {what}; the input must be UTF-8") from None
+
+
+def _read_blocks(text_lines: Iterator[str], line: int, where: str) -> Iterator[tuple[int, list[str], bytes]]:
+    """The physical line of its first line, the lines and their UTF-8 bytes
+    of each block of _CHUNK_ROWS lines of `text_lines`, the first block
+    starting at physical line `line`."""
+    while lines := list(islice(text_lines, _CHUNK_ROWS)):
+        try:
+            data = "".join(lines).encode()
+        except UnicodeEncodeError:
+            for k, text in enumerate(lines):
+                _utf8(text, line + k, where)
+            raise
+        yield line, lines, data
+        line += len(lines)
+
+
+def _csv_rows(reader, offset: int, get: Callable, need: int, lines: array, rejects: list[Reject]) -> Iterator[tuple]:
+    """The named fields of each non-blank row a csv.reader reads, its first
+    line being physical line offset + 1, with each row's physical line
+    appended to `lines`. A row too short to hold every named field becomes a
+    reject instead."""
+    for row in reader:
+        if len(row) >= need:
+            lines.append(offset + reader.line_num)
+            yield get(row)
+        elif row:
+            rejects.append(_short_row(offset + reader.line_num, len(row), need))
+
+
+def _short_row(line: int, n_fields: int, need: int) -> Reject:
+    return Reject(line, f"malformed: {n_fields} fields, the header needs {need}")
+
+
 def _parse(source, kind: str, table_type):
     """A table of the file's rows, the malformed rows as rejects in line
     order, and the physical line of each row read, rejected or not. A `str`
-    source is a path, opened and closed here; anything else is a text
-    stream, read and left open."""
+    source is a path, opened as UTF-8 and closed here; anything else is a
+    text stream, read and left open.
+
+    csv.reader defines the format. Blocks of lines with no quote, carriage
+    return or NUL are tokenized as bytes (_ByteBlock); from the first block
+    that has one, csv.reader reads that block and the rest.
+    """
+    schema = _schema(table_type)
+    where = f"{source}: " if isinstance(source, str) else ""
     rejects: list[Reject] = []
-    with open(source, newline="") if isinstance(source, str) else nullcontext(source) as fh:
-        rows, lines = _fields(fh, kind, [column for column, _, _ in _schema(table_type)], rejects)
-        table = table_type.from_rows(rows, lambda i, reason: rejects.append(Reject(lines[i], reason)))
+    lines = array("q")
+    # a path's undecodable bytes are kept as surrogate escapes, which fail
+    # with their line when their block is encoded
+    opened = open(source, encoding="utf-8", errors="surrogateescape", newline="") if isinstance(source, str) else None
+    with opened or nullcontext(source) as fh:
+        try:
+            text_lines = iter(fh)  # one iterator, so the blocks start where the header ends
+            reader = csv.reader(text_lines)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{kind} source has no readable header")
+            _utf8(",".join(header), reader.line_num, where)
+            position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+            missing = [c for c, _, _ in schema if c not in position]
+            if missing:
+                raise ValueError(f"{kind} header missing columns: {missing}")
+            positions = [position[c] for c, _, _ in schema]
+            need = max(positions) + 1
+
+            def blocks():
+                chunks = _read_blocks(text_lines, reader.line_num + 1, where)
+                for first, block_lines, data in chunks:
+                    tokens = _ByteBlock.tokenize(data, len(block_lines), positions, need)
+                    if tokens is None:
+                        rest = csv.reader(chain(block_lines, chain.from_iterable(more for _, more, _ in chunks)))
+                        rows = _csv_rows(rest, first - 1, itemgetter(*positions), need, lines, rejects)
+                        yield from map(_TextBlock, _batches(rows))
+                        return
+                    block, at, short, n_fields = tokens
+                    rejects.extend(map(_short_row, (first + short).tolist(), n_fields.tolist(), repeat(need)))
+                    lines.frombytes((first + at).astype(np.int64).tobytes())
+                    yield block
+
+            table = table_type._from_blocks(blocks(), lambda i, reason: rejects.append(Reject(lines[i], reason)))
+        except UnicodeDecodeError as exc:  # from a caller's stream decoding ahead of its lines, so no line is known
+            raise ValueError(f"{kind} source is not UTF-8: {exc}") from None
     rejects.sort(key=lambda r: r.line)
     return table, rejects, lines
 

@@ -134,15 +134,15 @@ def generate(spec: SynthSpec, out_dir: str) -> dict[str, str]:
         "actuals": os.path.join(out_dir, "actuals.csv"),
         "ground_truth": os.path.join(out_dir, "ground_truth.json"),
     }
-    with open(paths["estimates"], "w", newline="\n") as fh:
+    with open(paths["estimates"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write(ESTIMATE_HEADER + "\n")
         for row in estimate_rows:
             fh.write(",".join(str(x) for x in row) + "\n")
-    with open(paths["actuals"], "w", newline="\n") as fh:
+    with open(paths["actuals"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write(ACTUAL_HEADER + "\n")
         for row in actual_rows:
             fh.write(",".join(str(x) for x in row) + "\n")
-    with open(paths["ground_truth"], "w", newline="\n") as fh:
+    with open(paths["ground_truth"], "w", encoding="utf-8", newline="\n") as fh:
         json.dump(ground_truth, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return paths

@@ -22,7 +22,6 @@ from estagg.ingest import (
     Panel,
     Reject,
     Stream,
-    _fields,
 )
 from estagg.model import PeriodModel, fit_period
 from estagg.periods import Quarter, parse_ts, quarter_from_index
@@ -352,6 +351,14 @@ def events_file(outcomes: Sequence[Outcome], burn_in: int) -> str:
 def scatter_file(outcomes: Sequence[Outcome], burn_in: int) -> str:
     pairs = pairs_from_outcomes(outcomes, burn_in)
     return "original_surprise,improved_surprise\n" + "".join(f"{p.original!r},{p.improved!r}\n" for p in pairs)
+
+
+def models_file(models: Sequence[PeriodModel]) -> str:
+    lines = ["period_year,period_quarter,b_age,b_freq,b_ncos,b_top10,b_exp,b_mae,n_obs,rss\n"]
+    for m in models:
+        betas = ",".join(repr(float(b)) for b in m.beta)
+        lines.append(f"{m.quarter[0]},{m.quarter[1]},{betas},{m.n_obs},{repr(m.rss)}\n")
+    return "".join(lines)
 
 
 # The per-estimate object form of a panel that build_panel_oracle emits and
@@ -726,7 +733,7 @@ def _read_rows(source, kind: str, columns: tuple[str, ...], make: Callable[[dict
     """
     out = []
     rejects: list[Reject] = []
-    with open(source, newline="") if isinstance(source, str) else nullcontext(source) as fh:
+    with open(source, encoding="utf-8", newline="") if isinstance(source, str) else nullcontext(source) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{kind} source has no readable header")
@@ -798,19 +805,33 @@ def parse_actuals_oracle(source) -> tuple[list[Actual], list[Reject]]:
     rejects: list[Reject] = []
     out = []
     line_of: dict[tuple[str, Quarter], int] = {}
-    with open(source, newline="") if isinstance(source, str) else nullcontext(source) as fh:
-        rows, lines = _fields(fh, "actuals", ACTUAL_COLUMNS, rejects)
-        for firm, year, quarter, ts, value in rows:
+    with open(source, encoding="utf-8", newline="") if isinstance(source, str) else nullcontext(source) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("actuals source has no readable header")
+        position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+        missing = [c for c in ACTUAL_COLUMNS if c not in position]
+        if missing:
+            raise ValueError(f"actuals header missing columns: {missing}")
+        need = max(position[c] for c in ACTUAL_COLUMNS) + 1
+        for row in reader:
+            line = reader.line_num
+            if len(row) < need:
+                if row:
+                    rejects.append(Reject(line, f"malformed: {len(row)} fields, the header needs {need}"))
+                continue
+            firm, year, quarter, ts, value = (row[position[c]] for c in ACTUAL_COLUMNS)
             try:
                 actual = Actual(firm, _actual_period(year, quarter), parse_ts(ts), _int64(int(value), "value_cents"))
             except (ValueError, TypeError) as exc:
-                rejects.append(Reject(lines[-1], f"malformed: {exc}"))
+                rejects.append(Reject(line, f"malformed: {exc}"))
                 continue
             key = (actual.firm_id, actual.period)
             if key in line_of:
                 where = f"{source}: " if isinstance(source, str) else ""
-                raise ValueError(f"{where}duplicate actual for {key} on lines {line_of[key]} and {lines[-1]}")
-            line_of[key] = lines[-1]
+                raise ValueError(f"{where}duplicate actual for {key} on lines {line_of[key]} and {line}")
+            line_of[key] = line
             out.append(actual)
     return out, rejects
 

@@ -259,6 +259,17 @@ class TestRunCommand:
         assert f"actuals.csv: duplicate actual for {key} on lines 2 and {len(lines) + 1}" in err
         assert not (tmp_path / "out").exists()
 
+    def test_undecodable_byte_names_file_and_line(self, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / "estimates.csv").read_bytes().splitlines(keepends=True)
+        lines[3] = b"\xff" + lines[3]
+        bad = tmp_path / "estimates.csv"
+        bad.write_bytes(b"".join(lines))
+        args = run_args(synth_dir, tmp_path / "out", ["--modes", "full"])
+        args[args.index("--estimates") + 1] = str(bad)
+        assert main(args) == 1
+        assert f"run failed: {bad}: line 4: undecodable byte 0xff; the input must be UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("order", [(0, 5), (5, 0)], ids=["confirming_first", "confirming_last"])
     def test_duplicated_check_row_names_both_lines(self, synth_dir, tmp_path, capsys, order):
         # the primary value and a conflicting one for the firm-period of
@@ -559,6 +570,7 @@ class TestColumnarWriters:
             views = oracles.outcome_views(details[mode.label])
             assert (out / f"events_{mode.label}.csv").read_text() == oracles.events_file(views, self.BURN_IN)
             assert (out / f"scatter_{mode.label}.csv").read_text() == oracles.scatter_file(views, self.BURN_IN)
+            assert (out / "models" / f"{mode.label}.csv").read_text() == oracles.models_file(details[mode.label].models)
             results.append(oracles.mode_result(mode.label, oracles.pairs_from_outcomes(views, self.BURN_IN)))
         expected = tmp_path / "results.csv"
         _write_results_csv(str(expected), results)

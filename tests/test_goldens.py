@@ -2,9 +2,11 @@
 check of the hindsight closest-analyst modes on the same run.
 
 The hashes pin results.csv, ingest_report.json and every events_*,
-scatter_* and models/* file byte for byte. They hold only for the python and numpy versions they were
-recorded with; under other versions the comparison is skipped. After a change
-that is meant to alter the artifacts, rewrite them with
+scatter_* and models/* file byte for byte, for the inputs as written and for
+a quoted, CRLF-ended copy that csv.reader reads instead of the byte
+tokenizer. They hold only for the python and numpy versions they were
+recorded with; under other versions the comparison is skipped. After a
+change that is meant to alter the artifacts, rewrite them with
 
     PYTHONPATH=src python tests/test_goldens.py
 """
@@ -99,6 +101,23 @@ def test_optimized_interpreter_matches_goldens(matrix_run, tmp_path):
         timeout=300,
     )
     assert child.returncode == 0, child.stderr
+    assert pinned_hashes(out) == golden_hashes()
+
+
+def test_quoted_crlf_inputs_match_goldens(matrix_run, tmp_path):
+    # every field quoted and every line CRLF-ended, so csv.reader reads
+    # both files from their first block on; the artifacts must not move
+    paths, _ = matrix_run
+    argv = ["run"]
+    for name in ("estimates", "actuals"):
+        copy = str(tmp_path / f"{name}.csv")
+        with open(paths[name], encoding="utf-8", newline="") as src:
+            rows = list(csv.reader(src))
+        with open(copy, "w", encoding="utf-8", newline="") as dst:
+            csv.writer(dst, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(rows)
+        argv += [f"--{name}", copy]
+    out = str(tmp_path / "run")
+    assert main(argv + ["--out", out, "--burn-in", str(BURN_IN)]) == 0
     assert pinned_hashes(out) == golden_hashes()
 
 

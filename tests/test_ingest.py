@@ -1,7 +1,12 @@
+import csv
 import gc
 import io
+import os
+import subprocess
 import sys
+import tempfile
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,14 +23,20 @@ from conftest import (
     replay_outcome,
     stream_rows,
 )
+from estagg import ingest
 from estagg.aggregate import ModeConfig
 from estagg.ingest import (
     _CHUNK_ROWS,
     ACTUAL_COLUMNS,
+    ID,
+    INT64,
+    QUARTER,
+    TIMESTAMP,
     ActualTable,
     EstimateTable,
     FilterConfig,
     Reject,
+    _schema,
     build_panel,
     cross_check_actuals,
     parse_actuals,
@@ -53,6 +64,13 @@ HEADER = "analyst_id,broker_id,firm_id,period_year,period_quarter,estimate_ts,ho
 ANNOUNCE = "2011-05-01T00:00:00Z"
 ANNOUNCE_TS = parse_ts(ANNOUNCE)
 PRIOR_ANNOUNCE = "2011-02-01T00:00:00Z"
+
+
+def with_quotes(text, quoted):
+    """The text with its one quoted field, or with that field's quotes
+    dropped, which leaves every row's fields as they were."""
+    assert text.count('"') == 2
+    return text if quoted else text.replace('"', "")
 
 
 def days_before(announce_ts, days):
@@ -514,6 +532,12 @@ class TestColumnarMatchesOracle:
             assert_same_panel(estimates_from_rows(rows), estimates_from_rows_oracle(rows), act_rows, cfg, identity)
 
     def test_csv_edge_cases(self):
+        self.csv_edge_cases(quoted=True)
+
+    def test_csv_edge_cases_quote_free(self):
+        self.csv_edge_cases(quoted=False)
+
+    def csv_edge_cases(self, quoted):
         header = (
             "note,value_cents,horizon_code,estimate_ts,period_quarter,period_year,"
             "firm_id,broker_id,analyst_id,extra\n"
@@ -540,6 +564,7 @@ class TestColumnarMatchesOracle:
                 "x,abc,x6,junk,2,20x1,F1,B1,A14,\n",  # then the year
             ]
         )
+        text = with_quotes(text, quoted)
         table, rejects = parse_estimates(io.StringIO(text))
         ests, oracle_rejects = parse_estimates_oracle(io.StringIO(text))
         assert [r.line for r in rejects] == [r.line for r in oracle_rejects] == [7, 8, 9, 11, 12, 13, 14, 15, 18, 19]
@@ -568,9 +593,30 @@ class TestColumnarMatchesOracle:
         assert [r.line for r in rejects] == [3]
         assert rejects == parse_estimates_oracle(io.StringIO(text))[1]
 
+    @pytest.mark.parametrize("quoted", [False, True], ids=["bytes", "csv_reader"])
+    def test_off_calendar_date_rejects_only_its_row(self, quoted):
+        # every other exact-form timestamp of its block still converts in the
+        # whole-column pass
+        rows = [f"A{i % 7},B1,F1,2011,2,2011-03-{i % 28 + 1:02d}T{i % 24:02d}:00:00Z,6,{i}\n" for i in range(3000)]
+        rows[1500] = rows[1500].replace(f"2011-03-{1500 % 28 + 1:02d}", "2011-02-30")
+        if quoted:
+            rows[0] = '"A0"' + rows[0][2:]
+        text = HEADER + "".join(rows)
+        table, rejects = parse_estimates(io.StringIO(text))
+        ests, oracle_rejects = parse_estimates_oracle(io.StringIO(text))
+        assert rejects == oracle_rejects == [Reject(1502, "malformed: day is out of range for month")]
+        assert table.estimate_ts.tolist() == [e.estimate_ts for e in ests]
+
     def test_rows_across_conversion_chunks(self):
-        # ids seen in one chunk keep their code in the next, and a bad row
-        # past the first chunk is named by its physical line, in both files
+        self.rows_across_conversion_chunks(quoted=False)
+
+    def test_rows_across_conversion_chunks_quoted_past_the_first(self):
+        self.rows_across_conversion_chunks(quoted=True)
+
+    def rows_across_conversion_chunks(self, quoted):
+        # ids seen in one block keep their code in the next, and a bad row
+        # past the first block is named by its physical line, in both files;
+        # quoted, csv.reader reads from the second block on
         n = 40000
         assert n > 2 * _CHUNK_ROWS
         rows = [
@@ -585,6 +631,8 @@ class TestColumnarMatchesOracle:
         for lines in (rows, act_rows):
             lines[30000] = lines[30000].rsplit(",", 1)[0] + ",1e3\n"
             lines[35000] = lines[35000].rsplit(",", 1)[0] + ",99999999999999999999\n"
+            if quoted:
+                lines[_CHUNK_ROWS + 7] = '"' + lines[_CHUNK_ROWS + 7].replace(",", '",', 1)
         too_big = Reject(35002, "malformed: value_cents 99999999999999999999 outside the int64 range")
 
         text = HEADER + "".join(rows)
@@ -608,6 +656,12 @@ class TestColumnarMatchesOracle:
         assert len(table) == n - 2
 
     def test_actuals_csv_edge_cases(self):
+        self.actuals_csv_edge_cases(quoted=True)
+
+    def test_actuals_csv_edge_cases_quote_free(self):
+        self.actuals_csv_edge_cases(quoted=False)
+
+    def actuals_csv_edge_cases(self, quoted):
         header = "note,value_cents,announce_ts,period_quarter,period_year,firm_id,extra\n"
         big = 2**63
         text = header + "".join(
@@ -638,6 +692,7 @@ class TestColumnarMatchesOracle:
                 f"x,100,2011-03-01T00:00:00Z,{big},2011,F21,\n",  # line 25
             ]
         )
+        text = with_quotes(text, quoted)
         table, rejects = parse_actuals(io.StringIO(text))
         acts, oracle_rejects = parse_actuals_oracle(io.StringIO(text))
         assert [r.line for r in rejects] == [7, 8, 9, 11, 12, 13, 14, 15, 18, 19, 22, 23, 24, 25]
@@ -701,3 +756,269 @@ class TestColumnarMatchesOracle:
             require_prior_record=require,
         )
         assert_same_panel(estimates_from_rows(est_rows), estimates_from_rows_oracle(est_rows), act_rows, cfg, identity)
+
+
+# Fields for the differential tests: canonical values, and texts each
+# tokenizer must hand to the scalar int() or parse_ts, or reject with its
+# message
+BIG = 2**63
+INT_TEXTS = st.one_of(
+    st.integers(-(10**18) + 1, 10**18 - 1).map(str),
+    st.sampled_from(
+        ["+5", " 7", "7 ", "1_0", "٣", "", "-", "--1", "0x10", "1e3", "12.5", "007", "-0", "9" * 19, "9" * 20]
+        + [str(v) for v in (BIG - 1, -BIG, BIG, -BIG - 1, 10**18, -(10**18))]
+    ),
+)
+QUARTER_TEXTS = st.one_of(st.sampled_from(["1", "2", "3", "4"]), INT_TEXTS)
+TS_TEXTS = st.one_of(
+    st.datetimes().map(lambda d: d.replace(microsecond=0).isoformat() + "Z"),
+    st.sampled_from(
+        [
+            "2011-02-30T00:00:00Z",  # off the calendar: parse_ts words the reject
+            "1900-02-29T00:00:00Z",
+            "2011-04-31T00:00:00Z",
+            "2011-13-01T00:00:00Z",
+            "2011-00-10T00:00:00Z",
+            "2011-03-00T00:00:00Z",
+            "0000-03-01T00:00:00Z",
+            "2011-03-01T24:00:00Z",
+            "2011-03-01T23:60:00Z",
+            "2011-03-01T23:59:60Z",
+            "2000-02-29T23:59:59Z",
+            "0001-01-01T00:00:00Z",
+            "9999-12-31T23:59:59Z",
+            "2011-03-01T00:00:00",
+            "2011-03-01T03:00:00+05:00",
+            "2011-03-02",
+            "2011-03-01T00:00:00.5Z",
+            "2011-03-01 00:00:00Z",
+            "２011-03-01T00:00:00Z",  # a fullwidth digit
+            "junk",
+            "",
+        ]
+    ),
+)
+ID_TEXTS = st.one_of(
+    st.sampled_from(["A1", "A2", "A1 ", "", "é", "Ωmega", "analyst-9", "x" * 70, "é" * 33]),
+    # no comma, quote, line end or NUL, which send a block to csv.reader;
+    # other separators (\x0b, \x85, \u2028) are plain text to csv.reader
+    st.text(st.characters(blacklist_characters=',"\r\n\x00', blacklist_categories=("Cs",)), max_size=10),
+)
+NOTE_TEXTS = st.sampled_from(["", "x", "note é"])
+KIND_TEXTS = {ID: ID_TEXTS, INT64: INT_TEXTS, QUARTER: QUARTER_TEXTS, TIMESTAMP: TS_TEXTS}
+
+
+def beyond_int64(text):
+    try:
+        return not -BIG <= int(text) < BIG
+    except ValueError:
+        return False
+
+
+@st.composite
+def csv_texts(draw, table_type, block_rows):
+    """A CSV text of the table's columns plus an unread last one: blank,
+    short and long rows, LF or CRLF line ends, an optional final newline,
+    and optionally one quoted field that first appears after the first
+    block. Also the text with every row the per-row oracles word
+    differently blanked out: a value beyond int64, or a short row."""
+    kinds = [kind for _, _, kind in _schema(table_type)]
+    header = [column for column, _, _ in _schema(table_type)] + ["note"]
+    rows, oracle_rows = [], []
+    for _ in range(draw(st.integers(0, 3 * block_rows + 2))):
+        shape = draw(st.sampled_from(["row", "row", "row", "blank", "short", "long"]))
+        row = [] if shape == "blank" else [draw(KIND_TEXTS[kind]) for kind in kinds] + [draw(NOTE_TEXTS)]
+        if shape == "short":
+            row = row[: draw(st.integers(1, len(kinds) - 1))]
+        elif shape == "long":
+            row += draw(st.lists(NOTE_TEXTS, min_size=1, max_size=3))
+        rows.append(row)
+        plain = shape in ("row", "long") and not any(beyond_int64(f) for f, kind in zip(row, kinds) if kind != ID)
+        oracle_rows.append(row if plain else [])
+    quote = draw(st.one_of(st.none(), st.integers(block_rows, 3 * block_rows + 2)))
+    if quote is not None and quote < len(rows) and rows[quote]:
+        rows[quote] = ['"' + rows[quote][0] + '"'] + rows[quote][1:]  # csv.reader reads the same fields
+    end = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    final = end if draw(st.booleans()) else ""
+    return tuple(end.join(",".join(r) for r in [header, *table]) + final for table in (rows, oracle_rows))
+
+
+def table_state(table):
+    """Every column and id tuple of a table, as plain values."""
+    return {
+        f.name: getattr(table, f.name) if f.name.endswith("_ids") else getattr(table, f.name).tolist()
+        for f in fields(table)
+    }
+
+
+def table_rows(table):
+    """Each row of a table in schema order, ids as text."""
+    columns = [
+        [getattr(table, attr + "_ids")[c] for c in getattr(table, attr).tolist()]
+        if kind == ID
+        else getattr(table, attr).tolist()
+        for _, attr, kind in _schema(type(table))
+    ]
+    return list(zip(*columns))
+
+
+def record_row(record):
+    """A per-row oracle's record as a table_rows row."""
+    if hasattr(record, "analyst_id"):
+        r = record
+        return (r.analyst_id, r.broker_id, r.firm_id, *r.period, r.estimate_ts, r.horizon_code, r.value_cents)
+    return (record.firm_id, *record.period, record.announce_ts, record.value_cents)
+
+
+def outcome(parse, source):
+    try:
+        table, rejects = parse(source)
+    except ValueError as exc:
+        return "raises", str(exc)
+    return table_state(table), rejects
+
+
+class TestByteTokenizer:
+    """Quote-free blocks are tokenized as bytes; csv.reader reads the rest.
+    Both must read any text as csv.reader and the per-row oracles do."""
+
+    BLOCK_ROWS = 3
+
+    def csv_reader_only(self, mp):
+        mp.setattr(ingest._ByteBlock, "tokenize", classmethod(lambda cls, *args: None))
+
+    def test_quote_free_blocks_are_tokenized_as_bytes(self, monkeypatch):
+        # csv.reader starts at the first block holding a quote or a CR
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", 2)
+        handed_over = []
+        csv_rows = ingest._csv_rows
+
+        def spy(reader, offset, *args):
+            handed_over.append(offset + 1)
+            return csv_rows(reader, offset, *args)
+
+        monkeypatch.setattr(ingest, "_csv_rows", spy)
+        row = "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n"
+        for body, first in (
+            (row * 5, None),
+            (row * 3 + '"A1",B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n' + row, 4),
+            (row * 4 + row.replace("\n", "\r\n"), 6),
+            ((row * 5).replace("\n", "\r\n"), 2),
+        ):
+            handed_over.clear()
+            table, rejects = parse_estimates(io.StringIO(HEADER + body))
+            assert len(table) == 5 and not rejects
+            assert handed_over == ([first] if first else [])
+
+    def check(self, parse, parse_oracle, texts):
+        """The parse of the text equals, table, rejects and exception alike,
+        its parse from a path and its parse by csv.reader alone, and the
+        parse of the oracle's text equals the per-row oracle's."""
+        text, oracle_text = texts
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_CHUNK_ROWS", self.BLOCK_ROWS)
+            got = outcome(parse, io.StringIO(text))
+            with tempfile.TemporaryDirectory() as work:
+                path = os.path.join(work, "input.csv")
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+                where = f"{path}: " if got[0] == "raises" else ""
+                assert outcome(parse, path) == (got if not where else ("raises", where + got[1]))
+            try:
+                table, rejects = parse(io.StringIO(oracle_text))
+            except ValueError as exc:
+                table, rejects = None, str(exc)
+            self.csv_reader_only(mp)
+            assert outcome(parse, io.StringIO(text)) == got
+        try:
+            records, oracle_rejects = parse_oracle(io.StringIO(oracle_text))
+        except ValueError as exc:
+            assert (table, rejects) == (None, str(exc))
+            return
+        assert rejects == oracle_rejects
+        assert table_rows(table) == [record_row(r) for r in records]
+
+    @settings(max_examples=150, deadline=None)
+    @given(texts=csv_texts(EstimateTable, BLOCK_ROWS))
+    def test_estimates_match_csv_reader_and_oracle(self, texts):
+        self.check(parse_estimates, parse_estimates_oracle, texts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(texts=csv_texts(ActualTable, BLOCK_ROWS))
+    def test_actuals_match_csv_reader_and_oracle(self, texts):
+        self.check(parse_actuals, parse_actuals_oracle, texts)
+
+    def test_ids_equal_but_for_trailing_nuls_stay_apart(self):
+        ids = ["A1", "A1\x00", "\x00", "", "A1\x00\x00", "A1", "analyst-10\x00"]
+        text = HEADER + "".join(f"{a},B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n" for a in ids)
+        table, rejects = parse_estimates(io.StringIO(text))
+        assert not rejects
+        assert table.analyst_ids == tuple(sorted(set(ids)))
+        assert [table.analyst_ids[c] for c in table.analyst.tolist()] == ids
+
+    def test_line_past_the_field_limit_fails_as_csv_reader_fails(self):
+        row = "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105"
+        text = HEADER + row + "\n" + row + "," + "x" * 60 + "\n"
+        limit = csv.field_size_limit(50)
+        try:
+            with pytest.raises(csv.Error, match="field larger than field limit"):
+                parse_estimates(io.StringIO(text))
+        finally:
+            csv.field_size_limit(limit)
+
+
+class TestUndecodableInput:
+    """A byte that is not UTF-8 fails the parse with the file and its
+    physical line, whatever the locale."""
+
+    ROW = "1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n"
+    TEXT = (HEADER + "A" + ROW + "\n" + "A\xff" + ROW).encode("latin-1")
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["bytes", "csv_reader"])
+    def test_path(self, tmp_path, quoted):
+        path = tmp_path / "estimates.csv"
+        path.write_bytes(self.TEXT.replace(b"A1,", b'"A1",') if quoted else self.TEXT)
+        with pytest.raises(ValueError, match=rf"^{path}: line 4: undecodable byte 0xff; the input must be UTF-8$"):
+            parse_estimates(str(path))
+
+    def test_past_the_first_block(self, tmp_path):
+        path = tmp_path / "estimates.csv"
+        row = b"A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n"
+        path.write_bytes(HEADER.encode() + row * (_CHUNK_ROWS + 5) + self.TEXT.splitlines(keepends=True)[-1])
+        with pytest.raises(ValueError, match=rf"line {_CHUNK_ROWS + 7}: undecodable byte 0xff"):
+            parse_estimates(str(path))
+
+    def test_header(self, tmp_path):
+        path = tmp_path / "actuals.csv"
+        path.write_bytes(b"firm_id,period_year,period_quarter,announce_ts,value_cents,n\xe9\n")
+        with pytest.raises(ValueError, match="line 1: undecodable byte 0xe9"):
+            parse_actuals(str(path))
+
+    def test_text_stream(self):
+        # a stream that keeps undecodable bytes as surrogate escapes, as
+        # sys.stdin does under a C locale, and a str holding a lone surrogate
+        stream = io.TextIOWrapper(io.BytesIO(self.TEXT), encoding="utf-8", errors="surrogateescape")
+        with pytest.raises(ValueError, match=r"^line 4: undecodable byte 0xff; the input must be UTF-8$"):
+            parse_estimates(stream)
+        with pytest.raises(ValueError, match=r"^line 2: undecodable character U\+D800"):
+            parse_estimates(io.StringIO(HEADER + "A\ud800,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n"))
+
+    def test_strict_text_stream(self):
+        # a strict stream decodes ahead of the lines read, so its own error
+        # carries the byte's position, not its line
+        stream = io.TextIOWrapper(io.BytesIO(self.TEXT), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^estimates source is not UTF-8: 'utf-8' codec can't decode byte 0xff"):
+            parse_estimates(stream)
+
+    def test_locale_does_not_change_what_parses(self, tmp_path):
+        # under the C locale without UTF-8 mode, open() would read ASCII
+        path = tmp_path / "estimates.csv"
+        path.write_text(HEADER + "Ωmega,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n", encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ingest.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        code = "import sys; from estagg.ingest import parse_estimates as p; print(ascii(p(sys.argv[1])[0].analyst_ids))"
+        child = subprocess.run(
+            [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == ascii(("Ωmega",))
