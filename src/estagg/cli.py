@@ -16,9 +16,10 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict
 from operator import attrgetter
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -156,6 +157,25 @@ def _write_models(path: str, models: list[PeriodModel]) -> None:
     _write_rows(path, header, "%d,%d," + "%r," * N_VARS + "%d,%r\n", rows)
 
 
+def _write_mode(
+    out: Callable[[str], str],
+    label: str,
+    replay: ReplayResult,
+    result: ModeResult,
+    fields: tuple[list[str], list[int], list[int]],
+    burn_in: int,
+) -> None:
+    """A mode's models, events and scatter files, at the paths `out` gives
+    for their names; `fields` are its panel's _event_fields."""
+    _write_models(out(os.path.join("models", f"{label}.csv")), replay.models)
+    _write_events(out(f"events_{label}.csv"), replay, fields)
+    original, improved = surprises(replay, burn_in)
+    rows = zip(original.tolist(), improved.tolist())
+    _write_rows(out(f"scatter_{label}.csv"), "original_surprise,improved_surprise", "%r,%r\n", rows)
+    sidecar = {"n": result.n_events, "trend": result.trend, "r_squared": result.r_squared}
+    _write_json(out(f"scatter_{label}.json"), sidecar)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         settings = _settings(args, RUN_SETTINGS | FILTER_SETTINGS)
@@ -210,18 +230,32 @@ def cmd_run(args: argparse.Namespace) -> int:
         else:
             modes = modes_by_label([m.strip() for m in mode_sel.split(",") if m.strip()], exponent)
 
-        source = PanelSource(estimates, actuals, fcfg)
-        results, details = run_mode_matrix(source, modes, burn_in)
-
         made_out_dir = not os.path.isdir(out_dir)
         os.makedirs(out_dir, exist_ok=True)
+        made_models_dir = not os.path.isdir(models_dir)
+        os.makedirs(models_dir, exist_ok=True)
 
         def out(name: str) -> str:
             p = os.path.join(out_dir, name)
             written.append(p)
             return p
 
-        _write_results_csv(out("results.csv"), results)
+        # each mode's files are written as soon as it is scored; only its
+        # statistics are kept, for results.csv
+        source = PanelSource(estimates, actuals, fcfg)
+        results = [None] * len(modes)  # each mode's ModeResult, in the order of modes
+        modes_left = Counter(map(source.panel_key, modes))  # per panel, its modes still to write
+        event_fields = {}  # per panel key, until the panel's last mode is written
+        for i, replay, result in run_mode_matrix(source, modes, burn_in):
+            key = source.panel_key(modes[i])
+            if key not in event_fields:
+                event_fields[key] = _event_fields(replay.panel, burn_in)
+            _write_mode(out, modes[i].label, replay, result, event_fields[key], burn_in)
+            results[i] = result
+            modes_left[key] -= 1
+            if not modes_left[key]:
+                del event_fields[key]
+            del replay  # hold no panel while the next group's is built
 
         panel = source.default_panel()
         report = {
@@ -236,21 +270,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if check_path:
             report["actuals_check"] = check_report
         _write_json(out("ingest_report.json"), report)
-
-        made_models_dir = not os.path.isdir(models_dir)
-        os.makedirs(models_dir, exist_ok=True)
-        event_fields = {}  # per panel, keyed by id while details holds every panel
-        for mode, result in zip(modes, results):
-            rr = details[mode.label]
-            _write_models(out(os.path.join("models", f"{mode.label}.csv")), rr.models)
-            if id(rr.panel) not in event_fields:
-                event_fields[id(rr.panel)] = _event_fields(rr.panel, burn_in)
-            _write_events(out(f"events_{mode.label}.csv"), rr, event_fields[id(rr.panel)])
-            original, improved = surprises(rr, burn_in)
-            rows = zip(original.tolist(), improved.tolist())
-            _write_rows(out(f"scatter_{mode.label}.csv"), "original_surprise,improved_surprise", "%r,%r\n", rows)
-            sidecar = {"n": result.n_events, "trend": result.trend, "r_squared": result.r_squared}
-            _write_json(out(f"scatter_{mode.label}.json"), sidecar)
+        _write_results_csv(out("results.csv"), results)
 
         manifest = {
             "version": __version__,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace as dc_replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -157,8 +157,17 @@ class PanelSource:
     def panel_for(self, mode: ModeConfig) -> Panel:
         return self._panel(*self.panel_key(mode))
 
+    def default_key(self) -> tuple[str, int]:
+        """The key of the panel the run's ingest report describes."""
+        return ("analyst", self.cfg.min_lead_hours)
+
     def default_panel(self) -> Panel:
-        return self._panel("analyst", self.cfg.min_lead_hours)
+        return self._panel(*self.default_key())
+
+    def release(self, key: tuple[str, int]) -> None:
+        """Drop the cached panel of `key` unless it is the default panel."""
+        if key != self.default_key():
+            self._cache.pop(key, None)
 
 
 def mode_result(label: str, original: np.ndarray, improved: np.ndarray) -> ModeResult:
@@ -182,26 +191,39 @@ def evaluate_mode(result: ReplayResult, mode: ModeConfig, burn_in: int) -> ModeR
     return mode_result(mode.label, *surprises(result, burn_in))
 
 
+def _score_group(
+    source: PanelSource, modes: Sequence[ModeConfig], members: list[int], burn_in: int
+) -> Iterator[tuple[int, ReplayResult, ModeResult]]:
+    """Score the modes at `members` of `modes`, which share a panel and a
+    bias ledger, from one ledger pass."""
+    state = None
+    for i in members:
+        panel = source.panel_for(modes[i])
+        if state is None:
+            state = ledger_state(panel, ledger_key(modes[i]))
+        replay = run_mode(panel, modes[i], state)
+        yield i, replay, evaluate_mode(replay, modes[i], burn_in)
+
+
 def run_mode_matrix(
     source: PanelSource,
     modes: Sequence[ModeConfig],
     burn_in: int = 24,
-) -> tuple[list[ModeResult], dict[str, ReplayResult]]:
-    """Run every mode and assemble its three statistics.
+) -> Iterator[tuple[int, ReplayResult, ModeResult]]:
+    """Score every mode, handing out each mode's index in `modes`, replay
+    and three statistics as soon as it is scored, and keeping neither.
 
     Modes that share a panel and a bias ledger score from one ledger pass.
-    Each group runs back to back, so one pass's state is alive at a time.
+    The groups run in panel-key order, so each panel's groups run back to
+    back, and after a panel's last group the source drops it unless it is
+    the default panel. A caller that lets go of each replay once it has
+    used it holds one group's state and at most two panels at a time: the
+    default panel and the current one.
     """
-    groups: dict[tuple, list[int]] = {}
+    panels: dict[tuple[str, int], dict[tuple, list[int]]] = {}
     for i, mode in enumerate(modes):
-        groups.setdefault(source.panel_key(mode) + ledger_key(mode), []).append(i)
-    replays: dict[int, ReplayResult] = {}
-    for members in groups.values():
-        state = None
-        for i in members:
-            panel = source.panel_for(modes[i])
-            if state is None:
-                state = ledger_state(panel, ledger_key(modes[i]))
-            replays[i] = run_mode(panel, modes[i], state)
-    results = [evaluate_mode(replays[i], mode, burn_in) for i, mode in enumerate(modes)]
-    return results, {mode.label: replays[i] for i, mode in enumerate(modes)}
+        panels.setdefault(source.panel_key(mode), {}).setdefault(ledger_key(mode), []).append(i)
+    for key in sorted(panels):
+        for members in panels[key].values():
+            yield from _score_group(source, modes, members, burn_in)
+        source.release(key)

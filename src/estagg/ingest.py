@@ -4,11 +4,12 @@ Both input files are parsed by one schema-driven converter into column
 tables: estimates into an EstimateTable, actuals (one per firm-quarter)
 into an ActualTable, each with one array per column and its ids interned
 to integer codes. A file is read as UTF-8 in blocks of _CHUNK_ROWS lines.
-csv.reader defines the format, but a block with no quote, carriage return
-or NUL, which csv.reader would split at each comma and newline, is
-tokenized as bytes with numpy: each column's fields become a byte matrix
-that converts in whole-column passes, and only distinct ids and fields not
-of canonical form (`-?[0-9]{1,18}`, `YYYY-MM-DDTHH:MM:SSZ`) are decoded.
+csv.reader defines the format, but a block with no quote, NUL or carriage
+return other than a CR LF line end, which csv.reader would split at each
+comma and line end, is tokenized as bytes with numpy: each column's fields
+become a byte matrix that converts in whole-column passes, and only
+distinct ids and fields not of canonical form (`-?[0-9]{1,18}`,
+`YYYY-MM-DDTHH:MM:SSZ`) are decoded.
 From the first block that has one of those, csv.reader reads the rest.
 Both tokenizers share the per-column checks and the scalar int()/parse_ts
 fallbacks, so every row gets the same value or reject message either way.
@@ -368,10 +369,10 @@ class _TextBlock:
 
 
 class _ByteBlock:
-    """Lines of CSV text free of quotes, carriage returns and NULs as
-    UTF-8 bytes, in which csv.reader's fields are the runs between commas
-    and newlines, with the byte bounds of each schema field of each row
-    that holds them all.
+    """Lines of CSV text free of quotes, NULs and carriage returns other
+    than CR LF line ends, as UTF-8 bytes, in which csv.reader's fields are
+    the runs between commas and line ends, with the byte bounds of each
+    schema field of each row that holds them all.
 
     Each column converts in whole-column numpy passes over a byte matrix;
     only fields not of canonical form are decoded, and go through the
@@ -389,11 +390,14 @@ class _ByteBlock:
         """The block of `data`, the UTF-8 bytes of n_lines lines, as
         csv.reader splits them; the offset in the block of each row's line;
         and the offsets and field counts of the rows too short to hold the
-        header's `need` fields. Blank lines hold no row. None when
-        csv.reader could read the lines otherwise: a quote, a carriage
-        return, a NUL, a line break the stream did not end a line at, or a
-        line longer than csv's field limit."""
-        if b'"' in data or b"\r" in data or b"\0" in data:  # csv.reader before 3.11 fails on a NUL
+        header's `need` fields. Blank lines hold no row. A line ending in
+        CR LF ends at its CR, as csv.reader reads it. None when csv.reader
+        could read the lines otherwise: a quote, a carriage return not
+        directly before a newline, a NUL, a line break the stream did not
+        end a line at, or a line longer than csv's field limit."""
+        if b'"' in data or b"\0" in data:  # csv.reader before 3.11 fails on a NUL
+            return None
+        if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
             return None
         buf = np.frombuffer(data, np.uint8)
         ends = np.flatnonzero(buf == ord("\n"))
@@ -402,6 +406,7 @@ class _ByteBlock:
         if len(ends) != n_lines:
             return None
         starts = np.concatenate([[0], ends[:-1] + 1])
+        ends = ends - (buf[np.maximum(ends - 1, 0)] == ord("\r"))  # a CR LF line ends at its CR
         if (ends - starts).max() > csv.field_size_limit():
             return None
         commas = np.flatnonzero(buf == ord(","))
@@ -575,9 +580,10 @@ def _parse(source, kind: str, table_type):
     source is a path, opened as UTF-8 and closed here; anything else is a
     text stream, read and left open.
 
-    csv.reader defines the format. Blocks of lines with no quote, carriage
-    return or NUL are tokenized as bytes (_ByteBlock); from the first block
-    that has one, csv.reader reads that block and the rest.
+    csv.reader defines the format. Blocks of lines with no quote, NUL or
+    carriage return other than a CR LF line end are tokenized as bytes
+    (_ByteBlock); from the first block that has one, csv.reader reads that
+    block and the rest.
     """
     schema = _schema(table_type)
     where = f"{source}: " if isinstance(source, str) else ""

@@ -169,8 +169,7 @@ def test_criterion_04_component_and_keying_orderings():
     ests, acts, _ = load_synth(spec)
     source = PanelSource(ests, acts, FilterConfig())
     labels = ["full", "no_expertise", "no_bias", "bias_global", "bias_firm", "bias_analyst"]
-    results, _ = run_mode_matrix(source, modes_by_label(labels), burn_in=12)
-    med = {r.label: r.median for r in results}
+    med = {r.label: r.median for _, _, r in run_mode_matrix(source, modes_by_label(labels), burn_in=12)}
     sep = 0.02
     ok = med["full"] >= med["no_expertise"] + sep
     ok &= med["no_expertise"] >= med["no_bias"] + sep

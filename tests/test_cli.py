@@ -1,13 +1,15 @@
 import csv
 import json
 import os
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import mixed_size_rows
-from estagg import evaluate, replay
+from estagg import cli, evaluate, replay
 from estagg.aggregate import default_mode_matrix
 from estagg.cli import _write_results_csv, main
 from estagg.evaluate import PanelSource, run_mode_matrix
@@ -160,12 +162,96 @@ class TestRunCommand:
         def fail(panel):
             raise RuntimeError("injected")
 
-        # fails after results.csv is written into the new directory
+        # fails after every per-mode file is written into the new directory
         monkeypatch.setattr("estagg.cli.descriptive_stats", fail)
         out = tmp_path / "new"
         assert main(run_args(synth_dir, out, ["--modes", "full"])) == 1
         assert "injected" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("made_out_dir", [False, True], ids=["existing_out_dir", "new_out_dir"])
+    def test_failure_in_a_late_group_removes_earlier_groups_files(
+        self, synth_dir, tmp_path, monkeypatch, capsys, made_out_dir
+    ):
+        # cutoff_60d's panel is the third of four, so every group of the two
+        # panels before it has written its files when the run fails
+        written = []
+
+        def recording_write_mode(out, label, *rest):
+            if made_out_dir and label == "cutoff_60d":
+                raise RuntimeError("injected")
+            write_mode(out, label, *rest)
+            written.append(label)
+
+        write_mode = cli._write_mode
+        monkeypatch.setattr(cli, "_write_mode", recording_write_mode)
+        out = tmp_path / "out"
+        if not made_out_dir:
+            (out / "events_cutoff_60d.csv").mkdir(parents=True)
+        assert main(run_args(synth_dir, out, ["--modes", "all"])) == 1
+        assert "run failed" in capsys.readouterr().err
+        assert len(written) == len(default_mode_matrix()) - 2  # all but cutoff_60d and institution
+        if made_out_dir:
+            assert not out.exists()
+        else:
+            assert sorted(p.name for p in out.iterdir()) == ["events_cutoff_60d.csv"]
+            assert not any((out / "events_cutoff_60d.csv").iterdir())
+
+    def test_each_panel_but_the_default_is_dropped_after_its_last_group(self, synth_dir, tmp_path, monkeypatch):
+        built = []  # a weak reference to each panel, in build order
+        live_at_build = []  # per build, how many panels built before it are alive
+
+        def counting_build_panel(*args, **kwargs):
+            live_at_build.append(sum(ref() is not None for ref in built))
+            panel = build_panel(*args, **kwargs)
+            built.append(weakref.ref(panel))
+            return panel
+
+        def watching_matrix(source, modes, burn_in):
+            """The matrix, counting, as each mode is handed out and once it
+            ends, the non-default panels alive whose last mode was written."""
+            left = Counter(map(source.panel_key, modes))
+            finished = []  # weak references to the panels whose last mode was written
+            for i, replay, result in run_mode_matrix(source, modes, burn_in):
+                outlived.append(sum(ref() is not None for ref in finished))
+                key, panel = source.panel_key(modes[i]), weakref.ref(replay.panel)
+                yield i, replay, result
+                del replay
+                left[key] -= 1
+                if not left[key] and key != source.default_key():
+                    finished.append(panel)
+            outlived.append(sum(ref() is not None for ref in finished))
+            assert len(finished) == 3
+            default.append(source.default_panel())
+
+        outlived, default = [], []
+        build_panel = evaluate.build_panel
+        monkeypatch.setattr(evaluate, "build_panel", counting_build_panel)
+        monkeypatch.setattr(cli, "run_mode_matrix", watching_matrix)
+        assert main(run_args(synth_dir, tmp_path, ["--modes", "all"])) == 0
+        assert outlived == [0] * (len(default_mode_matrix()) + 1)
+        # the default panel is built first, for full, and outlives the
+        # matrix for the ingest report; no other panel outlives its groups
+        assert len(built) == 4 and default == [built[0]()]
+        assert live_at_build == [0, 1, 1, 1]
+
+    def test_mode_order_changes_only_results_order(self, synth_dir, run_dir, tmp_path):
+        labels = [m.label for m in default_mode_matrix()]
+        forward, backward = tmp_path / "forward", tmp_path / "backward"
+        assert main(run_args(synth_dir, forward, ["--modes", ",".join(labels)])) == 0
+        assert main(run_args(synth_dir, backward, ["--modes", ",".join(reversed(labels))])) == 0
+        names = {
+            os.path.relpath(os.path.join(d, f), forward)
+            for d, _, files in os.walk(forward)
+            for f in files
+            if f not in ("results.csv", "manifest.json")
+        }
+        assert len(names) == 1 + 4 * len(labels)
+        for name in names:
+            assert (backward / name).read_bytes() == (forward / name).read_bytes(), name
+        header, *rows = (forward / "results.csv").read_text().splitlines(keepends=True)
+        assert (backward / "results.csv").read_text() == header + "".join(reversed(rows))
+        assert [r.split(",")[0] for r in rows] == labels
 
     def test_ingest_report_lists_parse_rejects(self, synth_dir, tmp_path):
         lines = (synth_dir / "estimates.csv").read_text().splitlines(keepends=True)
@@ -564,18 +650,18 @@ class TestColumnarWriters:
             FilterConfig(min_analysts=2),
         )
         modes = default_mode_matrix()
-        _, details = run_mode_matrix(source, modes, self.BURN_IN)
-        results = []
-        for mode in modes:
-            views = oracles.outcome_views(details[mode.label])
-            assert (out / f"events_{mode.label}.csv").read_text() == oracles.events_file(views, self.BURN_IN)
-            assert (out / f"scatter_{mode.label}.csv").read_text() == oracles.scatter_file(views, self.BURN_IN)
-            assert (out / "models" / f"{mode.label}.csv").read_text() == oracles.models_file(details[mode.label].models)
-            results.append(oracles.mode_result(mode.label, oracles.pairs_from_outcomes(views, self.BURN_IN)))
+        results = [None] * len(modes)
+        for i, replay, _ in run_mode_matrix(source, modes, self.BURN_IN):
+            label, views = modes[i].label, oracles.outcome_views(replay)
+            assert (out / f"events_{label}.csv").read_text() == oracles.events_file(views, self.BURN_IN)
+            assert (out / f"scatter_{label}.csv").read_text() == oracles.scatter_file(views, self.BURN_IN)
+            assert (out / "models" / f"{label}.csv").read_text() == oracles.models_file(replay.models)
+            results[i] = oracles.mode_result(label, oracles.pairs_from_outcomes(views, self.BURN_IN))
+            if label == "full":
+                full = views
         expected = tmp_path / "results.csv"
         _write_results_csv(str(expected), results)
         assert (out / "results.csv").read_bytes() == expected.read_bytes()
 
-        full = oracles.outcome_views(details["full"])
         assert len({o.n_analysts for o in full}) > 1
         assert {o.quarter_offset >= self.BURN_IN for o in full} == {False, True}

@@ -4,7 +4,8 @@ check of the hindsight closest-analyst modes on the same run.
 The hashes pin results.csv, ingest_report.json and every events_*,
 scatter_* and models/* file byte for byte, for the inputs as written and for
 a quoted, CRLF-ended copy that csv.reader reads instead of the byte
-tokenizer. They hold only for the python and numpy versions they were
+tokenizer, and for an unquoted CRLF-ended copy that the byte tokenizer
+reads. They hold only for the python and numpy versions they were
 recorded with; under other versions the comparison is skipped. After a
 change that is meant to alter the artifacts, rewrite them with
 
@@ -116,6 +117,26 @@ def test_quoted_crlf_inputs_match_goldens(matrix_run, tmp_path):
         with open(copy, "w", encoding="utf-8", newline="") as dst:
             csv.writer(dst, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(rows)
         argv += [f"--{name}", copy]
+    out = str(tmp_path / "run")
+    assert main(argv + ["--out", out, "--burn-in", str(BURN_IN)]) == 0
+    assert pinned_hashes(out) == golden_hashes()
+
+
+def test_crlf_inputs_stay_on_the_byte_path_and_match_goldens(matrix_run, tmp_path, monkeypatch):
+    # CRLF-ended lines with no quote end at their CR as csv.reader reads
+    # them, so neither file reaches csv.reader; the artifacts must not move
+    def no_csv_rows(*args):
+        raise AssertionError("a block reached csv.reader")
+
+    monkeypatch.setattr("estagg.ingest._csv_rows", no_csv_rows)
+    paths, _ = matrix_run
+    argv = ["run"]
+    for name in ("estimates", "actuals"):
+        copy = tmp_path / f"{name}.csv"
+        with open(paths[name], "rb") as src:
+            copy.write_bytes(src.read().replace(b"\n", b"\r\n"))
+        assert b'"' not in copy.read_bytes()
+        argv += [f"--{name}", str(copy)]
     out = str(tmp_path / "run")
     assert main(argv + ["--out", out, "--burn-in", str(BURN_IN)]) == 0
     assert pinned_hashes(out) == golden_hashes()

@@ -888,7 +888,8 @@ class TestByteTokenizer:
         mp.setattr(ingest._ByteBlock, "tokenize", classmethod(lambda cls, *args: None))
 
     def test_quote_free_blocks_are_tokenized_as_bytes(self, monkeypatch):
-        # csv.reader starts at the first block holding a quote or a CR
+        # csv.reader starts at the first block holding a quote or a CR that
+        # does not end a line before its newline
         monkeypatch.setattr(ingest, "_CHUNK_ROWS", 2)
         handed_over = []
         csv_rows = ingest._csv_rows
@@ -902,8 +903,10 @@ class TestByteTokenizer:
         for body, first in (
             (row * 5, None),
             (row * 3 + '"A1",B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n' + row, 4),
-            (row * 4 + row.replace("\n", "\r\n"), 6),
-            ((row * 5).replace("\n", "\r\n"), 2),
+            (row * 4 + row.replace("\n", "\r\n"), None),
+            ((row * 5).replace("\n", "\r\n"), None),
+            (row * 4 + row.replace("\n", "\r"), 6),
+            (row * 2 + row.replace("\n", "\r\r\n") + row * 2, 4),
         ):
             handed_over.clear()
             table, rejects = parse_estimates(io.StringIO(HEADER + body))

@@ -164,12 +164,12 @@ class TestSharedState:
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
     def test_matrix_matches_per_mode_oracle(self, source, oracle, reverse):
         modes = default_mode_matrix()[:: -1 if reverse else 1]
-        results, details = run_mode_matrix(source, modes, burn_in=self.BURN_IN)
-        labels = [m.label for m in modes]
-        assert [r.label for r in results] == labels
-        assert list(details) == labels
-        for mode, result in zip(modes, results):
-            got, want = replay_view(details[mode.label]), oracle[mode.label]
+        handed_out = []
+        for i, replay, result in run_mode_matrix(source, modes, burn_in=self.BURN_IN):
+            handed_out.append(i)
+            mode = modes[i]
+            assert result.label == mode.label
+            got, want = replay_view(replay), oracle[mode.label]
             assert len(got.outcomes) == len(want.outcomes)
             for a, b in zip(got.outcomes, want.outcomes):
                 assert outcome_fields(a) == outcome_fields(b)
@@ -177,6 +177,7 @@ class TestSharedState:
                 (m.quarter, m.beta.tobytes(), m.n_obs, m.rss) for m in want.models
             ]
             assert result == oracles.evaluate_mode(want, mode, self.BURN_IN)
+        assert sorted(handed_out) == list(range(len(modes)))
 
     def test_one_ledger_pass_and_normalization_per_shared_state(self, source, monkeypatch):
         passes = []
@@ -195,7 +196,8 @@ class TestSharedState:
         monkeypatch.setattr(replay, "ledger_state", counting_ledger_state)
         monkeypatch.setattr(replay, "normalize_event", counting_normalize_event)
         modes = default_mode_matrix()
-        run_mode_matrix(source, modes, burn_in=self.BURN_IN)
+        for _ in run_mode_matrix(source, modes, burn_in=self.BURN_IN):
+            pass
         # full and 10 of its variants; no_bias and closest_raw; the four bias
         # keys; institution; the two recency cutoffs
         assert len(passes) == 9
@@ -217,14 +219,14 @@ class TestSharedState:
         monkeypatch.setattr(Panel, "layout", layout)
         fresh = PanelSource(source.estimates, source.actuals, source.cfg)
         modes = default_mode_matrix()
-        _, details = run_mode_matrix(fresh, modes, burn_in=self.BURN_IN)
+        for i, replay, _ in run_mode_matrix(fresh, modes, burn_in=self.BURN_IN):
+            # the panel is cached until its last group is scored
+            panel = fresh.panel_for(modes[i])
+            assert replay.panel is panel
+            assert [layout for p, layout in laid_out if p is panel] == [panel.layout]
         # nine ledger passes over four panels: analyst identity at the three
         # cutoffs, and broker identity
         assert len(laid_out) == len({fresh.panel_key(m) for m in modes}) == 4
-        for mode in modes:
-            panel = fresh.panel_for(mode)
-            assert details[mode.label].panel is panel
-            assert [layout for p, layout in laid_out if p is panel] == [panel.layout]
         full, no_bias = modes[0], modes[2]
         panel = fresh.panel_for(full)
         first, second = ledger_state(panel, ledger_key(full)), ledger_state(panel, ledger_key(no_bias))
