@@ -6,13 +6,13 @@ into an ActualTable, each with one array per column and its ids interned
 to integer codes. A file is read as UTF-8 in blocks of _CHUNK_ROWS lines.
 csv.reader defines the format, but a block with no quote, NUL or carriage
 return other than a CR LF line end, which csv.reader would split at each
-comma and line end, is tokenized as bytes with numpy: each column's fields
-become a byte matrix that converts in whole-column passes, and only
-distinct ids and fields not of canonical form (`-?[0-9]{1,18}`,
-`YYYY-MM-DDTHH:MM:SSZ`) are decoded.
-From the first block that has one of those, csv.reader reads the rest.
-Both tokenizers share the per-column checks and the scalar int()/parse_ts
-fallbacks, so every row gets the same value or reject message either way.
+comma and line end, is tokenized as bytes with numpy. From the first block
+that has one of those, csv.reader reads the rest, and the fields of each
+_CHUNK_ROWS of its rows are packed into bytes. Either way a block is a
+_ByteBlock, the one converter: each column's fields become a byte matrix
+that converts in whole-column passes, and only distinct ids and fields not
+of canonical form (`-?[0-9]{1,18}`, `YYYY-MM-DDTHH:MM:SSZ`) are decoded,
+so every row gets the same value or reject message from either tokenizer.
 
 build_panel joins the two tables by sorting, applies the exclusion rules
 (forecast-horizon window, last-estimate-wins dedup, prior-record
@@ -35,7 +35,7 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace as dc_replace
 from functools import cached_property
-from itertools import chain, compress, groupby, islice, repeat
+from itertools import chain, groupby, islice, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -81,19 +81,22 @@ class _Table:
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence], on_reject: Callable[[int, str], None]):
         """Build a table from rows whose fields follow the order of its CSV
-        columns, each timestamp as ISO-8601 text.
+        columns, each timestamp as ISO-8601 text. A field that is not a
+        `str`, such as an int, reads as its str(), so it converts and is
+        rejected as the same text in a CSV file would be.
 
-        Rows are converted a block of _CHUNK_ROWS at a time, so only one
-        block's field objects are alive at once. A row that does not convert
-        is left out and reported to `on_reject` with its position in `rows`.
+        Rows are packed into a _ByteBlock of _CHUNK_ROWS at a time, so only
+        one block's field objects are alive at once. A row that does not
+        convert is left out and reported to `on_reject` with its position in
+        `rows`.
         """
-        return cls._from_blocks(map(_TextBlock, _batches(rows)), on_reject)
+        return cls._from_blocks(map(_ByteBlock.pack, _batches(rows)), on_reject)
 
     @classmethod
     def _from_blocks(cls, blocks: Iterable, on_reject: Callable[[int, str], None]):
-        """Build a table from blocks of rows, each a _TextBlock or a
-        _ByteBlock, converted one after another; `on_reject` gets each bad
-        row's position among all the blocks' rows."""
+        """Build a table from _ByteBlocks, tokenized or packed, converted
+        one after another; `on_reject` gets each bad row's position among
+        all the blocks' rows."""
         schema = _schema(cls)
         seen = [{} if kind == ID else None for _, _, kind in schema]  # id -> first-seen code
         parts: list[list[np.ndarray]] = []
@@ -250,48 +253,14 @@ class Panel:
 
 _INT64 = np.iinfo(np.int64)
 
-# YYYY-MM-DDTHH:MM:SSZ as code points, which are its UTF-8 bytes too; "0"
-# marks a digit
-_TS_FORM = np.array(["0000-00-00T00:00:00Z"]).view(np.uint32)
+# YYYY-MM-DDTHH:MM:SSZ as bytes; "0" marks a digit
+_TS_FORM = np.frombuffer(b"0000-00-00T00:00:00Z", np.uint8)
 _TS_DIGIT = _TS_FORM == ord("0")
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])  # in a common year
 
 # the digits of a canonical int64 field, which cannot overflow; the widest
-# id key a byte block builds, past which it decodes every id
+# id key a block builds, past which it decodes every id
 _INT_DIGITS, _ID_BYTES = 18, 64
-
-
-def _int64s(texts: Sequence, name: str, errors: dict[int, str], convert: Callable = int) -> np.ndarray:
-    """convert() of each text as int64. A text that does not convert, or
-    converts to a value outside the int64 range, reads 0, and its position
-    gets the error message unless it has one already."""
-    try:
-        return np.fromiter(map(convert, texts), np.int64, len(texts))
-    except (ValueError, TypeError, OverflowError):
-        pass
-    out = np.zeros(len(texts), np.int64)
-    for i, x in enumerate(texts):
-        try:
-            value = convert(x)
-        except (ValueError, TypeError) as exc:
-            errors.setdefault(i, str(exc))
-            continue
-        if _INT64.min <= value <= _INT64.max:
-            out[i] = value
-        else:
-            errors.setdefault(i, f"{name} {value} outside the int64 range")
-    return out
-
-
-def _fallback(out: np.ndarray, rows: np.ndarray, texts: Sequence, name: str, errors: dict[int, str], convert: Callable):
-    """Convert the texts of `rows` one at a time into out[rows], as
-    _int64s does, with their errors at the rows' positions."""
-    if len(rows):
-        rows = rows.tolist()
-        row_errors: dict[int, str] = {}
-        out[rows] = _int64s(texts, name, row_errors, convert)
-        for j, message in row_errors.items():
-            errors.setdefault(rows[j], message)
 
 
 def _codes(ids: Sequence, seen: dict) -> np.ndarray:
@@ -301,82 +270,16 @@ def _codes(ids: Sequence, seen: dict) -> np.ndarray:
     return np.fromiter(map(seen.__getitem__, ids), np.int64, len(ids))
 
 
-def _timestamps(
-    chars: np.ndarray, lengths: np.ndarray, name: str, errors: dict[int, str], texts_of: Callable
-) -> np.ndarray:
-    """Unix seconds of ISO-8601 texts, equal to parse_ts of each; errors
-    as in _int64s. `chars` holds the first 20 code points (uint32) or UTF-8
-    bytes (uint8) of each text, `lengths` its length in the same units,
-    and texts_of(rows) the texts of those rows.
-
-    Texts of the exact form YYYY-MM-DDTHH:MM:SSZ naming a second on the
-    proleptic Gregorian calendar, as datetime does, convert in whole-column
-    integer passes; any other text goes through parse_ts.
-    """
-    digits = chars[:, _TS_DIGIT] - ord("0")
-    form = (lengths == 20) & (digits <= 9).all(axis=1) & (chars[:, ~_TS_DIGIT] == _TS_FORM[~_TS_DIGIT]).all(axis=1)
-    rows = np.flatnonzero(form)
-    d = digits[rows].astype(np.int64)
-    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
-    month, day, hour, minute, second = (d[:, k] * 10 + d[:, k + 1] for k in range(4, 14, 2))
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[np.clip(month, 1, 12) - 1] + (leap & (month == 2))
-    on_calendar = (
-        (year >= 1)  # datetime has no year 0
-        & (month >= 1)
-        & (month <= 12)
-        & (day >= 1)
-        & (day <= month_days)
-        & (hour <= 23)
-        & (minute <= 59)
-        & (second <= 59)
-    )
-    # days since 1970-01-01, counting each year from March so that a leap
-    # day ends it
-    y = year - (month <= 2)
-    days = 365 * y + y // 4 - y // 100 + y // 400 + (153 * ((month + 9) % 12) + 2) // 5 + day - 719469
-    exact = np.zeros(len(chars), bool)
-    exact[rows[on_calendar]] = True
-    out = np.empty(len(chars), np.int64)
-    out[exact] = (days * 86400 + hour * 3600 + minute * 60 + second)[on_calendar]
-    other = np.flatnonzero(~exact)
-    _fallback(out, other, texts_of(other), name, errors, parse_ts)
-    return out
-
-
-class _TextBlock:
-    """Rows of text fields in schema order, as csv.reader gives them (or
-    from_rows' caller, whose int64 fields may be ints)."""
-
-    def __init__(self, rows: Sequence[Sequence]):
-        self.fields = list(zip(*rows))
-        self.n = len(rows)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def int64s(self, i: int, name: str, errors: dict[int, str]) -> np.ndarray:
-        return _int64s(self.fields[i], name, errors)
-
-    def timestamps(self, i: int, name: str, errors: dict[int, str]) -> np.ndarray:
-        texts = self.fields[i]
-        chars = np.array(texts, dtype="U20").view(np.uint32).reshape(len(texts), 20)  # U20 cuts longer texts
-        lengths = np.fromiter(map(len, texts), np.int64, len(texts))
-        return _timestamps(chars, lengths, name, errors, lambda rows: [texts[j] for j in rows])
-
-    def codes(self, i: int, keep: Optional[np.ndarray], seen: dict) -> np.ndarray:
-        return _codes(self.fields[i] if keep is None else list(compress(self.fields[i], keep)), seen)
-
-
 class _ByteBlock:
-    """Lines of CSV text free of quotes, NULs and carriage returns other
-    than CR LF line ends, as UTF-8 bytes, in which csv.reader's fields are
-    the runs between commas and line ends, with the byte bounds of each
-    schema field of each row that holds them all.
+    """A block of rows whose fields are runs of UTF-8 bytes in one buffer,
+    with the byte bounds of each schema field of each row: either lines of
+    quote-free CSV text, whose fields are the runs between commas and line
+    ends (`tokenize`), or rows of fields packed column after column
+    (`pack`).
 
     Each column converts in whole-column numpy passes over a byte matrix;
     only fields not of canonical form are decoded, and go through the
-    scalar conversion the text block uses.
+    scalar int() or parse_ts.
     """
 
     def __init__(self, data: bytes, starts: list[np.ndarray], ends: list[np.ndarray]):
@@ -384,6 +287,22 @@ class _ByteBlock:
         # padded so that every fixed-width gather stays in bounds
         self.buf = np.frombuffer(data + bytes(_ID_BYTES), np.uint8)
         self.starts, self.ends = starts, ends  # per schema column, per row
+
+    @classmethod
+    def pack(cls, rows: Sequence[Sequence]):
+        """The block of `rows`, fields in schema order, as csv.reader gives
+        them or from_rows' caller does; a field that is not a `str`, such as
+        an int, is taken as its str(). The fields' bytes are joined column
+        after column."""
+        columns = list(zip(*rows))
+        texts = list(map(str, chain.from_iterable(columns)))
+        text = "".join(texts)
+        data = text.encode()
+        # in ASCII text, each field has as many bytes as characters
+        lengths = map(len, texts if len(data) == len(text) else map(str.encode, texts))
+        lengths = np.fromiter(lengths, np.int64, len(texts)).reshape(len(columns), len(rows))
+        ends = lengths.cumsum().reshape(lengths.shape)
+        return cls(data, list(ends - lengths), list(ends))
 
     @classmethod
     def tokenize(cls, data: bytes, n_lines: int, positions: Sequence[int], need: int):
@@ -432,9 +351,30 @@ class _ByteBlock:
         bytes past a field's end are the next bytes of the block."""
         return sliding_window_view(self.buf, width)[starts]
 
+    def _fallback(
+        self, out: np.ndarray, i: int, rows: np.ndarray, name: str, errors: dict[int, str], convert: Callable
+    ) -> None:
+        """convert() of column i's fields in `rows`, one at a time, into
+        out[rows]. A field that does not convert, or converts to a value
+        outside the int64 range, reads 0, and its row gets the error message
+        unless it has one already."""
+        values = []
+        texts = self._texts(self.starts[i][rows], self.ends[i][rows])
+        for row, text in zip(rows.tolist(), texts):
+            try:
+                value = convert(text)
+            except (ValueError, TypeError) as exc:
+                errors.setdefault(row, str(exc))
+                value = 0
+            if not _INT64.min <= value <= _INT64.max:
+                errors.setdefault(row, f"{name} {value} outside the int64 range")
+                value = 0
+            values.append(value)
+        out[rows] = values
+
     def int64s(self, i: int, name: str, errors: dict[int, str]) -> np.ndarray:
         """Fields of the form -?[0-9]{1,18} read as digit sums, one pass
-        per byte position; any other field converts as _int64s does."""
+        per byte position; any other field goes through int()."""
         starts, lengths = self.starts[i], self.ends[i] - self.starts[i]
         negative = self.buf[starts] == ord("-")
         ok = (lengths - negative >= 1) & (lengths - negative <= _INT_DIGITS)
@@ -446,26 +386,59 @@ class _ByteBlock:
             ok &= is_digit | ~inside | (negative if j == 0 else False)
             out = np.where(inside & is_digit, out * 10 + digit, out)
         out = np.where(negative, -out, out)
-        bad = np.flatnonzero(~ok)
-        _fallback(out, bad, self._texts(self.starts[i][bad], self.ends[i][bad]), name, errors, int)
+        self._fallback(out, i, np.flatnonzero(~ok), name, errors, int)
         return out
 
     def timestamps(self, i: int, name: str, errors: dict[int, str]) -> np.ndarray:
+        """Unix seconds of ISO-8601 fields, equal to parse_ts of each.
+        Fields of the exact form YYYY-MM-DDTHH:MM:SSZ naming a second on the
+        proleptic Gregorian calendar, as datetime does, convert in
+        whole-column integer passes; any other field goes through parse_ts.
+        """
         starts, ends = self.starts[i], self.ends[i]
         chars = self._matrix(starts, 20)
-        return _timestamps(chars, ends - starts, name, errors, lambda rows: self._texts(starts[rows], ends[rows]))
+        digits = chars[:, _TS_DIGIT] - ord("0")
+        form = (digits <= 9).all(axis=1) & (chars[:, ~_TS_DIGIT] == _TS_FORM[~_TS_DIGIT]).all(axis=1)
+        form &= ends - starts == 20
+        rows = np.flatnonzero(form)
+        d = digits[rows].astype(np.int64)
+        year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
+        month, day, hour, minute, second = (d[:, k] * 10 + d[:, k + 1] for k in range(4, 14, 2))
+        leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+        month_days = _MONTH_DAYS[np.clip(month, 1, 12) - 1] + (leap & (month == 2))
+        on_calendar = (
+            (year >= 1)  # datetime has no year 0
+            & (month >= 1)
+            & (month <= 12)
+            & (day >= 1)
+            & (day <= month_days)
+            & (hour <= 23)
+            & (minute <= 59)
+            & (second <= 59)
+        )
+        # days since 1970-01-01, counting each year from March so that a leap
+        # day ends it
+        y = year - (month <= 2)
+        days = 365 * y + y // 4 - y // 100 + y // 400 + (153 * ((month + 9) % 12) + 2) // 5 + day - 719469
+        exact = np.zeros(len(starts), bool)
+        exact[rows[on_calendar]] = True
+        out = np.empty(len(starts), np.int64)
+        out[exact] = (days * 86400 + hour * 3600 + minute * 60 + second)[on_calendar]
+        self._fallback(out, i, np.flatnonzero(~exact), name, errors, parse_ts)
+        return out
 
     def codes(self, i: int, keep: Optional[np.ndarray], seen: dict) -> np.ndarray:
         """Codes of the ids in column i's `keep` rows. Equal ids are found
-        with np.unique over their bytes zero-padded to a multiple of 8, which
-        no id ends in, as a block holds no NUL; only each distinct id is
-        decoded."""
+        with np.unique over their bytes zero-padded to a multiple of 8, and
+        only each distinct id is decoded. An id may end in a NUL only in a
+        block that holds one, which decodes every id instead, as does a
+        block whose ids are wider than _ID_BYTES."""
         starts, ends = self.starts[i], self.ends[i]
         if keep is not None:
             starts, ends = starts[keep], ends[keep]
         lengths = ends - starts
         width = max(8, -(-int(lengths.max(initial=0)) // 8) * 8)
-        if width > _ID_BYTES:
+        if width > _ID_BYTES or b"\0" in self.data:
             return _codes(self._texts(starts, ends), seen)
         keys = self._matrix(starts, width) * (np.arange(width) < lengths[:, None])
         keys = keys.view(">u8" if width == 8 else f"V{width}").ravel()
@@ -582,8 +555,9 @@ def _parse(source, kind: str, table_type):
 
     csv.reader defines the format. Blocks of lines with no quote, NUL or
     carriage return other than a CR LF line end are tokenized as bytes
-    (_ByteBlock); from the first block that has one, csv.reader reads that
-    block and the rest.
+    (_ByteBlock.tokenize); from the first block that has one, csv.reader
+    reads that block and the rest, and its rows are packed into blocks
+    (_ByteBlock.pack) that convert as the tokenized ones do.
     """
     schema = _schema(table_type)
     where = f"{source}: " if isinstance(source, str) else ""
@@ -614,7 +588,7 @@ def _parse(source, kind: str, table_type):
                     if tokens is None:
                         rest = csv.reader(chain(block_lines, chain.from_iterable(more for _, more, _ in chunks)))
                         rows = _csv_rows(rest, first - 1, itemgetter(*positions), need, lines, rejects)
-                        yield from map(_TextBlock, _batches(rows))
+                        yield from map(_ByteBlock.pack, _batches(rows))
                         return
                     block, at, short, n_fields = tokens
                     rejects.extend(map(_short_row, (first + short).tolist(), n_fields.tolist(), repeat(need)))

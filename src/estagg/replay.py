@@ -67,21 +67,17 @@ class LedgerState:
     _rows: dict = field(default_factory=dict, init=False, repr=False)
     _models: dict = field(default_factory=dict, init=False, repr=False)
 
-    def rows(self, scaling: str) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-        """Each size bucket's normalized (k, n, 6) design matrices, and all
-        of the panel's normalized rows and dependent values in row order."""
+    def rows(self, scaling: str) -> tuple[np.ndarray, np.ndarray]:
+        """The panel's normalized rows (rows, 6) and dependent values, in
+        row order; each size bucket is normalized as one stack."""
         if scaling not in self._rows:
             n_rows = len(self.aae)
             X_all, y_all = np.empty((n_rows, 6)), np.empty(n_rows)
-            stacks = []
             for bucket in self.panel.layout.buckets:
                 rows = bucket.rows
                 features = np.concatenate([self.panel.features[rows], self.history[rows]], axis=-1)
-                X, y = normalize_event(features, self.aae[rows], scaling)
-                X_all[rows] = X
-                y_all[rows] = y
-                stacks.append(X)
-            self._rows[scaling] = stacks, X_all, y_all
+                X_all[rows], y_all[rows] = normalize_event(features, self.aae[rows], scaling)
+            self._rows[scaling] = X_all, y_all
         return self._rows[scaling]
 
     def models(self, scaling: str, mask: Mask) -> dict[int, PeriodModel]:
@@ -89,7 +85,7 @@ class LedgerState:
         fits its events' rows in announcement order."""
         key = (scaling, mask)
         if key not in self._models:
-            _, X, y = self.rows(scaling)
+            X, y = self.rows(scaling)
             fitted = {}
             qidx = self.panel.layout.qidx
             quarters, first = np.unique(qidx, return_index=True)  # each quarter's first event
@@ -146,12 +142,13 @@ def improved_consensus(
     models: dict[int, PeriodModel],
 ) -> list[EventAggregate]:
     """Score a bucket's events, in bucket order, from their rows of the
-    ledger pass `state`, their normalized (k, n, 6) design matrices `X` and
+    ledger pass `state`, the panel's normalized rows `X` in row order and
     the model of each one's previous quarter in `models` (by quarter index).
 
-    Each event's predictions and weighted sum are one (n, 6) @ (6, 1) and
-    one (1, n) @ (n, 1) product of its own stack, the arithmetic of
-    scoring it alone.
+    The events with a model gather their (n, 6) design matrices from `X`
+    through the bucket's rows. Each event's predictions and weighted sum
+    are one (n, 6) @ (6, 1) and one (1, n) @ (n, 1) product of its own
+    matrix, the arithmetic of scoring it alone.
     """
     adjusted = state.adjusted[bucket.rows]
     k, n = adjusted.shape
@@ -176,7 +173,7 @@ def improved_consensus(
             fitted = np.empty(0, np.int64)
         if len(fitted):
             betas = np.array([np.zeros(X.shape[-1]) if model is None else model.beta for model in prev])
-            w = weight_vector((X[fitted] @ betas[of_quarter[fitted], :, None])[..., 0], mode.exponent)
+            w = weight_vector((X[bucket.rows[fitted]] @ betas[of_quarter[fitted], :, None])[..., 0], mode.exponent)
             total = w.sum(axis=-1)
             positive = total > 0
             weighted = fitted[positive]
@@ -195,9 +192,8 @@ def run_mode(panel: Panel, mode: ModeConfig, state: Optional[LedgerState] = None
     elif state.panel is not panel or state.key != ledger_key(mode):
         raise ValueError(f"mode {mode.label}: ledger state is for another panel or bias ledger")
     models = state.models(mode.scaling, mode.variable_mask)
-    stacks, _, _ = state.rows(mode.scaling)
-    buckets = panel.layout.buckets
-    scored = list(chain.from_iterable(improved_consensus(state, b, X, mode, models) for b, X in zip(buckets, stacks)))
+    X, _ = state.rows(mode.scaling)
+    scored = list(chain.from_iterable(improved_consensus(state, b, X, mode, models) for b in panel.layout.buckets))
     # the buckets hold the events by size; put them back in announcement order
     outcomes = list(map(scored.__getitem__, panel.layout.position.tolist()))
     logger.info("mode %s: %d events scored, %d models fit", mode.label, len(outcomes), len(models))

@@ -805,6 +805,9 @@ ID_TEXTS = st.one_of(
     st.text(st.characters(blacklist_characters=',"\r\n\x00', blacklist_categories=("Cs",)), max_size=10),
 )
 NOTE_TEXTS = st.sampled_from(["", "x", "note é"])
+# quoted fields' texts: csv.reader reads each back whole, and the NUL ids
+# would meet "A1" and "" in the zero-padded id keys; ids over 8, 64 bytes
+QUOTED_TEXTS = ("a,b", 'say "hi"', "two\nlines", "A1\x00", "\x00", "analyst-10", "x" * 65, "é" * 40, "1,2", "2011\n")
 KIND_TEXTS = {ID: ID_TEXTS, INT64: INT_TEXTS, QUARTER: QUARTER_TEXTS, TIMESTAMP: TS_TEXTS}
 
 
@@ -819,12 +822,14 @@ def beyond_int64(text):
 def csv_texts(draw, table_type, block_rows):
     """A CSV text of the table's columns plus an unread last one: blank,
     short and long rows, LF or CRLF line ends, an optional final newline,
-    and optionally one quoted field that first appears after the first
-    block. Also the text with every row the per-row oracles word
-    differently blanked out: a value beyond int64, or a short row."""
+    and up to three quoted fields in any column of rows after the first
+    block, each its row's own text (None) or one of QUOTED_TEXTS. Also the text
+    with every row the per-row oracles word differently blanked out: a
+    value beyond int64, or a short row; a blanked row keeps its line
+    breaks, so every other row keeps its line."""
     kinds = [kind for _, _, kind in _schema(table_type)]
     header = [column for column, _, _ in _schema(table_type)] + ["note"]
-    rows, oracle_rows = [], []
+    rows, plain = [], []
     for _ in range(draw(st.integers(0, 3 * block_rows + 2))):
         shape = draw(st.sampled_from(["row", "row", "row", "blank", "short", "long"]))
         row = [] if shape == "blank" else [draw(KIND_TEXTS[kind]) for kind in kinds] + [draw(NOTE_TEXTS)]
@@ -833,13 +838,17 @@ def csv_texts(draw, table_type, block_rows):
         elif shape == "long":
             row += draw(st.lists(NOTE_TEXTS, min_size=1, max_size=3))
         rows.append(row)
-        plain = shape in ("row", "long") and not any(beyond_int64(f) for f, kind in zip(row, kinds) if kind != ID)
-        oracle_rows.append(row if plain else [])
-    quote = draw(st.one_of(st.none(), st.integers(block_rows, 3 * block_rows + 2)))
-    if quote is not None and quote < len(rows) and rows[quote]:
-        rows[quote] = ['"' + rows[quote][0] + '"'] + rows[quote][1:]  # csv.reader reads the same fields
+        plain.append(shape in ("row", "long") and not any(beyond_int64(f) for f, k in zip(row, kinds) if k != ID))
+    texts = st.sampled_from((None, *QUOTED_TEXTS))
+    quoted = st.lists(st.tuples(st.integers(block_rows, len(rows) - 1), st.integers(0, 10), texts), max_size=3)
+    for i, column, text in draw(quoted) if len(rows) > block_rows else ():
+        if rows[i]:
+            column %= len(rows[i])
+            text = rows[i][column] if text is None else text
+            rows[i] = rows[i][:column] + ['"' + text.replace('"', '""') + '"'] + rows[i][column + 1 :]
     end = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
     final = end if draw(st.booleans()) else ""
+    oracle_rows = [row if ok else [end * ",".join(row).count("\n")] for row, ok in zip(rows, plain)]
     return tuple(end.join(",".join(r) for r in [header, *table]) + final for table in (rows, oracle_rows))
 
 
@@ -968,6 +977,49 @@ class TestByteTokenizer:
                 parse_estimates(io.StringIO(text))
         finally:
             csv.field_size_limit(limit)
+
+
+class TestFromRows:
+    """from_rows takes a field that is not a str as its str(), so rows of
+    Python ints give the table and reject reasons of the same rows as CSV
+    text."""
+
+    TS = "2011-03-01T00:00:00Z"
+    ESTIMATES = [
+        ("A1", "B1", "F1", 2011, 2, TS, 6, 105),
+        ("A2", "B1", "F1", 2011, 2, TS, 6, BIG),  # beyond int64
+        ("A3", "B2", "F1", 2011, 5, TS, 6, 105),
+        ("A1", "B2", "F2", -BIG, 1, TS, 6, BIG - 1),
+        (7, "B1", "F2", "2011", "3", TS, 6, -105),
+        ("A5", "B3", "F3", 2011, 1, TS, -(BIG + 1), 0),
+        ("A4", "B1", "F2", 2011, 4, "2011-02-30T00:00:00Z", 6, 105),
+        ("A4", "B1", "F2", 10**18, 4, TS, 6, -(10**18)),
+    ]
+    ACTUALS = [
+        ("F1", 2011, 2, TS, 105),
+        ("F1", 2011, 3, TS, -BIG - 1),
+        ("F2", BIG, 2, TS, 105),
+        (12, 2011, 1, TS, 105),
+        ("F3", 2011, 0, TS, 105),
+        ("F2", 2011, 4, TS, BIG - 1),
+    ]
+
+    @pytest.mark.parametrize(
+        "table_type, parse, header, rows",
+        [
+            (EstimateTable, parse_estimates, HEADER, ESTIMATES),
+            (ActualTable, parse_actuals, ",".join(ACTUAL_COLUMNS) + "\n", ACTUALS),
+        ],
+        ids=["estimates", "actuals"],
+    )
+    def test_int_fields_convert_as_their_csv_text(self, table_type, parse, header, rows):
+        rejects = []
+        table = table_type.from_rows(rows, lambda i, reason: rejects.append(Reject(i + 2, reason)))
+        text = header + "".join(",".join(map(str, row)) + "\n" for row in rows)
+        parsed, parsed_rejects = parse(io.StringIO(text))
+        assert table_state(table) == table_state(parsed)
+        assert rejects == parsed_rejects
+        assert len(table) + len(rejects) == len(rows) and len(rejects) >= 2
 
 
 class TestUndecodableInput:
