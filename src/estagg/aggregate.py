@@ -102,16 +102,14 @@ def default_mode_matrix(exponent: float = 1.2) -> list[ModeConfig]:
     removals, bias-granularity variants, identity/exponent/cutoff variants,
     and the hindsight benchmarks."""
     full = ModeConfig(label="full", exponent=exponent)
-    modes = [
+    return [
         full,
         replace(full, label="no_expertise", use_expertise=False),
         replace(full, label="no_bias", use_bias=False),
-        replace(full, label="no_age", variable_mask=mask_without("age")),
-        replace(full, label="no_freq", variable_mask=mask_without("freq")),
-        replace(full, label="no_top10", variable_mask=mask_without("top10")),
-        replace(full, label="no_ncos", variable_mask=mask_without("ncos")),
-        replace(full, label="no_exp", variable_mask=mask_without("exp")),
-        replace(full, label="no_mae", variable_mask=mask_without("mae")),
+        *(
+            replace(full, label=f"no_{v}", variable_mask=mask_without(v))
+            for v in ("age", "freq", "top10", "ncos", "exp", "mae")
+        ),
         replace(full, label="no_scaling", scaling="centered"),
         replace(full, label="bias_global", bias_key="global"),
         replace(full, label="bias_firm", bias_key="firm"),
@@ -124,7 +122,6 @@ def default_mode_matrix(exponent: float = 1.2) -> list[ModeConfig]:
         replace(full, label="closest", method="closest"),
         replace(full, label="closest_raw", method="closest", use_bias=False),
     ]
-    return modes
 
 
 def modes_by_label(labels, exponent: float = 1.2) -> list[ModeConfig]:

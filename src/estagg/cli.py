@@ -37,29 +37,17 @@ logger = logging.getLogger(__name__)
 REJECT_SAMPLE_SIZE = 20
 
 # settings a flag or the config file may give, each with its config-file
-# cast; the filter and synth defaults live on FilterConfig and SynthSpec
-RUN_SETTINGS = {
-    "estimates": str,
-    "actuals": str,
-    "actuals_check": str,
-    "out": str,
-    "burn_in": int,
-    "modes": str,
-    "exponent": float,
-}
+# cast, in the order of the flags; the filter and synth defaults live on
+# FilterConfig and SynthSpec
+RUN_SETTINGS = dict.fromkeys(("estimates", "actuals", "actuals_check", "out", "modes"), str)
+RUN_SETTINGS |= {"burn_in": int, "exponent": float}
 FILTER_SETTINGS = {"min_analysts": int, "surprise_cap_cents": int, "min_lead_hours": int, "max_age_days": int}
-SYNTH_SETTINGS = {
-    "seed": int,
-    "n_firms": int,
-    "n_analysts": int,
-    "n_quarters": int,
-    "analysts_per_event": int,
-    "bias_scale": float,
-    "skill_spread": float,
-    "noise_scale": float,
-    "common_scale": float,
-    "negative_surprise_target": float,
-}
+SYNTH_SETTINGS = dict.fromkeys(("seed", "n_firms", "n_analysts", "n_quarters", "analysts_per_event"), int)
+SYNTH_SETTINGS |= dict.fromkeys(("bias_scale", "skill_spread", "noise_scale", "common_scale"), float)
+SYNTH_SETTINGS |= {"negative_surprise_target": float}
+
+
+EventFields = tuple[list[str], list[int], list[int]]  # a panel's per-event fields, from _event_fields
 
 
 def _setup_logging() -> None:
@@ -126,7 +114,7 @@ def _write_rows(path: str, header: str, line: str, rows: Iterable[tuple]) -> Non
         fh.writelines(map(line.__mod__, rows))
 
 
-def _event_fields(panel: Panel, burn_in: int) -> tuple[list[str], list[int], list[int]]:
+def _event_fields(panel: Panel, burn_in: int) -> EventFields:
     """The fields of each event's row that no mode changes, formatted once
     per panel: its firm, period, actual and simple consensus as text, its
     analyst count, and whether it is past the burn-in."""
@@ -137,7 +125,7 @@ def _event_fields(panel: Panel, burn_in: int) -> tuple[list[str], list[int], lis
     return heads, np.diff(panel.bounds).tolist(), (layout.offset >= burn_in).astype(np.int64).tolist()
 
 
-def _write_events(path: str, result: ReplayResult, fields: tuple[list[str], list[int], list[int]]) -> None:
+def _write_events(path: str, result: ReplayResult, fields: EventFields) -> None:
     """One row per event of the result's panel, in announcement order;
     `fields` are the panel's _event_fields."""
     heads, n_analysts, evaluated = fields
@@ -158,12 +146,7 @@ def _write_models(path: str, models: list[PeriodModel]) -> None:
 
 
 def _write_mode(
-    out: Callable[[str], str],
-    label: str,
-    replay: ReplayResult,
-    result: ModeResult,
-    fields: tuple[list[str], list[int], list[int]],
-    burn_in: int,
+    out: Callable[[str], str], label: str, replay: ReplayResult, result: ModeResult, fields: EventFields, burn_in: int
 ) -> None:
     """A mode's models, events and scatter files, at the paths `out` gives
     for their names; `fields` are its panel's _event_fields."""
@@ -182,10 +165,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    estimates_path = settings.get("estimates")
-    actuals_path = settings.get("actuals")
-    check_path = settings.get("actuals_check")
-    out_dir = settings.get("out")
+    estimates_path, actuals_path = settings.get("estimates"), settings.get("actuals")
+    check_path, out_dir = settings.get("actuals_check"), settings.get("out")
     burn_in = settings.get("burn_in", 24)
     mode_sel = settings.get("modes", "all")
     exponent = settings.get("exponent", ModeConfig.exponent)
@@ -225,10 +206,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             check_report = {"confirmed": len(confirmed), "removed": len(actuals) - len(confirmed)}
             actuals = confirmed
 
-        if mode_sel == "all":
-            modes = default_mode_matrix(exponent)
-        else:
-            modes = modes_by_label([m.strip() for m in mode_sel.split(",") if m.strip()], exponent)
+        labels = [m.strip() for m in mode_sel.split(",") if m.strip()]
+        modes = default_mode_matrix(exponent) if mode_sel == "all" else modes_by_label(labels, exponent)
 
         made_out_dir = not os.path.isdir(out_dir)
         os.makedirs(out_dir, exist_ok=True)
@@ -376,38 +355,25 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_settings(parser: argparse.ArgumentParser, casts: dict, **helps: str) -> None:
+    """A flag for each setting of `casts`, its name with dashes for
+    underscores, then --config."""
+    for key, cast in casts.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=cast, help=helps.get(key))
+    parser.add_argument("--config")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="estagg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="ingest, replay and evaluate a panel")
-    run.add_argument("--estimates")
-    run.add_argument("--actuals")
-    run.add_argument("--actuals-check", dest="actuals_check")
-    run.add_argument("--out")
-    run.add_argument("--modes", help='"all" or comma-separated mode labels')
-    run.add_argument("--burn-in", dest="burn_in", type=int)
-    run.add_argument("--min-analysts", dest="min_analysts", type=int)
-    run.add_argument("--surprise-cap-cents", dest="surprise_cap_cents", type=int)
-    run.add_argument("--min-lead-hours", dest="min_lead_hours", type=int)
-    run.add_argument("--max-age-days", dest="max_age_days", type=int)
-    run.add_argument("--exponent", type=float)
-    run.add_argument("--config")
+    _add_settings(run, RUN_SETTINGS | FILTER_SETTINGS, modes='"all" or comma-separated mode labels')
     run.set_defaults(func=cmd_run)
 
     synth = sub.add_parser("synth", help="generate a synthetic panel")
     synth.add_argument("--out", required=True)
-    synth.add_argument("--seed", type=int)
-    synth.add_argument("--n-firms", dest="n_firms", type=int)
-    synth.add_argument("--n-analysts", dest="n_analysts", type=int)
-    synth.add_argument("--n-quarters", dest="n_quarters", type=int)
-    synth.add_argument("--analysts-per-event", dest="analysts_per_event", type=int)
-    synth.add_argument("--bias-scale", dest="bias_scale", type=float)
-    synth.add_argument("--skill-spread", dest="skill_spread", type=float)
-    synth.add_argument("--noise-scale", dest="noise_scale", type=float)
-    synth.add_argument("--common-scale", dest="common_scale", type=float)
-    synth.add_argument("--negative-surprise-target", dest="negative_surprise_target", type=float)
-    synth.add_argument("--config")
+    _add_settings(synth, SYNTH_SETTINGS)
     synth.set_defaults(func=cmd_synth)
 
     report = sub.add_parser("report", help="re-render results.csv from per-event files")

@@ -206,9 +206,7 @@ def _score_group(
 
 
 def run_mode_matrix(
-    source: PanelSource,
-    modes: Sequence[ModeConfig],
-    burn_in: int = 24,
+    source: PanelSource, modes: Sequence[ModeConfig], burn_in: int = 24
 ) -> Iterator[tuple[int, ReplayResult, ModeResult]]:
     """Score every mode, handing out each mode's index in `modes`, replay
     and three statistics as soon as it is scored, and keeping neither.

@@ -14,13 +14,13 @@ that converts in whole-column passes, and only distinct ids and fields not
 of canonical form (`-?[0-9]{1,18}`, `YYYY-MM-DDTHH:MM:SSZ`) are decoded,
 so every row gets the same value or reject message from either tokenizer.
 
-build_panel joins the two tables by sorting, applies the exclusion rules
+build_panel joins the two tables, applies the exclusion rules
 (forecast-horizon window, last-estimate-wins dedup, prior-record
-requirement, surprise cap, minimum analyst count) as sort-and-group passes
-over the columns and emits a chronological panel of columns, whose events
-are the scored actuals rows plus the bounds of each one's estimate rows.
-Every dropped estimate is accounted for in an IngestReport, one reason per
-input row.
+requirement, surprise cap, minimum analyst count) and emits a chronological
+panel of columns, whose events are the scored actuals rows plus the bounds
+of each one's estimate rows. Each grouping is one unstable numpy sort of an
+int64 key packed from dense ranks, never from raw values (_pack). Every
+dropped estimate is accounted for in an IngestReport, one reason per row.
 
 All money values are integer cents; the surprise-cap comparison is done in
 exact integer arithmetic.
@@ -238,7 +238,7 @@ class Panel:
         """The events laid out for scoring, once per panel. A bucket's means
         run over its innermost axis, the arithmetic of each event alone."""
         sizes = np.diff(self.bounds)
-        by_size = np.argsort(sizes, kind="stable")
+        by_size = np.argsort(sizes * len(sizes) + np.arange(len(sizes)))  # unique: by size, then event
         simple = np.empty(len(sizes))
         buckets = []
         for order in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
@@ -482,26 +482,71 @@ def _sorted_codes(codes: np.ndarray, seen: dict) -> tuple[np.ndarray, tuple[str,
     return rank[codes], tuple(ids)
 
 
-def _first_equal(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """Position of the first row equal to each row, a row being the tuple of
-    its entries in the equal-length int64 `columns`."""
-    order = np.lexsort(columns[::-1])  # stable, so equal rows keep their order
-    starts = np.ones(len(order), bool)  # where each run of equal rows starts
-    starts[1:] = np.any([c[order][1:] != c[order][:-1] for c in columns], axis=0)
-    first = np.empty(len(order), np.int64)
-    first[order] = order[starts][np.cumsum(starts) - 1]
-    return first
+def _new(s: np.ndarray) -> np.ndarray:
+    """Whether each entry of the sorted `s` differs from the one before it."""
+    return np.r_[True, s[1:] != s[:-1]][: len(s)]
+
+
+def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The order that sorts `key`, by numpy's default unstable sort, and the
+    start and length of each run of equal keys in it."""
+    order = np.argsort(key)
+    starts = np.flatnonzero(_new(key[order]))
+    return order, starts, np.diff(starts, append=len(key))
+
+
+def _rank(*columns: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each row's rank among the distinct rows, in lexicographic order, and
+    their number; a row is the tuple of its entries in int64 `columns`."""
+    order, starts, sizes = _runs(_pack(list(map(_rank, columns))) if len(columns) > 1 else columns[0])
+    rank = np.empty(len(order), np.int64)
+    rank[order] = np.repeat(np.arange(len(starts)), sizes)
+    return rank, len(starts)
+
+
+def _pack(ranked: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
+    """One int64 key per row that orders the rows as the tuples of their
+    entries in `ranked` do, each a column of ranks in range(size) with its
+    size. Only ranks are packed, never raw values, and before a column that
+    could take the key past int64 the key is ranked again, so keys fit for
+    fewer than 2**31 rows with sizes up to 2**32."""
+    key, span = np.zeros(len(ranked[0][0]), np.int64), 1
+    for rank, size in ranked:
+        if span * size > 2**63:
+            key, span = _rank(key)
+        key, span = key * size + rank, span * size
+    return key
 
 
 def _lookup(keys: list[np.ndarray], key_ids: tuple[str, ...], ref: list[np.ndarray], ref_ids: tuple[str, ...]):
     """Position in `ref` of the first row equal to each row of `keys`, -1
-    where none. Rows are as in _first_equal, except that the first column
-    holds codes into `key_ids` or `ref_ids`, compared by id."""
+    where none: the first row equal to each row of `ref` then `keys`. A row
+    is the tuple of its entries in int64 columns, the first of them codes
+    into `key_ids` or `ref_ids`, compared by id and ranked as key codes."""
     code_of = {x: i for i, x in enumerate(key_ids)}
     ref_codes = np.array([code_of.get(x, -1) for x in ref_ids] + [-1], np.int64)[ref[0]]  # -1: not in key_ids
     n = len(ref_codes)
-    first = _first_equal([np.concatenate(pair) for pair in zip([ref_codes, *ref[1:]], keys)])[n:]
-    return np.where(first < n, first, -1)
+    firm, *rest = (np.concatenate(pair) for pair in zip([ref_codes, *ref[1:]], keys))
+    order, starts, sizes = _runs(_pack([(firm + 1, len(key_ids) + 1), *map(_rank, rest)]))
+    first = np.empty(len(order), np.int64)
+    first[order] = np.repeat(np.minimum.reduceat(order, starts), sizes)
+    return np.where(first[n:] < n, first[n:], -1)
+
+
+def _dedup(key: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each group of equal entries of `key`, in key order: its first position,
+    size, and position of its latest `ts`, the later position on a tie."""
+    order, starts, sizes = _runs(key)
+    ts = ts[order]
+    latest = np.where(ts == np.repeat(np.maximum.reduceat(ts, starts), sizes), order, -1)
+    return np.minimum.reduceat(order, starts), sizes, np.maximum.reduceat(latest, starts)
+
+
+def _chronological(acts: ActualTable, event: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
+    """The order of records of the actuals rows `event` by those rows'
+    (announce, firm, year, quarter), then by `first`, distinct in range(n)."""
+    rank, size = _rank(acts.announce_ts, acts.firm, acts.year, acts.quarter)
+    return np.argsort(_pack([(rank[event], size), (first, n)]))
 
 
 def _utf8(text: str, line: int, where: str) -> None:
@@ -605,8 +650,7 @@ def _parse(source, kind: str, table_type):
 def parse_estimates(source) -> tuple[EstimateTable, list[Reject]]:
     """Parse an estimates file into an EstimateTable; malformed rows go to
     the reject list, in line order."""
-    table, rejects, _ = _parse(source, "estimates", EstimateTable)
-    return table, rejects
+    return _parse(source, "estimates", EstimateTable)[:2]
 
 
 def parse_actuals(source) -> tuple[ActualTable, list[Reject]]:
@@ -616,7 +660,8 @@ def parse_actuals(source) -> tuple[ActualTable, list[Reject]]:
     table, rejects, lines = _parse(source, "actuals", ActualTable)
     lines = np.array(lines, np.int64)
     lines = lines[~np.isin(lines, [r.line for r in rejects])]  # of the table's rows
-    first = _first_equal([table.firm, table.year, table.quarter])
+    columns = [table.firm, table.year, table.quarter]
+    first = _lookup(columns, table.firm_ids, columns, table.firm_ids)
     repeats = np.flatnonzero(first != np.arange(len(table)))
     if len(repeats):
         i, j = first[repeats[0]], repeats[0]
@@ -649,9 +694,11 @@ def build_panel(
 
     Each rule is an array pass over the table's columns, and the kept
     estimates' ledger-free features are computed here, once per panel.
-    The actuals give one row per firm-period, as parse_actuals ensures; an
-    event is an actuals row, and the panel's events are those rows taken
-    in announcement order.
+    The join, the dedup, the censuses and the stream order each sort one
+    key of codes and dense ranks, unique where order matters, which fits
+    int64 for tables under 2**31 rows. The actuals give one row per
+    firm-period, as parse_actuals ensures; an event is an actuals row, and
+    the panel's events are those rows taken in announcement order.
     """
     if identity not in IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; known: {list(IDENTITIES)}")
@@ -676,34 +723,34 @@ def build_panel(
 
     ids, ident_of = (t.broker_ids, t.broker) if identity == "broker" else (t.analyst_ids, t.analyst)
     ident, ev = ident_of[rows], event[rows]
-    # one group per (identity, firm, period), i.e. per (identity, event);
-    # freq is the group's pre-dedup size
-    _, first, group, freq = np.unique(
-        ident * len(acts) + ev, return_index=True, return_inverse=True, return_counts=True
-    )
-    # (c) last estimate per group; the later input row wins timestamp ties
-    last = np.lexsort((np.arange(len(rows)), t.estimate_ts[rows], group))[np.cumsum(freq) - 1]
+    # (c) last estimate per (identity, event) group, the later input row on
+    # a timestamp tie; freq is the group's pre-dedup size
+    first, freq, last = _dedup(ident * len(acts) + ev, t.estimate_ts[rows])  # codes, so below 2**62
     report.rejects["superseded"] += len(rows) - len(freq)
 
     # censuses per period of the window-valid submissions: the firms each
     # identity covers (one deduped group per firm), and the brokers in the
-    # top decile by distinct analysts
-    act_period = np.append(_first_equal([acts.year, acts.quarter]), -1)
-    ncos_keys, ncos = np.unique(act_period[ev[last]] * len(ids) + ident[last], return_counts=True)
+    # top decile by distinct analysts; codes and ranks pack below 2**62
+    period = _rank(acts.year, acts.quarter)[0][ev]
+    _, cover, ncos = np.unique(period[last] * len(ids) + ident[last], return_inverse=True, return_counts=True)
     n_brokers, n_analysts = len(t.broker_ids), len(t.analyst_ids)
-    trios = np.unique((act_period[ev] * n_brokers + t.broker[rows]) * n_analysts + t.analyst[rows])
-    census_keys, census = np.unique(trios // n_analysts, return_counts=True)
+    pairs, pair = np.unique(period * n_brokers + t.broker[rows], return_inverse=True)
+    # np.sort and a mask: numpy 2.4's flagless np.unique hashes, about 25x slower here
+    trios = np.sort(pair * n_analysts + t.analyst[rows])
+    census = np.bincount(trios[_new(trios)] // n_analysts, minlength=len(pairs))
     in_top: list[bool] = []
-    for _, members in groupby(zip(census_keys.tolist(), census.tolist()), key=lambda kn: kn[0] // n_brokers):
-        analysts_of = {t.broker_ids[k % n_brokers]: n for k, n in members}
+    periods, brokers = np.divmod(pairs, n_brokers)
+    for _, members in groupby(zip(periods.tolist(), brokers.tolist(), census.tolist()), itemgetter(0)):
+        analysts_of = {t.broker_ids[b]: n for _, b, n in members}
         top = top10_brokers(analysts_of)
         in_top += [b in top for b in analysts_of]
+    ncos, top10 = ncos[cover], np.array(in_top, bool)[pair[last]]  # each group's, from its kept row
+    del period, cover, pair, trios  # free the censuses' per-row arrays before the stream's are built
 
     # ledger stream, chronological by announcement; records tied on
     # (announce, firm, period) keep their group's first appearance order
-    win = rows[last]
-    order = np.lexsort((first, t.quarter[win], t.year[win], t.firm[win], announce[win]))
-    win, freq = win[order], freq[order]
+    order = _chronological(acts, ev[last], first, len(rows))
+    win, freq, ncos, top10 = rows[last[order]], freq[order], ncos[order], top10[order]
     stream_event, stream_ident, stream_announce = event[win], ident_of[win], announce[win]
     values, actual = t.value_cents[win], acts.value_cents[stream_event]
     errors = values - actual
@@ -758,13 +805,13 @@ def build_panel(
     logger.info("panel: %d events, %d estimates kept of %d", len(events), report.kept, report.total)
 
     # the kept estimates' columns, with the features no ledger changes
-    kept_rows, ident, period = win[kept], stream_ident[kept], act_period[stream_event[kept]]
+    kept_rows = win[kept]
     features = np.column_stack(
         [
             (stream_announce[kept] - t.estimate_ts[kept_rows]) / 86400.0,
             freq[kept],
-            ncos[np.searchsorted(ncos_keys, period * len(ids) + ident)],
-            np.array(in_top, bool)[np.searchsorted(census_keys, period * n_brokers + t.broker[kept_rows])],
+            ncos[kept],
+            top10[kept],
         ]
     )
     return Panel(

@@ -88,9 +88,9 @@ class LedgerState:
             X, y = self.rows(scaling)
             fitted = {}
             qidx = self.panel.layout.qidx
-            quarters, first = np.unique(qidx, return_index=True)  # each quarter's first event
+            first = np.flatnonzero(np.diff(qidx, prepend=qidx[:1] - 1))  # each quarter's first; qidx never falls
             edges = self.panel.bounds[np.append(first, len(qidx))].tolist()
-            for q, start, stop in zip(quarters.tolist(), edges, edges[1:]):
+            for q, start, stop in zip(qidx[first].tolist(), edges, edges[1:]):
                 model = fit_period(X[start:stop], y[start:stop], quarter_from_index(q), mask)
                 if model is not None:
                     fitted[q] = model

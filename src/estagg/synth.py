@@ -110,9 +110,7 @@ def generate_rows(spec: SynthSpec):
                 est_ts = announce_ts - int(round(age_days * 86400))
                 sd = skills[a] * spec.noise_scale
                 value = int(round(actual + shift + biases[firm][a] + sd * rng.standard_normal()))
-                estimate_rows.append(
-                    (a, broker_of[a], firm, year, quarter, format_ts(est_ts), 6, value)
-                )
+                estimate_rows.append((a, broker_of[a], firm, year, quarter, format_ts(est_ts), 6, value))
 
     ground_truth = {
         "spec": asdict(spec),
@@ -129,19 +127,12 @@ def generate(spec: SynthSpec, out_dir: str) -> dict[str, str]:
     """Write estimates.csv, actuals.csv and ground_truth.json."""
     estimate_rows, actual_rows, ground_truth = generate_rows(spec)
     os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "estimates": os.path.join(out_dir, "estimates.csv"),
-        "actuals": os.path.join(out_dir, "actuals.csv"),
-        "ground_truth": os.path.join(out_dir, "ground_truth.json"),
-    }
-    with open(paths["estimates"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(ESTIMATE_HEADER + "\n")
-        for row in estimate_rows:
-            fh.write(",".join(str(x) for x in row) + "\n")
-    with open(paths["actuals"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(ACTUAL_HEADER + "\n")
-        for row in actual_rows:
-            fh.write(",".join(str(x) for x in row) + "\n")
+    names = {"estimates": "estimates.csv", "actuals": "actuals.csv", "ground_truth": "ground_truth.json"}
+    paths = {key: os.path.join(out_dir, name) for key, name in names.items()}
+    for name, header, rows in (("estimates", ESTIMATE_HEADER, estimate_rows), ("actuals", ACTUAL_HEADER, actual_rows)):
+        with open(paths[name], "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(header + "\n")
+            fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
     with open(paths["ground_truth"], "w", encoding="utf-8", newline="\n") as fh:
         json.dump(ground_truth, fh, indent=2, sort_keys=True)
         fh.write("\n")

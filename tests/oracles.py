@@ -1015,3 +1015,47 @@ def build_panel_oracle(
         report=report,
         identity=identity,
     )
+
+
+# The lexsort and stable-sort groupings that estagg.ingest replaced with one
+# default argsort of a packed key per grouping, unchanged but for taking
+# their inputs as arguments.
+
+
+def first_equal_oracle(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Position of the first row equal to each row, a row being the tuple of
+    its entries in the equal-length int64 `columns`."""
+    order = np.lexsort(columns[::-1])  # stable, so equal rows keep their order
+    starts = np.ones(len(order), bool)  # where each run of equal rows starts
+    starts[1:] = np.any([c[order][1:] != c[order][:-1] for c in columns], axis=0)
+    first = np.empty(len(order), np.int64)
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    return first
+
+
+def lookup_oracle(keys: list[np.ndarray], key_ids: tuple[str, ...], ref: list[np.ndarray], ref_ids: tuple[str, ...]):
+    """Position in `ref` of the first row equal to each row of `keys`, -1
+    where none. Rows are as in first_equal_oracle, except that the first
+    column holds codes into `key_ids` or `ref_ids`, compared by id."""
+    code_of = {x: i for i, x in enumerate(key_ids)}
+    ref_codes = np.array([code_of.get(x, -1) for x in ref_ids] + [-1], np.int64)[ref[0]]  # -1: not in key_ids
+    n = len(ref_codes)
+    first = first_equal_oracle([np.concatenate(pair) for pair in zip([ref_codes, *ref[1:]], keys)])[n:]
+    return np.where(first < n, first, -1)
+
+
+def dedup_oracle(key: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """build_panel's step (c) as np.unique and np.lexsort: each group of
+    equal `key` in key order, its first position, size, and the position
+    of its latest `ts`, the later position on a tie."""
+    _, first, group, freq = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
+    last = np.lexsort((np.arange(len(key)), ts, group))[np.cumsum(freq) - 1]
+    return first, freq, last
+
+
+def stream_order_oracle(acts: ActualTable, event: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """build_panel's stream order as a 5-key np.lexsort: by the announce
+    time, firm, year and quarter of each record's actuals row, then by
+    `first`. build_panel took the firm, year and quarter from the records'
+    estimate rows, which order as their actuals rows do."""
+    return np.lexsort((first, acts.quarter[event], acts.year[event], acts.firm[event], acts.announce_ts[event]))

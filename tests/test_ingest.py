@@ -6,11 +6,11 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace as dc_replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -50,13 +50,17 @@ from oracles import (
     build_panel_oracle,
     columnar_panel,
     cross_check_actuals_oracle,
+    dedup_oracle,
     estimates_from_rows_oracle,
+    first_equal_oracle,
+    lookup_oracle,
     panel_analysts,
     panel_events,
     panel_idents,
     parse_actuals_oracle,
     parse_estimates_oracle,
     replay_oracle,
+    stream_order_oracle,
 )
 
 HEADER = "analyst_id,broker_id,firm_id,period_year,period_quarter,estimate_ts,horizon_code,value_cents\n"
@@ -442,7 +446,13 @@ def assert_same_panel(rows, oracle_ests, act_rows, cfg, identity):
     and replays as the per-event oracle replays the oracle's panel."""
     got = build_panel(rows, actuals_from_rows(act_rows), cfg, identity)
     oracle = build_panel_oracle(oracle_ests, actuals_from_rows_oracle(act_rows), cfg, identity)
-    want = columnar_panel(oracle)
+    assert_panel_equals(got, columnar_panel(oracle))
+    for mode in REPLAY_MODES:
+        assert replay_outcome(run_mode, got, mode) == replay_outcome(replay_oracle, oracle, mode)
+
+
+def assert_panel_equals(got, want):
+    """Every output of build_panel equal to the oracle's columnar panel."""
     assert all(c.dtype == np.int64 for c in (got.events.firm, got.events.announce_ts, got.bounds))
     assert panel_events(got) == panel_events(want)
     assert panel_idents(got) == panel_idents(want)
@@ -463,8 +473,6 @@ def assert_same_panel(rows, oracle_ests, act_rows, cfg, identity):
     assert got.report.kept == want.report.kept
     # the exact keys, so a reason counted as 0 is kept or left out alike
     assert dict(got.report.rejects) == dict(want.report.rejects)
-    for mode in REPLAY_MODES:
-        assert replay_outcome(run_mode, got, mode) == replay_outcome(replay_oracle, oracle, mode)
 
 
 def revision_rows(est_rows, act_rows, seed):
@@ -756,6 +764,174 @@ class TestColumnarMatchesOracle:
             require_prior_record=require,
         )
         assert_same_panel(estimates_from_rows(est_rows), estimates_from_rows_oracle(est_rows), act_rows, cfg, identity)
+
+
+# int64 values at and next to both bounds, and a few small ones; drawn from
+# a short list so that rows often repeat
+INT64_EDGES = (-(2**63), -(2**63 - 1), -1, 0, 1, 2**62, 2**63 - 2, 2**63 - 1)
+EDGE_VALUES = st.sampled_from(INT64_EDGES)
+FIRMS = ("F0", "F1", "F2", "F3")
+
+
+def id_columns(rows, n_columns, extra_ids=()):
+    """Rows of (firm id, int, int, int) as int64 columns, the first of the
+    codes into the rows' sorted firm ids plus `extra_ids`, and those ids."""
+    ids = tuple(sorted({r[0] for r in rows} | set(extra_ids)))
+    code = {x: i for i, x in enumerate(ids)}
+    columns = [np.array([code[r[0]] for r in rows], np.int64)]
+    columns += [np.array([r[k] for r in rows], np.int64) for k in range(1, n_columns)]
+    return columns, ids
+
+
+def rank_oracle(columns):
+    """Each row's position among the sorted distinct rows."""
+    rows = list(zip(*(c.tolist() for c in columns)))
+    distinct = sorted(set(rows))
+    return [distinct.index(r) for r in rows], len(distinct)
+
+
+class TestGroupingsMatchLexsortOracles:
+    """The packed-key groupings of build_panel, cross_check_actuals and
+    parse_actuals against the np.lexsort and np.unique forms they replaced,
+    kept in tests/oracles.py, over int64 columns at both bounds."""
+
+    ROW = st.tuples(st.sampled_from(FIRMS), EDGE_VALUES, EDGE_VALUES, EDGE_VALUES)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n_columns=st.sampled_from([3, 4]))
+    def test_lookup_and_first_equal(self, data, n_columns):
+        ref_rows = data.draw(st.lists(self.ROW, max_size=8))
+        if ref_rows:
+            # keys that are ref rows, and ref rows repeated: the first one wins
+            key_rows = data.draw(st.lists(st.one_of(self.ROW, st.sampled_from(ref_rows)), max_size=24))
+            ref_rows = data.draw(st.permutations(ref_rows + data.draw(st.lists(st.sampled_from(ref_rows), max_size=6))))
+        else:
+            key_rows = data.draw(st.lists(self.ROW, max_size=24))
+        # ids without rows, as a table keeps after take(), on either side
+        ref, ref_ids = id_columns(ref_rows, n_columns, data.draw(st.sets(st.sampled_from(FIRMS))))
+        keys, key_ids = id_columns(key_rows, n_columns, data.draw(st.sets(st.sampled_from(FIRMS))))
+        got = ingest._lookup(keys, key_ids, ref, ref_ids)
+        assert got.dtype == np.int64
+        assert got.tolist() == lookup_oracle(keys, key_ids, ref, ref_ids).tolist()
+        # parse_actuals' duplicate check looks a table up in itself
+        assert ingest._lookup(ref, ref_ids, ref, ref_ids).tolist() == first_equal_oracle(ref).tolist()
+        rank, size = ingest._rank(*ref)
+        assert (rank.tolist(), size) == rank_oracle(ref)
+
+    def test_lookup_of_empty_tables(self):
+        empty = [np.empty(0, np.int64)] * 3
+        one = [np.zeros(1, np.int64)] * 3
+        assert ingest._lookup(empty, ("F0",), one, ("F0",)).tolist() == []
+        assert ingest._lookup(one, ("F0",), empty, ()).tolist() == [-1]
+        assert ingest._lookup(empty, (), empty, ()).tolist() == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(EDGE_VALUES, st.sampled_from(INT64_EDGES[:3] + INT64_EDGES[-2:])), max_size=40)
+    )
+    @example(rows=[])
+    @example(rows=[(0, 5)] * 30 + [(1, 5)] * 3 + [(0, 5)] * 2)  # one timestamp throughout each group
+    def test_dedup(self, rows):
+        key = np.array([k for k, _ in rows], np.int64)
+        ts = np.array([t for _, t in rows], np.int64)
+        got, want = ingest._dedup(key, ts), dedup_oracle(key, ts)
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+    def test_dedup_keeps_the_later_of_tied_rows(self):
+        key = np.array([0] * 30 + [1] * 3 + [0] * 2, np.int64)
+        first, freq, last = ingest._dedup(key, np.full(len(key), 5, np.int64))
+        assert (first.tolist(), freq.tolist(), last.tolist()) == ([0, 30], [32, 3], [34, 32])
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_stream_order(self, data):
+        rows = data.draw(st.lists(st.tuples(st.sampled_from(FIRMS), EDGE_VALUES, EDGE_VALUES, EDGE_VALUES), max_size=8))
+        (firm, year, quarter, announce), firm_ids = id_columns(rows, 4)
+        acts = ActualTable(firm, year, quarter, announce, np.zeros(len(rows), np.int64), firm_ids)
+        # many records per event, each with its own `first`
+        event = np.array(data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=30)) if rows else [], np.int64)
+        n = len(event) + data.draw(st.integers(0, 5))
+        first = np.array(data.draw(st.permutations(range(n)))[: len(event)], np.int64)
+        got = ingest._chronological(acts, event, first, n)
+        assert got.tolist() == stream_order_oracle(acts, event, first).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(*[st.integers(0, 5)] * 3), max_size=20),
+        sizes=st.tuples(*[st.sampled_from([6, 2**31, 2**32])] * 3),
+    )
+    def test_packed_keys_order_rows_and_never_wrap(self, rows, sizes):
+        # a key past int64 is ranked again before the next column, here
+        # when two or three of the sizes are large
+        columns = [np.array([r[k] for r in rows], np.int64) for k in range(3)]
+        key = ingest._pack(list(zip(columns, sizes)))
+        # the keys rank as the rows do: ordered alike, equal where they are
+        assert rank_oracle([key]) == rank_oracle(columns)
+        assert (key >= 0).all()
+
+
+def at_int64_edges(est_rows, act_rows, shift_to):
+    """The rows as columnar tables and as oracle records, each year mapped
+    to an int64 value at or next to a bound and every timestamp shifted
+    next to the bound `shift_to`, so that a key packed from raw years or
+    timestamps would wrap. The mapped years include -1 and 2**63 - 1, and
+    0 and 2**62, which wrap to the same value times 4."""
+    ests, acts = estimates_from_rows(est_rows), actuals_from_rows(act_rows)
+    years = sorted(set(ests.year.tolist()) | set(acts.year.tolist()))
+    edges = (-1, 2**63 - 1, 0, 2**62, -(2**63), 2**63 - 2, -(2**63 - 1), 1)
+    assert len(years) <= len(edges)
+    year_of = dict(zip(years, edges))
+    times = np.concatenate([ests.estimate_ts, acts.announce_ts])
+    # the window rules subtract up to 365 days from an announcement
+    anchor, to = (int(times.max()), 2**63 - 1) if shift_to > 0 else (int(times.min()), -(2**63) + 366 * 86400)
+
+    def edge_years(table):
+        return np.array([year_of[y] for y in table.year.tolist()], np.int64)
+
+    ests = dc_replace(ests, year=edge_years(ests), estimate_ts=ests.estimate_ts - anchor + to)
+    acts = dc_replace(acts, year=edge_years(acts), announce_ts=acts.announce_ts - anchor + to)
+    oracle_ests = [
+        dc_replace(e, period=(year_of[e.period[0]], e.period[1]), estimate_ts=e.estimate_ts - anchor + to)
+        for e in estimates_from_rows_oracle(est_rows)
+    ]
+    oracle_acts = [
+        dc_replace(a, period=(year_of[a.period[0]], a.period[1]), announce_ts=a.announce_ts - anchor + to)
+        for a in actuals_from_rows_oracle(act_rows)
+    ]
+    return ests, acts, oracle_ests, oracle_acts
+
+
+class TestInt64Edges:
+    """Packed keys hold ranks, never raw values: columns at the int64 bounds
+    give the oracles' results. A key that multiplied raw years, cents or
+    timestamps would wrap and join, dedup or order the wrong rows."""
+
+    @pytest.mark.parametrize("identity", ["analyst", "broker"])
+    @pytest.mark.parametrize("shift_to", [1, -1], ids=["max", "min"])
+    def test_panel_at_int64_edges_matches_oracle(self, identity, shift_to):
+        est_rows, act_rows, _ = generate_rows(SMALL_PANEL_SPEC)
+        rows = revision_rows(est_rows, act_rows, seed=3)  # with rows of years no actual has
+        ests, acts, oracle_ests, oracle_acts = at_int64_edges(rows, act_rows, shift_to)
+        assert ests.estimate_ts.max() > 2**62 or ests.estimate_ts.min() < -(2**62)
+        for cfg in (FilterConfig(), FilterConfig(min_analysts=3, require_prior_record=False)):
+            got = build_panel(ests, acts, cfg, identity)
+            assert_panel_equals(got, columnar_panel(build_panel_oracle(oracle_ests, oracle_acts, cfg, identity)))
+        assert len(got.events) > 0  # the 8-analyst minimum leaves no broker event
+
+    def test_cross_check_with_cents_at_int64_edges(self):
+        ts = format_ts(ANNOUNCE_TS)
+        values = INT64_EDGES
+        primary = [("F", 2011 + k // 4, k % 4 + 1, ts, v) for k, v in enumerate(values)]
+        # the same value; the value with its sign bit flipped, equal to it
+        # times any even number modulo 2**64; and its bitwise complement
+        secondary = [
+            (f, y, q, ts, v if k % 3 == 0 else v % 2**64 - 2**63 if k % 3 == 1 else -v - 1)
+            for k, (f, y, q, _, v) in enumerate(primary)
+        ]
+        kept = cross_check_actuals(actuals_from_rows(primary), actuals_from_rows(secondary))
+        want = cross_check_actuals_oracle(actuals_from_rows_oracle(primary), actuals_from_rows_oracle(secondary))
+        assert actual_rows(kept) == [(a.firm_id, *a.period, format_ts(a.announce_ts), a.value_cents) for a in want]
+        assert actual_rows(kept) == [primary[k] for k in range(len(primary)) if k % 3 == 0]
 
 
 # Fields for the differential tests: canonical values, and texts each
