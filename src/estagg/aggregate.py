@@ -10,19 +10,15 @@ with method="closest".
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
 from .features import SCALINGS
-from .ingest import IDENTITIES
+from .ingest import IDENTITIES, MIN_LEAD_HOURS
 from .model import FULL_MASK, Mask, mask_without
 
 BIAS_KEYS = ("identity_firm", "identity", "firm", "global", "half")
 METHODS = ("weighted", "closest")
-
-# the shortest recency cutoff, in hours before the announcement, any mode scores with
-MIN_LEAD_HOURS = 48
 
 
 @dataclass(frozen=True)
@@ -47,15 +43,6 @@ class ModeConfig:
         for name, known in choices.items():
             if getattr(self, name) not in known:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}; known: {list(known)}")
-
-
-@dataclass(slots=True)
-class EventAggregate:
-    """What scoring decides for one event; its other columns are the panel's."""
-
-    improved: float
-    weights: np.ndarray  # aligned with the event's rows, panel rows bounds[j]:bounds[j+1]
-    fallback_reason: Optional[str] = None
 
 
 # margins at rounding-noise scale count as "at the average": keeps the

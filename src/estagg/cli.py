@@ -18,15 +18,14 @@ import os
 import sys
 from collections import Counter
 from dataclasses import asdict
-from operator import attrgetter
 from typing import Callable, Iterable
 
 import numpy as np
 
 from . import __version__
-from .aggregate import MIN_LEAD_HOURS, ModeConfig, default_mode_matrix, modes_by_label
+from .aggregate import ModeConfig, default_mode_matrix, modes_by_label
 from .evaluate import ModeResult, PanelSource, descriptive_stats, mode_result, run_mode_matrix, surprises
-from .ingest import FilterConfig, Panel, cross_check_actuals, parse_actuals, parse_estimates
+from .ingest import MIN_LEAD_HOURS, FilterConfig, Panel, cross_check_actuals, parse_actuals, parse_estimates
 from .model import N_VARS, PeriodModel
 from .replay import ReplayResult
 from .synth import SynthSpec, generate
@@ -119,7 +118,9 @@ def _event_fields(panel: Panel, burn_in: int) -> EventFields:
     per panel: its firm, period, actual and simple consensus as text, its
     analyst count, and whether it is past the burn-in."""
     events, layout = panel.events, panel.layout
-    firms = map(events.firm_ids.__getitem__, events.firm.tolist())
+    # each distinct firm id once, quoted as csv.writer's default dialect quotes a comma, quote or line break
+    quoted = ['"%s"' % f.replace('"', '""') if any(c in f for c in ',"\r\n') else f for f in events.firm_ids]
+    firms = map(quoted.__getitem__, events.firm.tolist())
     columns = (events.year.tolist(), events.quarter.tolist(), events.value_cents.tolist(), layout.simple.tolist())
     heads = list(map("%s,%d,%d,%d,%r".__mod__, zip(firms, *columns)))
     return heads, np.diff(panel.bounds).tolist(), (layout.offset >= burn_in).astype(np.int64).tolist()
@@ -129,8 +130,8 @@ def _write_events(path: str, result: ReplayResult, fields: EventFields) -> None:
     """One row per event of the result's panel, in announcement order;
     `fields` are the panel's _event_fields."""
     heads, n_analysts, evaluated = fields
-    reasons = (reason or "" for reason in map(attrgetter("fallback_reason"), result.outcomes))
-    rows = zip(heads, map(attrgetter("improved"), result.outcomes), n_analysts, reasons, evaluated)
+    reasons = (reason or "" for reason in result.fallback_reason.tolist())
+    rows = zip(heads, result.improved.tolist(), n_analysts, reasons, evaluated)
     header = (
         "firm_id,period_year,period_quarter,actual_cents,simple_consensus,improved,"
         "n_analysts,fallback_reason,in_evaluation"
@@ -297,7 +298,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def _read_surprises(path: str) -> tuple[np.ndarray, np.ndarray]:
     """The original and improved surprises of a run's evaluated events; a
-    row of its events file that does not read fails with the path and line."""
+    short, long or unreadable row of its events file fails with the path and line."""
     original, improved = [], []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -307,6 +308,8 @@ def _read_surprises(path: str) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"{path}:1: header missing columns {missing}")
         for row in reader:
             try:
+                if None in row:  # DictReader's key for the fields past the header's
+                    raise ValueError(f"more fields than the header's {len(reader.fieldnames)}")
                 if row["in_evaluation"] == "1":
                     actual = float(row["actual_cents"])
                     original.append(float(row["simple_consensus"]) - actual)

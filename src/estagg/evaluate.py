@@ -103,9 +103,8 @@ def surprises(result: ReplayResult, burn_in: int) -> tuple[np.ndarray, np.ndarra
     in announcement order."""
     layout = result.panel.layout
     actual = result.panel.events.value_cents.astype(float)
-    improved = np.array([o.improved for o in result.outcomes], float)
     evaluated = layout.offset >= burn_in
-    return (layout.simple - actual)[evaluated], (improved - actual)[evaluated]
+    return (layout.simple - actual)[evaluated], (result.improved - actual)[evaluated]
 
 
 def descriptive_stats(panel: Panel) -> dict:

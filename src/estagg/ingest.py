@@ -56,6 +56,7 @@ _CHUNK_ROWS = 1 << 14
 ID, INT64, QUARTER, TIMESTAMP = "id", "int64", "quarter", "timestamp"
 
 IDENTITIES = ("analyst", "broker")  # whose estimates a panel deduplicates and keys its ledgers by
+MIN_LEAD_HOURS = 48  # the shortest recency cutoff, in hours before the announcement, any panel scores with
 
 
 def _batches(rows: Iterable) -> Iterator[list]:
@@ -163,7 +164,7 @@ class Reject:
 class FilterConfig:
     min_analysts: int = 8
     surprise_cap_cents: int = 50
-    min_lead_hours: int = 48
+    min_lead_hours: int = MIN_LEAD_HOURS
     max_age_days: int = 365
     horizon_codes: frozenset[int] = frozenset({6, 7, 8, 9})
     # the prior-record rule; switchable so the remaining filters can be
@@ -208,7 +209,6 @@ class Layout:
     ascending analyst count, with the per-event columns no ledger changes."""
 
     buckets: list[SizeBucket]
-    position: np.ndarray  # each event's position in the buckets' events, in bucket order
     qidx: np.ndarray  # quarter index of each event's announcement
     offset: np.ndarray  # qidx relative to the quarter of the panel's first stream record
     simple: np.ndarray  # plain mean of each event's raw estimates
@@ -248,7 +248,7 @@ class Panel:
                 buckets.append(SizeBucket(order, rows))
         qidx = quarter_indices(self.events.announce_ts)
         q0 = quarter_indices(self.stream.announce_ts[0]) if len(self.stream.announce_ts) else 0
-        return Layout(buckets, np.argsort(by_size), qidx, qidx - q0, simple)
+        return Layout(buckets, qidx, qidx - q0, simple)
 
 
 _INT64 = np.iinfo(np.int64)

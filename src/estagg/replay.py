@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .aggregate import EventAggregate, ModeConfig, weight_vector
+from .aggregate import ModeConfig, weight_vector
 from .bias import BiasTracker, HistoryLedger
 from .features import normalize_event
 from .ingest import Panel, SizeBucket
@@ -45,11 +44,13 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class ReplayResult:
-    """One mode's replay of a panel: each event's outcome, in announcement
-    order, and the models fit. The events' other columns are the panel's."""
+    """One mode's replay of a panel: what scoring decided, as columns in
+    announcement order, and the models fit. The events' other columns are the panel's."""
 
     panel: Panel
-    outcomes: list[EventAggregate]
+    improved: np.ndarray  # the improved consensus
+    fallback_reason: np.ndarray  # object: None, or why the event fell back
+    weights: np.ndarray  # one per panel row; event j's are bounds[j]:bounds[j+1]
     models: list[PeriodModel]
 
 
@@ -131,7 +132,7 @@ def ledger_state(panel: Panel, key: tuple[bool, Optional[str]]) -> LedgerState:
     return LedgerState(panel, key, raw - bias, np.abs((raw - actual) - bias), history)
 
 
-_FALLBACKS = (None, "no_previous_model", "degenerate_weights")
+_FALLBACKS = np.array([None, "no_previous_model", "degenerate_weights"], object)
 
 
 def improved_consensus(
@@ -140,10 +141,11 @@ def improved_consensus(
     X: np.ndarray,
     mode: ModeConfig,
     models: dict[int, PeriodModel],
-) -> list[EventAggregate]:
+) -> np.recarray:
     """Score a bucket's events, in bucket order, from their rows of the
     ledger pass `state`, the panel's normalized rows `X` in row order and
     the model of each one's previous quarter in `models` (by quarter index).
+    Each record is an event's `improved`, `fallback_reason` and (n,) `weights`.
 
     The events with a model gather their (n, 6) design matrices from `X`
     through the bucket's rows. Each event's predictions and weighted sum
@@ -181,7 +183,8 @@ def improved_consensus(
             improved[weighted] = (w[:, None, :] @ adjusted[weighted][..., None])[:, 0, 0] / total
             weights[weighted] = w / total[:, None]
             fallback[fitted[~positive]] = 2
-    return list(map(EventAggregate, improved.tolist(), weights, map(_FALLBACKS.__getitem__, fallback.tolist())))
+    dtype = [("improved", float), ("fallback_reason", object), ("weights", float, (n,))]
+    return np.rec.fromarrays([improved, _FALLBACKS[fallback], weights], dtype=dtype)
 
 
 def run_mode(panel: Panel, mode: ModeConfig, state: Optional[LedgerState] = None) -> ReplayResult:
@@ -193,8 +196,12 @@ def run_mode(panel: Panel, mode: ModeConfig, state: Optional[LedgerState] = None
         raise ValueError(f"mode {mode.label}: ledger state is for another panel or bias ledger")
     models = state.models(mode.scaling, mode.variable_mask)
     X, _ = state.rows(mode.scaling)
-    scored = list(chain.from_iterable(improved_consensus(state, b, X, mode, models) for b in panel.layout.buckets))
-    # the buckets hold the events by size; put them back in announcement order
-    outcomes = list(map(scored.__getitem__, panel.layout.position.tolist()))
-    logger.info("mode %s: %d events scored, %d models fit", mode.label, len(outcomes), len(models))
-    return ReplayResult(panel, outcomes, list(models.values()))
+    # the buckets hold the events by size; scatter them back into announcement order
+    improved, fallback_reason = np.empty(len(panel.events)), np.empty(len(panel.events), object)
+    weights = np.empty(len(panel.value_cents))
+    for bucket in panel.layout.buckets:
+        scored = improved_consensus(state, bucket, X, mode, models)
+        improved[bucket.order], fallback_reason[bucket.order] = scored.improved, scored.fallback_reason
+        weights[bucket.rows] = scored.weights
+    logger.info("mode %s: %d events scored, %d models fit", mode.label, len(improved), len(models))
+    return ReplayResult(panel, improved, fallback_reason, weights, list(models.values()))

@@ -231,7 +231,8 @@ class OracleReplay:
 
 def outcome_views(result: ReplayResult) -> list[Outcome]:
     """Each event of a replay as an Outcome, its panel facts read event by
-    event from the panel and its layout, so a test of the view tests them."""
+    event from the panel and its layout, so a test of the view tests them.
+    An event's weights are its rows of the replay's weights column."""
     panel = result.panel
     layout = panel.layout
     return [
@@ -242,13 +243,17 @@ def outcome_views(result: ReplayResult) -> list[Outcome]:
             offset,
             event.actual_cents,
             simple,
-            o.improved,
-            o.weights,
+            improved,
+            result.weights[event.rows],
             event.rows.stop - event.rows.start,
-            o.fallback_reason,
+            reason,
         )
-        for event, offset, simple, o in zip(
-            panel_events(panel), layout.offset.tolist(), layout.simple.tolist(), result.outcomes
+        for event, offset, simple, improved, reason in zip(
+            panel_events(panel),
+            layout.offset.tolist(),
+            layout.simple.tolist(),
+            result.improved.tolist(),
+            result.fallback_reason.tolist(),
         )
     ]
 

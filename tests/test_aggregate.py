@@ -156,7 +156,7 @@ class TestImprovedConsensus:
         ests, acts = constant_bias_panel(biases)
         panel = build_panel(ests, acts, FilterConfig())
         rr = run_mode(panel, ModeConfig())
-        assert len(rr.outcomes) == 3  # first event only feeds history
+        assert len(rr.improved) == 3  # first event only feeds history
         for o in outcome_views(rr):
             assert o.improved == pytest.approx(100.0, abs=1e-9)
             assert o.simple_consensus == pytest.approx(100 + np.mean(biases), abs=1e-9)
@@ -166,7 +166,7 @@ class TestImprovedConsensus:
         panel = build_panel(ests, acts, FilterConfig())
         mode = ModeConfig(label="plain", use_bias=False, use_expertise=False)
         rr = run_mode(panel, mode)
-        assert rr.outcomes
+        assert len(rr.improved)
         for o in outcome_views(rr):
             assert o.improved == o.simple_consensus  # bitwise: same mean
 
@@ -218,7 +218,7 @@ class TestImprovedConsensus:
         panel = build_panel(ests, acts, FilterConfig())
         r12 = run_mode(panel, ModeConfig(exponent=1.2))
         r20 = run_mode(panel, ModeConfig(label="exponent_2", exponent=2.0))
-        for a, b in zip(r12.outcomes, r20.outcomes):
+        for a, b in zip(outcome_views(r12), outcome_views(r20)):
             za = np.flatnonzero(a.weights == 0.0).tolist()
             zb = np.flatnonzero(b.weights == 0.0).tolist()
             assert za == zb  # the excluded set depends only on the sign of the margin

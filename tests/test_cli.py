@@ -554,6 +554,27 @@ class TestReportCommand:
         assert main(["report", "--run-dir", str(tmp_path)]) == 0
         assert (tmp_path / "results.csv").read_bytes() == original
 
+    def test_round_trip_with_firm_ids_that_need_quoting(self, synth_dir, tmp_path, capsys):
+        renamed = {"F000": 'F,"x', "F001": 'F"q', "F002": "F\nline", "F003": "F\rcr"}
+        for name in ("estimates.csv", "actuals.csv"):
+            with open(synth_dir / name, newline="") as fh:
+                rows = list(csv.reader(fh))
+            firm = rows[0].index("firm_id")
+            for row in rows[1:]:
+                row[firm] = renamed.get(row[firm], row[firm])
+            with open(tmp_path / name, "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)  # its "\r\n" line ends make it quote a lone "\r" too
+        out = tmp_path / "run"
+        assert main(run_args(tmp_path, out)) == 0
+        with open(out / "events_full.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {9}
+        assert set(renamed.values()) <= {row[0] for row in rows[1:]}
+        original = (out / "results.csv").read_bytes()
+        os.remove(out / "results.csv")
+        assert main(["report", "--run-dir", str(out)]) == 0
+        assert (out / "results.csv").read_bytes() == original
+
     def test_empty_dir_fails(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path)]) == 1
         assert "no events_" in capsys.readouterr().err
@@ -622,6 +643,15 @@ class TestReportCommand:
             writer.writerows(rows)
         assert main(["report", "--run-dir", str(reported_run)]) == 1
         assert capsys.readouterr().err == f"report failed: {path}{error}\n"
+        assert not (reported_run / "results.csv").exists()
+
+    def test_events_row_with_an_extra_field_fails_naming_the_line(self, reported_run, capsys):
+        path = reported_run / "events_no_bias.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].replace(",", ",x,", 1)
+        path.write_text("".join(lines))
+        assert main(["report", "--run-dir", str(reported_run)]) == 1
+        assert capsys.readouterr().err == f"report failed: {path}:3: more fields than the header's 9\n"
         assert not (reported_run / "results.csv").exists()
 
 

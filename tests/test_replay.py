@@ -132,7 +132,7 @@ class TestScaleInvariance:
         r2 = run_mode(
             build_panel(ests_s, acts_s, FilterConfig(surprise_cap_cents=50 * c)), ModeConfig()
         )
-        assert len(r1.outcomes) == len(r2.outcomes)
+        assert len(r1.improved) == len(r2.improved)
         for a, b in zip(outcome_views(r1), outcome_views(r2)):
             assert b.simple_consensus == pytest.approx(c * a.simple_consensus, rel=1e-12)
             assert b.improved == pytest.approx(c * a.improved, rel=1e-9)
@@ -337,15 +337,38 @@ class TestSizeBuckets:
         assert any(not panel.features[ev.rows, 3].any() for ev in panel_events(panel))
         first = min(sizes)
         assert any(o.fallback_reason == "no_previous_model" and o.quarter_offset > first for o in full.outcomes)
-        assert any(o.fallback_reason == "degenerate_weights" for o in results["top10_only"][1].outcomes)
-        assert results["institution"][1].outcomes
+        assert any(o.fallback_reason == "degenerate_weights" for o in outcome_views(results["top10_only"][1]))
+        assert len(results["institution"][1].improved)
         _, closest_raw, _ = results["closest_raw"]
         ties = 0
-        for ev, o in zip(panel_events(panel), closest_raw.outcomes):
+        for ev, o in zip(panel_events(panel), outcome_views(closest_raw)):
             errors = np.abs(panel.value_cents[ev.rows] - ev.actual_cents)
             ties += int(np.count_nonzero(errors == errors.min()) > 1)
             assert o.weights[np.argmin(errors)] == 1.0  # the first of tied analysts
         assert ties > 0
+
+    def test_bucket_records_are_the_result_columns(self):
+        # the fixed panel above; between them its modes take every fallback
+        rng = np.random.default_rng(22)
+        results = self.replays(*mixed_size_rows(lambda lo, hi: int(rng.integers(lo, hi + 1))))
+        reasons = set()
+        for mode in self.MODES:
+            panel, result, _ = results[mode.label]
+            state = ledger_state(panel, ledger_key(mode))
+            X, _ = state.rows(mode.scaling)
+            models = state.models(mode.scaling, mode.variable_mask)
+            for bucket in panel.layout.buckets:
+                records = replay.improved_consensus(state, bucket, X, mode, models)
+                assert isinstance(records, np.recarray) and records.shape == bucket.order.shape
+                assert records[0].fallback_reason in (None, "no_previous_model", "degenerate_weights")
+                assert records.improved.tobytes() == result.improved[bucket.order].tobytes()
+                assert records.fallback_reason.tolist() == result.fallback_reason[bucket.order].tolist()
+                assert records.weights.tobytes() == result.weights[bucket.rows].tobytes()
+            reasons.update(result.fallback_reason.tolist())
+            weighted = np.equal(result.fallback_reason, None)
+            sums = np.add.reduceat(result.weights, panel.bounds[:-1])
+            assert sums[weighted].tolist() == pytest.approx([1.0] * int(weighted.sum()), abs=1e-12)
+        assert reasons == {None, "no_previous_model", "degenerate_weights"}
 
 
 class TestPriorRecord:
