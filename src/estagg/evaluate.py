@@ -121,12 +121,12 @@ def descriptive_stats(panel: Panel) -> dict:
         surprises.append(actual - sum(values) / len(values))  # Python ints: the exact sum, rounded once
         in_range += min(values) <= actual <= max(values)
     return {
-        "n_symbols": len(np.unique(panel.events.firm)),
+        "n_symbols": int(np.count_nonzero(np.bincount(panel.events.firm))),
         "n_reports": n,
         "n_predictions": len(all_values),
-        "n_analysts": len(np.unique(panel.analyst)),
+        "n_analysts": int(np.count_nonzero(np.bincount(panel.analyst))),
         "mean_abs_surprise_cents": float(np.mean(np.abs(surprises))),
-        "median_abs_surprise_cents": float(np.median(np.abs(surprises))),
+        "median_abs_surprise_cents": median_stat(np.abs(surprises)),
         "negative_surprise_share": sum(s < 0 for s in surprises) / n,
         "actual_in_range_share": in_range / n,
     }

@@ -3,16 +3,15 @@
 Both input files are parsed by one schema-driven converter into column
 tables: estimates into an EstimateTable, actuals (one per firm-quarter)
 into an ActualTable, each with one array per column and its ids interned
-to integer codes. A file is read as UTF-8 in blocks of _CHUNK_ROWS lines.
-csv.reader defines the format, but a block with no quote, NUL or carriage
-return other than a CR LF line end, which csv.reader would split at each
-comma and line end, is tokenized as bytes with numpy. From the first block
-that has one of those, csv.reader reads the rest, and the fields of each
-_CHUNK_ROWS of its rows are packed into bytes. Either way a block is a
-_ByteBlock, the one converter: each column's fields become a byte matrix
-that converts in whole-column passes, and only distinct ids and fields not
-of canonical form (`-?[0-9]{1,18}`, `YYYY-MM-DDTHH:MM:SSZ`) are decoded,
-so every row gets the same value or reject message from either tokenizer.
+to integer codes. A path is read as bytes, a text stream as lines joined
+and encoded, in blocks of _CHUNK_ROWS lines. csv.reader defines the format,
+but a block with no quote, NUL or carriage return other than a CR LF line
+end is tokenized as bytes with numpy, from one scan for its delimiters;
+from the first block that has one, csv.reader reads the rest, its rows
+packed into bytes. Either way a block is a _ByteBlock, the one converter:
+each column's fields are gathered column-major and convert in whole-column
+passes; only distinct ids and fields not of canonical form
+(`-?[0-9]{1,18}`, `YYYY-MM-DDTHH:MM:SSZ`) are decoded.
 
 build_panel joins the two tables, applies the exclusion rules
 (forecast-horizon window, last-estimate-wins dedup, prior-record
@@ -29,6 +28,7 @@ exact integer arithmetic.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from array import array
 from collections import Counter
@@ -40,7 +40,6 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .bias import earlier, pair_key
 from .features import top10_brokers
@@ -108,7 +107,8 @@ class _Table:
             for i in sorted(errors):
                 on_reject(start + i, f"malformed: {errors[i]}")
             start += len(block)
-        columns = [np.concatenate(c) for c in zip(*parts)] or [np.empty(0, np.int64)] * len(schema)
+        parts = [list(c) for c in zip(*parts)] or [[np.empty(0, np.int64)] for _ in schema]
+        columns = [np.concatenate(parts.pop(0)) for _ in schema]  # each column's blocks are freed once joined
         table = {}
         for (_, attr, kind), column, index in zip(schema, columns, seen):
             if kind == ID:
@@ -253,14 +253,18 @@ class Panel:
 
 _INT64 = np.iinfo(np.int64)
 
-# YYYY-MM-DDTHH:MM:SSZ as bytes; "0" marks a digit
-_TS_FORM = np.frombuffer(b"0000-00-00T00:00:00Z", np.uint8)
-_TS_DIGIT = _TS_FORM == ord("0")
-_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])  # in a common year
+# YYYY-MM-DDTHH:MM:SSZ, "0" marking a digit: XOR with it turns a field of that form into digits 0-9
+# and zero punctuation, each at most _TS_MAX; the tens and units of century, year, ..., second
+_TS_FORM = np.frombuffer(b"0000-00-00T00:00:00Z", np.uint8)[:, None]
+_TS_MAX = np.where(_TS_FORM == ord("0"), 9, 0).astype(np.uint8)
+_TS_TENS, _TS_UNITS = [0, 2, 5, 8, 11, 14, 17], [1, 3, 6, 9, 12, 15, 18]
+# per two-digit month, its days in a common year (0 for no month) and from March 1st
+_MONTH_DAYS = np.pad([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], (1, 87))
+_MONTH_START = (153 * ((np.arange(100) + 9) % 12) + 2) // 5
 
-# the digits of a canonical int64 field, which cannot overflow; the widest
-# id key a block builds, past which it decodes every id
+# the digits of a canonical int64, which cannot overflow; the widest id key; a block's end padding
 _INT_DIGITS, _ID_BYTES = 18, 64
+_PAD = " " * _ID_BYTES
 
 
 def _codes(ids: Sequence, seen: dict) -> np.ndarray:
@@ -270,75 +274,91 @@ def _codes(ids: Sequence, seen: dict) -> np.ndarray:
     return np.fromiter(map(seen.__getitem__, ids), np.int64, len(ids))
 
 
+def _text_of(first: int, data: bytes, stop: int, count: int, text: Optional[list[str]]) -> Iterable[str]:
+    """A chunk's lines as csv.reader reads them, a path's split as by open(newline=""). A chunk is
+    `count` lines from physical line `first`, _CHUNK_ROWS but for the last: their UTF-8 bytes
+    data[:stop], followed by at least _ID_BYTES more, and a text source's lines."""
+    return io.StringIO(_decoded(data, stop, first), newline="") if text is None else text
+
+
+def _decoded(data: bytes, stop: int, line: int, where: str = "") -> str:
+    """data[:stop] as text; an undecodable byte fails with its line, data's first line being `line`."""
+    try:
+        return str(memoryview(data)[:stop], "utf-8")
+    except UnicodeDecodeError as exc:
+        line, byte = line + data.count(b"\n", 0, exc.start), data[exc.start]
+        raise ValueError(f"{where}line {line}: undecodable byte 0x{byte:02x}; the input must be UTF-8") from None
+
+
 class _ByteBlock:
     """A block of rows whose fields are runs of UTF-8 bytes in one buffer,
-    with the byte bounds of each schema field of each row: either lines of
-    quote-free CSV text, whose fields are the runs between commas and line
-    ends (`tokenize`), or rows of fields packed column after column
-    (`pack`).
-
-    Each column converts in whole-column numpy passes over a byte matrix;
-    only fields not of canonical form are decoded, and go through the
-    scalar int() or parse_ts.
-    """
+    with the byte bounds of each schema field of each row: lines of quote-
+    free CSV text (`tokenize`), or rows of fields packed column after column
+    (`pack`). Each column converts in whole-column numpy passes over its
+    fields' bytes, gathered as one key per field or as a (width, n) matrix;
+    only fields not of canonical form are decoded, by int() or parse_ts."""
 
     def __init__(self, data: bytes, starts: list[np.ndarray], ends: list[np.ndarray]):
-        self.data = data
-        # padded so that every fixed-width gather stays in bounds
-        self.buf = np.frombuffer(data + bytes(_ID_BYTES), np.uint8)
+        self.data = data  # at least _ID_BYTES past every field's start, so every gather stays in bounds
+        self.buf = np.frombuffer(data, np.uint8)
         self.starts, self.ends = starts, ends  # per schema column, per row
 
     @classmethod
     def pack(cls, rows: Sequence[Sequence]):
-        """The block of `rows`, fields in schema order, as csv.reader gives
-        them or from_rows' caller does; a field that is not a `str`, such as
-        an int, is taken as its str(). The fields' bytes are joined column
-        after column."""
+        """The block of `rows`, fields in schema order, as csv.reader or from_rows'
+        caller gives them, a field that is not a `str`, such as an int, taken
+        as its str(); the fields' bytes are joined column after column."""
         columns = list(zip(*rows))
         texts = list(map(str, chain.from_iterable(columns)))
-        text = "".join(texts)
-        data = text.encode()
+        data = "".join([*texts, _PAD]).encode()
         # in ASCII text, each field has as many bytes as characters
-        lengths = map(len, texts if len(data) == len(text) else map(str.encode, texts))
+        lengths = map(len, texts if data.isascii() else map(str.encode, texts))
         lengths = np.fromiter(lengths, np.int64, len(texts)).reshape(len(columns), len(rows))
         ends = lengths.cumsum().reshape(lengths.shape)
         return cls(data, list(ends - lengths), list(ends))
 
     @classmethod
-    def tokenize(cls, data: bytes, n_lines: int, positions: Sequence[int], need: int):
-        """The block of `data`, the UTF-8 bytes of n_lines lines, as
-        csv.reader splits them; the offset in the block of each row's line;
-        and the offsets and field counts of the rows too short to hold the
-        header's `need` fields. Blank lines hold no row. A line ending in
-        CR LF ends at its CR, as csv.reader reads it. None when csv.reader
-        could read the lines otherwise: a quote, a carriage return not
-        directly before a newline, a NUL, a line break the stream did not
-        end a line at, or a line longer than csv's field limit."""
-        if b'"' in data or b"\0" in data:  # csv.reader before 3.11 fails on a NUL
-            return None
-        if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
-            return None
+    def tokenize(cls, data: bytes, stop: int, count: int, positions: Sequence[int], width: int):
+        """The block of a chunk's lines as csv.reader splits them, the index of each row's line,
+        and the indexes and field counts of the lines too short for the fields at `positions`.
+        Blank lines hold no row; a CR LF line ends at its CR. Fields are bounded by the marks of
+        one scan, by a reshape where every line holds the header's `width` fields. None when
+        csv.reader could read the lines otherwise: a quote, a NUL, a CR not directly before a
+        newline, a line break the source did not end a line at, or a line past the field limit."""
         buf = np.frombuffer(data, np.uint8)
-        ends = np.flatnonzero(buf == ord("\n"))
-        if data[-1:] != b"\n":
-            ends = np.append(ends, len(buf))
-        if len(ends) != n_lines:
+        marks = np.flatnonzero(buf[:stop] <= ord(","))  # every delimiter and every byte that needs csv.reader
+        chars = buf[marks]
+        delimiter = (chars == ord(",")) | (chars == ord("\n"))
+        if not (plain := delimiter.all()):
+            if ((chars == ord('"')) | (chars == 0)).any() or (buf[marks[chars == ord("\r")] + 1] != ord("\n")).any():
+                return None  # csv.reader before 3.11 fails on a NUL
+            marks, chars = marks[delimiter], chars[delimiter]
+        is_end = chars == ord("\n")
+        if data[stop - 1] != ord("\n"):  # the last line ends where the chunk does
+            marks, is_end = np.append(marks, stop), np.append(is_end, True)
+        if np.count_nonzero(is_end) != count:
             return None
-        starts = np.concatenate([[0], ends[:-1] + 1])
-        ends = ends - (buf[np.maximum(ends - 1, 0)] == ord("\r"))  # a CR LF line ends at its CR
-        if (ends - starts).max() > csv.field_size_limit():
+        rectangular = len(marks) == width * count and is_end[width - 1 :: width].all()
+        bounds = np.ascontiguousarray(marks.reshape(count, width).T) if rectangular else None  # row p: p-th marks
+        ends_at = None if rectangular else np.flatnonzero(is_end)  # the index of each line's end among the marks
+        line_end = bounds[-1] if rectangular else marks[ends_at]
+        line_start = np.concatenate([[0], line_end[:-1] + 1])
+        if not plain:
+            line_end -= buf[np.maximum(line_end - 1, 0)] == ord("\r")  # a CR LF line ends at its CR
+        if (line_end - line_start).max() > csv.field_size_limit():
             return None
-        commas = np.flatnonzero(buf == ord(","))
-        first_comma = np.searchsorted(commas, starts)
-        n_fields = np.searchsorted(commas, ends) - first_comma + 1
-        filled = ends > starts
-        short = np.flatnonzero(filled & (n_fields < need))
-        rows = np.flatnonzero(filled & (n_fields >= need))
-        first_comma, line_end = first_comma[rows], ends[rows]
-        commas = np.append(commas, len(buf))  # the last field of the last line ends before it
-        field_starts = [starts[rows] if p == 0 else commas[first_comma + p - 1] + 1 for p in positions]
-        field_ends = [np.minimum(commas[first_comma + p], line_end) for p in positions]
-        return cls(data, field_starts, field_ends), rows, short, n_fields[short]
+        if rectangular:
+            starts = [line_start if p == 0 else bounds[p - 1] + 1 for p in positions]
+            ends = [line_end if p == width - 1 else bounds[p] for p in positions]
+            return cls(data, starts, ends), np.arange(count), line_start[:0], line_start[:0]
+        first_mark = np.concatenate([[0], ends_at[:-1] + 1])
+        n_fields = ends_at - first_mark + 1
+        filled, enough = line_end > line_start, n_fields > max(positions)
+        short, rows = np.flatnonzero(filled & ~enough), np.flatnonzero(filled & enough)
+        first_mark, line_end = first_mark[rows], line_end[rows]
+        starts = [line_start[rows] if p == 0 else marks[first_mark + p - 1] + 1 for p in positions]
+        ends = [np.minimum(marks[first_mark + p], line_end) for p in positions]
+        return cls(data, starts, ends), rows, short, n_fields[short]
 
     def __len__(self) -> int:
         return len(self.starts[0])
@@ -346,10 +366,13 @@ class _ByteBlock:
     def _texts(self, starts: np.ndarray, ends: np.ndarray) -> list[str]:
         return [self.data[s:e].decode() for s, e in zip(starts.tolist(), ends.tolist())]
 
+    def _gather(self, starts: np.ndarray, dtype) -> np.ndarray:
+        """The bytes from each of `starts` as one item of `dtype`, those past a field being the block's next."""
+        return np.ndarray((len(self.buf) - np.dtype(dtype).itemsize + 1,), dtype, self.buf, 0, (1,))[starts]
+
     def _matrix(self, starts: np.ndarray, width: int) -> np.ndarray:
-        """The `width` bytes from each of `starts` as an (n, width) matrix;
-        bytes past a field's end are the next bytes of the block."""
-        return sliding_window_view(self.buf, width)[starts]
+        """The `width` bytes from each of `starts` as a (width, n) matrix, row j holding each one's byte j."""
+        return np.ascontiguousarray(self._gather(starts, f"V{width}").view(np.uint8).reshape(len(starts), width).T)
 
     def _fallback(
         self, out: np.ndarray, i: int, rows: np.ndarray, name: str, errors: dict[int, str], convert: Callable
@@ -373,79 +396,71 @@ class _ByteBlock:
         out[rows] = values
 
     def int64s(self, i: int, name: str, errors: dict[int, str]) -> np.ndarray:
-        """Fields of the form -?[0-9]{1,18} read as digit sums, one pass
-        per byte position; any other field goes through int()."""
-        starts, lengths = self.starts[i], self.ends[i] - self.starts[i]
+        """Fields of the form -?[0-9]{1,18} read as digit sums over the matrix of their last
+        bytes, a row per decimal place; any other field goes through int()."""
+        starts, ends = self.starts[i], self.ends[i]
         negative = self.buf[starts] == ord("-")
-        ok = (lengths - negative >= 1) & (lengths - negative <= _INT_DIGITS)
-        out = np.zeros(len(lengths), np.int64)
-        for j in range(min(_INT_DIGITS + 1, int(lengths.max(initial=0)))):
-            digit = self.buf[starts + j] - np.uint8(ord("0"))
-            inside = lengths > j
-            is_digit = digit <= 9
-            ok &= is_digit | ~inside | (negative if j == 0 else False)
-            out = np.where(inside & is_digit, out * 10 + digit, out)
-        out = np.where(negative, -out, out)
+        n_digits = ends - starts - negative
+        width = min(max(int(n_digits.max(initial=0)), 1), _INT_DIGITS)
+        digits = self._matrix(np.maximum(ends - width, 0), width) ^ np.uint8(ord("0"))
+        digits *= np.arange(width, 0, -1)[:, None] <= n_digits  # 0 before the field's first digit
+        ok = (n_digits >= 1) & (n_digits <= _INT_DIGITS) & (ends >= width) & (digits.max(axis=0) <= 9)
+        out = np.zeros(len(starts), np.int64)
+        for row in digits:
+            out = out * 10 + row
+        np.negative(out, out=out, where=negative)
         self._fallback(out, i, np.flatnonzero(~ok), name, errors, int)
         return out
 
     def timestamps(self, i: int, name: str, errors: dict[int, str]) -> np.ndarray:
         """Unix seconds of ISO-8601 fields, equal to parse_ts of each.
         Fields of the exact form YYYY-MM-DDTHH:MM:SSZ naming a second on the
-        proleptic Gregorian calendar, as datetime does, convert in
-        whole-column integer passes; any other field goes through parse_ts.
-        """
+        proleptic Gregorian calendar, as datetime does, convert in passes
+        over the rows of their (20, n) byte matrix; any other field goes
+        through parse_ts."""
         starts, ends = self.starts[i], self.ends[i]
-        chars = self._matrix(starts, 20)
-        digits = chars[:, _TS_DIGIT] - ord("0")
-        form = (digits <= 9).all(axis=1) & (chars[:, ~_TS_DIGIT] == _TS_FORM[~_TS_DIGIT]).all(axis=1)
-        form &= ends - starts == 20
-        rows = np.flatnonzero(form)
-        d = digits[rows].astype(np.int64)
-        year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
-        month, day, hour, minute, second = (d[:, k] * 10 + d[:, k + 1] for k in range(4, 14, 2))
-        leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-        month_days = _MONTH_DAYS[np.clip(month, 1, 12) - 1] + (leap & (month == 2))
-        on_calendar = (
-            (year >= 1)  # datetime has no year 0
-            & (month >= 1)
-            & (month <= 12)
-            & (day >= 1)
-            & (day <= month_days)
-            & (hour <= 23)
-            & (minute <= 59)
-            & (second <= 59)
-        )
-        # days since 1970-01-01, counting each year from March so that a leap
-        # day ends it
-        y = year - (month <= 2)
-        days = 365 * y + y // 4 - y // 100 + y // 400 + (153 * ((month + 9) % 12) + 2) // 5 + day - 719469
-        exact = np.zeros(len(starts), bool)
-        exact[rows[on_calendar]] = True
-        out = np.empty(len(starts), np.int64)
-        out[exact] = (days * 86400 + hour * 3600 + minute * 60 + second)[on_calendar]
+        chars = self._matrix(starts, 20) ^ _TS_FORM
+        exact = (ends - starts == 20) & ~(chars > _TS_MAX).any(axis=0)
+        chars *= exact  # other fields' bytes would index past the month tables
+        century, year, month, day, hour, minute, second = (chars[_TS_TENS] * 10 + chars[_TS_UNITS]).astype(np.int64)
+        year += century * 100
+        # days from 0000-03-01 to March 1st of the year and of the year a date is in when years start in March
+        march = [365 * y + y // 4 - y // 100 + y // 400 for y in (year, year - (month <= 2))]
+        leap_day = (month == 2) & (march[0] - march[1] == 366)
+        exact &= (year >= 1) & (day >= 1) & (day <= _MONTH_DAYS[month] + leap_day)  # no year 0
+        exact &= (hour <= 23) & (minute <= 59) & (second <= 59)
+        days = march[1] + _MONTH_START[month] + day - 719469  # since 1970-01-01
+        out = days * 86400 + hour * 3600 + minute * 60 + second
         self._fallback(out, i, np.flatnonzero(~exact), name, errors, parse_ts)
         return out
 
     def codes(self, i: int, keep: Optional[np.ndarray], seen: dict) -> np.ndarray:
-        """Codes of the ids in column i's `keep` rows. Equal ids are found
-        with np.unique over their bytes zero-padded to a multiple of 8, and
-        only each distinct id is decoded. An id may end in a NUL only in a
-        block that holds one, which decodes every id instead, as does a
-        block whose ids are wider than _ID_BYTES."""
+        """Codes of the ids in column i's `keep` rows. Equal ids are found by
+        sorting keys of their bytes, zero-padded: one uint64 for ids of up to 8
+        bytes, else a multiple of 8 bytes. Only each distinct id is decoded.
+        An id may end in a NUL only in a block that holds one, which decodes
+        every id instead, as does a block of ids wider than _ID_BYTES."""
         starts, ends = self.starts[i], self.ends[i]
         if keep is not None:
             starts, ends = starts[keep], ends[keep]
         lengths = ends - starts
-        width = max(8, -(-int(lengths.max(initial=0)) // 8) * 8)
+        longest = int(lengths.max(initial=0))
+        width = max(8, -(-longest // 8) * 8)
         if width > _ID_BYTES or b"\0" in self.data:
             return _codes(self._texts(starts, ends), seen)
-        keys = self._matrix(starts, width) * (np.arange(width) < lengths[:, None])
-        keys = keys.view(">u8" if width == 8 else f"V{width}").ravel()
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        first = np.empty(len(distinct), np.int64)
-        first[inverse] = np.arange(len(keys))  # a row of each distinct id
-        ids = self._texts(starts[first], ends[first])
+        if width == 8:  # the bytes past an id shifted out
+            keys = self._gather(starts, "<u8") & np.uint64(2**64 - 1) >> (64 - 8 * lengths).astype(np.uint64)
+        else:
+            keys = self._gather(starts, f"V{width}").view(np.uint8).reshape(len(starts), width)
+            keys = (keys * (np.arange(width) < lengths[:, None])).view(f"V{width}").ravel()
+        if width == 8 and len(keys) < 1 << (bits := 64 - 8 * longest):
+            packed = np.sort(keys << np.uint64(bits) | np.arange(len(keys), dtype=np.uint64))  # each key above its row
+            order, new = (packed & np.uint64((1 << bits) - 1)).astype(np.int64), _new(packed >> np.uint64(bits))
+            inverse, first = np.empty(len(keys), np.int64), order[new]
+            inverse[order] = np.cumsum(new) - 1
+        else:
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        ids = self._texts(starts[first], ends[first])  # a row of each distinct id
         return np.array([seen.setdefault(x, len(seen)) for x in ids], np.int64)[inverse]
 
 
@@ -560,19 +575,43 @@ def _utf8(text: str, line: int, where: str) -> None:
         raise ValueError(f"{where}line {line}: undecodable {what}; the input must be UTF-8") from None
 
 
-def _read_blocks(text_lines: Iterator[str], line: int, where: str) -> Iterator[tuple[int, list[str], bytes]]:
-    """The physical line of its first line, the lines and their UTF-8 bytes
-    of each block of _CHUNK_ROWS lines of `text_lines`, the first block
-    starting at physical line `line`."""
-    while lines := list(islice(text_lines, _CHUNK_ROWS)):
+def _text_chunks(text_lines: Iterator[str], line: int, where: str) -> Iterator[tuple]:
+    """Each block of a text stream's lines from physical line `line`, joined and encoded."""
+    for text in _batches(text_lines):
         try:
-            data = "".join(lines).encode()
+            data = "".join([*text, _PAD]).encode()
         except UnicodeEncodeError:
-            for k, text in enumerate(lines):
-                _utf8(text, line + k, where)
+            for k, part in enumerate(text):
+                _utf8(part, line + k, where)
             raise
-        yield line, lines, data
-        line += len(lines)
+        yield line, data, len(data) - _ID_BYTES, len(text), text
+        line += len(text)
+
+
+def _binary_chunks(fh, line: int, where: str) -> Iterator[tuple]:
+    """Each block of a binary file's lines from physical line `line`, checked to be UTF-8. Reads
+    are sized by the mean line so far to end near a block's last line; the rest begins the next."""
+    tail, read, newlines = bytearray(), 0, 0  # bytes read past the last block; bytes and newlines read so far
+    while True:
+        data, count = tail, tail.count(b"\n")  # read into, so that a block holds one copy of its bytes
+        while count < _CHUNK_ROWS:
+            start = len(data)  # then read the block's other lines at the mean line length so far
+            data += fh.read(max(io.DEFAULT_BUFFER_SIZE, min(read, (_CHUNK_ROWS - count) * read // max(newlines, 1))))
+            if len(data) == start:
+                break
+            n = int(np.count_nonzero(np.frombuffer(data, np.uint8, offset=start) == ord("\n")))
+            count, read, newlines = count + n, read + len(data) - start, newlines + n
+        if not data:
+            return
+        stop = len(data)
+        for _ in range(count - _CHUNK_ROWS + (data[-1] != ord("\n"))):  # back to the end of the block's last line
+            stop = data.rfind(b"\n", 0, stop - 1) + 1
+        count = min(count, _CHUNK_ROWS) + (data[stop - 1] != ord("\n"))
+        block = data if len(data) >= stop + _ID_BYTES else data + _PAD.encode()
+        if not block.isascii():
+            _decoded(block, stop, line, where)
+        yield line, block, stop, count, None
+        tail, line = data[stop:], line + count
 
 
 def _csv_rows(reader, offset: int, get: Callable, need: int, lines: array, rejects: list[Reject]) -> Iterator[tuple]:
@@ -592,30 +631,35 @@ def _short_row(line: int, n_fields: int, need: int) -> Reject:
     return Reject(line, f"malformed: {n_fields} fields, the header needs {need}")
 
 
-def _parse(source, kind: str, table_type):
+def _parse(source, kind, table_type):
     """A table of the file's rows, the malformed rows as rejects in line
     order, and the physical line of each row read, rejected or not. A `str`
-    source is a path, opened as UTF-8 and closed here; anything else is a
-    text stream, read and left open.
-
-    csv.reader defines the format. Blocks of lines with no quote, NUL or
-    carriage return other than a CR LF line end are tokenized as bytes
-    (_ByteBlock.tokenize); from the first block that has one, csv.reader
-    reads that block and the rest, and its rows are packed into blocks
-    (_ByteBlock.pack) that convert as the tokenized ones do.
+    source is a path, read as bytes and closed here; anything else is a text
+    stream, read and left open. csv.reader defines the format: it reads the
+    header and, from the first block _ByteBlock.tokenize leaves to it, that
+    block's text and the rest, its rows packed into blocks (_ByteBlock.pack)
+    that convert as the tokenized ones do. Its errors fail with the line.
     """
     schema = _schema(table_type)
     where = f"{source}: " if isinstance(source, str) else ""
     rejects: list[Reject] = []
     lines = array("q")
-    # a path's undecodable bytes are kept as surrogate escapes, which fail
-    # with their line when their block is encoded
-    opened = open(source, encoding="utf-8", errors="surrogateescape", newline="") if isinstance(source, str) else None
+    opened = open(source, "rb") if isinstance(source, str) else None
     with opened or nullcontext(source) as fh:
+        text_lines = iter(fh)  # one iterator, so a text stream's blocks start where the header ends
+        left: list[str] = []  # of the path line the header ends in, the text past the header
+
+        def path_lines():  # a path's lines up to the header's end, split as by open(newline="")
+            for n, raw in enumerate(iter(fh.readline, b""), 1):
+                left.extend(io.StringIO(_decoded(raw, len(raw), n, where), newline=""))
+                while left:
+                    yield left.pop(0)
+
+        reader, offset = csv.reader(path_lines() if opened else text_lines), 0
         try:
-            text_lines = iter(fh)  # one iterator, so the blocks start where the header ends
-            reader = csv.reader(text_lines)
             header = next(reader, None)
+            if left:  # a lone carriage return ended the header: read on from there
+                fh.seek(-len("".join(left).encode()), io.SEEK_CUR)
             if header is None:
                 raise ValueError(f"{kind} source has no readable header")
             _utf8(",".join(header), reader.line_num, where)
@@ -625,14 +669,17 @@ def _parse(source, kind: str, table_type):
                 raise ValueError(f"{kind} header missing columns: {missing}")
             positions = [position[c] for c, _, _ in schema]
             need = max(positions) + 1
+            line = reader.line_num + 1
+            chunks = _binary_chunks(fh, line, where) if opened else _text_chunks(text_lines, line, where)
 
             def blocks():
-                chunks = _read_blocks(text_lines, reader.line_num + 1, where)
-                for first, block_lines, data in chunks:
-                    tokens = _ByteBlock.tokenize(data, len(block_lines), positions, need)
+                nonlocal reader, offset
+                for chunk in chunks:
+                    first, tokens = chunk[0], _ByteBlock.tokenize(*chunk[1:4], positions, len(header))
                     if tokens is None:
-                        rest = csv.reader(chain(block_lines, chain.from_iterable(more for _, more, _ in chunks)))
-                        rows = _csv_rows(rest, first - 1, itemgetter(*positions), need, lines, rejects)
+                        reader = csv.reader(chain.from_iterable(_text_of(*c) for c in chain([chunk], chunks)))
+                        offset = first - 1
+                        rows = _csv_rows(reader, offset, itemgetter(*positions), need, lines, rejects)
                         yield from map(_ByteBlock.pack, _batches(rows))
                         return
                     block, at, short, n_fields = tokens
@@ -643,6 +690,8 @@ def _parse(source, kind: str, table_type):
             table = table_type._from_blocks(blocks(), lambda i, reason: rejects.append(Reject(lines[i], reason)))
         except UnicodeDecodeError as exc:  # from a caller's stream decoding ahead of its lines, so no line is known
             raise ValueError(f"{kind} source is not UTF-8: {exc}") from None
+        except csv.Error as exc:
+            raise ValueError(f"{where}line {offset + reader.line_num}: {exc}") from None
     rejects.sort(key=lambda r: r.line)
     return table, rejects, lines
 

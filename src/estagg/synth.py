@@ -13,7 +13,6 @@ import json
 import os
 from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
-from statistics import NormalDist
 
 import numpy as np
 
@@ -79,6 +78,7 @@ def generate_rows(spec: SynthSpec):
     skills = {a: float(s) for a, s in zip(analyst_ids, global_rng.uniform(1.0, spec.skill_spread, spec.n_analysts))}
 
     if spec.common_scale > 0:
+        from statistics import NormalDist  # here, so that no run pays for the import of statistics
         shift_mu = spec.common_scale * NormalDist().inv_cdf(spec.negative_surprise_target)
     else:
         shift_mu = 0.0

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import weakref
 from collections import Counter
 
@@ -355,6 +357,38 @@ class TestRunCommand:
         assert main(args) == 1
         assert f"run failed: {bad}: line 4: undecodable byte 0xff; the input must be UTF-8" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_field_past_the_limit_names_file_and_line(self, synth_dir, tmp_path, capsys):
+        # csv.reader's field limit (131072 bytes by default) fails the run
+        # with the file and the line, not with csv.Error's bare message
+        lines = (synth_dir / "estimates.csv").read_text().splitlines(keepends=True)
+        fields = lines[5].split(",")
+        lines[5] = ",".join(fields[:-1] + ["1" * 140_000 + "\n"])
+        bad = tmp_path / "estimates.csv"
+        bad.write_text("".join(lines))
+        args = run_args(synth_dir, tmp_path / "out", ["--modes", "full"])
+        args[args.index("--estimates") + 1] = str(bad)
+        assert main(args) == 1
+        assert f"run failed: {bad}: line 6: field larger than field limit (131072)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_does_not_import_numpy_ma(self, synth_dir, tmp_path):
+        # numpy.ma costs every run about 14 ms to import; a flagless
+        # np.unique or an np.median would import it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = (
+            "import sys; from estagg.cli import main; "
+            "assert main(sys.argv[1:]) == 0; print('numpy.ma' in sys.modules)"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code, *run_args(synth_dir, tmp_path / "out", ["--modes", "full"])],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines()[-1] == "False"
 
     @pytest.mark.parametrize("order", [(0, 5), (5, 0)], ids=["confirming_first", "confirming_last"])
     def test_duplicated_check_row_names_both_lines(self, synth_dir, tmp_path, capsys, order):

@@ -975,7 +975,9 @@ TS_TEXTS = st.one_of(
     ),
 )
 ID_TEXTS = st.one_of(
-    st.sampled_from(["A1", "A2", "A1 ", "", "é", "Ωmega", "analyst-9", "x" * 70, "é" * 33]),
+    # ids about the 8 bytes a uint64 key holds, in ASCII and in two-byte characters
+    st.sampled_from(["A1", "A2", "A1 ", "", "é", "Ωmega", "analyst", "analyst-", "analyst-9", "x" * 70, "é" * 33]),
+    st.sampled_from(["é" * 3 + "x", "é" * 4, "é" * 4 + "x", "éé", "x" * 8 + "é"]),
     # no comma, quote, line end or NUL, which send a block to csv.reader;
     # other separators (\x0b, \x85, \u2028) are plain text to csv.reader
     st.text(st.characters(blacklist_characters=',"\r\n\x00', blacklist_categories=("Cs",)), max_size=10),
@@ -997,17 +999,19 @@ def beyond_int64(text):
 @st.composite
 def csv_texts(draw, table_type, block_rows):
     """A CSV text of the table's columns plus an unread last one: blank,
-    short and long rows, LF or CRLF line ends, an optional final newline,
-    and up to three quoted fields in any column of rows after the first
-    block, each its row's own text (None) or one of QUOTED_TEXTS. Also the text
-    with every row the per-row oracles word differently blanked out: a
-    value beyond int64, or a short row; a blanked row keeps its line
-    breaks, so every other row keeps its line."""
+    short and long rows, or only rows of the header's width, LF or CRLF line
+    ends, an optional final newline, and up to three quoted fields in any
+    column of rows after the first block, each its row's own text (None) or
+    one of QUOTED_TEXTS. Also the text with every row the per-row oracles
+    word differently blanked out: a value beyond int64, or a short row; a
+    blanked row keeps its line breaks, so every other row keeps its line.
+    And a physical line past the first block, or None."""
     kinds = [kind for _, _, kind in _schema(table_type)]
     header = [column for column, _, _ in _schema(table_type)] + ["note"]
     rows, plain = [], []
+    shapes = ["row", "row", "row", "blank", "short", "long"] if draw(st.booleans()) else ["row"]
     for _ in range(draw(st.integers(0, 3 * block_rows + 2))):
-        shape = draw(st.sampled_from(["row", "row", "row", "blank", "short", "long"]))
+        shape = draw(st.sampled_from(shapes))
         row = [] if shape == "blank" else [draw(KIND_TEXTS[kind]) for kind in kinds] + [draw(NOTE_TEXTS)]
         if shape == "short":
             row = row[: draw(st.integers(1, len(kinds) - 1))]
@@ -1025,7 +1029,9 @@ def csv_texts(draw, table_type, block_rows):
     end = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
     final = end if draw(st.booleans()) else ""
     oracle_rows = [row if ok else [end * ",".join(row).count("\n")] for row, ok in zip(rows, plain)]
-    return tuple(end.join(",".join(r) for r in [header, *table]) + final for table in (rows, oracle_rows))
+    texts = [end.join(",".join(r) for r in [header, *table]) + final for table in (rows, oracle_rows)]
+    n_lines = texts[0].count("\n") + 1
+    return (*texts, draw(st.integers(block_rows + 2, n_lines)) if n_lines >= block_rows + 2 else None)
 
 
 def table_state(table):
@@ -1101,8 +1107,9 @@ class TestByteTokenizer:
     def check(self, parse, parse_oracle, texts):
         """The parse of the text equals, table, rejects and exception alike,
         its parse from a path and its parse by csv.reader alone, and the
-        parse of the oracle's text equals the per-row oracle's."""
-        text, oracle_text = texts
+        parse of the oracle's text equals the per-row oracle's. With a byte
+        0xff put at the start of the drawn line, the path fails naming it."""
+        text, oracle_text, bad_line = texts
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "_CHUNK_ROWS", self.BLOCK_ROWS)
             got = outcome(parse, io.StringIO(text))
@@ -1112,6 +1119,13 @@ class TestByteTokenizer:
                     fh.write(text)
                 where = f"{path}: " if got[0] == "raises" else ""
                 assert outcome(parse, path) == (got if not where else ("raises", where + got[1]))
+                if bad_line is not None:
+                    lines = text.encode().split(b"\n")
+                    lines[bad_line - 1] = b"\xff" + lines[bad_line - 1]
+                    with open(path, "wb") as fh:
+                        fh.write(b"\n".join(lines))
+                    error = f"{path}: line {bad_line}: undecodable byte 0xff; the input must be UTF-8"
+                    assert outcome(parse, path) == ("raises", error)
             try:
                 table, rejects = parse(io.StringIO(oracle_text))
             except ValueError as exc:
@@ -1136,6 +1150,19 @@ class TestByteTokenizer:
     def test_actuals_match_csv_reader_and_oracle(self, texts):
         self.check(parse_actuals, parse_actuals_oracle, texts)
 
+    def test_path_with_carriage_return_line_ends(self, tmp_path):
+        # a lone CR ends a path's lines as open(newline="") splits them, the
+        # header's included, so the file reads as its LF-ended twin
+        row = "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n"
+        text = HEADER + row * 3 + "A2,B1,F1,2011,2,junk,6,105\n" + row
+        got = []
+        for end in ("\n", "\r"):
+            path = tmp_path / "estimates.csv"
+            path.write_bytes(text.replace("\n", end).encode())
+            table, rejects = parse_estimates(str(path))
+            got.append((table_state(table), rejects))
+        assert got[0] == got[1] and len(got[0][1]) == 1 and got[0][1][0].line == 5
+
     def test_ids_equal_but_for_trailing_nuls_stay_apart(self):
         ids = ["A1", "A1\x00", "\x00", "", "A1\x00\x00", "A1", "analyst-10\x00"]
         text = HEADER + "".join(f"{a},B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n" for a in ids)
@@ -1144,13 +1171,18 @@ class TestByteTokenizer:
         assert table.analyst_ids == tuple(sorted(set(ids)))
         assert [table.analyst_ids[c] for c in table.analyst.tolist()] == ids
 
-    def test_line_past_the_field_limit_fails_as_csv_reader_fails(self):
+    def test_line_past_the_field_limit_fails_as_csv_reader_fails(self, tmp_path):
+        # csv.reader's error, with the file and the line of the field
         row = "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105"
-        text = HEADER + row + "\n" + row + "," + "x" * 60 + "\n"
+        text = HEADER + row + "\n" + row + "," + "x" * 60 + "\n" + row + "\n"
+        path = tmp_path / "estimates.csv"
+        path.write_text(text)
         limit = csv.field_size_limit(50)
         try:
-            with pytest.raises(csv.Error, match="field larger than field limit"):
+            with pytest.raises(ValueError, match=r"^line 3: field larger than field limit \(50\)$"):
                 parse_estimates(io.StringIO(text))
+            with pytest.raises(ValueError, match=rf"^{path}: line 3: field larger than field limit \(50\)$"):
+                parse_estimates(str(path))
         finally:
             csv.field_size_limit(limit)
 
