@@ -18,14 +18,14 @@ import os
 import sys
 from collections import Counter
 from dataclasses import asdict
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .aggregate import ModeConfig, default_mode_matrix, modes_by_label
 from .evaluate import ModeResult, PanelSource, descriptive_stats, mode_result, run_mode_matrix, surprises
-from .ingest import MIN_LEAD_HOURS, FilterConfig, cross_check_actuals, parse_actuals, parse_estimates
+from .ingest import MIN_LEAD_HOURS, FilterConfig, Panel, cross_check_actuals, parse_actuals, parse_estimates
 from .model import N_VARS, PeriodModel
 from .replay import ReplayResult
 from .synth import SynthSpec, generate
@@ -46,7 +46,13 @@ SYNTH_SETTINGS |= dict.fromkeys(("bias_scale", "skill_spread", "noise_scale", "c
 SYNTH_SETTINGS |= {"negative_surprise_target": float}
 
 
-EventFields = tuple[list[str], list[int], list[int], list[str]]  # a panel's per-event fields, from _event_fields
+class EventFields(NamedTuple):
+    """A panel's per-event fields that no mode changes, from _event_fields."""
+
+    heads: list[str]  # firm, period, actual and simple consensus, as text
+    n_analysts: list[int]
+    evaluated: list[int]  # 1 past the burn-in, else 0
+    original: list[str]  # the original surprise of each evaluated event, as text: a scatter row's first field
 
 
 def _setup_logging() -> None:
@@ -113,27 +119,24 @@ def _write_rows(path: str, header: str, line: str, rows: Iterable[tuple]) -> Non
         fh.writelines(map(line.__mod__, rows))
 
 
-def _event_fields(replay: ReplayResult, burn_in: int) -> EventFields:
-    """The fields of each event's row that no mode changes, formatted once
-    per panel: its firm, period, actual and simple consensus as text, its
-    analyst count, and whether it is past the burn-in; and the original
-    surprise of each event past it, the first field of a scatter row."""
-    events, layout = replay.panel.events, replay.panel.layout
+def _event_fields(panel: Panel, burn_in: int) -> EventFields:
+    """The fields of each event that no mode changes, formatted once per panel."""
+    events, layout = panel.events, panel.layout
     # each distinct firm id once, quoted as csv.writer's default dialect quotes a comma, quote or line break
     quoted = ['"%s"' % f.replace('"', '""') if any(c in f for c in ',"\r\n') else f for f in events.firm_ids]
     firms = map(quoted.__getitem__, events.firm.tolist())
     columns = (events.year.tolist(), events.quarter.tolist(), events.value_cents.tolist(), layout.simple.tolist())
     heads = list(map("%s,%d,%d,%d,%r".__mod__, zip(firms, *columns)))
-    evaluated, original = (layout.offset >= burn_in).astype(np.int64).tolist(), surprises(replay, burn_in)[0].tolist()
-    return heads, np.diff(replay.panel.bounds).tolist(), evaluated, list(map(repr, original))
+    evaluated = layout.offset >= burn_in
+    original = list(map(repr, (layout.simple - events.value_cents)[evaluated].tolist()))  # as evaluate.surprises
+    return EventFields(heads, np.diff(panel.bounds).tolist(), evaluated.astype(np.int64).tolist(), original)
 
 
 def _write_events(path: str, result: ReplayResult, fields: EventFields) -> None:
     """One row per event of the result's panel, in announcement order;
     `fields` are the panel's _event_fields."""
-    heads, n_analysts, evaluated, _ = fields
     reasons = (reason or "" for reason in result.fallback_reason.tolist())
-    rows = zip(heads, result.improved.tolist(), n_analysts, reasons, evaluated)
+    rows = zip(fields.heads, result.improved.tolist(), fields.n_analysts, reasons, fields.evaluated)
     header = (
         "firm_id,period_year,period_quarter,actual_cents,simple_consensus,improved,"
         "n_analysts,fallback_reason,in_evaluation"
@@ -155,7 +158,8 @@ def _write_mode(
     for their names; `fields` are its panel's _event_fields."""
     _write_models(out(os.path.join("models", f"{label}.csv")), replay.models)
     _write_events(out(f"events_{label}.csv"), replay, fields)
-    rows = zip(fields[3], surprises(replay, burn_in)[1].tolist())
+    _, improved = surprises(replay, burn_in)
+    rows = zip(fields.original, improved.tolist())
     _write_rows(out(f"scatter_{label}.csv"), "original_surprise,improved_surprise", "%s,%r\n", rows)
     sidecar = {"n": result.n_events, "trend": result.trend, "r_squared": result.r_squared}
     _write_json(out(f"scatter_{label}.json"), sidecar)
@@ -230,7 +234,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         for i, replay, result in run_mode_matrix(source, modes, burn_in):
             key = source.panel_key(modes[i])
             if key not in event_fields:
-                event_fields[key] = _event_fields(replay, burn_in)
+                event_fields[key] = _event_fields(replay.panel, burn_in)
             _write_mode(out, modes[i].label, replay, result, event_fields[key], burn_in)
             results[i] = result
             modes_left[key] -= 1

@@ -267,18 +267,16 @@ _INT_DIGITS, _ID_BYTES = 18, 64
 _PAD = " " * _ID_BYTES
 
 
-def _codes(ids: Sequence, seen: dict) -> np.ndarray:
-    """Codes of `ids`, giving each id not in `seen` the next free code."""
-    for x in dict.fromkeys(ids):
-        seen.setdefault(x, len(seen))
-    return np.fromiter(map(seen.__getitem__, ids), np.int64, len(ids))
-
-
 def _text_of(first: int, data: bytes, stop: int, count: int, text: Optional[list[str]]) -> Iterable[str]:
     """A chunk's lines as csv.reader reads them, a path's split as by open(newline=""). A chunk is
-    `count` lines from physical line `first`, _CHUNK_ROWS but for the last: their UTF-8 bytes
-    data[:stop], followed by at least _ID_BYTES more, and a text source's lines."""
+    `count` lines (a path's cut at LFs), _CHUNK_ROWS but for the last, from physical line `first`:
+    their UTF-8 bytes data[:stop], followed by at least _ID_BYTES more, and a text source's lines."""
     return io.StringIO(_decoded(data, stop, first), newline="") if text is None else text
+
+
+def _lone_crs(data: bytes, stop: int) -> int:
+    """How many CRs of data[:stop] end a line by themselves, as open(newline="") ends lines."""
+    return data.count(b"\r", 0, stop) - data.count(b"\r\n", 0, stop) if data.find(b"\r", 0, stop) >= 0 else 0
 
 
 def _decoded(data: bytes, stop: int, line: int, where: str = "") -> str:
@@ -286,7 +284,7 @@ def _decoded(data: bytes, stop: int, line: int, where: str = "") -> str:
     try:
         return str(memoryview(data)[:stop], "utf-8")
     except UnicodeDecodeError as exc:
-        line, byte = line + data.count(b"\n", 0, exc.start), data[exc.start]
+        line, byte = line + data.count(b"\n", 0, exc.start) + _lone_crs(data, exc.start), data[exc.start]
         raise ValueError(f"{where}line {line}: undecodable byte 0x{byte:02x}; the input must be UTF-8") from None
 
 
@@ -435,33 +433,28 @@ class _ByteBlock:
         return out
 
     def codes(self, i: int, keep: Optional[np.ndarray], seen: dict) -> np.ndarray:
-        """Codes of the ids in column i's `keep` rows. Equal ids are found by
-        sorting keys of their bytes, zero-padded: one uint64 for ids of up to 8
-        bytes, else a multiple of 8 bytes. Only each distinct id is decoded.
-        An id may end in a NUL only in a block that holds one, which decodes
-        every id instead, as does a block of ids wider than _ID_BYTES."""
+        """Codes of the ids in column i's `keep` rows. Equal ids are found by one
+        sort (_runs) of keys of their bytes, zero-padded: one uint64 for ids of up
+        to 8 bytes, else a multiple of 8 bytes; only each distinct id is decoded.
+        An id may end in a NUL only in a block that holds one, which sorts the
+        decoded ids instead, as does a block of ids wider than _ID_BYTES."""
         starts, ends = self.starts[i], self.ends[i]
         if keep is not None:
             starts, ends = starts[keep], ends[keep]
         lengths = ends - starts
-        longest = int(lengths.max(initial=0))
-        width = max(8, -(-longest // 8) * 8)
+        width = max(8, -(-int(lengths.max(initial=0)) // 8) * 8)
         if width > _ID_BYTES or b"\0" in self.data:
-            return _codes(self._texts(starts, ends), seen)
-        if width == 8:  # the bytes past an id shifted out
+            keys = np.array(self._texts(starts, ends), object)
+        elif width == 8:  # the bytes past an id shifted out
             keys = self._gather(starts, "<u8") & np.uint64(2**64 - 1) >> (64 - 8 * lengths).astype(np.uint64)
         else:
             keys = self._gather(starts, f"V{width}").view(np.uint8).reshape(len(starts), width)
             keys = (keys * (np.arange(width) < lengths[:, None])).view(f"V{width}").ravel()
-        if width == 8 and len(keys) < 1 << (bits := 64 - 8 * longest):
-            packed = np.sort(keys << np.uint64(bits) | np.arange(len(keys), dtype=np.uint64))  # each key above its row
-            order, new = (packed & np.uint64((1 << bits) - 1)).astype(np.int64), _new(packed >> np.uint64(bits))
-            inverse, first = np.empty(len(keys), np.int64), order[new]
-            inverse[order] = np.cumsum(new) - 1
-        else:
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        ids = self._texts(starts[first], ends[first])  # a row of each distinct id
-        return np.array([seen.setdefault(x, len(seen)) for x in ids], np.int64)[inverse]
+        order, runs, sizes = _runs(keys)
+        ids = self._texts(starts[order[runs]], ends[order[runs]])  # a row of each distinct id
+        out = np.empty(len(keys), np.int64)
+        out[order] = np.repeat(np.array([seen.setdefault(x, len(seen)) for x in ids], np.int64), sizes)
+        return out
 
 
 def _columns(block, schema, seen: list[Optional[dict]], errors: dict[int, str]) -> list[np.ndarray]:
@@ -611,7 +604,7 @@ def _binary_chunks(fh, line: int, where: str) -> Iterator[tuple]:
         if not block.isascii():
             _decoded(block, stop, line, where)
         yield line, block, stop, count, None
-        tail, line = data[stop:], line + count
+        tail, line = data[stop:], line + count + _lone_crs(block, stop)
 
 
 def _csv_rows(reader, offset: int, get: Callable, need: int, lines: array, rejects: list[Reject]) -> Iterator[tuple]:
@@ -639,7 +632,8 @@ def _parse(source, kind, table_type):
     header and, from the first block _ByteBlock.tokenize leaves to it, that
     block's text and the rest, its rows packed into blocks (_ByteBlock.pack)
     that convert as the tokenized ones do. Its errors fail with the line.
-    """
+    A path's blocks end at LFs, so a file whose lines end in lone CRs is read
+    whole; lines are numbered as open(newline="") splits them, CRs included."""
     schema = _schema(table_type)
     where = f"{source}: " if isinstance(source, str) else ""
     rejects: list[Reject] = []
@@ -649,9 +643,10 @@ def _parse(source, kind, table_type):
         text_lines = iter(fh)  # one iterator, so a text stream's blocks start where the header ends
         left: list[str] = []  # of the path line the header ends in, the text past the header
 
-        def path_lines():  # a path's lines up to the header's end, split as by open(newline="")
-            for n, raw in enumerate(iter(fh.readline, b""), 1):
+        def path_lines(n=1):  # a path's lines up to the header's end, split as by open(newline="")
+            for raw in iter(fh.readline, b""):  # LF-ended, from physical line n
                 left.extend(io.StringIO(_decoded(raw, len(raw), n, where), newline=""))
+                n += len(left)
                 while left:
                     yield left.pop(0)
 

@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -999,13 +1000,15 @@ def beyond_int64(text):
 @st.composite
 def csv_texts(draw, table_type, block_rows):
     """A CSV text of the table's columns plus an unread last one: blank,
-    short and long rows, or only rows of the header's width, LF or CRLF line
-    ends, an optional final newline, and up to three quoted fields in any
-    column of rows after the first block, each its row's own text (None) or
-    one of QUOTED_TEXTS. Also the text with every row the per-row oracles
-    word differently blanked out: a value beyond int64, or a short row; a
-    blanked row keeps its line breaks, so every other row keeps its line.
-    And a physical line past the first block, or None."""
+    short and long rows, or only rows of the header's width, line ends all
+    LF, all CR LF, all CR or each its own, an optional final one, and up to
+    three quoted fields in any column of rows after the first block, each
+    its row's own text (None) or one of QUOTED_TEXTS. Also the text with
+    every row the per-row oracles word differently blanked out: a value
+    beyond int64, or a short row; a blanked row keeps its line breaks, as
+    CR LFs, so every other row keeps its line unless a CR and an LF meet
+    across a blanked row that has none. And a physical line past the first
+    block, as open(newline="") counts lines, or None."""
     kinds = [kind for _, _, kind in _schema(table_type)]
     header = [column for column, _, _ in _schema(table_type)] + ["note"]
     rows, plain = [], []
@@ -1026,11 +1029,12 @@ def csv_texts(draw, table_type, block_rows):
             column %= len(rows[i])
             text = rows[i][column] if text is None else text
             rows[i] = rows[i][:column] + ['"' + text.replace('"', '""') + '"'] + rows[i][column + 1 :]
-    end = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
-    final = end if draw(st.booleans()) else ""
-    oracle_rows = [row if ok else [end * ",".join(row).count("\n")] for row, ok in zip(rows, plain)]
-    texts = [end.join(",".join(r) for r in [header, *table]) + final for table in (rows, oracle_rows)]
-    n_lines = texts[0].count("\n") + 1
+    end = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", None]))  # None: each line's own
+    ends = [end or draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in range(len(rows) + 1)]
+    ends[-1] *= draw(st.booleans())  # the final line's
+    oracle_rows = [row if ok else ["\r\n" * ",".join(row).count("\n")] for row, ok in zip(rows, plain)]
+    texts = ["".join(map("".join, zip(map(",".join, [header, *table]), ends))) for table in (rows, oracle_rows)]
+    n_lines = len(re.split("\r\n|\r|\n", texts[0]))
     return (*texts, draw(st.integers(block_rows + 2, n_lines)) if n_lines >= block_rows + 2 else None)
 
 
@@ -1108,11 +1112,12 @@ class TestByteTokenizer:
         """The parse of the text equals, table, rejects and exception alike,
         its parse from a path and its parse by csv.reader alone, and the
         parse of the oracle's text equals the per-row oracle's. With a byte
-        0xff put at the start of the drawn line, the path fails naming it."""
+        0xff put at the start of the drawn line, the path fails naming it.
+        Streams split lines as open(newline="") does, as csv.reader needs."""
         text, oracle_text, bad_line = texts
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "_CHUNK_ROWS", self.BLOCK_ROWS)
-            got = outcome(parse, io.StringIO(text))
+            got = outcome(parse, io.StringIO(text, newline=""))
             with tempfile.TemporaryDirectory() as work:
                 path = os.path.join(work, "input.csv")
                 with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -1120,20 +1125,20 @@ class TestByteTokenizer:
                 where = f"{path}: " if got[0] == "raises" else ""
                 assert outcome(parse, path) == (got if not where else ("raises", where + got[1]))
                 if bad_line is not None:
-                    lines = text.encode().split(b"\n")
-                    lines[bad_line - 1] = b"\xff" + lines[bad_line - 1]
+                    lines = re.split(b"(\r\n|\r|\n)", text.encode())  # each line, then its end
+                    lines[2 * bad_line - 2] = b"\xff" + lines[2 * bad_line - 2]
                     with open(path, "wb") as fh:
-                        fh.write(b"\n".join(lines))
+                        fh.write(b"".join(lines))
                     error = f"{path}: line {bad_line}: undecodable byte 0xff; the input must be UTF-8"
                     assert outcome(parse, path) == ("raises", error)
             try:
-                table, rejects = parse(io.StringIO(oracle_text))
+                table, rejects = parse(io.StringIO(oracle_text, newline=""))
             except ValueError as exc:
                 table, rejects = None, str(exc)
             self.csv_reader_only(mp)
-            assert outcome(parse, io.StringIO(text)) == got
+            assert outcome(parse, io.StringIO(text, newline="")) == got
         try:
-            records, oracle_rejects = parse_oracle(io.StringIO(oracle_text))
+            records, oracle_rejects = parse_oracle(io.StringIO(oracle_text, newline=""))
         except ValueError as exc:
             assert (table, rejects) == (None, str(exc))
             return
@@ -1150,18 +1155,26 @@ class TestByteTokenizer:
     def test_actuals_match_csv_reader_and_oracle(self, texts):
         self.check(parse_actuals, parse_actuals_oracle, texts)
 
-    def test_path_with_carriage_return_line_ends(self, tmp_path):
+    def test_path_with_carriage_return_line_ends(self, tmp_path, monkeypatch):
         # a lone CR ends a path's lines as open(newline="") splits them, the
-        # header's included, so the file reads as its LF-ended twin
-        row = "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n"
-        text = HEADER + row * 3 + "A2,B1,F1,2011,2,junk,6,105\n" + row
+        # header's included, so the file reads as its LF-ended twin, and an
+        # undecodable byte fails naming its line so counted, in any block
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", 2)
+        row = "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105"
+        lines = [HEADER.rstrip("\n"), row, row, row, "A2,B1,F1,2011,2,junk,6,105", row, row, row]
+        path = tmp_path / "estimates.csv"
         got = []
-        for end in ("\n", "\r"):
-            path = tmp_path / "estimates.csv"
-            path.write_bytes(text.replace("\n", end).encode())
-            table, rejects = parse_estimates(str(path))
-            got.append((table_state(table), rejects))
-        assert got[0] == got[1] and len(got[0][1]) == 1 and got[0][1][0].line == 5
+        for ends in (["\n"], ["\r"], ["\r", "\n", "\r\n"], ["\n", "\r", "\n", "\n"]):
+            for bad in (0, 2, 5, 8):
+                text = [(line + ends[k % len(ends)]).encode() for k, line in enumerate(lines, 1)]
+                path.write_bytes(b"".join(b"\xff" * (k == bad) + line for k, line in enumerate(text, 1)))
+                if bad:
+                    with pytest.raises(ValueError, match=rf"^{path}: line {bad}: undecodable byte 0xff;"):
+                        parse_estimates(str(path))
+                else:
+                    table, rejects = parse_estimates(str(path))
+                    got.append((table_state(table), rejects))
+        assert all(g == got[0] for g in got) and len(got[0][1]) == 1 and got[0][1][0].line == 5
 
     def test_ids_equal_but_for_trailing_nuls_stay_apart(self):
         ids = ["A1", "A1\x00", "\x00", "", "A1\x00\x00", "A1", "analyst-10\x00"]
