@@ -3,15 +3,15 @@
 Both input files are parsed by one schema-driven converter into column
 tables: estimates into an EstimateTable, actuals (one per firm-quarter)
 into an ActualTable, each with one array per column and its ids interned
-to integer codes. A path is read as bytes, a text stream as lines joined
-and encoded, in blocks of _CHUNK_ROWS lines. csv.reader defines the format,
-but a block with no quote, NUL or carriage return other than a CR LF line
-end is tokenized as bytes with numpy, from one scan for its delimiters;
-from the first block that has one, csv.reader reads the rest, its rows
-packed into bytes. Either way a block is a _ByteBlock, the one converter:
-each column's fields are gathered column-major and convert in whole-column
-passes; only distinct ids and fields not of canonical form
-(`-?[0-9]{1,18}`, `YYYY-MM-DDTHH:MM:SSZ`) are decoded.
+to integer codes. A file is read as bytes, in blocks of _CHUNK_ROWS lines.
+csv.reader defines the format, but a block with no quote, NUL or carriage
+return other than a CR LF line end is tokenized as bytes with numpy, from
+one scan for its delimiters; from the first block that has one, csv.reader
+reads the rest, its rows packed into bytes. Either way a block is a
+_ByteBlock, the one converter: each column's fields are gathered
+column-major and convert in whole-column passes; only distinct ids and
+fields not of canonical form (`-?[0-9]{1,18}`, `YYYY-MM-DDTHH:MM:SSZ`) are
+decoded.
 
 build_panel joins the two tables, applies the exclusion rules
 (forecast-horizon window, last-estimate-wins dedup, prior-record
@@ -30,9 +30,9 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import os
 from array import array
 from collections import Counter
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace as dc_replace
 from functools import cached_property
 from itertools import chain, groupby, islice, repeat
@@ -73,24 +73,10 @@ class _Table:
     """Input rows as columns, one array per CSV column and one entry per
     converted row, in input order. An ID column holds codes into its sorted
     ids, kept in the field of its name plus `_ids`, so ordering rows by code
-    orders them by id. Build one with `from_rows`."""
+    orders them by id. parse_estimates and parse_actuals build them."""
 
     def __len__(self) -> int:
         return len(getattr(self, fields(self)[0].name))
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence], on_reject: Callable[[int, str], None]):
-        """Build a table from rows whose fields follow the order of its CSV
-        columns, each timestamp as ISO-8601 text. A field that is not a
-        `str`, such as an int, reads as its str(), so it converts and is
-        rejected as the same text in a CSV file would be.
-
-        Rows are packed into a _ByteBlock of _CHUNK_ROWS at a time, so only
-        one block's field objects are alive at once. A row that does not
-        convert is left out and reported to `on_reject` with its position in
-        `rows`.
-        """
-        return cls._from_blocks(map(_ByteBlock.pack, _batches(rows)), on_reject)
 
     @classmethod
     def _from_blocks(cls, blocks: Iterable, on_reject: Callable[[int, str], None]):
@@ -267,13 +253,6 @@ _INT_DIGITS, _ID_BYTES = 18, 64
 _PAD = " " * _ID_BYTES
 
 
-def _text_of(first: int, data: bytes, stop: int, count: int, text: Optional[list[str]]) -> Iterable[str]:
-    """A chunk's lines as csv.reader reads them, a path's split as by open(newline=""). A chunk is
-    `count` lines (a path's cut at LFs), _CHUNK_ROWS but for the last, from physical line `first`:
-    their UTF-8 bytes data[:stop], followed by at least _ID_BYTES more, and a text source's lines."""
-    return io.StringIO(_decoded(data, stop, first), newline="") if text is None else text
-
-
 def _lone_crs(data: bytes, stop: int) -> int:
     """How many CRs of data[:stop] end a line by themselves, as open(newline="") ends lines."""
     return data.count(b"\r", 0, stop) - data.count(b"\r\n", 0, stop) if data.find(b"\r", 0, stop) >= 0 else 0
@@ -302,12 +281,11 @@ class _ByteBlock:
         self.starts, self.ends = starts, ends  # per schema column, per row
 
     @classmethod
-    def pack(cls, rows: Sequence[Sequence]):
-        """The block of `rows`, fields in schema order, as csv.reader or from_rows'
-        caller gives them, a field that is not a `str`, such as an int, taken
-        as its str(); the fields' bytes are joined column after column."""
+    def pack(cls, rows: Sequence[Sequence[str]]):
+        """The block of `rows`, fields in schema order, as csv.reader gives them;
+        the fields' bytes are joined column after column."""
         columns = list(zip(*rows))
-        texts = list(map(str, chain.from_iterable(columns)))
+        texts = list(chain.from_iterable(columns))
         data = "".join([*texts, _PAD]).encode()
         # in ASCII text, each field has as many bytes as characters
         lengths = map(len, texts if data.isascii() else map(str.encode, texts))
@@ -316,13 +294,13 @@ class _ByteBlock:
         return cls(data, list(ends - lengths), list(ends))
 
     @classmethod
-    def tokenize(cls, data: bytes, stop: int, count: int, positions: Sequence[int], width: int):
+    def tokenize(cls, data: bytes, stop: int, positions: Sequence[int], width: int):
         """The block of a chunk's lines as csv.reader splits them, the index of each row's line,
         and the indexes and field counts of the lines too short for the fields at `positions`.
         Blank lines hold no row; a CR LF line ends at its CR. Fields are bounded by the marks of
         one scan, by a reshape where every line holds the header's `width` fields. None when
         csv.reader could read the lines otherwise: a quote, a NUL, a CR not directly before a
-        newline, a line break the source did not end a line at, or a line past the field limit."""
+        newline, or a line past the field limit."""
         buf = np.frombuffer(data, np.uint8)
         marks = np.flatnonzero(buf[:stop] <= ord(","))  # every delimiter and every byte that needs csv.reader
         chars = buf[marks]
@@ -334,8 +312,7 @@ class _ByteBlock:
         is_end = chars == ord("\n")
         if data[stop - 1] != ord("\n"):  # the last line ends where the chunk does
             marks, is_end = np.append(marks, stop), np.append(is_end, True)
-        if np.count_nonzero(is_end) != count:
-            return None
+        count = int(np.count_nonzero(is_end))
         rectangular = len(marks) == width * count and is_end[width - 1 :: width].all()
         bounds = np.ascontiguousarray(marks.reshape(count, width).T) if rectangular else None  # row p: p-th marks
         ends_at = None if rectangular else np.flatnonzero(is_end)  # the index of each line's end among the marks
@@ -557,33 +534,10 @@ def _chronological(acts: ActualTable, event: np.ndarray, first: np.ndarray, n: i
     return np.argsort(_pack([(rank[event], size), (first, n)]))
 
 
-def _utf8(text: str, line: int, where: str) -> None:
-    """Fail with the physical line of a character that is not UTF-8 text:
-    an undecodable byte, kept as a surrogate escape, or a lone surrogate."""
-    try:
-        text.encode()
-    except UnicodeEncodeError as exc:
-        c = ord(text[exc.start])
-        what = f"byte 0x{c - 0xDC00:02x}" if 0xDC80 <= c <= 0xDCFF else f"character U+{c:04X}"
-        raise ValueError(f"{where}line {line}: undecodable {what}; the input must be UTF-8") from None
-
-
-def _text_chunks(text_lines: Iterator[str], line: int, where: str) -> Iterator[tuple]:
-    """Each block of a text stream's lines from physical line `line`, joined and encoded."""
-    for text in _batches(text_lines):
-        try:
-            data = "".join([*text, _PAD]).encode()
-        except UnicodeEncodeError:
-            for k, part in enumerate(text):
-                _utf8(part, line + k, where)
-            raise
-        yield line, data, len(data) - _ID_BYTES, len(text), text
-        line += len(text)
-
-
 def _binary_chunks(fh, line: int, where: str) -> Iterator[tuple]:
-    """Each block of a binary file's lines from physical line `line`, checked to be UTF-8. Reads
-    are sized by the mean line so far to end near a block's last line; the rest begins the next."""
+    """Each block of a binary file's lines from physical line `line` as (line, data, stop): _CHUNK_ROWS
+    lines but for the last, cut at LFs, their bytes data[:stop], checked to be UTF-8, and at least
+    _ID_BYTES more. Reads are sized by the mean line so far to end near a block's last line."""
     tail, read, newlines = bytearray(), 0, 0  # bytes read past the last block; bytes and newlines read so far
     while True:
         data, count = tail, tail.count(b"\n")  # read into, so that a block holds one copy of its bytes
@@ -603,7 +557,7 @@ def _binary_chunks(fh, line: int, where: str) -> Iterator[tuple]:
         block = data if len(data) >= stop + _ID_BYTES else data + _PAD.encode()
         if not block.isascii():
             _decoded(block, stop, line, where)
-        yield line, block, stop, count, None
+        yield line, block, stop
         tail, line = data[stop:], line + count + _lone_crs(block, stop)
 
 
@@ -624,55 +578,53 @@ def _short_row(line: int, n_fields: int, need: int) -> Reject:
     return Reject(line, f"malformed: {n_fields} fields, the header needs {need}")
 
 
-def _parse(source, kind, table_type):
+def _parse(path, kind, table_type):
     """A table of the file's rows, the malformed rows as rejects in line
-    order, and the physical line of each row read, rejected or not. A `str`
-    source is a path, read as bytes and closed here; anything else is a text
-    stream, read and left open. csv.reader defines the format: it reads the
-    header and, from the first block _ByteBlock.tokenize leaves to it, that
-    block's text and the rest, its rows packed into blocks (_ByteBlock.pack)
-    that convert as the tokenized ones do. Its errors fail with the line.
-    A path's blocks end at LFs, so a file whose lines end in lone CRs is read
-    whole; lines are numbered as open(newline="") splits them, CRs included."""
+    order, and the physical line of each row read, rejected or not. The file
+    is read as bytes. csv.reader defines the format: it reads the header
+    and, from the first block _ByteBlock.tokenize leaves to it, that block's
+    text and the rest, its rows packed into blocks (_ByteBlock.pack) that
+    convert as the tokenized ones do. Its errors fail with the line. Blocks
+    end at LFs, so a file whose lines end in lone CRs is read whole; lines
+    are numbered as open(newline="") splits them, CRs included."""
     schema = _schema(table_type)
-    where = f"{source}: " if isinstance(source, str) else ""
+    where = f"{path}: "
     rejects: list[Reject] = []
     lines = array("q")
-    opened = open(source, "rb") if isinstance(source, str) else None
-    with opened or nullcontext(source) as fh:
-        text_lines = iter(fh)  # one iterator, so a text stream's blocks start where the header ends
-        left: list[str] = []  # of the path line the header ends in, the text past the header
+    with open(path, "rb") as fh:
+        left: list[str] = []  # of the line the header ends in, the text past the header
 
-        def path_lines(n=1):  # a path's lines up to the header's end, split as by open(newline="")
+        def header_lines(n=1):  # the lines up to the header's end, split as by open(newline="")
             for raw in iter(fh.readline, b""):  # LF-ended, from physical line n
                 left.extend(io.StringIO(_decoded(raw, len(raw), n, where), newline=""))
                 n += len(left)
                 while left:
                     yield left.pop(0)
 
-        reader, offset = csv.reader(path_lines() if opened else text_lines), 0
+        reader, offset = csv.reader(header_lines()), 0
         try:
             header = next(reader, None)
             if left:  # a lone carriage return ended the header: read on from there
                 fh.seek(-len("".join(left).encode()), io.SEEK_CUR)
+                left.clear()
             if header is None:
                 raise ValueError(f"{kind} source has no readable header")
-            _utf8(",".join(header), reader.line_num, where)
             position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
             missing = [c for c, _, _ in schema if c not in position]
             if missing:
                 raise ValueError(f"{kind} header missing columns: {missing}")
             positions = [position[c] for c, _, _ in schema]
             need = max(positions) + 1
-            line = reader.line_num + 1
-            chunks = _binary_chunks(fh, line, where) if opened else _text_chunks(text_lines, line, where)
+            chunks = _binary_chunks(fh, reader.line_num + 1, where)
 
             def blocks():
                 nonlocal reader, offset
-                for chunk in chunks:
-                    first, tokens = chunk[0], _ByteBlock.tokenize(*chunk[1:4], positions, len(header))
-                    if tokens is None:
-                        reader = csv.reader(chain.from_iterable(_text_of(*c) for c in chain([chunk], chunks)))
+                for first, data, stop in chunks:
+                    tokens = _ByteBlock.tokenize(data, stop, positions, len(header))
+                    if tokens is None:  # csv.reader reads on from here, lines split as by open(newline="")
+                        rest = chain([(first, data, stop)], chunks)  # a chunk's text lives only in its StringIO
+                        texts = (io.StringIO(_decoded(d, s, n), newline="") for n, d, s in rest)
+                        reader = csv.reader(chain.from_iterable(texts))
                         offset = first - 1
                         rows = _csv_rows(reader, offset, itemgetter(*positions), need, lines, rejects)
                         yield from map(_ByteBlock.pack, _batches(rows))
@@ -683,25 +635,23 @@ def _parse(source, kind, table_type):
                     yield block
 
             table = table_type._from_blocks(blocks(), lambda i, reason: rejects.append(Reject(lines[i], reason)))
-        except UnicodeDecodeError as exc:  # from a caller's stream decoding ahead of its lines, so no line is known
-            raise ValueError(f"{kind} source is not UTF-8: {exc}") from None
         except csv.Error as exc:
             raise ValueError(f"{where}line {offset + reader.line_num}: {exc}") from None
     rejects.sort(key=lambda r: r.line)
     return table, rejects, lines
 
 
-def parse_estimates(source) -> tuple[EstimateTable, list[Reject]]:
+def parse_estimates(path: str | os.PathLike) -> tuple[EstimateTable, list[Reject]]:
     """Parse an estimates file into an EstimateTable; malformed rows go to
     the reject list, in line order."""
-    return _parse(source, "estimates", EstimateTable)[:2]
+    return _parse(path, "estimates", EstimateTable)[:2]
 
 
-def parse_actuals(source) -> tuple[ActualTable, list[Reject]]:
+def parse_actuals(path: str | os.PathLike) -> tuple[ActualTable, list[Reject]]:
     """Parse an actuals file into an ActualTable; malformed rows go to the
     reject list, in line order. A firm-period given twice fails the parse
     with both physical lines."""
-    table, rejects, lines = _parse(source, "actuals", ActualTable)
+    table, rejects, lines = _parse(path, "actuals", ActualTable)
     lines = np.array(lines, np.int64)
     lines = lines[~np.isin(lines, [r.line for r in rejects])]  # of the table's rows
     columns = [table.firm, table.year, table.quarter]
@@ -710,8 +660,7 @@ def parse_actuals(source) -> tuple[ActualTable, list[Reject]]:
     if len(repeats):
         i, j = first[repeats[0]], repeats[0]
         key = (table.firm_ids[table.firm[j]], (int(table.year[j]), int(table.quarter[j])))
-        where = f"{source}: " if isinstance(source, str) else ""
-        raise ValueError(f"{where}duplicate actual for {key} on lines {lines[i]} and {lines[j]}")
+        raise ValueError(f"{path}: duplicate actual for {key} on lines {lines[i]} and {lines[j]}")
     return table, rejects
 
 

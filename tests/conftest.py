@@ -1,21 +1,41 @@
+import csv
+import os
+import tempfile
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from estagg.ingest import ActualTable, EstimateTable, IngestReport, Panel, Stream
+from estagg.ingest import (
+    ACTUAL_COLUMNS,
+    ESTIMATE_COLUMNS,
+    IngestReport,
+    Panel,
+    Stream,
+    parse_actuals,
+    parse_estimates,
+)
 from estagg.periods import format_ts, parse_ts
 from estagg.replay import ReplayResult
 from estagg.synth import SynthSpec, generate_rows
 from oracles import replay_view
 
 
-def _raise(i, reason):
-    raise ValueError(f"row {i}: {reason}")
+def _parsed(parse, header, rows):
+    """The table `parse` reads from a CSV file of the header and rows, each
+    field written by csv.writer, so an int as its str(); a reject raises."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "input.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        table, rejects = parse(path)
+    if rejects:
+        raise ValueError(f"line {rejects[0].line}: {rejects[0].reason}")
+    return table
 
 
 def estimates_from_rows(rows):
-    return EstimateTable.from_rows(rows, _raise)
+    return _parsed(parse_estimates, ESTIMATE_COLUMNS, rows)
 
 
 def estimate_rows(table):
@@ -30,7 +50,7 @@ def estimate_rows(table):
 
 
 def actuals_from_rows(rows):
-    return ActualTable.from_rows(rows, _raise)
+    return _parsed(parse_actuals, ACTUAL_COLUMNS, rows)
 
 
 def actual_rows(table):

@@ -1,4 +1,5 @@
-"""Every name a module of estagg imports is read in that module."""
+"""Every name a module of estagg imports is read in that module, and every
+function and class estagg defines is referenced within estagg."""
 
 import ast
 from pathlib import Path
@@ -21,11 +22,42 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported(tree)
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def exported(tree: ast.AST) -> set[str]:
+    """The names a module's `__all__` lists."""
+    names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            read.update(ast.literal_eval(node.value))
-    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """The functions and classes the modules `sources` (file name -> text)
+    define that none of them references, each with its file and line. A
+    name, an attribute, an imported name or an `__all__` entry references
+    every definition of its name; dunder methods count as referenced."""
+    defined, referenced = [], set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        referenced |= exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((node.name, f"{name}:{node.lineno}"))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                referenced.update(alias.name for alias in node.names)
+    return [
+        f"{what} ({where})"
+        for what, where in defined
+        if what not in referenced and not (what.startswith("__") and what.endswith("__"))
+    ]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
@@ -46,3 +78,24 @@ def test_finds_unused_imports():
         "    return list(repeat(x, 2))\n"
     )
     assert unused_imports(source) == ["os (line 2)", "np (line 3)", "chain (line 5)"]
+
+
+def test_every_definition_is_referenced():
+    assert unreferenced_definitions({path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}) == []
+
+
+def test_finds_unreferenced_definitions():
+    sources = {
+        "a.py": (
+            "__all__ = ['public']\n"
+            "def public(): pass\n"
+            "def helper(): pass\n"
+            "def test_only(): pass\n"
+            "class Table:\n"
+            "    def __len__(self): return 0\n"
+            "    def take(self): return helper()\n"
+            "    def from_rows(self): pass\n"
+        ),
+        "b.py": "from .a import Table\ndef main(t: Table):\n    return t.take()\nmain(Table())\n",
+    }
+    assert unreferenced_definitions(sources) == ["test_only (a.py:4)", "from_rows (a.py:8)"]

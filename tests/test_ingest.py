@@ -1,6 +1,5 @@
 import csv
 import gc
-import io
 import os
 import re
 import subprocess
@@ -78,6 +77,15 @@ def with_quotes(text, quoted):
     return text if quoted else text.replace('"', "")
 
 
+def written(directory, text, name="input.csv"):
+    """The path, as a str, of a file in `directory` holding the UTF-8 text,
+    its line ends as given."""
+    path = os.path.join(directory, name)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
+
+
 def days_before(announce_ts, days):
     return format_ts(announce_ts - days * 86400)
 
@@ -118,55 +126,54 @@ def kept_estimate(panel, ev, identity):
 
 
 class TestParsing:
-    def test_single_valid_row(self):
-        src = io.StringIO(HEADER + "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n")
-        ests, rejects = parse_estimates(src)
+    def test_single_valid_row(self, tmp_path):
+        ests, rejects = parse_estimates(written(tmp_path, HEADER + "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n"))
         assert len(ests) == 1 and not rejects
         assert estimate_rows(ests) == [("A1", "B1", "F1", 2011, 2, "2011-03-01T00:00:00Z", 6, 105)]
 
-    def test_non_numeric_value_rejected(self):
-        src = io.StringIO(HEADER + "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,abc\n")
-        ests, rejects = parse_estimates(src)
+    def test_non_numeric_value_rejected(self, tmp_path):
+        ests, rejects = parse_estimates(written(tmp_path, HEADER + "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,abc\n"))
         assert not ests
         assert len(rejects) == 1 and rejects[0].line == 2
 
-    def test_reject_line_counts_skipped_blank_lines(self):
+    def test_reject_line_counts_skipped_blank_lines(self, tmp_path):
         # the parser skips the blank lines; the reject still names the
         # physical line 5 of the source
-        src = io.StringIO(
+        text = (
             HEADER
             + "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n\n\n"
             + "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,abc\n"
         )
-        ests, rejects = parse_estimates(src)
+        ests, rejects = parse_estimates(written(tmp_path, text))
         assert len(ests) == 1
         assert [r.line for r in rejects] == [5]
-        assert not src.closed  # a caller's stream stays open
 
     @pytest.mark.parametrize("quarter", [0, 7, 2**63])
-    def test_out_of_range_quarter_rejected(self, quarter):
+    def test_out_of_range_quarter_rejected(self, tmp_path, quarter):
         ests, rejects = parse_estimates(
-            io.StringIO(
+            written(
+                tmp_path,
                 HEADER
                 + "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n"
-                + f"A1,B1,F1,2011,{quarter},2011-03-01T00:00:00Z,6,105\n"
+                + f"A1,B1,F1,2011,{quarter},2011-03-01T00:00:00Z,6,105\n",
             )
         )
         assert [(r[3], r[4]) for r in estimate_rows(ests)] == [(2011, 2)]
         assert [r.line for r in rejects] == [3]
         assert rejects[0].reason.startswith("malformed: period_quarter")
         acts, rejects = parse_actuals(
-            io.StringIO(
+            written(
+                tmp_path,
                 ",".join(ACTUAL_COLUMNS) + "\n"
                 + f"F1,2011,{quarter},2011-06-01T00:00:00Z,100\n"
-                + "F1,2011,1,2011-06-01T00:00:00Z,100\n"
+                + "F1,2011,1,2011-06-01T00:00:00Z,100\n",
             )
         )
         assert [(r[1], r[2]) for r in actual_rows(acts)] == [(2011, 1)]
         assert [r.line for r in rejects] == [2]
         assert rejects[0].reason.startswith("malformed: period_quarter")
 
-    def test_duplicated_actual_fails_with_both_lines(self):
+    def test_duplicated_actual_fails_with_both_lines(self, tmp_path):
         # a malformed row for the same firm-period is a reject, not a
         # duplicate; the first repeated row is named, as the per-row parser
         # names it
@@ -178,20 +185,23 @@ class TestParsing:
             + "F1,2011,2,2011-09-01T00:00:00Z,100\n"
             + "F1,2011,1,2011-06-01T00:00:00Z,100\n"
         )
+        path = written(tmp_path, text)
+        error = rf"^{path}: duplicate actual for \('F1', \(2011, 2\)\) on lines 4 and 6$"
         for parse in (parse_actuals, parse_actuals_oracle):
-            with pytest.raises(ValueError, match=r"^duplicate actual for \('F1', \(2011, 2\)\) on lines 4 and 6$"):
-                parse(io.StringIO(text))
+            with pytest.raises(ValueError, match=error):
+                parse(path)
 
-    def test_actual_outside_int64_range_rejected(self):
+    def test_actual_outside_int64_range_rejected(self, tmp_path):
         big = 10**20
         acts, rejects = parse_actuals(
-            io.StringIO(
+            written(
+                tmp_path,
                 ",".join(ACTUAL_COLUMNS) + "\n"
                 + "F1,2011,1,2011-06-01T00:00:00Z,100\n"
                 + f"F1,2011,2,2011-09-01T00:00:00Z,{big}\n"
                 + f"F1,2011,3,2011-12-01T00:00:00Z,{-big}\n"
                 + f"F1,{big},2,2011-09-01T00:00:00Z,100\n"
-                + f"F1,2011,4,2012-03-01T00:00:00Z,{2**63 - 1}\n"
+                + f"F1,2011,4,2012-03-01T00:00:00Z,{2**63 - 1}\n",
             )
         )
         assert [((r[1], r[2]), r[4]) for r in actual_rows(acts)] == [((2011, 1), 100), ((2011, 4), 2**63 - 1)]
@@ -222,9 +232,25 @@ class TestParsing:
             gc.collect()
         assert [u.exc_value for u in unraisable] == []
 
-    def test_missing_header_is_hard_failure(self):
+    def test_missing_header_is_hard_failure(self, tmp_path):
         with pytest.raises(ValueError):
-            parse_estimates(io.StringIO("foo,bar\n1,2\n"))
+            parse_estimates(written(tmp_path, "foo,bar\n1,2\n"))
+
+    def test_path_like_source(self, tmp_path):
+        # a pathlib.Path parses as its str, and its errors name it
+        path = tmp_path / "estimates.csv"
+        path.write_text(HEADER + "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\nA2,B1,F1,2011,2,junk,6,105\n")
+        table, rejects = parse_estimates(path)
+        want_table, want_rejects = parse_estimates(str(path))
+        assert table_state(table) == table_state(want_table) and len(table) == 1
+        assert rejects == want_rejects == [Reject(3, "malformed: Invalid isoformat string: 'junk'")]
+        path.write_bytes(HEADER.encode() + b"\xffA1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n")
+        with pytest.raises(ValueError, match=rf"^{path}: line 2: undecodable byte 0xff;"):
+            parse_estimates(path)
+        path = tmp_path / "actuals.csv"
+        path.write_text(",".join(ACTUAL_COLUMNS) + "\n" + "F1,2011,1,2011-06-01T00:00:00Z,100\n" * 2)
+        with pytest.raises(ValueError, match=rf"^{path}: duplicate actual for \('F1', \(2011, 1\)\) on lines 2 and 3"):
+            parse_actuals(path)
 
     def test_synth_file_row_count(self, tmp_path):
         # the generator emits exactly firms * quarters * analysts_per_event rows
@@ -540,13 +566,13 @@ class TestColumnarMatchesOracle:
             cfg = FilterConfig(min_lead_hours=min_lead_hours, require_prior_record=require)
             assert_same_panel(estimates_from_rows(rows), estimates_from_rows_oracle(rows), act_rows, cfg, identity)
 
-    def test_csv_edge_cases(self):
-        self.csv_edge_cases(quoted=True)
+    def test_csv_edge_cases(self, tmp_path):
+        self.csv_edge_cases(tmp_path, quoted=True)
 
-    def test_csv_edge_cases_quote_free(self):
-        self.csv_edge_cases(quoted=False)
+    def test_csv_edge_cases_quote_free(self, tmp_path):
+        self.csv_edge_cases(tmp_path, quoted=False)
 
-    def csv_edge_cases(self, quoted):
+    def csv_edge_cases(self, tmp_path, quoted):
         header = (
             "note,value_cents,horizon_code,estimate_ts,period_quarter,period_year,"
             "firm_id,broker_id,analyst_id,extra\n"
@@ -573,9 +599,9 @@ class TestColumnarMatchesOracle:
                 "x,abc,x6,junk,2,20x1,F1,B1,A14,\n",  # then the year
             ]
         )
-        text = with_quotes(text, quoted)
-        table, rejects = parse_estimates(io.StringIO(text))
-        ests, oracle_rejects = parse_estimates_oracle(io.StringIO(text))
+        path = written(tmp_path, with_quotes(text, quoted))
+        table, rejects = parse_estimates(path)
+        ests, oracle_rejects = parse_estimates_oracle(path)
         assert [r.line for r in rejects] == [r.line for r in oracle_rejects] == [7, 8, 9, 11, 12, 13, 14, 15, 18, 19]
         assert rejects[2].reason == "malformed: 5 fields, the header needs 9"
         # every other reason is the per-row parser's
@@ -594,35 +620,35 @@ class TestColumnarMatchesOracle:
             "2011-03-01T00:00:00Z\x00junk",  # 20 characters up to the NUL
         ],
     )
-    def test_fast_path_look_alike_rejected_in_a_chunk_of_valid_rows(self, ts):
+    def test_fast_path_look_alike_rejected_in_a_chunk_of_valid_rows(self, tmp_path, ts):
         # texts the datetime64 path could read but parse_ts refuses
-        text = HEADER + f"A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,100\nA1,B1,F1,2011,2,{ts},6,100\n"
-        table, rejects = parse_estimates(io.StringIO(text))
+        path = written(tmp_path, HEADER + f"A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,100\nA1,B1,F1,2011,2,{ts},6,100\n")
+        table, rejects = parse_estimates(path)
         assert len(table) == 1
         assert [r.line for r in rejects] == [3]
-        assert rejects == parse_estimates_oracle(io.StringIO(text))[1]
+        assert rejects == parse_estimates_oracle(path)[1]
 
     @pytest.mark.parametrize("quoted", [False, True], ids=["bytes", "csv_reader"])
-    def test_off_calendar_date_rejects_only_its_row(self, quoted):
+    def test_off_calendar_date_rejects_only_its_row(self, tmp_path, quoted):
         # every other exact-form timestamp of its block still converts in the
         # whole-column pass
         rows = [f"A{i % 7},B1,F1,2011,2,2011-03-{i % 28 + 1:02d}T{i % 24:02d}:00:00Z,6,{i}\n" for i in range(3000)]
         rows[1500] = rows[1500].replace(f"2011-03-{1500 % 28 + 1:02d}", "2011-02-30")
         if quoted:
             rows[0] = '"A0"' + rows[0][2:]
-        text = HEADER + "".join(rows)
-        table, rejects = parse_estimates(io.StringIO(text))
-        ests, oracle_rejects = parse_estimates_oracle(io.StringIO(text))
+        path = written(tmp_path, HEADER + "".join(rows))
+        table, rejects = parse_estimates(path)
+        ests, oracle_rejects = parse_estimates_oracle(path)
         assert rejects == oracle_rejects == [Reject(1502, "malformed: day is out of range for month")]
         assert table.estimate_ts.tolist() == [e.estimate_ts for e in ests]
 
-    def test_rows_across_conversion_chunks(self):
-        self.rows_across_conversion_chunks(quoted=False)
+    def test_rows_across_conversion_chunks(self, tmp_path):
+        self.rows_across_conversion_chunks(tmp_path, quoted=False)
 
-    def test_rows_across_conversion_chunks_quoted_past_the_first(self):
-        self.rows_across_conversion_chunks(quoted=True)
+    def test_rows_across_conversion_chunks_quoted_past_the_first(self, tmp_path):
+        self.rows_across_conversion_chunks(tmp_path, quoted=True)
 
-    def rows_across_conversion_chunks(self, quoted):
+    def rows_across_conversion_chunks(self, tmp_path, quoted):
         # ids seen in one block keep their code in the next, and a bad row
         # past the first block is named by its physical line, in both files;
         # quoted, csv.reader reads from the second block on
@@ -644,9 +670,9 @@ class TestColumnarMatchesOracle:
                 lines[_CHUNK_ROWS + 7] = '"' + lines[_CHUNK_ROWS + 7].replace(",", '",', 1)
         too_big = Reject(35002, "malformed: value_cents 99999999999999999999 outside the int64 range")
 
-        text = HEADER + "".join(rows)
-        table, rejects = parse_estimates(io.StringIO(text))
-        ests, oracle_rejects = parse_estimates_oracle(io.StringIO(text))
+        path = written(tmp_path, HEADER + "".join(rows))
+        table, rejects = parse_estimates(path)
+        ests, oracle_rejects = parse_estimates_oracle(path)
         assert [r.line for r in rejects] == [30002, 35002]
         assert rejects[0] == oracle_rejects[0]
         assert rejects[1] == too_big
@@ -656,21 +682,21 @@ class TestColumnarMatchesOracle:
             if e.value_cents < 2**63
         ]
 
-        text = ",".join(ACTUAL_COLUMNS) + "\n" + "".join(act_rows)
-        table, rejects = parse_actuals(io.StringIO(text))
-        acts, oracle_rejects = parse_actuals_oracle(io.StringIO(text))
+        path = written(tmp_path, ",".join(ACTUAL_COLUMNS) + "\n" + "".join(act_rows))
+        table, rejects = parse_actuals(path)
+        acts, oracle_rejects = parse_actuals_oracle(path)
         assert rejects == oracle_rejects
         assert [r.line for r in rejects] == [30002, 35002] and rejects[1] == too_big
         assert actual_rows(table) == [(a.firm_id, *a.period, format_ts(a.announce_ts), a.value_cents) for a in acts]
         assert len(table) == n - 2
 
-    def test_actuals_csv_edge_cases(self):
-        self.actuals_csv_edge_cases(quoted=True)
+    def test_actuals_csv_edge_cases(self, tmp_path):
+        self.actuals_csv_edge_cases(tmp_path, quoted=True)
 
-    def test_actuals_csv_edge_cases_quote_free(self):
-        self.actuals_csv_edge_cases(quoted=False)
+    def test_actuals_csv_edge_cases_quote_free(self, tmp_path):
+        self.actuals_csv_edge_cases(tmp_path, quoted=False)
 
-    def actuals_csv_edge_cases(self, quoted):
+    def actuals_csv_edge_cases(self, tmp_path, quoted):
         header = "note,value_cents,announce_ts,period_quarter,period_year,firm_id,extra\n"
         big = 2**63
         text = header + "".join(
@@ -701,9 +727,9 @@ class TestColumnarMatchesOracle:
                 f"x,100,2011-03-01T00:00:00Z,{big},2011,F21,\n",  # line 25
             ]
         )
-        text = with_quotes(text, quoted)
-        table, rejects = parse_actuals(io.StringIO(text))
-        acts, oracle_rejects = parse_actuals_oracle(io.StringIO(text))
+        path = written(tmp_path, with_quotes(text, quoted))
+        table, rejects = parse_actuals(path)
+        acts, oracle_rejects = parse_actuals_oracle(path)
         assert [r.line for r in rejects] == [7, 8, 9, 11, 12, 13, 14, 15, 18, 19, 22, 23, 24, 25]
         # one reason changed: a quarter beyond int64 gets the estimates' wording
         assert rejects[:-1] == oracle_rejects[:-1]
@@ -713,12 +739,12 @@ class TestColumnarMatchesOracle:
         assert actual_rows(table) == [(a.firm_id, *a.period, format_ts(a.announce_ts), a.value_cents) for a in acts]
         assert [r[0] for r in actual_rows(table)] == ["F1", "F2", "F3", "F4", "F12", "F13", "F16", "F17"]
 
-    def test_row_short_of_an_id_column_rejected(self):
+    def test_row_short_of_an_id_column_rejected(self, tmp_path):
         # the per-row parser took a missing id as None; the row is rejected
         text = "period_year,period_quarter,estimate_ts,horizon_code,value_cents,firm_id,broker_id,analyst_id\n"
-        text += "2011,2,2011-03-01T00:00:00Z,6,100,F1,B1\n"
-        assert parse_estimates_oracle(io.StringIO(text))[0][0].analyst_id is None
-        table, rejects = parse_estimates(io.StringIO(text))
+        path = written(tmp_path, text + "2011,2,2011-03-01T00:00:00Z,6,100,F1,B1\n")
+        assert parse_estimates_oracle(path)[0][0].analyst_id is None
+        table, rejects = parse_estimates(path)
         assert len(table) == 0
         assert rejects == [Reject(2, "malformed: 7 fields, the header needs 8")]
 
@@ -1082,7 +1108,7 @@ class TestByteTokenizer:
     def csv_reader_only(self, mp):
         mp.setattr(ingest._ByteBlock, "tokenize", classmethod(lambda cls, *args: None))
 
-    def test_quote_free_blocks_are_tokenized_as_bytes(self, monkeypatch):
+    def test_quote_free_blocks_are_tokenized_as_bytes(self, tmp_path, monkeypatch):
         # csv.reader starts at the first block holding a quote or a CR that
         # does not end a line before its newline
         monkeypatch.setattr(ingest, "_CHUNK_ROWS", 2)
@@ -1104,44 +1130,39 @@ class TestByteTokenizer:
             (row * 2 + row.replace("\n", "\r\r\n") + row * 2, 4),
         ):
             handed_over.clear()
-            table, rejects = parse_estimates(io.StringIO(HEADER + body))
+            table, rejects = parse_estimates(written(tmp_path, HEADER + body))
             assert len(table) == 5 and not rejects
             assert handed_over == ([first] if first else [])
 
     def check(self, parse, parse_oracle, texts):
-        """The parse of the text equals, table, rejects and exception alike,
-        its parse from a path and its parse by csv.reader alone, and the
-        parse of the oracle's text equals the per-row oracle's. With a byte
-        0xff put at the start of the drawn line, the path fails naming it.
-        Streams split lines as open(newline="") does, as csv.reader needs."""
+        """The parse of the text's file equals, table, rejects and exception
+        alike, its parse by csv.reader alone, and the parse of the oracle's
+        text equals the per-row oracle's. With a byte 0xff put at the start
+        of the drawn line, the parse fails naming it."""
         text, oracle_text, bad_line = texts
-        with pytest.MonkeyPatch.context() as mp:
+        with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "_CHUNK_ROWS", self.BLOCK_ROWS)
-            got = outcome(parse, io.StringIO(text, newline=""))
-            with tempfile.TemporaryDirectory() as work:
-                path = os.path.join(work, "input.csv")
-                with open(path, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(text)
-                where = f"{path}: " if got[0] == "raises" else ""
-                assert outcome(parse, path) == (got if not where else ("raises", where + got[1]))
-                if bad_line is not None:
-                    lines = re.split(b"(\r\n|\r|\n)", text.encode())  # each line, then its end
-                    lines[2 * bad_line - 2] = b"\xff" + lines[2 * bad_line - 2]
-                    with open(path, "wb") as fh:
-                        fh.write(b"".join(lines))
-                    error = f"{path}: line {bad_line}: undecodable byte 0xff; the input must be UTF-8"
-                    assert outcome(parse, path) == ("raises", error)
+            path, oracle_path = written(work, text), written(work, oracle_text, "oracle.csv")
+            got = outcome(parse, path)
             try:
-                table, rejects = parse(io.StringIO(oracle_text, newline=""))
+                table, rejects = parse(oracle_path)
             except ValueError as exc:
                 table, rejects = None, str(exc)
+            if bad_line is not None:
+                lines = re.split(b"(\r\n|\r|\n)", text.encode())  # each line, then its end
+                lines[2 * bad_line - 2] = b"\xff" + lines[2 * bad_line - 2]
+                bad_path = os.path.join(work, "bad.csv")
+                with open(bad_path, "wb") as fh:
+                    fh.write(b"".join(lines))
+                error = f"{bad_path}: line {bad_line}: undecodable byte 0xff; the input must be UTF-8"
+                assert outcome(parse, bad_path) == ("raises", error)
             self.csv_reader_only(mp)
-            assert outcome(parse, io.StringIO(text, newline="")) == got
-        try:
-            records, oracle_rejects = parse_oracle(io.StringIO(oracle_text, newline=""))
-        except ValueError as exc:
-            assert (table, rejects) == (None, str(exc))
-            return
+            assert outcome(parse, path) == got
+            try:
+                records, oracle_rejects = parse_oracle(oracle_path)
+            except ValueError as exc:
+                assert (table, rejects) == (None, str(exc))
+                return
         assert rejects == oracle_rejects
         assert table_rows(table) == [record_row(r) for r in records]
 
@@ -1176,10 +1197,10 @@ class TestByteTokenizer:
                     got.append((table_state(table), rejects))
         assert all(g == got[0] for g in got) and len(got[0][1]) == 1 and got[0][1][0].line == 5
 
-    def test_ids_equal_but_for_trailing_nuls_stay_apart(self):
+    def test_ids_equal_but_for_trailing_nuls_stay_apart(self, tmp_path):
         ids = ["A1", "A1\x00", "\x00", "", "A1\x00\x00", "A1", "analyst-10\x00"]
         text = HEADER + "".join(f"{a},B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n" for a in ids)
-        table, rejects = parse_estimates(io.StringIO(text))
+        table, rejects = parse_estimates(written(tmp_path, text))
         assert not rejects
         assert table.analyst_ids == tuple(sorted(set(ids)))
         assert [table.analyst_ids[c] for c in table.analyst.tolist()] == ids
@@ -1192,55 +1213,10 @@ class TestByteTokenizer:
         path.write_text(text)
         limit = csv.field_size_limit(50)
         try:
-            with pytest.raises(ValueError, match=r"^line 3: field larger than field limit \(50\)$"):
-                parse_estimates(io.StringIO(text))
             with pytest.raises(ValueError, match=rf"^{path}: line 3: field larger than field limit \(50\)$"):
                 parse_estimates(str(path))
         finally:
             csv.field_size_limit(limit)
-
-
-class TestFromRows:
-    """from_rows takes a field that is not a str as its str(), so rows of
-    Python ints give the table and reject reasons of the same rows as CSV
-    text."""
-
-    TS = "2011-03-01T00:00:00Z"
-    ESTIMATES = [
-        ("A1", "B1", "F1", 2011, 2, TS, 6, 105),
-        ("A2", "B1", "F1", 2011, 2, TS, 6, BIG),  # beyond int64
-        ("A3", "B2", "F1", 2011, 5, TS, 6, 105),
-        ("A1", "B2", "F2", -BIG, 1, TS, 6, BIG - 1),
-        (7, "B1", "F2", "2011", "3", TS, 6, -105),
-        ("A5", "B3", "F3", 2011, 1, TS, -(BIG + 1), 0),
-        ("A4", "B1", "F2", 2011, 4, "2011-02-30T00:00:00Z", 6, 105),
-        ("A4", "B1", "F2", 10**18, 4, TS, 6, -(10**18)),
-    ]
-    ACTUALS = [
-        ("F1", 2011, 2, TS, 105),
-        ("F1", 2011, 3, TS, -BIG - 1),
-        ("F2", BIG, 2, TS, 105),
-        (12, 2011, 1, TS, 105),
-        ("F3", 2011, 0, TS, 105),
-        ("F2", 2011, 4, TS, BIG - 1),
-    ]
-
-    @pytest.mark.parametrize(
-        "table_type, parse, header, rows",
-        [
-            (EstimateTable, parse_estimates, HEADER, ESTIMATES),
-            (ActualTable, parse_actuals, ",".join(ACTUAL_COLUMNS) + "\n", ACTUALS),
-        ],
-        ids=["estimates", "actuals"],
-    )
-    def test_int_fields_convert_as_their_csv_text(self, table_type, parse, header, rows):
-        rejects = []
-        table = table_type.from_rows(rows, lambda i, reason: rejects.append(Reject(i + 2, reason)))
-        text = header + "".join(",".join(map(str, row)) + "\n" for row in rows)
-        parsed, parsed_rejects = parse(io.StringIO(text))
-        assert table_state(table) == table_state(parsed)
-        assert rejects == parsed_rejects
-        assert len(table) + len(rejects) == len(rows) and len(rejects) >= 2
 
 
 class TestUndecodableInput:
@@ -1269,22 +1245,6 @@ class TestUndecodableInput:
         path.write_bytes(b"firm_id,period_year,period_quarter,announce_ts,value_cents,n\xe9\n")
         with pytest.raises(ValueError, match="line 1: undecodable byte 0xe9"):
             parse_actuals(str(path))
-
-    def test_text_stream(self):
-        # a stream that keeps undecodable bytes as surrogate escapes, as
-        # sys.stdin does under a C locale, and a str holding a lone surrogate
-        stream = io.TextIOWrapper(io.BytesIO(self.TEXT), encoding="utf-8", errors="surrogateescape")
-        with pytest.raises(ValueError, match=r"^line 4: undecodable byte 0xff; the input must be UTF-8$"):
-            parse_estimates(stream)
-        with pytest.raises(ValueError, match=r"^line 2: undecodable character U\+D800"):
-            parse_estimates(io.StringIO(HEADER + "A\ud800,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n"))
-
-    def test_strict_text_stream(self):
-        # a strict stream decodes ahead of the lines read, so its own error
-        # carries the byte's position, not its line
-        stream = io.TextIOWrapper(io.BytesIO(self.TEXT), encoding="utf-8")
-        with pytest.raises(ValueError, match=r"^estimates source is not UTF-8: 'utf-8' codec can't decode byte 0xff"):
-            parse_estimates(stream)
 
     def test_locale_does_not_change_what_parses(self, tmp_path):
         # under the C locale without UTF-8 mode, open() would read ASCII
