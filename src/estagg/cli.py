@@ -27,7 +27,7 @@ from .aggregate import ModeConfig, default_mode_matrix, modes_by_label
 from .evaluate import ModeResult, PanelSource, descriptive_stats, mode_result, run_mode_matrix, surprises
 from .ingest import MIN_LEAD_HOURS, FilterConfig, Panel, cross_check_actuals, parse_actuals, parse_estimates
 from .model import N_VARS, PeriodModel
-from .replay import ReplayResult
+from .replay import FALLBACK_NAMES, ReplayResult
 from .synth import SynthSpec, generate
 
 logger = logging.getLogger(__name__)
@@ -103,12 +103,11 @@ def _write_json(path: str, value) -> None:
 
 
 def _write_results_csv(path: str, results: list[ModeResult]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("mode,description,n_events,median,average,trend,r_squared,trend_supplementary\n")
-        for r in results:
-            stats = map(_fmt, (r.median, r.average, r.trend, r.r_squared))
-            supplementary = "1" if r.trend_supplementary else "0"
-            fh.write(",".join([r.label, '"%s"' % r.description, str(r.n_events), *stats, supplementary]) + "\n")
+    """One row per mode: its label, quoted description, event count, statistics and supplementary flag."""
+    stats = (map(_fmt, (r.median, r.average, r.trend, r.r_squared)) for r in results)
+    rows = ((r.label, r.description, r.n_events, *s, r.trend_supplementary) for r, s in zip(results, stats))
+    header = "mode,description,n_events,median,average,trend,r_squared,trend_supplementary"
+    _write_rows(path, header, '%s,"%s",%d,%s,%s,%s,%s,%d\n', rows)
 
 
 def _write_rows(path: str, header: str, line: str, rows: Iterable[tuple]) -> None:
@@ -135,7 +134,7 @@ def _event_fields(panel: Panel, burn_in: int) -> EventFields:
 def _write_events(path: str, result: ReplayResult, fields: EventFields) -> None:
     """One row per event of the result's panel, in announcement order;
     `fields` are the panel's _event_fields."""
-    reasons = (reason or "" for reason in result.fallback_reason.tolist())
+    reasons = map(FALLBACK_NAMES.__getitem__, result.fallback_reason.tolist())
     rows = zip(fields.heads, result.improved.tolist(), fields.n_analysts, reasons, fields.evaluated)
     header = (
         "firm_id,period_year,period_quarter,actual_cents,simple_consensus,improved,"

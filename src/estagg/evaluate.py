@@ -109,26 +109,25 @@ def surprises(result: ReplayResult, burn_in: int) -> tuple[np.ndarray, np.ndarra
 
 def descriptive_stats(panel: Panel) -> dict:
     """Panel-level descriptive statistics (symbols, reports, predictions,
-    analysts, surprise magnitudes, negative-surprise and in-range shares)."""
+    analysts, surprise magnitudes, negative-surprise and in-range shares).
+    Each surprise is the actual minus the layout's simple consensus, which is
+    the exact mean rounded once while an event's summed |value_cents| stays
+    below 2**53, and beyond that the float consensus events_*.csv writes."""
     n = len(panel.events)
     if not n:
         raise ValueError("empty panel")
-    all_values, bounds = panel.value_cents.tolist(), panel.bounds.tolist()
-    surprises = []  # signed: actual minus consensus
-    in_range = 0
-    for lo, hi, actual in zip(bounds[:-1], bounds[1:], panel.events.value_cents.tolist()):
-        values = all_values[lo:hi]
-        surprises.append(actual - sum(values) / len(values))  # Python ints: the exact sum, rounded once
-        in_range += min(values) <= actual <= max(values)
+    actual, starts = panel.events.value_cents, panel.bounds[:-1]
+    surprises = actual - panel.layout.simple
+    lowest, highest = np.minimum.reduceat(panel.value_cents, starts), np.maximum.reduceat(panel.value_cents, starts)
     return {
         "n_symbols": int(np.count_nonzero(np.bincount(panel.events.firm))),
         "n_reports": n,
-        "n_predictions": len(all_values),
+        "n_predictions": len(panel.value_cents),
         "n_analysts": int(np.count_nonzero(np.bincount(panel.analyst))),
         "mean_abs_surprise_cents": float(np.mean(np.abs(surprises))),
         "median_abs_surprise_cents": median_stat(np.abs(surprises)),
-        "negative_surprise_share": sum(s < 0 for s in surprises) / n,
-        "actual_in_range_share": in_range / n,
+        "negative_surprise_share": int(np.count_nonzero(surprises < 0)) / n,
+        "actual_in_range_share": int(np.count_nonzero((lowest <= actual) & (actual <= highest))) / n,
     }
 
 

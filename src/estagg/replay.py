@@ -49,7 +49,7 @@ class ReplayResult:
 
     panel: Panel
     improved: np.ndarray  # the improved consensus
-    fallback_reason: np.ndarray  # object: None, or why the event fell back
+    fallback_reason: np.ndarray  # int8 code into FALLBACK_NAMES: 0 none, 1 no previous quarter's model, 2 zero weights
     weights: np.ndarray  # one per panel row; event j's are bounds[j]:bounds[j+1]
     models: list[PeriodModel]
 
@@ -132,7 +132,8 @@ def ledger_state(panel: Panel, key: tuple[bool, Optional[str]]) -> LedgerState:
     return LedgerState(panel, key, raw - bias, np.abs((raw - actual) - bias), history)
 
 
-_FALLBACKS = np.array([None, "no_previous_model", "degenerate_weights"], object)
+# the name of each fallback_reason code, as events_*.csv writes it
+FALLBACK_NAMES = ("", "no_previous_model", "degenerate_weights")
 
 
 def improved_consensus(
@@ -145,7 +146,7 @@ def improved_consensus(
     """Score a bucket's events, in bucket order, from their rows of the
     ledger pass `state`, the panel's normalized rows `X` in row order and
     the model of each one's previous quarter in `models` (by quarter index).
-    Each record is an event's `improved`, `fallback_reason` and (n,) `weights`.
+    Each record is an event's `improved`, `fallback_reason` code and (n,) `weights`.
 
     The events with a model gather their (n, 6) design matrices from `X`
     through the bucket's rows. Each event's predictions and weighted sum
@@ -154,7 +155,7 @@ def improved_consensus(
     """
     adjusted = state.adjusted[bucket.rows]
     k, n = adjusted.shape
-    fallback = np.zeros(k, np.int64)  # positions in _FALLBACKS
+    fallback = np.zeros(k, np.int8)
     if mode.method == "closest":
         actual = state.panel.events.value_cents[bucket.order].astype(float)
         pick = np.abs(adjusted - actual[:, None]).argmin(axis=-1)
@@ -183,8 +184,8 @@ def improved_consensus(
             improved[weighted] = (w[:, None, :] @ adjusted[weighted][..., None])[:, 0, 0] / total
             weights[weighted] = w / total[:, None]
             fallback[fitted[~positive]] = 2
-    dtype = [("improved", float), ("fallback_reason", object), ("weights", float, (n,))]
-    return np.rec.fromarrays([improved, _FALLBACKS[fallback], weights], dtype=dtype)
+    dtype = [("improved", float), ("fallback_reason", np.int8), ("weights", float, (n,))]
+    return np.rec.fromarrays([improved, fallback, weights], dtype=dtype)
 
 
 def run_mode(panel: Panel, mode: ModeConfig, state: Optional[LedgerState] = None) -> ReplayResult:
@@ -197,7 +198,7 @@ def run_mode(panel: Panel, mode: ModeConfig, state: Optional[LedgerState] = None
     models = state.models(mode.scaling, mode.variable_mask)
     X, _ = state.rows(mode.scaling)
     # the buckets hold the events by size; scatter them back into announcement order
-    improved, fallback_reason = np.empty(len(panel.events)), np.empty(len(panel.events), object)
+    improved, fallback_reason = np.empty(len(panel.events)), np.empty(len(panel.events), np.int8)
     weights = np.empty(len(panel.value_cents))
     for bucket in panel.layout.buckets:
         scored = improved_consensus(state, bucket, X, mode, models)

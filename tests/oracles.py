@@ -3,7 +3,6 @@ against. None of them is used by the pipeline itself."""
 
 import csv
 from collections import Counter, defaultdict
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Callable, Optional, Sequence
@@ -204,7 +203,10 @@ def panel_analysts(panel: Panel) -> tuple[str, ...]:
 
 
 # The per-event object form of a replay, whose outcomes keep only what
-# scoring decides and whose other event columns are its panel's.
+# scoring decides and whose other event columns are its panel's. A fallback
+# is None or its reason, as the per-event replay gives it, by replay's code.
+
+FALLBACK_REASONS = (None, "no_previous_model", "degenerate_weights")
 
 
 @dataclass
@@ -253,7 +255,7 @@ def outcome_views(result: ReplayResult) -> list[Outcome]:
             layout.offset.tolist(),
             layout.simple.tolist(),
             result.improved.tolist(),
-            result.fallback_reason.tolist(),
+            [FALLBACK_REASONS[code] for code in result.fallback_reason.tolist()],
         )
     ]
 
@@ -262,8 +264,9 @@ def replay_view(result: ReplayResult) -> OracleReplay:
     return OracleReplay(outcome_views(result), result.models)
 
 
-# The per-pair evaluation that estagg.evaluate replaced with arrays, and the
-# per-event writers of the events and scatter files.
+# The per-pair evaluation and per-event descriptive statistics that
+# estagg.evaluate replaced with arrays, and the per-row writers of the
+# events, scatter, models and results files.
 
 
 @dataclass(frozen=True)
@@ -353,6 +356,14 @@ def events_file(outcomes: Sequence[Outcome], burn_in: int) -> str:
     return "".join(lines)
 
 
+def results_file(results: Sequence[ModeResult]) -> str:
+    lines = ["mode,description,n_events,median,average,trend,r_squared,trend_supplementary\n"]
+    for r in results:
+        stats = ",".join("" if x is None else repr(float(x)) for x in (r.median, r.average, r.trend, r.r_squared))
+        lines.append(f'{r.label},"{r.description}",{r.n_events},{stats},{int(r.trend_supplementary)}\n')
+    return "".join(lines)
+
+
 def scatter_file(outcomes: Sequence[Outcome], burn_in: int) -> str:
     pairs = pairs_from_outcomes(outcomes, burn_in)
     return "original_surprise,improved_surprise\n" + "".join(f"{p.original!r},{p.improved!r}\n" for p in pairs)
@@ -364,6 +375,31 @@ def models_file(models: Sequence[PeriodModel]) -> str:
         betas = ",".join(repr(float(b)) for b in m.beta)
         lines.append(f"{m.quarter[0]},{m.quarter[1]},{betas},{m.n_obs},{repr(m.rss)}\n")
     return "".join(lines)
+
+
+def descriptive_stats(panel: Panel) -> dict:
+    """estagg.evaluate.descriptive_stats one event at a time, each
+    consensus from an exact Python-int sum rounded once."""
+    n = len(panel.events)
+    if not n:
+        raise ValueError("empty panel")
+    all_values, bounds = panel.value_cents.tolist(), panel.bounds.tolist()
+    surprises = []  # signed: actual minus consensus
+    in_range = 0
+    for lo, hi, actual in zip(bounds[:-1], bounds[1:], panel.events.value_cents.tolist()):
+        values = all_values[lo:hi]
+        surprises.append(actual - sum(values) / len(values))
+        in_range += min(values) <= actual <= max(values)
+    return {
+        "n_symbols": len(set(panel.events.firm.tolist())),
+        "n_reports": n,
+        "n_predictions": len(all_values),
+        "n_analysts": len(set(panel.analyst.tolist())),
+        "mean_abs_surprise_cents": float(np.mean(np.abs(surprises))),
+        "median_abs_surprise_cents": median_stat([abs(s) for s in surprises]),
+        "negative_surprise_share": sum(s < 0 for s in surprises) / n,
+        "actual_in_range_share": in_range / n,
+    }
 
 
 # The per-estimate object form of a panel that build_panel_oracle emits and
@@ -730,15 +766,11 @@ def _estimate(row: dict) -> Estimate:
 
 
 def _read_rows(source, kind: str, columns: tuple[str, ...], make: Callable[[dict], object]) -> tuple[list, list[Reject]]:
-    """Build one record per CSV row with ``make``; malformed rows become
-    rejects carrying their physical line number.
-
-    A ``str`` source is a path, opened and closed here; anything else is a
-    text stream, read and left open for the caller.
-    """
+    """Build one record per CSV row of the file at path ``source`` with
+    ``make``; malformed rows become rejects carrying their physical line number."""
     out = []
     rejects: list[Reject] = []
-    with open(source, encoding="utf-8", newline="") if isinstance(source, str) else nullcontext(source) as fh:
+    with open(source, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{kind} source has no readable header")
@@ -810,7 +842,7 @@ def parse_actuals_oracle(source) -> tuple[list[Actual], list[Reject]]:
     rejects: list[Reject] = []
     out = []
     line_of: dict[tuple[str, Quarter], int] = {}
-    with open(source, encoding="utf-8", newline="") if isinstance(source, str) else nullcontext(source) as fh:
+    with open(source, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -834,8 +866,7 @@ def parse_actuals_oracle(source) -> tuple[list[Actual], list[Reject]]:
                 continue
             key = (actual.firm_id, actual.period)
             if key in line_of:
-                where = f"{source}: " if isinstance(source, str) else ""
-                raise ValueError(f"{where}duplicate actual for {key} on lines {line_of[key]} and {line}")
+                raise ValueError(f"{source}: duplicate actual for {key} on lines {line_of[key]} and {line}")
             line_of[key] = line
             out.append(actual)
     return out, rejects

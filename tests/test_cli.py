@@ -13,7 +13,7 @@ import oracles
 from conftest import mixed_size_rows
 from estagg import cli, evaluate, replay
 from estagg.aggregate import default_mode_matrix
-from estagg.cli import _write_results_csv, main
+from estagg.cli import main
 from estagg.evaluate import PanelSource, run_mode_matrix
 from estagg.ingest import ACTUAL_COLUMNS, ESTIMATE_COLUMNS, FilterConfig, parse_actuals, parse_estimates
 
@@ -723,9 +723,7 @@ class TestColumnarWriters:
             results[i] = oracles.mode_result(label, oracles.pairs_from_outcomes(views, self.BURN_IN))
             if label == "full":
                 full = views
-        expected = tmp_path / "results.csv"
-        _write_results_csv(str(expected), results)
-        assert (out / "results.csv").read_bytes() == expected.read_bytes()
+        assert (out / "results.csv").read_bytes() == oracles.results_file(results).encode()
 
         assert len({o.n_analysts for o in full}) > 1
         assert {o.quarter_offset >= self.BURN_IN for o in full} == {False, True}

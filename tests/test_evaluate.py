@@ -1,5 +1,6 @@
 import math
 import statistics
+import struct
 
 import numpy as np
 import pytest
@@ -256,3 +257,35 @@ class TestDescriptiveStats:
         panel = build_panel(ests, acts, FilterConfig())
         stats = descriptive_stats(panel)
         assert abs(stats["negative_surprise_share"] - 0.30) < 0.03
+
+    @staticmethod
+    def assert_same_as_oracle(panel):
+        got, want = descriptive_stats(panel), oracles.descriptive_stats(panel)
+        assert got == want
+
+        def float_bits(stats):
+            return {key: struct.pack("<d", value) for key, value in stats.items() if isinstance(value, float)}
+
+        assert float_bits(got) == float_bits(want) and len(float_bits(got)) == 4
+
+    @pytest.mark.parametrize("identity", ["analyst", "broker"])
+    def test_golden_panel_matches_per_event_oracle(self, small_panel_inputs, identity):
+        ests, acts, _ = small_panel_inputs
+        panel = build_panel(ests, acts, FilterConfig(min_analysts=3), identity=identity)  # 4 to 6 brokers an event
+        assert len(panel.events)
+        self.assert_same_as_oracle(panel)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_sizes_match_per_event_oracle(self, data):
+        # events of 1 to 12 values whose absolute sums stay below 2**53
+        value = st.integers(-(2**48), 2**48)
+        event = st.tuples(value, st.lists(value, min_size=1, max_size=12))
+        events = data.draw(st.lists(event, min_size=1, max_size=30))
+        self.assert_same_as_oracle(panel_of(events))
+
+    def test_past_2_53_reads_the_float_consensus(self):
+        # the values sum to 2**53 + 1, which the float mean rounds to 2**53
+        panel = panel_of([(0, [2**53, 1, 0])])
+        assert descriptive_stats(panel)["mean_abs_surprise_cents"] == 2**53 / 3 == panel.layout.simple[0]
+        assert oracles.descriptive_stats(panel)["mean_abs_surprise_cents"] == (2**53 + 1) // 3

@@ -1,3 +1,4 @@
+import csv
 import struct
 from dataclasses import replace
 from functools import cached_property
@@ -19,6 +20,7 @@ from conftest import (
 from estagg import evaluate, replay
 from estagg.aggregate import ModeConfig, default_mode_matrix
 from estagg.bias import BiasTracker
+from estagg.cli import _event_fields, _write_events
 from estagg.evaluate import PanelSource, run_mode_matrix
 from estagg.ingest import FilterConfig, Panel, build_panel
 from estagg.model import mask_without
@@ -360,15 +362,28 @@ class TestSizeBuckets:
             for bucket in panel.layout.buckets:
                 records = replay.improved_consensus(state, bucket, X, mode, models)
                 assert isinstance(records, np.recarray) and records.shape == bucket.order.shape
-                assert records[0].fallback_reason in (None, "no_previous_model", "degenerate_weights")
+                assert records[0].fallback_reason in (0, 1, 2)
                 assert records.improved.tobytes() == result.improved[bucket.order].tobytes()
+                assert records.fallback_reason.dtype == result.fallback_reason.dtype == np.int8
                 assert records.fallback_reason.tolist() == result.fallback_reason[bucket.order].tolist()
                 assert records.weights.tobytes() == result.weights[bucket.rows].tobytes()
             reasons.update(result.fallback_reason.tolist())
-            weighted = np.equal(result.fallback_reason, None)
+            weighted = result.fallback_reason == 0
             sums = np.add.reduceat(result.weights, panel.bounds[:-1])
             assert sums[weighted].tolist() == pytest.approx([1.0] * int(weighted.sum()), abs=1e-12)
-        assert reasons == {None, "no_previous_model", "degenerate_weights"}
+        assert reasons == {0, 1, 2}
+
+    def test_events_file_names_every_fallback(self, tmp_path):
+        # the fixed panel above, whose top10_only replay takes every fallback
+        rng = np.random.default_rng(22)
+        results = self.replays(*mixed_size_rows(lambda lo, hi: int(rng.integers(lo, hi + 1))))
+        panel, result, _ = results["top10_only"]
+        path = tmp_path / "events_top10_only.csv"
+        _write_events(str(path), result, _event_fields(panel, burn_in=2))
+        with open(path, newline="") as fh:
+            names = {row["fallback_reason"] for row in csv.DictReader(fh)}
+        assert names == {"", "no_previous_model", "degenerate_weights"}
+        assert path.read_text() == oracles.events_file(outcome_views(result), burn_in=2)
 
 
 class TestPriorRecord:
