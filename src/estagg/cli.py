@@ -16,7 +16,6 @@ import json
 import logging
 import os
 import sys
-from collections import Counter
 from dataclasses import asdict
 from typing import Callable, Iterable, NamedTuple
 
@@ -228,17 +227,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         # statistics are kept, for results.csv
         source = PanelSource(estimates, actuals, fcfg)
         results = [None] * len(modes)  # each mode's ModeResult, in the order of modes
-        modes_left = Counter(map(source.panel_key, modes))  # per panel, its modes still to write
-        event_fields = {}  # per panel key, until the panel's last mode is written
+        key = fields = None  # the panel key of the last mode written, and that panel's _event_fields
         for i, replay, result in run_mode_matrix(source, modes, burn_in):
-            key = source.panel_key(modes[i])
-            if key not in event_fields:
-                event_fields[key] = _event_fields(replay.panel, burn_in)
-            _write_mode(out, modes[i].label, replay, result, event_fields[key], burn_in)
+            if source.panel_key(modes[i]) != key:  # run_mode_matrix hands out each panel's modes back to back
+                key, fields = source.panel_key(modes[i]), None  # the last panel's fields go before these are built
+                fields = _event_fields(replay.panel, burn_in)
+            _write_mode(out, modes[i].label, replay, result, fields, burn_in)
             results[i] = result
-            modes_left[key] -= 1
-            if not modes_left[key]:
-                del event_fields[key]
             del replay  # hold no panel while the next group's is built
 
         panel = source.default_panel()

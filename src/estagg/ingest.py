@@ -3,15 +3,15 @@
 Both input files are parsed by one schema-driven converter into column
 tables: estimates into an EstimateTable, actuals (one per firm-quarter)
 into an ActualTable, each with one array per column and its ids interned
-to integer codes. A file is read as bytes, in blocks of _CHUNK_ROWS lines.
-csv.reader defines the format, but a block with no quote, NUL or carriage
-return other than a CR LF line end is tokenized as bytes with numpy, from
-one scan for its delimiters; from the first block that has one, csv.reader
-reads the rest, its rows packed into bytes. Either way a block is a
-_ByteBlock, the one converter: each column's fields are gathered
-column-major and convert in whole-column passes; only distinct ids and
-fields not of canonical form (`-?[0-9]{1,18}`, `YYYY-MM-DDTHH:MM:SSZ`) are
-decoded.
+to integer codes. A file is read as bytes, in blocks of _CHUNK_ROWS lines,
+a lone CR ending a line as an LF or a CR LF does (_line_ends). csv.reader
+defines the format. It reads the header; a block with no quote or NUL is
+tokenized as bytes with numpy, from one scan for its commas; from the first
+block that has one, csv.reader reads the rest, its rows packed into bytes.
+Either way a block is a _ByteBlock, the one converter: each column's fields
+are gathered column-major and convert in whole-column passes; only distinct
+ids and non-canonical fields (not `-?[0-9]{1,18}`, `YYYY-MM-DDTHH:MM:SSZ`)
+are decoded.
 
 build_panel joins the two tables, applies the exclusion rules
 (forecast-horizon window, last-estimate-wins dedup, prior-record
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields, replace as dc_replace
 from functools import cached_property
 from itertools import chain, groupby, islice, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -253,18 +253,35 @@ _INT_DIGITS, _ID_BYTES = 18, 64
 _PAD = " " * _ID_BYTES
 
 
-def _lone_crs(data: bytes, stop: int) -> int:
-    """How many CRs of data[:stop] end a line by themselves, as open(newline="") ends lines."""
-    return data.count(b"\r", 0, stop) - data.count(b"\r\n", 0, stop) if data.find(b"\r", 0, stop) >= 0 else 0
+def _line_ends(data, start: int, stop: int) -> np.ndarray:
+    """The position of each line end in data[start:stop] where open(newline="") ends a line: at an LF,
+    at the LF of a CR LF, or at a lone CR, a CR at data[stop - 1] being lone."""
+    buf = np.frombuffer(data, np.uint8, stop - start, start)
+    if data.find(b"\r", start, stop) < 0:
+        return np.flatnonzero(buf == ord("\n")) + start
+    ends = np.flatnonzero((buf == ord("\n")) | (buf == ord("\r")))
+    chars = buf[ends]
+    crlf = (chars[:-1] == ord("\r")) & (chars[1:] == ord("\n")) & (np.diff(ends) == 1)  # its CR ends no line
+    return ends[np.append(~crlf, True)] + start
 
 
-def _decoded(data: bytes, stop: int, line: int, where: str = "") -> str:
-    """data[:stop] as text; an undecodable byte fails with its line, data's first line being `line`."""
+# the lines of data[start:stop], the first of them physical line `line`, and the position of each line end among them
+_Lines = NamedTuple("_Lines", [("line", int), ("data", bytearray), ("start", int), ("stop", int), ("ends", np.ndarray)])
+
+
+def _decoded(lines: _Lines, where: str) -> str:
+    """The lines as text; an undecodable byte fails naming its file, `where`, and its line."""
     try:
-        return str(memoryview(data)[:stop], "utf-8")
+        return str(memoryview(lines.data)[lines.start : lines.stop], "utf-8")
     except UnicodeDecodeError as exc:
-        line, byte = line + data.count(b"\n", 0, exc.start) + _lone_crs(data, exc.start), data[exc.start]
+        line, byte = lines.line + int(np.searchsorted(lines.ends, lines.start + exc.start)), exc.object[exc.start]
         raise ValueError(f"{where}line {line}: undecodable byte 0x{byte:02x}; the input must be UTF-8") from None
+
+
+def _text_lines(pieces: Iterable[_Lines], where: str) -> Iterator[str]:
+    """Each line of the pieces, as text split as by open(newline=""); a piece's text lives only in its StringIO."""
+    for lines in pieces:
+        yield from io.StringIO(_decoded(lines, where), newline="")
 
 
 class _ByteBlock:
@@ -294,45 +311,37 @@ class _ByteBlock:
         return cls(data, list(ends - lengths), list(ends))
 
     @classmethod
-    def tokenize(cls, data: bytes, stop: int, positions: Sequence[int], width: int):
-        """The block of a chunk's lines as csv.reader splits them, the index of each row's line,
-        and the indexes and field counts of the lines too short for the fields at `positions`.
-        Blank lines hold no row; a CR LF line ends at its CR. Fields are bounded by the marks of
-        one scan, by a reshape where every line holds the header's `width` fields. None when
-        csv.reader could read the lines otherwise: a quote, a NUL, a CR not directly before a
-        newline, or a line past the field limit."""
+    def tokenize(cls, lines: _Lines, positions: Sequence[int], width: int):
+        """The block of the lines as csv.reader splits them, the index of each row's line, and
+        the indexes and field counts of the lines too short for the fields at `positions`.
+        Blank lines hold no row; a CR LF line ends at its CR. Fields are bounded by the commas
+        of one scan, by a reshape where every line holds the header's `width` fields. None when
+        csv.reader could read the lines otherwise: a quote, a NUL or a line past the field limit."""
+        _, data, start, stop, eol = lines
+        if data.find(b'"', start, stop) >= 0 or data.find(b"\0", start, stop) >= 0:
+            return None  # csv.reader before 3.11 fails on a NUL
         buf = np.frombuffer(data, np.uint8)
-        marks = np.flatnonzero(buf[:stop] <= ord(","))  # every delimiter and every byte that needs csv.reader
-        chars = buf[marks]
-        delimiter = (chars == ord(",")) | (chars == ord("\n"))
-        if not (plain := delimiter.all()):
-            if ((chars == ord('"')) | (chars == 0)).any() or (buf[marks[chars == ord("\r")] + 1] != ord("\n")).any():
-                return None  # csv.reader before 3.11 fails on a NUL
-            marks, chars = marks[delimiter], chars[delimiter]
-        is_end = chars == ord("\n")
-        if data[stop - 1] != ord("\n"):  # the last line ends where the chunk does
-            marks, is_end = np.append(marks, stop), np.append(is_end, True)
-        count = int(np.count_nonzero(is_end))
-        rectangular = len(marks) == width * count and is_end[width - 1 :: width].all()
-        bounds = np.ascontiguousarray(marks.reshape(count, width).T) if rectangular else None  # row p: p-th marks
-        ends_at = None if rectangular else np.flatnonzero(is_end)  # the index of each line's end among the marks
-        line_end = bounds[-1] if rectangular else marks[ends_at]
-        line_start = np.concatenate([[0], line_end[:-1] + 1])
-        if not plain:
-            line_end -= buf[np.maximum(line_end - 1, 0)] == ord("\r")  # a CR LF line ends at its CR
+        commas = np.flatnonzero(buf[start:stop] == ord(",")) + start
+        if not len(eol) or eol[-1] != stop - 1:  # the last line ends where the lines do
+            eol = np.append(eol, stop)
+        line_start = np.concatenate([[start], eol[:-1] + 1])
+        line_end = eol - ((buf[eol] == ord("\n")) & (buf[np.maximum(eol - 1, 0)] == ord("\r")))  # before a CR LF
         if (line_end - line_start).max() > csv.field_size_limit():
             return None
-        if rectangular:
+        bounds = commas.reshape(-1, width - 1).T if len(commas) == len(eol) * (width - 1) else None  # row p: p-th comma
+        if bounds is not None and (bounds[0] >= line_start).all() and (bounds[-1] < eol).all():  # width - 1 a line
+            bounds = np.ascontiguousarray(bounds)
             starts = [line_start if p == 0 else bounds[p - 1] + 1 for p in positions]
             ends = [line_end if p == width - 1 else bounds[p] for p in positions]
-            return cls(data, starts, ends), np.arange(count), line_start[:0], line_start[:0]
-        first_mark = np.concatenate([[0], ends_at[:-1] + 1])
-        n_fields = ends_at - first_mark + 1
+            return cls(data, starts, ends), np.arange(len(eol)), line_start[:0], line_start[:0]
+        first = np.searchsorted(commas, line_start)  # the index of each line's first comma among the commas
+        n_fields = np.searchsorted(commas, eol) - first + 1
         filled, enough = line_end > line_start, n_fields > max(positions)
         short, rows = np.flatnonzero(filled & ~enough), np.flatnonzero(filled & enough)
-        first_mark, line_end = first_mark[rows], line_end[rows]
-        starts = [line_start[rows] if p == 0 else marks[first_mark + p - 1] + 1 for p in positions]
-        ends = [np.minimum(marks[first_mark + p], line_end) for p in positions]
+        first, line_start, line_end = first[rows], line_start[rows], line_end[rows]
+        commas = np.append(commas, stop)  # past a line's last comma, its field ends at the line's end
+        starts = [line_start if p == 0 else commas[first + p - 1] + 1 for p in positions]
+        ends = [np.minimum(commas[first + p], line_end) for p in positions]
         return cls(data, starts, ends), rows, short, n_fields[short]
 
     def __len__(self) -> int:
@@ -534,31 +543,25 @@ def _chronological(acts: ActualTable, event: np.ndarray, first: np.ndarray, n: i
     return np.argsort(_pack([(rank[event], size), (first, n)]))
 
 
-def _binary_chunks(fh, line: int, where: str) -> Iterator[tuple]:
-    """Each block of a binary file's lines from physical line `line` as (line, data, stop): _CHUNK_ROWS
-    lines but for the last, cut at LFs, their bytes data[:stop], checked to be UTF-8, and at least
-    _ID_BYTES more. Reads are sized by the mean line so far to end near a block's last line."""
-    tail, read, newlines = bytearray(), 0, 0  # bytes read past the last block; bytes and newlines read so far
+def _binary_chunks(fh) -> Iterator[_Lines]:
+    """A binary file's lines in blocks of _CHUNK_ROWS but for the last, each cut after a line end (_line_ends)
+    and followed by at least _ID_BYTES more bytes. Reads are sized by the mean line so far to end near a block's end."""
+    line, got = 1, 0  # the block's first line; the bytes read so far, in which line + len(ends) - 1 lines end
+    data, ends, scanned = bytearray(), np.empty(0, np.int64), 0  # the bytes past the last block; data[:scanned]'s ends
     while True:
-        data, count = tail, tail.count(b"\n")  # read into, so that a block holds one copy of its bytes
-        while count < _CHUNK_ROWS:
-            start = len(data)  # then read the block's other lines at the mean line length so far
-            data += fh.read(max(io.DEFAULT_BUFFER_SIZE, min(read, (_CHUNK_ROWS - count) * read // max(newlines, 1))))
-            if len(data) == start:
+        while len(ends) < _CHUNK_ROWS:
+            more = fh.read(max(io.DEFAULT_BUFFER_SIZE, min(got, (_CHUNK_ROWS - len(ends)) * got // (line + len(ends)))))
+            data += more
+            stop = len(data) - (more[-1:] == b"\r")  # a CR that ends a read may be a CR LF's: the next read tells
+            ends, scanned, got = np.concatenate([ends, _line_ends(data, scanned, stop)]), stop, got + len(more)
+            if not more:
                 break
-            n = int(np.count_nonzero(np.frombuffer(data, np.uint8, offset=start) == ord("\n")))
-            count, read, newlines = count + n, read + len(data) - start, newlines + n
         if not data:
             return
-        stop = len(data)
-        for _ in range(count - _CHUNK_ROWS + (data[-1] != ord("\n"))):  # back to the end of the block's last line
-            stop = data.rfind(b"\n", 0, stop - 1) + 1
-        count = min(count, _CHUNK_ROWS) + (data[stop - 1] != ord("\n"))
-        block = data if len(data) >= stop + _ID_BYTES else data + _PAD.encode()
-        if not block.isascii():
-            _decoded(block, stop, line, where)
-        yield line, block, stop
-        tail, line = data[stop:], line + count + _lone_crs(block, stop)
+        stop = int(ends[_CHUNK_ROWS - 1]) + 1 if len(ends) >= _CHUNK_ROWS else len(data)
+        data += _PAD.encode()  # in place, so that a block holds one copy of its bytes
+        yield _Lines(line, data, 0, stop, ends[:_CHUNK_ROWS])
+        line, data, ends, scanned = line + _CHUNK_ROWS, data[stop:-_ID_BYTES], ends[_CHUNK_ROWS:] - stop, scanned - stop
 
 
 def _csv_rows(reader, offset: int, get: Callable, need: int, lines: array, rejects: list[Reject]) -> Iterator[tuple]:
@@ -581,58 +584,55 @@ def _short_row(line: int, n_fields: int, need: int) -> Reject:
 def _parse(path, kind, table_type):
     """A table of the file's rows, the malformed rows as rejects in line
     order, and the physical line of each row read, rejected or not. The file
-    is read as bytes. csv.reader defines the format: it reads the header
-    and, from the first block _ByteBlock.tokenize leaves to it, that block's
-    text and the rest, its rows packed into blocks (_ByteBlock.pack) that
-    convert as the tokenized ones do. Its errors fail with the line. Blocks
-    end at LFs, so a file whose lines end in lone CRs is read whole; lines
-    are numbered as open(newline="") splits them, CRs included."""
+    is read in blocks of lines, an LF, CR LF or lone CR ending each. The byte
+    tokenizer reads the lines after the header, which csv.reader reads; only
+    a quote, a NUL or a line past the field limit hands a block to csv.reader,
+    which reads it and the rest, packing their rows into blocks that convert
+    as tokenized ones do (_ByteBlock.pack). Its errors fail with the line."""
     schema = _schema(table_type)
     where = f"{path}: "
     rejects: list[Reject] = []
     lines = array("q")
     with open(path, "rb") as fh:
-        left: list[str] = []  # of the line the header ends in, the text past the header
-
-        def header_lines(n=1):  # the lines up to the header's end, split as by open(newline="")
-            for raw in iter(fh.readline, b""):  # LF-ended, from physical line n
-                left.extend(io.StringIO(_decoded(raw, len(raw), n, where), newline=""))
-                n += len(left)
-                while left:
-                    yield left.pop(0)
-
-        reader, offset = csv.reader(header_lines()), 0
+        chunks = _binary_chunks(fh)
+        first = next(chunks, None)
+        if first is None:
+            raise ValueError(f"{kind} source has no readable header")
+        texts = _text_lines(chain(iter([first]), chunks), where)
+        reader, offset = csv.reader(texts), 0
         try:
-            header = next(reader, None)
-            if left:  # a lone carriage return ended the header: read on from there
-                fh.seek(-len("".join(left).encode()), io.SEEK_CUR)
-                left.clear()
-            if header is None:
-                raise ValueError(f"{kind} source has no readable header")
+            header, n = next(reader), reader.line_num
+            tokenized = n <= len(first.ends)  # else the header runs on past the first block
+            if tokenized:  # from the line after the header
+                texts.close()  # the header's text goes
+                first = _Lines(first.line + n, first.data, int(first.ends[n - 1]) + 1, first.stop, first.ends[n:])
+                chunks = chain(iter([first]), chunks)
+            del first  # the first block lives on in `chunks` alone: chain holds a spent iter(), but not its list
             position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
             missing = [c for c, _, _ in schema if c not in position]
             if missing:
                 raise ValueError(f"{kind} header missing columns: {missing}")
             positions = [position[c] for c, _, _ in schema]
             need = max(positions) + 1
-            chunks = _binary_chunks(fh, reader.line_num + 1, where)
 
             def blocks():
                 nonlocal reader, offset
-                for first, data, stop in chunks:
-                    tokens = _ByteBlock.tokenize(data, stop, positions, len(header))
-                    if tokens is None:  # csv.reader reads on from here, lines split as by open(newline="")
-                        rest = chain([(first, data, stop)], chunks)  # a chunk's text lives only in its StringIO
-                        texts = (io.StringIO(_decoded(d, s, n), newline="") for n, d, s in rest)
-                        reader = csv.reader(chain.from_iterable(texts))
-                        offset = first - 1
-                        rows = _csv_rows(reader, offset, itemgetter(*positions), need, lines, rejects)
-                        yield from map(_ByteBlock.pack, _batches(rows))
+                if tokenized:
+                    for piece in chunks:
+                        if not piece.data.isascii():
+                            _decoded(piece, where)  # the tokenizer reads bytes: check that they are UTF-8
+                        tokens = _ByteBlock.tokenize(piece, positions, len(header))
+                        if tokens is None:  # csv.reader reads on from here
+                            reader, offset = csv.reader(_text_lines(chain([piece], chunks), where)), piece.line - 1
+                            break
+                        block, at, short, n_fields = tokens
+                        rejects.extend(map(_short_row, (piece.line + short).tolist(), n_fields.tolist(), repeat(need)))
+                        lines.frombytes((piece.line + at).astype(np.int64).tobytes())
+                        yield block
+                    else:
                         return
-                    block, at, short, n_fields = tokens
-                    rejects.extend(map(_short_row, (first + short).tolist(), n_fields.tolist(), repeat(need)))
-                    lines.frombytes((first + at).astype(np.int64).tobytes())
-                    yield block
+                rows = _csv_rows(reader, offset, itemgetter(*positions), need, lines, rejects)
+                yield from map(_ByteBlock.pack, _batches(rows))
 
             table = table_type._from_blocks(blocks(), lambda i, reason: rejects.append(Reject(lines[i], reason)))
         except csv.Error as exc:

@@ -1,10 +1,12 @@
 import csv
 import gc
+import io
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import fields, replace as dc_replace
 
@@ -1109,8 +1111,9 @@ class TestByteTokenizer:
         mp.setattr(ingest._ByteBlock, "tokenize", classmethod(lambda cls, *args: None))
 
     def test_quote_free_blocks_are_tokenized_as_bytes(self, tmp_path, monkeypatch):
-        # csv.reader starts at the first block holding a quote or a CR that
-        # does not end a line before its newline
+        # csv.reader starts at the first block holding a quote; the header
+        # shares the first block, so blocks hold lines 1-2, 3-4 and 5-6, and
+        # CR LF and lone CR line ends are the tokenizer's own
         monkeypatch.setattr(ingest, "_CHUNK_ROWS", 2)
         handed_over = []
         csv_rows = ingest._csv_rows
@@ -1123,11 +1126,14 @@ class TestByteTokenizer:
         row = "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n"
         for body, first in (
             (row * 5, None),
-            (row * 3 + '"A1",B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n' + row, 4),
+            (row * 3 + '"A1",B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n' + row, 5),
+            (row + '"A1",B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n' + row * 3, 3),
+            ('"A1",B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n' + row * 4, 2),
             (row * 4 + row.replace("\n", "\r\n"), None),
             ((row * 5).replace("\n", "\r\n"), None),
-            (row * 4 + row.replace("\n", "\r"), 6),
-            (row * 2 + row.replace("\n", "\r\r\n") + row * 2, 4),
+            (row * 4 + row.replace("\n", "\r"), None),
+            ((row * 5).replace("\n", "\r"), None),
+            (row * 2 + row.replace("\n", "\r\r\n") + row * 2, None),
         ):
             handed_over.clear()
             table, rejects = parse_estimates(written(tmp_path, HEADER + body))
@@ -1175,6 +1181,94 @@ class TestByteTokenizer:
     @given(texts=csv_texts(ActualTable, BLOCK_ROWS))
     def test_actuals_match_csv_reader_and_oracle(self, texts):
         self.check(parse_actuals, parse_actuals_oracle, texts)
+
+    def test_carriage_return_file_is_tokenized_block_by_block(self, tmp_path, monkeypatch):
+        # lone CRs end lines as LFs do: a CR-ended file is cut into the
+        # blocks of its LF-ended twin, each tokenized as bytes, none read by
+        # csv.reader, and its parse takes about as much memory
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", 1000)
+        row = "A{},B{},F{},2011,2,2011-03-01T00:00:00Z,6,{}\n"
+        text = HEADER + "".join(row.format(i % 97, i % 7, i % 13, i) for i in range(20000))
+        tokenize, csv_rows = ingest._ByteBlock.tokenize.__func__, ingest._csv_rows
+        first_lines, entered = [], []
+
+        def spy(cls, lines, *args):
+            first_lines.append(lines.line)
+            return tokenize(cls, lines, *args)
+
+        monkeypatch.setattr(ingest._ByteBlock, "tokenize", classmethod(spy))
+        monkeypatch.setattr(ingest, "_csv_rows", lambda *args: entered.append(args) or csv_rows(*args))
+        got = []
+        for name, end in (("lf.csv", "\n"), ("cr.csv", "\r")):
+            path = written(tmp_path, text.replace("\n", end), name)
+            first_lines.clear()
+            tracemalloc.start()
+            try:
+                table, rejects = parse_estimates(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            got.append((table_state(table), rejects, list(first_lines), peak))
+        (lf, lf_rejects, lf_blocks, lf_peak), (cr, cr_rejects, cr_blocks, cr_peak) = got
+        assert cr == lf and cr_rejects == lf_rejects == [] and len(lf["analyst"]) == 20000
+        assert cr_blocks == lf_blocks == [2, *range(1001, 20002, 1000)]
+        assert not entered
+        assert cr_peak < 2 * lf_peak
+
+    def test_cr_lf_across_two_reads_ends_one_line(self, tmp_path):
+        # the first read ends between a CR and its LF: the CR waits for the
+        # next read, so the pair ends one line, and the lines after it keep
+        # their numbers
+        row = "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\r\n"
+        head = HEADER.replace("\n", "\r\n") + row * 100
+        long_row = row.replace("A1", "A" * (io.DEFAULT_BUFFER_SIZE + 1 - len(head) - len(row) + 2), 1)
+        text = head + long_row + row.replace("2011-03-01T00:00:00Z", "junk") + row
+        assert text.index("\r\n", len(head)) == io.DEFAULT_BUFFER_SIZE - 1
+        table, rejects = parse_estimates(written(tmp_path, text))
+        assert len(table) == 102 and [r.line for r in rejects] == [103]
+
+    @pytest.mark.parametrize(
+        "text, n_rows",
+        [
+            ("", None),
+            (HEADER.rstrip("\n"), 0),
+            (HEADER, 0),
+            (HEADER.replace("\n", "\r"), 0),
+            (HEADER.replace("\n", "\r\n"), 0),
+            (HEADER.replace("\n", "\r") + "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\r" * 5, 5),
+            (HEADER.replace("\n", "\r\n") + "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\r\n" * 5, 5),
+            (HEADER.replace("\n", ',"no\nte"\n') + "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105,x\n" * 5, 5),
+            (HEADER.replace("\n", ',"no\r\nte"\r') + "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105,x\r" * 5, 5),
+            (HEADER.replace("\n", ',"a\nb\rc\r\nd"\n') + "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105,x\n" * 5, 5),
+            (HEADER.replace("value_cents", '"value\ncents"') + "A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n", None),
+        ],
+        ids=[
+            "empty",
+            "header_only_unended",
+            "header_only_lf",
+            "header_only_cr",
+            "header_only_crlf",
+            "header_ended_by_cr",
+            "header_ended_by_crlf",
+            "quoted_name_with_lf",
+            "quoted_name_with_crlf_cr_ended",
+            "header_past_the_first_block",
+            "required_name_with_line_break",
+        ],
+    )
+    def test_header_edge_cases_parse_as_csv_reader_alone(self, tmp_path, monkeypatch, text, n_rows):
+        # the header is csv.reader's first record over the first block's
+        # lines, which tokenize reads on from the line after it; with
+        # two-line blocks, a header record of four lines runs past the first
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", 2)
+        path = written(tmp_path, text)
+        got = outcome(parse_estimates, path)
+        if n_rows is None:
+            assert got[0] == "raises"
+        else:
+            assert len(got[0]["analyst"]) == n_rows and got[1] == []
+        self.csv_reader_only(monkeypatch)
+        assert outcome(parse_estimates, path) == got
 
     def test_path_with_carriage_return_line_ends(self, tmp_path, monkeypatch):
         # a lone CR ends a path's lines as open(newline="") splits them, the
@@ -1245,6 +1339,22 @@ class TestUndecodableInput:
         path.write_bytes(b"firm_id,period_year,period_quarter,announce_ts,value_cents,n\xe9\n")
         with pytest.raises(ValueError, match="line 1: undecodable byte 0xe9"):
             parse_actuals(str(path))
+
+    def test_first_block_is_decoded_before_its_header_is_read(self, tmp_path, monkeypatch):
+        # csv.reader reads the header from the first block's text, so an
+        # undecodable byte in that block fails the parse ahead of a bad
+        # header; one in a later block fails only after the header is read
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", 4)
+        path = tmp_path / "estimates.csv"
+        row = "1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n"
+        for ends in ("\n", "\r\n", "\r"):
+            rows = [("A" + row).replace("\n", ends).encode(), ("A\xff" + row).replace("\n", ends).encode("latin-1")]
+            path.write_bytes(b"foo,bar" + ends.encode() + rows[0] * 2 + rows[1] + rows[0] * 3)
+            with pytest.raises(ValueError, match=rf"^{path}: line 4: undecodable byte 0xff;"):
+                parse_estimates(str(path))
+            path.write_bytes(b"foo,bar" + ends.encode() + rows[0] * 3 + rows[1] + rows[0] * 2)
+            with pytest.raises(ValueError, match=r"^estimates header missing columns: \["):
+                parse_estimates(str(path))
 
     def test_locale_does_not_change_what_parses(self, tmp_path):
         # under the C locale without UTF-8 mode, open() would read ASCII
