@@ -1,15 +1,16 @@
 """Weighting and consensus construction, plus the ablation mode table.
 
-A mode bundles every switch the sensitivity analysis varies: bias on/off
-and its key granularity, expertise weighting on/off, the regressor mask,
-scaling style, identity (analyst vs institution), the weight exponent, and
-the recency cutoff. The hindsight closest-forecaster benchmark is a mode
-with method="closest".
+A mode bundles every switch the sensitivity analysis varies: the bias
+key granularity (None for no bias correction), the consensus method
+(expertise weights, equal weights, or the hindsight closest forecaster),
+the regressor mask, scaling style, identity (analyst vs institution), the
+weight exponent, and the recency cutoff.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -18,15 +19,13 @@ from .ingest import IDENTITIES, MIN_LEAD_HOURS
 from .model import FULL_MASK, Mask, mask_without
 
 BIAS_KEYS = ("identity_firm", "identity", "firm", "global", "half")
-METHODS = ("weighted", "closest")
+METHODS = ("weighted", "equal", "closest")
 
 
 @dataclass(frozen=True)
 class ModeConfig:
     label: str = "full"
-    use_bias: bool = True
-    bias_key: str = "identity_firm"
-    use_expertise: bool = True
+    bias_key: Optional[str] = "identity_firm"  # one of BIAS_KEYS, or None for no bias correction
     variable_mask: Mask = FULL_MASK
     scaling: str = "normalized"  # one of SCALINGS
     identity: str = "analyst"  # one of IDENTITIES
@@ -39,7 +38,7 @@ class ModeConfig:
             raise ValueError(f"exponent must be positive and finite, got {self.exponent!r}")
         if self.min_lead_hours < MIN_LEAD_HOURS:
             raise ValueError(f"recency cutoff below {MIN_LEAD_HOURS} hours")
-        choices = {"bias_key": BIAS_KEYS, "scaling": SCALINGS, "identity": IDENTITIES, "method": METHODS}
+        choices = {"bias_key": (*BIAS_KEYS, None), "scaling": SCALINGS, "identity": IDENTITIES, "method": METHODS}
         for name, known in choices.items():
             if getattr(self, name) not in known:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}; known: {list(known)}")
@@ -84,15 +83,15 @@ MODE_DESCRIPTIONS = {
 }
 
 
-def default_mode_matrix(exponent: float = 1.2) -> list[ModeConfig]:
+def default_mode_matrix(exponent: float = ModeConfig.exponent) -> list[ModeConfig]:
     """Every ablation row: full mode, component removals, per-variable
     removals, bias-granularity variants, identity/exponent/cutoff variants,
     and the hindsight benchmarks."""
     full = ModeConfig(label="full", exponent=exponent)
     return [
         full,
-        replace(full, label="no_expertise", use_expertise=False),
-        replace(full, label="no_bias", use_bias=False),
+        replace(full, label="no_expertise", method="equal"),
+        replace(full, label="no_bias", bias_key=None),
         *(
             replace(full, label=f"no_{v}", variable_mask=mask_without(v))
             for v in ("age", "freq", "top10", "ncos", "exp", "mae")
@@ -107,11 +106,11 @@ def default_mode_matrix(exponent: float = 1.2) -> list[ModeConfig]:
         replace(full, label="cutoff_30d", min_lead_hours=30 * 24),
         replace(full, label="cutoff_60d", min_lead_hours=60 * 24),
         replace(full, label="closest", method="closest"),
-        replace(full, label="closest_raw", method="closest", use_bias=False),
+        replace(full, label="closest_raw", method="closest", bias_key=None),
     ]
 
 
-def modes_by_label(labels, exponent: float = 1.2) -> list[ModeConfig]:
+def modes_by_label(labels, exponent: float = ModeConfig.exponent) -> list[ModeConfig]:
     """The modes of `labels`, in their order; an empty selection, an
     unknown label or a label given twice fails."""
     table = {m.label: m for m in default_mode_matrix(exponent)}

@@ -18,7 +18,7 @@ import numpy as np
 
 from .aggregate import MODE_DESCRIPTIONS, ModeConfig
 from .ingest import ActualTable, EstimateTable, FilterConfig, Panel, build_panel
-from .replay import ReplayResult, ledger_key, ledger_state, run_mode
+from .replay import ReplayResult, ledger_state, run_mode
 
 logger = logging.getLogger(__name__)
 
@@ -71,14 +71,20 @@ def median_stat(values: np.ndarray) -> float:
     return b if a_inf else a
 
 
+def _sum_left_to_right(values: np.ndarray) -> float:
+    """0.0 plus each value in turn. Neither numpy's pairwise sum nor
+    Python's builtin sum, compensated since 3.12, adds this way."""
+    return float(np.cumsum(np.append(0.0, values))[-1])
+
+
 def average_stat(original: np.ndarray, improved: np.ndarray) -> Optional[float]:
     """1 minus the summed improved absolute surprise over the summed
     original; None when every original surprise is zero. Both sums add
-    left to right, as Python's sum does."""
-    denom = sum(np.abs(original).tolist())
+    left to right, so the statistic is the same on every interpreter."""
+    denom = _sum_left_to_right(np.abs(original))
     if denom == 0.0:
         return None
-    num = sum(np.abs(improved).tolist())
+    num = _sum_left_to_right(np.abs(improved))
     return 1.0 - num / denom
 
 
@@ -193,32 +199,30 @@ def _score_group(
     source: PanelSource, modes: Sequence[ModeConfig], members: list[int], burn_in: int
 ) -> Iterator[tuple[int, ReplayResult, ModeResult]]:
     """Score the modes at `members` of `modes`, which share a panel and a
-    bias ledger, from one ledger pass."""
-    state = None
+    bias key, from one ledger pass."""
+    first = modes[members[0]]
+    state = ledger_state(source.panel_for(first), first.bias_key)
     for i in members:
-        panel = source.panel_for(modes[i])
-        if state is None:
-            state = ledger_state(panel, ledger_key(modes[i]))
-        replay = run_mode(panel, modes[i], state)
+        replay = run_mode(state, modes[i])
         yield i, replay, evaluate_mode(replay, modes[i], burn_in)
 
 
 def run_mode_matrix(
-    source: PanelSource, modes: Sequence[ModeConfig], burn_in: int = 24
+    source: PanelSource, modes: Sequence[ModeConfig], burn_in: int
 ) -> Iterator[tuple[int, ReplayResult, ModeResult]]:
     """Score every mode, handing out each mode's index in `modes`, replay
     and three statistics as soon as it is scored, and keeping neither.
 
-    Modes that share a panel and a bias ledger score from one ledger pass.
+    Modes that share a panel and a bias key score from one ledger pass.
     The groups run in panel-key order, so each panel's groups run back to
     back, and after a panel's last group the source drops it unless it is
     the default panel. A caller that lets go of each replay once it has
     used it holds one group's state and at most two panels at a time: the
     default panel and the current one.
     """
-    panels: dict[tuple[str, int], dict[tuple, list[int]]] = {}
+    panels: dict[tuple[str, int], dict[Optional[str], list[int]]] = {}
     for i, mode in enumerate(modes):
-        panels.setdefault(source.panel_key(mode), {}).setdefault(ledger_key(mode), []).append(i)
+        panels.setdefault(source.panel_key(mode), {}).setdefault(mode.bias_key, []).append(i)
     for key in sorted(panels):
         for members in panels[key].values():
             yield from _score_group(source, modes, members, burn_in)

@@ -9,22 +9,25 @@ all-analyst event average: (v - mean) / mean.
 
 from __future__ import annotations
 
-import math
-from typing import Mapping
-
 import numpy as np
 
 FEATURE_NAMES = ("age", "freq", "ncos", "top10", "exp", "mae")
 SCALINGS = ("normalized", "centered")
 
 
-def top10_brokers(census: Mapping[str, int]) -> set:
-    """Brokers in the top decile by analyst count; ties at the cutoff included."""
-    if not census:
-        return set()
-    cutoff = math.ceil(0.1 * len(census))
-    threshold = sorted(census.values(), reverse=True)[cutoff - 1]
-    return {b for b, n in census.items() if n >= threshold}
+def top10_brokers(period: np.ndarray, census: np.ndarray) -> np.ndarray:
+    """For each (period, broker) entry, whether the broker is in its
+    period's top decile by analyst count `census`: of a period's n brokers,
+    those whose count reaches the ceil(0.1 * n)-th largest, so ties at the
+    cutoff are included."""
+    order = np.lexsort((-census, period))  # each period's entries, largest count first
+    period, census = period[order], census[order]
+    starts = np.flatnonzero(np.diff(period, prepend=period[:1] - 1))
+    sizes = np.diff(np.append(starts, len(period)))
+    threshold = census[starts + np.ceil(0.1 * sizes).astype(np.int64) - 1]
+    flags = np.empty(len(order), bool)
+    flags[order] = census >= np.repeat(threshold, sizes)
+    return flags
 
 
 def normalize(values: np.ndarray, scaling: str = "normalized") -> np.ndarray:

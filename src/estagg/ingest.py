@@ -35,7 +35,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace as dc_replace
 from functools import cached_property
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -731,13 +731,8 @@ def build_panel(
     # np.sort and a mask: numpy 2.4's flagless np.unique hashes, about 25x slower here
     trios = np.sort(pair * n_analysts + t.analyst[rows])
     census = np.bincount(trios[_new(trios)] // n_analysts, minlength=len(pairs))
-    in_top: list[bool] = []
-    periods, brokers = np.divmod(pairs, n_brokers)
-    for _, members in groupby(zip(periods.tolist(), brokers.tolist(), census.tolist()), itemgetter(0)):
-        analysts_of = {t.broker_ids[b]: n for _, b, n in members}
-        top = top10_brokers(analysts_of)
-        in_top += [b in top for b in analysts_of]
-    ncos, top10 = ncos[cover], np.array(in_top, bool)[pair[last]]  # each group's, from its kept row
+    in_top = top10_brokers(pairs // n_brokers, census)  # one flag per (period, broker) pair
+    ncos, top10 = ncos[cover], in_top[pair[last]]  # each group's, from its kept row
     del period, cover, pair, trios  # free the censuses' per-row arrays before the stream's are built
 
     # ledger stream, chronological by announcement; records tied on

@@ -6,8 +6,8 @@ sums over its key's records at strictly earlier announce times, and reads
 every kept estimate's as the stream record it is. Records at one announce
 time are not visible to each other, so simultaneous announcements cannot
 leak into each other. Mode scoring then normalizes, fits and weights from
-those reads; every mode with the same bias ledger (see `ledger_key`) can
-score from one pass.
+those reads; every mode with the same bias key (None for no bias
+correction) scores from one pass.
 
 A panel's events are rows of an actuals table, and event j's estimates
 are the panel's rows bounds[j]:bounds[j+1]. Scoring works on size
@@ -61,7 +61,7 @@ class LedgerState:
     for the modes that share the pass."""
 
     panel: Panel
-    key: tuple[bool, Optional[str]]
+    key: Optional[str]  # the bias key of the modes the pass serves
     adjusted: np.ndarray  # raw estimates minus their biases
     aae: np.ndarray  # absolute bias-adjusted errors, the dependent variable
     history: np.ndarray  # (rows, 2) experience and mean past absolute error
@@ -99,21 +99,15 @@ class LedgerState:
         return self._models[key]
 
 
-def ledger_key(mode: ModeConfig) -> tuple[bool, Optional[str]]:
-    """Modes with equal keys read identical ledgers on the same panel."""
-    return (mode.use_bias, mode.bias_key if mode.use_bias else None)
-
-
-def ledger_state(panel: Panel, key: tuple[bool, Optional[str]]) -> LedgerState:
-    """Record the panel's stream in the ledgers of `key` (see `ledger_key`)
-    and read every kept estimate's bias and history as of its own announce
-    time, so no record at that time is visible to it."""
+def ledger_state(panel: Panel, bias_key: Optional[str]) -> LedgerState:
+    """Record the panel's stream in the bias ledger of `bias_key` and the
+    history ledger, and read every kept estimate's bias and history as of
+    its own announce time, so no record at that time is visible to it."""
     stream = panel.stream
-    use_bias, bias_key = key
     # each stream record's bias as of its own announce time; the no-bias
-    # pass reads no bias, so it keeps no bias ledger
+    # pass (bias_key None) reads no bias, so it keeps no bias ledger
     bias = np.zeros(len(stream.error_cents))
-    if use_bias:
+    if bias_key is not None:
         bias_tracker = BiasTracker(bias_key)
         bias_tracker.record(stream.announce_ts, stream.ident, stream.firm, stream.error_cents)
         bias = bias_tracker.bias(np.arange(len(bias)))
@@ -129,29 +123,23 @@ def ledger_state(panel: Panel, key: tuple[bool, Optional[str]]) -> LedgerState:
     history = np.column_stack([experience, hist.mean_abs_error(panel.records)])
     raw, bias = panel.value_cents.astype(float), bias[panel.records]
     actual = np.repeat(panel.events.value_cents, np.diff(panel.bounds)).astype(float)
-    return LedgerState(panel, key, raw - bias, np.abs((raw - actual) - bias), history)
+    return LedgerState(panel, bias_key, raw - bias, np.abs((raw - actual) - bias), history)
 
 
 # the name of each fallback_reason code, as events_*.csv writes it
 FALLBACK_NAMES = ("", "no_previous_model", "degenerate_weights")
 
 
-def improved_consensus(
-    state: LedgerState,
-    bucket: SizeBucket,
-    X: np.ndarray,
-    mode: ModeConfig,
-    models: dict[int, PeriodModel],
-) -> np.recarray:
+def improved_consensus(state: LedgerState, bucket: SizeBucket, mode: ModeConfig) -> np.recarray:
     """Score a bucket's events, in bucket order, from their rows of the
-    ledger pass `state`, the panel's normalized rows `X` in row order and
-    the model of each one's previous quarter in `models` (by quarter index).
+    ledger pass `state`, its normalized rows and each event's previous
+    quarter's model under the mode's scaling and mask.
     Each record is an event's `improved`, `fallback_reason` code and (n,) `weights`.
 
-    The events with a model gather their (n, 6) design matrices from `X`
-    through the bucket's rows. Each event's predictions and weighted sum
-    are one (n, 6) @ (6, 1) and one (1, n) @ (n, 1) product of its own
-    matrix, the arithmetic of scoring it alone.
+    The events with a model gather their (n, 6) design matrices from the
+    normalized rows through the bucket's rows. Each event's predictions
+    and weighted sum are one (n, 6) @ (6, 1) and one (1, n) @ (n, 1)
+    product of its own matrix, the arithmetic of scoring it alone.
     """
     adjusted = state.adjusted[bucket.rows]
     k, n = adjusted.shape
@@ -165,16 +153,16 @@ def improved_consensus(
     else:
         improved = adjusted.mean(axis=-1)
         weights = np.full((k, n), 1.0 / n)
-        if mode.use_expertise:
-            # one model lookup per previous quarter of the bucket's events
-            quarters, of_quarter = np.unique(state.panel.layout.qidx[bucket.order] - 1, return_inverse=True)
-            prev = [models.get(q) for q in quarters.tolist()]
-            fitted = np.flatnonzero(np.array([model is not None for model in prev])[of_quarter])
-            fallback[:] = 1
-            fallback[fitted] = 0
-        else:
-            fitted = np.empty(0, np.int64)
+    if mode.method == "weighted":
+        # one model lookup per previous quarter of the bucket's events
+        models = state.models(mode.scaling, mode.variable_mask)
+        quarters, of_quarter = np.unique(state.panel.layout.qidx[bucket.order] - 1, return_inverse=True)
+        prev = [models.get(q) for q in quarters.tolist()]
+        fitted = np.flatnonzero(np.array([model is not None for model in prev])[of_quarter])
+        fallback[:] = 1
+        fallback[fitted] = 0
         if len(fitted):
+            X, _ = state.rows(mode.scaling)
             betas = np.array([np.zeros(X.shape[-1]) if model is None else model.beta for model in prev])
             w = weight_vector((X[bucket.rows[fitted]] @ betas[of_quarter[fitted], :, None])[..., 0], mode.exponent)
             total = w.sum(axis=-1)
@@ -188,20 +176,18 @@ def improved_consensus(
     return np.rec.fromarrays([improved, fallback, weights], dtype=dtype)
 
 
-def run_mode(panel: Panel, mode: ModeConfig, state: Optional[LedgerState] = None) -> ReplayResult:
-    """Replay one mode over the whole panel, scoring from ``state`` (a
-    ledger pass over this panel with the mode's ledger key) when given."""
-    if state is None:
-        state = ledger_state(panel, ledger_key(mode))
-    elif state.panel is not panel or state.key != ledger_key(mode):
-        raise ValueError(f"mode {mode.label}: ledger state is for another panel or bias ledger")
+def run_mode(state: LedgerState, mode: ModeConfig) -> ReplayResult:
+    """Replay one mode over the whole panel of the ledger pass `state`,
+    which must be keyed by the mode's bias key."""
+    if state.key != mode.bias_key:
+        raise ValueError(f"mode {mode.label}: ledger state is for bias key {state.key!r}, not {mode.bias_key!r}")
+    panel = state.panel
     models = state.models(mode.scaling, mode.variable_mask)
-    X, _ = state.rows(mode.scaling)
     # the buckets hold the events by size; scatter them back into announcement order
     improved, fallback_reason = np.empty(len(panel.events)), np.empty(len(panel.events), np.int8)
     weights = np.empty(len(panel.value_cents))
     for bucket in panel.layout.buckets:
-        scored = improved_consensus(state, bucket, X, mode, models)
+        scored = improved_consensus(state, bucket, mode)
         improved[bucket.order], fallback_reason[bucket.order] = scored.improved, scored.fallback_reason
         weights[bucket.rows] = scored.weights
     logger.info("mode %s: %d events scored, %d models fit", mode.label, len(improved), len(models))

@@ -16,7 +16,7 @@ from estagg.ingest import (
     parse_estimates,
 )
 from estagg.periods import format_ts, parse_ts
-from estagg.replay import ReplayResult
+from estagg.replay import ReplayResult, ledger_state, run_mode
 from estagg.synth import SynthSpec, generate_rows
 from oracles import replay_view
 
@@ -106,6 +106,11 @@ def outcome_fields(outcome):
     fields = asdict(outcome)
     weights = fields.pop("weights")
     return fields, (weights.dtype.str, weights.shape, weights.tobytes())
+
+
+def replay_mode(panel, mode):
+    """One mode replayed over a panel from a ledger pass of its own."""
+    return run_mode(ledger_state(panel, mode.bias_key), mode)
 
 
 def replay_outcome(replay, panel, mode):

@@ -2,16 +2,16 @@
 against. None of them is used by the pipeline itself."""
 
 import csv
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from estagg.aggregate import _MARGIN_TOL, MODE_DESCRIPTIONS, ModeConfig
 from estagg.evaluate import ModeResult, trend_stat
-from estagg.features import top10_brokers
 from estagg.ingest import (
     ACTUAL_COLUMNS,
     ESTIMATE_COLUMNS,
@@ -313,11 +313,20 @@ def median_stat(values: Sequence[float]) -> float:
     return b if a_inf else a
 
 
+def sum_left_to_right(values) -> float:
+    """0.0 plus each value in turn, on every Python version (the builtin
+    sum compensates its float additions since 3.12)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def average_stat(pairs: Sequence[SurprisePair]) -> Optional[float]:
-    denom = sum(abs(p.original) for p in pairs)
+    denom = sum_left_to_right(abs(p.original) for p in pairs)
     if denom == 0.0:
         return None
-    num = sum(abs(p.improved) for p in pairs)
+    num = sum_left_to_right(abs(p.improved) for p in pairs)
     return 1.0 - num / denom
 
 
@@ -451,6 +460,15 @@ class ObjectPanel:
     top10_census: dict[Quarter, dict[str, int]]
     report: IngestReport
     identity: str = "analyst"
+
+
+def top10_brokers(census: Mapping[str, int]) -> set:
+    """Brokers in the top decile by analyst count; ties at the cutoff included."""
+    if not census:
+        return set()
+    cutoff = math.ceil(0.1 * len(census))
+    threshold = sorted(census.values(), reverse=True)[cutoff - 1]
+    return {b for b, n in census.items() if n >= threshold}
 
 
 def columnar_panel(panel: ObjectPanel) -> Panel:
@@ -593,7 +611,7 @@ def improved_consensus(
         improved = float(adjusted[i])
         weights = np.zeros(n)
         weights[i] = 1.0
-    elif not mode.use_expertise:
+    elif mode.method == "equal":
         improved = float(adjusted.mean())
         weights = np.full(n, 1.0 / n)
     elif prev_model is None:
@@ -642,7 +660,7 @@ def _improved_consensus(
     """
     raw = np.array([e.value_cents for e in event.estimates], dtype=float)
     idents = [e.identity for e in event.estimates]
-    if mode.use_bias:
+    if mode.bias_key is not None:
         biases = np.array([bias_tracker.bias(i, event.firm_id) for i in idents])
         adjusted = raw - biases
     else:
@@ -668,7 +686,7 @@ def replay_oracle(panel: ObjectPanel, mode: ModeConfig) -> OracleReplay:
     timestamps = [r.announce_ts for r in panel.stream] + [e.announce_ts for e in panel.events]
     q0 = quarter_index(quarter_of_ts(min(timestamps)))
 
-    bias_tracker = BiasTracker("global" if not mode.use_bias else mode.bias_key)
+    bias_tracker = BiasTracker("global" if mode.bias_key is None else mode.bias_key)
     hist = HistoryLedger()
     models: list[PeriodModel] = []
     model_by_qidx: dict[int, PeriodModel] = {}
@@ -716,7 +734,7 @@ def replay_oracle(panel: ObjectPanel, mode: ModeConfig) -> OracleReplay:
         pending = []
         for rec in records_by_ts.get(ts, ()):
             err = rec.value_cents - rec.actual_cents
-            b = bias_tracker.bias(rec.identity, rec.firm_id) if mode.use_bias else 0.0
+            b = 0.0 if mode.bias_key is None else bias_tracker.bias(rec.identity, rec.firm_id)
             pending.append((rec.identity, rec.firm_id, err, abs(err - b)))
         for identity, firm, err, aae in pending:
             bias_tracker.record(identity, firm, err)

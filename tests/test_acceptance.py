@@ -12,7 +12,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import actual_rows, actuals_from_rows, estimate_rows, estimates_from_rows, load_synth, stream_rows
+from conftest import (
+    actual_rows,
+    actuals_from_rows,
+    estimate_rows,
+    estimates_from_rows,
+    load_synth,
+    replay_mode,
+    stream_rows,
+)
 from estagg.aggregate import ModeConfig, default_mode_matrix, modes_by_label
 from estagg.evaluate import (
     PanelSource,
@@ -26,7 +34,6 @@ from estagg.evaluate import (
 from estagg.ingest import FilterConfig, build_panel
 from estagg.model import FULL_MASK, fit_period
 from estagg.periods import format_ts, parse_ts
-from estagg.replay import run_mode
 from estagg.synth import SynthSpec
 from oracles import outcome_views, panel_analysts, panel_events, panel_idents, quarter_index
 
@@ -91,7 +98,7 @@ def test_criterion_02_truncation_leaves_past_outputs_bit_exact():
 
     def outcomes_by_key(panel):
         """Each event's outcome, its weights keyed by identity."""
-        result = run_mode(panel, ModeConfig())
+        result = replay_mode(panel, ModeConfig())
         idents = panel_idents(panel)
         return {
             (o.firm_id, o.period): (
@@ -195,7 +202,7 @@ def test_criterion_05_no_signal_panel_reports_no_improvement():
     ests, acts, _ = load_synth(spec)
     panel = build_panel(ests, acts, FilterConfig())
     mode = ModeConfig()
-    med, avg, _, n = stats_for(run_mode(panel, mode), mode, burn_in=40)
+    med, avg, _, n = stats_for(replay_mode(panel, mode), mode, burn_in=40)
     ok = n >= 2000 and abs(med) < 0.02 and abs(avg) < 0.02
     report(5, f"null panel: median={med:+.4f} average={avg:+.4f} n={n}", ok)
 
@@ -203,8 +210,8 @@ def test_criterion_05_no_signal_panel_reports_no_improvement():
 def test_criterion_06_reduction_identities(small_panel_inputs):
     ests, acts, _ = small_panel_inputs
     panel = build_panel(ests, acts, FilterConfig())
-    plain = ModeConfig(label="plain", use_bias=False, use_expertise=False)
-    med, avg, trend, n = stats_for(run_mode(panel, plain), plain, burn_in=2)
+    plain = ModeConfig(label="plain", bias_key=None, method="equal")
+    med, avg, trend, n = stats_for(replay_mode(panel, plain), plain, burn_in=2)
     ok = n > 0 and med == 0.0 and avg == 0.0 and abs(trend) < 1e-12
 
     # identical predictions (every estimate equals the actual) must come out
@@ -227,7 +234,7 @@ def test_criterion_06_reduction_identities(small_panel_inputs):
     # never a nonzero statistic
     may_be_empty = {"institution", "cutoff_30d", "cutoff_60d"}
     for mode in default_mode_matrix():
-        rr = run_mode(source.panel_for(mode), mode)
+        rr = replay_mode(source.panel_for(mode), mode)
         if mode.label not in may_be_empty:
             ok &= bool(len(rr.improved))
         ok &= all(o.improved == o.actual_cents for o in outcome_views(rr))
@@ -263,9 +270,9 @@ def test_criterion_08_statistics_invariant_to_money_rescaling(small_panel_inputs
     ests_s = replace(ests, value_cents=ests.value_cents * c)
     acts_s = replace(acts, value_cents=acts.value_cents * c)
     mode = ModeConfig()
-    base = stats_for(run_mode(build_panel(ests, acts, FilterConfig()), mode), mode, burn_in=4)
+    base = stats_for(replay_mode(build_panel(ests, acts, FilterConfig()), mode), mode, burn_in=4)
     scaled = stats_for(
-        run_mode(build_panel(ests_s, acts_s, FilterConfig(surprise_cap_cents=50 * c)), mode),
+        replay_mode(build_panel(ests_s, acts_s, FilterConfig(surprise_cap_cents=50 * c)), mode),
         mode,
         burn_in=4,
     )

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import constant_bias_panel
+from conftest import constant_bias_panel, replay_mode
 from estagg.aggregate import ModeConfig, default_mode_matrix, modes_by_label, weight_vector
 from estagg.ingest import FilterConfig, build_panel
-from estagg.replay import run_mode
 from oracles import outcome_views, panel_events, panel_idents, weight
 
 
@@ -63,7 +62,7 @@ def replayed_simple_consensus(offsets, actual=100):
     each analyst misses the actual by a fixed offset."""
     ests, acts = constant_bias_panel(offsets, actual=actual)
     panel = build_panel(ests, acts, FilterConfig(min_analysts=len(offsets)))
-    outcomes = outcome_views(run_mode(panel, ModeConfig()))
+    outcomes = outcome_views(replay_mode(panel, ModeConfig()))
     assert outcomes
     return {o.simple_consensus for o in outcomes}
 
@@ -103,6 +102,22 @@ class TestModeConfig:
     def test_unknown_setting_rejected(self, setting, message):
         with pytest.raises(ValueError, match=message):
             ModeConfig(**setting)
+
+    def test_no_bias_and_equal_weights_accepted(self):
+        mode = ModeConfig(bias_key=None, method="equal")
+        assert (mode.bias_key, mode.method) == (None, "equal")
+
+    @pytest.mark.parametrize(
+        "setting, known",
+        [
+            ({"method": "median"}, "['weighted', 'equal', 'closest']"),
+            ({"bias_key": "sector"}, "['identity_firm', 'identity', 'firm', 'global', 'half', None]"),
+        ],
+    )
+    def test_unknown_choice_lists_known_values(self, setting, known):
+        with pytest.raises(ValueError) as exc:
+            ModeConfig(**setting)
+        assert str(exc.value).endswith(f"; known: {known}")
 
     def test_build_panel_rejects_unknown_identity(self):
         ests, acts = constant_bias_panel([0] * 8)
@@ -155,7 +170,7 @@ class TestImprovedConsensus:
         biases = [8, -4, 6, -2, 10, -6, 4, 2]
         ests, acts = constant_bias_panel(biases)
         panel = build_panel(ests, acts, FilterConfig())
-        rr = run_mode(panel, ModeConfig())
+        rr = replay_mode(panel, ModeConfig())
         assert len(rr.improved) == 3  # first event only feeds history
         for o in outcome_views(rr):
             assert o.improved == pytest.approx(100.0, abs=1e-9)
@@ -164,8 +179,8 @@ class TestImprovedConsensus:
     def test_reduction_to_simple_consensus(self, small_panel_inputs):
         ests, acts, _ = small_panel_inputs
         panel = build_panel(ests, acts, FilterConfig())
-        mode = ModeConfig(label="plain", use_bias=False, use_expertise=False)
-        rr = run_mode(panel, mode)
+        mode = ModeConfig(label="plain", bias_key=None, method="equal")
+        rr = replay_mode(panel, mode)
         assert len(rr.improved)
         for o in outcome_views(rr):
             assert o.improved == o.simple_consensus  # bitwise: same mean
@@ -173,7 +188,7 @@ class TestImprovedConsensus:
     def test_weights_sum_to_one_or_fallback(self, small_panel_inputs):
         ests, acts, _ = small_panel_inputs
         panel = build_panel(ests, acts, FilterConfig())
-        rr = run_mode(panel, ModeConfig())
+        rr = replay_mode(panel, ModeConfig())
         for o in outcome_views(rr):
             assert o.weights.shape == (o.n_analysts,)
             assert sum(o.weights.tolist()) == pytest.approx(1.0, abs=1e-9)
@@ -182,7 +197,7 @@ class TestImprovedConsensus:
         ests, acts, _ = small_panel_inputs
         panel = build_panel(ests, acts, FilterConfig())
         values = {(e.firm_id, e.period): panel.value_cents[e.rows].tolist() for e in panel_events(panel)}
-        rr = run_mode(panel, ModeConfig(label="exp_only", use_bias=False))
+        rr = replay_mode(panel, ModeConfig(label="exp_only", bias_key=None))
         for o in outcome_views(rr):
             vals = values[(o.firm_id, o.period)]
             assert min(vals) - 1e-9 <= o.improved <= max(vals) + 1e-9
@@ -190,8 +205,8 @@ class TestImprovedConsensus:
     def test_determinism(self, small_panel_inputs):
         ests, acts, _ = small_panel_inputs
         panel = build_panel(ests, acts, FilterConfig())
-        r1 = run_mode(panel, ModeConfig())
-        r2 = run_mode(panel, ModeConfig())
+        r1 = replay_mode(panel, ModeConfig())
+        r2 = replay_mode(panel, ModeConfig())
         assert [(o.improved, o.simple_consensus, o.weights.tobytes()) for o in outcome_views(r1)] == [
             (o.improved, o.simple_consensus, o.weights.tobytes()) for o in outcome_views(r2)
         ]
@@ -216,8 +231,8 @@ class TestImprovedConsensus:
     def test_exponent_change_only_affects_positive_weight_rows(self, small_panel_inputs):
         ests, acts, _ = small_panel_inputs
         panel = build_panel(ests, acts, FilterConfig())
-        r12 = run_mode(panel, ModeConfig(exponent=1.2))
-        r20 = run_mode(panel, ModeConfig(label="exponent_2", exponent=2.0))
+        r12 = replay_mode(panel, ModeConfig(exponent=1.2))
+        r20 = replay_mode(panel, ModeConfig(label="exponent_2", exponent=2.0))
         for a, b in zip(outcome_views(r12), outcome_views(r20)):
             za = np.flatnonzero(a.weights == 0.0).tolist()
             zb = np.flatnonzero(b.weights == 0.0).tolist()

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import constant_bias_panel
+from conftest import constant_bias_panel, replay_mode
 from estagg import bias
 from estagg.aggregate import BIAS_KEYS, ModeConfig
 from estagg.ingest import FilterConfig, build_panel
-from estagg.replay import run_mode
 from oracles import BiasTracker, ErrorLedger, HistoryLedger, blended_bias, outcome_views
 
 
@@ -17,7 +16,7 @@ def replayed(offset):
     """Scored outcomes of a panel where all eight analysts miss the actual
     (100 cents) by the same offset every quarter."""
     ests, acts = constant_bias_panel([offset] * 8)
-    return outcome_views(run_mode(build_panel(ests, acts, FilterConfig()), ModeConfig()))
+    return outcome_views(replay_mode(build_panel(ests, acts, FilterConfig()), ModeConfig()))
 
 
 class TestSignedError:

@@ -193,10 +193,20 @@ class TestArrayStatisticsMatchScalarOracles:
         # terms summed pairwise first reach 1 + 4000 * 2**-53
         original = np.array([1.0] + [2.0**-53] * 4000)
         improved = original[::-1] / 3
-        left_to_right = sum(original.tolist())
+        left_to_right = oracles.sum_left_to_right(original.tolist())
         assert np.sum(original) != left_to_right == 1.0
         scalar_pairs = [SurprisePair(o, i) for o, i in zip(original.tolist(), improved.tolist())]
         assert average_stat(original, improved) == oracles.average_stat(scalar_pairs)
+
+
+    def test_sum_where_compensated_addition_differs(self):
+        # 1e16 + 1 rounds back to 1e16 when added one at a time; the builtin
+        # sum of Python 3.12 and later compensates and reaches 1e16 + 2
+        original = np.array([1e16, 1.0, 1.0])
+        improved = np.array([1e16, 0.0, 0.0])
+        assert oracles.sum_left_to_right(original.tolist()) == 1e16
+        assert average_stat(original, improved) == 0.0
+        assert oracles.average_stat([SurprisePair(o, i) for o, i in zip(original, improved)]) == 0.0
 
 
 class TestClosestAnalyst:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
 from estagg.features import normalize, normalize_event, top10_brokers
 from oracles import HistoryLedger
 
@@ -16,13 +17,22 @@ def mean_abs_error(history):
     return ledger.mean_abs_error("A", "F")
 
 
+def decile(census):
+    """One period's top-decile brokers by the array form, which must agree
+    with the dict oracle."""
+    flags = top10_brokers(np.zeros(len(census), np.int64), np.array(list(census.values()), np.int64))
+    got = {b for b, flag in zip(census, flags.tolist()) if flag}
+    assert got == oracles.top10_brokers(census)
+    return got
+
+
 class TestTop10:
     def test_decile_boundary(self):
         census = {f"B{i}": 10 - i for i in range(10)}  # counts 10..1
-        assert top10_brokers(census) == {"B0"}
+        assert decile(census) == {"B0"}
 
     def test_single_broker_degenerate_decile(self):
-        assert top10_brokers({"B": 1}) == {"B"}
+        assert decile({"B": 1}) == {"B"}
 
     def test_ties_at_cutoff_all_included(self):
         # 20 brokers -> cutoff rank 2; two brokers tie at the 2nd-largest count
@@ -32,11 +42,25 @@ class TestTop10:
         counts = sorted(census.values(), reverse=True)
         threshold = counts[1]
         expected = {b for b, c in census.items() if c >= threshold}
-        assert top10_brokers(census) == expected
+        assert decile(census) == expected
         assert expected == {"B0", "B1", "B2"}
 
     def test_empty_census(self):
-        assert top10_brokers({}) == set()
+        assert decile({}) == set()
+
+    @given(st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=45), max_size=6), st.randoms())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dict_oracle_per_period(self, periods, rnd):
+        # small counts tie at the cutoff often, up to 45 brokers put the
+        # cutoff at the 1st to 5th count, and entries come in any order
+        entries = [(p, b, n) for p, counts in enumerate(periods) for b, n in enumerate(counts)]
+        rnd.shuffle(entries)
+        period = np.array([p for p, _, _ in entries], np.int64)
+        census = np.array([n for _, _, n in entries], np.int64)
+        flags = top10_brokers(period, census)
+        for p, counts in enumerate(periods):
+            top = oracles.top10_brokers({b: n for b, n in enumerate(counts)})
+            assert {b for (q, b, _), flag in zip(entries, flags.tolist()) if q == p and flag} == top
 
 
 class TestMae:

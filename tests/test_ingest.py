@@ -22,6 +22,7 @@ from conftest import (
     constant_bias_panel,
     estimate_rows,
     estimates_from_rows,
+    replay_mode,
     replay_outcome,
     stream_rows,
 )
@@ -45,7 +46,6 @@ from estagg.ingest import (
     parse_estimates,
 )
 from estagg.periods import format_ts, parse_ts
-from estagg.replay import run_mode
 from estagg.synth import SynthSpec, generate, generate_rows
 from oracles import (
     actuals_from_rows_oracle,
@@ -467,7 +467,7 @@ class TestPanelProperties:
 
 
 # one mode per ledger key kind: bias per identity-firm, no bias, the blend
-REPLAY_MODES = (ModeConfig(), ModeConfig(label="no_bias", use_bias=False), ModeConfig(label="bias_half", bias_key="half"))
+REPLAY_MODES = (ModeConfig(), ModeConfig(label="no_bias", bias_key=None), ModeConfig(label="bias_half", bias_key="half"))
 
 
 def assert_same_panel(rows, oracle_ests, act_rows, cfg, identity):
@@ -477,7 +477,7 @@ def assert_same_panel(rows, oracle_ests, act_rows, cfg, identity):
     oracle = build_panel_oracle(oracle_ests, actuals_from_rows_oracle(act_rows), cfg, identity)
     assert_panel_equals(got, columnar_panel(oracle))
     for mode in REPLAY_MODES:
-        assert replay_outcome(run_mode, got, mode) == replay_outcome(replay_oracle, oracle, mode)
+        assert replay_outcome(replay_mode, got, mode) == replay_outcome(replay_oracle, oracle, mode)
 
 
 def assert_panel_equals(got, want):

@@ -16,6 +16,7 @@ from conftest import (
     load_synth,
     mixed_size_rows,
     outcome_fields,
+    replay_mode,
 )
 from estagg import evaluate, replay
 from estagg.aggregate import ModeConfig, default_mode_matrix
@@ -25,7 +26,7 @@ from estagg.evaluate import PanelSource, run_mode_matrix
 from estagg.ingest import FilterConfig, Panel, build_panel
 from estagg.model import mask_without
 from estagg.periods import format_ts, parse_ts
-from estagg.replay import ledger_key, ledger_state, run_mode
+from estagg.replay import ledger_state, run_mode
 from estagg.synth import SynthSpec
 import oracles
 from oracles import (
@@ -65,13 +66,13 @@ class TestTemporalHygiene:
     def test_future_events_do_not_change_past_outputs(self, inputs):
         ests, acts, _ = inputs
         full_panel = build_panel(ests, acts, FilterConfig())
-        full = run_mode(full_panel, ModeConfig())
+        full = replay_mode(full_panel, ModeConfig())
 
         cut_q = sorted({quarter_index((r[1], r[2])) for r in actual_rows(acts)})[5]
         act_rows_cut = [r for r in actual_rows(acts) if quarter_index((r[1], r[2])) <= cut_q]
         keep = {(r[0], (r[1], r[2])) for r in act_rows_cut}
         ests_cut = estimates_from_rows([r for r in estimate_rows(ests) if (r[2], (r[3], r[4])) in keep])
-        truncated = run_mode(build_panel(ests_cut, actuals_from_rows(act_rows_cut), FilterConfig()), ModeConfig())
+        truncated = replay_mode(build_panel(ests_cut, actuals_from_rows(act_rows_cut), FilterConfig()), ModeConfig())
 
         trunc = outcomes_by_key(truncated)
         for o in outcome_views(full):
@@ -80,7 +81,7 @@ class TestTemporalHygiene:
 
     def test_first_quarter_has_no_model_and_falls_back(self, inputs):
         ests, acts, _ = inputs
-        rr = run_mode(build_panel(ests, acts, FilterConfig()), ModeConfig())
+        rr = replay_mode(build_panel(ests, acts, FilterConfig()), ModeConfig())
         first = min(o.quarter_offset for o in outcome_views(rr))
         for o in outcome_views(rr):
             if o.quarter_offset == first:
@@ -89,7 +90,7 @@ class TestTemporalHygiene:
     def test_models_only_from_scored_quarters(self, inputs):
         ests, acts, _ = inputs
         panel = build_panel(ests, acts, FilterConfig())
-        rr = run_mode(panel, ModeConfig())
+        rr = replay_mode(panel, ModeConfig())
         scored_quarters = {quarter_index(quarter_of_ts(o.announce_ts)) for o in outcome_views(rr)}
         model_quarters = {quarter_index(m.quarter) for m in rr.models}
         assert model_quarters <= scored_quarters
@@ -115,8 +116,8 @@ class TestSimultaneousAnnouncements:
 
     def test_no_within_timestamp_leak(self):
         mode = ModeConfig(bias_key="identity")
-        base = run_mode(build_panel(*self._inputs(100), FilterConfig()), mode)
-        moved = run_mode(build_panel(*self._inputs(140), FilterConfig()), mode)
+        base = replay_mode(build_panel(*self._inputs(100), FilterConfig()), mode)
+        moved = replay_mode(build_panel(*self._inputs(140), FilterConfig()), mode)
         f2_base = [o for o in outcome_views(base) if o.firm_id == "F2"]
         f2_moved = [o for o in outcome_views(moved) if o.firm_id == "F2"]
         assert [o.improved for o in f2_base] == [o.improved for o in f2_moved]
@@ -130,8 +131,8 @@ class TestScaleInvariance:
         c = 3
         ests_s = replace(ests, value_cents=ests.value_cents * c)
         acts_s = replace(acts, value_cents=acts.value_cents * c)
-        r1 = run_mode(build_panel(ests, acts, FilterConfig()), ModeConfig())
-        r2 = run_mode(
+        r1 = replay_mode(build_panel(ests, acts, FilterConfig()), ModeConfig())
+        r2 = replay_mode(
             build_panel(ests_s, acts_s, FilterConfig(surprise_cap_cents=50 * c)), ModeConfig()
         )
         assert len(r1.improved) == len(r2.improved)
@@ -195,7 +196,6 @@ class TestSharedState:
 
         normalize_event = replay.normalize_event
         monkeypatch.setattr(evaluate, "ledger_state", counting_ledger_state)
-        monkeypatch.setattr(replay, "ledger_state", counting_ledger_state)
         monkeypatch.setattr(replay, "normalize_event", counting_normalize_event)
         modes = default_mode_matrix()
         for _ in run_mode_matrix(source, modes, burn_in=self.BURN_IN):
@@ -231,16 +231,18 @@ class TestSharedState:
         assert len(laid_out) == len({fresh.panel_key(m) for m in modes}) == 4
         full, no_bias = modes[0], modes[2]
         panel = fresh.panel_for(full)
-        first, second = ledger_state(panel, ledger_key(full)), ledger_state(panel, ledger_key(no_bias))
+        first, second = ledger_state(panel, full.bias_key), ledger_state(panel, no_bias.bias_key)
         assert first.panel.layout is second.panel.layout
         assert len(laid_out) == 4
 
     def test_state_from_another_ledger_rejected(self, source):
         full, no_bias = default_mode_matrix()[:3:2]
-        panel = source.panel_for(full)
-        state = ledger_state(panel, ledger_key(full))
-        with pytest.raises(ValueError, match="ledger state"):
-            run_mode(panel, no_bias, state)
+        state = ledger_state(source.panel_for(full), full.bias_key)
+        for other in (no_bias, replace(full, label="bias_global", bias_key="global")):
+            with pytest.raises(ValueError, match="ledger state is for bias key 'identity_firm'"):
+                run_mode(state, other)
+        with pytest.raises(ValueError, match="ledger state is for bias key None"):
+            run_mode(ledger_state(source.panel_for(full), None), full)
 
     def test_no_bias_pass_keeps_no_bias_ledger(self, source, monkeypatch):
         made = []
@@ -253,9 +255,9 @@ class TestSharedState:
         monkeypatch.setattr(replay, "BiasTracker", CountingTracker)
         full, no_bias = default_mode_matrix()[:3:2]
         panel = source.panel_for(full)
-        assert len(ledger_state(panel, ledger_key(no_bias)).aae)
+        assert len(ledger_state(panel, no_bias.bias_key).aae)
         assert made == []
-        ledger_state(panel, ledger_key(full))
+        ledger_state(panel, full.bias_key)
         assert made == [full.bias_key]
 
 
@@ -299,10 +301,10 @@ class TestSizeBuckets:
                 oracle_panel = build_panel_oracle(ests, acts, FilterConfig(min_analysts=2), mode.identity)
                 panels[mode.identity] = oracle_panel, columnar_panel(oracle_panel)
             oracle_panel, panel = panels[mode.identity]
-            key = (mode.identity, ledger_key(mode))
+            key = (mode.identity, mode.bias_key)
             if key not in states:
-                states[key] = ledger_state(panel, ledger_key(mode))
-            out[mode.label] = (panel, run_mode(panel, mode, states[key]), replay_oracle(oracle_panel, mode))
+                states[key] = ledger_state(panel, mode.bias_key)
+            out[mode.label] = (panel, run_mode(states[key], mode), replay_oracle(oracle_panel, mode))
         return out
 
     @staticmethod
@@ -356,11 +358,9 @@ class TestSizeBuckets:
         reasons = set()
         for mode in self.MODES:
             panel, result, _ = results[mode.label]
-            state = ledger_state(panel, ledger_key(mode))
-            X, _ = state.rows(mode.scaling)
-            models = state.models(mode.scaling, mode.variable_mask)
+            state = ledger_state(panel, mode.bias_key)
             for bucket in panel.layout.buckets:
-                records = replay.improved_consensus(state, bucket, X, mode, models)
+                records = replay.improved_consensus(state, bucket, mode)
                 assert isinstance(records, np.recarray) and records.shape == bucket.order.shape
                 assert records[0].fallback_reason in (0, 1, 2)
                 assert records.improved.tobytes() == result.improved[bucket.order].tobytes()
@@ -396,6 +396,6 @@ class TestPriorRecord:
         acts = actuals_from_rows([("F1", 2011, 2, announce, 100)])
         panel = build_panel(estimates_from_rows(est_rows), acts, FilterConfig(require_prior_record=False))
         assert len(panel.events) == 1
-        for mode in (ModeConfig(), ModeConfig(label="no_bias", use_bias=False)):
+        for mode in (ModeConfig(), ModeConfig(label="no_bias", bias_key=None)):
             with pytest.raises(RuntimeError, match="without prior record reached scoring: A0/F1"):
-                run_mode(panel, mode)
+                replay_mode(panel, mode)
