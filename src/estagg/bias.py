@@ -4,10 +4,11 @@ Every ledger read is a stream record reading its own key at its own
 announce time. So a ledger records a whole stream at once (int64 columns
 of announce time, identity code and firm code, plus one value per record)
 as each record's own-time prefix sums (`earlier`), which see no record at
-that time, and a read indexes them by stream position. Signed errors are
-summed as int64 cents and divided only at read time, which equals
-Python's int / int while every sum stays below 2**53 in magnitude;
-build_panel guards that bound.
+that time, and a read indexes them by stream position. The sums take
+memory in proportion to the records, one table per length of key run,
+however skewed the keys' record counts. Signed errors are summed as int64
+cents and divided only at read time, which equals Python's int / int while
+every sum stays below 2**53 in magnitude; build_panel guards that bound.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ _KEYS = {
 def earlier(keys: np.ndarray, ts: np.ndarray, values: Optional[np.ndarray] = None) -> tuple:
     """For each record of a chronological stream, the count of its key's
     records at strictly earlier times and, given `values`, the sum of
-    theirs, added in stream order (else None)."""
+    theirs, added in stream order (else None). The runs of one length share
+    a (runs, length + 1) table, so the tables hold one entry per record plus
+    one per run."""
     order = np.argsort(keys, kind="stable")  # keeps each key's records in time order
     keys, ts, at = keys[order], ts[order], np.arange(len(keys))
     back = np.empty_like(order)
@@ -47,13 +50,21 @@ def earlier(keys: np.ndarray, ts: np.ndarray, values: Optional[np.ndarray] = Non
     before = np.maximum.accumulate(np.where(group, at, 0)) - run_start
     if values is None:
         return before[back], None
-    # row r holds a 0, then run r's values; summed left to right, entry
-    # (r, c) is the sum of run r's first c records
-    row, nth = np.cumsum(run) - 1, at - run_start
-    table = np.zeros((np.count_nonzero(run), nth.max(initial=-1) + 2), values.dtype)
-    table[row, nth + 1] = values[order]
-    np.cumsum(table, axis=1, out=table)
-    return before[back], table[row, before][back]
+    # one table per run length, runs ordered by length: row r of a table
+    # holds a 0, then its run's values; summed left to right, entry (r, c) is
+    # the sum of the run's first c records
+    starts = np.flatnonzero(run)
+    lengths = np.diff(starts, append=len(keys))
+    by_length = np.argsort(lengths, kind="stable")
+    values, sums = values[order], np.empty(len(keys), values.dtype)
+    for runs in np.split(by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1):
+        if len(runs):  # the split of no runs is one empty part
+            rows = starts[runs][:, None] + np.arange(lengths[runs[0]])
+            table = np.zeros((len(runs), rows.shape[1] + 1), values.dtype)
+            table[:, 1:] = values[rows]
+            np.cumsum(table, axis=1, out=table)
+            sums[rows] = np.take_along_axis(table, before[rows], axis=1)
+    return before[back], sums[back]
 
 
 def _mean(count: np.ndarray, total: np.ndarray) -> np.ndarray:

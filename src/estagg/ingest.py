@@ -8,10 +8,11 @@ a lone CR ending a line as an LF or a CR LF does (_line_ends). csv.reader
 defines the format. It reads the header; a block with no quote or NUL is
 tokenized as bytes with numpy, from one scan for its commas; from the first
 block that has one, csv.reader reads the rest, its rows packed into bytes.
-Either way a block is a _ByteBlock, the one converter: each column's fields
-are gathered column-major and convert in whole-column passes; only distinct
-ids and non-canonical fields (not `-?[0-9]{1,18}`, `YYYY-MM-DDTHH:MM:SSZ`)
-are decoded.
+Either way a block is a _ByteBlock, the one converter, which also holds
+each of its rows' physical lines: each column's fields are gathered
+column-major and convert in whole-column passes; only distinct ids and
+non-canonical fields (not `-?[0-9]{1,18}`, `YYYY-MM-DDTHH:MM:SSZ`) are
+decoded.
 
 build_panel joins the two tables, applies the exclusion rules
 (forecast-horizon window, last-estimate-wins dedup, prior-record
@@ -31,7 +32,6 @@ import csv
 import io
 import logging
 import os
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace as dc_replace
 from functools import cached_property
@@ -79,28 +79,26 @@ class _Table:
         return len(getattr(self, fields(self)[0].name))
 
     @classmethod
-    def _from_blocks(cls, blocks: Iterable, on_reject: Callable[[int, str], None]):
-        """Build a table from _ByteBlocks, tokenized or packed, converted
-        one after another; `on_reject` gets each bad row's position among
-        all the blocks' rows."""
+    def _from_blocks(cls, blocks: Iterable, rejects: list[Reject]):
+        """A table built from _ByteBlocks, tokenized or packed, converted one
+        after another, and the physical line of each of its rows. Each row
+        that does not convert goes to `rejects`, named by its block's line."""
         schema = _schema(cls)
         seen = [{} if kind == ID else None for _, _, kind in schema]  # id -> first-seen code
         parts: list[list[np.ndarray]] = []
-        start = 0
         for block in blocks:
             errors: dict[int, str] = {}
-            parts.append(_columns(block, schema, seen, errors))
-            for i in sorted(errors):
-                on_reject(start + i, f"malformed: {errors[i]}")
-            start += len(block)
-        parts = [list(c) for c in zip(*parts)] or [[np.empty(0, np.int64)] for _ in schema]
-        columns = [np.concatenate(parts.pop(0)) for _ in schema]  # each column's blocks are freed once joined
+            parts.append([*_columns(block, schema, seen, errors), np.delete(block.lines, list(errors))])
+            rejects.extend(Reject(int(block.lines[i]), f"malformed: {errors[i]}") for i in sorted(errors))
+        parts = [list(c) for c in zip(*parts)] or [[np.empty(0, np.int64)] for _ in range(len(schema) + 1)]
+        # each column's blocks, the lines' too, are freed once joined
+        *columns, lines = [np.concatenate(parts.pop(0)) for _ in range(len(schema) + 1)]
         table = {}
         for (_, attr, kind), column, index in zip(schema, columns, seen):
             if kind == ID:
                 column, table[attr + "_ids"] = _sorted_codes(column, index)
             table[attr] = column
-        return cls(**table)
+        return cls(**table), lines
 
     def take(self, index):
         """The rows `index` selects (positions or a mask), ids unchanged."""
@@ -286,38 +284,41 @@ def _text_lines(pieces: Iterable[_Lines], where: str) -> Iterator[str]:
 
 class _ByteBlock:
     """A block of rows whose fields are runs of UTF-8 bytes in one buffer,
-    with the byte bounds of each schema field of each row: lines of quote-
-    free CSV text (`tokenize`), or rows of fields packed column after column
-    (`pack`). Each column converts in whole-column numpy passes over its
-    fields' bytes, gathered as one key per field or as a (width, n) matrix;
-    only fields not of canonical form are decoded, by int() or parse_ts."""
+    with the byte bounds of each schema field of each row and the physical
+    line each row starts on: lines of quote-free CSV text (`tokenize`), or
+    rows of fields packed column after column (`pack`). Each column converts
+    in whole-column numpy passes over its fields' bytes, gathered as one key
+    per field or as a (width, n) matrix; only fields not of canonical form
+    are decoded, by int() or parse_ts."""
 
-    def __init__(self, data: bytes, starts: list[np.ndarray], ends: list[np.ndarray]):
+    def __init__(self, data: bytes, starts: list[np.ndarray], ends: list[np.ndarray], lines: np.ndarray):
         self.data = data  # at least _ID_BYTES past every field's start, so every gather stays in bounds
         self.buf = np.frombuffer(data, np.uint8)
         self.starts, self.ends = starts, ends  # per schema column, per row
+        self.lines = lines  # per row
 
     @classmethod
-    def pack(cls, rows: Sequence[Sequence[str]]):
-        """The block of `rows`, fields in schema order, as csv.reader gives them;
-        the fields' bytes are joined column after column."""
-        columns = list(zip(*rows))
+    def pack(cls, rows: Sequence[tuple]):
+        """The block of `rows`, each its physical line, then its fields in schema
+        order as csv.reader gives them; the fields' bytes are joined column after
+        column."""
+        lines, *columns = zip(*rows)
         texts = list(chain.from_iterable(columns))
         data = "".join([*texts, _PAD]).encode()
         # in ASCII text, each field has as many bytes as characters
         lengths = map(len, texts if data.isascii() else map(str.encode, texts))
         lengths = np.fromiter(lengths, np.int64, len(texts)).reshape(len(columns), len(rows))
         ends = lengths.cumsum().reshape(lengths.shape)
-        return cls(data, list(ends - lengths), list(ends))
+        return cls(data, list(ends - lengths), list(ends), np.array(lines, np.int64))
 
     @classmethod
     def tokenize(cls, lines: _Lines, positions: Sequence[int], width: int):
-        """The block of the lines as csv.reader splits them, the index of each row's line, and
-        the indexes and field counts of the lines too short for the fields at `positions`.
-        Blank lines hold no row; a CR LF line ends at its CR. Fields are bounded by the commas
-        of one scan, by a reshape where every line holds the header's `width` fields. None when
+        """The block of the lines as csv.reader splits them, each row's line its own, and the
+        indexes and field counts of the lines too short for the fields at `positions`. Blank
+        lines hold no row; a CR LF line ends at its CR. Fields are bounded by the commas of one
+        scan, by a reshape where every line holds the header's `width` fields. None when
         csv.reader could read the lines otherwise: a quote, a NUL or a line past the field limit."""
-        _, data, start, stop, eol = lines
+        line, data, start, stop, eol = lines
         if data.find(b'"', start, stop) >= 0 or data.find(b"\0", start, stop) >= 0:
             return None  # csv.reader before 3.11 fails on a NUL
         buf = np.frombuffer(data, np.uint8)
@@ -333,7 +334,7 @@ class _ByteBlock:
             bounds = np.ascontiguousarray(bounds)
             starts = [line_start if p == 0 else bounds[p - 1] + 1 for p in positions]
             ends = [line_end if p == width - 1 else bounds[p] for p in positions]
-            return cls(data, starts, ends), np.arange(len(eol)), line_start[:0], line_start[:0]
+            return cls(data, starts, ends, line + np.arange(len(eol))), line_start[:0], line_start[:0]
         first = np.searchsorted(commas, line_start)  # the index of each line's first comma among the commas
         n_fields = np.searchsorted(commas, eol) - first + 1
         filled, enough = line_end > line_start, n_fields > max(positions)
@@ -342,7 +343,7 @@ class _ByteBlock:
         commas = np.append(commas, stop)  # past a line's last comma, its field ends at the line's end
         starts = [line_start if p == 0 else commas[first + p - 1] + 1 for p in positions]
         ends = [np.minimum(commas[first + p], line_end) for p in positions]
-        return cls(data, starts, ends), rows, short, n_fields[short]
+        return cls(data, starts, ends, line + rows), short, n_fields[short]
 
     def __len__(self) -> int:
         return len(self.starts[0])
@@ -564,15 +565,13 @@ def _binary_chunks(fh) -> Iterator[_Lines]:
         line, data, ends, scanned = line + _CHUNK_ROWS, data[stop:-_ID_BYTES], ends[_CHUNK_ROWS:] - stop, scanned - stop
 
 
-def _csv_rows(reader, offset: int, get: Callable, need: int, lines: array, rejects: list[Reject]) -> Iterator[tuple]:
-    """The named fields of each non-blank row a csv.reader reads, its first
-    line being physical line offset + 1, with each row's physical line
-    appended to `lines`. A row too short to hold every named field becomes a
-    reject instead."""
+def _csv_rows(reader, offset: int, get: Callable, need: int, rejects: list[Reject]) -> Iterator[tuple]:
+    """The physical line, then the named fields, of each non-blank row a
+    csv.reader reads, its first line being physical line offset + 1. A row
+    too short to hold every named field becomes a reject instead."""
     for row in reader:
         if len(row) >= need:
-            lines.append(offset + reader.line_num)
-            yield get(row)
+            yield (offset + reader.line_num, *get(row))
         elif row:
             rejects.append(_short_row(offset + reader.line_num, len(row), need))
 
@@ -583,7 +582,7 @@ def _short_row(line: int, n_fields: int, need: int) -> Reject:
 
 def _parse(path, kind, table_type):
     """A table of the file's rows, the malformed rows as rejects in line
-    order, and the physical line of each row read, rejected or not. The file
+    order, and the physical line of each of the table's rows. The file
     is read in blocks of lines, an LF, CR LF or lone CR ending each. The byte
     tokenizer reads the lines after the header, which csv.reader reads; only
     a quote, a NUL or a line past the field limit hands a block to csv.reader,
@@ -592,7 +591,6 @@ def _parse(path, kind, table_type):
     schema = _schema(table_type)
     where = f"{path}: "
     rejects: list[Reject] = []
-    lines = array("q")
     with open(path, "rb") as fh:
         chunks = _binary_chunks(fh)
         first = next(chunks, None)
@@ -625,16 +623,15 @@ def _parse(path, kind, table_type):
                         if tokens is None:  # csv.reader reads on from here
                             reader, offset = csv.reader(_text_lines(chain([piece], chunks), where)), piece.line - 1
                             break
-                        block, at, short, n_fields = tokens
+                        block, short, n_fields = tokens
                         rejects.extend(map(_short_row, (piece.line + short).tolist(), n_fields.tolist(), repeat(need)))
-                        lines.frombytes((piece.line + at).astype(np.int64).tobytes())
                         yield block
                     else:
                         return
-                rows = _csv_rows(reader, offset, itemgetter(*positions), need, lines, rejects)
+                rows = _csv_rows(reader, offset, itemgetter(*positions), need, rejects)
                 yield from map(_ByteBlock.pack, _batches(rows))
 
-            table = table_type._from_blocks(blocks(), lambda i, reason: rejects.append(Reject(lines[i], reason)))
+            table, lines = table_type._from_blocks(blocks(), rejects)
         except csv.Error as exc:
             raise ValueError(f"{where}line {offset + reader.line_num}: {exc}") from None
     rejects.sort(key=lambda r: r.line)
@@ -652,8 +649,6 @@ def parse_actuals(path: str | os.PathLike) -> tuple[ActualTable, list[Reject]]:
     reject list, in line order. A firm-period given twice fails the parse
     with both physical lines."""
     table, rejects, lines = _parse(path, "actuals", ActualTable)
-    lines = np.array(lines, np.int64)
-    lines = lines[~np.isin(lines, [r.line for r in rejects])]  # of the table's rows
     columns = [table.firm, table.year, table.quarter]
     first = _lookup(columns, table.firm_ids, columns, table.firm_ids)
     repeats = np.flatnonzero(first != np.arange(len(table)))

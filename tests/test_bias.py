@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import groupby
 
 import hypothesis.strategies as st
@@ -221,3 +222,21 @@ class TestPointInTimeLedgers:
         assert array_history.experience(every).tolist() == counts
         known = every[np.array(counts) > 0]
         assert array_history.mean_abs_error(known).tolist() == [m for m in means if m is not None]
+
+    def test_sums_take_memory_in_proportion_to_the_records(self):
+        # one key of 10,000 records among 1,000 keys of 2: a zero-padded
+        # table of one row per key run and one column per record of the
+        # longest run would hold about 10 million entries for 12,000 records
+        rng = np.random.default_rng(3)
+        keys = rng.permutation(np.concatenate([np.zeros(10_000, np.int64), np.repeat(np.arange(1, 1001), 2)]))
+        ts, values = np.arange(len(keys)), rng.standard_normal(len(keys))
+        tracemalloc.start()
+        try:
+            count, total = bias.earlier(keys, ts, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        big = np.flatnonzero(keys == 0)
+        assert count[big].tolist() == list(range(10_000))
+        assert total[big[-1]] == np.cumsum(values[big])[-2]

@@ -692,6 +692,16 @@ class TestColumnarMatchesOracle:
         assert actual_rows(table) == [(a.firm_id, *a.period, format_ts(a.announce_ts), a.value_cents) for a in acts]
         assert len(table) == n - 2
 
+        # line 2's firm-period again, at the end: each table row's line is
+        # its block's, so the duplicate past the first block names both
+        repeat = act_rows[0].rsplit(",", 1)[0] + ",777\n"
+        path = written(tmp_path, ",".join(ACTUAL_COLUMNS) + "\n" + "".join(act_rows) + repeat, "repeated.csv")
+        error = f"{path}: duplicate actual for ('F0', (1900, 1)) on lines 2 and {n + 2}"
+        for parse in (parse_actuals, parse_actuals_oracle):
+            with pytest.raises(ValueError) as exc:
+                parse(path)
+            assert str(exc.value) == error
+
     def test_actuals_csv_edge_cases(self, tmp_path):
         self.actuals_csv_edge_cases(tmp_path, quoted=True)
 
@@ -1101,6 +1111,17 @@ def outcome(parse, source):
     return table_state(table), rejects
 
 
+def row_lines(table_type, source):
+    """The physical line of each row of the file's table, one per row, or
+    None where the parse fails."""
+    try:
+        table, _, lines = ingest._parse(source, "rows", table_type)
+    except ValueError:
+        return None
+    assert len(lines) == len(table)
+    return lines.tolist()
+
+
 class TestByteTokenizer:
     """Quote-free blocks are tokenized as bytes; csv.reader reads the rest.
     Both must read any text as csv.reader and the per-row oracles do."""
@@ -1140,16 +1161,16 @@ class TestByteTokenizer:
             assert len(table) == 5 and not rejects
             assert handed_over == ([first] if first else [])
 
-    def check(self, parse, parse_oracle, texts):
-        """The parse of the text's file equals, table, rejects and exception
-        alike, its parse by csv.reader alone, and the parse of the oracle's
-        text equals the per-row oracle's. With a byte 0xff put at the start
-        of the drawn line, the parse fails naming it."""
+    def check(self, parse, parse_oracle, table_type, texts):
+        """The parse of the text's file equals, table, rejects, exception and
+        the table's row lines alike, its parse by csv.reader alone, and the
+        parse of the oracle's text equals the per-row oracle's. With a byte
+        0xff put at the start of the drawn line, the parse fails naming it."""
         text, oracle_text, bad_line = texts
         with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "_CHUNK_ROWS", self.BLOCK_ROWS)
             path, oracle_path = written(work, text), written(work, oracle_text, "oracle.csv")
-            got = outcome(parse, path)
+            got, got_lines = outcome(parse, path), row_lines(table_type, path)
             try:
                 table, rejects = parse(oracle_path)
             except ValueError as exc:
@@ -1164,6 +1185,7 @@ class TestByteTokenizer:
                 assert outcome(parse, bad_path) == ("raises", error)
             self.csv_reader_only(mp)
             assert outcome(parse, path) == got
+            assert row_lines(table_type, path) == got_lines
             try:
                 records, oracle_rejects = parse_oracle(oracle_path)
             except ValueError as exc:
@@ -1175,12 +1197,12 @@ class TestByteTokenizer:
     @settings(max_examples=150, deadline=None)
     @given(texts=csv_texts(EstimateTable, BLOCK_ROWS))
     def test_estimates_match_csv_reader_and_oracle(self, texts):
-        self.check(parse_estimates, parse_estimates_oracle, texts)
+        self.check(parse_estimates, parse_estimates_oracle, EstimateTable, texts)
 
     @settings(max_examples=150, deadline=None)
     @given(texts=csv_texts(ActualTable, BLOCK_ROWS))
     def test_actuals_match_csv_reader_and_oracle(self, texts):
-        self.check(parse_actuals, parse_actuals_oracle, texts)
+        self.check(parse_actuals, parse_actuals_oracle, ActualTable, texts)
 
     def test_carriage_return_file_is_tokenized_block_by_block(self, tmp_path, monkeypatch):
         # lone CRs end lines as LFs do: a CR-ended file is cut into the
