@@ -169,9 +169,11 @@ class PanelSource:
         return self._panel(*self.default_key())
 
     def release(self, key: tuple[str, int]) -> None:
-        """Drop the cached panel of `key` unless it is the default panel."""
+        """Release the key indexes and normalized columns of the panel of
+        `key`, and drop the panel from the cache unless it is the default."""
+        self._cache[key].release()
         if key != self.default_key():
-            self._cache.pop(key, None)
+            del self._cache[key]
 
 
 def mode_result(label: str, original: np.ndarray, improved: np.ndarray) -> ModeResult:
@@ -215,10 +217,11 @@ def run_mode_matrix(
 
     Modes that share a panel and a bias key score from one ledger pass.
     The groups run in panel-key order, so each panel's groups run back to
-    back, and after a panel's last group the source drops it unless it is
-    the default panel. A caller that lets go of each replay once it has
-    used it holds one group's state and at most two panels at a time: the
-    default panel and the current one.
+    back, and after a panel's last group the source releases the panel's
+    key indexes and normalized columns and drops it unless it is the
+    default panel. A caller that lets go of each replay once it has used it
+    holds one group's state and at most two panels at a time: the default
+    panel and the current one.
     """
     panels: dict[tuple[str, int], dict[Optional[str], list[int]]] = {}
     for i, mode in enumerate(modes):

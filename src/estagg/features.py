@@ -48,10 +48,10 @@ def normalize_event(
     aae: np.ndarray,
     scaling: str = "normalized",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize (..., n, 6) feature matrices and their (..., n) dependent
+    """Normalize (..., n, f) feature matrices and their (..., n) dependent
     vectors, each event over its n analysts.
 
-    The six features and the dependent vector are stacked as (..., 7, n)
+    The f features and the dependent vector are stacked as (..., f + 1, n)
     so every mean reduces a contiguous innermost axis; the returned design
     matrices are C-contiguous.
     """

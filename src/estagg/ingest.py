@@ -41,8 +41,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bias import earlier, pair_key
-from .features import top10_brokers
+from .bias import StreamIndex
+from .features import normalize, top10_brokers
 from .periods import parse_ts, quarter_indices
 
 logger = logging.getLogger(__name__)
@@ -177,6 +177,10 @@ class Stream:
     error_cents: np.ndarray  # prediction minus actual
     ident_ids: tuple[str, ...]  # analyst or broker ids, sorted
     firm_ids: tuple[str, ...]  # sorted
+    indexes: StreamIndex = field(init=False, repr=False)  # the ledgers' key indexes, built on first use
+
+    def __post_init__(self):
+        object.__setattr__(self, "indexes", StreamIndex(self.announce_ts, self.ident, self.firm))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,6 +220,7 @@ class Panel:
     stream: Stream
     records: np.ndarray  # each kept estimate's position in the stream
     report: IngestReport
+    _normalized: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def layout(self) -> Layout:
@@ -233,6 +238,28 @@ class Panel:
         qidx = quarter_indices(self.events.announce_ts)
         q0 = quarter_indices(self.stream.announce_ts[0]) if len(self.stream.announce_ts) else 0
         return Layout(buckets, qidx, qidx - q0, simple)
+
+    def ledger_free(self, scaling: str) -> np.ndarray:
+        """The rows' FEATURE_NAMES[:5], which no ledger pass changes, each
+        normalized over its event under `scaling`, as (rows, 5) in row order:
+        the four features and the experience, the count of the row's stream
+        record's (identity, firm) records at earlier announce times. Each
+        size bucket is normalized as one (k, 5, n) stack, once per scaling
+        until `release`."""
+        if scaling not in self._normalized:
+            columns = np.column_stack([self.features, self.stream.indexes["identity_firm"].counts[self.records]])
+            out = np.empty(columns.shape)
+            for bucket in self.layout.buckets:
+                stack = np.ascontiguousarray(np.swapaxes(columns[bucket.rows], -1, -2))
+                out[bucket.rows] = np.swapaxes(normalize(stack, scaling), -1, -2)
+            self._normalized[scaling] = out
+        return self._normalized[scaling]
+
+    def release(self) -> None:
+        """Drop the stream's key indexes and the normalized columns; a later
+        use builds them again."""
+        self.stream.indexes.clear()
+        self._normalized.clear()
 
 
 _INT64 = np.iinfo(np.int64)
@@ -756,7 +783,7 @@ def build_panel(
     # (d) prior-record flags with all records at one announce time treated
     # as simultaneous: a record has a prior when its (identity, firm) pair
     # has one at an earlier announce time, as the history ledger counts it
-    has_prior = earlier(pair_key(stream_ident, t.firm[win]), stream_announce)[0] > 0
+    has_prior = stream.indexes["identity_firm"].counts > 0  # the index the ledger passes reuse
     keep = has_prior | (not cfg.require_prior_record)
     if not keep.all():
         report.rejects["no_prior_record"] += len(win) - int(np.count_nonzero(keep))

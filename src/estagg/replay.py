@@ -9,6 +9,15 @@ leak into each other. Mode scoring then normalizes, fits and weights from
 those reads; every mode with the same bias key (None for no bias
 correction) scores from one pass.
 
+Each quantity is derived where it stops changing. Once per panel: the
+stream's key index per granularity (sort order, own-time counts, run
+tables), whose (identity, firm) counts are also the experience feature,
+and the five ledger-free columns normalized per scaling
+(`Panel.ledger_free`). Once per pass: the ledgers' sums through those
+indexes, and per scaling the normalized past error and dependent values.
+Once per pass, scaling and quarter: the 6x6 Gram matrix that every
+variable mask's fit takes its submatrix from.
+
 A panel's events are rows of an actuals table, and event j's estimates
 are the panel's rows bounds[j]:bounds[j+1]. Scoring works on size
 buckets: the events of a panel with the same analyst count n, stacked k
@@ -36,7 +45,7 @@ from .aggregate import ModeConfig, weight_vector
 from .bias import BiasTracker, HistoryLedger
 from .features import normalize_event
 from .ingest import Panel, SizeBucket
-from .model import Mask, PeriodModel, fit_period
+from .model import Mask, PeriodModel, fit_period, quarter_grams
 from .periods import quarter_from_index
 
 logger = logging.getLogger(__name__)
@@ -57,62 +66,65 @@ class ReplayResult:
 @dataclass
 class LedgerState:
     """The panel's rows as one ledger pass read them, in row order, plus
-    the normalized rows and per-quarter models derived from them, cached
-    for the modes that share the pass."""
+    the normalized rows, per-quarter Gram matrices and models derived from
+    them, cached for the modes that share the pass."""
 
     panel: Panel
     key: Optional[str]  # the bias key of the modes the pass serves
     adjusted: np.ndarray  # raw estimates minus their biases
     aae: np.ndarray  # absolute bias-adjusted errors, the dependent variable
-    history: np.ndarray  # (rows, 2) experience and mean past absolute error
+    mae: np.ndarray  # mean past absolute error, the one feature a ledger pass changes
     _rows: dict = field(default_factory=dict, init=False, repr=False)
+    _grams: dict = field(default_factory=dict, init=False, repr=False)
     _models: dict = field(default_factory=dict, init=False, repr=False)
 
     def rows(self, scaling: str) -> tuple[np.ndarray, np.ndarray]:
         """The panel's normalized rows (rows, 6) and dependent values, in
-        row order; each size bucket is normalized as one stack."""
+        row order: the panel's ledger-free columns, then each size bucket's
+        past error and dependent values normalized as one stack."""
         if scaling not in self._rows:
-            n_rows = len(self.aae)
-            X_all, y_all = np.empty((n_rows, 6)), np.empty(n_rows)
+            X, y = np.empty((len(self.aae), 6)), np.empty(len(self.aae))
+            X[:, :5] = self.panel.ledger_free(scaling)
             for bucket in self.panel.layout.buckets:
                 rows = bucket.rows
-                features = np.concatenate([self.panel.features[rows], self.history[rows]], axis=-1)
-                X_all[rows], y_all[rows] = normalize_event(features, self.aae[rows], scaling)
-            self._rows[scaling] = X_all, y_all
+                mae, y[rows] = normalize_event(self.mae[rows][..., None], self.aae[rows], scaling)
+                X[rows, 5] = mae[..., 0]
+            self._rows[scaling] = X, y
         return self._rows[scaling]
 
     def models(self, scaling: str, mask: Mask) -> dict[int, PeriodModel]:
         """Fitted models by quarter index, in quarter order; each quarter
-        fits its events' rows in announcement order."""
+        fits its events' rows in announcement order, from its Gram matrix
+        under the scaling."""
         key = (scaling, mask)
         if key not in self._models:
             X, y = self.rows(scaling)
-            fitted = {}
             qidx = self.panel.layout.qidx
             first = np.flatnonzero(np.diff(qidx, prepend=qidx[:1] - 1))  # each quarter's first; qidx never falls
             edges = self.panel.bounds[np.append(first, len(qidx))].tolist()
-            for q, start, stop in zip(qidx[first].tolist(), edges, edges[1:]):
-                model = fit_period(X[start:stop], y[start:stop], quarter_from_index(q), mask)
-                if model is not None:
-                    fitted[q] = model
-            self._models[key] = fitted
+            if scaling not in self._grams:
+                self._grams[scaling] = quarter_grams(X, edges)
+            quarters = qidx[first].tolist()
+            fitted = fit_period(X, y, edges, list(map(quarter_from_index, quarters)), self._grams[scaling], mask)
+            self._models[key] = {q: model for q, model in zip(quarters, fitted) if model is not None}
         return self._models[key]
 
 
 def ledger_state(panel: Panel, bias_key: Optional[str]) -> LedgerState:
     """Record the panel's stream in the bias ledger of `bias_key` and the
-    history ledger, and read every kept estimate's bias and history as of
-    its own announce time, so no record at that time is visible to it."""
+    history ledger, through the stream's key indexes, and read every kept
+    estimate's bias and history as of its own announce time, so no record
+    at that time is visible to it."""
     stream = panel.stream
     # each stream record's bias as of its own announce time; the no-bias
     # pass (bias_key None) reads no bias, so it keeps no bias ledger
     bias = np.zeros(len(stream.error_cents))
     if bias_key is not None:
         bias_tracker = BiasTracker(bias_key)
-        bias_tracker.record(stream.announce_ts, stream.ident, stream.firm, stream.error_cents)
+        bias_tracker.record(stream.indexes, stream.error_cents)
         bias = bias_tracker.bias(np.arange(len(bias)))
     hist = HistoryLedger()
-    hist.record(stream.announce_ts, stream.ident, stream.firm, np.abs(stream.error_cents - bias))
+    hist.record(stream.indexes, np.abs(stream.error_cents - bias))
 
     # every kept estimate is a stream record, so its reads are that record's
     experience = hist.experience(panel.records)
@@ -120,10 +132,10 @@ def ledger_state(panel: Panel, bias_key: Optional[str]) -> LedgerState:
         record = panel.records[np.argmin(experience)]
         where = f"{stream.ident_ids[stream.ident[record]]}/{stream.firm_ids[stream.firm[record]]}"
         raise RuntimeError(f"estimate without prior record reached scoring: {where}")
-    history = np.column_stack([experience, hist.mean_abs_error(panel.records)])
+    mae = hist.mean_abs_error(panel.records)
     raw, bias = panel.value_cents.astype(float), bias[panel.records]
     actual = np.repeat(panel.events.value_cents, np.diff(panel.bounds)).astype(float)
-    return LedgerState(panel, bias_key, raw - bias, np.abs((raw - actual) - bias), history)
+    return LedgerState(panel, bias_key, raw - bias, np.abs((raw - actual) - bias), mae)
 
 
 # the name of each fallback_reason code, as events_*.csv writes it

@@ -16,8 +16,10 @@ from estagg.ingest import (
     parse_estimates,
 )
 from estagg.periods import format_ts, parse_ts
+from estagg.model import fit_period, quarter_grams
 from estagg.replay import ReplayResult, ledger_state, run_mode
 from estagg.synth import SynthSpec, generate_rows
+import oracles
 from oracles import replay_view
 
 
@@ -190,3 +192,22 @@ SMALL_PANEL_SPEC = SynthSpec(
 def small_panel_inputs():
     """A small deterministic panel reused by several integration tests."""
     return load_synth(SMALL_PANEL_SPEC)
+
+
+def assert_fits_match_per_quarter_oracle(X, y, edges, mask):
+    """fit_period's batched fits against oracles.fit_period on each
+    quarter's rows alone: None for the same quarters, and the same bits."""
+    quarters = [(2011 + i // 4, i % 4 + 1) for i in range(len(edges) - 1)]
+    got = fit_period(X, y, edges, quarters, quarter_grams(X, edges), mask)
+    assert len(got) == len(quarters)
+    for model, quarter, start, stop in zip(got, quarters, edges, edges[1:]):
+        want = oracles.fit_period(X[start:stop], y[start:stop], quarter, mask)
+        assert (model is None) == (want is None)
+        if want is not None:
+            assert (model.quarter, model.beta.tobytes(), model.n_obs, model.rss) == (
+                want.quarter,
+                want.beta.tobytes(),
+                want.n_obs,
+                want.rss,
+            )
+            assert type(model.n_obs) is int

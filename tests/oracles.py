@@ -22,7 +22,7 @@ from estagg.ingest import (
     Reject,
     Stream,
 )
-from estagg.model import PeriodModel, fit_period
+from estagg.model import FULL_MASK, N_VARS, RIDGE, Mask, PeriodModel
 from estagg.periods import Quarter, parse_ts, quarter_from_index
 from estagg.replay import ReplayResult
 
@@ -139,6 +139,45 @@ class HistoryLedger:
         return self._aae_sums[key] / n
 
 
+# The one-call own-time sums that estagg.bias split into a KeyIndex, built
+# once per stream and key, and its per-ledger sums, unchanged.
+
+
+def earlier(keys: np.ndarray, ts: np.ndarray, values: Optional[np.ndarray] = None) -> tuple:
+    """For each record of a chronological stream, the count of its key's
+    records at strictly earlier times and, given `values`, the sum of
+    theirs, added in stream order (else None). The runs of one length share
+    a (runs, length + 1) table, so the tables hold one entry per record plus
+    one per run."""
+    order = np.argsort(keys, kind="stable")  # keeps each key's records in time order
+    keys, ts, at = keys[order], ts[order], np.arange(len(keys))
+    back = np.empty_like(order)
+    back[order] = at
+    run = np.ones(len(keys), bool)  # where each key's run starts
+    run[1:] = keys[1:] != keys[:-1]
+    group = run.copy()  # where each (key, time) group starts
+    group[1:] |= ts[1:] != ts[:-1]
+    run_start = np.maximum.accumulate(np.where(run, at, 0))
+    before = np.maximum.accumulate(np.where(group, at, 0)) - run_start
+    if values is None:
+        return before[back], None
+    # one table per run length, runs ordered by length: row r of a table
+    # holds a 0, then its run's values; summed left to right, entry (r, c) is
+    # the sum of the run's first c records
+    starts = np.flatnonzero(run)
+    lengths = np.diff(starts, append=len(keys))
+    by_length = np.argsort(lengths, kind="stable")
+    values, sums = values[order], np.empty(len(keys), values.dtype)
+    for runs in np.split(by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1):
+        if len(runs):  # the split of no runs is one empty part
+            rows = starts[runs][:, None] + np.arange(lengths[runs[0]])
+            table = np.zeros((len(runs), rows.shape[1] + 1), values.dtype)
+            table[:, 1:] = values[rows]
+            np.cumsum(table, axis=1, out=table)
+            sums[rows] = np.take_along_axis(table, before[rows], axis=1)
+    return before[back], sums[back]
+
+
 def weight(predicted_daae: float, event_mean_daae: float, r: float) -> float:
     """Scalar form of aggregate.weight_vector: zero at or above the event
     average predicted error, else a power of the margin below it."""
@@ -146,6 +185,29 @@ def weight(predicted_daae: float, event_mean_daae: float, r: float) -> float:
     if margin <= _MARGIN_TOL * max(1.0, abs(event_mean_daae)):
         return 0.0
     return margin**r
+
+
+def fit_period(X: np.ndarray, y: np.ndarray, quarter: Quarter, mask: Mask = FULL_MASK):
+    """One quarter's least-squares fit via ridge-floored normal equations,
+    its Gram matrix from its own masked rows: estagg.model.fit_period before
+    it fit every quarter of a mask in one batched solve.
+
+    Returns None when there are fewer observations than active variables;
+    the caller treats that quarter as model-less.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    active = np.array(mask, dtype=bool)
+    k = int(active.sum())
+    if X.shape[0] < k:
+        return None
+    Xa = X[:, active]
+    gram = Xa.T @ Xa + RIDGE * np.eye(k)
+    beta_a = np.linalg.solve(gram, Xa.T @ y)
+    beta = np.zeros(N_VARS)
+    beta[active] = beta_a
+    resid = y - Xa @ beta_a
+    return PeriodModel(quarter=quarter, beta=beta, n_obs=X.shape[0], rss=float(resid @ resid))
 
 
 def predict_daae(model, x) -> float:

@@ -32,7 +32,7 @@ from estagg.evaluate import (
     trend_stat,
 )
 from estagg.ingest import FilterConfig, build_panel
-from estagg.model import FULL_MASK, fit_period
+from estagg.model import FULL_MASK, fit_period, quarter_grams
 from estagg.periods import format_ts, parse_ts
 from estagg.synth import SynthSpec
 from oracles import outcome_views, panel_analysts, panel_events, panel_idents, quarter_index
@@ -72,7 +72,7 @@ def test_criterion_01_regression_matches_independent_oracle():
         n = int(rng.integers(8, 301))
         X = rng.normal(size=(n, 6))
         y = rng.normal(size=n)
-        model = fit_period(X, y, (2011, 1), FULL_MASK)
+        (model,) = fit_period(X, y, [0, n], [(2011, 1)], quarter_grams(X, [0, n]), FULL_MASK)
         oracle, *_ = np.linalg.lstsq(X, y, rcond=None)
         ok &= bool(np.all(np.abs(model.beta - oracle) < 1e-8))
         resid = y - X @ model.beta

@@ -4,12 +4,13 @@ from itertools import groupby
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import constant_bias_panel, replay_mode
 from estagg import bias
 from estagg.aggregate import BIAS_KEYS, ModeConfig
 from estagg.ingest import FilterConfig, build_panel
+import oracles
 from oracles import BiasTracker, ErrorLedger, HistoryLedger, blended_bias, outcome_views
 
 
@@ -132,18 +133,67 @@ def columns(records):
     return np.array(ts, np.int64), np.array(ident, np.int64), np.array(firm, np.int64), np.array(values)
 
 
+def recorded(ledger, records):
+    """`ledger` after recording `records`, a stream in time order, through
+    the stream's key indexes."""
+    ts, ident, firm, values = columns(records)
+    ledger.record(bias.StreamIndex(ts, ident, firm), values)
+    return ledger
+
+
 def biases(key, records):
     """Each record's bias from an estagg.bias.BiasTracker under `key` that
-    recorded `records`, a stream in time order."""
-    t = bias.BiasTracker(key)
-    t.record(*columns(records))
-    return t.bias(np.arange(len(records))).tolist()
+    recorded `records`."""
+    return recorded(bias.BiasTracker(key), records).bias(np.arange(len(records))).tolist()
 
 
 def history(records):
-    h = bias.HistoryLedger()
-    h.record(*columns(records))
-    return h
+    return recorded(bias.HistoryLedger(), records)
+
+
+def dict_reads(records, key):
+    """Each record's bias under `key`, experience and mean past absolute
+    error (None without history) from the dict ledgers of oracles, each
+    read before its timestamp's records are recorded; records are (ts,
+    identity, firm, signed error, absolute adjusted error) in time order."""
+    want, counts, means = [], [], []
+    dict_bias, dict_history = BiasTracker(key), HistoryLedger()
+    for _, group in groupby(records, key=lambda r: r[0]):
+        group = list(group)
+        for _, i, f, _, _ in group:
+            want.append(dict_bias.bias(i, f))
+            counts.append(dict_history.experience(i, f))
+            means.append(dict_history.mean_abs_error(i, f) if counts[-1] else None)
+        for _, i, f, e, a in group:
+            dict_bias.record(i, f, e)
+            dict_history.record(i, f, a)
+    return want, counts, means
+
+
+@st.composite
+def skewed_streams(draw):
+    """(ts, identity, firm, signed error, absolute adjusted error) records in
+    time order, with tied times, one heavily recorded identity and firm,
+    keys of one record, and codes either small or spread up to 2**31."""
+    n = draw(st.integers(1, 60))
+    ts = sorted(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
+    wide = draw(st.booleans())  # the identity-firm key code times n passes int64
+
+    def code(i, kind):
+        c = {"skewed": 0, "few": 1 + i % 3, "once": 4 + i}[kind]
+        return c << 25 if wide else c
+
+    kinds = st.sampled_from(["skewed", "skewed", "few", "once"])
+    return [
+        (
+            ts[i],
+            code(i, draw(kinds)),
+            code(i, draw(kinds)),
+            draw(st.integers(-(2**40), 2**40)),
+            draw(st.floats(0.0, 1e6)),
+        )
+        for i in range(n)
+    ]
 
 
 class TestPointInTimeLedgers:
@@ -200,28 +250,45 @@ class TestPointInTimeLedgers:
         # the dict ledgers answer each record's reads before recording its
         # timestamp's records; the array ledgers must give the same bits
         records.sort(key=lambda r: r[0])
+        self.check_against_dict_ledgers(records)
+
+    @staticmethod
+    def check_against_dict_ledgers(records):
         every = np.arange(len(records))
         ts, ident, firm, err, aae = (np.array(c) for c in zip(*records))
+        indexes = bias.StreamIndex(ts, ident, firm)
         array_history = bias.HistoryLedger()
-        array_history.record(ts, ident, firm, aae)
+        array_history.record(indexes, aae)
         for key in BIAS_KEYS:
             tracker = bias.BiasTracker(key)
-            tracker.record(ts, ident, firm, err)
-            want, counts, means = [], [], []
-            dict_bias, dict_history = BiasTracker(key), HistoryLedger()
-            for _, group in groupby(records, key=lambda r: r[0]):
-                group = list(group)
-                for _, i, f, _, _ in group:
-                    want.append(dict_bias.bias(i, f))
-                    counts.append(dict_history.experience(i, f))
-                    means.append(dict_history.mean_abs_error(i, f) if counts[-1] else None)
-                for _, i, f, e, a in group:
-                    dict_bias.record(i, f, e)
-                    dict_history.record(i, f, a)
+            tracker.record(indexes, err)
+            want, counts, means = dict_reads(records, key)
             assert tracker.bias(every).tolist() == want, key
         assert array_history.experience(every).tolist() == counts
         known = every[np.array(counts) > 0]
         assert array_history.mean_abs_error(known).tolist() == [m for m in means if m is not None]
+
+    @given(skewed_streams())
+    @example(  # identity-firm codes 0 and 2**61 (span 2**31), times 8 records, agree modulo 2**64
+        [(t, (t % 2) << 30, (t // 7) * (2**31 - 1), t - 3, float(t)) for t in range(8)]
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_one_index_per_key_gives_the_bits_of_separate_calls(self, records):
+        # one index per granularity feeds a count-only read and two value
+        # columns; each must equal a call of the one-call oracles.earlier,
+        # keyed here by (identity << 32) | firm, an encoding of its own
+        ts, ident, firm, err, aae = (np.array(c) for c in zip(*records))
+        indexes = bias.StreamIndex(ts, ident, firm)
+        keys = {"identity_firm": (ident << 32) | firm, "identity": ident, "firm": firm, "global": np.zeros_like(ident)}
+        for granularity, key in keys.items():
+            index = indexes[granularity]
+            assert index is indexes[granularity]
+            count, _ = oracles.earlier(key, ts)
+            assert index.counts.dtype == count.dtype and index.counts.tolist() == count.tolist(), granularity
+            for values in (err, aae):
+                want = oracles.earlier(key, ts, values)[1]
+                assert index.sums(values).tobytes() == want.tobytes(), granularity
+        self.check_against_dict_ledgers(records)
 
     def test_sums_take_memory_in_proportion_to_the_records(self):
         # one key of 10,000 records among 1,000 keys of 2: a zero-padded
@@ -232,7 +299,8 @@ class TestPointInTimeLedgers:
         ts, values = np.arange(len(keys)), rng.standard_normal(len(keys))
         tracemalloc.start()
         try:
-            count, total = bias.earlier(keys, ts, values)
+            index = bias.KeyIndex(keys, ts)
+            count, total = index.counts, index.sums(values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     actual_rows,
     actuals_from_rows,
+    assert_fits_match_per_quarter_oracle,
     estimate_rows,
     estimates_from_rows,
     load_synth,
@@ -18,15 +19,16 @@ from conftest import (
     outcome_fields,
     replay_mode,
 )
-from estagg import evaluate, replay
+from estagg import bias, evaluate, replay
 from estagg.aggregate import ModeConfig, default_mode_matrix
 from estagg.bias import BiasTracker
 from estagg.cli import _event_fields, _write_events
 from estagg.evaluate import PanelSource, run_mode_matrix
-from estagg.ingest import FilterConfig, Panel, build_panel
+from estagg.features import SCALINGS
+from estagg.ingest import ActualTable, FilterConfig, IngestReport, Panel, Stream, build_panel
 from estagg.model import mask_without
 from estagg.periods import format_ts, parse_ts
-from estagg.replay import ledger_state, run_mode
+from estagg.replay import LedgerState, ledger_state, run_mode
 from estagg.synth import SynthSpec
 import oracles
 from oracles import (
@@ -260,6 +262,129 @@ class TestSharedState:
         ledger_state(panel, full.bias_key)
         assert made == [full.bias_key]
 
+    def test_one_index_per_key_and_one_normalization_per_scaling(self, source, monkeypatch):
+        built = []  # per index built: whether its keys vary, and its sorts of the stream's length
+        sorts = []
+
+        class CountingIndex(bias.KeyIndex):
+            def __init__(self, keys, ts):
+                sorts.clear()
+                super().__init__(keys, ts)
+                built.append((bool(keys.any()), sorts.count(len(keys))))
+
+        def counting_argsort(a, *args, **kwargs):
+            sorts.append(len(a))
+            return argsort(a, *args, **kwargs)
+
+        def counting_ledger_free(panel, scaling):
+            if scaling not in panel._normalized:
+                normalized.append((id(panel), scaling))
+            return ledger_free(panel, scaling)
+
+        argsort, ledger_free, normalized = np.argsort, Panel.ledger_free, []
+        monkeypatch.setattr(bias, "KeyIndex", CountingIndex)
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        monkeypatch.setattr(Panel, "ledger_free", counting_ledger_free)
+
+        def released(panel):
+            return not panel.stream.indexes._built and not panel._normalized
+
+        fresh = PanelSource(source.estimates, source.actuals, source.cfg)
+        seen = []  # each panel, in the order its modes are handed out
+        for _, result, _ in run_mode_matrix(fresh, default_mode_matrix(), burn_in=self.BURN_IN):
+            if not seen or result.panel is not seen[-1]:
+                # every earlier panel's last group is done
+                assert all(map(released, seen))
+                seen.append(result.panel)
+            assert not released(result.panel)
+        assert len(seen) == 4 and any(panel is fresh.default_panel() for panel in seen)
+        assert all(map(released, seen))
+        # identity-firm on each panel (build_panel's prior-record count and
+        # every history ledger), and the global, firm and identity keys of
+        # the default panel, the half key reusing the last two
+        assert sorted(built) == [(False, 0)] + [(True, 1)] * 6
+        # both scalings of the default panel, and one of each other panel
+        assert len(normalized) == len(set(normalized)) == 5
+
+    def test_batched_fits_match_per_quarter_oracle_under_both_scalings(self, source):
+        full = default_mode_matrix()[0]
+        panel = source.panel_for(full)
+        state = ledger_state(panel, full.bias_key)
+        qidx = panel.layout.qidx
+        edges = panel.bounds[np.append(np.flatnonzero(np.diff(qidx, prepend=-1)), len(qidx))].tolist()
+        for scaling in SCALINGS:
+            X, y = state.rows(scaling)
+            # and a last quarter of 4 rows, fewer than most masks' active variables
+            X, y = np.concatenate([X, X[-4:]]), np.concatenate([y, y[-4:]])
+            for mask in sorted({m.variable_mask for m in default_mode_matrix()}):
+                assert_fits_match_per_quarter_oracle(X, y, edges + [edges[-1] + 4], mask)
+
+
+def stacked_state(events):
+    """A ledger pass over a hand-made panel whose events are `events`, each
+    an (n, 6) feature matrix and its (n,) dependent values, all announced
+    at one time in 2011Q1. Each row has an identity of its own whose
+    experience column (an integer count) is made by as many stream records
+    of its pair before the announcement."""
+    sizes = [len(F) for F, _ in events]
+    F = np.concatenate([F for F, _ in events])
+    rows = np.arange(len(F))
+    firm = np.repeat(np.arange(len(events)), sizes)
+    prior = np.repeat(rows, F[:, 4].astype(np.int64))  # each row's earlier records
+    announce = parse_ts("2011-03-01T00:00:00Z")
+    stream = Stream(
+        np.concatenate([np.zeros(len(prior), np.int64), np.full(len(F), announce)]),
+        np.concatenate([prior, rows]),
+        np.concatenate([firm[prior], firm]),
+        np.zeros(len(prior) + len(F), np.int64),
+        tuple(f"A{i:04d}" for i in rows),
+        tuple(f"F{j:04d}" for j in range(len(events))),
+    )
+    k = len(events)
+    acts = ActualTable(
+        np.arange(k), np.full(k, 2011), np.ones(k, np.int64), np.full(k, announce), np.zeros(k, np.int64), stream.firm_ids
+    )
+    bounds = np.cumsum([0] + sizes)
+    panel = Panel(acts, bounds, rows, stream.ident_ids, np.zeros(len(F), np.int64), F[:, :4], stream, len(prior) + rows, IngestReport())
+    aae = np.concatenate([a for _, a in events])
+    return LedgerState(panel, None, np.zeros(len(F)), aae, F[:, 5].copy())
+
+
+class TestLedgerFreeNormalization:
+    """The panel's ledger-free columns, normalized once per scaling, plus
+    each pass's normalized past error and dependent values against the
+    per-event oracle."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_per_event_oracle(self, data):
+        def column(n, low, high, integer):
+            # a column of zeros takes normalize's zero-mean path
+            if data.draw(st.integers(0, 4)) == 0:
+                return [0.0] * n
+            values = st.integers(low, high) if integer else st.floats(low, high)
+            return [float(v) for v in data.draw(st.lists(values, min_size=n, max_size=n))]
+
+        events = []
+        for n in data.draw(st.lists(st.sampled_from([1, 2, 3, 8, 9, 17]), min_size=1, max_size=8)):
+            F = np.column_stack(
+                [
+                    column(n, 0.0, 400.0, False),  # age
+                    column(n, 1, 5, True),  # freq
+                    column(n, 1, 30, True),  # ncos
+                    column(n, 0, 1, True),  # top10
+                    column(n, 0, 3, True),  # exp
+                    column(n, 0.0, 1e4, False),  # mae
+                ]
+            )
+            events.append((F, np.array(column(n, 0.0, 1e4, False))))
+        state = stacked_state(events)
+        for scaling in SCALINGS:
+            X, y = state.rows(scaling)
+            for (F, aae), start, stop in zip(events, state.panel.bounds, state.panel.bounds[1:]):
+                want_X, want_y = oracles.normalize_event(F, aae, scaling)
+                assert X[start:stop].tobytes() == np.ascontiguousarray(want_X).tobytes()
+                assert y[start:stop].tobytes() == want_y.tobytes()
 
 def _top10_only():
     return ModeConfig(label="top10_only", variable_mask=mask_without("age", "freq", "ncos", "exp", "mae"))
