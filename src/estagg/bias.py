@@ -92,7 +92,7 @@ class KeyIndex:
 
 class StreamIndex:
     """A chronological stream's KeyIndex per ledger key granularity, each
-    built on first use and kept until `clear`."""
+    built on first use and kept with the stream."""
 
     def __init__(self, ts: np.ndarray, ident: np.ndarray, firm: np.ndarray):
         self._ts, self._ident, self._firm = ts, ident, firm
@@ -102,9 +102,6 @@ class StreamIndex:
         if granularity not in self._built:
             self._built[granularity] = KeyIndex(_KEYS[granularity](self._ident, self._firm), self._ts)
         return self._built[granularity]
-
-    def clear(self) -> None:
-        self._built.clear()
 
 
 def _mean(index: KeyIndex, values: np.ndarray) -> np.ndarray:

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .aggregate import ModeConfig, default_mode_matrix, modes_by_label
-from .evaluate import ModeResult, PanelSource, descriptive_stats, mode_result, run_mode_matrix, surprises
-from .ingest import MIN_LEAD_HOURS, FilterConfig, Panel, cross_check_actuals, parse_actuals, parse_estimates
+from .evaluate import ModeResult, PanelSource, mode_result, run_mode_matrix, surprises
+from .ingest import MIN_LEAD_HOURS, FilterConfig, Panel, cross_check_actuals, parse_actuals, parse_estimates, read_lines
 from .model import N_VARS, PeriodModel
 from .replay import FALLBACK_NAMES, ReplayResult
 from .synth import SynthSpec, generate
@@ -68,18 +68,17 @@ def _settings(args: argparse.Namespace, casts: dict) -> dict:
     out = {}
     first: dict[str, int] = {}  # the line each key is first given on
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            for number, raw in enumerate(fh, 1):
-                key, eq, value = (part.strip() for part in raw.split("#", 1)[0].partition("="))
-                try:
-                    if eq and first.setdefault(key, number) != number:
-                        raise ValueError(f"setting {key!r} given again, first on {args.config}:{first[key]}")
-                    if eq and key in casts:
-                        out[key] = casts[key](value)
-                    elif key or eq:
-                        raise ValueError(f"unknown setting {key!r}" if eq else f"expected key = value, got {key!r}")
-                except ValueError as exc:
-                    raise ValueError(f"{args.config}:{number}: {exc}") from None
+        for number, raw in enumerate(read_lines(args.config), 1):
+            key, eq, value = (part.strip() for part in raw.split("#", 1)[0].partition("="))
+            try:
+                if eq and first.setdefault(key, number) != number:
+                    raise ValueError(f"setting {key!r} given again, first on {args.config}:{first[key]}")
+                if eq and key in casts:
+                    out[key] = casts[key](value)
+                elif key or eq:
+                    raise ValueError(f"unknown setting {key!r}" if eq else f"expected key = value, got {key!r}")
+            except ValueError as exc:
+                raise ValueError(f"{args.config}:{number}: {exc}") from None
     return out | {key: getattr(args, key) for key in casts if getattr(args, key) is not None}
 
 
@@ -236,15 +235,15 @@ def cmd_run(args: argparse.Namespace) -> int:
             results[i] = result
             del replay  # hold no panel while the next group's is built
 
-        panel = source.default_panel()
+        ingest, descriptive = source.ingest_summary()
         report = {
-            "ingest": {"total": panel.report.total, "kept": panel.report.kept, "rejects": dict(panel.report.rejects)},
+            "ingest": {"total": ingest.total, "kept": ingest.kept, "rejects": dict(ingest.rejects)},
             "parse_rejects": {name: len(rejects) for name, rejects in parse_rejects.items()},
             "parse_reject_sample": {
                 name: [{"line": r.line, "reason": r.reason} for r in rejects[:REJECT_SAMPLE_SIZE]]
                 for name, rejects in parse_rejects.items()
             },
-            "descriptive": descriptive_stats(panel) if len(panel.events) else None,
+            "descriptive": descriptive,
         }
         if check_path:
             report["actuals_check"] = check_report
@@ -299,35 +298,33 @@ def _read_surprises(path: str) -> tuple[np.ndarray, np.ndarray]:
     """The original and improved surprises of a run's evaluated events; a
     short, long or unreadable row of its events file fails with the path and line."""
     original, improved = [], []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        columns = ("actual_cents", "simple_consensus", "improved", "in_evaluation")
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path}:1: header missing columns {missing}")
-        for row in reader:
-            try:
-                if None in row:  # DictReader's key for the fields past the header's
-                    raise ValueError(f"more fields than the header's {len(reader.fieldnames)}")
-                if row["in_evaluation"] == "1":
-                    actual = float(row["actual_cents"])
-                    original.append(float(row["simple_consensus"]) - actual)
-                    improved.append(float(row["improved"]) - actual)
-            except (TypeError, ValueError) as exc:  # a short row reads None
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    reader = csv.DictReader(read_lines(path))
+    columns = ("actual_cents", "simple_consensus", "improved", "in_evaluation")
+    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"{path}:1: header missing columns {missing}")
+    for row in reader:
+        try:
+            if None in row:  # DictReader's key for the fields past the header's
+                raise ValueError(f"more fields than the header's {len(reader.fieldnames)}")
+            if row["in_evaluation"] == "1":
+                actual = float(row["actual_cents"])
+                original.append(float(row["simple_consensus"]) - actual)
+                improved.append(float(row["improved"]) - actual)
+        except (TypeError, ValueError) as exc:  # a short row reads None
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return np.array(original, float), np.array(improved, float)
 
 
 def _run_modes(run_dir: str) -> list[str]:
     """The distinct, known mode labels of a run, in its order, from its manifest."""
     path = os.path.join(run_dir, "manifest.json")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            labels = json.load(fh)["config"]["modes"]
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
-        except (KeyError, TypeError):
-            labels = None
+    try:
+        labels = json.loads("".join(read_lines(path)))["config"]["modes"]
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
+    except (KeyError, TypeError):
+        labels = None
     if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
         raise ValueError(f"{path}: config.modes is not a list of mode labels")
     try:

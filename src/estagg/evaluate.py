@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .aggregate import MODE_DESCRIPTIONS, ModeConfig
-from .ingest import ActualTable, EstimateTable, FilterConfig, Panel, build_panel
+from .ingest import ActualTable, EstimateTable, FilterConfig, IngestReport, Panel, build_panel
 from .replay import ReplayResult, ledger_state, run_mode
 
 logger = logging.getLogger(__name__)
@@ -138,20 +138,24 @@ def descriptive_stats(panel: Panel) -> dict:
 
 
 class PanelSource:
-    """Builds and caches panels per (identity, recency-cutoff) combination."""
+    """Builds the panel of an (identity, recency-cutoff) key, holding only the
+    panel it built last, and keeps the default panel's ingest summary."""
 
     def __init__(self, estimates: EstimateTable, actuals: ActualTable, cfg: FilterConfig):
         self.estimates = estimates
         self.actuals = actuals
         self.cfg = cfg
-        self._cache: dict[tuple[str, int], Panel] = {}
+        self._key = self._panel = None  # the key and panel built last
+        self._summary: Optional[tuple[IngestReport, Optional[dict]]] = None
 
-    def _panel(self, identity: str, min_lead_hours: int) -> Panel:
-        key = (identity, min_lead_hours)
-        if key not in self._cache:
-            cfg = dc_replace(self.cfg, min_lead_hours=min_lead_hours)
-            self._cache[key] = build_panel(self.estimates, self.actuals, cfg, identity=identity)
-        return self._cache[key]
+    def _hold(self, key: tuple[str, int]) -> Panel:
+        if key != self._key:
+            if self._key == self.default_key():
+                self.ingest_summary()  # taken as the default panel is let go
+            self._key = self._panel = None  # before the build, so that one panel is alive at a time
+            cfg = dc_replace(self.cfg, min_lead_hours=key[1])
+            self._key, self._panel = key, build_panel(self.estimates, self.actuals, cfg, identity=key[0])
+        return self._panel
 
     def panel_key(self, mode: ModeConfig) -> tuple[str, int]:
         """The mode's (identity, recency cutoff); the cutoff never undercuts
@@ -159,21 +163,24 @@ class PanelSource:
         return (mode.identity, max(self.cfg.min_lead_hours, mode.min_lead_hours))
 
     def panel_for(self, mode: ModeConfig) -> Panel:
-        return self._panel(*self.panel_key(mode))
+        return self._hold(self.panel_key(mode))
 
     def default_key(self) -> tuple[str, int]:
         """The key of the panel the run's ingest report describes."""
         return ("analyst", self.cfg.min_lead_hours)
 
     def default_panel(self) -> Panel:
-        return self._panel(*self.default_key())
+        return self._hold(self.default_key())
 
-    def release(self, key: tuple[str, int]) -> None:
-        """Release the key indexes and normalized columns of the panel of
-        `key`, and drop the panel from the cache unless it is the default."""
-        self._cache[key].release()
-        if key != self.default_key():
-            del self._cache[key]
+    def ingest_summary(self) -> tuple[IngestReport, Optional[dict]]:
+        """The default panel's report and descriptive statistics, None with no
+        events; the panel is built for them if no mode scored on it. The
+        source then lets go of the panel it holds."""
+        if self._summary is None:
+            panel = self.default_panel()
+            self._summary = panel.report, descriptive_stats(panel) if len(panel.events) else None
+        self._key = self._panel = None
+        return self._summary
 
 
 def mode_result(label: str, original: np.ndarray, improved: np.ndarray) -> ModeResult:
@@ -215,13 +222,11 @@ def run_mode_matrix(
     """Score every mode, handing out each mode's index in `modes`, replay
     and three statistics as soon as it is scored, and keeping neither.
 
-    Modes that share a panel and a bias key score from one ledger pass.
-    The groups run in panel-key order, so each panel's groups run back to
-    back, and after a panel's last group the source releases the panel's
-    key indexes and normalized columns and drops it unless it is the
-    default panel. A caller that lets go of each replay once it has used it
-    holds one group's state and at most two panels at a time: the default
-    panel and the current one.
+    Modes that share a panel and a bias key score from one ledger pass,
+    one `panel_for` call each. The groups run in panel-key order, so each
+    panel's groups run back to back and the source builds each panel once.
+    A caller that lets go of each replay once it has used it holds one
+    group's state and one panel at a time.
     """
     panels: dict[tuple[str, int], dict[Optional[str], list[int]]] = {}
     for i, mode in enumerate(modes):
@@ -229,4 +234,3 @@ def run_mode_matrix(
     for key in sorted(panels):
         for members in panels[key].values():
             yield from _score_group(source, modes, members, burn_in)
-        source.release(key)

@@ -245,7 +245,7 @@ class Panel:
         the four features and the experience, the count of the row's stream
         record's (identity, firm) records at earlier announce times. Each
         size bucket is normalized as one (k, 5, n) stack, once per scaling
-        until `release`."""
+        and panel."""
         if scaling not in self._normalized:
             columns = np.column_stack([self.features, self.stream.indexes["identity_firm"].counts[self.records]])
             out = np.empty(columns.shape)
@@ -254,12 +254,6 @@ class Panel:
                 out[bucket.rows] = np.swapaxes(normalize(stack, scaling), -1, -2)
             self._normalized[scaling] = out
         return self._normalized[scaling]
-
-    def release(self) -> None:
-        """Drop the stream's key indexes and the normalized columns; a later
-        use builds them again."""
-        self.stream.indexes.clear()
-        self._normalized.clear()
 
 
 _INT64 = np.iinfo(np.int64)
@@ -307,6 +301,13 @@ def _text_lines(pieces: Iterable[_Lines], where: str) -> Iterator[str]:
     """Each line of the pieces, as text split as by open(newline=""); a piece's text lives only in its StringIO."""
     for lines in pieces:
         yield from io.StringIO(_decoded(lines, where), newline="")
+
+
+def read_lines(path: str) -> Iterator[str]:
+    """Each line of a UTF-8 file as text, split as by open(newline=""); an
+    undecodable byte fails naming the file and its line."""
+    with open(path, "rb") as fh:
+        yield from _text_lines(_binary_chunks(fh), f"{path}: ")
 
 
 class _ByteBlock:

@@ -165,7 +165,7 @@ class TestRunCommand:
             raise RuntimeError("injected")
 
         # fails after every per-mode file is written into the new directory
-        monkeypatch.setattr("estagg.cli.descriptive_stats", fail)
+        monkeypatch.setattr("estagg.evaluate.descriptive_stats", fail)
         out = tmp_path / "new"
         assert main(run_args(synth_dir, out, ["--modes", "full"])) == 1
         assert "injected" in capsys.readouterr().err
@@ -199,7 +199,7 @@ class TestRunCommand:
             assert sorted(p.name for p in out.iterdir()) == ["events_cutoff_60d.csv"]
             assert not any((out / "events_cutoff_60d.csv").iterdir())
 
-    def test_each_panel_but_the_default_is_dropped_after_its_last_group(self, synth_dir, tmp_path, monkeypatch):
+    def test_each_panel_is_dropped_after_its_last_group(self, synth_dir, tmp_path, monkeypatch):
         built = []  # a weak reference to each panel, in build order
         live_at_build = []  # per build, how many panels built before it are alive
 
@@ -210,8 +210,8 @@ class TestRunCommand:
             return panel
 
         def watching_matrix(source, modes, burn_in):
-            """The matrix, counting, as each mode is handed out and once it
-            ends, the non-default panels alive whose last mode was written."""
+            """The matrix, counting, as each mode is handed out, the panels
+            alive whose last mode was written."""
             left = Counter(map(source.panel_key, modes))
             finished = []  # weak references to the panels whose last mode was written
             for i, replay, result in run_mode_matrix(source, modes, burn_in):
@@ -220,22 +220,47 @@ class TestRunCommand:
                 yield i, replay, result
                 del replay
                 left[key] -= 1
-                if not left[key] and key != source.default_key():
+                if not left[key]:
                     finished.append(panel)
-            outlived.append(sum(ref() is not None for ref in finished))
-            assert len(finished) == 3
-            default.append(source.default_panel())
+            # the source holds the panel it built last until the summary is taken
+            assert [ref() is not None for ref in finished] == [False, False, False, True]
 
-        outlived, default = [], []
-        build_panel = evaluate.build_panel
+        def watching_write_json(path, value):
+            if os.path.basename(path) == "ingest_report.json":  # written from the summary
+                outlived.append(sum(ref() is not None for ref in built))
+            write_json(path, value)
+
+        outlived = []
+        build_panel, write_json = evaluate.build_panel, cli._write_json
         monkeypatch.setattr(evaluate, "build_panel", counting_build_panel)
         monkeypatch.setattr(cli, "run_mode_matrix", watching_matrix)
+        monkeypatch.setattr(cli, "_write_json", watching_write_json)
         assert main(run_args(synth_dir, tmp_path, ["--modes", "all"])) == 0
+        # no panel, the default included, outlives its last mode, and the
+        # summary of the default panel, built first for full, needs no build
         assert outlived == [0] * (len(default_mode_matrix()) + 1)
-        # the default panel is built first, for full, and outlives the
-        # matrix for the ingest report; no other panel outlives its groups
-        assert len(built) == 4 and default == [built[0]()]
-        assert live_at_build == [0, 1, 1, 1]
+        assert len(built) == 4 and live_at_build == [0, 0, 0, 0]
+
+    def test_ingest_report_needs_no_mode_on_the_default_panel(self, synth_dir, tmp_path, monkeypatch):
+        built = []  # the (identity, recency cutoff) of each panel built
+
+        def counting_build_panel(estimates, actuals, cfg, identity):
+            built.append((identity, cfg.min_lead_hours))
+            return build_panel(estimates, actuals, cfg, identity=identity)
+
+        build_panel = evaluate.build_panel
+        monkeypatch.setattr(evaluate, "build_panel", counting_build_panel)
+        default = ("analyst", FilterConfig().min_lead_hours)
+        # institution scores on the broker panel, so the default panel is
+        # built after the matrix, for the ingest report alone
+        assert main(run_args(synth_dir, tmp_path / "institution", ["--modes", "institution"])) == 0
+        assert built == [("broker", default[1]), default]
+        built.clear()
+        assert main(run_args(synth_dir, tmp_path / "full", ["--modes", "full"])) == 0
+        assert built == [default]
+        report = (tmp_path / "full" / "ingest_report.json").read_bytes()
+        assert (tmp_path / "institution" / "ingest_report.json").read_bytes() == report
+        assert json.loads(report)["descriptive"]["n_reports"] > 0
 
     def test_mode_order_changes_only_results_order(self, synth_dir, run_dir, tmp_path):
         labels = [m.label for m in default_mode_matrix()]
@@ -417,6 +442,14 @@ class TestRunCommand:
         # without a check file the report has no such section
         assert "actuals_check" not in json.loads((run_dir / "ingest_report.json").read_text())
 
+    @pytest.mark.parametrize("missing", ["--estimates", "--actuals", "--out"])
+    def test_run_without_an_input_or_out_dir_fails(self, synth_dir, tmp_path, capsys, missing):
+        args = run_args(synth_dir, tmp_path / "out")
+        del args[args.index(missing) : args.index(missing) + 2]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "run requires --estimates, --actuals and --out (flags or config)\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_burn_in_rejected(self, synth_dir, tmp_path, capsys):
         assert main(run_args(synth_dir, tmp_path, ["--burn-in", "0"])) == 2
         assert "burn-in" in capsys.readouterr().err
@@ -493,6 +526,8 @@ class TestRunCommand:
             "{cfg}:3: setting 'min_analysts' given again, first on {cfg}:1",
         ),
         ("synth", "seed = 1\nn_firms = 3\nseed=2\n", "{cfg}:3: setting 'seed' given again, first on {cfg}:1"),
+        # each line end counts, a lone CR's too
+        ("run", b"# filter\rburn_in = 4\r\nmin_analysts = \xff3\n", "{cfg}: line 3: undecodable byte 0xff;"),
     ],
     ids=[
         "unknown_key",
@@ -502,12 +537,13 @@ class TestRunCommand:
         "synth_unknown_key",
         "duplicate_key",
         "synth_duplicate_key",
+        "undecodable_byte",
     ],
 )
 def test_bad_config_file_fails_naming_the_line(synth_dir, tmp_path, capsys, command, text, error):
     cfg = tmp_path / "bad.cfg"
     if text is not None:
-        cfg.write_text(text)
+        cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "out"
     if command == "run":
         argv = run_args(synth_dir, out, ["--config", str(cfg)])
@@ -630,20 +666,39 @@ class TestReportCommand:
     @pytest.mark.parametrize(
         "modes, error",
         [
-            ([], "no mode selected"),
-            (["full", "no_bias", "full"], "mode 'full' selected twice"),
-            (["full", "bogus"], "unknown mode 'bogus'"),
+            ([], ": no mode selected"),
+            (["full", "no_bias", "full"], ": mode 'full' selected twice"),
+            (["full", "bogus"], ": unknown mode 'bogus'"),
+            ("full", " is not a list of mode labels"),
+            (None, " is not a list of mode labels"),
         ],
-        ids=["empty", "repeated", "unknown"],
+        ids=["empty", "repeated", "unknown", "string", "missing"],
     )
     def test_manifest_with_bad_modes_fails(self, reported_run, capsys, modes, error):
         path = reported_run / "manifest.json"
         manifest = json.loads(path.read_text())
         manifest["config"]["modes"] = modes
+        if modes is None:
+            del manifest["config"]["modes"]
         path.write_text(json.dumps(manifest))
         (reported_run / "events_bogus.csv").write_bytes((reported_run / "events_full.csv").read_bytes())
         assert main(["report", "--run-dir", str(reported_run)]) == 1
-        assert capsys.readouterr().err.startswith(f"report failed: {path}: config.modes: {error}")
+        assert capsys.readouterr().err.startswith(f"report failed: {path}: config.modes{error}")
+        assert not (reported_run / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (b'{"version": "0.1.0",\n "config": [}\n', ":2: Expecting value"),
+            (b'{"version": "0.1.0",\r\n "config": {"modes": ["\xff"]}}\n', ": line 2: undecodable byte 0xff;"),
+        ],
+        ids=["not_json", "undecodable_byte"],
+    )
+    def test_unreadable_manifest_fails_naming_the_line(self, reported_run, capsys, text, error):
+        path = reported_run / "manifest.json"
+        path.write_bytes(text)
+        assert main(["report", "--run-dir", str(reported_run)]) == 1
+        assert capsys.readouterr().err.startswith(f"report failed: {path}{error}")
         assert not (reported_run / "results.csv").exists()
 
     def test_missing_manifest_fails(self, reported_run, capsys):
@@ -657,8 +712,9 @@ class TestReportCommand:
         [
             ("in_evaluation", None, ":1: header missing columns ['in_evaluation']"),
             ("improved", "abc", ":3: could not convert string to float: 'abc'"),
+            ("improved", "1\udcff", ": line 3: undecodable byte 0xff; the input must be UTF-8"),
         ],
-        ids=["no_in_evaluation_column", "bad_value"],
+        ids=["no_in_evaluation_column", "bad_value", "undecodable_byte"],
     )
     def test_bad_events_file_fails_naming_the_line(self, reported_run, capsys, column, value, error):
         path = reported_run / "events_no_bias.csv"
@@ -671,7 +727,7 @@ class TestReportCommand:
                 del row[column]
         else:
             rows[1][column] = value
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", errors="surrogateescape") as fh:  # "\udcff" writes byte 0xff
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)

@@ -1,5 +1,6 @@
 import csv
 import struct
+import weakref
 from dataclasses import replace
 from functools import cached_property
 
@@ -224,18 +225,20 @@ class TestSharedState:
         fresh = PanelSource(source.estimates, source.actuals, source.cfg)
         modes = default_mode_matrix()
         for i, replay, _ in run_mode_matrix(fresh, modes, burn_in=self.BURN_IN):
-            # the panel is cached until its last group is scored
+            # the source holds the panel until another is asked for
             panel = fresh.panel_for(modes[i])
             assert replay.panel is panel
             assert [layout for p, layout in laid_out if p is panel] == [panel.layout]
         # nine ledger passes over four panels: analyst identity at the three
         # cutoffs, and broker identity
         assert len(laid_out) == len({fresh.panel_key(m) for m in modes}) == 4
+        # the source holds only the broker panel, so full's is built and laid out again
         full, no_bias = modes[0], modes[2]
         panel = fresh.panel_for(full)
+        assert all(p is not panel for p, _ in laid_out)
         first, second = ledger_state(panel, full.bias_key), ledger_state(panel, no_bias.bias_key)
-        assert first.panel.layout is second.panel.layout
-        assert len(laid_out) == 4
+        assert first.panel.layout is second.panel.layout is panel.layout
+        assert len(laid_out) == 5
 
     def test_state_from_another_ledger_rejected(self, source):
         full, no_bias = default_mode_matrix()[:3:2]
@@ -278,27 +281,32 @@ class TestSharedState:
 
         def counting_ledger_free(panel, scaling):
             if scaling not in panel._normalized:
-                normalized.append((id(panel), scaling))
+                normalized.append((next(i for i, ref in enumerate(panels) if ref() is panel), scaling))
             return ledger_free(panel, scaling)
 
+        def counting_build_panel(*args, **kwargs):
+            assert all(ref() is None for ref in panels)  # the last panel went before this build
+            panel = build_panel(*args, **kwargs)
+            panels.append(weakref.ref(panel))
+            return panel
+
         argsort, ledger_free, normalized = np.argsort, Panel.ledger_free, []
+        build_panel, panels = evaluate.build_panel, []  # a weak reference to each panel, in build order
         monkeypatch.setattr(bias, "KeyIndex", CountingIndex)
         monkeypatch.setattr(np, "argsort", counting_argsort)
         monkeypatch.setattr(Panel, "ledger_free", counting_ledger_free)
-
-        def released(panel):
-            return not panel.stream.indexes._built and not panel._normalized
+        monkeypatch.setattr(evaluate, "build_panel", counting_build_panel)
 
         fresh = PanelSource(source.estimates, source.actuals, source.cfg)
-        seen = []  # each panel, in the order its modes are handed out
         for _, result, _ in run_mode_matrix(fresh, default_mode_matrix(), burn_in=self.BURN_IN):
-            if not seen or result.panel is not seen[-1]:
-                # every earlier panel's last group is done
-                assert all(map(released, seen))
-                seen.append(result.panel)
-            assert not released(result.panel)
-        assert len(seen) == 4 and any(panel is fresh.default_panel() for panel in seen)
-        assert all(map(released, seen))
+            # the mode's panel, and with it its indexes and normalized
+            # columns, is the one alive: every earlier panel's last group is done
+            assert panels[-1]() is result.panel
+            assert [ref() is not None for ref in panels] == [False] * (len(panels) - 1) + [True]
+            del result
+        assert len(panels) == 4 and panels[-1]() is not None
+        fresh.ingest_summary()  # the summary of the default panel, built first, lets the last panel go
+        assert len(panels) == 4 and all(ref() is None for ref in panels)
         # identity-firm on each panel (build_panel's prior-record count and
         # every history ledger), and the global, firm and identity keys of
         # the default panel, the half key reusing the last two

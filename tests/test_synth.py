@@ -21,6 +21,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SynthSpec(negative_surprise_target=0.0).validate()
 
+    def test_skill_spread_below_one(self):
+        # the noise multipliers are drawn from [1, spread]
+        with pytest.raises(ValueError, match="^skill_spread must be >= 1$"):
+            SynthSpec(skill_spread=0.5).validate()
+
 
 class TestGenerate:
     def test_noiseless_estimates_equal_actual(self):
