@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .aggregate import ModeConfig, default_mode_matrix
 from .ingest import ActualTable, EstimateTable, FilterConfig, build_panel
 from .ingest import cross_check_actuals, parse_actuals, parse_estimates
-from .synth import SynthSpec, generate
 
 __all__ = [
     "ActualTable",
@@ -26,3 +25,13 @@ __all__ = [
     "parse_actuals",
     "parse_estimates",
 ]
+
+
+def __getattr__(name: str):
+    """SynthSpec and generate, from estagg.synth, which is imported on first use:
+    of the commands only `synth` needs it."""
+    if name in ("SynthSpec", "generate"):
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

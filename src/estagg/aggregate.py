@@ -9,8 +9,7 @@ weight exponent, and the recency cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -20,28 +19,42 @@ from .model import FULL_MASK, Mask, mask_without
 
 BIAS_KEYS = ("identity_firm", "identity", "firm", "global", "half")
 METHODS = ("weighted", "equal", "closest")
+DEFAULT_EXPONENT = 1.2  # the weight exponent of every mode but exponent_2
 
 
-@dataclass(frozen=True)
-class ModeConfig:
+class _ModeFields(NamedTuple):
     label: str = "full"
     bias_key: Optional[str] = "identity_firm"  # one of BIAS_KEYS, or None for no bias correction
     variable_mask: Mask = FULL_MASK
     scaling: str = "normalized"  # one of SCALINGS
     identity: str = "analyst"  # one of IDENTITIES
-    exponent: float = 1.2
+    exponent: float = DEFAULT_EXPONENT
     min_lead_hours: int = MIN_LEAD_HOURS
     method: str = "weighted"  # one of METHODS
 
-    def __post_init__(self):
-        if not (np.isfinite(self.exponent) and self.exponent > 0):
-            raise ValueError(f"exponent must be positive and finite, got {self.exponent!r}")
-        if self.min_lead_hours < MIN_LEAD_HOURS:
+
+class ModeConfig(_ModeFields):
+    """An ablation mode's choices, an immutable record checked when it is made."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        mode = super().__new__(cls, *args, **kwargs)
+        if not (np.isfinite(mode.exponent) and mode.exponent > 0):
+            raise ValueError(f"exponent must be positive and finite, got {mode.exponent!r}")
+        if mode.min_lead_hours < MIN_LEAD_HOURS:
             raise ValueError(f"recency cutoff below {MIN_LEAD_HOURS} hours")
         choices = {"bias_key": (*BIAS_KEYS, None), "scaling": SCALINGS, "identity": IDENTITIES, "method": METHODS}
         for name, known in choices.items():
-            if getattr(self, name) not in known:
-                raise ValueError(f"unknown {name} {getattr(self, name)!r}; known: {list(known)}")
+            if getattr(mode, name) not in known:
+                raise ValueError(f"unknown {name} {getattr(mode, name)!r}; known: {list(known)}")
+        return mode
+
+    def replace(self, **changes) -> ModeConfig:
+        """The mode with `changes`, checked as a new mode is."""
+        return ModeConfig(**self._asdict() | changes)
+
+    _replace = replace  # the named tuple's own would build the mode unchecked
 
 
 # margins at rounding-noise scale count as "at the average": keeps the
@@ -83,34 +96,34 @@ MODE_DESCRIPTIONS = {
 }
 
 
-def default_mode_matrix(exponent: float = ModeConfig.exponent) -> list[ModeConfig]:
+def default_mode_matrix(exponent: float = DEFAULT_EXPONENT) -> list[ModeConfig]:
     """Every ablation row: full mode, component removals, per-variable
     removals, bias-granularity variants, identity/exponent/cutoff variants,
     and the hindsight benchmarks."""
     full = ModeConfig(label="full", exponent=exponent)
     return [
         full,
-        replace(full, label="no_expertise", method="equal"),
-        replace(full, label="no_bias", bias_key=None),
+        full.replace(label="no_expertise", method="equal"),
+        full.replace(label="no_bias", bias_key=None),
         *(
-            replace(full, label=f"no_{v}", variable_mask=mask_without(v))
+            full.replace(label=f"no_{v}", variable_mask=mask_without(v))
             for v in ("age", "freq", "top10", "ncos", "exp", "mae")
         ),
-        replace(full, label="no_scaling", scaling="centered"),
-        replace(full, label="bias_global", bias_key="global"),
-        replace(full, label="bias_firm", bias_key="firm"),
-        replace(full, label="bias_analyst", bias_key="identity"),
-        replace(full, label="bias_half", bias_key="half"),
-        replace(full, label="institution", identity="broker"),
-        replace(full, label="exponent_2", exponent=2.0),
-        replace(full, label="cutoff_30d", min_lead_hours=30 * 24),
-        replace(full, label="cutoff_60d", min_lead_hours=60 * 24),
-        replace(full, label="closest", method="closest"),
-        replace(full, label="closest_raw", method="closest", bias_key=None),
+        full.replace(label="no_scaling", scaling="centered"),
+        full.replace(label="bias_global", bias_key="global"),
+        full.replace(label="bias_firm", bias_key="firm"),
+        full.replace(label="bias_analyst", bias_key="identity"),
+        full.replace(label="bias_half", bias_key="half"),
+        full.replace(label="institution", identity="broker"),
+        full.replace(label="exponent_2", exponent=2.0),
+        full.replace(label="cutoff_30d", min_lead_hours=30 * 24),
+        full.replace(label="cutoff_60d", min_lead_hours=60 * 24),
+        full.replace(label="closest", method="closest"),
+        full.replace(label="closest_raw", method="closest", bias_key=None),
     ]
 
 
-def modes_by_label(labels, exponent: float = ModeConfig.exponent) -> list[ModeConfig]:
+def modes_by_label(labels, exponent: float = DEFAULT_EXPONENT) -> list[ModeConfig]:
     """The modes of `labels`, in their order; an empty selection, an
     unknown label or a label given twice fails."""
     table = {m.label: m for m in default_mode_matrix(exponent)}

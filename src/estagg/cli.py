@@ -15,19 +15,18 @@ import hashlib
 import json
 import logging
 import os
+import re
 import sys
-from dataclasses import asdict
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .aggregate import ModeConfig, default_mode_matrix, modes_by_label
+from .aggregate import DEFAULT_EXPONENT, default_mode_matrix, modes_by_label
 from .evaluate import ModeResult, PanelSource, mode_result, run_mode_matrix, surprises
 from .ingest import MIN_LEAD_HOURS, FilterConfig, Panel, cross_check_actuals, parse_actuals, parse_estimates, read_lines
 from .model import N_VARS, PeriodModel
 from .replay import FALLBACK_NAMES, ReplayResult
-from .synth import SynthSpec, generate
 
 logger = logging.getLogger(__name__)
 
@@ -61,7 +60,8 @@ def _setup_logging() -> None:
 
 def _settings(args: argparse.Namespace, casts: dict) -> dict:
     """Each setting of `casts` from its flag, else from the key=value config
-    file, where '#' starts a comment; settings given in neither are left
+    file, where a '#' at a line's start or after whitespace starts a comment,
+    so a value may hold one; settings given in neither are left
     out, so the caller's defaults apply. A config line that is not such a
     setting with a value that casts fails with the path and line number, and
     a setting given twice fails naming both lines."""
@@ -69,7 +69,7 @@ def _settings(args: argparse.Namespace, casts: dict) -> dict:
     first: dict[str, int] = {}  # the line each key is first given on
     if args.config:
         for number, raw in enumerate(read_lines(args.config), 1):
-            key, eq, value = (part.strip() for part in raw.split("#", 1)[0].partition("="))
+            key, eq, value = (part.strip() for part in re.split(r"(?<!\S)#", raw, maxsplit=1)[0].partition("="))
             try:
                 if eq and first.setdefault(key, number) != number:
                     raise ValueError(f"setting {key!r} given again, first on {args.config}:{first[key]}")
@@ -172,7 +172,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     check_path, out_dir = settings.get("actuals_check"), settings.get("out")
     burn_in = settings.get("burn_in", 24)
     mode_sel = settings.get("modes", "all")
-    exponent = settings.get("exponent", ModeConfig.exponent)
+    exponent = settings.get("exponent", DEFAULT_EXPONENT)
     fcfg = FilterConfig(**{key: settings[key] for key in FILTER_SETTINGS if key in settings})
 
     if not estimates_path or not actuals_path or not out_dir:
@@ -191,14 +191,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(message, file=sys.stderr)
             return 2
 
-    inputs = [estimates_path, actuals_path] + ([check_path] if check_path else [])
+    inputs = {"estimates": estimates_path, "actuals": actuals_path, "actuals_check": check_path}
     written: list[str] = []
     models_dir = os.path.join(out_dir, "models")
     made_out_dir = made_models_dir = False
     try:
-        for p in inputs:
-            if not os.path.isfile(p):
-                raise FileNotFoundError(p)
+        for name, p in inputs.items():
+            if p and not os.path.isfile(p):
+                raise FileNotFoundError(f"setting {name!r}: no such file {p!r}")
 
         estimates, est_rejects = parse_estimates(estimates_path)
         actuals, act_rejects = parse_actuals(actuals_path)
@@ -259,9 +259,9 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "burn_in": burn_in,
                 "modes": [m.label for m in modes],
                 "exponent": exponent,
-                "filter": asdict(fcfg) | {"horizon_codes": sorted(fcfg.horizon_codes)},
+                "filter": fcfg._asdict() | {"horizon_codes": sorted(fcfg.horizon_codes)},
             },
-            "inputs": {os.path.basename(p): _sha256(p) for p in inputs},
+            "inputs": {os.path.basename(p): _sha256(p) for p in inputs.values() if p},
         }
         _write_json(out("manifest.json"), manifest)
     except Exception as exc:  # remove partial outputs before failing
@@ -283,6 +283,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import SynthSpec, generate  # only this command needs synth and the dataclass it builds
+
     try:
         spec = SynthSpec(**_settings(args, SYNTH_SETTINGS))
         paths = generate(spec, args.out)

@@ -11,8 +11,7 @@ and improved, with one entry per evaluated event.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace as dc_replace
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -25,8 +24,7 @@ logger = logging.getLogger(__name__)
 NEG_INF = float("-inf")
 
 
-@dataclass
-class ModeResult:
+class ModeResult(NamedTuple):
     label: str
     description: str
     n_events: int
@@ -153,7 +151,7 @@ class PanelSource:
             if self._key == self.default_key():
                 self.ingest_summary()  # taken as the default panel is let go
             self._key = self._panel = None  # before the build, so that one panel is alive at a time
-            cfg = dc_replace(self.cfg, min_lead_hours=key[1])
+            cfg = self.cfg._replace(min_lead_hours=key[1])
             self._key, self._panel = key, build_panel(self.estimates, self.actuals, cfg, identity=key[0])
         return self._panel
 

@@ -33,7 +33,6 @@ import io
 import logging
 import os
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace as dc_replace
 from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import itemgetter
@@ -64,26 +63,31 @@ def _batches(rows: Iterable) -> Iterator[list]:
     return iter(lambda: list(islice(rows, _CHUNK_ROWS)), [])
 
 
-def _schema(table_type) -> list[tuple[str, str, str]]:
-    """(CSV column, attribute, kind) of each column of a table type."""
-    return [(f.metadata["column"], f.name, f.metadata["kind"]) for f in fields(table_type) if f.metadata]
-
-
 class _Table:
     """Input rows as columns, one array per CSV column and one entry per
     converted row, in input order. An ID column holds codes into its sorted
     ids, kept in the field of its name plus `_ids`, so ordering rows by code
-    orders them by id. parse_estimates and parse_actuals build them."""
+    orders them by id. parse_estimates and parse_actuals build them. Its
+    fields, given by position or name, are its SCHEMA's columns, then the ids."""
+
+    SCHEMA: tuple[tuple[str, str, str], ...] = ()  # (CSV column, attribute, kind) of each column
+
+    def __init__(self, *values, **named):
+        names = [attr for _, attr, _ in self.SCHEMA] + [attr + "_ids" for _, attr, kind in self.SCHEMA if kind == ID]
+        named |= zip(names, values)
+        if len(values) > len(names) or named.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes {names}, got {len(values)} values and {sorted(named)}")
+        vars(self).update(named)
 
     def __len__(self) -> int:
-        return len(getattr(self, fields(self)[0].name))
+        return len(getattr(self, self.SCHEMA[0][1]))
 
     @classmethod
     def _from_blocks(cls, blocks: Iterable, rejects: list[Reject]):
         """A table built from _ByteBlocks, tokenized or packed, converted one
         after another, and the physical line of each of its rows. Each row
         that does not convert goes to `rejects`, named by its block's line."""
-        schema = _schema(cls)
+        schema = cls.SCHEMA
         seen = [{} if kind == ID else None for _, _, kind in schema]  # id -> first-seen code
         parts: list[list[np.ndarray]] = []
         for block in blocks:
@@ -100,52 +104,52 @@ class _Table:
             table[attr] = column
         return cls(**table), lines
 
+    def replace(self, **columns):
+        """The table with `columns` in place of its own, ids unchanged."""
+        return type(self)(**vars(self) | columns)
+
     def take(self, index):
         """The rows `index` selects (positions or a mask), ids unchanged."""
-        return dc_replace(self, **{attr: getattr(self, attr)[index] for _, attr, _ in _schema(self)})
+        return self.replace(**{attr: getattr(self, attr)[index] for _, attr, _ in self.SCHEMA})
 
 
-@dataclass(frozen=True, eq=False)
 class EstimateTable(_Table):
-    """Estimates, any number per analyst and firm-period."""
+    """Estimates, any number per analyst and firm-period; estimate_ts in unix seconds."""
 
-    analyst: np.ndarray = field(metadata={"column": "analyst_id", "kind": ID})
-    broker: np.ndarray = field(metadata={"column": "broker_id", "kind": ID})
-    firm: np.ndarray = field(metadata={"column": "firm_id", "kind": ID})
-    year: np.ndarray = field(metadata={"column": "period_year", "kind": INT64})
-    quarter: np.ndarray = field(metadata={"column": "period_quarter", "kind": QUARTER})
-    estimate_ts: np.ndarray = field(metadata={"column": "estimate_ts", "kind": TIMESTAMP})  # unix seconds
-    horizon_code: np.ndarray = field(metadata={"column": "horizon_code", "kind": INT64})
-    value_cents: np.ndarray = field(metadata={"column": "value_cents", "kind": INT64})
-    analyst_ids: tuple[str, ...]
-    broker_ids: tuple[str, ...]
-    firm_ids: tuple[str, ...]
+    SCHEMA = (
+        ("analyst_id", "analyst", ID),
+        ("broker_id", "broker", ID),
+        ("firm_id", "firm", ID),
+        ("period_year", "year", INT64),
+        ("period_quarter", "quarter", QUARTER),
+        ("estimate_ts", "estimate_ts", TIMESTAMP),
+        ("horizon_code", "horizon_code", INT64),
+        ("value_cents", "value_cents", INT64),
+    )
 
 
-@dataclass(frozen=True, eq=False)
 class ActualTable(_Table):
-    """Realized outcomes; parse_actuals keeps one per firm-period."""
+    """Realized outcomes; parse_actuals keeps one per firm-period. announce_ts in unix seconds."""
 
-    firm: np.ndarray = field(metadata={"column": "firm_id", "kind": ID})
-    year: np.ndarray = field(metadata={"column": "period_year", "kind": INT64})
-    quarter: np.ndarray = field(metadata={"column": "period_quarter", "kind": QUARTER})
-    announce_ts: np.ndarray = field(metadata={"column": "announce_ts", "kind": TIMESTAMP})  # unix seconds
-    value_cents: np.ndarray = field(metadata={"column": "value_cents", "kind": INT64})
-    firm_ids: tuple[str, ...]
-
-
-ESTIMATE_COLUMNS = tuple(column for column, _, _ in _schema(EstimateTable))
-ACTUAL_COLUMNS = tuple(column for column, _, _ in _schema(ActualTable))
+    SCHEMA = (
+        ("firm_id", "firm", ID),
+        ("period_year", "year", INT64),
+        ("period_quarter", "quarter", QUARTER),
+        ("announce_ts", "announce_ts", TIMESTAMP),
+        ("value_cents", "value_cents", INT64),
+    )
 
 
-@dataclass(frozen=True)
-class Reject:
+ESTIMATE_COLUMNS = tuple(column for column, _, _ in EstimateTable.SCHEMA)
+ACTUAL_COLUMNS = tuple(column for column, _, _ in ActualTable.SCHEMA)
+
+
+class Reject(NamedTuple):
     line: int
     reason: str
 
 
-@dataclass(frozen=True)
-class FilterConfig:
+class FilterConfig(NamedTuple):
     min_analysts: int = 8
     surprise_cap_cents: int = 50
     min_lead_hours: int = MIN_LEAD_HOURS
@@ -157,42 +161,37 @@ class FilterConfig:
     require_prior_record: bool = True
 
 
-@dataclass
 class IngestReport:
-    total: int = 0
-    kept: int = 0
-    rejects: Counter = field(default_factory=Counter)
+    """The estimates a panel build read, kept, and rejected per reason."""
+
+    def __init__(self, total: int = 0):
+        self.total, self.kept, self.rejects = total, 0, Counter()
 
 
-@dataclass(frozen=True, eq=False)
 class Stream:
     """Every deduped window-valid prediction, scored or not, as int64
     columns in announcement order. The bias and history ledgers give each
     record its own-time prefix sums, over its key's records at strictly
     earlier announce times, so it sees no record at its own time."""
 
-    announce_ts: np.ndarray
-    ident: np.ndarray  # codes into ident_ids
-    firm: np.ndarray  # codes into firm_ids
-    error_cents: np.ndarray  # prediction minus actual
-    ident_ids: tuple[str, ...]  # analyst or broker ids, sorted
-    firm_ids: tuple[str, ...]  # sorted
-    indexes: StreamIndex = field(init=False, repr=False)  # the ledgers' key indexes, built on first use
-
-    def __post_init__(self):
-        object.__setattr__(self, "indexes", StreamIndex(self.announce_ts, self.ident, self.firm))
+    def __init__(self, announce_ts, ident, firm, error_cents, ident_ids, firm_ids):
+        self.announce_ts = announce_ts
+        self.ident = ident  # codes into ident_ids
+        self.firm = firm  # codes into firm_ids
+        self.error_cents = error_cents  # prediction minus actual
+        self.ident_ids = ident_ids  # analyst or broker ids, sorted
+        self.firm_ids = firm_ids  # sorted
+        self.indexes = StreamIndex(announce_ts, ident, firm)  # the ledgers' key indexes, built on first use
 
 
-@dataclass(frozen=True, eq=False)
-class SizeBucket:
+class SizeBucket(NamedTuple):
     """A panel's events of n analysts each, in announcement order, as a stack of k."""
 
     order: np.ndarray  # (k,) each event's position among the panel's events
     rows: np.ndarray  # (k, n) the events' rows, in event order
 
 
-@dataclass(frozen=True, eq=False)
-class Layout:
+class Layout(NamedTuple):
     """A panel's events laid out for scoring: grouped into size buckets by
     ascending analyst count, with the per-event columns no ledger changes."""
 
@@ -202,25 +201,25 @@ class Layout:
     simple: np.ndarray  # plain mean of each event's raw estimates
 
 
-@dataclass
 class Panel:
     """Chronological events over columns of their kept estimates, one event
     after another: event j is row j of `events`, and its estimates are rows
     bounds[j]:bounds[j+1]. A row's identity, analyst or broker by the
     panel's identity mode, is its stream record's."""
 
-    events: ActualTable  # the scored events' actuals rows, in announcement order
-    bounds: np.ndarray  # (len(events) + 1,) row offsets
-    analyst: np.ndarray  # codes into analyst_ids
-    analyst_ids: tuple[str, ...]  # sorted
-    value_cents: np.ndarray
-    # (n, 4) FEATURE_NAMES[:4], which no ledger changes: age in days, freq
-    # (pre-dedup submissions), firms covered in the period, top-decile flag
-    features: np.ndarray
-    stream: Stream
-    records: np.ndarray  # each kept estimate's position in the stream
-    report: IngestReport
-    _normalized: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, events, bounds, analyst, analyst_ids, value_cents, features, stream, records, report):
+        self.events: ActualTable = events  # the scored events' actuals rows, in announcement order
+        self.bounds = bounds  # (len(events) + 1,) row offsets
+        self.analyst = analyst  # codes into analyst_ids
+        self.analyst_ids: tuple[str, ...] = analyst_ids  # sorted
+        self.value_cents = value_cents
+        # (n, 4) FEATURE_NAMES[:4], which no ledger changes: age in days, freq
+        # (pre-dedup submissions), firms covered in the period, top-decile flag
+        self.features = features
+        self.stream: Stream = stream
+        self.records = records  # each kept estimate's position in the stream
+        self.report: IngestReport = report
+        self._normalized: dict[str, np.ndarray] = {}  # ledger_free by scaling
 
     @cached_property
     def layout(self) -> Layout:
@@ -616,7 +615,7 @@ def _parse(path, kind, table_type):
     a quote, a NUL or a line past the field limit hands a block to csv.reader,
     which reads it and the rest, packing their rows into blocks that convert
     as tokenized ones do (_ByteBlock.pack). Its errors fail with the line."""
-    schema = _schema(table_type)
+    schema = table_type.SCHEMA
     where = f"{path}: "
     rejects: list[Reject] = []
     with open(path, "rb") as fh:

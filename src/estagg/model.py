@@ -13,8 +13,7 @@ its normal matrices are submatrices of those Grams, solved in one batched
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -41,8 +40,7 @@ def mask_without(*names: str) -> Mask:
     return mask
 
 
-@dataclass(frozen=True)
-class PeriodModel:
+class PeriodModel(NamedTuple):
     quarter: Quarter
     beta: np.ndarray  # 6 coefficients; masked-out entries exactly 0
     n_obs: int

@@ -36,8 +36,7 @@ its successor fall back to equal weights rather than reaching further back.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -51,8 +50,7 @@ from .periods import quarter_from_index
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class ReplayResult:
+class ReplayResult(NamedTuple):
     """One mode's replay of a panel: what scoring decided, as columns in
     announcement order, and the models fit. The events' other columns are the panel's."""
 
@@ -63,20 +61,18 @@ class ReplayResult:
     models: list[PeriodModel]
 
 
-@dataclass
 class LedgerState:
     """The panel's rows as one ledger pass read them, in row order, plus
     the normalized rows, per-quarter Gram matrices and models derived from
     them, cached for the modes that share the pass."""
 
-    panel: Panel
-    key: Optional[str]  # the bias key of the modes the pass serves
-    adjusted: np.ndarray  # raw estimates minus their biases
-    aae: np.ndarray  # absolute bias-adjusted errors, the dependent variable
-    mae: np.ndarray  # mean past absolute error, the one feature a ledger pass changes
-    _rows: dict = field(default_factory=dict, init=False, repr=False)
-    _grams: dict = field(default_factory=dict, init=False, repr=False)
-    _models: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, panel: Panel, key: Optional[str], adjusted: np.ndarray, aae: np.ndarray, mae: np.ndarray):
+        self.panel = panel
+        self.key = key  # the bias key of the modes the pass serves
+        self.adjusted = adjusted  # raw estimates minus their biases
+        self.aae = aae  # absolute bias-adjusted errors, the dependent variable
+        self.mae = mae  # mean past absolute error, the one feature a ledger pass changes
+        self._rows, self._grams, self._models = {}, {}, {}  # by scaling, by scaling, by (scaling, mask)
 
     def rows(self, scaling: str) -> tuple[np.ndarray, np.ndarray]:
         """The panel's normalized rows (rows, 6) and dependent values, in

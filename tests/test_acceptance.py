@@ -263,12 +263,10 @@ def test_criterion_07_statistics_match_brute_force_oracles():
 
 
 def test_criterion_08_statistics_invariant_to_money_rescaling(small_panel_inputs):
-    from dataclasses import replace
-
     ests, acts, _ = small_panel_inputs
     c = 7
-    ests_s = replace(ests, value_cents=ests.value_cents * c)
-    acts_s = replace(acts, value_cents=acts.value_cents * c)
+    ests_s = ests.replace(value_cents=ests.value_cents * c)
+    acts_s = acts.replace(value_cents=acts.value_cents * c)
     mode = ModeConfig()
     base = stats_for(replay_mode(build_panel(ests, acts, FilterConfig()), mode), mode, burn_in=4)
     scaled = stats_for(

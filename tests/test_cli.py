@@ -145,6 +145,18 @@ class TestRunCommand:
         assert not (tmp_path / "results.csv").exists()
         assert "run failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["estimates", "actuals", "actuals_check"])
+    def test_missing_input_names_its_setting(self, synth_dir, tmp_path, capsys, setting):
+        missing = tmp_path / "nope.csv"
+        args = run_args(synth_dir, tmp_path / "out")
+        if setting == "actuals_check":
+            args += ["--actuals-check", str(missing)]
+        else:
+            args[args.index(f"--{setting}") + 1] = str(missing)
+        assert main(args) == 1
+        assert f"run failed: setting '{setting}': no such file '{missing}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_failed_write_removes_models_dir(self, synth_dir, tmp_path, capsys):
         # an existing directory where an events file goes makes the run fail
         # after models/ was created; the run removes what it made
@@ -511,6 +523,26 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "results.csv").read_bytes() == (run_dir / "results.csv").read_bytes()
 
+
+    def test_config_value_may_hold_a_hash(self, synth_dir, run_dir, tmp_path):
+        # a '#' starts a comment only at a line's start or after whitespace
+        inputs = tmp_path / "hash" / "p#1"
+        inputs.mkdir(parents=True)
+        for name in ("estimates.csv", "actuals.csv"):
+            (inputs / name).write_bytes((synth_dir / name).read_bytes())
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "#settings\n"
+            f"estimates = {inputs / 'estimates.csv'}  # the #-holding path\n"
+            f"actuals = {inputs / 'actuals.csv'}\n"
+            f"out = {tmp_path / 'out'}\t#tab\n"
+            "modes = full,no_expertise,no_bias # three\n"
+            "burn_in = 4\n"
+        )
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert (tmp_path / "out" / "results.csv").read_bytes() == (run_dir / "results.csv").read_bytes()
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config"]["estimates"] == str(inputs / "estimates.csv")
 
 @pytest.mark.parametrize(
     "command, text, error",

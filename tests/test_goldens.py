@@ -86,6 +86,62 @@ def test_artifacts_match_goldens(matrix_run):
     assert pinned_hashes(out) == golden_hashes()
 
 
+# manifest.json's version and config sections on the golden panel, the
+# input paths masked; the filter block is FilterConfig's fields by name
+MANIFEST_CONFIG = {
+    "version": "0.1.0",
+    "config": {
+        "actuals": "<actuals>",
+        "actuals_check": None,
+        "burn_in": 4,
+        "estimates": "<estimates>",
+        "exponent": 1.2,
+        "filter": {
+            "horizon_codes": [6, 7, 8, 9],
+            "max_age_days": 365,
+            "min_analysts": 8,
+            "min_lead_hours": 48,
+            "require_prior_record": True,
+            "surprise_cap_cents": 50,
+        },
+        "modes": [
+            "full",
+            "no_expertise",
+            "no_bias",
+            "no_age",
+            "no_freq",
+            "no_top10",
+            "no_ncos",
+            "no_exp",
+            "no_mae",
+            "no_scaling",
+            "bias_global",
+            "bias_firm",
+            "bias_analyst",
+            "bias_half",
+            "institution",
+            "exponent_2",
+            "cutoff_30d",
+            "cutoff_60d",
+            "closest",
+            "closest_raw",
+        ],
+    },
+}
+
+
+def test_manifest_config_is_pinned(matrix_run):
+    # compared as JSON text, so 4 and 4.0 or true and 1 differ
+    paths, out = matrix_run
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    for name in ("estimates", "actuals"):
+        assert manifest["config"][name] == paths[name]
+        manifest["config"][name] = f"<{name}>"
+    got = {key: manifest[key] for key in ("version", "config")}
+    assert json.dumps(got, sort_keys=True) == json.dumps(MANIFEST_CONFIG, sort_keys=True)
+
+
 def test_optimized_interpreter_matches_goldens(matrix_run, tmp_path):
     # under -O every assert is gone, so each check the run relies on must
     # be a raise; the artifacts must not move

@@ -1,7 +1,12 @@
 """Every name a module of estagg imports is read in that module, and every
-function and class estagg defines is referenced within estagg."""
+function and class estagg defines is referenced within estagg. Start-up
+builds no dataclass and loads no module only another command needs."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,3 +104,36 @@ def test_finds_unreferenced_definitions():
         "b.py": "from .a import Table\ndef main(t: Table):\n    return t.take()\nmain(Table())\n",
     }
     assert unreferenced_definitions(sources) == ["test_only (a.py:4)", "from_rows (a.py:8)"]
+
+
+# run in a fresh interpreter: what the set-up of every command loads and
+# builds, then the names the package gives on first use
+START_UP = """
+import json, sys
+from estagg.cli import build_parser
+build_parser()
+dataclasses = sorted(
+    f"{name}.{cls}"
+    for name, module in list(sys.modules.items())
+    if name == "estagg" or name.startswith("estagg.")
+    for cls, value in vars(module).items()
+    if isinstance(value, type) and hasattr(value, "__dataclass_fields__")
+)
+loaded = [name for name in ("estagg.synth", "dataclasses") if name in sys.modules]
+import estagg
+names = {}
+exec("from estagg import *", names)
+from estagg.synth import SynthSpec, generate
+resolved = estagg.SynthSpec is SynthSpec and estagg.generate is generate and set(estagg.__all__) <= set(names)
+print(json.dumps([dataclasses, loaded, resolved]))
+"""
+
+
+def test_start_up_builds_no_dataclass_and_skips_synth():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", START_UP], env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    dataclasses, loaded, resolved = json.loads(child.stdout)
+    assert dataclasses == []
+    assert loaded == []
+    assert resolved

@@ -8,7 +8,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import fields, replace as dc_replace
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
@@ -39,7 +39,6 @@ from estagg.ingest import (
     EstimateTable,
     FilterConfig,
     Reject,
-    _schema,
     build_panel,
     cross_check_actuals,
     parse_actuals,
@@ -927,8 +926,8 @@ def at_int64_edges(est_rows, act_rows, shift_to):
     def edge_years(table):
         return np.array([year_of[y] for y in table.year.tolist()], np.int64)
 
-    ests = dc_replace(ests, year=edge_years(ests), estimate_ts=ests.estimate_ts - anchor + to)
-    acts = dc_replace(acts, year=edge_years(acts), announce_ts=acts.announce_ts - anchor + to)
+    ests = ests.replace(year=edge_years(ests), estimate_ts=ests.estimate_ts - anchor + to)
+    acts = acts.replace(year=edge_years(acts), announce_ts=acts.announce_ts - anchor + to)
     oracle_ests = [
         dc_replace(e, period=(year_of[e.period[0]], e.period[1]), estimate_ts=e.estimate_ts - anchor + to)
         for e in estimates_from_rows_oracle(est_rows)
@@ -1047,8 +1046,8 @@ def csv_texts(draw, table_type, block_rows):
     CR LFs, so every other row keeps its line unless a CR and an LF meet
     across a blanked row that has none. And a physical line past the first
     block, as open(newline="") counts lines, or None."""
-    kinds = [kind for _, _, kind in _schema(table_type)]
-    header = [column for column, _, _ in _schema(table_type)] + ["note"]
+    kinds = [kind for _, _, kind in table_type.SCHEMA]
+    header = [column for column, _, _ in table_type.SCHEMA] + ["note"]
     rows, plain = [], []
     shapes = ["row", "row", "row", "blank", "short", "long"] if draw(st.booleans()) else ["row"]
     for _ in range(draw(st.integers(0, 3 * block_rows + 2))):
@@ -1078,10 +1077,7 @@ def csv_texts(draw, table_type, block_rows):
 
 def table_state(table):
     """Every column and id tuple of a table, as plain values."""
-    return {
-        f.name: getattr(table, f.name) if f.name.endswith("_ids") else getattr(table, f.name).tolist()
-        for f in fields(table)
-    }
+    return {name: value if name.endswith("_ids") else value.tolist() for name, value in vars(table).items()}
 
 
 def table_rows(table):
@@ -1090,7 +1086,7 @@ def table_rows(table):
         [getattr(table, attr + "_ids")[c] for c in getattr(table, attr).tolist()]
         if kind == ID
         else getattr(table, attr).tolist()
-        for _, attr, kind in _schema(type(table))
+        for _, attr, kind in table.SCHEMA
     ]
     return list(zip(*columns))
 

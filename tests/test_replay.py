@@ -1,7 +1,6 @@
 import csv
 import struct
 import weakref
-from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -128,12 +127,10 @@ class TestSimultaneousAnnouncements:
 
 class TestScaleInvariance:
     def test_multiplying_money_scales_consensus(self, small_panel_inputs):
-        from dataclasses import replace
-
         ests, acts, _ = small_panel_inputs
         c = 3
-        ests_s = replace(ests, value_cents=ests.value_cents * c)
-        acts_s = replace(acts, value_cents=acts.value_cents * c)
+        ests_s = ests.replace(value_cents=ests.value_cents * c)
+        acts_s = acts.replace(value_cents=acts.value_cents * c)
         r1 = replay_mode(build_panel(ests, acts, FilterConfig()), ModeConfig())
         r2 = replay_mode(
             build_panel(ests_s, acts_s, FilterConfig(surprise_cap_cents=50 * c)), ModeConfig()
@@ -163,7 +160,7 @@ class TestSharedState:
         out = {}
         for m in default_mode_matrix():
             identity, min_lead_hours = source.panel_key(m)
-            cfg = replace(source.cfg, min_lead_hours=min_lead_hours)
+            cfg = source.cfg._replace(min_lead_hours=min_lead_hours)
             out[m.label] = replay_oracle(build_panel_oracle(ests, acts, cfg, identity), m)
         return out
 
@@ -243,7 +240,7 @@ class TestSharedState:
     def test_state_from_another_ledger_rejected(self, source):
         full, no_bias = default_mode_matrix()[:3:2]
         state = ledger_state(source.panel_for(full), full.bias_key)
-        for other in (no_bias, replace(full, label="bias_global", bias_key="global")):
+        for other in (no_bias, full.replace(label="bias_global", bias_key="global")):
             with pytest.raises(ValueError, match="ledger state is for bias key 'identity_firm'"):
                 run_mode(state, other)
         with pytest.raises(ValueError, match="ledger state is for bias key None"):
