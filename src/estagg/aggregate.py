@@ -72,55 +72,39 @@ def weight_vector(predicted: np.ndarray, r: float) -> np.ndarray:
     return np.power(d, r, out=np.zeros_like(d), where=pos)
 
 
-MODE_DESCRIPTIONS = {
-    "full": "Full mode",
-    "no_expertise": "Without individual expertise",
-    "no_bias": "Without individual bias",
-    "no_age": "Without forecast age",
-    "no_freq": "Without submission frequency",
-    "no_top10": "Without top-decile flag",
-    "no_ncos": "Without firms-covered count",
-    "no_exp": "Without experience",
-    "no_mae": "Without past accuracy",
-    "no_scaling": "Without scaling of variables",
-    "bias_global": "General bias",
-    "bias_firm": "Bias based on firm only",
-    "bias_analyst": "Bias based on analyst only",
-    "bias_half": "Bias weighted half-firm, half-analyst",
-    "institution": "Use institution instead of analyst id",
-    "exponent_2": "Weight exponent 2",
-    "cutoff_30d": "Estimates up to 30 days before announcement",
-    "cutoff_60d": "Estimates up to 60 days before announcement",
-    "closest": "Closest analyst",
-    "closest_raw": "Closest analyst without bias correction",
-}
+# every ablation row, in results.csv order, as (label, description, changes
+# to full mode): component removals, per-variable removals, bias-granularity
+# variants, identity/exponent/cutoff variants, and the hindsight benchmarks
+_MODES = (
+    ("full", "Full mode", {}),
+    ("no_expertise", "Without individual expertise", {"method": "equal"}),
+    ("no_bias", "Without individual bias", {"bias_key": None}),
+    ("no_age", "Without forecast age", {"variable_mask": mask_without("age")}),
+    ("no_freq", "Without submission frequency", {"variable_mask": mask_without("freq")}),
+    ("no_top10", "Without top-decile flag", {"variable_mask": mask_without("top10")}),
+    ("no_ncos", "Without firms-covered count", {"variable_mask": mask_without("ncos")}),
+    ("no_exp", "Without experience", {"variable_mask": mask_without("exp")}),
+    ("no_mae", "Without past accuracy", {"variable_mask": mask_without("mae")}),
+    ("no_scaling", "Without scaling of variables", {"scaling": "centered"}),
+    ("bias_global", "General bias", {"bias_key": "global"}),
+    ("bias_firm", "Bias based on firm only", {"bias_key": "firm"}),
+    ("bias_analyst", "Bias based on analyst only", {"bias_key": "identity"}),
+    ("bias_half", "Bias weighted half-firm, half-analyst", {"bias_key": "half"}),
+    ("institution", "Use institution instead of analyst id", {"identity": "broker"}),
+    ("exponent_2", "Weight exponent 2", {"exponent": 2.0}),
+    ("cutoff_30d", "Estimates up to 30 days before announcement", {"min_lead_hours": 30 * 24}),
+    ("cutoff_60d", "Estimates up to 60 days before announcement", {"min_lead_hours": 60 * 24}),
+    ("closest", "Closest analyst", {"method": "closest"}),
+    ("closest_raw", "Closest analyst without bias correction", {"method": "closest", "bias_key": None}),
+)
+MODE_DESCRIPTIONS = {label: description for label, description, _ in _MODES}
 
 
 def default_mode_matrix(exponent: float = DEFAULT_EXPONENT) -> list[ModeConfig]:
-    """Every ablation row: full mode, component removals, per-variable
-    removals, bias-granularity variants, identity/exponent/cutoff variants,
-    and the hindsight benchmarks."""
-    full = ModeConfig(label="full", exponent=exponent)
-    return [
-        full,
-        full.replace(label="no_expertise", method="equal"),
-        full.replace(label="no_bias", bias_key=None),
-        *(
-            full.replace(label=f"no_{v}", variable_mask=mask_without(v))
-            for v in ("age", "freq", "top10", "ncos", "exp", "mae")
-        ),
-        full.replace(label="no_scaling", scaling="centered"),
-        full.replace(label="bias_global", bias_key="global"),
-        full.replace(label="bias_firm", bias_key="firm"),
-        full.replace(label="bias_analyst", bias_key="identity"),
-        full.replace(label="bias_half", bias_key="half"),
-        full.replace(label="institution", identity="broker"),
-        full.replace(label="exponent_2", exponent=2.0),
-        full.replace(label="cutoff_30d", min_lead_hours=30 * 24),
-        full.replace(label="cutoff_60d", min_lead_hours=60 * 24),
-        full.replace(label="closest", method="closest"),
-        full.replace(label="closest_raw", method="closest", bias_key=None),
-    ]
+    """Every ablation row, each mode checked as it is made; `exponent` is
+    the weight exponent of every mode but exponent_2."""
+    full = ModeConfig(exponent=exponent)
+    return [full.replace(label=label, **changes) for label, _, changes in _MODES]
 
 
 def modes_by_label(labels, exponent: float = DEFAULT_EXPONENT) -> list[ModeConfig]:

@@ -54,8 +54,10 @@ class EventFields(NamedTuple):
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("ESTAGG_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(name)s: %(message)s")
+    # getLevelName maps a level's name to its number and other text, such as BASIC_FORMAT, to text
+    level = logging.getLevelName(os.environ.get("ESTAGG_LOG", "WARNING").upper())
+    level = level if isinstance(level, int) else logging.WARNING
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
 def _settings(args: argparse.Namespace, casts: dict) -> dict:

@@ -43,21 +43,9 @@ def normalize(values: np.ndarray, scaling: str = "normalized") -> np.ndarray:
     return np.divide(values - m, m, out=np.zeros_like(values), where=m != 0.0)
 
 
-def normalize_event(
-    feature_matrix: np.ndarray,
-    aae: np.ndarray,
-    scaling: str = "normalized",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize (..., n, f) feature matrices and their (..., n) dependent
-    vectors, each event over its n analysts.
-
-    The f features and the dependent vector are stacked as (..., f + 1, n)
-    so every mean reduces a contiguous innermost axis; the returned design
-    matrices are C-contiguous.
-    """
-    F = np.asarray(feature_matrix, dtype=float)
-    stack = np.empty(F.shape[:-2] + (F.shape[-1] + 1, F.shape[-2]))
-    stack[..., :-1, :] = np.swapaxes(F, -1, -2)
-    stack[..., -1, :] = aae
-    stack = normalize(stack, scaling)
-    return np.ascontiguousarray(np.swapaxes(stack[..., :-1, :], -1, -2)), stack[..., -1, :]
+def normalize_event(mae: np.ndarray, aae: np.ndarray, scaling: str = "normalized") -> tuple[np.ndarray, np.ndarray]:
+    """Normalize (..., n) past errors and dependent values, each event over
+    its n analysts, as one (..., 2, n) stack whose means reduce its
+    contiguous innermost axis."""
+    stack = normalize(np.stack([mae, aae], axis=-2), scaling)
+    return stack[..., 0, :], stack[..., 1, :]

@@ -240,17 +240,17 @@ class Panel:
 
     def ledger_free(self, scaling: str) -> np.ndarray:
         """The rows' FEATURE_NAMES[:5], which no ledger pass changes, each
-        normalized over its event under `scaling`, as (rows, 5) in row order:
+        normalized over its event under `scaling`, as (5, rows) in row order:
         the four features and the experience, the count of the row's stream
         record's (identity, firm) records at earlier announce times. Each
-        size bucket is normalized as one (k, 5, n) stack, once per scaling
-        and panel."""
+        size bucket is gathered from the (5, rows) columns straight into one
+        contiguous (5, k, n) stack, once per scaling and panel."""
         if scaling not in self._normalized:
-            columns = np.column_stack([self.features, self.stream.indexes["identity_firm"].counts[self.records]])
+            columns = np.vstack([self.features.T, self.stream.indexes["identity_firm"].counts[self.records]])
             out = np.empty(columns.shape)
             for bucket in self.layout.buckets:
-                stack = np.ascontiguousarray(np.swapaxes(columns[bucket.rows], -1, -2))
-                out[bucket.rows] = np.swapaxes(normalize(stack, scaling), -1, -2)
+                # take, not columns[:, rows]: that is a transposed view, whose means round differently
+                out[:, bucket.rows] = normalize(columns.take(bucket.rows, axis=1), scaling)
             self._normalized[scaling] = out
         return self._normalized[scaling]
 

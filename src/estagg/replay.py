@@ -80,11 +80,10 @@ class LedgerState:
         past error and dependent values normalized as one stack."""
         if scaling not in self._rows:
             X, y = np.empty((len(self.aae), 6)), np.empty(len(self.aae))
-            X[:, :5] = self.panel.ledger_free(scaling)
+            X[:, :5] = self.panel.ledger_free(scaling).T
             for bucket in self.panel.layout.buckets:
                 rows = bucket.rows
-                mae, y[rows] = normalize_event(self.mae[rows][..., None], self.aae[rows], scaling)
-                X[rows, 5] = mae[..., 0]
+                X[rows, 5], y[rows] = normalize_event(self.mae[rows], self.aae[rows], scaling)
             self._rows[scaling] = X, y
         return self._rows[scaling]
 

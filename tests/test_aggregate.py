@@ -153,6 +153,13 @@ class TestModeConfig:
             "closest_raw",
         }
 
+    def test_exponent_override_reaches_every_mode_but_exponent_2(self):
+        modes = default_mode_matrix(1.5)
+        assert {m.label: m.exponent for m in modes} == {m.label: 2.0 if m.label == "exponent_2" else 1.5 for m in modes}
+        assert len({m.replace(label="") for m in modes}) == len(modes) == 20
+        labels = [m.label for m in modes]
+        assert modes_by_label(labels, 1.5) == modes
+
     def test_modes_by_label_unknown(self):
         with pytest.raises(ValueError):
             modes_by_label(["nope"])

@@ -427,6 +427,22 @@ class TestRunCommand:
         assert child.returncode == 0, child.stderr
         assert child.stdout.splitlines()[-1] == "False"
 
+    @pytest.mark.parametrize("value, level", [("BASIC_FORMAT", "30"), ("nonsense", "30"), ("debug", "10")])
+    def test_log_level_from_environment(self, tmp_path, value, level):
+        # in a child: under pytest's own handlers basicConfig sets no level
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = "import logging, sys; from estagg.cli import main; print(main(sys.argv[1:]), logging.getLogger().level)"
+        child = subprocess.run(
+            [sys.executable, "-c", code, "report", "--run-dir", str(tmp_path / "missing")],
+            env=dict(os.environ, PYTHONPATH=src, ESTAGG_LOG=value),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == ["1", level]
+        assert child.stderr.startswith("report failed: ")
+
     @pytest.mark.parametrize("order", [(0, 5), (5, 0)], ids=["confirming_first", "confirming_last"])
     def test_duplicated_check_row_names_both_lines(self, synth_dir, tmp_path, capsys, order):
         # the primary value and a conflicting one for the firm-period of

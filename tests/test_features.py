@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from estagg.features import normalize, normalize_event, top10_brokers
+from estagg.features import SCALINGS, normalize, normalize_event, top10_brokers
 from oracles import HistoryLedger
 
 
@@ -123,17 +123,28 @@ class TestNormalize:
 
 class TestNormalizeEvent:
     def test_event_matrix_shapes_and_guard(self):
-        F = np.array(
-            [
-                [10.0, 1, 5, 0, 2, 3.0],
-                [20.0, 2, 5, 0, 4, 5.0],
-                [30.0, 3, 5, 0, 6, 7.0],
-            ]
-        )
-        aae = np.array([2.0, 2.0, 2.0])
-        X, y = normalize_event(F, aae)
-        assert X.shape == (3, 6)
-        assert np.allclose(X[:, 0], [-0.5, 0.0, 0.5])
-        assert np.all(X[:, 3] == 0.0)  # no top-decile analyst on the event
-        assert np.all(X[:, 2] == 0.0)  # identical coverage counts
-        assert np.all(y == 0.0)
+        # two events of three analysts: past errors, then dependent values
+        mae = np.array([[10.0, 20.0, 30.0], [0.0, 0.0, 0.0]])
+        aae = np.array([[2.0, 2.0, 2.0], [1.0, 3.0, 5.0]])
+        X, y = normalize_event(mae, aae)
+        assert X.shape == y.shape == (2, 3)
+        assert np.allclose(X[0], [-0.5, 0.0, 0.5])
+        assert np.all(X[1] == 0.0)  # all-zero past errors on the event
+        assert np.all(y[0] == 0.0)  # identical dependent values
+        assert np.allclose(y[1], [-2 / 3, 0.0, 2 / 3])
+        x, y = normalize_event(mae[0], aae[0])  # one event alone
+        assert x.shape == y.shape == (3,)
+        assert x.tobytes() == X[0].tobytes() and np.all(y == 0.0)
+
+    @given(st.data(), st.sampled_from(SCALINGS))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_event_oracle(self, data, scaling):
+        shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 20)))
+        values = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e4))
+        mae, aae = (data.draw(arrays(float, shape, elements=values)) for _ in range(2))
+        mae[data.draw(st.integers(0, shape[0] - 1))] = 0.0  # an event on normalize's zero-mean path
+        X, y = normalize_event(mae, aae, scaling)
+        for event in range(shape[0]):
+            want_X, want_y = oracles.normalize_event(mae[event][:, None], aae[event], scaling)
+            assert X[event].tobytes() == want_X[:, 0].tobytes()
+            assert y[event].tobytes() == want_y.tobytes()

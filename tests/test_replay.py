@@ -19,7 +19,7 @@ from conftest import (
     outcome_fields,
     replay_mode,
 )
-from estagg import bias, evaluate, replay
+from estagg import bias, evaluate, features, ingest, replay
 from estagg.aggregate import ModeConfig, default_mode_matrix
 from estagg.bias import BiasTracker
 from estagg.cli import _event_fields, _write_events
@@ -190,9 +190,9 @@ class TestSharedState:
             passes.append(panel)
             return ledger_state(panel, key)
 
-        def counting_normalize_event(features, aae, scaling):
-            normalized.extend([scaling] * len(features))
-            return normalize_event(features, aae, scaling)
+        def counting_normalize_event(mae, aae, scaling):
+            normalized.extend([scaling] * len(mae))
+            return normalize_event(mae, aae, scaling)
 
         normalize_event = replay.normalize_event
         monkeypatch.setattr(evaluate, "ledger_state", counting_ledger_state)
@@ -207,6 +207,26 @@ class TestSharedState:
         full_events = len(source.panel_for(modes[0]).events)
         assert normalized.count("centered") == full_events
         assert normalized.count("normalized") == sum(len(p.events) for p in passes)
+
+    def test_every_normalized_stack_is_c_contiguous(self, small_panel_inputs, monkeypatch):
+        # a strided stack's means round differently from the per-event oracle's
+        ests, acts, _ = small_panel_inputs
+        stacks = {"ledger_free": [], "normalize_event": []}
+
+        def spy(name):
+            def counting_normalize(values, scaling):
+                stacks[name].append(values.flags.c_contiguous)
+                return normalize(values, scaling)
+
+            return counting_normalize
+
+        normalize = features.normalize
+        monkeypatch.setattr(ingest, "normalize", spy("ledger_free"))
+        monkeypatch.setattr(features, "normalize", spy("normalize_event"))
+        for _ in run_mode_matrix(PanelSource(ests, acts, FilterConfig()), default_mode_matrix(), burn_in=self.BURN_IN):
+            pass
+        assert all(stacks["ledger_free"]) and all(stacks["normalize_event"])
+        assert stacks["ledger_free"] and stacks["normalize_event"]
 
     def test_each_panel_is_laid_out_once(self, source, monkeypatch):
         laid_out = []  # (panel, layout) per computation
