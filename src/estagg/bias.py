@@ -147,8 +147,5 @@ class HistoryLedger:
         return self._count[at]
 
     def mean_abs_error(self, at: np.ndarray) -> np.ndarray:
-        count = self._count[at]
-        if not count.all():
-            i = at[np.argmin(count)]
-            raise RuntimeError(f"no prior history for stream record {i}; upstream filtering should prevent this")
-        return self._total[at] / count
+        """Each record's mean over its earlier records; ledger_state checks first that every one has some."""
+        return self._total[at] / self._count[at]

@@ -28,6 +28,7 @@ exact integer arithmetic.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import logging
@@ -192,12 +193,14 @@ class SizeBucket(NamedTuple):
 
 
 class Layout(NamedTuple):
-    """A panel's events laid out for scoring: grouped into size buckets by
-    ascending analyst count, with the per-event columns no ledger changes."""
+    """A panel's events laid out for scoring: in size buckets by ascending
+    analyst count, in quarter runs (the events announced in one quarter,
+    whose rows are contiguous), and the per-event columns no ledger changes."""
 
     buckets: list[SizeBucket]
-    qidx: np.ndarray  # quarter index of each event's announcement
-    offset: np.ndarray  # qidx relative to the quarter of the panel's first stream record
+    quarters: list[int]  # the quarter index of each run
+    edges: list[int]  # the panel row where each run starts, then the row count
+    offset: np.ndarray  # each event's quarter index relative to the quarter of the panel's first stream record
     simple: np.ndarray  # plain mean of each event's raw estimates
 
 
@@ -235,8 +238,10 @@ class Panel:
                 simple[order] = self.value_cents[rows].astype(float).mean(axis=-1)
                 buckets.append(SizeBucket(order, rows))
         qidx = quarter_indices(self.events.announce_ts)
+        first = np.flatnonzero(np.diff(qidx, prepend=qidx[:1] - 1))  # each run's first event; qidx never falls
+        edges = self.bounds[np.append(first, len(qidx))].tolist()
         q0 = quarter_indices(self.stream.announce_ts[0]) if len(self.stream.announce_ts) else 0
-        return Layout(buckets, qidx, qidx - q0, simple)
+        return Layout(buckets, qidx[first].tolist(), edges, qidx - q0, simple)
 
     def ledger_free(self, scaling: str) -> np.ndarray:
         """The rows' FEATURE_NAMES[:5], which no ledger pass changes, each
@@ -574,8 +579,9 @@ def _chronological(acts: ActualTable, event: np.ndarray, first: np.ndarray, n: i
 def _binary_chunks(fh) -> Iterator[_Lines]:
     """A binary file's lines in blocks of _CHUNK_ROWS but for the last, each cut after a line end (_line_ends)
     and followed by at least _ID_BYTES more bytes. Reads are sized by the mean line so far to end near a block's end."""
-    line, got = 1, 0  # the block's first line; the bytes read so far, in which line + len(ends) - 1 lines end
-    data, ends, scanned = bytearray(), np.empty(0, np.int64), 0  # the bytes past the last block; data[:scanned]'s ends
+    data = bytearray(fh.read(len(codecs.BOM_UTF8))).removeprefix(codecs.BOM_UTF8)  # the first block starts after a BOM
+    line, got = 1, len(data)  # the block's first line; the bytes read so far, in which line + len(ends) - 1 lines end
+    ends, scanned = np.empty(0, np.int64), 0  # data: the bytes past the last block; data[:scanned]'s ends
     while True:
         while len(ends) < _CHUNK_ROWS:
             more = fh.read(max(io.DEFAULT_BUFFER_SIZE, min(got, (_CHUNK_ROWS - len(ends)) * got // (line + len(ends)))))

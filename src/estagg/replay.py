@@ -14,19 +14,18 @@ stream's key index per granularity (sort order, own-time counts, run
 tables), whose (identity, firm) counts are also the experience feature,
 and the five ledger-free columns normalized per scaling
 (`Panel.ledger_free`). Once per pass: the ledgers' sums through those
-indexes, and per scaling the normalized past error and dependent values.
-Once per pass, scaling and quarter: the 6x6 Gram matrix that every
-variable mask's fit takes its submatrix from.
+indexes, and per scaling the normalized past error and dependent values
+with each quarter's 6x6 Gram matrix, of which every variable mask's fit
+takes a submatrix. Once per weighted mode: each row's prediction.
 
 A panel's events are rows of an actuals table, and event j's estimates
-are the panel's rows bounds[j]:bounds[j+1]. Scoring works on size
-buckets: the events of a panel with the same analyst count n, stacked k
-at a time, so each numpy call covers a bucket instead of one event. The
-panel lays its events out in buckets once (`Panel.layout`); a ledger pass
-adds only the per-row columns its ledgers change. Every
-reduction runs over a contiguous innermost axis and every product is per
-event, so each event's arithmetic, and with it every output bit, is the
-same as scoring the event alone.
+are the panel's rows bounds[j]:bounds[j+1]. The panel lays its events out
+once (`Panel.layout`): in quarter runs, whose rows are contiguous, to fit
+and predict one product per quarter, and in size buckets, the events of
+n analysts stacked k at a time, so each numpy call of scoring covers a
+bucket. A ledger pass adds only the per-row columns its ledgers change.
+Every reduction runs over a contiguous innermost axis and every weighted
+sum is per event, so every output bit is that of scoring the event alone.
 
 A quarter's model is fit from that quarter's events only and is used
 exclusively in the next calendar quarter; a quarter with no model makes
@@ -72,7 +71,7 @@ class LedgerState:
         self.adjusted = adjusted  # raw estimates minus their biases
         self.aae = aae  # absolute bias-adjusted errors, the dependent variable
         self.mae = mae  # mean past absolute error, the one feature a ledger pass changes
-        self._rows, self._grams, self._models = {}, {}, {}  # by scaling, by scaling, by (scaling, mask)
+        self._rows, self._models = {}, {}  # (X, y, Grams) by scaling, models by (scaling, mask)
 
     def rows(self, scaling: str) -> tuple[np.ndarray, np.ndarray]:
         """The panel's normalized rows (rows, 6) and dependent values, in
@@ -84,8 +83,8 @@ class LedgerState:
             for bucket in self.panel.layout.buckets:
                 rows = bucket.rows
                 X[rows, 5], y[rows] = normalize_event(self.mae[rows], self.aae[rows], scaling)
-            self._rows[scaling] = X, y
-        return self._rows[scaling]
+            self._rows[scaling] = X, y, quarter_grams(X, self.panel.layout.edges)
+        return self._rows[scaling][:2]
 
     def models(self, scaling: str, mask: Mask) -> dict[int, PeriodModel]:
         """Fitted models by quarter index, in quarter order; each quarter
@@ -94,15 +93,21 @@ class LedgerState:
         key = (scaling, mask)
         if key not in self._models:
             X, y = self.rows(scaling)
-            qidx = self.panel.layout.qidx
-            first = np.flatnonzero(np.diff(qidx, prepend=qidx[:1] - 1))  # each quarter's first; qidx never falls
-            edges = self.panel.bounds[np.append(first, len(qidx))].tolist()
-            if scaling not in self._grams:
-                self._grams[scaling] = quarter_grams(X, edges)
-            quarters = qidx[first].tolist()
-            fitted = fit_period(X, y, edges, list(map(quarter_from_index, quarters)), self._grams[scaling], mask)
+            quarters, edges = self.panel.layout.quarters, self.panel.layout.edges
+            fitted = fit_period(X, y, edges, list(map(quarter_from_index, quarters)), self._rows[scaling][2], mask)
             self._models[key] = {q: model for q, model in zip(quarters, fitted) if model is not None}
         return self._models[key]
+
+    def predicted(self, scaling: str, mask: Mask) -> np.ndarray:
+        """Each row's predicted error under its event's previous calendar
+        quarter's model, one product per quarter; NaN where it has none."""
+        X, _ = self.rows(scaling)
+        models, edges = self.models(scaling, mask), self.panel.layout.edges
+        out = np.full(len(X), np.nan)
+        for q, start, stop in zip(self.panel.layout.quarters, edges, edges[1:]):
+            if q - 1 in models:
+                out[start:stop] = X[start:stop] @ models[q - 1].beta
+        return out
 
 
 def ledger_state(panel: Panel, bias_key: Optional[str]) -> LedgerState:
@@ -137,16 +142,14 @@ def ledger_state(panel: Panel, bias_key: Optional[str]) -> LedgerState:
 FALLBACK_NAMES = ("", "no_previous_model", "degenerate_weights")
 
 
-def improved_consensus(state: LedgerState, bucket: SizeBucket, mode: ModeConfig) -> np.recarray:
+def improved_consensus(
+    state: LedgerState, bucket: SizeBucket, mode: ModeConfig, predicted: Optional[np.ndarray]
+) -> np.recarray:
     """Score a bucket's events, in bucket order, from their rows of the
-    ledger pass `state`, its normalized rows and each event's previous
-    quarter's model under the mode's scaling and mask.
+    ledger pass `state` and, for a weighted mode, of the mode's
+    `LedgerState.predicted`, NaN for an event with no previous quarter's model.
     Each record is an event's `improved`, `fallback_reason` code and (n,) `weights`.
-
-    The events with a model gather their (n, 6) design matrices from the
-    normalized rows through the bucket's rows. Each event's predictions
-    and weighted sum are one (n, 6) @ (6, 1) and one (1, n) @ (n, 1)
-    product of its own matrix, the arithmetic of scoring it alone.
+    Each weighted sum is one (1, n) @ (n, 1) product, the arithmetic of scoring the event alone.
     """
     adjusted = state.adjusted[bucket.rows]
     k, n = adjusted.shape
@@ -161,24 +164,14 @@ def improved_consensus(state: LedgerState, bucket: SizeBucket, mode: ModeConfig)
         improved = adjusted.mean(axis=-1)
         weights = np.full((k, n), 1.0 / n)
     if mode.method == "weighted":
-        # one model lookup per previous quarter of the bucket's events
-        models = state.models(mode.scaling, mode.variable_mask)
-        quarters, of_quarter = np.unique(state.panel.layout.qidx[bucket.order] - 1, return_inverse=True)
-        prev = [models.get(q) for q in quarters.tolist()]
-        fitted = np.flatnonzero(np.array([model is not None for model in prev])[of_quarter])
-        fallback[:] = 1
-        fallback[fitted] = 0
-        if len(fitted):
-            X, _ = state.rows(mode.scaling)
-            betas = np.array([np.zeros(X.shape[-1]) if model is None else model.beta for model in prev])
-            w = weight_vector((X[bucket.rows[fitted]] @ betas[of_quarter[fitted], :, None])[..., 0], mode.exponent)
-            total = w.sum(axis=-1)
-            positive = total > 0
-            weighted = fitted[positive]
-            w, total = w[positive], total[positive]
-            improved[weighted] = (w[:, None, :] @ adjusted[weighted][..., None])[:, 0, 0] / total
-            weights[weighted] = w / total[:, None]
-            fallback[fitted[~positive]] = 2
+        pred = predicted[bucket.rows]
+        w = weight_vector(pred, mode.exponent)
+        total = w.sum(axis=-1)
+        fallback = np.where(np.isnan(pred[:, 0]), 1, np.where(total > 0, 0, 2)).astype(np.int8)
+        weighted = np.flatnonzero(fallback == 0)
+        w, total = w[weighted], total[weighted]
+        improved[weighted] = (w[:, None, :] @ adjusted[weighted][..., None])[:, 0, 0] / total
+        weights[weighted] = w / total[:, None]
     dtype = [("improved", float), ("fallback_reason", np.int8), ("weights", float, (n,))]
     return np.rec.fromarrays([improved, fallback, weights], dtype=dtype)
 
@@ -190,11 +183,12 @@ def run_mode(state: LedgerState, mode: ModeConfig) -> ReplayResult:
         raise ValueError(f"mode {mode.label}: ledger state is for bias key {state.key!r}, not {mode.bias_key!r}")
     panel = state.panel
     models = state.models(mode.scaling, mode.variable_mask)
+    predicted = state.predicted(mode.scaling, mode.variable_mask) if mode.method == "weighted" else None
     # the buckets hold the events by size; scatter them back into announcement order
     improved, fallback_reason = np.empty(len(panel.events)), np.empty(len(panel.events), np.int8)
     weights = np.empty(len(panel.value_cents))
     for bucket in panel.layout.buckets:
-        scored = improved_consensus(state, bucket, mode)
+        scored = improved_consensus(state, bucket, mode, predicted)
         improved[bucket.order], fallback_reason[bucket.order] = scored.improved, scored.fallback_reason
         weights[bucket.rows] = scored.weights
     logger.info("mode %s: %d events scored, %d models fit", mode.label, len(improved), len(models))

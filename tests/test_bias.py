@@ -224,13 +224,8 @@ class TestPointInTimeLedgers:
         h = history([(1, 0, 0, 3.0), (2, 0, 0, 5.0), (2, 0, 1, 7.0), (3, 0, 0, 0.0)])
         assert h.experience(np.arange(4)).tolist() == [0, 1, 0, 2]
         assert h.mean_abs_error(np.array([3, 1])).tolist() == [4.0, 3.0]
-
-    def test_empty_history_raises(self):
         h = history([(1, 0, 0, 3.0), (2, 0, 0, 1.0), (2, 1, 0, 1.0)])
         assert h.mean_abs_error(np.array([1])).tolist() == [3.0]
-        for at, record in [([1, 0], 0), ([2], 2)]:
-            with pytest.raises(RuntimeError, match=f"no prior history for stream record {record};"):
-                h.mean_abs_error(np.array(at))
 
     @given(
         st.lists(

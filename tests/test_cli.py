@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 import os
@@ -539,6 +540,26 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "results.csv").read_bytes() == (run_dir / "results.csv").read_bytes()
 
+    def test_byte_order_mark_is_read_off(self, synth_dir, run_dir, tmp_path):
+        # inputs and a config that open with a UTF-8 byte-order mark give the
+        # run of the unmarked files, byte for byte but for the inputs' hashes
+        marked, out = tmp_path / "marked", tmp_path / "out"
+        marked.mkdir()
+        for name in ("estimates.csv", "actuals.csv"):
+            (marked / name).write_bytes(codecs.BOM_UTF8 + (synth_dir / name).read_bytes())
+        cfg = tmp_path / "run.cfg"
+        settings = [f"estimates = {marked / 'estimates.csv'}", f"actuals = {marked / 'actuals.csv'}", f"out = {out}"]
+        settings += ["modes = full,no_expertise,no_bias", "burn_in = 4"]
+        cfg.write_bytes(codecs.BOM_UTF8 + "\n".join(settings + [""]).encode())
+        assert main(["run", "--config", str(cfg)]) == 0
+
+        def files(run):
+            return sorted(str(p.relative_to(run)) for p in run.rglob("*") if p.is_file())
+
+        assert files(out) == files(run_dir)
+        for name in files(run_dir):
+            if name != "manifest.json":
+                assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
 
     def test_config_value_may_hold_a_hash(self, synth_dir, run_dir, tmp_path):
         # a '#' starts a comment only at a line's start or after whitespace

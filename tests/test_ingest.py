@@ -1,3 +1,4 @@
+import codecs
 import csv
 import gc
 import io
@@ -43,6 +44,7 @@ from estagg.ingest import (
     cross_check_actuals,
     parse_actuals,
     parse_estimates,
+    read_lines,
 )
 from estagg.periods import format_ts, parse_ts
 from estagg.synth import SynthSpec, generate, generate_rows
@@ -1386,3 +1388,41 @@ class TestUndecodableInput:
         )
         assert child.returncode == 0, child.stderr
         assert child.stdout.strip() == ascii(("Ωmega",))
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark is read off: the file parses as its
+    text without the mark, and its lines count as in that text."""
+
+    ROWS = ["A1,B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n", "A2,B1,F1,2011,2,junk,6,105\n"]
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["bytes", "csv_reader"])
+    def test_parses_as_the_text_without_it(self, tmp_path, quoted):
+        text = (HEADER + "".join(self.ROWS)).encode()
+        text = text.replace(b"A1,", b'"A1",') if quoted else text
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text)
+        table, rejects = parse_estimates(str(marked))
+        want_table, want_rejects = parse_estimates(str(plain))
+        assert table_state(table) == table_state(want_table) and table.analyst_ids == ("A1",)
+        assert rejects == want_rejects == [Reject(3, "malformed: Invalid isoformat string: 'junk'")]
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["bytes", "csv_reader"])
+    def test_undecodable_byte_names_its_line(self, tmp_path, quoted):
+        # the bad byte opens line 3; decoding with utf-8-sig would count it on line 2
+        text = (HEADER + self.ROWS[0]).encode() + b"\xff" + self.ROWS[0].encode()
+        path = tmp_path / "estimates.csv"
+        path.write_bytes(codecs.BOM_UTF8 + (text.replace(b"A1,", b'"A1",') if quoted else text))
+        with pytest.raises(ValueError, match=rf"^{path}: line 3: undecodable byte 0xff; the input must be UTF-8$"):
+            parse_estimates(str(path))
+
+    @pytest.mark.parametrize("content", [b"", codecs.BOM_UTF8], ids=["empty", "mark_only"])
+    def test_mark_alone_is_an_empty_file(self, tmp_path, content):
+        path = tmp_path / "actuals.csv"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=r"^actuals source has no readable header$"):
+            parse_actuals(str(path))
+        with pytest.raises(ValueError, match=r"^estimates source has no readable header$"):
+            parse_estimates(str(path))
+        assert list(read_lines(str(path))) == []

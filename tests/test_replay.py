@@ -20,14 +20,14 @@ from conftest import (
     replay_mode,
 )
 from estagg import bias, evaluate, features, ingest, replay
-from estagg.aggregate import ModeConfig, default_mode_matrix
+from estagg.aggregate import ModeConfig, default_mode_matrix, weight_vector
 from estagg.bias import BiasTracker
 from estagg.cli import _event_fields, _write_events
 from estagg.evaluate import PanelSource, run_mode_matrix
 from estagg.features import SCALINGS
 from estagg.ingest import ActualTable, FilterConfig, IngestReport, Panel, Stream, build_panel
 from estagg.model import mask_without
-from estagg.periods import format_ts, parse_ts
+from estagg.periods import format_ts, parse_ts, quarter_indices
 from estagg.replay import LedgerState, ledger_state, run_mode
 from estagg.synth import SynthSpec
 import oracles
@@ -335,8 +335,16 @@ class TestSharedState:
         full = default_mode_matrix()[0]
         panel = source.panel_for(full)
         state = ledger_state(panel, full.bias_key)
-        qidx = panel.layout.qidx
-        edges = panel.bounds[np.append(np.flatnonzero(np.diff(qidx, prepend=-1)), len(qidx))].tolist()
+        # each run of events announced in one quarter, recomputed event by event
+        quarters, edges = [], []
+        for q, start in zip(quarter_indices(panel.events.announce_ts).tolist(), panel.bounds.tolist()):
+            if not quarters or q != quarters[-1]:
+                quarters.append(q)
+                edges.append(start)
+        edges.append(int(panel.bounds[-1]))
+        assert len(quarters) > 1
+        assert panel.layout.quarters == quarters and panel.layout.edges == edges
+        edges = panel.layout.edges
         for scaling in SCALINGS:
             X, y = state.rows(scaling)
             # and a last quarter of 4 rows, fewer than most masks' active variables
@@ -509,8 +517,9 @@ class TestSizeBuckets:
         for mode in self.MODES:
             panel, result, _ = results[mode.label]
             state = ledger_state(panel, mode.bias_key)
+            predicted = state.predicted(mode.scaling, mode.variable_mask) if mode.method == "weighted" else None
             for bucket in panel.layout.buckets:
-                records = replay.improved_consensus(state, bucket, mode)
+                records = replay.improved_consensus(state, bucket, mode, predicted)
                 assert isinstance(records, np.recarray) and records.shape == bucket.order.shape
                 assert records[0].fallback_reason in (0, 1, 2)
                 assert records.improved.tobytes() == result.improved[bucket.order].tobytes()
@@ -534,6 +543,59 @@ class TestSizeBuckets:
             names = {row["fallback_reason"] for row in csv.DictReader(fh)}
         assert names == {"", "no_previous_model", "degenerate_weights"}
         assert path.read_text() == oracles.events_file(outcome_views(result), burn_in=2)
+
+
+class TestPreviousCalendarQuarter:
+    """An event is weighted by its previous calendar quarter's model alone:
+    a quarter with no events has no model, and the quarter after it falls
+    back rather than reaching further back."""
+
+    QUARTERS = ((2010, 4), (2011, 1), (2011, 2), (2011, 4))  # none in 2011Q3; 2010Q4's records only seed the ledgers
+
+    def rows(self):
+        """Three firms of four analysts and F9 of A0 alone, each quarter."""
+        rng = np.random.default_rng(5)
+        est_rows, act_rows = [], []
+        for year, quarter in self.QUARTERS:
+            announce = parse_ts(f"{year}-{3 * quarter - 1:02d}-15T00:00:00Z")
+            for firm, members in (("F0", range(4)), ("F1", range(4)), ("F2", range(4)), ("F9", [0])):
+                actual = 100 + int(rng.integers(-20, 21))
+                act_rows.append((firm, year, quarter, format_ts(announce), actual))
+                for i in members:
+                    ts = format_ts(announce - int(rng.integers(3, 40)) * 86400)
+                    est_rows.append((f"A{i}", f"B{i}", firm, year, quarter, ts, 6, actual + int(rng.integers(-9, 10))))
+        return est_rows, act_rows
+
+    def test_only_the_previous_calendar_quarter_model_weights(self):
+        est_rows, act_rows = self.rows()
+        panel = build_panel(estimates_from_rows(est_rows), actuals_from_rows(act_rows), FilterConfig(min_analysts=1))
+        mode = ModeConfig()
+        state = ledger_state(panel, mode.bias_key)
+        result = run_mode(state, mode)
+        models = state.models(mode.scaling, mode.variable_mask)
+        q1, q2, q4 = (quarter_index((2011, q)) for q in (1, 2, 4))
+        assert sorted(models) == [q1, q2, q4]
+        qidx = quarter_indices(panel.events.announce_ts)
+        sizes = np.diff(panel.bounds)
+        # neither 2010Q4 nor 2011Q3 has a model, though 2011Q2 has one
+        for q in (q1, q4):
+            assert (qidx == q).sum() == 4 and set(result.fallback_reason[qidx == q].tolist()) == {1}
+        # 2011Q2's events are weighted from 2011Q1's model, per event
+        X, _ = state.rows(mode.scaling)
+        in_q2 = np.flatnonzero((qidx == q2) & (sizes > 1))
+        assert len(in_q2) == 3 and result.fallback_reason[in_q2].tolist() == [0, 0, 0]
+        for j in in_q2:
+            rows = slice(panel.bounds[j], panel.bounds[j + 1])
+            w = weight_vector(X[rows] @ models[q1].beta, mode.exponent)
+            assert result.improved[j] == pytest.approx(w @ state.adjusted[rows] / w.sum(), rel=1e-12)
+            assert result.weights[rows] == pytest.approx(w / w.sum(), rel=1e-12)
+        # a lone analyst is never below the event's mean predicted error, so
+        # its event takes the degenerate fallback: its bias-adjusted estimate
+        (lone,) = np.flatnonzero((qidx == q2) & (sizes == 1))
+        actual = {(f, y, q): a for f, y, q, _, a in act_rows}
+        errors = [v - actual[f, y, q] for a, _, f, y, q, _, _, v in est_rows if (a, f) == ("A0", "F9")]
+        assert result.fallback_reason[lone] == 2 and result.weights[panel.bounds[lone]] == 1.0
+        assert result.improved[lone] == actual["F9", 2011, 2] + errors[2] - (errors[0] + errors[1]) / 2
 
 
 class TestPriorRecord:
