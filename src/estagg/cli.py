@@ -24,7 +24,8 @@ import numpy as np
 from . import __version__
 from .aggregate import DEFAULT_EXPONENT, default_mode_matrix, modes_by_label
 from .evaluate import ModeResult, PanelSource, mode_result, run_mode_matrix, surprises
-from .ingest import MIN_LEAD_HOURS, FilterConfig, Panel, cross_check_actuals, parse_actuals, parse_estimates, read_lines
+from .ingest import HORIZON_CODES, MIN_LEAD_HOURS, FilterConfig, Panel, cross_check_actuals, parse_actuals
+from .ingest import parse_estimates, read_lines
 from .model import N_VARS, PeriodModel
 from .replay import FALLBACK_NAMES, ReplayResult
 
@@ -261,9 +262,9 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "burn_in": burn_in,
                 "modes": [m.label for m in modes],
                 "exponent": exponent,
-                "filter": fcfg._asdict() | {"horizon_codes": sorted(fcfg.horizon_codes)},
+                "filter": fcfg._asdict() | {"horizon_codes": sorted(HORIZON_CODES)},
             },
-            "inputs": {os.path.basename(p): _sha256(p) for p in inputs.values() if p},
+            "inputs": {name: _sha256(p) for name, p in inputs.items() if p},  # by setting, as basenames may repeat
         }
         _write_json(out("manifest.json"), manifest)
     except Exception as exc:  # remove partial outputs before failing

@@ -19,8 +19,18 @@ build_panel joins the two tables, applies the exclusion rules
 requirement, surprise cap, minimum analyst count) and emits a chronological
 panel of columns, whose events are the scored actuals rows plus the bounds
 of each one's estimate rows. Each grouping is one unstable numpy sort of an
-int64 key packed from dense ranks, never from raw values (_pack). Every
-dropped estimate is accounted for in an IngestReport, one reason per row.
+int64 key packed from dense ranks, never from raw values (_pack), and each
+table of equal-length segments, a panel's size buckets as a key index's
+runs, is one _by_length part. Every dropped estimate is accounted for in an
+IngestReport, one reason per row.
+
+The stream carries its key indexes (StreamIndex), a KeyIndex per ledger
+key granularity built on first use, first read by build_panel's prior-record
+rule. A KeyIndex sorts the records by key code and position (_pack), so each
+key keeps stream order, the one-key `global` unsorted. It holds each
+record's count of its key's records at earlier announce times, and a table
+per run length (_by_length), one entry per record however skewed the keys,
+through which a ledger sums its own values the same way.
 
 All money values are integer cents; the surprise-cap comparison is done in
 exact integer arithmetic.
@@ -41,7 +51,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bias import StreamIndex
 from .features import normalize, top10_brokers
 from .periods import parse_ts, quarter_indices
 
@@ -56,6 +65,7 @@ ID, INT64, QUARTER, TIMESTAMP = "id", "int64", "quarter", "timestamp"
 
 IDENTITIES = ("analyst", "broker")  # whose estimates a panel deduplicates and keys its ledgers by
 MIN_LEAD_HOURS = 48  # the shortest recency cutoff, in hours before the announcement, any panel scores with
+HORIZON_CODES = frozenset({6, 7, 8, 9})  # the forecast horizons a panel keeps
 
 
 def _batches(rows: Iterable) -> Iterator[list]:
@@ -155,7 +165,6 @@ class FilterConfig(NamedTuple):
     surprise_cap_cents: int = 50
     min_lead_hours: int = MIN_LEAD_HOURS
     max_age_days: int = 365
-    horizon_codes: frozenset[int] = frozenset({6, 7, 8, 9})
     # the prior-record rule; switchable so the remaining filters can be
     # tested for idempotence (the rule itself consumes history, so it is
     # not idempotent under re-feeding)
@@ -182,7 +191,73 @@ class Stream:
         self.error_cents = error_cents  # prediction minus actual
         self.ident_ids = ident_ids  # analyst or broker ids, sorted
         self.firm_ids = firm_ids  # sorted
-        self.indexes = StreamIndex(announce_ts, ident, firm)  # the ledgers' key indexes, built on first use
+        self.indexes = StreamIndex(announce_ts, ident, firm)  # a KeyIndex per ledger key, built on first use
+
+
+def _span(codes: np.ndarray) -> int:
+    """One past the largest of the nonnegative `codes`, 1 for none."""
+    return int(codes.max()) + 1 if len(codes) else 1
+
+
+# each granularity's ledger key, a dense code from the identity and firm codes
+_KEYS = {
+    "identity_firm": lambda ident, firm: ident * _span(firm) + firm,
+    "identity": lambda ident, firm: ident,
+    "firm": lambda ident, firm: firm,
+    "global": lambda ident, firm: np.zeros_like(ident),
+}
+
+
+class KeyIndex:
+    """A chronological stream's records under one key of nonnegative codes:
+    `counts`, each record's count of its key's records at strictly earlier
+    times, and the tables through which `sums` adds values the same way.
+
+    The records are put in key order by numpy's default sort of one unique
+    key packed from the key code and the position (_pack), which keeps each
+    key's records in stream order. One key needs no sort."""
+
+    def __init__(self, keys: np.ndarray, ts: np.ndarray):
+        n, span = len(keys), _span(keys)
+        at = np.arange(n)
+        order = at if span == 1 else np.argsort(_pack([(keys, span), (at, n)]))
+        keys, ts = keys[order], ts[order]
+        run = _new(keys)  # where each key's run starts
+        group = run | _new(ts)  # where each (key, time) group starts
+        run_start = np.maximum.accumulate(np.where(run, at, 0))
+        before = np.maximum.accumulate(np.where(group, at, 0)) - run_start
+        self.counts = np.empty(n, np.int64)
+        self.counts[order] = before
+        # one table per run length: row r of a length's table lists its run's
+        # stream positions and, for each, how many of the run's records its sum covers
+        starts = np.flatnonzero(run)
+        self._tables = [(order[rows], before[rows]) for _, rows in _by_length(starts, np.diff(starts, append=n))]
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """For each record, the sum of `values` over its key's records at
+        strictly earlier times, added in stream order: each run's row holds
+        a 0, then its values, summed left to right."""
+        out = np.empty(len(values), values.dtype)
+        for records, covered in self._tables:
+            table = np.zeros((len(records), records.shape[1] + 1), values.dtype)
+            table[:, 1:] = values[records]
+            np.cumsum(table, axis=1, out=table)
+            out[records] = np.take_along_axis(table, covered, axis=1)
+        return out
+
+
+class StreamIndex:
+    """A chronological stream's KeyIndex per ledger key granularity, each
+    built on first use and kept with the stream."""
+
+    def __init__(self, ts: np.ndarray, ident: np.ndarray, firm: np.ndarray):
+        self._ts, self._ident, self._firm = ts, ident, firm
+        self._built: dict[str, KeyIndex] = {}
+
+    def __getitem__(self, granularity: str) -> KeyIndex:
+        if granularity not in self._built:
+            self._built[granularity] = KeyIndex(_KEYS[granularity](self._ident, self._firm), self._ts)
+        return self._built[granularity]
 
 
 class SizeBucket(NamedTuple):
@@ -228,15 +303,10 @@ class Panel:
     def layout(self) -> Layout:
         """The events laid out for scoring, once per panel. A bucket's means
         run over its innermost axis, the arithmetic of each event alone."""
-        sizes = np.diff(self.bounds)
-        by_size = np.argsort(sizes * len(sizes) + np.arange(len(sizes)))  # unique: by size, then event
-        simple = np.empty(len(sizes))
-        buckets = []
-        for order in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
-            if len(order):
-                rows = self.bounds[order][:, None] + np.arange(sizes[order[0]])
-                simple[order] = self.value_cents[rows].astype(float).mean(axis=-1)
-                buckets.append(SizeBucket(order, rows))
+        buckets = [SizeBucket(*bucket) for bucket in _by_length(self.bounds[:-1], np.diff(self.bounds))]
+        simple = np.empty(len(self.events))
+        for bucket in buckets:
+            simple[bucket.order] = self.value_cents[bucket.rows].astype(float).mean(axis=-1)
         qidx = quarter_indices(self.events.announce_ts)
         first = np.flatnonzero(np.diff(qidx, prepend=qidx[:1] - 1))  # each run's first event; qidx never falls
         edges = self.bounds[np.append(first, len(qidx))].tolist()
@@ -510,8 +580,18 @@ def _sorted_codes(codes: np.ndarray, seen: dict) -> tuple[np.ndarray, tuple[str,
 
 
 def _new(s: np.ndarray) -> np.ndarray:
-    """Whether each entry of the sorted `s` differs from the one before it."""
+    """Whether each entry of `s` differs from the one before it, the first always."""
     return np.r_[True, s[1:] != s[:-1]][: len(s)]
+
+
+def _by_length(starts: np.ndarray, lengths: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The segments of `lengths` positions from `starts`, one part per
+    distinct length in ascending order: each part's segment indexes,
+    ascending, and its (k, length) table of their positions."""
+    order = np.argsort(_pack([(lengths, _span(lengths)), (np.arange(len(lengths)), len(lengths))]))
+    edges = np.append(np.flatnonzero(_new(lengths[order])), len(order))
+    parts = [order[a:b] for a, b in zip(edges[:-1].tolist(), edges[1:].tolist())]
+    return [(part, starts[part][:, None] + np.arange(lengths[part[0]])) for part in parts]
 
 
 def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -730,11 +810,15 @@ def build_panel(
     event = _lookup([t.firm, t.year, t.quarter], t.firm_ids, [acts.firm, acts.year, acts.quarter], acts.firm_ids)
     announce = np.append(acts.announce_ts, 0)[event]
     window = np.ones(len(t), bool)
+    # each offset in seconds clipped to ±2**62: parsed announce times (years 1-9999)
+    # are within ±2.6e11 s, so nothing wraps, and a clipped offset admits every estimate or none
+    lead = max(-(2**62), min(cfg.min_lead_hours * 3600, 2**62))
+    age = max(-(2**62), min(cfg.max_age_days * 86400, 2**62))
     for reason, failed in (
         ("no_matching_actual", event < 0),
-        ("horizon_excluded", ~np.isin(t.horizon_code, list(cfg.horizon_codes))),
-        ("too_close_to_announcement", t.estimate_ts > announce - cfg.min_lead_hours * 3600),
-        ("too_old", t.estimate_ts < announce - cfg.max_age_days * 86400),
+        ("horizon_excluded", ~np.isin(t.horizon_code, list(HORIZON_CODES))),
+        ("too_close_to_announcement", t.estimate_ts > announce - lead),
+        ("too_old", t.estimate_ts < announce - age),
     ):
         n = int(np.count_nonzero(window & failed))
         if n:

@@ -15,6 +15,7 @@ from estagg.evaluate import ModeResult, trend_stat
 from estagg.ingest import (
     ACTUAL_COLUMNS,
     ESTIMATE_COLUMNS,
+    HORIZON_CODES,
     ActualTable,
     FilterConfig,
     IngestReport,
@@ -139,7 +140,7 @@ class HistoryLedger:
         return self._aae_sums[key] / n
 
 
-# The one-call own-time sums that estagg.bias split into a KeyIndex, built
+# The one-call own-time sums that estagg.ingest splits into a KeyIndex, built
 # once per stream and key, and its per-ledger sums, unchanged.
 
 
@@ -1001,7 +1002,7 @@ def build_panel_oracle(
         if act is None:
             report.rejects["no_matching_actual"] += 1
             continue
-        if est.horizon_code not in cfg.horizon_codes:
+        if est.horizon_code not in HORIZON_CODES:
             report.rejects["horizon_excluded"] += 1
             continue
         if est.estimate_ts > act.announce_ts - min_lead_s:

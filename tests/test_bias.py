@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import constant_bias_panel, replay_mode
-from estagg import bias
+from estagg import bias, ingest
 from estagg.aggregate import BIAS_KEYS, ModeConfig
 from estagg.ingest import FilterConfig, build_panel
 import oracles
@@ -137,7 +137,7 @@ def recorded(ledger, records):
     """`ledger` after recording `records`, a stream in time order, through
     the stream's key indexes."""
     ts, ident, firm, values = columns(records)
-    ledger.record(bias.StreamIndex(ts, ident, firm), values)
+    ledger.record(ingest.StreamIndex(ts, ident, firm), values)
     return ledger
 
 
@@ -251,7 +251,7 @@ class TestPointInTimeLedgers:
     def check_against_dict_ledgers(records):
         every = np.arange(len(records))
         ts, ident, firm, err, aae = (np.array(c) for c in zip(*records))
-        indexes = bias.StreamIndex(ts, ident, firm)
+        indexes = ingest.StreamIndex(ts, ident, firm)
         array_history = bias.HistoryLedger()
         array_history.record(indexes, aae)
         for key in BIAS_KEYS:
@@ -273,7 +273,7 @@ class TestPointInTimeLedgers:
         # columns; each must equal a call of the one-call oracles.earlier,
         # keyed here by (identity << 32) | firm, an encoding of its own
         ts, ident, firm, err, aae = (np.array(c) for c in zip(*records))
-        indexes = bias.StreamIndex(ts, ident, firm)
+        indexes = ingest.StreamIndex(ts, ident, firm)
         keys = {"identity_firm": (ident << 32) | firm, "identity": ident, "firm": firm, "global": np.zeros_like(ident)}
         for granularity, key in keys.items():
             index = indexes[granularity]
@@ -294,7 +294,7 @@ class TestPointInTimeLedgers:
         ts, values = np.arange(len(keys)), rng.standard_normal(len(keys))
         tracemalloc.start()
         try:
-            index = bias.KeyIndex(keys, ts)
+            index = ingest.KeyIndex(keys, ts)
             count, total = index.counts, index.sums(values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -124,9 +124,22 @@ class TestRunCommand:
 
     def test_manifest_hashes_inputs(self, run_dir, synth_dir):
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert set(manifest["inputs"]) == {"estimates.csv", "actuals.csv"}
+        assert set(manifest["inputs"]) == {"estimates", "actuals"}
         assert manifest["config"]["burn_in"] == 4
         assert all(len(h) == 64 for h in manifest["inputs"].values())
+
+    def test_manifest_hashes_inputs_sharing_a_basename(self, synth_dir, run_dir, tmp_path):
+        paths = {}
+        for name in ("estimates", "actuals"):
+            paths[name] = tmp_path / name / "data.csv"
+            paths[name].parent.mkdir()
+            paths[name].write_bytes((synth_dir / f"{name}.csv").read_bytes())
+        args = run_args(synth_dir, tmp_path / "out", ["--estimates", str(paths["estimates"])])
+        args += ["--actuals", str(paths["actuals"])]
+        assert main(args) == 0
+        inputs = json.loads((tmp_path / "out" / "manifest.json").read_text())["inputs"]
+        assert inputs == json.loads((run_dir / "manifest.json").read_text())["inputs"]
+        assert inputs["estimates"] != inputs["actuals"]
 
     def test_rerun_byte_identical_results(self, synth_dir, run_dir, tmp_path):
         assert main(run_args(synth_dir, tmp_path)) == 0
@@ -338,7 +351,7 @@ class TestRunCommand:
         assert "no_matching_actual" not in base["ingest"]["rejects"]
         assert report["ingest"]["rejects"]["no_matching_actual"] == n_estimates > 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert set(manifest["inputs"]) == {"estimates.csv", "actuals.csv", "check.csv"}
+        assert set(manifest["inputs"]) == {"estimates", "actuals", "actuals_check"}
 
     def test_actuals_check_confirming_every_actual_changes_no_result(self, synth_dir, run_dir, tmp_path):
         args = run_args(synth_dir, tmp_path / "out", ["--actuals-check", str(synth_dir / "actuals.csv")])
@@ -681,6 +694,23 @@ class TestMinLeadHours:
         # max-age-days * 24 equal to min-lead-hours leaves one admissible
         # estimate time, so the run goes ahead
         assert main(run_args(synth_dir, tmp_path, ["--min-lead-hours", "48", "--max-age-days", "2"])) == 0
+
+    def test_max_age_past_int64_seconds_admits_every_estimate(self, synth_dir, tmp_path):
+        # 10**15 days is past int64 in seconds: it scores what 100,000 days does
+        files = []
+        for days in (10**5, 10**15):
+            out = tmp_path / str(days)
+            assert main(run_args(synth_dir, out, ["--max-age-days", str(days)])) == 0
+            written = sorted(p for p in out.rglob("*") if p.is_file() and p.name != "manifest.json")
+            files.append({p.relative_to(out): p.read_bytes() for p in written})
+        assert files[0] == files[1] and len(files[0]) > 3
+
+    def test_min_lead_past_int64_seconds_rejects_every_estimate(self, synth_dir, tmp_path):
+        flags = ["--min-lead-hours", str(10**16), "--max-age-days", str(10**16)]
+        assert main(run_args(synth_dir, tmp_path, flags)) == 0
+        ingest = json.loads((tmp_path / "ingest_report.json").read_text())["ingest"]
+        assert ingest["total"] > 0 and ingest["kept"] == 0
+        assert Counter(ingest["rejects"]) == Counter(too_close_to_announcement=ingest["total"])  # zero counts aside
 
 
 class TestReportCommand:

@@ -1,6 +1,8 @@
 """Every name a module of estagg imports is read in that module, and every
-function and class estagg defines is referenced within estagg. Start-up
-builds no dataclass and loads no module only another command needs."""
+function and class estagg defines is referenced within estagg. The data
+layer imports no ledger: bias imports no estagg module, and ingest only
+features and periods. Start-up builds no dataclass and loads no module only
+another command needs."""
 
 import ast
 import json
@@ -104,6 +106,52 @@ def test_finds_unreferenced_definitions():
         "b.py": "from .a import Table\ndef main(t: Table):\n    return t.take()\nmain(Table())\n",
     }
     assert unreferenced_definitions(sources) == ["test_only (a.py:4)", "from_rows (a.py:8)"]
+
+
+def estagg_imports(source: str) -> set[str]:
+    """The modules of estagg that `source`, a module of estagg, imports, by
+    file stem, `__init__` for the package itself: `from .x import`, `from .
+    import x` and `import estagg.x` alike."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = f"estagg.{node.module or ''}" if node.level else node.module
+            dotted = [f"{base.rstrip('.')}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in dotted:
+            package, _, rest = name.partition(".")
+            if package == "estagg":
+                stem = rest.partition(".")[0]
+                found.add(stem if stem in modules else "__init__")
+    return found
+
+
+# each module's estagg imports, at most: the ledgers stand alone, and the
+# data layer, which builds the stream's key index, imports no ledger
+LAYERS = {"bias.py": set(), "ingest.py": {"features", "periods"}}
+
+
+@pytest.mark.parametrize("name, allowed", LAYERS.items(), ids=LAYERS)
+def test_layering(name, allowed):
+    assert estagg_imports((SRC / name).read_text(encoding="utf-8")) <= allowed
+
+
+def test_finds_estagg_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "import estagg.model\n"
+        "from . import __version__, synth\n"
+        "from .bias import BiasTracker\n"
+        "from estagg.periods import parse_ts\n"
+        "def f():\n"
+        "    from .features import normalize\n"
+    )
+    assert estagg_imports(source) == {"model", "__init__", "synth", "bias", "periods", "features"}
 
 
 # run in a fresh interpreter: what the set-up of every command loads and

@@ -958,6 +958,26 @@ class TestInt64Edges:
             assert_panel_equals(got, columnar_panel(build_panel_oracle(oracle_ests, oracle_acts, cfg, identity)))
         assert len(got.events) > 0  # the 8-analyst minimum leaves no broker event
 
+    @pytest.mark.parametrize(
+        "cfg, window_rejects, kept",
+        [
+            (FilterConfig(max_age_days=10**15), {"too_close_to_announcement"}, True),
+            (FilterConfig(max_age_days=-(10**15)), {"too_close_to_announcement", "too_old"}, False),
+            (FilterConfig(min_lead_hours=10**16, max_age_days=10**16), {"too_close_to_announcement"}, False),
+            (FilterConfig(min_lead_hours=-(10**16)), {"too_old"}, True),
+        ],
+        ids=["old_age", "negative_age", "long_lead", "negative_lead"],
+    )
+    def test_window_past_int64_seconds_matches_oracle(self, cfg, window_rejects, kept):
+        # each window offset past int64 in seconds clips, never wraps: it
+        # admits every estimate or none, as the oracle's exact integers do
+        est_rows, act_rows, _ = generate_rows(SMALL_PANEL_SPEC)
+        rows = revision_rows(est_rows, act_rows, seed=3)
+        assert_same_panel(estimates_from_rows(rows), estimates_from_rows_oracle(rows), act_rows, cfg, "analyst")
+        report = build_panel(estimates_from_rows(rows), actuals_from_rows(act_rows), cfg).report
+        assert set(report.rejects) & {"too_close_to_announcement", "too_old"} == window_rejects
+        assert (report.kept > 0) == kept
+
     def test_cross_check_with_cents_at_int64_edges(self):
         ts = format_ts(ANNOUNCE_TS)
         values = INT64_EDGES

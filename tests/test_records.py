@@ -84,7 +84,6 @@ def test_filter_replace_and_fields():
         "surprise_cap_cents",
         "min_lead_hours",
         "max_age_days",
-        "horizon_codes",
         "require_prior_record",
     ]
 

@@ -19,7 +19,7 @@ from conftest import (
     outcome_fields,
     replay_mode,
 )
-from estagg import bias, evaluate, features, ingest, replay
+from estagg import evaluate, features, ingest, replay
 from estagg.aggregate import ModeConfig, default_mode_matrix, weight_vector
 from estagg.bias import BiasTracker
 from estagg.cli import _event_fields, _write_events
@@ -286,7 +286,7 @@ class TestSharedState:
         built = []  # per index built: whether its keys vary, and its sorts of the stream's length
         sorts = []
 
-        class CountingIndex(bias.KeyIndex):
+        class CountingIndex(ingest.KeyIndex):
             def __init__(self, keys, ts):
                 sorts.clear()
                 super().__init__(keys, ts)
@@ -309,7 +309,7 @@ class TestSharedState:
 
         argsort, ledger_free, normalized = np.argsort, Panel.ledger_free, []
         build_panel, panels = evaluate.build_panel, []  # a weak reference to each panel, in build order
-        monkeypatch.setattr(bias, "KeyIndex", CountingIndex)
+        monkeypatch.setattr(ingest, "KeyIndex", CountingIndex)
         monkeypatch.setattr(np, "argsort", counting_argsort)
         monkeypatch.setattr(Panel, "ledger_free", counting_ledger_free)
         monkeypatch.setattr(evaluate, "build_panel", counting_build_panel)
