@@ -2,11 +2,11 @@
 
 Every ledger read is a stream record reading its own key at its own
 announce time. So a ledger records a whole stream at once, as each
-record's own-time prefix sums through the stream's key index (ingest's
-`Stream.indexes`), which see no record at that time, and a read indexes
-them by stream position. Signed errors are summed as int64 cents and
-divided only at read time, which equals Python's int / int while every
-sum stays below 2**53 in magnitude; build_panel guards that bound.
+record's own-time prefix sums through the key index the stream keeps
+(ingest's `Stream.index`), which see no record at that time, and a read
+indexes them by stream position. Signed errors are summed as int64 cents
+and divided only at read time, which equals Python's int / int while
+every sum stays below 2**53 in magnitude; build_panel guards that bound.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ class BiasTracker:
         self._keys = ("firm", "identity") if key == "half" else (key,)
         self._bias = np.zeros(0)
 
-    def record(self, indexes, err_cents: np.ndarray) -> None:
+    def record(self, stream, err_cents: np.ndarray) -> None:
         """Record a whole chronological stream, through its key indexes
-        (`Stream.indexes`), replacing any earlier one."""
-        means = [_mean(indexes[key], err_cents) for key in self._keys]
+        (`Stream.index`), replacing any earlier one."""
+        means = [_mean(stream.index(key), err_cents) for key in self._keys]
         self._bias = 0.5 * means[0] + 0.5 * means[1] if self.key == "half" else means[0]
 
     def bias(self, at: np.ndarray) -> np.ndarray:
@@ -47,10 +47,10 @@ class HistoryLedger:
     def __init__(self):
         self._count, self._total = np.zeros(0, np.int64), np.zeros(0)
 
-    def record(self, indexes, aae: np.ndarray) -> None:
-        """Record a whole chronological stream, through its key indexes
-        (`Stream.indexes`), replacing any earlier one."""
-        index = indexes["identity_firm"]
+    def record(self, stream, aae: np.ndarray) -> None:
+        """Record a whole chronological stream, through its (identity, firm)
+        key index (`Stream.index`), replacing any earlier one."""
+        index = stream.index("identity_firm")
         self._count, self._total = index.counts, index.sums(aae)
 
     def experience(self, at: np.ndarray) -> np.ndarray:

@@ -9,11 +9,11 @@ re-renders results.csv from previously written per-event files.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import sys
@@ -194,10 +194,13 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(message, file=sys.stderr)
             return 2
 
+    import errno
+    import shutil
+    import tempfile
+
     inputs = {"estimates": estimates_path, "actuals": actuals_path, "actuals_check": check_path}
-    written: list[str] = []
-    models_dir = os.path.join(out_dir, "models")
-    made_out_dir = made_models_dir = False
+    written: list[str] = []  # each file's path relative to out_dir and to the stage, in the order written
+    made_out_dir, stage = False, None
     try:
         for name, p in inputs.items():
             if p and not os.path.isfile(p):
@@ -217,13 +220,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         made_out_dir = not os.path.isdir(out_dir)
         os.makedirs(out_dir, exist_ok=True)
-        made_models_dir = not os.path.isdir(models_dir)
-        os.makedirs(models_dir, exist_ok=True)
+        # every file is written into a stage, then moved into place, so a
+        # failed run leaves the files of the run before it as they were
+        stage = tempfile.mkdtemp(prefix=".stage-", dir=out_dir)
+        os.mkdir(os.path.join(stage, "models"))
 
         def out(name: str) -> str:
-            p = os.path.join(out_dir, name)
-            written.append(p)
-            return p
+            written.append(name)
+            return os.path.join(stage, name)
 
         # each mode's files are written as soon as it is scored; only its
         # statistics are kept, for results.csv
@@ -267,14 +271,16 @@ def cmd_run(args: argparse.Namespace) -> int:
             "inputs": {name: _sha256(p) for name, p in inputs.items() if p},  # by setting, as basenames may repeat
         }
         _write_json(out("manifest.json"), manifest)
-    except Exception as exc:  # remove partial outputs before failing
-        for p in written:
-            with contextlib.suppress(OSError):
-                os.remove(p)
-        for made, path in ((made_models_dir, models_dir), (made_out_dir, out_dir)):
-            if made:
-                with contextlib.suppress(OSError):
-                    os.rmdir(path)
+        for target in (os.path.join(out_dir, name) for name in written):
+            if os.path.isdir(target):  # found before any file moves
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+        os.makedirs(os.path.join(out_dir, "models"), exist_ok=True)
+        for name in written:
+            os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
+        shutil.rmtree(stage)
+    except Exception as exc:  # remove the output directory if the run made it, else the stage within it
+        if made_out_dir or stage:
+            shutil.rmtree(out_dir if made_out_dir else stage, ignore_errors=True)
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 
@@ -300,23 +306,29 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _read_surprises(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """The original and improved surprises of a run's evaluated events; a
-    short, long or unreadable row of its events file fails with the path and line."""
+    """The original and improved surprises of a run's evaluated events. A row with fewer or more fields
+    than the header, an in_evaluation other than 0 or 1 or a number that is not finite fails with its line."""
     original, improved = [], []
     reader = csv.DictReader(read_lines(path))
     columns = ("actual_cents", "simple_consensus", "improved", "in_evaluation")
     missing = [c for c in columns if c not in (reader.fieldnames or ())]
     if missing:
         raise ValueError(f"{path}:1: header missing columns {missing}")
+    width = len(reader.fieldnames)
     for row in reader:
         try:
-            if None in row:  # DictReader's key for the fields past the header's
-                raise ValueError(f"more fields than the header's {len(reader.fieldnames)}")
+            if None in row or None in row.values():  # DictReader's key past the header's fields, value short of them
+                raise ValueError(f"{'more' if None in row else 'fewer'} fields than the header's {width}")
+            if row["in_evaluation"] not in ("0", "1"):
+                raise ValueError(f"in_evaluation {row['in_evaluation']!r} is not 0 or 1")
+            actual, simple, new = values = [float(row[c]) for c in columns[:3]]
+            for column, value in zip(columns, values):
+                if not math.isfinite(value):
+                    raise ValueError(f"{column} {row[column]!r} is not a finite number")
             if row["in_evaluation"] == "1":
-                actual = float(row["actual_cents"])
-                original.append(float(row["simple_consensus"]) - actual)
-                improved.append(float(row["improved"]) - actual)
-        except (TypeError, ValueError) as exc:  # a short row reads None
+                original.append(simple - actual)
+                improved.append(new - actual)
+        except ValueError as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return np.array(original, float), np.array(improved, float)
 

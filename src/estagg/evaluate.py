@@ -137,7 +137,7 @@ def descriptive_stats(panel: Panel) -> dict:
 
 class PanelSource:
     """Builds the panel of an (identity, recency-cutoff) key, holding only the
-    panel it built last, and keeps the default panel's ingest summary."""
+    panel it built last, and takes the default panel's ingest summary at its build."""
 
     def __init__(self, estimates: EstimateTable, actuals: ActualTable, cfg: FilterConfig):
         self.estimates = estimates
@@ -148,11 +148,12 @@ class PanelSource:
 
     def _hold(self, key: tuple[str, int]) -> Panel:
         if key != self._key:
-            if self._key == self.default_key():
-                self.ingest_summary()  # taken as the default panel is let go
             self._key = self._panel = None  # before the build, so that one panel is alive at a time
             cfg = self.cfg._replace(min_lead_hours=key[1])
-            self._key, self._panel = key, build_panel(self.estimates, self.actuals, cfg, identity=key[0])
+            panel = build_panel(self.estimates, self.actuals, cfg, identity=key[0])
+            if key == self.default_key() and self._summary is None:
+                self._summary = panel.report, descriptive_stats(panel) if len(panel.events) else None
+            self._key, self._panel = key, panel
         return self._panel
 
     def panel_key(self, mode: ModeConfig) -> tuple[str, int]:
@@ -172,11 +173,10 @@ class PanelSource:
 
     def ingest_summary(self) -> tuple[IngestReport, Optional[dict]]:
         """The default panel's report and descriptive statistics, None with no
-        events; the panel is built for them if no mode scored on it. The
-        source then lets go of the panel it holds."""
+        events, taken as that panel was built; it is built for them if no
+        mode scored on it. The source then lets go of the panel it holds."""
         if self._summary is None:
-            panel = self.default_panel()
-            self._summary = panel.report, descriptive_stats(panel) if len(panel.events) else None
+            self.default_panel()
         self._key = self._panel = None
         return self._summary
 

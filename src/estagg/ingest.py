@@ -24,13 +24,13 @@ table of equal-length segments, a panel's size buckets as a key index's
 runs, is one _by_length part. Every dropped estimate is accounted for in an
 IngestReport, one reason per row.
 
-The stream carries its key indexes (StreamIndex), a KeyIndex per ledger
-key granularity built on first use, first read by build_panel's prior-record
-rule. A KeyIndex sorts the records by key code and position (_pack), so each
-key keeps stream order, the one-key `global` unsorted. It holds each
-record's count of its key's records at earlier announce times, and a table
-per run length (_by_length), one entry per record however skewed the keys,
-through which a ledger sums its own values the same way.
+The stream builds and keeps its key indexes (Stream.index), a KeyIndex per
+ledger key granularity built on first use, first read by build_panel's
+prior-record rule. A KeyIndex sorts the records by key code and position
+(_pack), so each key keeps stream order, the one-key `global` unsorted. It
+holds each record's count of its key's records at earlier announce times,
+and a table per run length (_by_length), one entry per record however
+skewed the keys, through which a ledger sums its own values the same way.
 
 All money values are integer cents; the surprise-cap comparison is done in
 exact integer arithmetic.
@@ -191,7 +191,13 @@ class Stream:
         self.error_cents = error_cents  # prediction minus actual
         self.ident_ids = ident_ids  # analyst or broker ids, sorted
         self.firm_ids = firm_ids  # sorted
-        self.indexes = StreamIndex(announce_ts, ident, firm)  # a KeyIndex per ledger key, built on first use
+        self._indexes: dict[str, KeyIndex] = {}  # by ledger key granularity
+
+    def index(self, granularity: str) -> KeyIndex:
+        """The records' KeyIndex under the ledger key `granularity`, built on first use and kept."""
+        if granularity not in self._indexes:
+            self._indexes[granularity] = KeyIndex(_KEYS[granularity](self.ident, self.firm), self.announce_ts)
+        return self._indexes[granularity]
 
 
 def _span(codes: np.ndarray) -> int:
@@ -244,20 +250,6 @@ class KeyIndex:
             np.cumsum(table, axis=1, out=table)
             out[records] = np.take_along_axis(table, covered, axis=1)
         return out
-
-
-class StreamIndex:
-    """A chronological stream's KeyIndex per ledger key granularity, each
-    built on first use and kept with the stream."""
-
-    def __init__(self, ts: np.ndarray, ident: np.ndarray, firm: np.ndarray):
-        self._ts, self._ident, self._firm = ts, ident, firm
-        self._built: dict[str, KeyIndex] = {}
-
-    def __getitem__(self, granularity: str) -> KeyIndex:
-        if granularity not in self._built:
-            self._built[granularity] = KeyIndex(_KEYS[granularity](self._ident, self._firm), self._ts)
-        return self._built[granularity]
 
 
 class SizeBucket(NamedTuple):
@@ -321,7 +313,7 @@ class Panel:
         size bucket is gathered from the (5, rows) columns straight into one
         contiguous (5, k, n) stack, once per scaling and panel."""
         if scaling not in self._normalized:
-            columns = np.vstack([self.features.T, self.stream.indexes["identity_firm"].counts[self.records]])
+            columns = np.vstack([self.features.T, self.stream.index("identity_firm").counts[self.records]])
             out = np.empty(columns.shape)
             for bucket in self.layout.buckets:
                 # take, not columns[:, rows]: that is a transposed view, whose means round differently
@@ -873,7 +865,7 @@ def build_panel(
     # (d) prior-record flags with all records at one announce time treated
     # as simultaneous: a record has a prior when its (identity, firm) pair
     # has one at an earlier announce time, as the history ledger counts it
-    has_prior = stream.indexes["identity_firm"].counts > 0  # the index the ledger passes reuse
+    has_prior = stream.index("identity_firm").counts > 0  # the index the ledger passes reuse
     keep = has_prior | (not cfg.require_prior_record)
     if not keep.all():
         report.rejects["no_prior_record"] += len(win) - int(np.count_nonzero(keep))

@@ -121,10 +121,10 @@ def ledger_state(panel: Panel, bias_key: Optional[str]) -> LedgerState:
     bias = np.zeros(len(stream.error_cents))
     if bias_key is not None:
         bias_tracker = BiasTracker(bias_key)
-        bias_tracker.record(stream.indexes, stream.error_cents)
+        bias_tracker.record(stream, stream.error_cents)
         bias = bias_tracker.bias(np.arange(len(bias)))
     hist = HistoryLedger()
-    hist.record(stream.indexes, np.abs(stream.error_cents - bias))
+    hist.record(stream, np.abs(stream.error_cents - bias))
 
     # every kept estimate is a stream record, so its reads are that record's
     experience = hist.experience(panel.records)

@@ -10,6 +10,7 @@ re-derive them from generator internals.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
@@ -41,13 +42,15 @@ class SynthSpec:
     seed: int = 12345
 
     def validate(self) -> None:
+        """Fails naming the first setting the generator cannot honour."""
+        least = dict.fromkeys(("n_firms", "n_analysts", "n_quarters", "analysts_per_event"), 1)
+        least |= {"seed": 0, "bias_scale": 0, "noise_scale": 0, "common_scale": 0, "skill_spread": 1}
+        for name, low in least.items():
+            value = getattr(self, name)
+            if not low <= value < math.inf:  # nan fails too
+                raise ValueError(f"{name} must be >= {low}" if value < math.inf else f"{name} must be finite")
         if self.analysts_per_event > self.n_analysts:
             raise ValueError("analysts_per_event exceeds n_analysts")
-        for name in ("bias_scale", "noise_scale", "common_scale"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.skill_spread < 1.0:
-            raise ValueError("skill_spread must be >= 1")
         if not 0.0 < self.negative_surprise_target < 1.0:
             raise ValueError("negative_surprise_target must be a fraction")
 

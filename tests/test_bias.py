@@ -133,11 +133,17 @@ def columns(records):
     return np.array(ts, np.int64), np.array(ident, np.int64), np.array(firm, np.int64), np.array(values)
 
 
+def keyed_stream(ts, ident, firm):
+    """A stream of records with these times and keys alone: a ledger reads
+    only the key indexes the stream builds."""
+    return ingest.Stream(ts, ident, firm, None, (), ())
+
+
 def recorded(ledger, records):
     """`ledger` after recording `records`, a stream in time order, through
     the stream's key indexes."""
     ts, ident, firm, values = columns(records)
-    ledger.record(ingest.StreamIndex(ts, ident, firm), values)
+    ledger.record(keyed_stream(ts, ident, firm), values)
     return ledger
 
 
@@ -251,12 +257,12 @@ class TestPointInTimeLedgers:
     def check_against_dict_ledgers(records):
         every = np.arange(len(records))
         ts, ident, firm, err, aae = (np.array(c) for c in zip(*records))
-        indexes = ingest.StreamIndex(ts, ident, firm)
+        stream = keyed_stream(ts, ident, firm)
         array_history = bias.HistoryLedger()
-        array_history.record(indexes, aae)
+        array_history.record(stream, aae)
         for key in BIAS_KEYS:
             tracker = bias.BiasTracker(key)
-            tracker.record(indexes, err)
+            tracker.record(stream, err)
             want, counts, means = dict_reads(records, key)
             assert tracker.bias(every).tolist() == want, key
         assert array_history.experience(every).tolist() == counts
@@ -273,11 +279,11 @@ class TestPointInTimeLedgers:
         # columns; each must equal a call of the one-call oracles.earlier,
         # keyed here by (identity << 32) | firm, an encoding of its own
         ts, ident, firm, err, aae = (np.array(c) for c in zip(*records))
-        indexes = ingest.StreamIndex(ts, ident, firm)
+        stream = keyed_stream(ts, ident, firm)
         keys = {"identity_firm": (ident << 32) | firm, "identity": ident, "firm": firm, "global": np.zeros_like(ident)}
         for granularity, key in keys.items():
-            index = indexes[granularity]
-            assert index is indexes[granularity]
+            index = stream.index(granularity)
+            assert index is stream.index(granularity)
             count, _ = oracles.earlier(key, ts)
             assert index.counts.dtype == count.dtype and index.counts.tolist() == count.tolist(), granularity
             for values in (err, aae):

@@ -1,5 +1,6 @@
 import codecs
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -74,6 +75,27 @@ class TestSynthCommand:
         rc = main(["synth", "--out", str(tmp_path), "--n-analysts", "4", "--analysts-per-event", "9"])
         assert rc == 1
         assert "synth failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setting, value, error",
+        [
+            ("n_firms", "0", "must be >= 1"),
+            ("n_analysts", "-1", "must be >= 1"),
+            ("n_quarters", "-3", "must be >= 1"),
+            ("analysts_per_event", "0", "must be >= 1"),
+            ("seed", "-1", "must be >= 0"),
+            ("bias_scale", "nan", "must be finite"),
+            ("skill_spread", "nan", "must be finite"),
+            ("noise_scale", "inf", "must be finite"),
+            ("common_scale", "-0.5", "must be >= 0"),
+            ("negative_surprise_target", "nan", "must be a fraction"),
+        ],
+    )
+    def test_setting_it_cannot_honour_fails_naming_it(self, tmp_path, capsys, setting, value, error):
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out), f"--{setting.replace('_', '-')}", value]) == 1
+        assert capsys.readouterr().err == f"synth failed: {setting} {error}\n"
+        assert not out.exists()
 
 
 def run_args(synth_dir, out_dir, extra=()):
@@ -187,11 +209,11 @@ class TestRunCommand:
         assert not any((tmp_path / "models").iterdir())
 
     def test_failed_run_removes_out_dir_it_made(self, synth_dir, tmp_path, monkeypatch, capsys):
-        def fail(panel):
+        def fail(path, results):
             raise RuntimeError("injected")
 
         # fails after every per-mode file is written into the new directory
-        monkeypatch.setattr("estagg.evaluate.descriptive_stats", fail)
+        monkeypatch.setattr(cli, "_write_results_csv", fail)
         out = tmp_path / "new"
         assert main(run_args(synth_dir, out, ["--modes", "full"])) == 1
         assert "injected" in capsys.readouterr().err
@@ -218,12 +240,29 @@ class TestRunCommand:
             (out / "events_cutoff_60d.csv").mkdir(parents=True)
         assert main(run_args(synth_dir, out, ["--modes", "all"])) == 1
         assert "run failed" in capsys.readouterr().err
-        assert len(written) == len(default_mode_matrix()) - 2  # all but cutoff_60d and institution
+        # all but cutoff_60d and institution; the directory in the way of
+        # cutoff_60d's events file fails the run after every mode is written
+        assert len(written) == len(default_mode_matrix()) - (2 if made_out_dir else 0)
         if made_out_dir:
             assert not out.exists()
         else:
             assert sorted(p.name for p in out.iterdir()) == ["events_cutoff_60d.csv"]
             assert not any((out / "events_cutoff_60d.csv").iterdir())
+
+    def test_failed_rerun_keeps_the_previous_run(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(run_args(synth_dir, out)) == 0
+        blocked = out / "events_no_bias.csv"
+        blocked.unlink()
+        blocked.mkdir()  # the rerun cannot put its events file here
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert main(run_args(synth_dir, out)) == 1
+        error = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(blocked))
+        assert capsys.readouterr().err == f"run failed: {error}\n"
+        # every file of the first run is as it was, and the run's stage is gone
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        names = {p.relative_to(out).parts[0] for p in before}
+        assert sorted(p.name for p in out.iterdir()) == sorted(names | {blocked.name})
 
     def test_each_panel_is_dropped_after_its_last_group(self, synth_dir, tmp_path, monkeypatch):
         built = []  # a weak reference to each panel, in build order
@@ -269,23 +308,34 @@ class TestRunCommand:
 
     def test_ingest_report_needs_no_mode_on_the_default_panel(self, synth_dir, tmp_path, monkeypatch):
         built = []  # the (identity, recency cutoff) of each panel built
+        described = []  # the panel of each descriptive_stats call, as its index in `built`
 
         def counting_build_panel(estimates, actuals, cfg, identity):
             built.append((identity, cfg.min_lead_hours))
-            return build_panel(estimates, actuals, cfg, identity=identity)
+            panels.append(build_panel(estimates, actuals, cfg, identity=identity))
+            return panels[-1]
 
-        build_panel = evaluate.build_panel
+        def counting_descriptive_stats(panel):
+            described.append(next(i for i, p in enumerate(panels) if p is panel))
+            return descriptive_stats(panel)
+
+        build_panel, descriptive_stats, panels = evaluate.build_panel, evaluate.descriptive_stats, []
         monkeypatch.setattr(evaluate, "build_panel", counting_build_panel)
+        monkeypatch.setattr(evaluate, "descriptive_stats", counting_descriptive_stats)
         default = ("analyst", FilterConfig().min_lead_hours)
         # institution scores on the broker panel, so the default panel is
         # built after the matrix, for the ingest report alone
         assert main(run_args(synth_dir, tmp_path / "institution", ["--modes", "institution"])) == 0
-        assert built == [("broker", default[1]), default]
-        built.clear()
-        assert main(run_args(synth_dir, tmp_path / "full", ["--modes", "full"])) == 0
-        assert built == [default]
+        assert built == [("broker", default[1]), default] and described == [1]
+        # full scores on the default panel, built first: the summary is taken as it is built
+        for modes, keys in (("full", [default]), ("full,institution", [default, ("broker", default[1])])):
+            for calls in (built, described, panels):
+                calls.clear()
+            assert main(run_args(synth_dir, tmp_path / modes, ["--modes", modes])) == 0
+            assert built == keys and described == [0]
         report = (tmp_path / "full" / "ingest_report.json").read_bytes()
-        assert (tmp_path / "institution" / "ingest_report.json").read_bytes() == report
+        for modes in ("institution", "full,institution"):
+            assert (tmp_path / modes / "ingest_report.json").read_bytes() == report
         assert json.loads(report)["descriptive"]["n_reports"] > 0
 
     def test_mode_order_changes_only_results_order(self, synth_dir, run_dir, tmp_path):
@@ -812,8 +862,24 @@ class TestReportCommand:
             ("in_evaluation", None, ":1: header missing columns ['in_evaluation']"),
             ("improved", "abc", ":3: could not convert string to float: 'abc'"),
             ("improved", "1\udcff", ": line 3: undecodable byte 0xff; the input must be UTF-8"),
+            (None, 5, ":3: fewer fields than the header's 9"),
+            ("in_evaluation", "2", ":3: in_evaluation '2' is not 0 or 1"),
+            ("in_evaluation", "", ":3: in_evaluation '' is not 0 or 1"),
+            ("improved", "nan", ":3: improved 'nan' is not a finite number"),
+            ("improved", "1e999", ":3: improved '1e999' is not a finite number"),
+            ("actual_cents", "-inf", ":3: actual_cents '-inf' is not a finite number"),
         ],
-        ids=["no_in_evaluation_column", "bad_value", "undecodable_byte"],
+        ids=[
+            "no_in_evaluation_column",
+            "bad_value",
+            "undecodable_byte",
+            "short_row",
+            "in_evaluation_2",
+            "in_evaluation_empty",
+            "nan",
+            "overflow",
+            "minus_inf",
+        ],
     )
     def test_bad_events_file_fails_naming_the_line(self, reported_run, capsys, column, value, error):
         path = reported_run / "events_no_bias.csv"
@@ -824,12 +890,16 @@ class TestReportCommand:
         if value is None:
             for row in rows:
                 del row[column]
-        else:
+        elif column is not None:
             rows[1][column] = value
         with open(path, "w", newline="", errors="surrogateescape") as fh:  # "\udcff" writes byte 0xff
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
+        if column is None:  # line 3 cut to its first `value` fields
+            lines = path.read_text().splitlines(keepends=True)
+            lines[2] = ",".join(lines[2].split(",")[:value]) + "\n"
+            path.write_text("".join(lines))
         assert main(["report", "--run-dir", str(reported_run)]) == 1
         assert capsys.readouterr().err == f"report failed: {path}{error}\n"
         assert not (reported_run / "results.csv").exists()

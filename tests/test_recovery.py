@@ -31,8 +31,8 @@ def test_identity_firm_bias_approaches_the_planted_bias(seed):
     estimates, actuals, truth = load_synth(SynthSpec(seed=seed))
     panel = build_panel(estimates, actuals, FilterConfig(), identity="analyst")
     tracker = BiasTracker("identity_firm")
-    tracker.record(panel.stream.indexes, panel.stream.error_cents)
-    prior = panel.stream.indexes["identity_firm"].counts[panel.records]
+    tracker.record(panel.stream, panel.stream.error_cents)
+    prior = panel.stream.index("identity_firm").counts[panel.records]
     firm = np.repeat(panel.events.firm, np.diff(panel.bounds))
     pairs = zip(firm.tolist(), panel.analyst.tolist())
     planted = [truth["biases"][panel.events.firm_ids[f]][panel.analyst_ids[a]] for f, a in pairs]
