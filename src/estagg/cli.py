@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import logging
 import math
@@ -86,6 +85,11 @@ def _settings(args: argparse.Namespace, casts: dict) -> dict:
 
 
 def _sha256(path: str) -> str:
+    # hashlib loads OpenSSL's libcrypto, about 3.5 MiB resident; imported
+    # here, it loads as the manifest hashes the inputs, after every panel is
+    # gone, instead of at start-up, where it would add to the run's peak
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -278,9 +282,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         for name in written:
             os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
         shutil.rmtree(stage)
-    except Exception as exc:  # remove the output directory if the run made it, else the stage within it
+    except BaseException as exc:  # remove the output directory if the run made it, else the stage within it
         if made_out_dir or stage:
             shutil.rmtree(out_dir if made_out_dir else stage, ignore_errors=True)
+        if not isinstance(exc, Exception):  # an interrupt or exit still ends the process, with nothing left behind
+            raise
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 

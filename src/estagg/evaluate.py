@@ -206,10 +206,13 @@ def _score_group(
     source: PanelSource, modes: Sequence[ModeConfig], members: list[int], burn_in: int
 ) -> Iterator[tuple[int, ReplayResult, ModeResult]]:
     """Score the modes at `members` of `modes`, which share a panel and a
-    bias key, from one ledger pass."""
+    bias key, from one ledger pass: all modes of one scaling back to back,
+    the scalings in order of first appearance, so the pass holds one
+    scaling's rows at a time."""
     first = modes[members[0]]
     state = ledger_state(source.panel_for(first), first.bias_key)
-    for i in members:
+    scalings = list(dict.fromkeys(modes[i].scaling for i in members))
+    for i in sorted(members, key=lambda i: scalings.index(modes[i].scaling)):
         replay = run_mode(state, modes[i])
         yield i, replay, evaluate_mode(replay, modes[i], burn_in)
 
@@ -221,10 +224,11 @@ def run_mode_matrix(
     and three statistics as soon as it is scored, and keeping neither.
 
     Modes that share a panel and a bias key score from one ledger pass,
-    one `panel_for` call each. The groups run in panel-key order, so each
-    panel's groups run back to back and the source builds each panel once.
-    A caller that lets go of each replay once it has used it holds one
-    group's state and one panel at a time.
+    one `panel_for` call each, one scaling after another. The groups run
+    in panel-key order, so each panel's groups run back to back and the
+    source builds each panel once. A caller that lets go of each replay
+    once it has used it holds one panel, and one group's state with one
+    scaling's rows, at a time.
     """
     panels: dict[tuple[str, int], dict[Optional[str], list[int]]] = {}
     for i, mode in enumerate(modes):

@@ -16,7 +16,9 @@ and the five ledger-free columns normalized per scaling
 (`Panel.ledger_free`). Once per pass: the ledgers' sums through those
 indexes, and per scaling the normalized past error and dependent values
 with each quarter's 6x6 Gram matrix, of which every variable mask's fit
-takes a submatrix. Once per weighted mode: each row's prediction.
+takes a submatrix. A pass keeps these for one scaling at a time, so its
+modes score one scaling after another. Once per weighted mode: each
+row's prediction.
 
 A panel's events are rows of an actuals table, and event j's estimates
 are the panel's rows bounds[j]:bounds[j+1]. The panel lays its events out
@@ -63,7 +65,10 @@ class ReplayResult(NamedTuple):
 class LedgerState:
     """The panel's rows as one ledger pass read them, in row order, plus
     the normalized rows, per-quarter Gram matrices and models derived from
-    them, cached for the modes that share the pass."""
+    them under one scaling, cached for the modes that share the pass and
+    that scaling. Asking for another scaling lets them go before its rows
+    are built, so modes given one scaling after another normalize and fit
+    each scaling once."""
 
     def __init__(self, panel: Panel, key: Optional[str], adjusted: np.ndarray, aae: np.ndarray, mae: np.ndarray):
         self.panel = panel
@@ -71,32 +76,32 @@ class LedgerState:
         self.adjusted = adjusted  # raw estimates minus their biases
         self.aae = aae  # absolute bias-adjusted errors, the dependent variable
         self.mae = mae  # mean past absolute error, the one feature a ledger pass changes
-        self._rows, self._models = {}, {}  # (X, y, Grams) by scaling, models by (scaling, mask)
+        self._scaling, self._rows, self._models = None, None, {}  # the scaling held, its (X, y, Grams), models by mask
 
     def rows(self, scaling: str) -> tuple[np.ndarray, np.ndarray]:
         """The panel's normalized rows (rows, 6) and dependent values, in
         row order: the panel's ledger-free columns, then each size bucket's
         past error and dependent values normalized as one stack."""
-        if scaling not in self._rows:
+        if scaling != self._scaling:
+            self._scaling, self._rows, self._models = None, None, {}  # before the build: one scaling's rows are alive
             X, y = np.empty((len(self.aae), 6)), np.empty(len(self.aae))
             X[:, :5] = self.panel.ledger_free(scaling).T
             for bucket in self.panel.layout.buckets:
                 rows = bucket.rows
                 X[rows, 5], y[rows] = normalize_event(self.mae[rows], self.aae[rows], scaling)
-            self._rows[scaling] = X, y, quarter_grams(X, self.panel.layout.edges)
-        return self._rows[scaling][:2]
+            self._scaling, self._rows = scaling, (X, y, quarter_grams(X, self.panel.layout.edges))
+        return self._rows[:2]
 
     def models(self, scaling: str, mask: Mask) -> dict[int, PeriodModel]:
         """Fitted models by quarter index, in quarter order; each quarter
         fits its events' rows in announcement order, from its Gram matrix
         under the scaling."""
-        key = (scaling, mask)
-        if key not in self._models:
-            X, y = self.rows(scaling)
+        X, y = self.rows(scaling)
+        if mask not in self._models:
             quarters, edges = self.panel.layout.quarters, self.panel.layout.edges
-            fitted = fit_period(X, y, edges, list(map(quarter_from_index, quarters)), self._rows[scaling][2], mask)
-            self._models[key] = {q: model for q, model in zip(quarters, fitted) if model is not None}
-        return self._models[key]
+            fitted = fit_period(X, y, edges, list(map(quarter_from_index, quarters)), self._rows[2], mask)
+            self._models[mask] = {q: model for q, model in zip(quarters, fitted) if model is not None}
+        return self._models[mask]
 
     def predicted(self, scaling: str, mask: Mask) -> np.ndarray:
         """Each row's predicted error under its event's previous calendar

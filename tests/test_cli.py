@@ -3,13 +3,17 @@ import csv
 import errno
 import json
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import mixed_size_rows
@@ -113,6 +117,12 @@ def run_args(synth_dir, out_dir, extra=()):
         "4",
         *extra,
     ]
+
+
+def mode_files(run_dir, label):
+    """The bytes of a mode's events, scatter and models files in a run directory."""
+    names = (f"events_{label}.csv", f"scatter_{label}.csv", f"scatter_{label}.json", f"models/{label}.csv")
+    return {name: pathlib.Path(run_dir, name).read_bytes() for name in names}
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +273,87 @@ class TestRunCommand:
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
         names = {p.relative_to(out).parts[0] for p in before}
         assert sorted(p.name for p in out.iterdir()) == sorted(names | {blocked.name})
+
+    @pytest.mark.parametrize("made_out_dir", [False, True], ids=["existing_out_dir", "new_out_dir"])
+    def test_interrupted_run_leaves_no_stage(self, synth_dir, tmp_path, monkeypatch, made_out_dir):
+        out = tmp_path / "out"
+        if not made_out_dir:
+            assert main(run_args(synth_dir, out)) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} if out.exists() else {}
+        assert bool(before) is not made_out_dir
+        written = []
+
+        def interrupted_write_mode(out, label, *rest):
+            written.append(label)
+            if len(written) == 3:
+                raise KeyboardInterrupt
+            write_mode(out, label, *rest)
+
+        write_mode = cli._write_mode
+        monkeypatch.setattr(cli, "_write_mode", interrupted_write_mode)
+        with pytest.raises(KeyboardInterrupt):
+            main(run_args(synth_dir, out, ["--modes", "all"]))
+        assert len(written) == 3
+        if made_out_dir:
+            assert not out.exists()
+        else:  # the previous run's files are as they were, and no stage is left
+            assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+            assert {p.relative_to(out).parts[0] for p in before} == {p.name for p in out.iterdir()}
+
+    def test_libcrypto_loads_only_for_the_manifest(self, synth_dir, tmp_path):
+        # hashlib loads OpenSSL's libcrypto, which would stay resident
+        # through every mode; only the manifest's input hashes need it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = (
+            "import json, sys\n"
+            "from estagg import cli\n"
+            "cli.build_parser()\n"
+            "seen = {'parser': ['_hashlib' in sys.modules], 'modes': [], 'manifest': []}\n"
+            "write_mode, write_json = cli._write_mode, cli._write_json\n"
+            "def watching_write_mode(*args):\n"
+            "    seen['modes'].append('_hashlib' in sys.modules)\n"
+            "    write_mode(*args)\n"
+            "def watching_write_json(path, value):\n"
+            "    write_json(path, value)\n"
+            "    if path.endswith('manifest.json'):\n"
+            "        seen['manifest'].append('_hashlib' in sys.modules)\n"
+            "cli._write_mode, cli._write_json = watching_write_mode, watching_write_json\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(json.dumps(seen))\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code, *run_args(synth_dir, tmp_path / "out", ["--modes", "all"])],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        seen = json.loads(child.stdout.splitlines()[-1])
+        assert seen == {"parser": [False], "modes": [False] * len(default_mode_matrix()), "manifest": [True]}
+
+    @pytest.fixture(scope="class")
+    def single_mode_files(self, synth_dir, tmp_path_factory):
+        """Each mode's events, scatter and models files from a run of that mode alone."""
+        out = {}
+        for label in (m.label for m in default_mode_matrix()):
+            run = tmp_path_factory.mktemp(label)
+            assert main(run_args(synth_dir, run, ["--modes", label])) == 0
+            out[label] = mode_files(run, label)
+        return out
+
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(labels=st.lists(st.sampled_from([m.label for m in default_mode_matrix()]), min_size=2, unique=True))
+    @example(labels=["no_scaling", "full"])
+    @example(labels=["no_scaling", "closest", "no_bias", "exponent_2", "no_mae"])
+    @example(labels=["no_scaling", *(m.label for m in default_mode_matrix()[::-1] if m.label != "no_scaling")])
+    def test_each_modes_files_are_those_of_its_run_alone(self, synth_dir, single_mode_files, labels):
+        # within a ledger pass the modes score one scaling after another,
+        # whatever order they are given in; no mode's files may depend on that
+        with tempfile.TemporaryDirectory() as run:
+            assert main(run_args(synth_dir, run, ["--modes", ",".join(labels)])) == 0
+            for label in labels:
+                assert mode_files(run, label) == single_mode_files[label], label
 
     def test_each_panel_is_dropped_after_its_last_group(self, synth_dir, tmp_path, monkeypatch):
         built = []  # a weak reference to each panel, in build order

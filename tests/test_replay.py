@@ -185,6 +185,8 @@ class TestSharedState:
     def test_one_ledger_pass_and_normalization_per_shared_state(self, source, monkeypatch):
         passes = []
         normalized = []
+        rows = []  # (ledger pass, scaling, weak reference to the rows) per scaling's rows built
+        fits = []  # (ledger pass, scaling, mask) per fit
 
         def counting_ledger_state(panel, key):
             passes.append(panel)
@@ -194,12 +196,28 @@ class TestSharedState:
             normalized.extend([scaling] * len(mae))
             return normalize_event(mae, aae, scaling)
 
-        normalize_event = replay.normalize_event
+        def watching_quarter_grams(X, edges):
+            rows.append((len(passes), normalized[-1], weakref.ref(X)))
+            return quarter_grams(X, edges)
+
+        def counting_fit_period(X, y, edges, quarters, grams, mask):
+            fits.append((len(passes), rows[-1][1], mask))
+            return fit_period(X, y, edges, quarters, grams, mask)
+
+        normalize_event, quarter_grams, fit_period = replay.normalize_event, replay.quarter_grams, replay.fit_period
         monkeypatch.setattr(evaluate, "ledger_state", counting_ledger_state)
         monkeypatch.setattr(replay, "normalize_event", counting_normalize_event)
+        monkeypatch.setattr(replay, "quarter_grams", watching_quarter_grams)
+        monkeypatch.setattr(replay, "fit_period", counting_fit_period)
         modes = default_mode_matrix()
         for _ in run_mode_matrix(source, modes, burn_in=self.BURN_IN):
-            pass
+            # no ledger pass holds a second scaling's rows after any mode
+            alive = [(p, scaling) for p, scaling, ref in rows if ref() is not None]
+            assert len(alive) == len({p for p, _ in alive}) == 1
+        # each (pass, scaling) is normalized once, and each (pass, scaling, mask) fit once
+        assert len(rows) == len({(p, scaling) for p, scaling, _ in rows}) == len(passes) + 1
+        keys = {(source.panel_key(m), m.bias_key, m.scaling, m.variable_mask) for m in modes}
+        assert len(fits) == len(set(fits)) == len(keys)
         # full and 10 of its variants; no_bias and closest_raw; the four bias
         # keys; institution; the two recency cutoffs
         assert len(passes) == 9
