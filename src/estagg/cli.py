@@ -9,6 +9,7 @@ re-renders results.csv from previously written per-event files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
@@ -42,6 +43,8 @@ FILTER_SETTINGS = {"min_analysts": int, "surprise_cap_cents": int, "min_lead_hou
 SYNTH_SETTINGS = dict.fromkeys(("seed", "n_firms", "n_analysts", "n_quarters", "analysts_per_event"), int)
 SYNTH_SETTINGS |= dict.fromkeys(("bias_scale", "skill_spread", "noise_scale", "common_scale"), float)
 SYNTH_SETTINGS |= {"negative_surprise_target": float}
+# the int and float settings, whose flags main joins to a value that argparse would read as an option
+NUMERIC_SETTINGS = {key for key, cast in (RUN_SETTINGS | FILTER_SETTINGS | SYNTH_SETTINGS).items() if cast is not str}
 
 
 class EventFields(NamedTuple):
@@ -406,6 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):  # argparse reads a separate -inf or -1e3 as an option: join it to its flag
+        if argv[i - 1].startswith("--") and argv[i - 1][2:].replace("-", "_") in NUMERIC_SETTINGS:
+            with contextlib.suppress(ValueError):  # a value that does not parse as a float stays separate
+                float(argv[i])
+                argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -52,13 +52,12 @@ logger = logging.getLogger(__name__)
 
 
 class ReplayResult(NamedTuple):
-    """One mode's replay of a panel: what scoring decided, as columns in
-    announcement order, and the models fit. The events' other columns are the panel's."""
+    """One mode's replay of a panel: what scoring decided, one entry per event in announcement
+    order (no weights), and the models fit. The events' other columns are the panel's."""
 
     panel: Panel
     improved: np.ndarray  # the improved consensus
     fallback_reason: np.ndarray  # int8 code into FALLBACK_NAMES: 0 none, 1 no previous quarter's model, 2 zero weights
-    weights: np.ndarray  # one per panel row; event j's are bounds[j]:bounds[j+1]
     models: list[PeriodModel]
 
 
@@ -153,21 +152,16 @@ def improved_consensus(
     """Score a bucket's events, in bucket order, from their rows of the
     ledger pass `state` and, for a weighted mode, of the mode's
     `LedgerState.predicted`, NaN for an event with no previous quarter's model.
-    Each record is an event's `improved`, `fallback_reason` code and (n,) `weights`.
+    Each record is an event's `improved` and `fallback_reason` code; the weights behind them are not kept.
     Each weighted sum is one (1, n) @ (n, 1) product, the arithmetic of scoring the event alone.
     """
     adjusted = state.adjusted[bucket.rows]
-    k, n = adjusted.shape
-    fallback = np.zeros(k, np.int8)
+    fallback = np.zeros(len(adjusted), np.int8)
     if mode.method == "closest":
         actual = state.panel.events.value_cents[bucket.order].astype(float)
-        pick = np.abs(adjusted - actual[:, None]).argmin(axis=-1)
-        improved = adjusted[np.arange(k), pick]
-        weights = np.zeros((k, n))
-        weights[np.arange(k), pick] = 1.0
+        improved = adjusted[np.arange(len(adjusted)), np.abs(adjusted - actual[:, None]).argmin(axis=-1)]
     else:
         improved = adjusted.mean(axis=-1)
-        weights = np.full((k, n), 1.0 / n)
     if mode.method == "weighted":
         pred = predicted[bucket.rows]
         w = weight_vector(pred, mode.exponent)
@@ -176,14 +170,12 @@ def improved_consensus(
         weighted = np.flatnonzero(fallback == 0)
         w, total = w[weighted], total[weighted]
         improved[weighted] = (w[:, None, :] @ adjusted[weighted][..., None])[:, 0, 0] / total
-        weights[weighted] = w / total[:, None]
-    dtype = [("improved", float), ("fallback_reason", np.int8), ("weights", float, (n,))]
-    return np.rec.fromarrays([improved, fallback, weights], dtype=dtype)
+    return np.rec.fromarrays([improved, fallback], names=("improved", "fallback_reason"))
 
 
 def run_mode(state: LedgerState, mode: ModeConfig) -> ReplayResult:
     """Replay one mode over the whole panel of the ledger pass `state`,
-    which must be keyed by the mode's bias key."""
+    which must be keyed by the mode's bias key, into one entry per event."""
     if state.key != mode.bias_key:
         raise ValueError(f"mode {mode.label}: ledger state is for bias key {state.key!r}, not {mode.bias_key!r}")
     panel = state.panel
@@ -191,10 +183,8 @@ def run_mode(state: LedgerState, mode: ModeConfig) -> ReplayResult:
     predicted = state.predicted(mode.scaling, mode.variable_mask) if mode.method == "weighted" else None
     # the buckets hold the events by size; scatter them back into announcement order
     improved, fallback_reason = np.empty(len(panel.events)), np.empty(len(panel.events), np.int8)
-    weights = np.empty(len(panel.value_cents))
     for bucket in panel.layout.buckets:
         scored = improved_consensus(state, bucket, mode, predicted)
         improved[bucket.order], fallback_reason[bucket.order] = scored.improved, scored.fallback_reason
-        weights[bucket.rows] = scored.weights
     logger.info("mode %s: %d events scored, %d models fit", mode.label, len(improved), len(models))
-    return ReplayResult(panel, improved, fallback_reason, weights, list(models.values()))
+    return ReplayResult(panel, improved, fallback_reason, list(models.values()))

@@ -12,6 +12,7 @@ from estagg.ingest import (
     IngestReport,
     Panel,
     Stream,
+    build_panel,
     parse_actuals,
     parse_estimates,
 )
@@ -103,16 +104,33 @@ def stream_rows(panel):
 
 
 def outcome_fields(outcome):
-    """An oracle Outcome's fields as values == can compare, its weights by
-    dtype, shape and bytes."""
+    """An oracle Outcome's fields as values == can compare, all but its
+    weights, which only replay_oracle gives."""
     fields = asdict(outcome)
-    weights = fields.pop("weights")
-    return fields, (weights.dtype.str, weights.shape, weights.tobytes())
+    del fields["weights"]
+    return fields
 
 
 def replay_mode(panel, mode):
     """One mode replayed over a panel from a ledger pass of its own."""
     return run_mode(ledger_state(panel, mode.bias_key), mode)
+
+
+def replay_with_weights(ests, acts, cfg, mode):
+    """One mode replayed over build_panel's panel of the tables, and each
+    event's weights from replay_oracle on the oracle's panel of them: the
+    replay's outcomes are the oracle's, field for field, so these are the
+    weights behind its `improved`."""
+    result = replay_mode(build_panel(ests, acts, cfg, mode.identity), mode)
+    oracle_panel = oracles.build_panel_oracle(
+        oracles.estimates_from_rows_oracle(estimate_rows(ests)),
+        oracles.actuals_from_rows_oracle(actual_rows(acts)),
+        cfg,
+        mode.identity,
+    )
+    outcomes = oracles.replay_oracle(oracle_panel, mode).outcomes
+    assert list(map(outcome_fields, oracles.outcome_views(result))) == list(map(outcome_fields, outcomes))
+    return result, [o.weights for o in outcomes]
 
 
 def replay_outcome(replay, panel, mode):

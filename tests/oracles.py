@@ -283,9 +283,9 @@ class Outcome:
     actual_cents: int
     simple_consensus: float
     improved: float
-    weights: np.ndarray  # aligned with the event's rows
     n_analysts: int
     fallback_reason: Optional[str] = None
+    weights: Optional[np.ndarray] = None  # aligned with the event's rows; replay_oracle's alone
 
 
 @dataclass
@@ -297,7 +297,7 @@ class OracleReplay:
 def outcome_views(result: ReplayResult) -> list[Outcome]:
     """Each event of a replay as an Outcome, its panel facts read event by
     event from the panel and its layout, so a test of the view tests them.
-    An event's weights are its rows of the replay's weights column."""
+    A replay keeps no weights; replay_oracle's outcomes give each event's."""
     panel = result.panel
     layout = panel.layout
     return [
@@ -309,7 +309,6 @@ def outcome_views(result: ReplayResult) -> list[Outcome]:
             event.actual_cents,
             simple,
             improved,
-            result.weights[event.rows],
             event.rows.stop - event.rows.start,
             reason,
         )

@@ -19,6 +19,7 @@ from conftest import (
     estimates_from_rows,
     load_synth,
     replay_mode,
+    replay_with_weights,
     stream_rows,
 )
 from estagg.aggregate import ModeConfig, default_mode_matrix, modes_by_label
@@ -96,22 +97,23 @@ def test_criterion_02_truncation_leaves_past_outputs_bit_exact():
     )
     ests, acts, _ = load_synth(spec)
 
-    def outcomes_by_key(panel):
-        """Each event's outcome, its weights keyed by identity."""
-        result = replay_mode(panel, ModeConfig())
-        idents = panel_idents(panel)
+    def outcomes_by_key(ests, acts):
+        """Each event's outcome, and the per-event oracle's weights behind it
+        keyed by identity."""
+        result, weights = replay_with_weights(ests, acts, FilterConfig(), ModeConfig())
+        idents = panel_idents(result.panel)
         return {
             (o.firm_id, o.period): (
                 o.improved,
                 o.simple_consensus,
-                dict(zip(idents[ev.rows], o.weights.tolist())),
-                o.weights.tobytes(),
+                dict(zip(idents[ev.rows], w.tolist())),
+                w.tobytes(),
                 o.fallback_reason,
             )
-            for ev, o in zip(panel_events(panel), outcome_views(result))
+            for ev, o, w in zip(panel_events(result.panel), outcome_views(result), weights)
         }
 
-    full = outcomes_by_key(build_panel(ests, acts, FilterConfig()))
+    full = outcomes_by_key(ests, acts)
     q_all = sorted({quarter_index((r[1], r[2])) for r in actual_rows(acts)})
     rng = np.random.default_rng(7002)
     cuts = rng.choice(q_all[2:-1], size=10, replace=True)
@@ -120,7 +122,7 @@ def test_criterion_02_truncation_leaves_past_outputs_bit_exact():
         act_rows_cut = [r for r in actual_rows(acts) if quarter_index((r[1], r[2])) <= cut]
         keep = {(r[0], (r[1], r[2])) for r in act_rows_cut}
         ests_cut = estimates_from_rows([r for r in estimate_rows(ests) if (r[2], (r[3], r[4])) in keep])
-        trunc = outcomes_by_key(build_panel(ests_cut, actuals_from_rows(act_rows_cut), FilterConfig()))
+        trunc = outcomes_by_key(ests_cut, actuals_from_rows(act_rows_cut))
         for key, outcome in full.items():
             if quarter_index(key[1]) <= cut:
                 ok &= trunc.get(key) == outcome

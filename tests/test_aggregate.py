@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import constant_bias_panel, replay_mode
+from conftest import constant_bias_panel, replay_mode, replay_with_weights
 from estagg.aggregate import ModeConfig, default_mode_matrix, modes_by_label, weight_vector
 from estagg.ingest import FilterConfig, build_panel
+from estagg.replay import ledger_state
 from oracles import outcome_views, panel_events, panel_idents, weight
 
 
@@ -33,6 +34,18 @@ class TestWeight:
             else:
                 expected = mpmath.power(mpmath.mpf(mean) - mpmath.mpf(p), mpmath.mpf("1.2"))
                 assert abs(wi - float(expected)) < 1e-14
+
+    @given(
+        st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=12),
+        st.floats(min_value=0.5, max_value=4.0),
+    )
+    @settings(max_examples=100)
+    def test_zero_at_or_above_the_mean_and_the_exponent_moves_only_positive_entries(self, preds, r):
+        preds = np.array(preds)
+        w = weight_vector(preds, r)
+        assert not w[preds >= preds.mean()].any()
+        # the excluded set depends only on the sign of the margin
+        assert np.flatnonzero(w).tolist() == np.flatnonzero(weight_vector(preds, 1.2)).tolist()
 
     def test_scalar_matches_vector(self):
         preds = np.array([-0.5, -0.1, 0.2, 0.2])
@@ -194,11 +207,12 @@ class TestImprovedConsensus:
 
     def test_weights_sum_to_one_or_fallback(self, small_panel_inputs):
         ests, acts, _ = small_panel_inputs
-        panel = build_panel(ests, acts, FilterConfig())
-        rr = replay_mode(panel, ModeConfig())
-        for o in outcome_views(rr):
-            assert o.weights.shape == (o.n_analysts,)
-            assert sum(o.weights.tolist()) == pytest.approx(1.0, abs=1e-9)
+        rr, weights = replay_with_weights(ests, acts, FilterConfig(), ModeConfig())
+        adjusted = ledger_state(rr.panel, ModeConfig().bias_key).adjusted
+        for ev, o, w in zip(panel_events(rr.panel), outcome_views(rr), weights):
+            assert w.shape == (o.n_analysts,)
+            assert sum(w.tolist()) == pytest.approx(1.0, abs=1e-9)
+            assert o.improved == pytest.approx(w @ adjusted[ev.rows], rel=1e-12)
 
     def test_convexity_over_raw_predictions_without_bias(self, small_panel_inputs):
         ests, acts, _ = small_panel_inputs
@@ -214,9 +228,10 @@ class TestImprovedConsensus:
         panel = build_panel(ests, acts, FilterConfig())
         r1 = replay_mode(panel, ModeConfig())
         r2 = replay_mode(panel, ModeConfig())
-        assert [(o.improved, o.simple_consensus, o.weights.tobytes()) for o in outcome_views(r1)] == [
-            (o.improved, o.simple_consensus, o.weights.tobytes()) for o in outcome_views(r2)
+        assert [(o.improved, o.simple_consensus, o.fallback_reason) for o in outcome_views(r1)] == [
+            (o.improved, o.simple_consensus, o.fallback_reason) for o in outcome_views(r2)
         ]
+        assert r1.improved.tobytes() == r2.improved.tobytes()
 
     def test_one_analyst_dominates(self):
         # hand-driven: weights one-hot -> improved equals that adjusted value
@@ -237,10 +252,9 @@ class TestImprovedConsensus:
 
     def test_exponent_change_only_affects_positive_weight_rows(self, small_panel_inputs):
         ests, acts, _ = small_panel_inputs
-        panel = build_panel(ests, acts, FilterConfig())
-        r12 = replay_mode(panel, ModeConfig(exponent=1.2))
-        r20 = replay_mode(panel, ModeConfig(label="exponent_2", exponent=2.0))
-        for a, b in zip(outcome_views(r12), outcome_views(r20)):
-            za = np.flatnonzero(a.weights == 0.0).tolist()
-            zb = np.flatnonzero(b.weights == 0.0).tolist()
+        _, w12 = replay_with_weights(ests, acts, FilterConfig(), ModeConfig(exponent=1.2))
+        _, w20 = replay_with_weights(ests, acts, FilterConfig(), ModeConfig(label="exponent_2", exponent=2.0))
+        for a, b in zip(w12, w20):
+            za = np.flatnonzero(a == 0.0).tolist()
+            zb = np.flatnonzero(b == 0.0).tolist()
             assert za == zb  # the excluded set depends only on the sign of the margin

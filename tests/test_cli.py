@@ -777,6 +777,43 @@ def test_bad_config_file_fails_naming_the_line(synth_dir, tmp_path, capsys, comm
     assert not out.exists()
 
 
+COMMAND_NUMBERS = [
+    ("run", key) for key, cast in (cli.RUN_SETTINGS | cli.FILTER_SETTINGS).items() if cast is not str
+] + [("synth", key) for key in cli.SYNTH_SETTINGS]  # each int and float setting, with its command
+
+
+def outcome_of(argv, capsys):
+    """main's exit code, or argparse's, and what it wrote to stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+# argparse reads a separate value that does not look like a plain negative
+# number (-inf, -nan, -1e3, -1_000) as an option
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-1e3", "-1_000"])
+@pytest.mark.parametrize("command, setting", COMMAND_NUMBERS, ids=[f"{c}-{k}" for c, k in COMMAND_NUMBERS])
+def test_a_separate_negative_value_reaches_the_settings_check(synth_dir, tmp_path, capsys, command, setting, value):
+    out, flag = tmp_path / "out", "--" + setting.replace("_", "-")
+
+    def argv(*setting_args):
+        if command == "run":
+            return run_args(synth_dir, out, setting_args)
+        return ["synth", "--out", str(out), *setting_args]
+
+    separate = outcome_of(argv(flag, value), capsys)
+    assert separate == outcome_of(argv(f"{flag}={value}"), capsys)
+    assert separate[0] in (1, 2) and "expected one argument" not in separate[1]
+    assert not out.exists()
+
+
+def test_a_numeric_flag_followed_by_a_flag_still_lacks_its_value(synth_dir, tmp_path, capsys):
+    code, err = outcome_of(run_args(synth_dir, tmp_path / "out", ["--exponent", "--burn-in", "3"]), capsys)
+    assert code == 2 and "argument --exponent: expected one argument" in err
+
+
 class TestMinLeadHours:
     """The filter's recency cutoff applies to every mode's scoring panel."""
 

@@ -18,6 +18,7 @@ from conftest import (
     mixed_size_rows,
     outcome_fields,
     replay_mode,
+    replay_with_weights,
 )
 from estagg import evaluate, features, ingest, replay
 from estagg.aggregate import ModeConfig, default_mode_matrix, weight_vector
@@ -519,13 +520,20 @@ class TestSizeBuckets:
         assert any(o.fallback_reason == "no_previous_model" and o.quarter_offset > first for o in full.outcomes)
         assert any(o.fallback_reason == "degenerate_weights" for o in outcome_views(results["top10_only"][1]))
         assert len(results["institution"][1].improved)
-        _, closest_raw, _ = results["closest_raw"]
-        ties = 0
-        for ev, o in zip(panel_events(panel), outcome_views(closest_raw)):
-            errors = np.abs(panel.value_cents[ev.rows] - ev.actual_cents)
+        _, closest_raw, want = results["closest_raw"]
+        ties = split = 0
+        for ev, o, w in zip(panel_events(panel), outcome_views(closest_raw), want.outcomes):
+            values = panel.value_cents[ev.rows]
+            errors = np.abs(values - ev.actual_cents)
             ties += int(np.count_nonzero(errors == errors.min()) > 1)
-            assert o.weights[np.argmin(errors)] == 1.0  # the first of tied analysts
-        assert ties > 0
+            split += int(len(set(values[errors == errors.min()].tolist())) > 1)  # tied above and below the actual
+            assert w.weights[np.argmin(errors)] == 1.0  # the first of tied analysts
+            assert o.improved == values[np.argmin(errors)]
+        assert ties > 0 and split > 0
+
+    def test_a_replay_keeps_only_what_an_artifact_reads(self):
+        # no per-row weights: the artifacts read each event's consensus and fallback alone
+        assert replay.ReplayResult._fields == ("panel", "improved", "fallback_reason", "models")
 
     def test_bucket_records_are_the_result_columns(self):
         # the fixed panel above; between them its modes take every fallback
@@ -533,21 +541,27 @@ class TestSizeBuckets:
         results = self.replays(*mixed_size_rows(lambda lo, hi: int(rng.integers(lo, hi + 1))))
         reasons = set()
         for mode in self.MODES:
-            panel, result, _ = results[mode.label]
+            panel, result, want = results[mode.label]
+            self.assert_same(result, want)
             state = ledger_state(panel, mode.bias_key)
             predicted = state.predicted(mode.scaling, mode.variable_mask) if mode.method == "weighted" else None
             for bucket in panel.layout.buckets:
                 records = replay.improved_consensus(state, bucket, mode, predicted)
                 assert isinstance(records, np.recarray) and records.shape == bucket.order.shape
-                assert records[0].fallback_reason in (0, 1, 2)
+                # exactly what the result keeps; perfbench's tracer reads the first record's code
+                assert records.dtype.names == ("improved", "fallback_reason")
+                assert type(records[0].fallback_reason) is np.int8 and records[0].fallback_reason in (0, 1, 2)
                 assert records.improved.tobytes() == result.improved[bucket.order].tobytes()
                 assert records.fallback_reason.dtype == result.fallback_reason.dtype == np.int8
                 assert records.fallback_reason.tolist() == result.fallback_reason[bucket.order].tolist()
-                assert records.weights.tobytes() == result.weights[bucket.rows].tobytes()
             reasons.update(result.fallback_reason.tolist())
+            # the oracle's weights, behind each event's improved consensus
+            weights = [o.weights for o in want.outcomes]
             weighted = result.fallback_reason == 0
-            sums = np.add.reduceat(result.weights, panel.bounds[:-1])
+            sums = np.array([w.sum() for w in weights])
             assert sums[weighted].tolist() == pytest.approx([1.0] * int(weighted.sum()), abs=1e-12)
+            for ev, w, improved in zip(panel_events(panel), weights, result.improved.tolist()):
+                assert improved == pytest.approx(w @ state.adjusted[ev.rows], rel=1e-12)
         assert reasons == {0, 1, 2}
 
     def test_events_file_names_every_fallback(self, tmp_path):
@@ -586,10 +600,11 @@ class TestPreviousCalendarQuarter:
 
     def test_only_the_previous_calendar_quarter_model_weights(self):
         est_rows, act_rows = self.rows()
-        panel = build_panel(estimates_from_rows(est_rows), actuals_from_rows(act_rows), FilterConfig(min_analysts=1))
         mode = ModeConfig()
+        ests, acts = estimates_from_rows(est_rows), actuals_from_rows(act_rows)
+        result, weights = replay_with_weights(ests, acts, FilterConfig(min_analysts=1), mode)
+        panel = result.panel
         state = ledger_state(panel, mode.bias_key)
-        result = run_mode(state, mode)
         models = state.models(mode.scaling, mode.variable_mask)
         q1, q2, q4 = (quarter_index((2011, q)) for q in (1, 2, 4))
         assert sorted(models) == [q1, q2, q4]
@@ -606,13 +621,13 @@ class TestPreviousCalendarQuarter:
             rows = slice(panel.bounds[j], panel.bounds[j + 1])
             w = weight_vector(X[rows] @ models[q1].beta, mode.exponent)
             assert result.improved[j] == pytest.approx(w @ state.adjusted[rows] / w.sum(), rel=1e-12)
-            assert result.weights[rows] == pytest.approx(w / w.sum(), rel=1e-12)
+            assert weights[j] == pytest.approx(w / w.sum(), rel=1e-12)
         # a lone analyst is never below the event's mean predicted error, so
         # its event takes the degenerate fallback: its bias-adjusted estimate
         (lone,) = np.flatnonzero((qidx == q2) & (sizes == 1))
         actual = {(f, y, q): a for f, y, q, _, a in act_rows}
         errors = [v - actual[f, y, q] for a, _, f, y, q, _, _, v in est_rows if (a, f) == ("A0", "F9")]
-        assert result.fallback_reason[lone] == 2 and result.weights[panel.bounds[lone]] == 1.0
+        assert result.fallback_reason[lone] == 2 and weights[lone].tolist() == [1.0]
         assert result.improved[lone] == actual["F9", 2011, 2] + errors[2] - (errors[0] + errors[1]) / 2
 
 
