@@ -43,8 +43,12 @@ FILTER_SETTINGS = {"min_analysts": int, "surprise_cap_cents": int, "min_lead_hou
 SYNTH_SETTINGS = dict.fromkeys(("seed", "n_firms", "n_analysts", "n_quarters", "analysts_per_event"), int)
 SYNTH_SETTINGS |= dict.fromkeys(("bias_scale", "skill_spread", "noise_scale", "common_scale"), float)
 SYNTH_SETTINGS |= {"negative_surprise_target": float}
-# the int and float settings, whose flags main joins to a value that argparse would read as an option
-NUMERIC_SETTINGS = {key for key, cast in (RUN_SETTINGS | FILTER_SETTINGS | SYNTH_SETTINGS).items() if cast is not str}
+# the flags of the int and float settings, which main joins to a value that argparse would read as an option
+NUMERIC_FLAGS = [
+    "--" + key.replace("_", "-")
+    for key, cast in (RUN_SETTINGS | FILTER_SETTINGS | SYNTH_SETTINGS).items()
+    if cast is not str
+]
 
 
 class EventFields(NamedTuple):
@@ -410,8 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     argv = list(sys.argv[1:] if argv is None else argv)
-    for i in reversed(range(1, len(argv))):  # argparse reads a separate -inf or -1e3 as an option: join it to its flag
-        if argv[i - 1].startswith("--") and argv[i - 1][2:].replace("-", "_") in NUMERIC_SETTINGS:
+    # argparse reads a separate -inf or -1e3 as an option: join it to its flag, or to a prefix
+    # of one, which argparse then resolves or reports as ambiguous
+    for i in reversed(range(1, len(argv))):
+        if len(argv[i - 1]) > 2 and any(flag.startswith(argv[i - 1]) for flag in NUMERIC_FLAGS):
             with contextlib.suppress(ValueError):  # a value that does not parse as a float stays separate
                 float(argv[i])
                 argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]

@@ -10,9 +10,9 @@ tokenized as bytes with numpy, from one scan for its commas; from the first
 block that has one, csv.reader reads the rest, its rows packed into bytes.
 Either way a block is a _ByteBlock, the one converter, which also holds
 each of its rows' physical lines: each column's fields are gathered
-column-major and convert in whole-column passes; only distinct ids and
-non-canonical fields (not `-?[0-9]{1,18}`, `YYYY-MM-DDTHH:MM:SSZ`) are
-decoded.
+column-major and convert in whole-column passes. Ids key as uint64 words up
+to _ID_BYTES, else as bytes, each distinct id decoded once per column; a
+field not `-?[0-9]{1,18}` or `YYYY-MM-DDTHH:MM:SSZ` is decoded alone.
 
 build_panel joins the two tables, applies the exclusion rules
 (forecast-horizon window, last-estimate-wins dedup, prior-record
@@ -99,7 +99,7 @@ class _Table:
         after another, and the physical line of each of its rows. Each row
         that does not convert goes to `rejects`, named by its block's line."""
         schema = cls.SCHEMA
-        seen = [{} if kind == ID else None for _, _, kind in schema]  # id -> first-seen code
+        seen = [{} if kind == ID else None for _, _, kind in schema]  # id bytes -> first-seen code
         parts: list[list[np.ndarray]] = []
         for block in blocks:
             errors: dict[int, str] = {}
@@ -439,15 +439,17 @@ class _ByteBlock:
         ends = [np.minimum(commas[first + p], line_end) for p in positions]
         return cls(data, starts, ends, line + rows), short, n_fields[short]
 
-    def __len__(self) -> int:
-        return len(self.starts[0])
-
-    def _texts(self, starts: np.ndarray, ends: np.ndarray) -> list[str]:
-        return [self.data[s:e].decode() for s, e in zip(starts.tolist(), ends.tolist())]
+    def _bytes(self, starts: np.ndarray, ends: np.ndarray) -> list[bytes]:
+        data = memoryview(self.data)
+        return [data[s:e].tobytes() for s, e in zip(starts.tolist(), ends.tolist())]
 
     def _gather(self, starts: np.ndarray, dtype) -> np.ndarray:
         """The bytes from each of `starts` as one item of `dtype`, those past a field being the block's next."""
         return np.ndarray((len(self.buf) - np.dtype(dtype).itemsize + 1,), dtype, self.buf, 0, (1,))[starts]
+
+    def _word(self, starts: np.ndarray, n_bytes: np.ndarray) -> np.ndarray:
+        """The n_bytes bytes from each of `starts` as a little-endian uint64, zero past them; 0 for n_bytes <= 0."""
+        return self._gather(starts, "<u8") & np.uint64(2**64 - 1) >> (64 - 8 * n_bytes).astype(np.uint64)
 
     def _matrix(self, starts: np.ndarray, width: int) -> np.ndarray:
         """The `width` bytes from each of `starts` as a (width, n) matrix, row j holding each one's byte j."""
@@ -461,10 +463,9 @@ class _ByteBlock:
         outside the int64 range, reads 0, and its row gets the error message
         unless it has one already."""
         values = []
-        texts = self._texts(self.starts[i][rows], self.ends[i][rows])
-        for row, text in zip(rows.tolist(), texts):
+        for row, raw in zip(rows.tolist(), self._bytes(self.starts[i][rows], self.ends[i][rows])):
             try:
-                value = convert(text)
+                value = convert(raw.decode())
             except (ValueError, TypeError) as exc:
                 errors.setdefault(row, str(exc))
                 value = 0
@@ -514,25 +515,23 @@ class _ByteBlock:
         return out
 
     def codes(self, i: int, keep: Optional[np.ndarray], seen: dict) -> np.ndarray:
-        """Codes of the ids in column i's `keep` rows. Equal ids are found by one
-        sort (_runs) of keys of their bytes, zero-padded: one uint64 for ids of up
-        to 8 bytes, else a multiple of 8 bytes; only each distinct id is decoded.
-        An id may end in a NUL only in a block that holds one, which sorts the
-        decoded ids instead, as does a block of ids wider than _ID_BYTES."""
+        """First-seen codes from `seen`, which keeps each distinct id's raw bytes, of the ids in
+        column i's `keep` rows. Equal ids meet in the sort (_runs) of a key per id: its _word if
+        no id passes 8 bytes, one sort; else up to _ID_BYTES its words' ranks packed (_pack);
+        past that, or in a block with a NUL, where an id could end in one, its bytes."""
         starts, ends = self.starts[i], self.ends[i]
         if keep is not None:
             starts, ends = starts[keep], ends[keep]
         lengths = ends - starts
         width = max(8, -(-int(lengths.max(initial=0)) // 8) * 8)
         if width > _ID_BYTES or b"\0" in self.data:
-            keys = np.array(self._texts(starts, ends), object)
-        elif width == 8:  # the bytes past an id shifted out
-            keys = self._gather(starts, "<u8") & np.uint64(2**64 - 1) >> (64 - 8 * lengths).astype(np.uint64)
+            keys = np.array(self._bytes(starts, ends), object)
+        elif width == 8:
+            keys = self._word(starts, lengths)
         else:
-            keys = self._gather(starts, f"V{width}").view(np.uint8).reshape(len(starts), width)
-            keys = (keys * (np.arange(width) < lengths[:, None])).view(f"V{width}").ravel()
+            keys = _pack([_rank(self._word(starts + j, np.minimum(lengths - j, 8))) for j in range(0, width, 8)])
         order, runs, sizes = _runs(keys)
-        ids = self._texts(starts[order[runs]], ends[order[runs]])  # a row of each distinct id
+        ids = self._bytes(starts[order[runs]], ends[order[runs]])  # a row of each distinct id
         out = np.empty(len(keys), np.int64)
         out[order] = np.repeat(np.array([seen.setdefault(x, len(seen)) for x in ids], np.int64), sizes)
         return out
@@ -555,7 +554,7 @@ def _columns(block, schema, seen: list[Optional[dict]], errors: dict[int, str]) 
                 errors.setdefault(j, f"{name} {columns[i][j]} outside 1..4")
     keep = None
     if errors:
-        keep = np.ones(len(block), bool)
+        keep = np.ones(len(block.lines), bool)
         keep[list(errors)] = False
     return [
         block.codes(i, keep, index) if index is not None else column if keep is None else column[keep]
@@ -564,11 +563,12 @@ def _columns(block, schema, seen: list[Optional[dict]], errors: dict[int, str]) 
 
 
 def _sorted_codes(codes: np.ndarray, seen: dict) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Recode first-seen codes so that code order is id order."""
+    """Recode first-seen codes so that code order is id order, and decode each
+    id of `seen` once: UTF-8 bytes sort as their text's code points do."""
     ids = sorted(seen)
     rank = np.empty(len(ids), np.int64)
     rank[np.array([seen[x] for x in ids], np.int64)] = np.arange(len(ids))
-    return rank[codes], tuple(ids)
+    return rank[codes], tuple(x.decode() for x in ids)
 
 
 def _new(s: np.ndarray) -> np.ndarray:

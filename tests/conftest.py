@@ -5,6 +5,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from estagg.ingest import (
     ACTUAL_COLUMNS,
@@ -22,6 +23,21 @@ from estagg.replay import ReplayResult, ledger_state, run_mode
 from estagg.synth import SynthSpec, generate_rows
 import oracles
 from oracles import replay_view
+
+# an opt-in profile for long differential runs, `--hypothesis-profile=long`: every
+# Hypothesis test draws LONG_FACTOR times its own max_examples, or the default's,
+# with no deadline; without the option the default profile and counts hold
+LONG_FACTOR = 20
+settings.register_profile("long", deadline=None)
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--hypothesis-profile", None) != "long":
+        return
+    for test in {getattr(item.obj, "__func__", item.obj) for item in items}:  # a parametrized test once
+        if getattr(test, "is_hypothesis_test", False):
+            own = test._hypothesis_internal_use_settings  # where @settings keeps a test's own, read by the plugin too
+            test._hypothesis_internal_use_settings = settings(own, max_examples=own.max_examples * LONG_FACTOR)
 
 
 def _parsed(parse, header, rows):

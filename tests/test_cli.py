@@ -809,6 +809,28 @@ def test_a_separate_negative_value_reaches_the_settings_check(synth_dir, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, setting_args, error",
+    [
+        ("run", ["--expo", "-inf"], "exponent must be positive and finite, got -inf"),
+        ("synth", ["--bias-s", "-1e3"], "synth failed: bias_scale must be >= 0"),
+    ],
+)
+def test_a_separate_negative_value_after_a_flag_prefix_reaches_the_settings_check(
+    synth_dir, tmp_path, capsys, command, setting_args, error
+):
+    out = tmp_path / "out"
+    argv = run_args(synth_dir, out, setting_args) if command == "run" else ["synth", "--out", str(out), *setting_args]
+    code, err = outcome_of(argv, capsys)
+    assert code == 1 and error in err
+    assert not out.exists()
+
+
+def test_an_ambiguous_flag_prefix_with_a_separate_negative_value_fails(synth_dir, tmp_path, capsys):
+    code, err = outcome_of(run_args(synth_dir, tmp_path / "out", ["--e", "-inf"]), capsys)
+    assert code == 2 and "ambiguous option: --e" in err
+
+
 def test_a_numeric_flag_followed_by_a_flag_still_lacks_its_value(synth_dir, tmp_path, capsys):
     code, err = outcome_of(run_args(synth_dir, tmp_path / "out", ["--exponent", "--burn-in", "3"]), capsys)
     assert code == 2 and "argument --exponent: expected one argument" in err

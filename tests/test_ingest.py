@@ -1034,10 +1034,19 @@ TS_TEXTS = st.one_of(
         ]
     ),
 )
+# ids keyed as 1 to 8 uint64 words and past them: equal in their first 8 or 16
+# bytes, of exactly 8, 16, 24, 64 and 65 bytes, with a two-byte character
+# across a word boundary (é and è share their first byte)
+WORD_IDS = (
+    *("analyst-1", "analyst-2", "analyst-analyst-1", "analyst-analyst-2", "analyst-analyst-analyst-1"),
+    *("y" * 8, "x" * 16, "x" * 24, "x" * 64, "x" * 65, "x" * 63 + "é"),
+    *("abcdefgé", "abcdefgè", "abcdefgéh", "x" * 15 + "é", "x" * 15 + "è", "x" * 7 + "é" * 5),
+)
 ID_TEXTS = st.one_of(
     # ids about the 8 bytes a uint64 key holds, in ASCII and in two-byte characters
     st.sampled_from(["A1", "A2", "A1 ", "", "é", "Ωmega", "analyst", "analyst-", "analyst-9", "x" * 70, "é" * 33]),
     st.sampled_from(["é" * 3 + "x", "é" * 4, "é" * 4 + "x", "éé", "x" * 8 + "é"]),
+    st.sampled_from(WORD_IDS),
     # no comma, quote, line end or NUL, which send a block to csv.reader;
     # other separators (\x0b, \x85, \u2028) are plain text to csv.reader
     st.text(st.characters(blacklist_characters=',"\r\n\x00', blacklist_categories=("Cs",)), max_size=10),
@@ -1338,6 +1347,42 @@ class TestByteTokenizer:
         assert not rejects
         assert table.analyst_ids == tuple(sorted(set(ids)))
         assert [table.analyst_ids[c] for c in table.analyst.tolist()] == ids
+
+    @pytest.mark.parametrize("block_rows", [2, 1000])
+    def test_ids_of_every_word_count_group_by_their_text(self, tmp_path, monkeypatch, block_rows):
+        # blocks of two lines key their ids by as many words as the wider
+        # needs; one block of them all holds an id past 64 bytes: raw bytes
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", block_rows)
+        ids = [*WORD_IDS, *WORD_IDS[::-1]]
+        text = HEADER + "".join(f"{a},B1,F1,2011,2,2011-03-01T00:00:00Z,6,105\n" for a in ids)
+        table, rejects = parse_estimates(written(tmp_path, text))
+        assert not rejects
+        assert table.analyst_ids == tuple(sorted(set(ids)))
+        assert [table.analyst_ids[c] for c in table.analyst.tolist()] == ids
+
+    def test_short_ids_sort_once_per_column_and_block_and_decode_once(self, tmp_path, monkeypatch):
+        # the benchmark's ids have at most 8 bytes: each id column of a block
+        # is grouped by one sort, and each distinct id of a column is decoded
+        # once, however many blocks it is in (every field's text is taken
+        # through _bytes; canonical numbers and timestamps are never decoded)
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", 4)
+        rows = [(f"A{i % 5:04d}", f"B{i % 3:03d}", f"F{i % 2:07d}") for i in range(20)]
+        text = HEADER + "".join(f"{a},{b},{f},2011,2,2011-03-01T00:00:00Z,6,{i}\n" for i, (a, b, f) in enumerate(rows))
+        sorts, blocks, decoded = [], [], []
+
+        class Counted(bytes):
+            def decode(self, *args):
+                decoded.append(bytes(self))
+                return super().decode(*args)
+
+        argsort, columns, take = np.argsort, ingest._columns, ingest._ByteBlock._bytes
+        monkeypatch.setattr(np, "argsort", lambda *args, **kw: sorts.append(1) or argsort(*args, **kw))
+        monkeypatch.setattr(ingest, "_columns", lambda block, *args: blocks.append(block) or columns(block, *args))
+        monkeypatch.setattr(ingest._ByteBlock, "_bytes", lambda self, *args: list(map(Counted, take(self, *args))))
+        table, rejects = parse_estimates(written(tmp_path, text))
+        assert not rejects and len(table) == 20
+        assert len(blocks) == 6 and len(sorts) == 3 * len(blocks)
+        assert sorted(decoded) == sorted(x.encode() for column in zip(*rows) for x in set(column))
 
     def test_line_past_the_field_limit_fails_as_csv_reader_fails(self, tmp_path):
         # csv.reader's error, with the file and the line of the field
