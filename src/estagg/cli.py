@@ -35,11 +35,11 @@ logger = logging.getLogger(__name__)
 REJECT_SAMPLE_SIZE = 20
 
 # settings a flag or the config file may give, each with its config-file
-# cast, in the order of the flags; the filter and synth defaults live on
-# FilterConfig and SynthSpec
+# cast, in the order of the flags; the filter settings are FilterConfig's
+# fields, cast by their defaults' types, and the synth defaults live on SynthSpec
 RUN_SETTINGS = dict.fromkeys(("estimates", "actuals", "actuals_check", "out", "modes"), str)
 RUN_SETTINGS |= {"burn_in": int, "exponent": float}
-FILTER_SETTINGS = {"min_analysts": int, "surprise_cap_cents": int, "min_lead_hours": int, "max_age_days": int}
+FILTER_SETTINGS = {key: type(default) for key, default in FilterConfig._field_defaults.items()}
 SYNTH_SETTINGS = dict.fromkeys(("seed", "n_firms", "n_analysts", "n_quarters", "analysts_per_event"), int)
 SYNTH_SETTINGS |= dict.fromkeys(("bias_scale", "skill_spread", "noise_scale", "common_scale"), float)
 SYNTH_SETTINGS |= {"negative_surprise_target": float}

@@ -15,14 +15,15 @@ to _ID_BYTES, else as bytes, each distinct id decoded once per column; a
 field not `-?[0-9]{1,18}` or `YYYY-MM-DDTHH:MM:SSZ` is decoded alone.
 
 build_panel joins the two tables, applies the exclusion rules
-(forecast-horizon window, last-estimate-wins dedup, prior-record
-requirement, surprise cap, minimum analyst count) and emits a chronological
-panel of columns, whose events are the scored actuals rows plus the bounds
-of each one's estimate rows. Each grouping is one unstable numpy sort of an
-int64 key packed from dense ranks, never from raw values (_pack), and each
-table of equal-length segments, a panel's size buckets as a key index's
-runs, is one _by_length part. Every dropped estimate is accounted for in an
-IngestReport, one reason per row.
+(forecast-horizon window, last-estimate-wins dedup, the unconditional
+prior-record requirement, surprise cap, minimum analyst count; FilterConfig
+holds the settings) and emits a chronological panel of columns, whose
+events are the scored actuals rows plus the bounds of each one's estimate
+rows. Each grouping is one unstable numpy sort of an int64 key packed from
+dense ranks, never from raw values (_pack), and each table of equal-length
+segments, a panel's size buckets as a key index's runs, is one _by_length
+part. Every dropped estimate is accounted for in an IngestReport, one
+reason per row.
 
 The stream builds and keeps its key indexes (Stream.index), a KeyIndex per
 ledger key granularity built on first use, first read by build_panel's
@@ -79,16 +80,15 @@ class _Table:
     converted row, in input order. An ID column holds codes into its sorted
     ids, kept in the field of its name plus `_ids`, so ordering rows by code
     orders them by id. parse_estimates and parse_actuals build them. Its
-    fields, given by position or name, are its SCHEMA's columns, then the ids."""
+    fields, given by name, are its SCHEMA's columns, then the ids."""
 
     SCHEMA: tuple[tuple[str, str, str], ...] = ()  # (CSV column, attribute, kind) of each column
 
-    def __init__(self, *values, **named):
+    def __init__(self, **columns):
         names = [attr for _, attr, _ in self.SCHEMA] + [attr + "_ids" for _, attr, kind in self.SCHEMA if kind == ID]
-        named |= zip(names, values)
-        if len(values) > len(names) or named.keys() != set(names):
-            raise TypeError(f"{type(self).__name__} takes {names}, got {len(values)} values and {sorted(named)}")
-        vars(self).update(named)
+        if columns.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes {names}, got {sorted(columns)}")
+        vars(self).update(columns)
 
     def __len__(self) -> int:
         return len(getattr(self, self.SCHEMA[0][1]))
@@ -161,14 +161,12 @@ class Reject(NamedTuple):
 
 
 class FilterConfig(NamedTuple):
+    """The run's filter settings, each a `run` flag and config setting cast by its default's type."""
+
     min_analysts: int = 8
     surprise_cap_cents: int = 50
     min_lead_hours: int = MIN_LEAD_HOURS
     max_age_days: int = 365
-    # the prior-record rule; switchable so the remaining filters can be
-    # tested for idempotence (the rule itself consumes history, so it is
-    # not idempotent under re-feeding)
-    require_prior_record: bool = True
 
 
 class IngestReport:
@@ -781,9 +779,12 @@ def build_panel(
 
     Filter order: horizon/time window, last-estimate-per-identity dedup,
     prior-record requirement, surprise cap (on the simple consensus of the
-    surviving estimates), minimum analyst count. The ledger stream keeps
-    every deduped window-valid prediction (including ones from unscored
-    events) so downstream history never loses a real prediction.
+    surviving estimates), minimum analyst count; `cfg` sets all but the
+    prior-record rule, which always holds: an estimate is scored only with
+    a record of its (identity, firm) pair at an earlier announce time to
+    correct and weight it by. The ledger stream keeps every deduped
+    window-valid prediction (including ones from unscored events) so
+    downstream history never loses a real prediction.
 
     Each rule is an array pass over the table's columns, and the kept
     estimates' ledger-free features are computed here, once per panel.
@@ -862,14 +863,12 @@ def build_panel(
         )
     stream = Stream(stream_announce, stream_ident, t.firm[win], errors, ids, t.firm_ids)
 
-    # (d) prior-record flags with all records at one announce time treated
+    # (d) the records with a prior, all records at one announce time treated
     # as simultaneous: a record has a prior when its (identity, firm) pair
     # has one at an earlier announce time, as the history ledger counts it
-    has_prior = stream.index("identity_firm").counts > 0  # the index the ledger passes reuse
-    keep = has_prior | (not cfg.require_prior_record)
-    if not keep.all():
-        report.rejects["no_prior_record"] += len(win) - int(np.count_nonzero(keep))
-    survivors = np.flatnonzero(keep)
+    survivors = np.flatnonzero(stream.index("identity_firm").counts)  # the index the ledger passes reuse
+    if len(survivors) < len(win):
+        report.rejects["no_prior_record"] += len(win) - len(survivors)
 
     # each event's records are contiguous in the stream; apply (a), (e) to
     # each run of one event's survivors

@@ -554,7 +554,9 @@ def columnar_panel(panel: ObjectPanel) -> Panel:
     columns = [(firm_code[e.firm_id], *e.period, e.announce_ts, e.actual_cents) for e in panel.events]
     firm, year, quarter, announce_ts, actual = np.array(columns, np.int64).reshape(-1, 5).T
     return Panel(
-        events=ActualTable(firm, year, quarter, announce_ts, actual, firm_ids),
+        events=ActualTable(
+            firm=firm, year=year, quarter=quarter, announce_ts=announce_ts, value_cents=actual, firm_ids=firm_ids
+        ),
         bounds=np.cumsum([0] + [len(e.estimates) for e in panel.events], dtype=np.int64),
         analyst=np.array([analyst_code[a] for a in analysts], np.int64),
         analyst_ids=analyst_ids,
@@ -1079,7 +1081,7 @@ def build_panel_oracle(
         act = actual_by[(firm, period)]
         survivors = []
         for rec in recs:
-            if cfg.require_prior_record and not has_prior[(rec.identity, rec.firm_id, rec.period)]:
+            if not has_prior[(rec.identity, rec.firm_id, rec.period)]:
                 report.rejects["no_prior_record"] += 1
             else:
                 survivors.append(rec)

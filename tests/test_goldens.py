@@ -13,6 +13,7 @@ change that is meant to alter the artifacts, rewrite them with
 """
 
 import csv
+import ctypes
 import hashlib
 import json
 import os
@@ -81,9 +82,42 @@ def golden_hashes() -> dict[str, str]:
     return golden["hashes"]
 
 
+def kernels() -> str:
+    """The OpenBLAS core and numpy's highest enabled SIMD dispatch target
+    (its baseline's with none enabled). The artifacts' last float bits
+    follow these kernels, so a goldens failure names them: on a CPU that
+    picks kernels other than the recording's, the hashes move with no code
+    change. The core reads `unknown` where numpy's OpenBLAS lacks the symbol."""
+    from numpy._core import _multiarray_umath as umath
+
+    try:
+        corename = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    except (AttributeError, OSError):
+        core = "unknown"
+    enabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)] or umath.__cpu_baseline__
+    return f"kernels: OpenBLAS core {core}, numpy dispatch {enabled[-1]}"
+
+
+def test_kernels_name_the_running_core():
+    # a child held to OpenBLAS's Haswell kernels and numpy's baseline names
+    # both, so the kernels are read as the process runs
+    from numpy._core import _multiarray_umath as umath
+
+    core = "unknown" if "core unknown," in kernels() else "Haswell"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(estagg.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(GOLDENS)]))
+    env |= {"OPENBLAS_CORETYPE": "Haswell", "NPY_ENABLE_CPU_FEATURES": " ".join(umath.__cpu_baseline__)}
+    code = "import test_goldens; print(test_goldens.kernels())"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == f"kernels: OpenBLAS core {core}, numpy dispatch {umath.__cpu_baseline__[-1]}\n"
+
+
 def test_artifacts_match_goldens(matrix_run):
     _, out = matrix_run
-    assert pinned_hashes(out) == golden_hashes()
+    assert pinned_hashes(out) == golden_hashes(), kernels()
 
 
 # manifest.json's version and config sections on the golden panel, the
@@ -101,7 +135,6 @@ MANIFEST_CONFIG = {
             "max_age_days": 365,
             "min_analysts": 8,
             "min_lead_hours": 48,
-            "require_prior_record": True,
             "surprise_cap_cents": 50,
         },
         "modes": [
@@ -158,7 +191,7 @@ def test_optimized_interpreter_matches_goldens(matrix_run, tmp_path):
         timeout=300,
     )
     assert child.returncode == 0, child.stderr
-    assert pinned_hashes(out) == golden_hashes()
+    assert pinned_hashes(out) == golden_hashes(), kernels()
 
 
 def test_quoted_crlf_inputs_match_goldens(matrix_run, tmp_path):
@@ -175,7 +208,7 @@ def test_quoted_crlf_inputs_match_goldens(matrix_run, tmp_path):
         argv += [f"--{name}", copy]
     out = str(tmp_path / "run")
     assert main(argv + ["--out", out, "--burn-in", str(BURN_IN)]) == 0
-    assert pinned_hashes(out) == golden_hashes()
+    assert pinned_hashes(out) == golden_hashes(), kernels()
 
 
 def test_crlf_inputs_stay_on_the_byte_path_and_match_goldens(matrix_run, tmp_path, monkeypatch):
@@ -195,7 +228,7 @@ def test_crlf_inputs_stay_on_the_byte_path_and_match_goldens(matrix_run, tmp_pat
         argv += [f"--{name}", str(copy)]
     out = str(tmp_path / "run")
     assert main(argv + ["--out", out, "--burn-in", str(BURN_IN)]) == 0
-    assert pinned_hashes(out) == golden_hashes()
+    assert pinned_hashes(out) == golden_hashes(), kernels()
 
 
 def _events(out: str, label: str) -> list[dict]:

@@ -444,27 +444,30 @@ class TestPanelProperties:
         keys = [(e.announce_ts, e.firm_id) for e in panel_events(panel)]
         assert keys == sorted(keys)
 
-    def test_idempotent_without_history_rule(self, small_panel_inputs):
-        # the prior-record rule consumes history, so idempotence is checked
-        # with it off: re-feeding the kept estimates reproduces the events
+    def test_idempotent_on_its_stream(self, small_panel_inputs):
+        # re-feeding a panel's stream, one estimate per record, reproduces
+        # the stream, so the prior-record rule reads the same history, and
+        # with it the kept estimates and events; a kept record's age column
+        # gives back its timestamp, and any other record is 10 days out
         ests, acts, _ = small_panel_inputs
-        cfg = FilterConfig(require_prior_record=False)
-        p1 = build_panel(ests, acts, cfg)
-        # the panel keeps no broker, and its age column gives back each
-        # estimate's timestamp
-        refed = [
-            (analyst, "B1", ev.firm_id, *ev.period, format_ts(ev.announce_ts - round(age * 86400)), 6, value)
-            for ev in panel_events(p1)
-            for analyst, value, age in zip(
-                panel_analysts(p1)[ev.rows], p1.value_cents[ev.rows].tolist(), p1.features[ev.rows, 0].tolist()
-            )
-        ]
-        p2 = build_panel(estimates_from_rows(refed), acts, cfg)
-        assert [(e.firm_id, e.period) for e in panel_events(p2)] == [
-            (e.firm_id, e.period) for e in panel_events(p1)
-        ]
-        for e1, e2 in zip(panel_events(p1), panel_events(p2)):
-            assert p1.value_cents[e1.rows].tolist() == p2.value_cents[e2.rows].tolist()
+        p1 = build_panel(ests, acts, FilterConfig())
+        columns = (acts.firm, acts.year, acts.quarter, acts.announce_ts, acts.value_cents)
+        event = {(acts.firm_ids[f], ts): (y, q, v) for f, y, q, ts, v in zip(*(c.tolist() for c in columns))}
+        assert len(event) == len(acts)
+        age = dict(zip(p1.records.tolist(), p1.features[:, 0].tolist()))
+        refed = []
+        for i, (ts, analyst, firm, error) in enumerate(stream_rows(p1)):
+            year, quarter, actual = event[firm, ts]
+            estimate_ts = format_ts(ts - round(age.get(i, 10.0) * 86400))
+            refed.append((analyst, "B1", firm, year, quarter, estimate_ts, 6, actual + error))
+        p2 = build_panel(estimates_from_rows(refed), acts, FilterConfig())
+        assert stream_rows(p2) == stream_rows(p1)
+        assert p2.records.tolist() == p1.records.tolist()
+        assert panel_events(p2) == panel_events(p1)
+        assert p2.value_cents.tolist() == p1.value_cents.tolist()
+        assert p1.report.rejects["no_prior_record"] > 0
+        for reason in ("no_prior_record", "surprise_cap", "below_min_analysts"):
+            assert p2.report.rejects[reason] == p1.report.rejects[reason]
 
 
 # one mode per ledger key kind: bias per identity-firm, no bias, the blend
@@ -565,9 +568,8 @@ class TestColumnarMatchesOracle:
     def test_shuffled_revision_panel(self, identity, min_lead_hours):
         est_rows, act_rows, _ = generate_rows(SMALL_PANEL_SPEC)
         rows = revision_rows(est_rows, act_rows, seed=min_lead_hours)
-        for require in (True, False):
-            cfg = FilterConfig(min_lead_hours=min_lead_hours, require_prior_record=require)
-            assert_same_panel(estimates_from_rows(rows), estimates_from_rows_oracle(rows), act_rows, cfg, identity)
+        cfg = FilterConfig(min_lead_hours=min_lead_hours)
+        assert_same_panel(estimates_from_rows(rows), estimates_from_rows_oracle(rows), act_rows, cfg, identity)
 
     def test_csv_edge_cases(self, tmp_path):
         self.csv_edge_cases(tmp_path, quoted=True)
@@ -600,6 +602,11 @@ class TestColumnarMatchesOracle:
                 ' x,"111",6,2011-03-01T00:00:00Z, 2 ,2011,F2,B1,A1\n',
                 "x,abc,x6,junk,5,20x1,F1,B1,A13,\n",  # line 18, every field bad: the quarter is named
                 "x,abc,x6,junk,2,20x1,F1,B1,A14,\n",  # then the year
+                # lines 20-24: a 2011Q1 estimate of each pair above, its prior record
+                *(
+                    f"x,99,6,2011-01-15T00:00:00Z,1,2011,{firm},B1,{analyst},\n"
+                    for firm, analyst in (("F1", "A1"), ("F1", "A2"), ("F1", "A3"), ("F1", "A4"), ("F2", "A1"))
+                ),
             ]
         )
         path = written(tmp_path, with_quotes(text, quoted))
@@ -613,8 +620,14 @@ class TestColumnarMatchesOracle:
             (e.analyst_id, e.broker_id, e.firm_id, *e.period, format_ts(e.estimate_ts), e.horizon_code, e.value_cents)
             for e in ests
         ]
-        act_rows = [(firm, 2011, 2, "2011-04-20T00:00:00Z", 100) for firm in ("F1", "F2")]
-        assert_same_panel(table, ests, act_rows, FilterConfig(min_analysts=1, require_prior_record=False), "analyst")
+        announce = {1: PRIOR_ANNOUNCE, 2: "2011-04-20T00:00:00Z"}
+        act_rows = [(firm, 2011, q, announce[q], 100) for q in (1, 2) for firm in ("F1", "F2")]
+        cfg = FilterConfig(min_analysts=1)
+        # every 2011Q2 row that parses is scored: A1's two F2 rows dedup to one
+        panel = build_panel(table, actuals_from_rows(act_rows), cfg)
+        sizes = [(e.firm_id, e.period, e.rows.stop - e.rows.start) for e in panel_events(panel)]
+        assert sizes == [("F1", (2011, 2), 4), ("F2", (2011, 2), 1)]
+        assert_same_panel(table, ests, act_rows, cfg, "analyst")
 
     @pytest.mark.parametrize(
         "ts",
@@ -780,10 +793,9 @@ class TestColumnarMatchesOracle:
         min_analysts=st.integers(1, 3),
         cap=st.sampled_from([50, 2, 0, 2**64]),  # 2**64: no int64 overflow in the cap test
         min_lead_hours=st.sampled_from([48, 720, 0]),
-        require=st.booleans(),
         identity=st.sampled_from(["analyst", "broker"]),
     )
-    def test_random_panels(self, rows, shifts, min_analysts, cap, min_lead_hours, require, identity):
+    def test_random_panels(self, rows, shifts, min_analysts, cap, min_lead_hours, identity):
         periods = [(2011, 1), (2011, 2), (2011, 3), (2012, 1)]
         base = {p: parse_ts(f"{p[0]}-{3 * p[1] + 1:02d}-15T00:00:00Z") for p in periods}
         # an actual per (firm, period) unless its shift is None; equal
@@ -797,12 +809,7 @@ class TestColumnarMatchesOracle:
             (f"A{a}", f"B{b}", f"F{f}", *p, format_ts(base[p] - hours * 3600), code, value)
             for a, b, f, p, hours, code, value in rows
         ]
-        cfg = FilterConfig(
-            min_analysts=min_analysts,
-            surprise_cap_cents=cap,
-            min_lead_hours=min_lead_hours,
-            require_prior_record=require,
-        )
+        cfg = FilterConfig(min_analysts=min_analysts, surprise_cap_cents=cap, min_lead_hours=min_lead_hours)
         assert_same_panel(estimates_from_rows(est_rows), estimates_from_rows_oracle(est_rows), act_rows, cfg, identity)
 
 
@@ -887,7 +894,10 @@ class TestGroupingsMatchLexsortOracles:
     def test_stream_order(self, data):
         rows = data.draw(st.lists(st.tuples(st.sampled_from(FIRMS), EDGE_VALUES, EDGE_VALUES, EDGE_VALUES), max_size=8))
         (firm, year, quarter, announce), firm_ids = id_columns(rows, 4)
-        acts = ActualTable(firm, year, quarter, announce, np.zeros(len(rows), np.int64), firm_ids)
+        zero = np.zeros(len(rows), np.int64)
+        acts = ActualTable(
+            firm=firm, year=year, quarter=quarter, announce_ts=announce, value_cents=zero, firm_ids=firm_ids
+        )
         # many records per event, each with its own `first`
         event = np.array(data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=30)) if rows else [], np.int64)
         n = len(event) + data.draw(st.integers(0, 5))
@@ -953,7 +963,7 @@ class TestInt64Edges:
         rows = revision_rows(est_rows, act_rows, seed=3)  # with rows of years no actual has
         ests, acts, oracle_ests, oracle_acts = at_int64_edges(rows, act_rows, shift_to)
         assert ests.estimate_ts.max() > 2**62 or ests.estimate_ts.min() < -(2**62)
-        for cfg in (FilterConfig(), FilterConfig(min_analysts=3, require_prior_record=False)):
+        for cfg in (FilterConfig(), FilterConfig(min_analysts=3)):
             got = build_panel(ests, acts, cfg, identity)
             assert_panel_equals(got, columnar_panel(build_panel_oracle(oracle_ests, oracle_acts, cfg, identity)))
         assert len(got.events) > 0  # the 8-analyst minimum leaves no broker event

@@ -5,6 +5,7 @@ replaced ones too; a table's replaced columns keep its ids."""
 import numpy as np
 import pytest
 
+from estagg import cli
 from estagg.aggregate import ModeConfig
 from estagg.ingest import FilterConfig, Reject
 from estagg.model import PeriodModel
@@ -84,8 +85,9 @@ def test_filter_replace_and_fields():
         "surprise_cap_cents",
         "min_lead_hours",
         "max_age_days",
-        "require_prior_record",
     ]
+    # the run's filter flags and config settings are these fields, in order, each cast as an int
+    assert list(cli.FILTER_SETTINGS.items()) == [(field, int) for field in cfg._fields]
 
 
 def test_table_replace_keeps_ids(small_panel_inputs):

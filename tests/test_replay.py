@@ -17,6 +17,7 @@ from conftest import (
     load_synth,
     mixed_size_rows,
     outcome_fields,
+    panel_of,
     replay_mode,
     replay_with_weights,
 )
@@ -394,7 +395,12 @@ def stacked_state(events):
     )
     k = len(events)
     acts = ActualTable(
-        np.arange(k), np.full(k, 2011), np.ones(k, np.int64), np.full(k, announce), np.zeros(k, np.int64), stream.firm_ids
+        firm=np.arange(k),
+        year=np.full(k, 2011),
+        quarter=np.ones(k, np.int64),
+        announce_ts=np.full(k, announce),
+        value_cents=np.zeros(k, np.int64),
+        firm_ids=stream.firm_ids,
     )
     bounds = np.cumsum([0] + sizes)
     panel = Panel(acts, bounds, rows, stream.ident_ids, np.zeros(len(F), np.int64), F[:, :4], stream, len(prior) + rows, IngestReport())
@@ -633,14 +639,10 @@ class TestPreviousCalendarQuarter:
 
 class TestPriorRecord:
     def test_estimate_without_prior_record_cannot_be_scored(self):
-        # with the prior-record rule off, a first-time estimate reaches
-        # scoring, which has no experience or past error to give it
-        announce = "2011-06-01T00:00:00Z"
-        ts = format_ts(parse_ts(announce) - 10 * 86400)
-        est_rows = [(f"A{i}", "B1", "F1", 2011, 2, ts, 6, 100) for i in range(8)]
-        acts = actuals_from_rows([("F1", 2011, 2, announce, 100)])
-        panel = build_panel(estimates_from_rows(est_rows), acts, FilterConfig(require_prior_record=False))
-        assert len(panel.events) == 1
+        # build_panel drops a first-time estimate, so a panel built by hand
+        # brings one to scoring, which has no experience or past error to
+        # give it: panel_of's stream is its own kept rows, all at one time
+        panel = panel_of([(100, [100] * 8)])
         for mode in (ModeConfig(), ModeConfig(label="no_bias", bias_key=None)):
-            with pytest.raises(RuntimeError, match="without prior record reached scoring: A0/F1"):
+            with pytest.raises(RuntimeError, match="without prior record reached scoring: A0/F0"):
                 replay_mode(panel, mode)
