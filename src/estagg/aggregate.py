@@ -9,28 +9,31 @@ weight exponent, and the recency cutoff.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 import numpy as np
 
 from .features import SCALINGS
 from .ingest import IDENTITIES, MIN_LEAD_HOURS
-from .model import FULL_MASK, Mask, mask_without
+from .model import FULL_MASK, mask_without
 
 BIAS_KEYS = ("identity_firm", "identity", "firm", "global", "half")
 METHODS = ("weighted", "equal", "closest")
 DEFAULT_EXPONENT = 1.2  # the weight exponent of every mode but exponent_2
 
 
-class _ModeFields(NamedTuple):
-    label: str = "full"
-    bias_key: Optional[str] = "identity_firm"  # one of BIAS_KEYS, or None for no bias correction
-    variable_mask: Mask = FULL_MASK
-    scaling: str = "normalized"  # one of SCALINGS
-    identity: str = "analyst"  # one of IDENTITIES
-    exponent: float = DEFAULT_EXPONENT
-    min_lead_hours: int = MIN_LEAD_HOURS
-    method: str = "weighted"  # one of METHODS
+# each field of a mode and its default
+_MODE_DEFAULTS = {
+    "label": "full",
+    "bias_key": "identity_firm",  # one of BIAS_KEYS, or None for no bias correction
+    "variable_mask": FULL_MASK,
+    "scaling": "normalized",  # one of SCALINGS
+    "identity": "analyst",  # one of IDENTITIES
+    "exponent": DEFAULT_EXPONENT,
+    "min_lead_hours": MIN_LEAD_HOURS,
+    "method": "weighted",  # one of METHODS
+}
+_ModeFields = namedtuple("_ModeFields", _MODE_DEFAULTS, defaults=_MODE_DEFAULTS.values())
 
 
 class ModeConfig(_ModeFields):

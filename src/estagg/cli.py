@@ -10,26 +10,22 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
-import logging
-import math
 import os
 import re
 import sys
-from typing import Callable, Iterable, NamedTuple
+from collections import namedtuple
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import __version__
 from .aggregate import DEFAULT_EXPONENT, default_mode_matrix, modes_by_label
-from .evaluate import ModeResult, PanelSource, mode_result, run_mode_matrix, surprises
+from .evaluate import ModeResult, PanelSource, run_mode_matrix, surprises
 from .ingest import HORIZON_CODES, MIN_LEAD_HOURS, FilterConfig, Panel, cross_check_actuals, parse_actuals
 from .ingest import parse_estimates, read_lines
 from .model import N_VARS, PeriodModel
 from .replay import FALLBACK_NAMES, ReplayResult
-
-logger = logging.getLogger(__name__)
 
 # parse rejects listed per source in ingest_report.json, beside the counts
 REJECT_SAMPLE_SIZE = 20
@@ -51,18 +47,26 @@ NUMERIC_FLAGS = [
 ]
 
 
-class EventFields(NamedTuple):
-    """A panel's per-event fields that no mode changes, from _event_fields."""
-
-    heads: list[str]  # firm, period, actual and simple consensus, as text
-    n_analysts: list[int]
-    evaluated: list[int]  # 1 past the burn-in, else 0
-    original: list[str]  # the original surprise of each evaluated event, as text: a scatter row's first field
+# a panel's per-event fields that no mode changes, from _event_fields, each a list
+EventFields = namedtuple(
+    "EventFields",
+    [
+        "heads",  # firm, period, actual and simple consensus, as text
+        "n_analysts",
+        "evaluated",  # 1 past the burn-in, else 0
+        "original",  # the original surprise of each evaluated event, as text: a scatter row's first field
+    ],
+)
 
 
 def _setup_logging() -> None:
+    """Log to stderr at the level ESTAGG_LOG names, WARNING for other text.
+    Called only when ESTAGG_LOG is set: a run that logs nothing visible
+    does not import logging (ingest.log_info)."""
+    import logging
+
     # getLevelName maps a level's name to its number and other text, such as BASIC_FORMAT, to text
-    level = logging.getLevelName(os.environ.get("ESTAGG_LOG", "WARNING").upper())
+    level = logging.getLevelName(os.environ["ESTAGG_LOG"].upper())
     level = level if isinstance(level, int) else logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
@@ -318,70 +322,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_surprises(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """The original and improved surprises of a run's evaluated events. A row with fewer or more fields
-    than the header, an in_evaluation other than 0 or 1 or a number that is not finite fails with its line."""
-    original, improved = [], []
-    reader = csv.DictReader(read_lines(path))
-    columns = ("actual_cents", "simple_consensus", "improved", "in_evaluation")
-    missing = [c for c in columns if c not in (reader.fieldnames or ())]
-    if missing:
-        raise ValueError(f"{path}:1: header missing columns {missing}")
-    width = len(reader.fieldnames)
-    for row in reader:
-        try:
-            if None in row or None in row.values():  # DictReader's key past the header's fields, value short of them
-                raise ValueError(f"{'more' if None in row else 'fewer'} fields than the header's {width}")
-            if row["in_evaluation"] not in ("0", "1"):
-                raise ValueError(f"in_evaluation {row['in_evaluation']!r} is not 0 or 1")
-            actual, simple, new = values = [float(row[c]) for c in columns[:3]]
-            for column, value in zip(columns, values):
-                if not math.isfinite(value):
-                    raise ValueError(f"{column} {row[column]!r} is not a finite number")
-            if row["in_evaluation"] == "1":
-                original.append(simple - actual)
-                improved.append(new - actual)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    return np.array(original, float), np.array(improved, float)
-
-
-def _run_modes(run_dir: str) -> list[str]:
-    """The distinct, known mode labels of a run, in its order, from its manifest."""
-    path = os.path.join(run_dir, "manifest.json")
-    try:
-        labels = json.loads("".join(read_lines(path)))["config"]["modes"]
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from None
-    except (KeyError, TypeError):
-        labels = None
-    if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
-        raise ValueError(f"{path}: config.modes is not a list of mode labels")
-    try:
-        modes_by_label(labels)
-    except ValueError as exc:
-        raise ValueError(f"{path}: config.modes: {exc}") from None
-    return labels
-
-
 def cmd_report(args: argparse.Namespace) -> int:
-    run_dir = args.run_dir
-    try:
-        if not any(f.startswith("events_") and f.endswith(".csv") for f in os.listdir(run_dir)):
-            raise ValueError(f"{run_dir}: no events_*.csv files")
-        labels = _run_modes(run_dir)
-        results = [
-            mode_result(label, *_read_surprises(os.path.join(run_dir, f"events_{label}.csv"))) for label in labels
-        ]
-    except OSError as exc:
-        print(f"report failed: {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"report failed: {exc}", file=sys.stderr)
-        return 1
-    _write_results_csv(os.path.join(run_dir, "results.csv"), results)
-    print(f"results.csv rebuilt from {len(labels)} event files")
-    return 0
+    from . import report  # only this command reads a run's files back
+
+    return report.cmd_report(args)
 
 
 def _add_settings(parser: argparse.ArgumentParser, casts: dict, **helps: str) -> None:
@@ -412,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
+    if "ESTAGG_LOG" in os.environ:
+        _setup_logging()
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads a separate -inf or -1e3 as an option: join it to its flag, or to a prefix
     # of one, which argparse then resolves or reports as ambiguous

@@ -10,8 +10,8 @@ and improved, with one entry per evaluated event.
 
 from __future__ import annotations
 
-import logging
-from typing import Iterator, NamedTuple, Optional, Sequence
+from collections import namedtuple
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -19,20 +19,23 @@ from .aggregate import MODE_DESCRIPTIONS, ModeConfig
 from .ingest import ActualTable, EstimateTable, FilterConfig, IngestReport, Panel, build_panel
 from .replay import ReplayResult, ledger_state, run_mode
 
-logger = logging.getLogger(__name__)
-
 NEG_INF = float("-inf")
 
 
-class ModeResult(NamedTuple):
-    label: str
-    description: str
-    n_events: int
-    median: Optional[float]
-    average: Optional[float]
-    trend: Optional[float]
-    r_squared: Optional[float]
-    trend_supplementary: bool  # trend reported only informally off the full mode
+# a mode's three statistics, each None where it is undefined, over its evaluated events
+ModeResult = namedtuple(
+    "ModeResult",
+    [
+        "label",
+        "description",
+        "n_events",
+        "median",
+        "average",
+        "trend",
+        "r_squared",
+        "trend_supplementary",  # trend reported only informally off the full mode
+    ],
+)
 
 
 def surprise_improvement(original: np.ndarray, improved: np.ndarray) -> np.ndarray:
@@ -203,18 +206,21 @@ def evaluate_mode(result: ReplayResult, mode: ModeConfig, burn_in: int) -> ModeR
 
 
 def _score_group(
-    source: PanelSource, modes: Sequence[ModeConfig], members: list[int], burn_in: int
+    source: PanelSource, modes: Sequence[ModeConfig], members: list[int], burn_in: int, done: list[str]
 ) -> Iterator[tuple[int, ReplayResult, ModeResult]]:
     """Score the modes at `members` of `modes`, which share a panel and a
     bias key, from one ledger pass: all modes of one scaling back to back,
     the scalings in order of first appearance, so the pass holds one
-    scaling's rows at a time."""
+    scaling's rows at a time. Then drop the panel's ledger-free blocks of
+    the scalings `done`, which no later group on the panel uses."""
     first = modes[members[0]]
     state = ledger_state(source.panel_for(first), first.bias_key)
     scalings = list(dict.fromkeys(modes[i].scaling for i in members))
     for i in sorted(members, key=lambda i: scalings.index(modes[i].scaling)):
         replay = run_mode(state, modes[i])
         yield i, replay, evaluate_mode(replay, modes[i], burn_in)
+    for scaling in done:
+        state.panel.drop_ledger_free(scaling)
 
 
 def run_mode_matrix(
@@ -228,11 +234,15 @@ def run_mode_matrix(
     in panel-key order, so each panel's groups run back to back and the
     source builds each panel once. A caller that lets go of each replay
     once it has used it holds one panel, and one group's state with one
-    scaling's rows, at a time.
+    scaling's rows, at a time. The panel keeps each scaling's ledger-free
+    block until the last of its groups that uses the scaling has scored.
     """
     panels: dict[tuple[str, int], dict[Optional[str], list[int]]] = {}
     for i, mode in enumerate(modes):
         panels.setdefault(source.panel_key(mode), {}).setdefault(mode.bias_key, []).append(i)
     for key in sorted(panels):
-        for members in panels[key].values():
-            yield from _score_group(source, modes, members, burn_in)
+        groups = list(panels[key].values())
+        last = {modes[i].scaling: g for g, members in enumerate(groups) for i in members}  # each scaling's last group
+        for g, members in enumerate(groups):
+            done = [scaling for scaling, at in last.items() if at == g]
+            yield from _score_group(source, modes, members, burn_in, done)

@@ -42,20 +42,18 @@ from __future__ import annotations
 import codecs
 import csv
 import io
-import logging
 import os
-from collections import Counter
+import sys
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .features import normalize, top10_brokers
 from .periods import parse_ts, quarter_indices
-
-logger = logging.getLogger(__name__)
 
 # lines, or rows, per block: a block is tokenized and converted as one,
 # which bounds how many of its arrays and strings are alive at once
@@ -67,6 +65,16 @@ ID, INT64, QUARTER, TIMESTAMP = "id", "int64", "quarter", "timestamp"
 IDENTITIES = ("analyst", "broker")  # whose estimates a panel deduplicates and keys its ledgers by
 MIN_LEAD_HOURS = 48  # the shortest recency cutoff, in hours before the announcement, any panel scores with
 HORIZON_CODES = frozenset({6, 7, 8, 9})  # the forecast horizons a panel keeps
+
+
+def log_info(name: str, message: str, *args) -> None:
+    """Log `message % args` at INFO to the logger `name`, if this process
+    has imported logging. One that has not has no handler that could show
+    the record, so estagg does not import logging for it: `cli.main` does
+    when ESTAGG_LOG is set, and a host program that logs already has."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(name).info(message, *args)
 
 
 def _batches(rows: Iterable) -> Iterator[list]:
@@ -155,18 +163,11 @@ ESTIMATE_COLUMNS = tuple(column for column, _, _ in EstimateTable.SCHEMA)
 ACTUAL_COLUMNS = tuple(column for column, _, _ in ActualTable.SCHEMA)
 
 
-class Reject(NamedTuple):
-    line: int
-    reason: str
+Reject = namedtuple("Reject", ["line", "reason"])
 
-
-class FilterConfig(NamedTuple):
-    """The run's filter settings, each a `run` flag and config setting cast by its default's type."""
-
-    min_analysts: int = 8
-    surprise_cap_cents: int = 50
-    min_lead_hours: int = MIN_LEAD_HOURS
-    max_age_days: int = 365
+# the run's filter settings, each a `run` flag and config setting cast by its default's type
+_FILTER_DEFAULTS = {"min_analysts": 8, "surprise_cap_cents": 50, "min_lead_hours": MIN_LEAD_HOURS, "max_age_days": 365}
+FilterConfig = namedtuple("FilterConfig", _FILTER_DEFAULTS, defaults=_FILTER_DEFAULTS.values())
 
 
 class IngestReport:
@@ -250,23 +251,28 @@ class KeyIndex:
         return out
 
 
-class SizeBucket(NamedTuple):
-    """A panel's events of n analysts each, in announcement order, as a stack of k."""
+# a panel's events of n analysts each, in announcement order, as a stack of k
+SizeBucket = namedtuple(
+    "SizeBucket",
+    [
+        "order",  # (k,) each event's position among the panel's events
+        "rows",  # (k, n) the events' rows, in event order
+    ],
+)
 
-    order: np.ndarray  # (k,) each event's position among the panel's events
-    rows: np.ndarray  # (k, n) the events' rows, in event order
-
-
-class Layout(NamedTuple):
-    """A panel's events laid out for scoring: in size buckets by ascending
-    analyst count, in quarter runs (the events announced in one quarter,
-    whose rows are contiguous), and the per-event columns no ledger changes."""
-
-    buckets: list[SizeBucket]
-    quarters: list[int]  # the quarter index of each run
-    edges: list[int]  # the panel row where each run starts, then the row count
-    offset: np.ndarray  # each event's quarter index relative to the quarter of the panel's first stream record
-    simple: np.ndarray  # plain mean of each event's raw estimates
+# a panel's events laid out for scoring: in size buckets by ascending
+# analyst count, in quarter runs (the events announced in one quarter,
+# whose rows are contiguous), and the per-event columns no ledger changes
+Layout = namedtuple(
+    "Layout",
+    [
+        "buckets",  # the SizeBuckets, by ascending analyst count
+        "quarters",  # the quarter index of each run, a list
+        "edges",  # the panel row where each run starts, then the row count, a list
+        "offset",  # each event's quarter index relative to the quarter of the panel's first stream record
+        "simple",  # plain mean of each event's raw estimates
+    ],
+)
 
 
 class Panel:
@@ -319,6 +325,10 @@ class Panel:
             self._normalized[scaling] = out
         return self._normalized[scaling]
 
+    def drop_ledger_free(self, scaling: str) -> None:
+        """Let go of the scaling's ledger_free block, which no later ledger pass reads."""
+        self._normalized.pop(scaling, None)
+
 
 _INT64 = np.iinfo(np.int64)
 
@@ -349,7 +359,7 @@ def _line_ends(data, start: int, stop: int) -> np.ndarray:
 
 
 # the lines of data[start:stop], the first of them physical line `line`, and the position of each line end among them
-_Lines = NamedTuple("_Lines", [("line", int), ("data", bytearray), ("start", int), ("stop", int), ("ends", np.ndarray)])
+_Lines = namedtuple("_Lines", ["line", "data", "start", "stop", "ends"])
 
 
 def _decoded(lines: _Lines, where: str) -> str:
@@ -893,7 +903,7 @@ def build_panel(
         raise RuntimeError(
             f"panel accounting broken: kept {report.kept} + rejected {rejected} != total {report.total}"
         )
-    logger.info("panel: %d events, %d estimates kept of %d", len(events), report.kept, report.total)
+    log_info(__name__, "panel: %d events, %d estimates kept of %d", len(events), report.kept, report.total)
 
     # the kept estimates' columns, with the features no ledger changes
     kept_rows = win[kept]

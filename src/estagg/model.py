@@ -13,7 +13,8 @@ its normal matrices are submatrices of those Grams, solved in one batched
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from collections import namedtuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -40,11 +41,15 @@ def mask_without(*names: str) -> Mask:
     return mask
 
 
-class PeriodModel(NamedTuple):
-    quarter: Quarter
-    beta: np.ndarray  # 6 coefficients; masked-out entries exactly 0
-    n_obs: int
-    rss: float
+PeriodModel = namedtuple(
+    "PeriodModel",
+    [
+        "quarter",  # (year, quarter)
+        "beta",  # 6 coefficients; masked-out entries exactly 0
+        "n_obs",
+        "rss",
+    ],
+)
 
 
 def quarter_grams(X: np.ndarray, edges: Sequence[int]) -> np.ndarray:

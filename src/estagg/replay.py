@@ -36,29 +36,30 @@ its successor fall back to equal weights rather than reaching further back.
 
 from __future__ import annotations
 
-import logging
-from typing import NamedTuple, Optional
+from collections import namedtuple
+from typing import Optional
 
 import numpy as np
 
 from .aggregate import ModeConfig, weight_vector
 from .bias import BiasTracker, HistoryLedger
 from .features import normalize_event
-from .ingest import Panel, SizeBucket
+from .ingest import Panel, SizeBucket, log_info
 from .model import Mask, PeriodModel, fit_period, quarter_grams
 from .periods import quarter_from_index
 
-logger = logging.getLogger(__name__)
 
-
-class ReplayResult(NamedTuple):
-    """One mode's replay of a panel: what scoring decided, one entry per event in announcement
-    order (no weights), and the models fit. The events' other columns are the panel's."""
-
-    panel: Panel
-    improved: np.ndarray  # the improved consensus
-    fallback_reason: np.ndarray  # int8 code into FALLBACK_NAMES: 0 none, 1 no previous quarter's model, 2 zero weights
-    models: list[PeriodModel]
+# one mode's replay of a panel: what scoring decided, one entry per event in announcement
+# order (no weights), and the models fit; the events' other columns are the panel's
+ReplayResult = namedtuple(
+    "ReplayResult",
+    [
+        "panel",
+        "improved",  # the improved consensus
+        "fallback_reason",  # int8 code into FALLBACK_NAMES: 0 none, 1 no previous quarter's model, 2 zero weights
+        "models",  # the PeriodModels fit, in quarter order
+    ],
+)
 
 
 class LedgerState:
@@ -186,5 +187,5 @@ def run_mode(state: LedgerState, mode: ModeConfig) -> ReplayResult:
     for bucket in panel.layout.buckets:
         scored = improved_consensus(state, bucket, mode, predicted)
         improved[bucket.order], fallback_reason[bucket.order] = scored.improved, scored.fallback_reason
-    logger.info("mode %s: %d events scored, %d models fit", mode.label, len(improved), len(models))
+    log_info(__name__, "mode %s: %d events scored, %d models fit", mode.label, len(improved), len(models))
     return ReplayResult(panel, improved, fallback_reason, list(models.values()))

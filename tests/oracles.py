@@ -848,20 +848,27 @@ def _estimate(row: dict) -> Estimate:
 
 
 def _read_rows(source, kind: str, columns: tuple[str, ...], make: Callable[[dict], object]) -> tuple[list, list[Reject]]:
-    """Build one record per CSV row of the file at path ``source`` with
-    ``make``; malformed rows become rejects carrying their physical line number."""
+    """Build one record per non-blank CSV row of the file at path ``source``
+    with ``make``, from the row's fields by header name; malformed rows, and
+    rows too short to hold every one of ``columns``, become rejects carrying
+    their physical line number."""
     out = []
     rejects: list[Reject] = []
     with open(source, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{kind} source has no readable header")
-        missing = [c for c in columns if c not in reader.fieldnames]
+        missing = [c for c in columns if c not in header]
         if missing:
             raise ValueError(f"{kind} header missing columns: {missing}")
-        for row in reader:
+        need = max(len(header) - header[::-1].index(c) for c in columns)  # a repeated name reads its last column
+        for row in filter(None, reader):
+            if len(row) < need:
+                rejects.append(Reject(reader.line_num, f"malformed: {len(row)} fields, the header needs {need}"))
+                continue
             try:
-                out.append(make(row))
+                out.append(make(dict(zip(header, row))))
             except (ValueError, KeyError, TypeError) as exc:
                 rejects.append(Reject(line=reader.line_num, reason=f"malformed: {exc}"))
     return out, rejects

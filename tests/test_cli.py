@@ -2,6 +2,7 @@ import codecs
 import csv
 import errno
 import json
+import logging
 import os
 import pathlib
 import subprocess
@@ -597,6 +598,42 @@ class TestRunCommand:
         assert child.returncode == 0, child.stderr
         assert child.stdout.split() == ["1", level]
         assert child.stderr.startswith("report failed: ")
+
+    def info_lines(self, run_dir, labels):
+        """The INFO lines of a run of `labels`, all on the default panel, from its artifacts."""
+        ingest = json.loads((run_dir / "ingest_report.json").read_text())["ingest"]
+        events = len((run_dir / f"events_{labels[0]}.csv").read_text().splitlines()) - 1
+        lines = [f"INFO estagg.ingest: panel: {events} events, {ingest['kept']} estimates kept of {ingest['total']}"]
+        for label in labels:
+            models = len((run_dir / "models" / f"{label}.csv").read_text().splitlines()) - 1
+            lines.append(f"INFO estagg.replay: mode {label}: {events} events scored, {models} models fit")
+        return lines
+
+    @pytest.mark.parametrize("value", [None, "INFO"], ids=["unset", "info"])
+    def test_logging_loads_only_on_request(self, synth_dir, tmp_path, value):
+        # in a child: pytest itself imports logging
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = "import sys; from estagg.cli import main; assert main(sys.argv[1:]) == 0; print('logging' in sys.modules)"
+        env = {key: text for key, text in os.environ.items() if key != "ESTAGG_LOG"}
+        env |= {"PYTHONPATH": src} | ({"ESTAGG_LOG": value} if value else {})
+        out = tmp_path / "out"
+        child = subprocess.run(
+            [sys.executable, "-c", code, *run_args(synth_dir, out, ["--modes", "full,no_bias"])],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines()[-1] == str(bool(value))
+        assert child.stderr.splitlines() == (self.info_lines(out, ["full", "no_bias"]) if value else [])
+
+    def test_info_records_reach_a_host_that_logs(self, synth_dir, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="estagg")
+        out = tmp_path / "out"
+        assert main(run_args(synth_dir, out, ["--modes", "full,no_bias"])) == 0
+        got = [f"{r.levelname} {r.name}: {r.getMessage()}" for r in caplog.records if r.name.startswith("estagg")]
+        assert got == self.info_lines(out, ["full", "no_bias"])
 
     @pytest.mark.parametrize("order", [(0, 5), (5, 0)], ids=["confirming_first", "confirming_last"])
     def test_duplicated_check_row_names_both_lines(self, synth_dir, tmp_path, capsys, order):

@@ -1,8 +1,9 @@
 """Every name a module of estagg imports is read in that module, and every
 function and class estagg defines is referenced within estagg. The data
 layer imports no ledger: bias imports no estagg module, and ingest only
-features and periods. Start-up builds no dataclass and loads no module only
-another command needs."""
+features and periods. Start-up builds no dataclass and no
+`typing.NamedTuple`, and loads neither logging nor a module only another
+command needs."""
 
 import ast
 import json
@@ -157,9 +158,16 @@ def test_finds_estagg_imports():
 # run in a fresh interpreter: what the set-up of every command loads and
 # builds, then the names the package gives on first use
 START_UP = """
-import json, sys
+import json, sys, typing
+built = []  # the classes typing.NamedTupleMeta builds, by module and name
+make = typing.NamedTupleMeta.__new__
+def watching(cls, name, bases, ns):
+    built.append(f"{ns['__module__']}.{name}")
+    return make(cls, name, bases, ns)
+typing.NamedTupleMeta.__new__ = watching
 from estagg.cli import build_parser
 build_parser()
+named_tuples = [name for name in built if name == "estagg" or name.startswith("estagg.")]
 dataclasses = sorted(
     f"{name}.{cls}"
     for name, module in list(sys.modules.items())
@@ -167,13 +175,13 @@ dataclasses = sorted(
     for cls, value in vars(module).items()
     if isinstance(value, type) and hasattr(value, "__dataclass_fields__")
 )
-loaded = [name for name in ("estagg.synth", "dataclasses") if name in sys.modules]
+loaded = [name for name in ("estagg.synth", "estagg.report", "dataclasses", "logging") if name in sys.modules]
 import estagg
 names = {}
 exec("from estagg import *", names)
 from estagg.synth import SynthSpec, generate
 resolved = estagg.SynthSpec is SynthSpec and estagg.generate is generate and set(estagg.__all__) <= set(names)
-print(json.dumps([dataclasses, loaded, resolved]))
+print(json.dumps([dataclasses, named_tuples, loaded, resolved]))
 """
 
 
@@ -181,7 +189,8 @@ def test_start_up_builds_no_dataclass_and_skips_synth():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     child = subprocess.run([sys.executable, "-c", START_UP], env=env, capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
-    dataclasses, loaded, resolved = json.loads(child.stdout)
+    dataclasses, named_tuples, loaded, resolved = json.loads(child.stdout)
     assert dataclasses == []
+    assert named_tuples == []
     assert loaded == []
     assert resolved

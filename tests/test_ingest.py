@@ -615,7 +615,7 @@ class TestColumnarMatchesOracle:
         assert [r.line for r in rejects] == [r.line for r in oracle_rejects] == [7, 8, 9, 11, 12, 13, 14, 15, 18, 19]
         assert rejects[2].reason == "malformed: 5 fields, the header needs 9"
         # every other reason is the per-row parser's
-        assert [r for r in rejects if r.line != 9] == [r for r in oracle_rejects if r.line != 9]
+        assert rejects == oracle_rejects
         assert estimate_rows(table) == [
             (e.analyst_id, e.broker_id, e.firm_id, *e.period, format_ts(e.estimate_ts), e.horizon_code, e.value_cents)
             for e in ests
@@ -766,13 +766,13 @@ class TestColumnarMatchesOracle:
         assert [r[0] for r in actual_rows(table)] == ["F1", "F2", "F3", "F4", "F12", "F13", "F16", "F17"]
 
     def test_row_short_of_an_id_column_rejected(self, tmp_path):
-        # the per-row parser took a missing id as None; the row is rejected
+        # a row short of the analyst_id column is rejected, by the oracle with the same reason
         text = "period_year,period_quarter,estimate_ts,horizon_code,value_cents,firm_id,broker_id,analyst_id\n"
         path = written(tmp_path, text + "2011,2,2011-03-01T00:00:00Z,6,100,F1,B1\n")
-        assert parse_estimates_oracle(path)[0][0].analyst_id is None
         table, rejects = parse_estimates(path)
         assert len(table) == 0
         assert rejects == [Reject(2, "malformed: 7 fields, the header needs 8")]
+        assert parse_estimates_oracle(path) == ([], rejects)
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -8,8 +8,10 @@ the estimate timestamp, excluded horizons, rows too close to or too old
 for the announcement, announcements shared across firms, quarters with no
 actual, first-time pairs with no prior record, one-analyst and mixed-size
 events, zero surprises, rows past the surprise cap and rows that fail to
-parse. Some draws also give a check file, quote every field or end every
-line with CR LF.
+parse, short rows among them. Some draws also give a check file, quote
+every field or end every line with CR LF. The run's filter settings are
+drawn too, some with an age window shorter than a mode's recency cutoff,
+where a row both too close and too old counts as too close.
 """
 
 import contextlib
@@ -18,14 +20,17 @@ import json
 import os
 import random
 import tempfile
+from collections import Counter
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from estagg import evaluate
 from estagg.aggregate import MODE_DESCRIPTIONS, default_mode_matrix, modes_by_label
 from estagg.cli import REJECT_SAMPLE_SIZE, main
-from estagg.ingest import ACTUAL_COLUMNS, ESTIMATE_COLUMNS, FilterConfig
+from estagg.ingest import ACTUAL_COLUMNS, ESTIMATE_COLUMNS, FilterConfig, build_panel
 from estagg.periods import format_ts, parse_ts
 
 QUARTERS = [(2011, 1), (2011, 2), (2011, 3), (2011, 4), (2012, 1), (2012, 2)]
@@ -35,11 +40,24 @@ BASE = {(y, q): parse_ts(f"{y + (q == 4)}-{3 * q % 12 + 2:02d}-15T00:00:00Z") fo
 # 48-hour floor and either side of the 30- and 60-day cutoffs, and too old (> 365 days)
 LEADS = (240,) * 6 + (72, 48, 24, 719, 720, 1439, 1440, 2000, 8760, 9000)
 HORIZONS = (6,) * 6 + (7, 8, 9, 1, 5)
-# a field that fails to parse, by estimates column: the year, quarter,
-# timestamp, horizon or cents; a short estimates row is not drawn, as the
-# oracle reads it through DictReader, whose reason text differs
-ESTIMATE_DEFECTS = ((3, "20x1"), (4, "5"), (5, "2011-02-30T00:00:00Z"), (6, "x6"), (7, "12.5"))
+# a row short of a field, or a field that fails to parse, by column: the
+# estimates' year, quarter, timestamp, horizon or cents
+ESTIMATE_DEFECTS = ("short", (3, "20x1"), (4, "5"), (5, "2011-02-30T00:00:00Z"), (6, "x6"), (7, "12.5"))
 ACTUAL_DEFECTS = ("short", (2, "0"), (3, "junk"))
+# the filter settings' values, each setting's default first; some ages fall
+# short of the 30- and 60-day cutoffs, so a row can be both too close and too old
+MIN_LEAD_HOURS = (48, 72, 240, 720)
+MAX_AGE_DAYS = (365, 2, 10, 30, 45, 60, 400)
+SURPRISE_CAPS = (50, 0, 2, 30, 1000)
+
+
+def spoil(fields: list, defects: tuple, rng: random.Random) -> None:
+    """Give the row's fields one of `defects`: "short" drops the last field, (column, text) replaces one."""
+    defect = rng.choice(defects)
+    if defect == "short":
+        fields.pop()
+    else:
+        fields[defect[0]] = defect[1]
 
 
 @st.composite
@@ -83,19 +101,14 @@ def pipeline_inputs(draw):
             fields = [f"A{analyst}", f"B{broker}", f"F{firm}", year, quarter, ts, rng.choice(HORIZONS), value + offset]
             fields = list(map(str, fields))
             if rng.random() < share["defect"]:
-                column, text = rng.choice(ESTIMATE_DEFECTS)
-                fields[column] = text
+                spoil(fields, ESTIMATE_DEFECTS, rng)
             estimates.append(fields)
     rng.shuffle(estimates)
     actuals = []
     for (firm, (year, quarter)), (announce, value) in actual.items():
         fields = [f"F{firm}", str(year), str(quarter), format_ts(announce), str(value)]
         if rng.random() < share["defect"]:
-            defect = rng.choice(ACTUAL_DEFECTS)
-            if defect == "short":
-                fields.pop()
-            else:
-                fields[defect[0]] = defect[1]
+            spoil(fields, ACTUAL_DEFECTS, rng)
         actuals.append(fields)
     check = None
     if draw(st.booleans()):  # each actual confirmed, dropped or contradicted
@@ -115,8 +128,12 @@ def pipeline_inputs(draw):
     if check is not None:
         files["actuals_check"] = text(ACTUAL_COLUMNS, check)
     labels = st.lists(st.sampled_from(list(MODE_DESCRIPTIONS)), min_size=1, max_size=6, unique=True)
+    min_lead_hours = draw(st.sampled_from(MIN_LEAD_HOURS))
     run = {
         "min_analysts": draw(st.integers(1, 4)),
+        "surprise_cap_cents": draw(st.sampled_from(SURPRISE_CAPS)),
+        "min_lead_hours": min_lead_hours,
+        "max_age_days": draw(st.sampled_from([days for days in MAX_AGE_DAYS if days * 24 >= min_lead_hours])),
         "burn_in": draw(st.integers(1, 3)),
         "exponent": draw(st.sampled_from((1.2, 2.0, 0.5, 3.7))),
         "modes": draw(st.just("all") | labels.map(",".join)),
@@ -129,9 +146,10 @@ def _json(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
-def oracle_artifacts(paths: dict, run: dict) -> dict:
+def oracle_artifacts(paths: dict, run: dict) -> tuple[dict, dict]:
     """Every artifact but manifest.json, by path relative to the run
-    directory, from the oracles alone."""
+    directory, from the oracles alone, and each mode's panel's nonzero
+    reject counts by (identity, recency cutoff)."""
     estimates, est_rejects = oracles.parse_estimates_oracle(paths["estimates"])
     actuals, act_rejects = oracles.parse_actuals_oracle(paths["actuals"])
     parse_rejects = {"estimates": est_rejects, "actuals": act_rejects}
@@ -141,15 +159,17 @@ def oracle_artifacts(paths: dict, run: dict) -> dict:
         confirmed = oracles.cross_check_actuals_oracle(actuals, check)
         report["actuals_check"] = {"confirmed": len(confirmed), "removed": len(actuals) - len(confirmed)}
         actuals = confirmed
-    cfg = FilterConfig(min_analysts=run["min_analysts"])
+    cfg = FilterConfig(**{key: run[key] for key in FilterConfig._fields})
     burn_in, labels = run["burn_in"], run["modes"]
     modes = default_mode_matrix(run["exponent"]) if labels == "all" else modes_by_label(labels.split(","), run["exponent"])
 
-    files, results = {}, []
+    files, results, panel_rejects = {}, [], {}
     for mode in modes:
         # a mode's recency cutoff never undercuts the filter's
         mode_cfg = cfg._replace(min_lead_hours=max(cfg.min_lead_hours, mode.min_lead_hours))
-        replay = oracles.replay_oracle(oracles.build_panel_oracle(estimates, actuals, mode_cfg, mode.identity), mode)
+        mode_panel = oracles.build_panel_oracle(estimates, actuals, mode_cfg, mode.identity)
+        panel_rejects[mode.identity, mode_cfg.min_lead_hours] = +Counter(mode_panel.report.rejects)
+        replay = oracles.replay_oracle(mode_panel, mode)
         result = oracles.evaluate_mode(replay, mode, burn_in)
         results.append(result)
         files[f"models/{mode.label}.csv"] = oracles.models_file(replay.models)
@@ -172,7 +192,7 @@ def oracle_artifacts(paths: dict, run: dict) -> dict:
         "descriptive": oracles.descriptive_stats(oracles.columnar_panel(panel)) if panel.events else None,
     }
     files["ingest_report.json"] = _json(report)
-    return files
+    return files, panel_rejects
 
 
 def written_artifacts(out: str) -> dict:
@@ -200,9 +220,19 @@ def test_run_writes_the_oracle_artifacts(drawn):
         out = os.path.join(work, "run")
         argv = ["run", "--out", out, *(f"--{name.replace('_', '-')}={path}" for name, path in paths.items())]
         argv += [f"--{key.replace('_', '-')}={value}" for key, value in run.items()]
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(argv) == 0
-        got, want = written_artifacts(out), oracle_artifacts(paths, run)
+        panel_rejects = {}  # each panel's nonzero reject counts, by (identity, recency cutoff)
+
+        def counting_build_panel(estimates, actuals, cfg, identity):
+            panel = build_panel(estimates, actuals, cfg, identity=identity)
+            panel_rejects[identity, cfg.min_lead_hours] = +Counter(panel.report.rejects)
+            return panel
+
+        with mock.patch.object(evaluate, "build_panel", counting_build_panel):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+        got, (want, want_rejects) = written_artifacts(out), oracle_artifacts(paths, run)
     assert sorted(got) == sorted(want)
     for name in want:
         assert got[name] == want[name].encode(), name
+    # a row both too close for a mode's cutoff and too old counts as too close
+    assert panel_rejects == want_rejects

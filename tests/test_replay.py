@@ -228,6 +228,18 @@ class TestSharedState:
         assert normalized.count("centered") == full_events
         assert normalized.count("normalized") == sum(len(p.events) for p in passes)
 
+    def test_ledger_free_block_dropped_after_its_last_group(self, source):
+        # no_scaling is the one mode under `centered`, scored last in the default
+        # panel's identity_firm pass; that panel's later groups hold no `centered` block
+        modes = default_mode_matrix()
+        held = []  # (label, panel, the scalings that panel holds) as each mode is handed out
+        for i, replay, _ in run_mode_matrix(source, modes, burn_in=self.BURN_IN):
+            held.append((modes[i].label, replay.panel, sorted(replay.panel._normalized)))
+        at = [label for label, _, _ in held].index("no_scaling")
+        assert held[at][2] == ["centered", "normalized"]
+        later = [scalings for _, panel, scalings in held[at + 1 :] if panel is held[at][1]]
+        assert later and all(scalings == ["normalized"] for scalings in later)
+
     def test_every_normalized_stack_is_c_contiguous(self, small_panel_inputs, monkeypatch):
         # a strided stack's means round differently from the per-event oracle's
         ests, acts, _ = small_panel_inputs
