@@ -10,22 +10,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import re
 import sys
-from collections import namedtuple
-from typing import Callable, Iterable
-
-import numpy as np
 
 from . import __version__
 from .aggregate import DEFAULT_EXPONENT, default_mode_matrix, modes_by_label
-from .evaluate import ModeResult, PanelSource, run_mode_matrix, surprises
-from .ingest import HORIZON_CODES, MIN_LEAD_HOURS, FilterConfig, Panel, cross_check_actuals, parse_actuals
+from .evaluate import PanelSource, run_mode_matrix
+from .ingest import HORIZON_CODES, MIN_LEAD_HOURS, FilterConfig, cross_check_actuals, parse_actuals
 from .ingest import parse_estimates, read_lines
-from .model import N_VARS, PeriodModel
-from .replay import FALLBACK_NAMES, ReplayResult
 
 # parse rejects listed per source in ingest_report.json, beside the counts
 REJECT_SAMPLE_SIZE = 20
@@ -45,18 +38,6 @@ NUMERIC_FLAGS = [
     for key, cast in (RUN_SETTINGS | FILTER_SETTINGS | SYNTH_SETTINGS).items()
     if cast is not str
 ]
-
-
-# a panel's per-event fields that no mode changes, from _event_fields, each a list
-EventFields = namedtuple(
-    "EventFields",
-    [
-        "heads",  # firm, period, actual and simple consensus, as text
-        "n_analysts",
-        "evaluated",  # 1 past the burn-in, else 0
-        "original",  # the original surprise of each evaluated event, as text: a scatter row's first field
-    ],
-)
 
 
 def _setup_logging() -> None:
@@ -108,78 +89,6 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _fmt(x) -> str:
-    return "" if x is None else repr(float(x))
-
-
-def _write_json(path: str, value) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(value, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_results_csv(path: str, results: list[ModeResult]) -> None:
-    """One row per mode: its label, quoted description, event count, statistics and supplementary flag."""
-    stats = (map(_fmt, (r.median, r.average, r.trend, r.r_squared)) for r in results)
-    rows = ((r.label, r.description, r.n_events, *s, r.trend_supplementary) for r, s in zip(results, stats))
-    header = "mode,description,n_events,median,average,trend,r_squared,trend_supplementary"
-    _write_rows(path, header, '%s,"%s",%d,%s,%s,%s,%s,%d\n', rows)
-
-
-def _write_rows(path: str, header: str, line: str, rows: Iterable[tuple]) -> None:
-    """A CSV file of `header` and, per row, the %-format `line` filled with
-    the row's fields, one C-level call per line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.writelines(map(line.__mod__, rows))
-
-
-def _event_fields(panel: Panel, burn_in: int) -> EventFields:
-    """The fields of each event that no mode changes, formatted once per panel."""
-    events, layout = panel.events, panel.layout
-    # each distinct firm id once, quoted as csv.writer's default dialect quotes a comma, quote or line break
-    quoted = ['"%s"' % f.replace('"', '""') if any(c in f for c in ',"\r\n') else f for f in events.firm_ids]
-    firms = map(quoted.__getitem__, events.firm.tolist())
-    columns = (events.year.tolist(), events.quarter.tolist(), events.value_cents.tolist(), layout.simple.tolist())
-    heads = list(map("%s,%d,%d,%d,%r".__mod__, zip(firms, *columns)))
-    evaluated = layout.offset >= burn_in
-    original = list(map(repr, (layout.simple - events.value_cents)[evaluated].tolist()))  # as evaluate.surprises
-    return EventFields(heads, np.diff(panel.bounds).tolist(), evaluated.astype(np.int64).tolist(), original)
-
-
-def _write_events(path: str, result: ReplayResult, fields: EventFields) -> None:
-    """One row per event of the result's panel, in announcement order;
-    `fields` are the panel's _event_fields."""
-    reasons = map(FALLBACK_NAMES.__getitem__, result.fallback_reason.tolist())
-    rows = zip(fields.heads, result.improved.tolist(), fields.n_analysts, reasons, fields.evaluated)
-    header = (
-        "firm_id,period_year,period_quarter,actual_cents,simple_consensus,improved,"
-        "n_analysts,fallback_reason,in_evaluation"
-    )
-    _write_rows(path, header, "%s,%r,%d,%s,%d\n", rows)
-
-
-def _write_models(path: str, models: list[PeriodModel]) -> None:
-    """One row per fitted quarter: its betas, observation count and residual sum of squares."""
-    rows = ((*m.quarter, *m.beta.tolist(), m.n_obs, m.rss) for m in models)
-    header = "period_year,period_quarter,b_age,b_freq,b_ncos,b_top10,b_exp,b_mae,n_obs,rss"
-    _write_rows(path, header, "%d,%d," + "%r," * N_VARS + "%d,%r\n", rows)
-
-
-def _write_mode(
-    out: Callable[[str], str], label: str, replay: ReplayResult, result: ModeResult, fields: EventFields, burn_in: int
-) -> None:
-    """A mode's models, events and scatter files, at the paths `out` gives
-    for their names; `fields` are its panel's _event_fields."""
-    _write_models(out(os.path.join("models", f"{label}.csv")), replay.models)
-    _write_events(out(f"events_{label}.csv"), replay, fields)
-    _, improved = surprises(replay, burn_in)
-    rows = zip(fields.original, improved.tolist())
-    _write_rows(out(f"scatter_{label}.csv"), "original_surprise,improved_surprise", "%s,%r\n", rows)
-    sidecar = {"n": result.n_events, "trend": result.trend, "r_squared": result.r_squared}
-    _write_json(out(f"scatter_{label}.json"), sidecar)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         settings = _settings(args, RUN_SETTINGS | FILTER_SETTINGS)
@@ -208,10 +117,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         if failed:
             print(message, file=sys.stderr)
             return 2
+    try:  # before any input is read
+        labels = [m.strip() for m in mode_sel.split(",") if m.strip()]
+        modes = default_mode_matrix(exponent) if mode_sel == "all" else modes_by_label(labels, exponent)
+    except ValueError as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
 
     import errno
     import shutil
     import tempfile
+
+    from .report import _event_fields, _write_json, _write_mode, _write_results_csv
 
     inputs = {"estimates": estimates_path, "actuals": actuals_path, "actuals_check": check_path}
     written: list[str] = []  # each file's path relative to out_dir and to the stage, in the order written
@@ -229,9 +146,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             confirmed = cross_check_actuals(actuals, check)
             check_report = {"confirmed": len(confirmed), "removed": len(actuals) - len(confirmed)}
             actuals = confirmed
-
-        labels = [m.strip() for m in mode_sel.split(",") if m.strip()]
-        modes = default_mode_matrix(exponent) if mode_sel == "all" else modes_by_label(labels, exponent)
 
         made_out_dir = not os.path.isdir(out_dir)
         os.makedirs(out_dir, exist_ok=True)
@@ -323,7 +237,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from . import report  # only this command reads a run's files back
+    from . import report
 
     return report.cmd_report(args)
 

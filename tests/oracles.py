@@ -2,6 +2,7 @@
 against. None of them is used by the pipeline itself."""
 
 import csv
+import io
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -413,6 +414,14 @@ def evaluate_mode(replay: OracleReplay, mode: ModeConfig, burn_in: int) -> ModeR
     return mode_result(mode.label, pairs_from_outcomes(replay.outcomes, burn_in))
 
 
+def csv_field(text: str) -> str:
+    """`text`, not empty, as csv.writer's default dialect writes a field:
+    quoted when it holds a comma, quote, CR or LF, inner quotes doubled."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text])
+    return buf.getvalue()[: -len("\r\n")]
+
+
 def events_file(outcomes: Sequence[Outcome], burn_in: int) -> str:
     lines = [
         "firm_id,period_year,period_quarter,actual_cents,simple_consensus,improved,"
@@ -420,7 +429,7 @@ def events_file(outcomes: Sequence[Outcome], burn_in: int) -> str:
     ]
     for o in outcomes:
         lines.append(
-            f"{o.firm_id},{o.period[0]},{o.period[1]},{o.actual_cents},"
+            f"{csv_field(o.firm_id)},{o.period[0]},{o.period[1]},{o.actual_cents},"
             f"{repr(o.simple_consensus)},{repr(o.improved)},{o.n_analysts},"
             f"{o.fallback_reason or ''},{1 if o.quarter_offset >= burn_in else 0}\n"
         )

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import mixed_size_rows
-from estagg import cli, evaluate, replay
+from estagg import cli, evaluate, replay, report
 from estagg.aggregate import default_mode_matrix
 from estagg.cli import main
 from estagg.evaluate import PanelSource, run_mode_matrix
@@ -224,7 +224,7 @@ class TestRunCommand:
             raise RuntimeError("injected")
 
         # fails after every per-mode file is written into the new directory
-        monkeypatch.setattr(cli, "_write_results_csv", fail)
+        monkeypatch.setattr(report, "_write_results_csv", fail)
         out = tmp_path / "new"
         assert main(run_args(synth_dir, out, ["--modes", "full"])) == 1
         assert "injected" in capsys.readouterr().err
@@ -244,8 +244,8 @@ class TestRunCommand:
             write_mode(out, label, *rest)
             written.append(label)
 
-        write_mode = cli._write_mode
-        monkeypatch.setattr(cli, "_write_mode", recording_write_mode)
+        write_mode = report._write_mode
+        monkeypatch.setattr(report, "_write_mode", recording_write_mode)
         out = tmp_path / "out"
         if not made_out_dir:
             (out / "events_cutoff_60d.csv").mkdir(parents=True)
@@ -290,8 +290,8 @@ class TestRunCommand:
                 raise KeyboardInterrupt
             write_mode(out, label, *rest)
 
-        write_mode = cli._write_mode
-        monkeypatch.setattr(cli, "_write_mode", interrupted_write_mode)
+        write_mode = report._write_mode
+        monkeypatch.setattr(report, "_write_mode", interrupted_write_mode)
         with pytest.raises(KeyboardInterrupt):
             main(run_args(synth_dir, out, ["--modes", "all"]))
         assert len(written) == 3
@@ -307,10 +307,10 @@ class TestRunCommand:
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         code = (
             "import json, sys\n"
-            "from estagg import cli\n"
+            "from estagg import cli, report\n"
             "cli.build_parser()\n"
             "seen = {'parser': ['_hashlib' in sys.modules], 'modes': [], 'manifest': []}\n"
-            "write_mode, write_json = cli._write_mode, cli._write_json\n"
+            "write_mode, write_json = report._write_mode, report._write_json\n"
             "def watching_write_mode(*args):\n"
             "    seen['modes'].append('_hashlib' in sys.modules)\n"
             "    write_mode(*args)\n"
@@ -318,7 +318,7 @@ class TestRunCommand:
             "    write_json(path, value)\n"
             "    if path.endswith('manifest.json'):\n"
             "        seen['manifest'].append('_hashlib' in sys.modules)\n"
-            "cli._write_mode, cli._write_json = watching_write_mode, watching_write_json\n"
+            "report._write_mode, report._write_json = watching_write_mode, watching_write_json\n"
             "assert cli.main(sys.argv[1:]) == 0\n"
             "print(json.dumps(seen))\n"
         )
@@ -388,10 +388,10 @@ class TestRunCommand:
             write_json(path, value)
 
         outlived = []
-        build_panel, write_json = evaluate.build_panel, cli._write_json
+        build_panel, write_json = evaluate.build_panel, report._write_json
         monkeypatch.setattr(evaluate, "build_panel", counting_build_panel)
         monkeypatch.setattr(cli, "run_mode_matrix", watching_matrix)
-        monkeypatch.setattr(cli, "_write_json", watching_write_json)
+        monkeypatch.setattr(report, "_write_json", watching_write_json)
         assert main(run_args(synth_dir, tmp_path, ["--modes", "all"])) == 0
         # no panel, the default included, outlives its last mode, and the
         # summary of the default panel, built first for full, needs no build
@@ -674,25 +674,35 @@ class TestRunCommand:
         assert main(run_args(synth_dir, tmp_path, ["--burn-in", "0"])) == 2
         assert "burn-in" in capsys.readouterr().err
 
-    def test_unknown_mode_fails(self, synth_dir, tmp_path):
-        assert main(run_args(synth_dir, tmp_path, ["--modes", "bogus"])) == 1
+    @pytest.fixture
+    def inputs_read(self, monkeypatch):
+        """The paths run hands parse_estimates; a bad mode setting fails before any."""
+        read = []
+        monkeypatch.setattr(cli, "parse_estimates", lambda path: read.append(path) or parse_estimates(path))
+        return read
+
+    def test_unknown_mode_fails(self, synth_dir, tmp_path, capsys, inputs_read):
+        out = tmp_path / "out"
+        assert main(run_args(synth_dir, out, ["--modes", "bogus"])) == 1
+        assert capsys.readouterr().err.startswith("run failed: unknown mode 'bogus'")
+        assert inputs_read == [] and not out.exists()
 
     @pytest.mark.parametrize(
         "modes, message",
         [("", "no mode selected"), (",", "no mode selected"), ("full,no_bias,full", "mode 'full' selected twice")],
     )
-    def test_bad_mode_selection_fails(self, synth_dir, tmp_path, capsys, modes, message):
+    def test_bad_mode_selection_fails(self, synth_dir, tmp_path, capsys, inputs_read, modes, message):
         out = tmp_path / "out"
         assert main(run_args(synth_dir, out, ["--modes", modes])) == 1
         assert message in capsys.readouterr().err
-        assert not out.exists()
+        assert inputs_read == [] and not out.exists()
 
     @pytest.mark.parametrize("exponent", ["nan", "inf", "-inf", "0"])
-    def test_bad_exponent_fails(self, synth_dir, tmp_path, capsys, exponent):
+    def test_bad_exponent_fails(self, synth_dir, tmp_path, capsys, inputs_read, exponent):
         out = tmp_path / "out"
         assert main(run_args(synth_dir, out, [f"--exponent={exponent}"])) == 1
-        assert "exponent must be positive and finite" in capsys.readouterr().err
-        assert not out.exists()
+        assert capsys.readouterr().err.startswith("run failed: exponent must be positive and finite")
+        assert inputs_read == [] and not out.exists()
 
     def test_no_estimate_in_horizon_scores_empty_streams(self, synth_dir, tmp_path, monkeypatch):
         with open(synth_dir / "estimates.csv", newline="") as fh:
@@ -1036,6 +1046,28 @@ class TestReportCommand:
         assert main(["report", "--run-dir", str(reported_run)]) == 1
         assert capsys.readouterr().err.startswith(f"report failed: {path}{error}")
         assert not (reported_run / "results.csv").exists()
+
+    def test_unwritable_results_fails_without_a_traceback(self, reported_run, capsys):
+        (reported_run / "results.csv").mkdir()
+        names = sorted(p.name for p in reported_run.iterdir())
+        assert main(["report", "--run-dir", str(reported_run)]) == 1
+        assert capsys.readouterr().err == f"report failed: {reported_run / 'results.csv'}: Is a directory\n"
+        assert sorted(p.name for p in reported_run.iterdir()) == names  # the stage is gone
+
+    def test_interrupted_write_keeps_the_previous_results(self, reported_run, monkeypatch):
+        (reported_run / "results.csv").write_bytes(b"previous\n")
+        names = sorted(p.name for p in reported_run.iterdir())
+
+        def interrupted_write_rows(path, header, line, rows):
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(header + "\n")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(report, "_write_rows", interrupted_write_rows)
+        with pytest.raises(KeyboardInterrupt):
+            main(["report", "--run-dir", str(reported_run)])
+        assert (reported_run / "results.csv").read_bytes() == b"previous\n"
+        assert sorted(p.name for p in reported_run.iterdir()) == names
 
     def test_missing_manifest_fails(self, reported_run, capsys):
         os.remove(reported_run / "manifest.json")

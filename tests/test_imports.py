@@ -1,7 +1,8 @@
 """Every name a module of estagg imports is read in that module, and every
 function and class estagg defines is referenced within estagg. The data
 layer imports no ledger: bias imports no estagg module, and ingest only
-features and periods. Start-up builds no dataclass and no
+features and periods; report, which writes a run's files and reads them
+back, imports no command module. Start-up builds no dataclass and no
 `typing.NamedTuple`, and loads neither logging nor a module only another
 command needs."""
 
@@ -131,9 +132,14 @@ def estagg_imports(source: str) -> set[str]:
     return found
 
 
-# each module's estagg imports, at most: the ledgers stand alone, and the
-# data layer, which builds the stream's key index, imports no ledger
-LAYERS = {"bias.py": set(), "ingest.py": {"features", "periods"}}
+# each module's estagg imports, at most: the ledgers stand alone, the
+# data layer, which builds the stream's key index, imports no ledger, and
+# the run directory's files are written and read below the command layer
+LAYERS = {
+    "bias.py": set(),
+    "ingest.py": {"features", "periods"},
+    "report.py": {"aggregate", "evaluate", "ingest", "model", "replay"},
+}
 
 
 @pytest.mark.parametrize("name, allowed", LAYERS.items(), ids=LAYERS)
@@ -194,3 +200,35 @@ def test_start_up_builds_no_dataclass_and_skips_synth():
     assert named_tuples == []
     assert loaded == []
     assert resolved
+
+
+# run in a fresh interpreter as `python -m estagg.cli` runs: the command's
+# exit code, then whether estagg.cli and estagg.report were imported
+AS_MAIN = """
+import json, runpy, sys
+sys.argv[0] = "estagg"
+try:
+    runpy.run_module("estagg.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, "estagg.cli" in sys.modules, "estagg.report" in sys.modules]))
+"""
+
+
+def test_run_and_report_load_report_but_not_cli_again(tmp_path):
+    from estagg.synth import SynthSpec, generate
+
+    paths = generate(SynthSpec(n_firms=3, n_analysts=12, n_quarters=4, analysts_per_event=4), str(tmp_path / "in"))
+    out = str(tmp_path / "run")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    seen = {}
+    for argv in (
+        ["run", "--estimates", paths["estimates"], "--actuals", paths["actuals"], "--out", out, "--burn-in", "1"],
+        ["report", "--run-dir", out],
+    ):
+        child = subprocess.run(
+            [sys.executable, "-c", AS_MAIN, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert child.returncode == 0, child.stderr
+        seen[argv[0]] = json.loads(child.stdout.splitlines()[-1])
+    assert seen == {"run": [0, False, True], "report": [0, False, True]}

@@ -8,10 +8,13 @@ the estimate timestamp, excluded horizons, rows too close to or too old
 for the announcement, announcements shared across firms, quarters with no
 actual, first-time pairs with no prior record, one-analyst and mixed-size
 events, zero surprises, rows past the surprise cap and rows that fail to
-parse, short rows among them. Some draws also give a check file, quote
-every field or end every line with CR LF. The run's filter settings are
-drawn too, some with an age window shorter than a mode's recency cutoff,
-where a row both too close and too old counts as too close.
+parse, short rows among them. Some firm ids hold a comma, a quote, a CR or
+an LF, so the files quote them as csv.writer does. Some draws also give a
+check file, quote every field or end every line with CR LF. The run's
+filter settings are drawn too, some with an age window shorter than a
+mode's recency cutoff, where a row both too close and too old counts as
+too close. `estagg report` then rebuilds the run's results.csv from its
+events files byte for byte.
 """
 
 import contextlib
@@ -49,6 +52,8 @@ ACTUAL_DEFECTS = ("short", (2, "0"), (3, "junk"))
 MIN_LEAD_HOURS = (48, 72, 240, 720)
 MAX_AGE_DAYS = (365, 2, 10, 30, 45, 60, 400)
 SURPRISE_CAPS = (50, 0, 2, 30, 1000)
+# a firm's id by its number, plain first; the others need quoting in a CSV file
+FIRM_IDS = ("F{}", "F,{}", 'F"{}', "F\n{}", "F\r{}")
 
 
 def spoil(fields: list, defects: tuple, rng: random.Random) -> None:
@@ -80,6 +85,7 @@ def pipeline_inputs(draw):
             }
         )
     )
+    firm_ids = [draw(st.sampled_from(FIRM_IDS)).format(firm) for firm in range(n_firms)]
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     cells = [(f, p) for p in QUARTERS[:n_quarters] for f in range(n_firms)]
     # an actual per firm-quarter, each quarter's announcements often shared across firms
@@ -98,7 +104,7 @@ def pipeline_inputs(draw):
             broker = (analyst + (rng.random() < 0.2)) % 3  # an analyst may move between brokers
             offset = 0 if rng.random() < share["exact"] else bias[analyst] + rng.choice((-1, 0, 1, 2, 60, -90))
             ts = format_ts(announce - 3600 * rng.choice(LEADS))
-            fields = [f"A{analyst}", f"B{broker}", f"F{firm}", year, quarter, ts, rng.choice(HORIZONS), value + offset]
+            fields = [f"A{analyst}", f"B{broker}", firm_ids[firm], year, quarter, ts, rng.choice(HORIZONS), value + offset]
             fields = list(map(str, fields))
             if rng.random() < share["defect"]:
                 spoil(fields, ESTIMATE_DEFECTS, rng)
@@ -106,7 +112,7 @@ def pipeline_inputs(draw):
     rng.shuffle(estimates)
     actuals = []
     for (firm, (year, quarter)), (announce, value) in actual.items():
-        fields = [f"F{firm}", str(year), str(quarter), format_ts(announce), str(value)]
+        fields = [firm_ids[firm], str(year), str(quarter), format_ts(announce), str(value)]
         if rng.random() < share["defect"]:
             spoil(fields, ACTUAL_DEFECTS, rng)
         actuals.append(fields)
@@ -121,7 +127,8 @@ def pipeline_inputs(draw):
     quote, newline = draw(st.booleans()), draw(st.sampled_from(("\n", "\r\n")))
 
     def text(header, lines):
-        wrap = (lambda x: f'"{x}"') if quote else str
+        # a field that needs quoting is quoted as csv.writer quotes it, whether or not the draw quotes every field
+        wrap = (lambda x: '"%s"' % x.replace('"', '""')) if quote else oracles.csv_field
         return "".join(",".join(map(wrap, fields)) + newline for fields in [list(header), *lines])
 
     files = {"estimates": text(ESTIMATE_COLUMNS, estimates), "actuals": text(ACTUAL_COLUMNS, actuals)}
@@ -231,8 +238,14 @@ def test_run_writes_the_oracle_artifacts(drawn):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0
         got, (want, want_rejects) = written_artifacts(out), oracle_artifacts(paths, run)
+        os.remove(os.path.join(out, "results.csv"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["report", "--run-dir", out]) == 0
+        with open(os.path.join(out, "results.csv"), "rb") as fh:
+            rebuilt = fh.read()
     assert sorted(got) == sorted(want)
     for name in want:
         assert got[name] == want[name].encode(), name
+    assert rebuilt == got["results.csv"]
     # a row both too close for a mode's cutoff and too old counts as too close
     assert panel_rejects == want_rejects

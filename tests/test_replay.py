@@ -24,7 +24,7 @@ from conftest import (
 from estagg import evaluate, features, ingest, replay
 from estagg.aggregate import ModeConfig, default_mode_matrix, weight_vector
 from estagg.bias import BiasTracker
-from estagg.cli import _event_fields, _write_events
+from estagg.report import _event_fields, _write_events
 from estagg.evaluate import PanelSource, run_mode_matrix
 from estagg.features import SCALINGS
 from estagg.ingest import ActualTable, FilterConfig, IngestReport, Panel, Stream, build_panel
