@@ -40,18 +40,6 @@ NUMERIC_FLAGS = [
 ]
 
 
-def _setup_logging() -> None:
-    """Log to stderr at the level ESTAGG_LOG names, WARNING for other text.
-    Called only when ESTAGG_LOG is set: a run that logs nothing visible
-    does not import logging (ingest.log_info)."""
-    import logging
-
-    # getLevelName maps a level's name to its number and other text, such as BASIC_FORMAT, to text
-    level = logging.getLevelName(os.environ["ESTAGG_LOG"].upper())
-    level = level if isinstance(level, int) else logging.WARNING
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-
-
 def _settings(args: argparse.Namespace, casts: dict) -> dict:
     """Each setting of `casts` from its flag, else from the key=value config
     file, where a '#' at a line's start or after whitespace starts a comment,
@@ -270,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if "ESTAGG_LOG" in os.environ:
-        _setup_logging()
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads a separate -inf or -1e3 as an option: join it to its flag, or to a prefix
     # of one, which argparse then resolves or reports as ambiguous

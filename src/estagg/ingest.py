@@ -43,7 +43,6 @@ import codecs
 import csv
 import io
 import os
-import sys
 from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import chain, islice, repeat
@@ -65,16 +64,6 @@ ID, INT64, QUARTER, TIMESTAMP = "id", "int64", "quarter", "timestamp"
 IDENTITIES = ("analyst", "broker")  # whose estimates a panel deduplicates and keys its ledgers by
 MIN_LEAD_HOURS = 48  # the shortest recency cutoff, in hours before the announcement, any panel scores with
 HORIZON_CODES = frozenset({6, 7, 8, 9})  # the forecast horizons a panel keeps
-
-
-def log_info(name: str, message: str, *args) -> None:
-    """Log `message % args` at INFO to the logger `name`, if this process
-    has imported logging. One that has not has no handler that could show
-    the record, so estagg does not import logging for it: `cli.main` does
-    when ESTAGG_LOG is set, and a host program that logs already has."""
-    logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger(name).info(message, *args)
 
 
 def _batches(rows: Iterable) -> Iterator[list]:
@@ -903,7 +892,6 @@ def build_panel(
         raise RuntimeError(
             f"panel accounting broken: kept {report.kept} + rejected {rejected} != total {report.total}"
         )
-    log_info(__name__, "panel: %d events, %d estimates kept of %d", len(events), report.kept, report.total)
 
     # the kept estimates' columns, with the features no ledger changes
     kept_rows = win[kept]

@@ -44,7 +44,7 @@ import numpy as np
 from .aggregate import ModeConfig, weight_vector
 from .bias import BiasTracker, HistoryLedger
 from .features import normalize_event
-from .ingest import Panel, SizeBucket, log_info
+from .ingest import Panel, SizeBucket
 from .model import Mask, PeriodModel, fit_period, quarter_grams
 from .periods import quarter_from_index
 
@@ -187,5 +187,4 @@ def run_mode(state: LedgerState, mode: ModeConfig) -> ReplayResult:
     for bucket in panel.layout.buckets:
         scored = improved_consensus(state, bucket, mode, predicted)
         improved[bucket.order], fallback_reason[bucket.order] = scored.improved, scored.fallback_reason
-    log_info(__name__, "mode %s: %d events scored, %d models fit", mode.label, len(improved), len(models))
     return ReplayResult(panel, improved, fallback_reason, list(models.values()))

@@ -2,7 +2,6 @@ import codecs
 import csv
 import errno
 import json
-import logging
 import os
 import pathlib
 import subprocess
@@ -583,58 +582,6 @@ class TestRunCommand:
         assert child.returncode == 0, child.stderr
         assert child.stdout.splitlines()[-1] == "False"
 
-    @pytest.mark.parametrize("value, level", [("BASIC_FORMAT", "30"), ("nonsense", "30"), ("debug", "10")])
-    def test_log_level_from_environment(self, tmp_path, value, level):
-        # in a child: under pytest's own handlers basicConfig sets no level
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        code = "import logging, sys; from estagg.cli import main; print(main(sys.argv[1:]), logging.getLogger().level)"
-        child = subprocess.run(
-            [sys.executable, "-c", code, "report", "--run-dir", str(tmp_path / "missing")],
-            env=dict(os.environ, PYTHONPATH=src, ESTAGG_LOG=value),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert child.returncode == 0, child.stderr
-        assert child.stdout.split() == ["1", level]
-        assert child.stderr.startswith("report failed: ")
-
-    def info_lines(self, run_dir, labels):
-        """The INFO lines of a run of `labels`, all on the default panel, from its artifacts."""
-        ingest = json.loads((run_dir / "ingest_report.json").read_text())["ingest"]
-        events = len((run_dir / f"events_{labels[0]}.csv").read_text().splitlines()) - 1
-        lines = [f"INFO estagg.ingest: panel: {events} events, {ingest['kept']} estimates kept of {ingest['total']}"]
-        for label in labels:
-            models = len((run_dir / "models" / f"{label}.csv").read_text().splitlines()) - 1
-            lines.append(f"INFO estagg.replay: mode {label}: {events} events scored, {models} models fit")
-        return lines
-
-    @pytest.mark.parametrize("value", [None, "INFO"], ids=["unset", "info"])
-    def test_logging_loads_only_on_request(self, synth_dir, tmp_path, value):
-        # in a child: pytest itself imports logging
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        code = "import sys; from estagg.cli import main; assert main(sys.argv[1:]) == 0; print('logging' in sys.modules)"
-        env = {key: text for key, text in os.environ.items() if key != "ESTAGG_LOG"}
-        env |= {"PYTHONPATH": src} | ({"ESTAGG_LOG": value} if value else {})
-        out = tmp_path / "out"
-        child = subprocess.run(
-            [sys.executable, "-c", code, *run_args(synth_dir, out, ["--modes", "full,no_bias"])],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert child.returncode == 0, child.stderr
-        assert child.stdout.splitlines()[-1] == str(bool(value))
-        assert child.stderr.splitlines() == (self.info_lines(out, ["full", "no_bias"]) if value else [])
-
-    def test_info_records_reach_a_host_that_logs(self, synth_dir, tmp_path, caplog):
-        caplog.set_level(logging.INFO, logger="estagg")
-        out = tmp_path / "out"
-        assert main(run_args(synth_dir, out, ["--modes", "full,no_bias"])) == 0
-        got = [f"{r.levelname} {r.name}: {r.getMessage()}" for r in caplog.records if r.name.startswith("estagg")]
-        assert got == self.info_lines(out, ["full", "no_bias"])
-
     @pytest.mark.parametrize("order", [(0, 5), (5, 0)], ids=["confirming_first", "confirming_last"])
     def test_duplicated_check_row_names_both_lines(self, synth_dir, tmp_path, capsys, order):
         # the primary value and a conflicting one for the firm-period of
@@ -1073,6 +1020,13 @@ class TestReportCommand:
         os.remove(reported_run / "manifest.json")
         assert main(["report", "--run-dir", str(reported_run)]) == 1
         assert f"report failed: {reported_run / 'manifest.json'}: No such file or directory" in capsys.readouterr().err
+        assert not (reported_run / "results.csv").exists()
+
+    def test_missing_events_file_of_a_listed_mode_fails(self, reported_run, capsys):
+        missing = reported_run / "events_no_bias.csv"
+        os.remove(missing)
+        assert main(["report", "--run-dir", str(reported_run)]) == 1
+        assert capsys.readouterr().err == f"report failed: {missing}: No such file or directory\n"
         assert not (reported_run / "results.csv").exists()
 
     @pytest.mark.parametrize(

@@ -2,9 +2,10 @@
 function and class estagg defines is referenced within estagg. The data
 layer imports no ledger: bias imports no estagg module, and ingest only
 features and periods; report, which writes a run's files and reads them
-back, imports no command module. Start-up builds no dataclass and no
-`typing.NamedTuple`, and loads neither logging nor a module only another
-command needs."""
+back, imports no command module. No module reads an environment variable.
+Start-up builds no dataclass and no `typing.NamedTuple`, and loads neither
+logging nor a module only another command needs; `run` and `report` do not
+load logging either."""
 
 import ast
 import json
@@ -33,6 +34,24 @@ def unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported(tree)
     return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+# the names through which Python code reads environment variables
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[str]:
+    """Each name, attribute or imported name of ENVIRONMENT in `source`,
+    with its line, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.alias):
+            found.append((node.lineno, node.name.rpartition(".")[2]))
+    return [f"{name} (line {line})" for line, name in sorted(found) if name in ENVIRONMENT]
 
 
 def exported(tree: ast.AST) -> set[str]:
@@ -87,6 +106,27 @@ def test_finds_unused_imports():
         "    return list(repeat(x, 2))\n"
     )
     assert unused_imports(source) == ["os (line 2)", "np (line 3)", "chain (line 5)"]
+
+
+def test_no_module_reads_the_environment():
+    # so a run's manifest.json records everything it reads besides its input files
+    found = [
+        f"{path.name}: {read}"
+        for path in sorted(SRC.glob("*.py"))
+        for read in environment_reads(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def test_finds_environment_reads():
+    source = (
+        "import os\n"
+        "from os import getenv as get, sep\n"
+        "level = os.environ.get('LEVEL', sep)\n"
+        "def f(environ):\n"
+        "    return get('X'), environ\n"
+    )
+    assert environment_reads(source) == ["getenv (line 2)", "environ (line 3)", "environ (line 5)"]
 
 
 def test_every_definition_is_referenced():
@@ -203,7 +243,7 @@ def test_start_up_builds_no_dataclass_and_skips_synth():
 
 
 # run in a fresh interpreter as `python -m estagg.cli` runs: the command's
-# exit code, then whether estagg.cli and estagg.report were imported
+# exit code, then whether estagg.cli, estagg.report and logging were imported
 AS_MAIN = """
 import json, runpy, sys
 sys.argv[0] = "estagg"
@@ -211,7 +251,7 @@ try:
     runpy.run_module("estagg.cli", run_name="__main__")
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, "estagg.cli" in sys.modules, "estagg.report" in sys.modules]))
+print(json.dumps([code, *(name in sys.modules for name in ("estagg.cli", "estagg.report", "logging"))]))
 """
 
 
@@ -221,6 +261,7 @@ def test_run_and_report_load_report_but_not_cli_again(tmp_path):
     paths = generate(SynthSpec(n_firms=3, n_analysts=12, n_quarters=4, analysts_per_event=4), str(tmp_path / "in"))
     out = str(tmp_path / "run")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    env["ESTAGG_LOG"] = "INFO"  # a run writes nothing but its files, whatever the environment holds
     seen = {}
     for argv in (
         ["run", "--estimates", paths["estimates"], "--actuals", paths["actuals"], "--out", out, "--burn-in", "1"],
@@ -230,5 +271,6 @@ def test_run_and_report_load_report_but_not_cli_again(tmp_path):
             [sys.executable, "-c", AS_MAIN, *argv], env=env, capture_output=True, text=True, timeout=120
         )
         assert child.returncode == 0, child.stderr
+        assert child.stderr == ""
         seen[argv[0]] = json.loads(child.stdout.splitlines()[-1])
-    assert seen == {"run": [0, False, True], "report": [0, False, True]}
+    assert seen == {"run": [0, False, True, False], "report": [0, False, True, False]}
